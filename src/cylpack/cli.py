@@ -122,20 +122,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     rep = record()
-    doc = {
-        "computed": {
-            "x": rep.x_m,
-            "s": rep.s_m,
-            "t": rep.t_m,
-            "phi": rep.phi_m,
-            "tan_kappa": rep.tan_kappa_m,
-            "f": rep.f_m,
-            "d": rep.d_m,
-            "dae_sq": rep.dae_sq_m,
-            "r": rep.r_m,
-        },
-        "closed_form": rep.closed,
-    }
+    doc = {"computed": rep.computed(), "closed_form": rep.closed}
     _emit(json_dumps(doc))
     return 0
 

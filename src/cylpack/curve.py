@@ -55,12 +55,8 @@ def u_from_st(S: float, T: float) -> float:
     )
 
 
-def psi(s, t):
-    """Planar trajectory constraint in s = sin^2(phi), t = tan^2(delta).
-
-    Exact for Fraction inputs; floats are summed with fsum.
-    """
-    terms = [
+def _psi_terms(s, t) -> list:
+    return [
         4 * s,
         -8 * t,
         -3 * s * s,
@@ -72,6 +68,14 @@ def psi(s, t):
         -7 * s * s * t * t,
         s * t ** 3,
     ]
+
+
+def psi(s, t):
+    """Planar trajectory constraint in s = sin^2(phi), t = tan^2(delta).
+
+    Exact for Fraction inputs; floats are summed with fsum.
+    """
+    terms = _psi_terms(s, t)
     if isinstance(s, Fraction) or isinstance(t, Fraction):
         return sum(terms)
     return math.fsum(terms)
@@ -117,8 +121,12 @@ class CurveSample:
 
 def _check_sample(sample: CurveSample) -> None:
     s, t = sample.s_var, sample.t_var
-    if abs(psi(s, t)) > 1e-9:
-        raise ArithmeticError(f"trajectory sample off the constraint: psi = {psi(s, t)!r}")
+    terms = _psi_terms(s, t)
+    # t grows like 1/x, so the terms grow like 1/x^3 as x -> 0: bound the
+    # residual relative to their size
+    residual = math.fsum(terms)
+    if abs(residual) > 1e-9 * max(1.0, math.fsum(map(abs, terms))):
+        raise ArithmeticError(f"trajectory sample off the constraint: psi = {residual!r}")
     if abs(sample.x - (1 - s) / (t + 1)) > 1e-10:
         raise ArithmeticError("trajectory sample breaks the x relation")
     if sample.x < 1.0:
@@ -180,6 +188,10 @@ class RecordReport:
     r_m: float
     closed: dict
 
+    def computed(self) -> dict:
+        """The computed values under the keys of `closed`."""
+        return {key: getattr(self, f"{key}_m") for key in self.closed}
+
 
 def record() -> RecordReport:
     """The trajectory maximum x = 1/2 with its closed forms."""
@@ -209,18 +221,7 @@ def record() -> RecordReport:
             "r": (3.0 + math.sqrt(33.0)) / 8.0,
         },
     )
-    computed = {
-        "x": report.x_m,
-        "s": report.s_m,
-        "t": report.t_m,
-        "phi": report.phi_m,
-        "tan_kappa": report.tan_kappa_m,
-        "f": report.f_m,
-        "d": report.d_m,
-        "dae_sq": report.dae_sq_m,
-        "r": report.r_m,
-    }
-    for key, value in computed.items():
+    for key, value in report.computed().items():
         if abs(value - report.closed[key]) > 1e-12:
             raise ArithmeticError(
                 f"record value {key} drifted: {value!r} vs {report.closed[key]!r}"

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 _TAU = 2.0 * math.pi
 
-# Below this value of 1 - (dir . dir')^2 the skew-line formula is 0/0 and
-# the point-to-line fallback is used instead.
+# Below this value of |dir x dir'|^2 = 1 - (dir . dir')^2 the skew-line
+# formula is 0/0 and the point-to-line fallback is used instead.
 PARALLEL_TOL = 1e-12
 
 
@@ -52,18 +53,44 @@ class SphericalPoint:
         object.__setattr__(self, "kappa", kappa)
 
 
+def _basis(phi, kappa) -> tuple:
+    """Tangency points with their north and east unit tangents."""
+    sp, cp = np.sin(phi), np.cos(phi)
+    sk, ck = np.sin(kappa), np.cos(kappa)
+    bases = np.stack([cp * ck, cp * sk, sp], axis=-1)
+    north = np.stack([-sp * ck, -sp * sk, cp], axis=-1)
+    east = np.stack([-sk, ck, np.zeros_like(sk)], axis=-1)
+    return bases, north, east
+
+
+def frames(phi, kappa, ang) -> tuple:
+    """Tangency points and directions of tangent lines, over arrays.
+
+    Line k touches the sphere at latitude phi[k], longitude kappa[k] and
+    points along the north tangent rotated by ang[k] in the tangent
+    plane; ang = pi/2 points due east (toward increasing longitude).
+    Each output stacks 3-vectors on a new last axis: bases over the
+    broadcast shape of phi and kappa, dirs over that of all three.  The
+    frame degenerates at the poles, which callers must reject.
+    """
+    bases, north, east = _basis(phi, kappa)
+    return bases, np.cos(ang)[..., None] * north + np.sin(ang)[..., None] * east
+
+
+def _reject_poles(phi) -> None:
+    if np.any(np.abs(phi) >= math.pi / 2):
+        raise ValueError("north direction undefined at the poles")
+
+
 def embed_point(p: SphericalPoint) -> np.ndarray:
     """Unit vector (cos phi cos kappa, cos phi sin kappa, sin phi)."""
-    cp = math.cos(p.phi)
-    return np.array([cp * math.cos(p.kappa), cp * math.sin(p.kappa), math.sin(p.phi)])
+    return frames(p.phi, p.kappa, 0.0)[0]
 
 
 def north_tangent(p: SphericalPoint) -> np.ndarray:
     """Unit tangent at p pointing due north; undefined at the poles."""
-    if abs(p.phi) >= math.pi / 2:
-        raise ValueError("north direction undefined at the poles")
-    sp = math.sin(p.phi)
-    return np.array([-sp * math.cos(p.kappa), -sp * math.sin(p.kappa), math.cos(p.phi)])
+    _reject_poles(p.phi)
+    return frames(p.phi, p.kappa, 0.0)[1]
 
 
 def _frozen(v: np.ndarray) -> np.ndarray:
@@ -117,10 +144,7 @@ class TangentLine:
         Gives every line one deterministic representative for printing
         and comparisons.
         """
-        for c in self.dir:
-            if c != 0.0:
-                return self if c > 0.0 else TangentLine(self.base, -self.dir)
-        return self
+        return TangentLine(self.base, _canonical(self.dir[None])[0])
 
     def same_line_as(self, other: "TangentLine", tol: float = 1e-10) -> bool:
         """Whether the two lines coincide, ignoring dir orientation."""
@@ -137,14 +161,8 @@ def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
     longitude).  Poles are rejected: the north direction is undefined
     there.
     """
-    if abs(p.phi) >= math.pi / 2:
-        raise ValueError("north direction undefined at the poles")
-    sp, cp = math.sin(p.phi), math.cos(p.phi)
-    sk, ck = math.sin(p.kappa), math.cos(p.kappa)
-    base = np.array([cp * ck, cp * sk, sp])
-    north = np.array([-sp * ck, -sp * sk, cp])
-    east = np.array([-sk, ck, 0.0])
-    return TangentLine(base, math.cos(delta) * north + math.sin(delta) * east)
+    _reject_poles(p.phi)
+    return TangentLine(*frames(p.phi, p.kappa, delta))
 
 
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -164,38 +182,68 @@ def rotate_line(line: TangentLine, matrix: np.ndarray) -> TangentLine:
     return TangentLine(matrix @ line.base, matrix @ line.dir)
 
 
-def _canonical_dir(d: np.ndarray) -> np.ndarray:
-    for c in d:
-        if c != 0.0:
-            return d if c > 0.0 else -d
-    return d
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    return np.triu_indices(n, 1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...k,...k->...", a, b)
+
+
+def _canonical(d: np.ndarray) -> np.ndarray:
+    """Rows of d flipped so the first nonzero component is positive."""
+    first = np.take_along_axis(d, np.argmax(d != 0.0, axis=-1)[:, None], axis=-1)
+    return np.where(first < 0.0, -d, d)
+
+
+def _parallel_dsq(du: np.ndarray, dv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared point-to-line gaps of (m, 3) stacks of parallel pairs,
+    projected along the lexicographically larger canonical direction."""
+    a, b = _canonical(du), _canonical(dv)
+    k = np.argmax(a != b, axis=-1)[:, None]  # first differing component, or 0
+    n = np.where(np.take_along_axis(a, k, axis=-1) >= np.take_along_axis(b, k, axis=-1), a, b)
+    wp = w - _dot(w, n)[:, None] * n
+    return _dot(wp, wp)
+
+
+def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Squared distances of all line pairs i < j, in row-major order.
+
+    bases and dirs are (..., n, 3) stacks of tangency points and unit
+    directions; the result has shape (..., n(n-1)/2).  Skew pairs use
+    det^2[du, dv, w] / |du x dv|^2 with w = base_j - base_i; the
+    denominator equals 1 - (du . dv)^2 for unit vectors but is free of
+    its catastrophic cancellation near parallel pairs.  Within
+    PARALLEL_TOL of parallel that formula is 0/0 and the squared
+    point-to-line gap is used instead.  Every value is exactly invariant
+    under swapping the two lines and under negating either direction:
+    both branches change only by exact floating-point sign flips under
+    those operations.
+    """
+    # einsum rounds its sums in an order set by the memory layout
+    bases, dirs = np.ascontiguousarray(bases), np.ascontiguousarray(dirs)
+    i, j = _pairs(dirs.shape[-2])
+    du, dv = dirs[..., i, :], dirs[..., j, :]
+    w = bases[..., j, :] - bases[..., i, :]
+    cross = np.cross(du, dv)
+    denom = _dot(cross, cross)
+    det = _dot(cross, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dsq = det * det / denom
+    parallel = denom <= PARALLEL_TOL
+    if parallel.any():
+        dsq[parallel] = _parallel_dsq(du[parallel], dv[parallel], w[parallel])
+    return dsq
+
+
+def _stack(lines) -> tuple:
+    return np.array([u.base for u in lines]), np.array([u.dir for u in lines])
 
 
 def distance_sq(u: TangentLine, v: TangentLine) -> float:
-    """Squared distance between two lines.
-
-    Skew pairs use det^2[du, dv, w] / (1 - (du . dv)^2) with
-    w = v.base - u.base; within PARALLEL_TOL of parallel that formula is
-    0/0 and the squared point-to-line gap is returned instead.  The
-    denominator is evaluated as |du x dv|^2, equal to 1 - (du . dv)^2 for
-    unit vectors but free of its catastrophic cancellation near parallel
-    pairs.  The value is exactly symmetric in (u, v) and exactly invariant
-    under negating either dir: both branches are built from expressions
-    that only change by exact floating-point sign flips under those
-    operations.
-    """
-    du, dv = u.dir, v.dir
-    w = v.base - u.base
-    cross = np.cross(du, dv)
-    denom = float(cross @ cross)
-    if denom <= PARALLEL_TOL:
-        a = _canonical_dir(du)
-        b = _canonical_dir(dv)
-        n = a if tuple(a) >= tuple(b) else b
-        wp = w - float(w @ n) * n
-        return float(wp @ wp)
-    det = float(cross @ w)
-    return det * det / denom
+    """Squared distance between two lines; see pair_dsq."""
+    return float(pair_dsq(*_stack((u, v)))[0])
 
 
 def distance(u: TangentLine, v: TangentLine) -> float:
@@ -230,23 +278,46 @@ class Configuration:
     def distance_sq_matrix(self) -> np.ndarray:
         """Symmetric matrix of pairwise squared distances (zero diagonal)."""
         n = len(self.lines)
+        i, j = _pairs(n)
         m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i, j] = m[j, i] = distance_sq(self.lines[i], self.lines[j])
+        m[i, j] = m[j, i] = pair_dsq(*_stack(self.lines))
         return m
+
+
+def chart_lines(rows) -> Configuration:
+    """Tangent lines from (latitude, longitude, tangent angle) rows.
+
+    Row k gives the line make_tangent_line(SphericalPoint(lat, lon), ang)
+    would build, longitude reduction included.  Poles are rejected.
+    """
+    lat, lon, ang = np.array(rows, dtype=float).T
+    _reject_poles(lat)
+    lon = np.mod(lon, _TAU)
+    lon[lon >= _TAU] = 0.0  # float wrap of tiny negative inputs
+    return Configuration(tuple(map(TangentLine, *frames(lat, lon, ang))))
 
 
 def min_pairwise_distance(c: Configuration) -> float:
     """Smallest distance over all line pairs of the configuration."""
-    lines = c.lines
-    if len(lines) < 2:
-        raise ValueError("need at least 2 lines")
-    best = math.inf
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            best = min(best, distance_sq(lines[i], lines[j]))
-    return math.sqrt(best)
+    return math.sqrt(float(pair_dsq(*_stack(c.lines)).min()))
+
+
+def chart_rows(lines) -> np.ndarray:
+    """(latitude, longitude, tangent angle) rows of tangent lines.
+
+    Inverts chart_lines, with longitudes reduced to [0, 2*pi); rejects
+    lines based at a pole, where the tangent angle is undefined.
+    """
+    rows = []
+    for line in lines:
+        z = float(line.base[2])
+        if abs(z) >= 1.0 - 1e-12:
+            raise ValueError("line based at a pole has no chart coordinates")
+        phi = math.asin(z)
+        kappa = math.atan2(float(line.base[1]), float(line.base[0])) % _TAU
+        _, north, east = _basis(phi, kappa)
+        rows.append((phi, kappa, math.atan2(float(line.dir @ east), float(line.dir @ north))))
+    return np.array(rows)
 
 
 def radius_from_distance(d: float) -> float:

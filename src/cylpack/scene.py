@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .lines import Configuration, TangentLine, distance
+from .lines import Configuration, TangentLine, distance, min_pairwise_distance
 from .serialize import CSV_SIG, fmt_float
 
 Mesh = tuple[np.ndarray, list[tuple[int, ...]]]
@@ -120,9 +119,8 @@ def surface_gap(line_a: TangentLine, line_b: TangentLine, radius: float) -> floa
 
 
 def min_surface_gap(config: Configuration, radius: float) -> float:
-    return min(
-        surface_gap(a, b, radius) for a, b in combinations(config.lines, 2)
-    )
+    """Smallest surface_gap over all cylinder pairs of the configuration."""
+    return (1.0 + radius) * min_pairwise_distance(config) - 2.0 * radius
 
 
 def scene_obj(spec: SceneSpec) -> str:

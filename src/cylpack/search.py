@@ -18,10 +18,11 @@ import numpy as np
 
 from .lines import (
     Configuration,
-    PARALLEL_TOL,
-    SphericalPoint,
-    make_tangent_line,
+    chart_lines,
+    chart_rows,
+    frames,
     min_pairwise_distance,
+    pair_dsq,
     radius_from_distance,
 )
 from .symmetric import D3Params, c6_chart
@@ -31,11 +32,6 @@ N_LINES = 6
 N_COORDS = 3 * N_LINES
 
 _PHI_CAP = math.pi / 2 - 1e-9
-
-# index pairs (i, j), i < j, in one fixed order
-_PAIR_I, _PAIR_J = map(
-    np.array, zip(*[(i, j) for i in range(N_LINES) for j in range(i + 1, N_LINES)])
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +55,7 @@ class FreeConfig:
 
 def config_lines(c: FreeConfig) -> Configuration:
     """Build the six tangent lines of a chart."""
-    rows = c.coords.reshape(N_LINES, 3)
-    return Configuration(
-        tuple(
-            make_tangent_line(SphericalPoint(lat, lon), ang) for lat, lon, ang in rows
-        )
-    )
+    return chart_lines(c.coords.reshape(N_LINES, 3))
 
 
 def chart_c6(p: D3Params) -> FreeConfig:
@@ -85,25 +76,12 @@ def chart_record() -> FreeConfig:
 def chart_from_configuration(c: Configuration) -> FreeConfig:
     """Recover a chart from six built tangent lines.
 
-    Inverts make_tangent_line per line; rejects lines based at a pole,
-    where the chart has no angle coordinate.
+    Inverts config_lines; rejects lines based at a pole, where the chart
+    has no angle coordinate.
     """
     if len(c) != N_LINES:
         raise ValueError(f"chart covers configurations of {N_LINES} lines")
-    rows = []
-    for line in c:
-        z = float(line.base[2])
-        if abs(z) >= 1.0 - 1e-12:
-            raise ValueError("line based at a pole has no chart coordinates")
-        phi = math.asin(z)
-        kappa = math.atan2(float(line.base[1]), float(line.base[0])) % (2 * math.pi)
-        sp, cp = math.sin(phi), math.cos(phi)
-        sk, ck = math.sin(kappa), math.cos(kappa)
-        north = np.array([-sp * ck, -sp * sk, cp])
-        east = np.array([-sk, ck, 0.0])
-        ang = math.atan2(float(line.dir @ east), float(line.dir @ north))
-        rows.append((phi, kappa, ang))
-    return FreeConfig(np.array(rows))
+    return FreeConfig(chart_rows(c))
 
 
 def objective(c: FreeConfig) -> float:
@@ -114,27 +92,8 @@ def objective(c: FreeConfig) -> float:
 def _objective_batch(coords: np.ndarray) -> np.ndarray:
     """Objective for a (N, 18) batch of charts, returned as (N,)."""
     c = coords.reshape(-1, N_LINES, 3)
-    phi, kappa, ang = c[..., 0], c[..., 1], c[..., 2]
-    sp, cp = np.sin(phi), np.cos(phi)
-    sk, ck = np.sin(kappa), np.cos(kappa)
-    bases = np.stack([cp * ck, cp * sk, sp], axis=-1)
-    north = np.stack([-sp * ck, -sp * sk, cp], axis=-1)
-    east = np.stack([-sk, ck, np.zeros_like(sk)], axis=-1)
-    dirs = np.cos(ang)[..., None] * north + np.sin(ang)[..., None] * east
-
-    d1 = dirs[:, _PAIR_I]
-    d2 = dirs[:, _PAIR_J]
-    w = bases[:, _PAIR_J] - bases[:, _PAIR_I]
-    cross = np.cross(d1, d2)
-    denom = np.einsum("npk,npk->np", cross, cross)
-    det = np.einsum("npk,npk->np", cross, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        generic = det * det / denom
-    wd = np.einsum("npk,npk->np", w, d1)
-    wp = w - wd[..., None] * d1
-    fallback = np.einsum("npk,npk->np", wp, wp)
-    dsq = np.where(denom <= PARALLEL_TOL, fallback, generic)
-    return np.sqrt(dsq.min(axis=1))
+    dsq = pair_dsq(*frames(c[..., 0], c[..., 1], c[..., 2]))
+    return np.sqrt(dsq.min(axis=-1))
 
 
 def _clip_latitudes(coords: np.ndarray) -> np.ndarray:

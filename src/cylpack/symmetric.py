@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from .lines import (
     Configuration,
     DegenerateError,
-    SphericalPoint,
-    distance_sq,
-    make_tangent_line,
+    chart_lines,
     rotate_line,
     rotation_matrix,
 )
@@ -74,7 +72,7 @@ class D3Params:
 def c6_chart(p: D3Params) -> tuple:
     """Per-line (latitude, longitude, tangent angle) triples, order A..F.
 
-    The tangent angle is passed to make_tangent_line, whose positive
+    The tangent angle is the one chart_lines takes, whose positive
     sense is toward increasing longitude; the family's delta tilts the
     other way, hence -delta for all six lines.
     """
@@ -85,12 +83,7 @@ def c6_chart(p: D3Params) -> tuple:
 
 def build_c6(p: D3Params) -> Configuration:
     """The six tangent lines (A, B, C, D, E, F) of the symmetric family."""
-    return Configuration(
-        tuple(
-            make_tangent_line(SphericalPoint(lat, lon), ang)
-            for lat, lon, ang in c6_chart(p)
-        )
-    )
+    return chart_lines(c6_chart(p))
 
 
 def d3_orbit_check(c: Configuration, tol: float = 1e-10) -> bool:
@@ -166,6 +159,26 @@ def alg_coords(p: D3Params) -> AlgCoords:
     )
 
 
+def _neighbor_dists_sq(S, T, U, Ub, sin_sq, cos_sq) -> tuple:
+    """(d_AB^2, d_AD^2, d_BD^2) of the rational coordinate forms at a
+    neighbor angle alpha given by sin_sq = sin^2(alpha) and
+    cos_sq = cos^2(alpha); U and Ub are tan(kappa - alpha/2) and
+    -tan(kappa + alpha/2).
+
+    d_AB^2 degenerates to 0/0 at S = T = 0, where its limit along the
+    delta direction, 4 sin^2(alpha), is returned.
+    """
+    s2, t2 = S * S, T * T
+    st = s2 + t2
+    if st < 1e-30:
+        dab = 4.0 * sin_sq
+    else:
+        dab = 4.0 * sin_sq * (1.0 - s2) ** 2 * t2 / (st * (1.0 - sin_sq * s2 + cos_sq * t2))
+    dad = 4.0 * (S * T + U) ** 2 / (1.0 - s2 + t2 + U * U + 2.0 * S * T * U)
+    dbd = 4.0 * (-S * T + Ub) ** 2 / (1.0 - s2 + t2 + Ub * Ub - 2.0 * S * T * Ub)
+    return (dab, dad, dbd)
+
+
 def triplets_alg(a: AlgCoords) -> tuple:
     """(d_AB^2, d_AD^2, d_BD^2) from the rational coordinate forms.
 
@@ -173,16 +186,8 @@ def triplets_alg(a: AlgCoords) -> tuple:
     delta direction, the value 3 of the initial configuration's skew
     pairs, is returned.
     """
-    s, t, u, ub = a.s_var, a.t_var, a.u_var, a.ubar_var
-    s2, t2 = s * s, t * t
-    st = s2 + t2
-    if st < 1e-30:
-        dab = 3.0
-    else:
-        dab = 12.0 * t2 * (1.0 - s2) ** 2 / ((4.0 - 3.0 * s2 + t2) * st)
-    dad = 4.0 * (t * s + u) ** 2 / (1.0 + u * u + t2 - s2 + 2.0 * s * t * u)
-    dbd = 4.0 * (-t * s + ub) ** 2 / (1.0 + ub * ub + t2 - s2 - 2.0 * s * t * ub)
-    return (dab, dad, dbd)
+    # sin^2 and cos^2 of the neighbor angle pi/3
+    return _neighbor_dists_sq(a.s_var, a.t_var, a.u_var, a.ubar_var, 0.75, 0.25)
 
 
 @dataclass(frozen=True)
@@ -203,9 +208,7 @@ class DistanceTriplets:
 
 
 def _generic_orbit_value(p: D3Params, orbit: str) -> float:
-    c = build_c6(p)
-    i, j = PAIR_ORBITS[orbit][0]
-    return distance_sq(c[i], c[j])
+    return float(build_c6(p).distance_sq_matrix()[PAIR_ORBITS[orbit][0]])
 
 
 def triplets_trig(p: D3Params) -> DistanceTriplets:
@@ -255,9 +258,5 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
 def triplets_generic(p: D3Params) -> DistanceTriplets:
     """Squared orbit distances from the generic skew-line distance on the
     built configuration (one representative pair per orbit)."""
-    c = build_c6(p)
-    values = []
-    for orbit in ("ab", "ad", "bd", "ae"):
-        i, j = PAIR_ORBITS[orbit][0]
-        values.append(distance_sq(c[i], c[j]))
-    return DistanceTriplets(*values)
+    m = build_c6(p).distance_sq_matrix()
+    return DistanceTriplets(*(m[PAIR_ORBITS[o][0]] for o in ("ab", "ad", "bd", "ae")))

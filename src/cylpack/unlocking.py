@@ -18,12 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lines import (
-    Configuration,
-    DegenerateError,
-    SphericalPoint,
-    make_tangent_line,
-)
+from .lines import Configuration, DegenerateError, chart_lines
+from .symmetric import _neighbor_dists_sq
 
 _MARGINAL_TOL = 1e-12
 
@@ -66,15 +62,9 @@ def build_c3(g: GeneralParams) -> Configuration:
     3 alpha/2 - kappa at latitude -phi, all tangents tilted by the family
     delta (toward decreasing longitude, as in the six-line build).
     """
-    a, k = g.alpha, g.kappa
-    chart = (
-        (g.phi, a / 2 + k),
-        (g.phi, 5 * a / 2 + k),
-        (-g.phi, 3 * a / 2 - k),
-    )
-    return Configuration(
-        tuple(make_tangent_line(SphericalPoint(lat, lon), -g.delta) for lat, lon in chart)
-    )
+    a, k, d = g.alpha, g.kappa, g.delta
+    rows = ((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, -d))
+    return chart_lines(rows)
 
 
 def dists_general(g: GeneralParams) -> tuple:
@@ -87,21 +77,12 @@ def dists_general(g: GeneralParams) -> tuple:
     there (limits along other curves may differ, see four_cyl_point).
     """
     a = g.alpha
-    sa = math.sin(a)
     S = math.sin(g.phi)
     T = _tan_guarded(g.delta, "delta")
     U = _tan_guarded(g.kappa - a / 2, "kappa - alpha/2")
     Ub = -_tan_guarded(g.kappa + a / 2, "kappa + alpha/2")
-    s2, t2 = S * S, T * T
-    st = s2 + t2
-    if st < 1e-30:
-        dab = 4.0 * sa * sa
-    else:
-        ca = math.cos(a)
-        dab = 4.0 * sa * sa * (1.0 - s2) ** 2 * t2 / (st * (1.0 - sa * sa * s2 + ca * ca * t2))
-    dad = 4.0 * (S * T + U) ** 2 / (1.0 - s2 + t2 + U * U + 2.0 * S * T * U)
-    dbd = 4.0 * (-S * T + Ub) ** 2 / (1.0 - s2 + t2 + Ub * Ub - 2.0 * S * T * Ub)
-    return (dab, dad, dbd)
+    sa, ca = math.sin(a), math.cos(a)
+    return _neighbor_dists_sq(S, T, U, Ub, sa * sa, ca * ca)
 
 
 def _series_keys(kappa1: float) -> tuple:
@@ -256,13 +237,9 @@ def unlock_verdict(alpha: float) -> UnlockReport:
 def _build_c3_alt(g: GeneralParams) -> Configuration:
     """Variant family with the lower line's tangent tilted the opposite
     way: A, B keep -delta, D gets +delta."""
-    a, k = g.alpha, g.kappa
-    lines = (
-        make_tangent_line(SphericalPoint(g.phi, a / 2 + k), -g.delta),
-        make_tangent_line(SphericalPoint(g.phi, 5 * a / 2 + k), -g.delta),
-        make_tangent_line(SphericalPoint(-g.phi, 3 * a / 2 - k), g.delta),
-    )
-    return Configuration(lines)
+    a, k, d = g.alpha, g.kappa, g.delta
+    rows = ((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, d))
+    return chart_lines(rows)
 
 
 def alt_strategy_verdict(alpha: float) -> dict:

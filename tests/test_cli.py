@@ -98,6 +98,12 @@ class TestCurve:
     def test_validation(self, capsys):
         assert main(["curve", "--samples", "0"]) == 1
 
+    def test_fine_grid_reaches_small_x(self, capsys):
+        # the grid starts at x = 1/1002, inside the small-x range
+        rc, out = run(capsys, "curve", "--samples", "1001")
+        assert rc == 0
+        assert len(out.splitlines()) == 1002
+
 
 class TestRecord:
     def test_computed_matches_closed(self, capsys):

@@ -178,6 +178,16 @@ class TestGammaPoint:
         assert max(abs(g.S), abs(g.T), abs(math.tan(g.params.kappa))) < 1e-6
         assert math.isclose(g.U, U0, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("x", [1e-3, 1e-6])
+    def test_small_x(self, x):
+        # psi's terms grow like 1/x^3 here; the membership check scales with them
+        g = gamma_point(x)
+        assert g.f_value == f_of_x(x)
+        for dsq in triplets_alg(alg_coords(g.params)):
+            assert math.isclose(dsq, g.f_value, rel_tol=1e-9)
+        c = build_c6(g.params)
+        assert math.isclose(distance_sq(c[0], c[1]), g.f_value, rel_tol=1e-9)
+
     def test_dae_dominates_near_record(self):
         for x in np.linspace(0.4, 0.6, 21):
             g = gamma_point(float(x))

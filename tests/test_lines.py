@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylpack.lines import (
     Configuration,
     PARALLEL_TOL,
     SphericalPoint,
     TangentLine,
+    chart_lines,
     distance_from_radius,
     distance_sq,
     embed_point,
+    frames,
     make_tangent_line,
     min_pairwise_distance,
     north_tangent,
+    pair_dsq,
     radius_from_distance,
     rotate_line,
     rotation_matrix,
@@ -264,3 +268,83 @@ class TestRotationMatrix:
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
             rotation_matrix(np.zeros(3), 1.0)
+
+
+# ---------------------------------------------------------------- kernel properties
+
+LAT = st.floats(-1.5, 1.5)
+LON = st.floats(0.0, 2 * math.pi)
+ANG = st.floats(-math.pi, math.pi)
+# equatorial lines tilted 0 or pi are vertical, so any two are exactly parallel
+EQUATORIAL = st.tuples(st.just(0.0), LON, st.sampled_from([0.0, math.pi]))
+ROW = st.one_of(st.tuples(LAT, LON, ANG), EQUATORIAL)
+ROWS = st.lists(ROW, min_size=2, max_size=7)
+# two configurations of n lines each
+BATCH = st.integers(2, 7).flatmap(lambda n: st.lists(ROW, min_size=2 * n, max_size=2 * n))
+
+
+def kernel_input(rows):
+    lat, lon, ang = np.array(rows).T
+    return frames(lat, lon, ang)
+
+
+def pair_index(n):
+    """Position of pair (i, j), i < j, in pair_dsq's output."""
+    return {pair: k for k, pair in enumerate(zip(*np.triu_indices(n, 1)))}
+
+
+class TestKernelProperties:
+    @settings(deadline=None)
+    @given(ROWS, st.data())
+    def test_permutation_invariance_exact(self, rows, data):
+        n = len(rows)
+        perm = data.draw(st.permutations(range(n)))
+        bases, dirs = kernel_input(rows)
+        out = pair_dsq(bases, dirs)
+        permuted = pair_dsq(bases[perm], dirs[perm])
+        index = pair_index(n)
+        for (i, j), k in index.items():
+            a, b = perm[i], perm[j]
+            assert permuted[k] == out[index[min(a, b), max(a, b)]]
+
+    @settings(deadline=None)
+    @given(ROWS, st.data())
+    def test_orientation_invariance_exact(self, rows, data):
+        bases, dirs = kernel_input(rows)
+        flips = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        signs = np.where(flips, -1.0, 1.0)[:, None]
+        assert np.array_equal(pair_dsq(bases, signs * dirs), pair_dsq(bases, dirs))
+
+    @settings(deadline=None)
+    @given(BATCH)
+    def test_memory_layout_does_not_change_bits(self, rows):
+        bases, dirs = kernel_input(rows)
+        bases, dirs = bases.reshape(2, -1, 3), dirs.reshape(2, -1, 3)
+        out = pair_dsq(bases, dirs)
+        assert np.array_equal(pair_dsq(np.asfortranarray(bases), np.asfortranarray(dirs)), out)
+
+    @settings(deadline=None)
+    @given(ROWS)
+    def test_scalar_matches_batch_bitwise(self, rows):
+        c = chart_lines(rows)
+        out = pair_dsq(np.array([u.base for u in c]), np.array([u.dir for u in c]))
+        for (i, j), k in pair_index(len(c)).items():
+            assert distance_sq(c[i], c[j]) == out[k]
+
+    @settings(deadline=None)
+    @given(ROWS)
+    def test_frames_orthonormal(self, rows):
+        bases, dirs = kernel_input(rows)
+        assert np.all(np.abs(np.linalg.norm(bases, axis=-1) - 1.0) <= 1e-15)
+        assert np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-15)
+        assert np.all(np.abs(np.einsum("nk,nk->n", bases, dirs)) <= 1e-15)
+
+    def test_parallel_pairs_exact(self):
+        # vertical lines tilted 0 and pi: the fallback branch on every pair
+        rows = [(0.0, 0.3, 0.0), (0.0, 1.9, math.pi), (0.0, 4.0, 0.0)]
+        bases, dirs = kernel_input(rows)
+        out = pair_dsq(bases, dirs)
+        for (i, j), k in pair_index(3).items():
+            chord = 2 * math.sin((rows[j][1] - rows[i][1]) / 2)
+            assert math.isclose(out[k], chord * chord, rel_tol=1e-14)
+        assert np.array_equal(pair_dsq(bases[::-1], dirs[::-1]), out[::-1])
