@@ -54,13 +54,17 @@ class SphericalPoint:
 
 
 def _basis(phi, kappa) -> tuple:
-    """Tangency points with their north and east unit tangents."""
+    """x, y, z components of tangency points, north and east unit tangents."""
     sp, cp = np.sin(phi), np.cos(phi)
     sk, ck = np.sin(kappa), np.cos(kappa)
-    bases = np.stack([cp * ck, cp * sk, sp], axis=-1)
-    north = np.stack([-sp * ck, -sp * sk, cp], axis=-1)
-    east = np.stack([-sk, ck, np.zeros_like(sk)], axis=-1)
-    return bases, north, east
+    return (cp * ck, cp * sk, sp), (-sp * ck, -sp * sk, cp), (-sk, ck, 0.0)
+
+
+def _frame_xyz(phi, kappa, ang) -> tuple:
+    """frames(phi, kappa, ang) as unstacked components (bx, by, bz, dx, dy, dz)."""
+    base, (nx, ny, nz), (ex, ey, ez) = _basis(phi, kappa)
+    ca, sa = np.cos(ang), np.sin(ang)
+    return (*base, ca * nx + sa * ex, ca * ny + sa * ey, ca * nz + sa * ez)
 
 
 def frames(phi, kappa, ang) -> tuple:
@@ -73,8 +77,8 @@ def frames(phi, kappa, ang) -> tuple:
     broadcast shape of phi and kappa, dirs over that of all three.  The
     frame degenerates at the poles, which callers must reject.
     """
-    bases, north, east = _basis(phi, kappa)
-    return bases, np.cos(ang)[..., None] * north + np.sin(ang)[..., None] * east
+    xyz = _frame_xyz(phi, kappa, ang)
+    return np.stack(xyz[:3], axis=-1), np.stack(xyz[3:], axis=-1)
 
 
 def _reject_poles(phi) -> None:
@@ -207,6 +211,25 @@ def _parallel_dsq(du: np.ndarray, dv: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _dot(wp, wp)
 
 
+def _pair_dsq_xyz(bx, by, bz, dx, dy, dz) -> np.ndarray:
+    """pair_dsq on the x, y, z components of (..., n) bases and dirs."""
+    i, j = _pairs(dx.shape[-1])
+    ux, uy, uz, vx, vy, vz = (a[..., k] for k in (i, j) for a in (dx, dy, dz))
+    wx, wy, wz = (a[..., j] - a[..., i] for a in (bx, by, bz))
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    denom = (cx * cx + cz * cz) + cy * cy
+    det = (cx * wx + cz * wz) + cy * wy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dsq = det * det / denom
+    parallel = denom <= PARALLEL_TOL
+    if parallel.any():
+        # C order: the fallback's einsum sums in an order set by memory layout
+        du, dv, w = (np.array([a[parallel] for a in v]).T.copy()
+                     for v in ((ux, uy, uz), (vx, vy, vz), (wx, wy, wz)))
+        dsq[parallel] = _parallel_dsq(du, dv, w)
+    return dsq
+
+
 def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Squared distances of all line pairs i < j, in row-major order.
 
@@ -220,21 +243,13 @@ def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     under swapping the two lines and under negating either direction:
     both branches change only by exact floating-point sign flips under
     those operations.
+
+    The arithmetic is fixed elementwise, on separate x, y, z arrays:
+    c = du x dv is (uy vz - uz vy, uz vx - ux vz, ux vy - uy vx), and
+    both 3-term dot products sum as (x + z) + y, the order the earlier
+    einsum kernel rounded in, so search paths stay bit for bit the same.
     """
-    # einsum rounds its sums in an order set by the memory layout
-    bases, dirs = np.ascontiguousarray(bases), np.ascontiguousarray(dirs)
-    i, j = _pairs(dirs.shape[-2])
-    du, dv = dirs[..., i, :], dirs[..., j, :]
-    w = bases[..., j, :] - bases[..., i, :]
-    cross = np.cross(du, dv)
-    denom = _dot(cross, cross)
-    det = _dot(cross, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dsq = det * det / denom
-    parallel = denom <= PARALLEL_TOL
-    if parallel.any():
-        dsq[parallel] = _parallel_dsq(du[parallel], dv[parallel], w[parallel])
-    return dsq
+    return _pair_dsq_xyz(*(a[..., k] for a in (bases, dirs) for k in range(3)))
 
 
 def _stack(lines) -> tuple:

@@ -18,11 +18,11 @@ import numpy as np
 
 from .lines import (
     Configuration,
+    _frame_xyz,
+    _pair_dsq_xyz,
     chart_lines,
     chart_rows,
-    frames,
     min_pairwise_distance,
-    pair_dsq,
     radius_from_distance,
 )
 from .symmetric import D3Params, c6_chart
@@ -92,8 +92,7 @@ def objective(c: FreeConfig) -> float:
 def _objective_batch(coords: np.ndarray) -> np.ndarray:
     """Objective for a (N, 18) batch of charts, returned as (N,)."""
     c = coords.reshape(-1, N_LINES, 3)
-    dsq = pair_dsq(*frames(c[..., 0], c[..., 1], c[..., 2]))
-    return np.sqrt(dsq.min(axis=-1))
+    return np.sqrt(_pair_dsq_xyz(*_frame_xyz(c[..., 0], c[..., 1], c[..., 2])).min(axis=-1))
 
 
 def _clip_latitudes(coords: np.ndarray) -> np.ndarray:

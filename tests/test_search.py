@@ -1,11 +1,20 @@
 """Maximin pattern search over free six-line charts."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cylpack.lines import min_pairwise_distance, rotation_matrix, rotate_line, Configuration
+from cylpack.lines import (
+    Configuration,
+    frames,
+    min_pairwise_distance,
+    pair_dsq,
+    rotate_line,
+    rotation_matrix,
+)
 from cylpack.search import (
     FreeConfig,
     chart_c6,
@@ -30,6 +39,15 @@ def random_chart(rng, spread=0.3):
     x = chart_c6(D3Params(0.0, 0.0, 0.0)).coords + spread * rng.standard_normal(18)
     x[0::3] = np.clip(x[0::3], -1.5, 1.5)
     return FreeConfig(x)
+
+
+# chart rows: skew lines, or equatorial lines tilted 0 or pi, which are
+# vertical, so any two of them are exactly parallel
+SKEW_ROW = st.tuples(st.floats(-1.5, 1.5), st.floats(0.0, 2 * math.pi), st.floats(-math.pi, math.pi))
+EQUATORIAL_ROW = st.tuples(st.just(0.0), st.floats(0.0, 2 * math.pi), st.sampled_from([0.0, math.pi]))
+CHARTS = st.lists(
+    st.lists(st.one_of(SKEW_ROW, EQUATORIAL_ROW), min_size=6, max_size=6), min_size=1, max_size=8
+)
 
 
 class TestFreeConfig:
@@ -89,6 +107,16 @@ class TestObjective:
         for c, value in zip(charts, batch):
             assert math.isclose(objective(c), float(value), rel_tol=1e-14, abs_tol=1e-14)
 
+    @settings(deadline=None)
+    @given(CHARTS)
+    def test_batch_shares_the_stacked_kernel(self, charts):
+        coords = np.array(charts)
+        lat, lon, ang = np.moveaxis(coords, -1, 0)
+        stacked = np.sqrt(pair_dsq(*frames(lat, lon, ang)).min(-1))
+        batch = _objective_batch(coords.reshape(-1, 18))
+        for a, b in zip(batch, stacked):
+            assert a.tobytes() == b.tobytes()
+
     def test_rotation_invariance(self):
         c = random_chart(RNG)
         r = rotation_matrix(RNG.standard_normal(3), RNG.uniform(0, 6))
@@ -132,6 +160,26 @@ class TestLocalMaximize:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             local_maximize(chart_record(), 0)
+
+    # blind starts drawn like the benchmark's search workload (seed 1,
+    # starts 0-2), pinned to what the einsum/np.cross kernel gave: evals,
+    # d_best and a digest of the trace, whose values move by an ulp when a
+    # kernel rewrite sums |du x dv|^2 in another order
+    @pytest.mark.parametrize(
+        "index, evals, d_hex, trace_sha",
+        [
+            (0, 12049, "0x1.f8aa2b1d06e2ap-1", "78fea8144783a9e3"),
+            (1, 20017, "0x1.86c363b5b5edfp-1", "65a94f162626a9a3"),
+            (2, 11089, "0x1.c1359d437a0e6p-1", "17e4c267c53655b4"),
+        ],
+    )
+    def test_search_paths_pinned(self, index, evals, d_hex, trace_sha):
+        rng = np.random.default_rng([1, 1, index])
+        x0 = chart_c6(D3Params(0.0, 0.0, 0.0)).coords + 0.2 * rng.standard_normal(18)
+        x0[0::3] = np.clip(x0[0::3], -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)
+        r = local_maximize(FreeConfig(x0), 20000, rng_seed=int(rng.integers(2**31)))
+        sha = hashlib.sha256(np.array(r.trace).tobytes()).hexdigest()[:16]
+        assert (r.evals, r.d_best.hex(), sha) == (evals, d_hex, trace_sha)
 
 
 class TestMultiStart:
