@@ -86,7 +86,7 @@ def t_of_x(x):
     t = (1 + 3x)(1 - x) / (x (1 + 7x + 4x^2)).  Exact for Fractions."""
     if x <= 0:
         raise ValueError(f"trajectory parameter must be positive: {x!r}")
-    if x > 1:
+    if not x <= 1:
         raise ValueError(f"trajectory parameter must lie in (0, 1]: {x!r}")
     return (1 + 3 * x) * (1 - x) / (x * (1 + 7 * x + 4 * x * x))
 
@@ -94,7 +94,7 @@ def t_of_x(x):
 def f_of_x(x):
     """Common squared neighbor distance along the trajectory:
     F(x) = 12x / (1 + 7x + 4x^2).  Exact for Fractions."""
-    if x <= 0 or x > 1:
+    if not 0 < x <= 1:
         raise ValueError(f"trajectory parameter must lie in (0, 1]: {x!r}")
     return 12 * x / (1 + 7 * x + 4 * x * x)
 

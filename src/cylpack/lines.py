@@ -11,7 +11,7 @@ here and the packing statements elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -102,6 +102,33 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _snap(v, values, target: float, tol: float, what: str, snapped) -> np.ndarray:
+    """v with rows more than tol off target taken from snapped(); raises on the worst past 1e-9."""
+    worst = max(values.tolist(), key=lambda x: abs(x - target), default=target)
+    off = abs(worst - target)
+    if off > 1e-9:
+        raise ValueError(f"{what} = {worst!r}")
+    return v if off <= tol else np.where(np.abs(values - target)[:, None] > tol, snapped(), v)
+
+
+def _unit_tangent(bases: np.ndarray, dirs: np.ndarray) -> tuple:
+    """TangentLine's checks and snaps, in its order, on (n, 3) stacks.  np.vecdot rounds each
+    row like the 1-D BLAS dot of `@`, so rows get the bits they get alone.  Components are
+    checked one by one only when a squared norm is not finite (a non-finite one or overflow)."""
+    nb = np.sqrt(np.vecdot(bases, bases))
+    if not math.isfinite(sum(nb.tolist()) + sum(np.vecdot(dirs, dirs).tolist())) and not (
+            np.isfinite(bases).all() and np.isfinite(dirs).all()):
+        raise ValueError("base and dir must be finite")
+    bases = _snap(bases, nb, 1.0, 5e-16, "base must be a unit vector, |base|",
+                  lambda: bases / nb[:, None])
+    dot = np.vecdot(dirs, bases)
+    dirs = _snap(dirs, dot, 0.0, 1e-15, "dir must be tangent at base, base . dir",
+                 lambda: dirs - dot[:, None] * bases)
+    nd = np.sqrt(np.vecdot(dirs, dirs))
+    return bases, _snap(dirs, nd, 1.0, 5e-16, "dir must be a unit vector, |dir|",
+                        lambda: dirs / nd[:, None])
+
+
 @dataclass(frozen=True, eq=False)
 class TangentLine:
     """Unoriented line tangent to the unit sphere.
@@ -122,25 +149,15 @@ class TangentLine:
         direction = np.array(self.dir, dtype=float)
         if base.shape != (3,) or direction.shape != (3,):
             raise ValueError("base and dir must be 3-vectors")
-        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(direction))):
-            raise ValueError("base and dir must be finite")
-        nb = float(np.linalg.norm(base))
-        if abs(nb - 1.0) > 1e-9:
-            raise ValueError(f"base must be a unit vector, |base| = {nb!r}")
-        if abs(nb - 1.0) > 5e-16:
-            base = base / nb
-        dot = float(direction @ base)
-        if abs(dot) > 1e-9:
-            raise ValueError(f"dir must be tangent at base, base . dir = {dot!r}")
-        if abs(dot) > 1e-15:
-            direction = direction - dot * base
-        nd = float(np.linalg.norm(direction))
-        if abs(nd - 1.0) > 1e-9:
-            raise ValueError(f"dir must be a unit vector, |dir| = {nd!r}")
-        if abs(nd - 1.0) > 5e-16:
-            direction = direction / nd
-        object.__setattr__(self, "base", _frozen(base))
-        object.__setattr__(self, "dir", _frozen(direction))
+        bases, dirs = map(_frozen, _unit_tangent(base[None], direction[None]))
+        self.__dict__.update(base=bases[0], dir=dirs[0])
+
+    @classmethod
+    def _checked(cls, base: np.ndarray, direction: np.ndarray) -> "TangentLine":
+        """Wrap frozen vectors that _unit_tangent has already checked."""
+        line = object.__new__(cls)
+        line.__dict__.update(base=base, dir=direction)
+        return line
 
     def canonical(self) -> "TangentLine":
         """Copy whose dir has a positive first nonzero component.
@@ -172,7 +189,7 @@ def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     """3x3 rotation by angle about axis, right-hand rule."""
     k = np.asarray(axis, dtype=float)
-    n = float(np.linalg.norm(k))
+    n = math.sqrt(float(k @ k))
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("rotation axis must be a nonzero vector")
     k = k / n
@@ -268,18 +285,20 @@ def distance(u: TangentLine, v: TangentLine) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Ordered family of tangent lines (at least two)."""
+    """Ordered family of tangent lines (at least two), stacked read-only in bases/dirs."""
 
     lines: tuple
+    bases: np.ndarray = field(init=False, repr=False)
+    dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lines = tuple(self.lines)
         if len(lines) < 2:
             raise ValueError("a configuration needs at least 2 lines")
-        for line in lines:
-            if not isinstance(line, TangentLine):
-                raise TypeError("configuration members must be TangentLine")
-        object.__setattr__(self, "lines", lines)
+        if not all(isinstance(line, TangentLine) for line in lines):
+            raise TypeError("configuration members must be TangentLine")
+        bases, dirs = map(_frozen, _stack(lines))
+        self.__dict__.update(lines=lines, bases=bases, dirs=dirs)
 
     def __len__(self):
         return len(self.lines)
@@ -295,7 +314,7 @@ class Configuration:
         n = len(self.lines)
         i, j = _pairs(n)
         m = np.zeros((n, n))
-        m[i, j] = m[j, i] = pair_dsq(*_stack(self.lines))
+        m[i, j] = m[j, i] = pair_dsq(self.bases, self.dirs)
         return m
 
 
@@ -309,12 +328,13 @@ def chart_lines(rows) -> Configuration:
     _reject_poles(lat)
     lon = np.mod(lon, _TAU)
     lon[lon >= _TAU] = 0.0  # float wrap of tiny negative inputs
-    return Configuration(tuple(map(TangentLine, *frames(lat, lon, ang))))
+    bases, dirs = map(_frozen, _unit_tangent(*frames(lat, lon, ang)))
+    return Configuration(tuple(map(TangentLine._checked, bases, dirs)))
 
 
 def min_pairwise_distance(c: Configuration) -> float:
     """Smallest distance over all line pairs of the configuration."""
-    return math.sqrt(float(pair_dsq(*_stack(c.lines)).min()))
+    return math.sqrt(float(pair_dsq(c.bases, c.dirs).min()))
 
 
 def chart_rows(lines) -> np.ndarray:
@@ -341,7 +361,7 @@ def radius_from_distance(d: float) -> float:
     Two unit-ball-tangent cylinders of radius r have axis distance
     (1+r) d and surfaces touching when (1+r) d = 2r, so r = d/(2-d).
     """
-    if d < 0:
+    if not d >= 0:
         raise ValueError(f"invalid distance: {d!r}")
     if d >= 2:
         raise ValueError("radius unbounded at distance >= 2")
@@ -350,6 +370,6 @@ def radius_from_distance(d: float) -> float:
 
 def distance_from_radius(r: float) -> float:
     """Line distance at which cylinders of radius r touch: 2r/(1+r)."""
-    if r < 0:
+    if not 0 <= r < math.inf:
         raise ValueError(f"invalid radius: {r!r}")
     return 2.0 * r / (1.0 + r)

@@ -202,8 +202,8 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     """Sample uniform coordinate perturbations of a chart within a box
     of the given radius and report the best objective found and the
     fraction of trials that beat the unperturbed value."""
-    if radius <= 0:
-        raise ValueError(f"perturbation radius must be positive: {radius!r}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"perturbation radius must be positive and finite: {radius!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial: {trials!r}")
     rng = np.random.default_rng(rng_seed)

@@ -160,6 +160,11 @@ class TestProbe:
     def test_bad_source(self, capsys):
         assert main(["probe", "--at", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_is_a_validation_error(self, capsys, radius):
+        assert main(["probe", "--radius", radius, "--trials", "5"]) == 1
+        assert "perturbation radius must be positive and finite" in capsys.readouterr().err
+
 
 class TestUnlockCheck:
     def test_ring_of_three(self, capsys):

@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cylpack.lines import DegenerateError, distance_sq, min_pairwise_distance
+from cylpack.lines import (
+    DegenerateError,
+    distance_from_radius,
+    distance_sq,
+    min_pairwise_distance,
+    radius_from_distance,
+)
 from cylpack.curve import (
     CurveSample,
     f_of_x,
@@ -126,6 +132,22 @@ class TestRationalForms:
                 t_of_x(bad)
             with pytest.raises(ValueError):
                 f_of_x(bad)
+
+    @pytest.mark.parametrize(
+        "fn, value",
+        [
+            (f_of_x, math.nan),
+            (t_of_x, math.nan),
+            (radius_from_distance, math.nan),
+            (distance_from_radius, math.nan),
+            (distance_from_radius, math.inf),
+        ],
+    )
+    def test_nan_and_inf_outside_the_domain(self, fn, value):
+        # every comparison with nan is false, so a domain check written as
+        # `if x < lo` lets nan through; the checks must reject it
+        with pytest.raises(ValueError):
+            fn(value)
 
 
 class TestGammaPoint:

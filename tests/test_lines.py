@@ -11,6 +11,7 @@ from cylpack.lines import (
     PARALLEL_TOL,
     SphericalPoint,
     TangentLine,
+    _unit_tangent,
     chart_lines,
     distance_from_radius,
     distance_sq,
@@ -348,3 +349,120 @@ class TestKernelProperties:
             chord = 2 * math.sin((rows[j][1] - rows[i][1]) / 2)
             assert math.isclose(out[k], chord * chord, rel_tol=1e-14)
         assert np.array_equal(pair_dsq(bases[::-1], dirs[::-1]), out[::-1])
+
+
+# ---------------------------------------------------------------- stacked line checks
+
+
+def one_line_check(base, direction):
+    """Reference copy of TangentLine's checks as they ran one line at a
+    time, with np.linalg.norm and the 1-D `@`.  Returns (base, dir), or
+    (stage, offset, message) of the first failing check."""
+    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(direction))):
+        return 0, math.inf, "base and dir must be finite"
+    nb = float(np.linalg.norm(base))
+    if abs(nb - 1.0) > 1e-9:
+        return 1, abs(nb - 1.0), f"base must be a unit vector, |base| = {nb!r}"
+    if abs(nb - 1.0) > 5e-16:
+        base = base / nb
+    dot = float(direction @ base)
+    if abs(dot) > 1e-9:
+        return 2, abs(dot), f"dir must be tangent at base, base . dir = {dot!r}"
+    if abs(dot) > 1e-15:
+        direction = direction - dot * base
+    nd = float(np.linalg.norm(direction))
+    if abs(nd - 1.0) > 1e-9:
+        return 3, abs(nd - 1.0), f"dir must be a unit vector, |dir| = {nd!r}"
+    if abs(nd - 1.0) > 5e-16:
+        direction = direction / nd
+    return base, direction
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# per-row perturbation sizes: clean, snapped at each threshold, out of range
+# (past 1e-9), so large that squared norms overflow, and nan
+NOISE = st.sampled_from([0.0, 1e-16, 5e-16, 3e-15, 1e-12, 1e-10, 3e-9, 1e-6, 1e200, math.nan])
+# (latitude, longitude, tangent angle, base noise, dir noise)
+NOISY_ROWS = st.lists(st.tuples(LAT, LON, ANG, NOISE, NOISE), min_size=1, max_size=7)
+
+
+def noisy_stack(rows, seed):
+    lat, lon, ang, base_noise, dir_noise = np.array(rows).T
+    bases, dirs = frames(lat, lon, ang)
+    rng = np.random.default_rng(seed)
+    bases = bases + base_noise[:, None] * rng.uniform(-1.0, 1.0, bases.shape)
+    dirs = dirs + dir_noise[:, None] * rng.uniform(-1.0, 1.0, dirs.shape)
+    return bases, dirs
+
+
+class TestStackedValidation:
+    @settings(deadline=None, max_examples=300)
+    @given(NOISY_ROWS, st.integers(0, 2**32 - 1))
+    def test_matches_one_line_oracle(self, rows, seed):
+        bases, dirs = noisy_stack(rows, seed)
+        results = [one_line_check(b.copy(), d.copy()) for b, d in zip(bases, dirs)]
+        good = [k for k, r in enumerate(results) if len(r) == 2]
+        out_b, out_d = _unit_tangent(bases[good], dirs[good])
+        for row, k in enumerate(good):
+            assert same_bits(out_b[row], results[k][0])
+            assert same_bits(out_d[row], results[k][1])
+        bad = [(r[0], -r[1], k, r[2]) for k, r in enumerate(results) if len(r) == 3]
+        if bad:
+            # the earliest failing check, on its worst row (first on ties)
+            with pytest.raises(ValueError) as info:
+                _unit_tangent(bases, dirs)
+            assert str(info.value) == min(bad)[3]
+
+    def test_forced_snaps_match_one_line_oracle(self):
+        rng = np.random.default_rng(94)
+        charts = rng.uniform([-1.5, 0.0, -4.0], [1.5, 7.0, 4.0], (3000, 3))
+        rows = np.column_stack([charts, np.full((3000, 2), 1e-10)])
+        bases, dirs = noisy_stack(rows, 95)
+        out_b, out_d = _unit_tangent(bases, dirs)
+        snapped = 0
+        for k in range(len(rows)):
+            ref_b, ref_d = one_line_check(bases[k].copy(), dirs[k].copy())
+            assert same_bits(out_b[k], ref_b) and same_bits(out_d[k], ref_d)
+            snapped += not (same_bits(ref_b, bases[k]) and same_bits(ref_d, dirs[k]))
+        assert snapped == len(rows)
+
+    def test_single_line_messages_name_plain_floats(self):
+        with pytest.raises(ValueError, match=r"\|base\| = 2\.0$"):
+            TangentLine(np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"base \. dir = 1\.0$"):
+            TangentLine(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            TangentLine(np.array([1e200, 0.0, 0.0]), np.array([math.nan, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            TangentLine(np.array([1.0, 0.0, 0.0]), np.array([0.0, math.inf, 1.0]))
+        # finite components whose squares overflow are not called non-finite
+        with pytest.raises(ValueError, match=r"\|base\| = inf$"):
+            TangentLine(np.array([1e200, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"\|dir\| = inf$"):
+            TangentLine(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e200, 0.0]))
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(LAT, st.floats(-20.0, 20.0), ANG), min_size=2, max_size=7))
+    def test_chart_lines_match_make_tangent_line(self, rows):
+        c = chart_lines(rows)
+        for (lat, lon, ang), line in zip(rows, c):
+            ref = make_tangent_line(SphericalPoint(lat, lon), ang)
+            assert same_bits(line.base, ref.base) and same_bits(line.dir, ref.dir)
+            assert not (line.base.flags.writeable or line.dir.flags.writeable)
+
+    @settings(deadline=None)
+    @given(ROWS)
+    def test_configuration_stacks_are_read_only_line_vectors(self, rows):
+        built = chart_lines(rows)
+        rebuilt = Configuration(tuple(TangentLine(u.base, u.dir) for u in built))
+        for c in (built, rebuilt):
+            assert c.bases.shape == c.dirs.shape == (len(rows), 3)
+            assert same_bits(c.bases, [u.base for u in c])
+            assert same_bits(c.dirs, [u.dir for u in c])
+            with pytest.raises(ValueError):
+                c.bases[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                c.dirs[0, 0] = 0.0
