@@ -177,8 +177,8 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
 def cmd_four_cyl(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
-    if not args.t_max > 0:
-        raise ValueError("--t-max must be positive")
+    if not 0 < args.t_max < math.inf:
+        raise ValueError(f"--t-max must be positive and finite: {args.t_max!r}")
     rows = [FOUR_CYL_HEADER]
     for T in np.linspace(0.0, args.t_max, args.samples):
         sample = four_cyl_point(float(T), mirror=args.mirror)

@@ -46,11 +46,17 @@ class SphericalPoint:
             raise ValueError(f"latitude out of range: {self.phi!r}")
         if not math.isfinite(kappa):
             raise ValueError(f"longitude must be finite: {self.kappa!r}")
-        kappa = kappa % _TAU
-        if kappa >= _TAU:  # float wrap of tiny negative inputs
-            kappa = 0.0
+        (kappa,) = _reduce_lon([kappa]).tolist()
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "kappa", kappa)
+
+
+def _reduce_lon(lon) -> np.ndarray:
+    """Longitudes (a sequence or 1-D array) as a new array reduced to [0, 2*pi);
+    a tiny negative one, whose remainder rounds up to 2*pi, becomes 0.0."""
+    lon = np.mod(lon, _TAU)
+    lon[lon >= _TAU] = 0.0
+    return lon
 
 
 def _basis(phi, kappa) -> tuple:
@@ -82,7 +88,7 @@ def frames(phi, kappa, ang) -> tuple:
 
 
 def _reject_poles(phi) -> None:
-    if np.any(np.abs(phi) >= math.pi / 2):
+    if (np.abs(phi) >= math.pi / 2).any():
         raise ValueError("north direction undefined at the poles")
 
 
@@ -111,22 +117,24 @@ def _snap(v, values, target: float, tol: float, what: str, snapped) -> np.ndarra
     return v if off <= tol else np.where(np.abs(values - target)[:, None] > tol, snapped(), v)
 
 
+@np.errstate(over="ignore")  # an overflowing norm is inf, and rejected as such
 def _unit_tangent(bases: np.ndarray, dirs: np.ndarray) -> tuple:
     """TangentLine's checks and snaps, in its order, on (n, 3) stacks.  np.vecdot rounds each
     row like the 1-D BLAS dot of `@`, so rows get the bits they get alone.  Components are
     checked one by one only when a squared norm is not finite (a non-finite one or overflow)."""
-    nb = np.sqrt(np.vecdot(bases, bases))
-    if not math.isfinite(sum(nb.tolist()) + sum(np.vecdot(dirs, dirs).tolist())) and not (
+    nb, nd = np.sqrt(np.vecdot(bases, bases)), np.sqrt(np.vecdot(dirs, dirs))
+    if not math.isfinite(sum(nb.tolist()) + sum(nd.tolist())) and not (
             np.isfinite(bases).all() and np.isfinite(dirs).all()):
         raise ValueError("base and dir must be finite")
     bases = _snap(bases, nb, 1.0, 5e-16, "base must be a unit vector, |base|",
                   lambda: bases / nb[:, None])
     dot = np.vecdot(dirs, bases)
-    dirs = _snap(dirs, dot, 0.0, 1e-15, "dir must be tangent at base, base . dir",
-                 lambda: dirs - dot[:, None] * bases)
-    nd = np.sqrt(np.vecdot(dirs, dirs))
-    return bases, _snap(dirs, nd, 1.0, 5e-16, "dir must be a unit vector, |dir|",
-                        lambda: dirs / nd[:, None])
+    tangent = _snap(dirs, dot, 0.0, 1e-15, "dir must be tangent at base, base . dir",
+                    lambda: dirs - dot[:, None] * bases)
+    if tangent is not dirs:  # rows moved by the snap need their norms again
+        nd = np.sqrt(np.vecdot(tangent, tangent))
+    return bases, _snap(tangent, nd, 1.0, 5e-16, "dir must be a unit vector, |dir|",
+                        lambda: tangent / nd[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +173,7 @@ class TangentLine:
         Gives every line one deterministic representative for printing
         and comparisons.
         """
-        return TangentLine(self.base, _canonical(self.dir[None])[0])
+        return TangentLine(self.base, np.array(_canonical(*self.dir)))
 
     def same_line_as(self, other: "TangentLine", tol: float = 1e-10) -> bool:
         """Whether the two lines coincide, ignoring dir orientation."""
@@ -208,24 +216,21 @@ def _pairs(n: int) -> tuple:
     return np.triu_indices(n, 1)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,...k->...", a, b)
+def _canonical(x, y, z) -> tuple:
+    """Components of directions flipped so the first nonzero one is positive."""
+    flip = np.where(x != 0.0, x, np.where(y != 0.0, y, z)) < 0.0
+    return tuple(np.where(flip, -c, c) for c in (x, y, z))
 
 
-def _canonical(d: np.ndarray) -> np.ndarray:
-    """Rows of d flipped so the first nonzero component is positive."""
-    first = np.take_along_axis(d, np.argmax(d != 0.0, axis=-1)[:, None], axis=-1)
-    return np.where(first < 0.0, -d, d)
-
-
-def _parallel_dsq(du: np.ndarray, dv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Squared point-to-line gaps of (m, 3) stacks of parallel pairs,
+def _parallel_dsq(ux, uy, uz, vx, vy, vz, wx, wy, wz) -> np.ndarray:
+    """Squared point-to-line gaps of parallel pairs, on components,
     projected along the lexicographically larger canonical direction."""
-    a, b = _canonical(du), _canonical(dv)
-    k = np.argmax(a != b, axis=-1)[:, None]  # first differing component, or 0
-    n = np.where(np.take_along_axis(a, k, axis=-1) >= np.take_along_axis(b, k, axis=-1), a, b)
-    wp = w - _dot(w, n)[:, None] * n
-    return _dot(wp, wp)
+    a, b = _canonical(ux, uy, uz), _canonical(vx, vy, vz)
+    keep_a = np.where(a[0] != b[0], a[0] > b[0], np.where(a[1] != b[1], a[1] > b[1], a[2] >= b[2]))
+    nx, ny, nz = (np.where(keep_a, p, q) for p, q in zip(a, b))
+    dot = (wx * nx + wz * nz) + wy * ny
+    px, py, pz = wx - dot * nx, wy - dot * ny, wz - dot * nz
+    return (px * px + pz * pz) + py * py
 
 
 def _pair_dsq_xyz(bx, by, bz, dx, dy, dz) -> np.ndarray:
@@ -240,10 +245,7 @@ def _pair_dsq_xyz(bx, by, bz, dx, dy, dz) -> np.ndarray:
         dsq = det * det / denom
     parallel = denom <= PARALLEL_TOL
     if parallel.any():
-        # C order: the fallback's einsum sums in an order set by memory layout
-        du, dv, w = (np.array([a[parallel] for a in v]).T.copy()
-                     for v in ((ux, uy, uz), (vx, vy, vz), (wx, wy, wz)))
-        dsq[parallel] = _parallel_dsq(du, dv, w)
+        dsq[parallel] = _parallel_dsq(*(a[parallel] for a in (ux, uy, uz, vx, vy, vz, wx, wy, wz)))
     return dsq
 
 
@@ -263,8 +265,9 @@ def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
     The arithmetic is fixed elementwise, on separate x, y, z arrays:
     c = du x dv is (uy vz - uz vy, uz vx - ux vz, ux vy - uy vx), and
-    both 3-term dot products sum as (x + z) + y, the order the earlier
-    einsum kernel rounded in, so search paths stay bit for bit the same.
+    every 3-term dot product, the fallback's included, sums as
+    (x + z) + y, the order the earlier einsum kernel rounded in, so
+    search paths stay bit for bit the same.
     """
     return _pair_dsq_xyz(*(a[..., k] for a in (bases, dirs) for k in range(3)))
 
@@ -326,9 +329,7 @@ def chart_lines(rows) -> Configuration:
     """
     lat, lon, ang = np.array(rows, dtype=float).T
     _reject_poles(lat)
-    lon = np.mod(lon, _TAU)
-    lon[lon >= _TAU] = 0.0  # float wrap of tiny negative inputs
-    bases, dirs = map(_frozen, _unit_tangent(*frames(lat, lon, ang)))
+    bases, dirs = map(_frozen, _unit_tangent(*frames(lat, _reduce_lon(lon), ang)))
     return Configuration(tuple(map(TangentLine._checked, bases, dirs)))
 
 
@@ -349,7 +350,7 @@ def chart_rows(lines) -> np.ndarray:
         if abs(z) >= 1.0 - 1e-12:
             raise ValueError("line based at a pole has no chart coordinates")
         phi = math.asin(z)
-        kappa = math.atan2(float(line.base[1]), float(line.base[0])) % _TAU
+        (kappa,) = _reduce_lon([math.atan2(float(line.base[1]), float(line.base[0]))]).tolist()
         _, north, east = _basis(phi, kappa)
         rows.append((phi, kappa, math.atan2(float(line.dir @ east), float(line.dir @ north))))
     return np.array(rows)

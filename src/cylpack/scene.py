@@ -35,10 +35,10 @@ class SceneSpec:
             raise ValueError("segments must be an integer")
         if self.segments < 8:
             raise ValueError("segments must be at least 8")
-        if not (self.radius > 0):
-            raise ValueError("radius must be positive")
-        if not (self.cyl_length > 0):
-            raise ValueError("cyl_length must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite: {self.radius!r}")
+        if not 0 < self.cyl_length < math.inf:
+            raise ValueError(f"cyl_length must be positive and finite: {self.cyl_length!r}")
 
 
 def sphere_mesh(segments: int) -> Mesh:

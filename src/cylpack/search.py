@@ -12,7 +12,7 @@ perturbation probe evaluate candidates in vectorized batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ N_LINES = 6
 N_COORDS = 3 * N_LINES
 
 _PHI_CAP = math.pi / 2 - 1e-9
+# pattern-search step schedule: first step and the step that stops a search
+_STEP0, _STEP_MIN = 0.1, 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +115,7 @@ class OptResult:
     trace: tuple
 
 
-def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rng) -> tuple:
+def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rng) -> OptResult:
     x = _clip_latitudes(np.array(x0, dtype=float))
     f = float(_objective_batch(x[None])[0])
     evals = 1
@@ -136,14 +138,16 @@ def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, 
             trace.append((iteration, f))
         else:
             step *= 0.5
-    return x, evals, trace
+    best = FreeConfig(x)
+    d = objective(best)
+    return OptResult(best, d, radius_from_distance(d), evals, tuple(trace))
 
 
 def local_maximize(
     seed: FreeConfig,
     budget: int,
-    step0: float = 0.1,
-    step_min: float = 1e-9,
+    step0: float = _STEP0,
+    step_min: float = _STEP_MIN,
     rng_seed: int = 0,
 ) -> OptResult:
     """Pattern-search ascent from one seed chart.
@@ -156,10 +160,7 @@ def local_maximize(
     if budget < 1:
         raise ValueError(f"evaluation budget must be positive: {budget!r}")
     rng = np.random.default_rng(rng_seed)
-    x, evals, trace = _pattern_search(seed.coords, int(budget), step0, step_min, rng)
-    best = FreeConfig(x)
-    d = objective(best)
-    return OptResult(best, d, radius_from_distance(d), evals, tuple(trace))
+    return _pattern_search(seed.coords, int(budget), step0, step_min, rng)
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
@@ -179,23 +180,19 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
         raise ValueError(f"evaluation budget must be positive: {budget_each!r}")
     curve_xs = (0.9, 0.7, 0.5)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    best = None
-    best_d = -math.inf
-    total_evals = 0
+    best, evals = None, 0
     for i in range(n_starts):
         rng = np.random.default_rng(rng_seed + i)
         if i < len(curve_xs):
             x0 = chart_curve(curve_xs[i]).coords
         else:
             x0 = _clip_latitudes(base + 0.2 * rng.standard_normal(N_COORDS))
-        x, evals, trace = _pattern_search(x0, int(budget_each), 0.1, 1e-9, rng)
-        total_evals += evals
-        chart = FreeConfig(x)
-        d = objective(chart)
-        if d > best_d:
-            best = OptResult(chart, d, radius_from_distance(d), evals, tuple(trace))
-            best_d = d
-    return OptResult(best.best, best.d_best, best.r_best, total_evals, best.trace)
+        result = _pattern_search(x0, int(budget_each), _STEP0, _STEP_MIN, rng)
+        evals += result.evals
+        # keep only the best so far (the lower start on ties), so the other traces are freed
+        if best is None or result.d_best > best.d_best:
+            best = result
+    return replace(best, evals=evals)
 
 
 def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int = 0) -> dict:

@@ -146,17 +146,17 @@ def alg_coords(p: D3Params) -> AlgCoords:
     tangent function (delta = +-pi/2, kappa - pi/6 or kappa + pi/6 an odd
     multiple of pi/2).
     """
-    if abs(math.cos(p.delta)) < 1e-15:
-        raise DegenerateError("tan(delta) undefined: delta at a right angle")
-    for arg, label in ((p.kappa - math.pi / 6, "kappa - pi/6"), (p.kappa + math.pi / 6, "kappa + pi/6")):
+    return AlgCoords(*_alg_map(p.phi, p.delta, p.kappa, math.pi / 6, "pi/6"))
+
+
+def _alg_map(phi: float, delta: float, kappa: float, half: float, half_name: str) -> tuple:
+    """(S, T, U, Ubar) = (sin phi, tan delta, tan(kappa - half), -tan(kappa + half)) for
+    half = alpha/2 named half_name; DegenerateError where a tangent's cosine is below 1e-15."""
+    lo, hi = kappa - half, kappa + half
+    for arg, label in ((delta, "delta"), (lo, "kappa - {}"), (hi, "kappa + {}")):
         if abs(math.cos(arg)) < 1e-15:
-            raise DegenerateError(f"tan({label}) undefined")
-    return AlgCoords(
-        math.sin(p.phi),
-        math.tan(p.delta),
-        math.tan(p.kappa - math.pi / 6),
-        -math.tan(p.kappa + math.pi / 6),
-    )
+            raise DegenerateError(f"tan({label.format(half_name)}) undefined")
+    return math.sin(phi), math.tan(delta), math.tan(lo), -math.tan(hi)
 
 
 def _neighbor_dists_sq(S, T, U, Ub, sin_sq, cos_sq) -> tuple:
@@ -207,10 +207,6 @@ class DistanceTriplets:
             object.__setattr__(self, name, v)
 
 
-def _generic_orbit_value(p: D3Params, orbit: str) -> float:
-    return float(build_c6(p).distance_sq_matrix()[PAIR_ORBITS[orbit][0]])
-
-
 def triplets_trig(p: D3Params) -> DistanceTriplets:
     """Squared orbit distances from the closed trigonometric forms.
 
@@ -225,7 +221,7 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
 
     den_ab = (6 * cd * cd * c2p + 3 * c2d + 7) * (cd * cd * sp * sp + sd * sd)
     if abs(den_ab) < _DEGEN_TOL:
-        dab = _generic_orbit_value(p, "ab")
+        dab = triplets_generic(p).dab_sq
     else:
         dab = 48 * sd * sd * cd * cd * cp ** 4 / den_ab
 
@@ -240,16 +236,16 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
 
     dad = cross_pair(2 * p.kappa + math.pi / 6)
     if math.isnan(dad):
-        dad = _generic_orbit_value(p, "ad")
+        dad = triplets_generic(p).dad_sq
     dbd = cross_pair(2 * p.kappa + 5 * math.pi / 6)
     if math.isnan(dbd):
-        dbd = _generic_orbit_value(p, "bd")
+        dbd = triplets_generic(p).dbd_sq
 
     sk, ck = math.sin(p.kappa), math.cos(p.kappa)
     mu_ae = 2 * (cd * ck - sd * sp * sk)
     nu_ae = cd * cd * cp * cp + (sd * sk - cd * sp * ck) ** 2
     if abs(nu_ae) < _DEGEN_TOL:
-        dae = _generic_orbit_value(p, "ae")
+        dae = triplets_generic(p).dae_sq
     else:
         dae = mu_ae * mu_ae / nu_ae
     return DistanceTriplets(dab, dad, dbd, dae)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lines import Configuration, DegenerateError, chart_lines
-from .symmetric import _neighbor_dists_sq
+from .lines import Configuration, chart_lines
+from .symmetric import _alg_map, _neighbor_dists_sq
 
 _MARGINAL_TOL = 1e-12
 
@@ -49,12 +49,6 @@ class GeneralParams:
             raise ValueError(f"latitude tilt out of range: {self.phi!r}")
 
 
-def _tan_guarded(arg: float, label: str) -> float:
-    if abs(math.cos(arg)) < 1e-15:
-        raise DegenerateError(f"tan({label}) undefined")
-    return math.tan(arg)
-
-
 def build_c3(g: GeneralParams) -> Configuration:
     """The lines (A, B, D): upper pair 2 alpha apart, lower line between.
 
@@ -76,12 +70,8 @@ def dists_general(g: GeneralParams) -> tuple:
     S = T = 0; the delta-direction limit 4 sin^2(alpha) is returned
     there (limits along other curves may differ, see four_cyl_point).
     """
-    a = g.alpha
-    S = math.sin(g.phi)
-    T = _tan_guarded(g.delta, "delta")
-    U = _tan_guarded(g.kappa - a / 2, "kappa - alpha/2")
-    Ub = -_tan_guarded(g.kappa + a / 2, "kappa + alpha/2")
-    sa, ca = math.sin(a), math.cos(a)
+    S, T, U, Ub = _alg_map(g.phi, g.delta, g.kappa, g.alpha / 2, "alpha/2")
+    sa, ca = math.sin(g.alpha), math.cos(g.alpha)
     return _neighbor_dists_sq(S, T, U, Ub, sa * sa, ca * ca)
 
 

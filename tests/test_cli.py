@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -17,6 +18,15 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def run_failing(capsys, *argv):
+    """Exit code and stderr of a run, which must warn about nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(list(argv))
+    assert [str(w.message) for w in caught] == []
+    return rc, capsys.readouterr().err
 
 
 def run_json(capsys, *argv):
@@ -280,3 +290,31 @@ class TestReportAll:
         rc, out = run(capsys, "report-all", "--inject-record-error")
         assert rc == 3
         assert "FAIL record-values" in out
+
+
+class TestDirectErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["four-cyl", "--t-max", "inf"], "--t-max must be positive and finite: inf"),
+            (["four-cyl", "--t-max", "nan"], "--t-max must be positive and finite: nan"),
+            (["export-scene", "--radius", "inf"], "radius must be positive and finite: inf"),
+            (["export-scene", "--length", "inf"], "cyl_length must be positive and finite: inf"),
+            (["export-scene", "--length", "nan"], "cyl_length must be positive and finite: nan"),
+        ],
+    )
+    def test_non_finite_inputs_fail_before_numpy(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "scene.obj"
+        if argv[0] == "export-scene":
+            argv = [*argv, "--segments", "8", "--out", str(out_path)]
+        assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
+        assert not out_path.exists()
+
+    def test_overflowing_base_is_one_error_line(self, capsys, tmp_path):
+        doc = tmp_path / "lines.json"
+        doc.write_text(json.dumps({"lines": [
+            {"base": [1e200, 0.0, 0.0], "dir": [0.0, 0.0, 1.0]},
+            {"base": [0.0, 1.0, 0.0], "dir": [0.0, 0.0, 1.0]},
+        ]}))
+        rc, err = run_failing(capsys, "probe", "--at", f"file:{doc}", "--trials", "5")
+        assert (rc, err) == (1, "error: base must be a unit vector, |base| = inf\n")

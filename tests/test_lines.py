@@ -13,6 +13,7 @@ from cylpack.lines import (
     TangentLine,
     _unit_tangent,
     chart_lines,
+    chart_rows,
     distance_from_radius,
     distance_sq,
     embed_point,
@@ -354,6 +355,7 @@ class TestKernelProperties:
 # ---------------------------------------------------------------- stacked line checks
 
 
+@np.errstate(over="ignore")  # squares of 1e200 noise overflow to an inf norm
 def one_line_check(base, direction):
     """Reference copy of TangentLine's checks as they ran one line at a
     time, with np.linalg.norm and the 1-D `@`.  Returns (base, dir), or
@@ -466,3 +468,75 @@ class TestStackedValidation:
                 c.bases[0, 0] = 0.0
             with pytest.raises(ValueError):
                 c.dirs[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------- parallel fallback and longitudes
+
+
+def einsum_canonical(d):
+    """Reference copy of the earlier (m, 3)-stack canonical flip."""
+    first = np.take_along_axis(d, np.argmax(d != 0.0, axis=-1)[:, None], axis=-1)
+    return np.where(first < 0.0, -d, d)
+
+
+def einsum_parallel_dsq(du, dv, w):
+    """Reference copy of the earlier einsum fallback on C-ordered (m, 3) stacks."""
+    a, b = einsum_canonical(du), einsum_canonical(dv)
+    k = np.argmax(a != b, axis=-1)[:, None]
+    n = np.where(np.take_along_axis(a, k, axis=-1) >= np.take_along_axis(b, k, axis=-1), a, b)
+    wp = w - np.einsum("...k,...k->...", w, n)[:, None] * n
+    return np.einsum("...k,...k->...", wp, wp)
+
+
+# components that are often exactly zero, of either sign
+COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+VECTOR = st.tuples(COMPONENT, COMPONENT, COMPONENT)
+# one direction and 2-7 lines along it or against it, each tilted off it by 0 or by
+# 1e-9 times a vector: every pair exactly parallel, or within PARALLEL_TOL of it
+TILT = st.tuples(st.sampled_from([0.0, 1e-9]), VECTOR)
+PARALLEL_STACK = st.tuples(
+    VECTOR, st.lists(st.tuples(VECTOR, st.booleans(), TILT), min_size=2, max_size=7)
+)
+# chart angles that give frames with exact zero components
+SPECIAL_LAT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), LAT)
+SPECIAL_ANGLE = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi]), ANG)
+
+
+class TestParallelFallback:
+    @settings(deadline=None, max_examples=300)
+    @given(PARALLEL_STACK)
+    def test_matches_einsum_fallback_bitwise(self, stack):
+        d, lines = stack
+        bases = np.array([b for b, _, _ in lines])
+        dirs = np.array([(1.0 if along else -1.0) * (np.array(d) + eps * np.array(e))
+                         for _, along, (eps, e) in lines])
+        i, j = np.triu_indices(len(lines), 1)
+        ref = einsum_parallel_dsq(dirs[i], dirs[j], bases[j] - bases[i])
+        assert same_bits(pair_dsq(bases, dirs), ref)
+        assert same_bits(pair_dsq(np.asfortranarray(bases), np.asfortranarray(dirs)), ref)
+
+    @settings(deadline=None, max_examples=300)
+    @given(SPECIAL_LAT, SPECIAL_ANGLE, SPECIAL_ANGLE, st.booleans())
+    def test_canonical_matches_einsum_flip(self, lat, lon, ang, negate):
+        line = make_tangent_line(SphericalPoint(lat, lon), ang)
+        if negate:
+            line = TangentLine(line.base, -line.dir)
+        c = line.canonical()
+        assert same_bits(c.base, line.base)
+        assert same_bits(c.dir, einsum_canonical(line.dir[None])[0])
+
+
+class TestLongitudeReduction:
+    def test_chart_rows_wraps_to_zero(self):
+        rows = chart_rows([TangentLine([1.0, -1e-17, 0.0], [0.0, 0.0, 1.0])])
+        assert rows[0, 1].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-17, 1e-16, 4.5e-16, 1e-15, 1e-9])
+    def test_three_reductions_agree(self, eps):
+        kappa = SphericalPoint(0.0, -eps).kappa
+        assert 0.0 <= kappa < 2 * math.pi
+        # a base (1, -eps, 0) is unit to rounding, with longitude atan2(-eps, 1) = -eps
+        rows = chart_rows([TangentLine([1.0, -eps, 0.0], [0.0, 0.0, 1.0])])
+        assert rows[0, 1].hex() == kappa.hex()
+        built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)])[0]
+        assert same_bits(built.base, embed_point(SphericalPoint(0.0, kappa)))

@@ -27,6 +27,7 @@ from cylpack.search import (
     objective,
     perturbation_probe,
 )
+from cylpack import search
 from cylpack.search import _objective_batch
 from cylpack.symmetric import D3Params, build_c6
 
@@ -183,6 +184,22 @@ class TestLocalMaximize:
 
 
 class TestMultiStart:
+    def test_merge_pinned(self):
+        # evals summed over six starts, the winner's d_best and trace digest,
+        # and its chart digest, all as the separate merge loop gave them
+        r = multi_start(6, 3, 20000)
+        trace_sha = hashlib.sha256(np.array(r.trace).tobytes()).hexdigest()[:16]
+        chart_sha = hashlib.sha256(r.best.coords.tobytes()).hexdigest()[:16]
+        assert (r.evals, r.d_best.hex(), trace_sha, chart_sha) == (
+            36006, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
+        )
+
+    def test_ties_go_to_the_lower_start(self, monkeypatch):
+        monkeypatch.setattr(search, "objective", lambda chart: 1.0)  # every start ties
+        r = multi_start(3, 0, 500)
+        first = local_maximize(chart_curve(0.9), 500, rng_seed=0)
+        assert np.array_equal(r.best.coords, first.best.coords) and r.trace == first.trace
+
     def test_small_run_reaches_curve_seed_level(self):
         r = multi_start(4, 0, 3000)
         assert r.d_best >= D_RECORD - 1e-9  # the x = 0.5 seed is start 2
