@@ -12,12 +12,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .acceptance import run_all
 from .curve import gamma_point, record
-from .lines import min_pairwise_distance, radius_from_distance
+from .lines import _positive_finite, min_pairwise_distance, radius_from_distance
 from .scene import SceneSpec, min_surface_gap, scene_obj
 from .search import (
     FreeConfig,
@@ -28,7 +29,6 @@ from .search import (
     config_lines,
     local_maximize,
     multi_start,
-    objective,
     perturbation_probe,
 )
 from .serialize import config_from_dict, csv_line, json_dumps
@@ -177,8 +177,7 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
 def cmd_four_cyl(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
-    if not 0 < args.t_max < math.inf:
-        raise ValueError(f"--t-max must be positive and finite: {args.t_max!r}")
+    _positive_finite("--t-max", args.t_max)
     rows = [FOUR_CYL_HEADER]
     for T in np.linspace(0.0, args.t_max, args.samples):
         sample = four_cyl_point(float(T), mirror=args.mirror)
@@ -212,7 +211,9 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_report_all(args: argparse.Namespace) -> int:
-    results = run_all(inject_record_error=args.inject_record_error)
+    results = run_all()
+    if args.inject_record_error:  # hidden hook that tests exit code 3 and FAIL-line parsing
+        results[0] = replace(results[0], passed=False, details=results[0].details + "; injected")
     all_passed = all(r.passed for r in results)
     if args.json:
         doc = {

@@ -81,21 +81,22 @@ def psi(s, t):
     return math.fsum(terms)
 
 
+def _check_x(x) -> None:
+    if not 0 < x <= 1:
+        raise ValueError(f"trajectory parameter must lie in (0, 1]: {x!r}")
+
+
 def t_of_x(x):
     """Solve psi = 0 for t at given x = (1 - s)/(t + 1):
     t = (1 + 3x)(1 - x) / (x (1 + 7x + 4x^2)).  Exact for Fractions."""
-    if x <= 0:
-        raise ValueError(f"trajectory parameter must be positive: {x!r}")
-    if not x <= 1:
-        raise ValueError(f"trajectory parameter must lie in (0, 1]: {x!r}")
+    _check_x(x)
     return (1 + 3 * x) * (1 - x) / (x * (1 + 7 * x + 4 * x * x))
 
 
 def f_of_x(x):
     """Common squared neighbor distance along the trajectory:
     F(x) = 12x / (1 + 7x + 4x^2).  Exact for Fractions."""
-    if not 0 < x <= 1:
-        raise ValueError(f"trajectory parameter must lie in (0, 1]: {x!r}")
+    _check_x(x)
     return 12 * x / (1 + 7 * x + 4 * x * x)
 
 
@@ -149,8 +150,7 @@ def gamma_point(x) -> CurveSample:
     three-way distance equality is checked for x < 1.
     """
     xf = float(x)
-    if not 0.0 < xf <= 1.0:
-        raise ValueError(f"trajectory parameter must lie in (0, 1]: {x!r}")
+    _check_x(xf)
     if xf == 1.0:
         params = D3Params(0.0, 0.0, 0.0)
         return CurveSample(1.0, 0.0, 0.0, 0.0, 0.0, math.tan(-math.pi / 6), params, 1.0)
@@ -265,8 +265,7 @@ def pure_geodetic_check(x) -> dict:
     if isinstance(x, float):
         raise TypeError("pass an exact rational, not a float")
     x = Fraction(x)
-    if not 0 < x <= 1:
-        raise ValueError(f"trajectory parameter must lie in (0, 1]: {x!r}")
+    _check_x(x)
     t = t_of_x(x)
     s = 1 - x * (t + 1)
     tan_sq_kappa = (1 - x) ** 2 / ((1 + x) * (1 + 3 * x))
@@ -276,5 +275,4 @@ def pure_geodetic_check(x) -> dict:
         "sin_sq_delta": t / (1 + t),
         "sin_sq_kappa": tan_sq_kappa / (1 + tan_sq_kappa),
         "f": f_of_x(x),
-        "all_rational": True,
     }

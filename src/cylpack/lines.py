@@ -27,6 +27,20 @@ class DegenerateError(ArithmeticError):
     """A closed-form expression was evaluated where it degenerates."""
 
 
+def _finite_fields(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as a float; "<name> must be finite" if not."""
+    for name in names:
+        v = float(getattr(obj, name))
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(obj, name, v)
+
+
+def _positive_finite(name: str, value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite: {value!r}")
+
+
 @dataclass(frozen=True)
 class SphericalPoint:
     """Latitude/longitude pair naming a point of the unit sphere.

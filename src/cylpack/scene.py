@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lines import Configuration, TangentLine, distance, min_pairwise_distance
+from .lines import Configuration, TangentLine, _positive_finite, distance, min_pairwise_distance
 from .serialize import CSV_SIG, fmt_float
 
 Mesh = tuple[np.ndarray, list[tuple[int, ...]]]
@@ -35,10 +35,8 @@ class SceneSpec:
             raise ValueError("segments must be an integer")
         if self.segments < 8:
             raise ValueError("segments must be at least 8")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite: {self.radius!r}")
-        if not 0 < self.cyl_length < math.inf:
-            raise ValueError(f"cyl_length must be positive and finite: {self.cyl_length!r}")
+        _positive_finite("radius", self.radius)
+        _positive_finite("cyl_length", self.cyl_length)
 
 
 def sphere_mesh(segments: int) -> Mesh:
@@ -89,8 +87,8 @@ def tube_mesh(
     """
     if segments < 8:
         raise ValueError("segments must be at least 8")
-    if not (radius > 0 and half_length > 0):
-        raise ValueError("radius and half_length must be positive")
+    _positive_finite("radius", radius)
+    _positive_finite("half_length", half_length)
     axis_point = (1.0 + radius) * line.base
     u = line.base
     v = np.cross(line.dir, u)

@@ -20,6 +20,7 @@ from .lines import (
     Configuration,
     _frame_xyz,
     _pair_dsq_xyz,
+    _positive_finite,
     chart_lines,
     chart_rows,
     min_pairwise_distance,
@@ -116,6 +117,9 @@ class OptResult:
 
 
 def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rng) -> OptResult:
+    if budget < 1:
+        raise ValueError(f"evaluation budget must be positive: {budget!r}")
+    budget = int(budget)
     x = _clip_latitudes(np.array(x0, dtype=float))
     f = float(_objective_batch(x[None])[0])
     evals = 1
@@ -157,10 +161,8 @@ def local_maximize(
     overrun it by at most one batch).  The reported d_best is recomputed
     with the scalar distance on the returned chart.
     """
-    if budget < 1:
-        raise ValueError(f"evaluation budget must be positive: {budget!r}")
     rng = np.random.default_rng(rng_seed)
-    return _pattern_search(seed.coords, int(budget), step0, step_min, rng)
+    return _pattern_search(seed.coords, budget, step0, step_min, rng)
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
@@ -176,8 +178,6 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     """
     if n_starts < 1:
         raise ValueError(f"need at least one start: {n_starts!r}")
-    if budget_each < 1:
-        raise ValueError(f"evaluation budget must be positive: {budget_each!r}")
     curve_xs = (0.9, 0.7, 0.5)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
     best, evals = None, 0
@@ -187,7 +187,7 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
             x0 = chart_curve(curve_xs[i]).coords
         else:
             x0 = _clip_latitudes(base + 0.2 * rng.standard_normal(N_COORDS))
-        result = _pattern_search(x0, int(budget_each), _STEP0, _STEP_MIN, rng)
+        result = _pattern_search(x0, budget_each, _STEP0, _STEP_MIN, rng)
         evals += result.evals
         # keep only the best so far (the lower start on ties), so the other traces are freed
         if best is None or result.d_best > best.d_best:
@@ -199,8 +199,7 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     """Sample uniform coordinate perturbations of a chart within a box
     of the given radius and report the best objective found and the
     fraction of trials that beat the unperturbed value."""
-    if not 0 < radius < math.inf:
-        raise ValueError(f"perturbation radius must be positive and finite: {radius!r}")
+    _positive_finite("perturbation radius", radius)
     if trials < 1:
         raise ValueError(f"need at least one trial: {trials!r}")
     rng = np.random.default_rng(rng_seed)

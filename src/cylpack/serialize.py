@@ -26,19 +26,19 @@ def fmt_float(value: float, sig: int = JSON_SIG) -> str:
     return f"{value:.{sig}g}"
 
 
-def json_dumps(obj: Any, sig: int = JSON_SIG) -> str:
+def json_dumps(obj: Any) -> str:
     """Serialize nested dicts/lists with fixed-precision floats.
 
-    Unlike :func:`json.dumps`, floats are written with exactly ``sig``
+    Unlike :func:`json.dumps`, floats are written with exactly JSON_SIG
     significant digits, so repeated runs produce identical bytes and
     numpy scalars serialize like their Python counterparts.
     """
     pieces: list[str] = []
-    _write_json(obj, sig, pieces)
+    _write_json(obj, pieces)
     return "".join(pieces)
 
 
-def _write_json(obj: Any, sig: int, out: list[str]) -> None:
+def _write_json(obj: Any, out: list[str]) -> None:
     if isinstance(obj, dict):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -48,21 +48,21 @@ def _write_json(obj: Any, sig: int, out: list[str]) -> None:
                 out.append(", ")
             out.append(json.dumps(key))
             out.append(": ")
-            _write_json(value, sig, out)
+            _write_json(value, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         out.append("[")
         for i, value in enumerate(list(obj)):
             if i:
                 out.append(", ")
-            _write_json(value, sig, out)
+            _write_json(value, out)
         out.append("]")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(float(obj), sig))
+        out.append(fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif obj is None:
@@ -71,8 +71,8 @@ def _write_json(obj: Any, sig: int, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def csv_line(values: Iterable[Any], sig: int = CSV_SIG) -> str:
-    """Join values into one CSV row (no trailing newline)."""
+def csv_line(values: Iterable[Any]) -> str:
+    """Join values into one CSV row (no trailing newline), floats to CSV_SIG digits."""
     parts: list[str] = []
     for value in values:
         if isinstance(value, str):
@@ -84,7 +84,7 @@ def csv_line(values: Iterable[Any], sig: int = CSV_SIG) -> str:
         elif isinstance(value, (int, np.integer)):
             parts.append(str(int(value)))
         else:
-            parts.append(fmt_float(float(value), sig))
+            parts.append(fmt_float(float(value), CSV_SIG))
     return ",".join(parts)
 
 

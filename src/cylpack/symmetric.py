@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .lines import (
     Configuration,
     DegenerateError,
+    _finite_fields,
     chart_lines,
     rotate_line,
     rotation_matrix,
@@ -60,11 +61,7 @@ class D3Params:
     kappa: float
 
     def __post_init__(self):
-        for name in ("phi", "delta", "kappa"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+        _finite_fields(self, "phi", "delta", "kappa")
         if abs(self.phi) >= math.pi / 2:
             raise ValueError(f"latitude tilt out of range: {self.phi!r}")
 
@@ -86,24 +83,24 @@ def build_c6(p: D3Params) -> Configuration:
     return chart_lines(c6_chart(p))
 
 
-def d3_orbit_check(c: Configuration, tol: float = 1e-10) -> bool:
+def d3_orbit_check(c: Configuration) -> bool:
     """Whether a six-line configuration has the family's symmetry.
 
-    Checks that the 120-degree rotation about z permutes the lines as
-    (A,B,C,D,E,F) -> (B,C,A,E,F,D) and that the half-turn about x maps
-    the line set onto itself.
+    Checks, to 1e-10, that the 120-degree rotation about z permutes the
+    lines as (A,B,C,D,E,F) -> (B,C,A,E,F,D) and that the half-turn about x
+    maps the line set onto itself.
     """
     if len(c) != 6:
         raise ValueError("orbit check needs exactly 6 lines")
     rz = rotation_matrix([0.0, 0.0, 1.0], 2 * math.pi / 3)
     perm = (1, 2, 0, 4, 5, 3)
     for i in range(6):
-        if not rotate_line(c[i], rz).same_line_as(c[perm[i]], tol):
+        if not rotate_line(c[i], rz).same_line_as(c[perm[i]]):
             return False
     rx = rotation_matrix([1.0, 0.0, 0.0], math.pi)
     for i in range(6):
         image = rotate_line(c[i], rx)
-        if not any(image.same_line_as(c[j], tol) for j in range(6)):
+        if not any(image.same_line_as(c[j]) for j in range(6)):
             return False
     return True
 
@@ -123,11 +120,7 @@ class AlgCoords:
     ubar_var: float
 
     def __post_init__(self):
-        for name in ("s_var", "t_var", "u_var", "ubar_var"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+        _finite_fields(self, "s_var", "t_var", "u_var", "ubar_var")
         if abs(self.s_var) > 1.0:
             raise ValueError(f"S must lie in [-1, 1]: {self.s_var!r}")
         u, ub = self.u_var, self.ubar_var

@@ -18,10 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lines import Configuration, chart_lines
+from .lines import Configuration, _finite_fields, chart_lines
 from .symmetric import _alg_map, _neighbor_dists_sq
 
 _MARGINAL_TOL = 1e-12
+
+
+def _neighbor_angle(alpha) -> float:
+    """alpha as a float, checked to lie in (0, pi)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.pi:
+        raise ValueError(f"neighbor angle out of range: {alpha!r}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -38,13 +46,8 @@ class GeneralParams:
     kappa: float
 
     def __post_init__(self):
-        for name in ("alpha", "phi", "delta", "kappa"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-        if not 0.0 < self.alpha < math.pi:
-            raise ValueError(f"neighbor angle out of range: {self.alpha!r}")
+        _finite_fields(self, "alpha", "phi", "delta", "kappa")
+        _neighbor_angle(self.alpha)
         if abs(self.phi) >= math.pi / 2:
             raise ValueError(f"latitude tilt out of range: {self.phi!r}")
 
@@ -75,13 +78,6 @@ def dists_general(g: GeneralParams) -> tuple:
     return _neighbor_dists_sq(S, T, U, Ub, sa * sa, ca * ca)
 
 
-def _series_keys(kappa1: float) -> tuple:
-    keys = ["dab_sq_0", "dad_sq_0", "dbd_sq_0", "dad_sq_1", "dbd_sq_1"]
-    if kappa1 == 0.0:
-        keys += ["dad_sq_2", "dbd_sq_2"]
-    return tuple(keys)
-
-
 def series_coeffs(alpha: float, phi1: float, delta1: float, kappa1: float, kappa2: float) -> dict:
     """Closed Taylor coefficients of the three squared distances along
     (phi, delta, kappa) = (phi1 t, delta1 t, kappa1 t + kappa2 t^2).
@@ -91,8 +87,7 @@ def series_coeffs(alpha: float, phi1: float, delta1: float, kappa1: float, kappa
     d_BD are closed only when kappa1 = 0 and are included exactly then.
     The direction must not be degenerate: (phi1, delta1) != (0, 0).
     """
-    if not 0.0 < float(alpha) < math.pi:
-        raise ValueError(f"neighbor angle out of range: {alpha!r}")
+    alpha = _neighbor_angle(alpha)
     if phi1 == 0.0 and delta1 == 0.0:
         raise ValueError("degenerate direction: phi1 = delta1 = 0")
     sa, ca = math.sin(alpha), math.cos(alpha)
@@ -187,9 +182,7 @@ def unlock_verdict(alpha: float) -> UnlockReport:
     the window (sin(alpha/2)/sqrt(sin^2 alpha - sin^2(alpha/2)), 1) is
     nonempty exactly when alpha < pi/2.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.pi:
-        raise ValueError(f"neighbor angle out of range: {alpha!r}")
+    alpha = _neighbor_angle(alpha)
     if abs(alpha - math.pi / 2) <= _MARGINAL_TOL:
         return UnlockReport(alpha, "marginal", None)
     if alpha > math.pi / 2:
@@ -224,14 +217,6 @@ def unlock_verdict(alpha: float) -> UnlockReport:
     return UnlockReport(alpha, "unlockable", witness)
 
 
-def _build_c3_alt(g: GeneralParams) -> Configuration:
-    """Variant family with the lower line's tangent tilted the opposite
-    way: A, B keep -delta, D gets +delta."""
-    a, k, d = g.alpha, g.kappa, g.delta
-    rows = ((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, d))
-    return chart_lines(rows)
-
-
 def alt_strategy_verdict(alpha: float) -> dict:
     """The counter-tilted variant (lower tangents swung the other way)
     never unlocks, for any neighbor angle.
@@ -243,9 +228,7 @@ def alt_strategy_verdict(alpha: float) -> dict:
     dies.  The report carries that forcing chain and a spot evaluation
     of the order-0 coefficient at phi1 = delta1 = 1.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.pi:
-        raise ValueError(f"neighbor angle out of range: {alpha!r}")
+    alpha = _neighbor_angle(alpha)
     sh = math.sin(alpha / 2)
     baseline = 4.0 * sh * sh
     return {

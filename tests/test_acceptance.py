@@ -7,9 +7,15 @@ the acceptance module, so this file and the CLI's report-all share one
 computation per process.
 """
 
+import inspect
+import json
 from functools import lru_cache
+from pathlib import Path
 
+from cylpack import acceptance
 from cylpack.acceptance import run_all
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 @lru_cache(maxsize=1)
@@ -79,8 +85,25 @@ def test_every_check_ran_exactly_once():
     assert len(_results()) == 13
 
 
-def test_error_injection_hook_flips_the_record_check():
-    flagged = {r.name: r for r in run_all(inject_record_error=True)}
+def test_run_all_runs_every_check_once_in_definition_order():
+    # bench/workloads.py times the public check_* functions in definition
+    # order, while run_all reads _CHECKS; both must name the same checks
+    checks = sorted(
+        (fn for name, fn in inspect.getmembers(acceptance, inspect.isfunction)
+         if name.startswith("check_") and fn.__module__ == acceptance.__name__),
+        key=lambda fn: fn.__code__.co_firstlineno,
+    )
+    names = [fn.__name__.removeprefix("check_").replace("_", "-") for fn in checks]
+    assert len(names) == 13
+    assert [r.name for r in run_all()] == names
+    layers = json.loads(BENCHMARK.read_text())["per_layer"]
+    timed = [m["name"] for m in layers if m["name"].startswith("acceptance.")]
+    assert timed == [f"acceptance.{name}_s" for name in names]
+
+
+def test_error_injection_hook_flips_the_record_check(monkeypatch):
+    monkeypatch.setattr(acceptance, "R_RECORD", acceptance.R_RECORD + 1e-6)
+    flagged = {r.name: r for r in run_all()}
     assert not flagged["record-values"].passed
     others = [n for n, r in flagged.items() if n != "record-values" and not r.passed]
     assert others == []

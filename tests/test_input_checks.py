@@ -1,0 +1,87 @@
+"""Input checks shared by several constructors and functions: finite
+angle fields, and the neighbor angle's range (0, pi)."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from cylpack.symmetric import AlgCoords, D3Params, alg_coords
+from cylpack.unlocking import GeneralParams, alt_strategy_verdict, series_coeffs, unlock_verdict
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+LATITUDE = st.floats(-1.5, 1.5)
+# kappa within (-1, 0.5) keeps tan(kappa -+ pi/6) finite for alg_coords
+KAPPA = st.floats(-1.0, 0.5)
+NEIGHBOR_ANGLE = st.floats(0.01, 3.13)
+
+
+@st.composite
+def valid_fields(draw):
+    """A class with one valid set of its fields, as keyword arguments."""
+    kind = draw(st.sampled_from(["D3Params", "GeneralParams", "AlgCoords"]))
+    phi, delta, kappa = draw(LATITUDE), draw(LATITUDE), draw(KAPPA)
+    if kind == "D3Params":
+        return D3Params, {"phi": phi, "delta": delta, "kappa": kappa}
+    if kind == "GeneralParams":
+        alpha = draw(NEIGHBOR_ANGLE)
+        return GeneralParams, {"alpha": alpha, "phi": phi, "delta": delta, "kappa": kappa}
+    return AlgCoords, vars(alg_coords(D3Params(phi, delta, kappa)))
+
+
+class TestFiniteFields:
+    @settings(deadline=None)
+    @given(valid_fields(), st.data(), NON_FINITE)
+    def test_every_field_rejects_non_finite(self, case, data, bad):
+        cls, fields = case
+        name = data.draw(st.sampled_from(sorted(fields)))
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            cls(**{**fields, name: bad})
+
+    @settings(deadline=None)
+    @given(st.integers(-1, 1), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+           st.integers(1, 3))
+    def test_int_inputs_are_stored_as_float(self, phi, delta, kappa, alpha):
+        a = alg_coords(D3Params(0.3, 0.2, -0.4))
+        for obj in (
+            D3Params(phi, delta, kappa),
+            GeneralParams(alpha, phi, delta, kappa),
+            AlgCoords(phi, delta, a.u_var, a.ubar_var),
+        ):
+            assert all(type(v) is float for v in vars(obj).values()), obj
+
+
+OUT_OF_RANGE = st.floats(max_value=0.0) | st.floats(min_value=math.pi)
+
+
+class TestNeighborAngle:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda a: series_coeffs(a, 1.0, 1.0, 0.0, 0.0),
+            unlock_verdict,
+            alt_strategy_verdict,
+        ],
+        ids=["series_coeffs", "unlock_verdict", "alt_strategy_verdict"],
+    )
+    @settings(deadline=None)
+    @given(OUT_OF_RANGE | st.just(math.nan))
+    @example(0.0)
+    @example(math.pi)
+    @example(-1.0)
+    @example(4.0)
+    @example(math.nan)
+    def test_functions_reject(self, check, alpha):
+        with pytest.raises(ValueError, match="^neighbor angle out of range: "):
+            check(alpha)
+
+    @settings(deadline=None)
+    @given(OUT_OF_RANGE.filter(math.isfinite))
+    @example(0.0)
+    @example(math.pi)
+    @example(-1.0)
+    @example(4.0)
+    def test_general_params_rejects(self, alpha):
+        # a non-finite alpha fails the finite-field check first (TestFiniteFields)
+        with pytest.raises(ValueError, match="^neighbor angle out of range: "):
+            GeneralParams(alpha, 0.0, 0.0, 0.0)

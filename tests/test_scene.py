@@ -90,6 +90,14 @@ class TestTubeMesh:
         with pytest.raises(ValueError):
             tube_mesh(line, 1.0, 1.0, 4)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["radius", "half_length"])
+    def test_non_finite_sizes_rejected(self, name, value):
+        line = make_tangent_line(SphericalPoint(0.0, 0.0), 0.0)
+        sizes = {"radius": 0.5, "half_length": 6.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite: {value!r}$"):
+            tube_mesh(line, sizes["radius"], sizes["half_length"], 8)
+
 
 class TestSurfaceGap:
     def test_initial_configuration_touching_pairs(self):

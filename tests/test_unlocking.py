@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from cylpack.lines import distance_sq, radius_from_distance
+from cylpack.lines import chart_lines, distance_sq, radius_from_distance
 from cylpack.symmetric import D3Params, alg_coords, build_c6, triplets_alg
 from cylpack.unlocking import (
     FourCylSample,
     GeneralParams,
     UnlockReport,
-    _build_c3_alt,
     alt_strategy_verdict,
     build_c3,
     dists_general,
@@ -183,9 +182,12 @@ class TestAltStrategy:
         # family, along (phi1 t, delta1 t, 0), against the closed claim
         for alpha, phi1, delta1 in ((1.1, 0.8, 0.6), (0.7, 1.0, 1.0), (2.2, 0.5, -0.9)):
             def dad(t):
-                g = GeneralParams(alpha, phi1 * t, delta1 * t, 0.0)
-                c = _build_c3_alt(g)
-                return distance_sq(c[0], c[2])
+                # A as in build_c3, D with its tangent tilted by +delta instead of -delta
+                a, d = chart_lines((
+                    (phi1 * t, alpha / 2, -delta1 * t),
+                    (-phi1 * t, 3 * alpha / 2, delta1 * t),
+                ))
+                return distance_sq(a, d)
 
             h = 1e-3
             v1 = 0.5 * (dad(h) + dad(-h))
