@@ -16,8 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record, scan_unimodality
-from .lines import radius_from_distance
+from .curve import (
+    f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record, scan_unimodality, u_from_st
+)
+from .lines import chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import D3Params, DegenerateError, alg_coords, build_c6, triplets_alg, triplets_generic, triplets_trig
 from .unlocking import (
@@ -113,7 +115,8 @@ def check_formula_consistency() -> CheckResult:
 
 
 def check_curve_membership() -> CheckResult:
-    """Psi factors through x, and Psi, K1, K2 vanish along the trajectory."""
+    """Psi factors through x, Psi, K1, K2 vanish along the trajectory, and U
+    there is the one its elimination u_from_st gives."""
     rng = np.random.default_rng(4)
     worst_fact = 0.0
     for _ in range(500):
@@ -132,12 +135,14 @@ def check_curve_membership() -> CheckResult:
             abs(psi(sample.s_var, sample.t_var)),
             abs(k1(sample.S, sample.T, sample.U)),
             abs(k2(sample.S, sample.T, sample.U)),
+            abs(sample.U - u_from_st(sample.S, sample.T)),
         )
     return CheckResult(
         "curve-membership",
         worst_fact <= 1e-10 and worst_vanish <= 1e-9,
         f"factorization residual {worst_fact:.3g} <= 1e-10 over 500 points; "
-        f"max |Psi|, |K1|, |K2| along 200 trajectory points {worst_vanish:.3g} <= 1e-9",
+        f"max |Psi|, |K1|, |K2|, |U - u_from_st(S, T)| along 200 trajectory points "
+        f"{worst_vanish:.3g} <= 1e-9",
     )
 
 
@@ -211,30 +216,46 @@ def check_unlock_verdicts() -> CheckResult:
     ]
     verdicts = [(a, unlock_verdict(a).verdict) for a, _ in expected]
     verdict_ok = all(v == want for (_, v), (_, want) in zip(verdicts, expected))
-    report = unlock_verdict(math.pi / 3)
-    witness = report.witness
-    probe_ok = witness["probe_ok"] and all(
-        d > witness["baseline_dist_sq"] for d in witness["probe_dists_sq"]
+    witnesses = [unlock_verdict(a).witness for a, want in expected if want == "unlockable"]
+    margin = min(
+        min(d - w["baseline_dist_sq"] for d in w["probe_dists_sq"]) for w in witnesses
     )
-    baseline_one = abs(witness["baseline_dist_sq"] - 1.0) <= 1e-15
+    probe_ok = all(w["probe_ok"] for w in witnesses) and margin > 0.0
+    pi3 = witnesses[1]  # the six-cylinder angle
+    baseline_one = abs(pi3["baseline_dist_sq"] - 1.0) <= 1e-15
     return CheckResult(
         "unlock-verdicts",
         verdict_ok and probe_ok and baseline_one,
         f"verdicts {[(round(a, 6), v) for a, v in verdicts]}: {verdict_ok}; "
-        f"pi/3 witness at t = 1e-2 has all squared distances "
-        f"{tuple(round(d, 9) for d in witness['probe_dists_sq'])} above 1: {probe_ok}",
+        f"witnesses at t = 1e-2 for pi/6, pi/3, 1.5 have every squared distance "
+        f"above its baseline, smallest margin {margin:.3g}: {probe_ok}; pi/3 distances "
+        f"{tuple(round(d, 9) for d in pi3['probe_dists_sq'])}, baseline 1: {baseline_one}",
     )
 
 
 def check_alternate_strategy() -> CheckResult:
-    """Tilting the lower ring the other way never unlocks."""
-    alphas = np.linspace(0.1, 3.0, 20)
-    reports = [alt_strategy_verdict(float(a)) for a in alphas]
+    """Tilting the lower ring the other way never unlocks: its reported
+    order-0 A-D coefficient, below the start, matches the built pair."""
+    alphas = [float(a) for a in np.linspace(0.1, 3.0, 20)]
+    reports = [alt_strategy_verdict(a) for a in alphas]
     blocked = sum(1 for r in reports if r["verdict"] == "blocked")
+    worst = 0.0
+    for a, r in zip(alphas, reports):
+        phi1, delta1 = r["spot_direction"]
+        # A as in build_c3 at kappa = 0, D tilted by +delta; the mean over
+        # t = +-1e-4 cancels order 1 and leaves order 0 up to O(t^2)
+        pairs = [
+            chart_lines(((phi1 * t, a / 2, -delta1 * t), (-phi1 * t, 3 * a / 2, delta1 * t)))
+            for t in (1e-4, -1e-4)
+        ]
+        mean = 0.5 * sum(distance_sq(*pair) for pair in pairs)
+        worst = max(worst, abs(mean - r["spot_dad_sq_0"]) / r["baseline_dist_sq"])
     return CheckResult(
         "alternate-strategy",
-        blocked == len(alphas),
-        f"blocked for {blocked}/20 neighbor angles spanning [0.1, 3.0]",
+        blocked == len(alphas) and worst <= 1e-6,
+        f"blocked for {blocked}/20 neighbor angles spanning [0.1, 3.0]; spot order-0 "
+        f"d_AD^2 vs the built counter-tilted pair at t = +-1e-4, worst deviation "
+        f"{worst:.3g} of the baseline <= 1e-6",
     )
 
 

@@ -76,11 +76,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.x is not None:
         params = gamma_point(args.x).params
     else:
-        scale = math.pi / 180.0 if args.degrees else 1.0
+        angle = math.radians if args.degrees else float
         params = D3Params(
-            scale * (args.phi or 0.0),
-            scale * (args.delta or 0.0),
-            scale * (args.kappa or 0.0),
+            angle(args.phi or 0.0), angle(args.delta or 0.0), angle(args.kappa or 0.0)
         )
     config = build_c6(params)
     trip = triplets_generic(params)
@@ -162,7 +160,7 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
             raise ValueError("--n must be at least 2")
         alpha = math.pi / args.n
     else:
-        alpha = args.alpha * (math.pi / 180.0 if args.degrees else 1.0)
+        alpha = math.radians(args.alpha) if args.degrees else args.alpha
     report = unlock_verdict(alpha)
     doc = {
         "alpha": alpha,

@@ -150,13 +150,8 @@ def gamma_point(x) -> CurveSample:
     three-way distance equality is checked for x < 1.
     """
     xf = float(x)
-    _check_x(xf)
-    if xf == 1.0:
-        params = D3Params(0.0, 0.0, 0.0)
-        return CurveSample(1.0, 0.0, 0.0, 0.0, 0.0, math.tan(-math.pi / 6), params, 1.0)
-    q = 1.0 + 7.0 * xf + 4.0 * xf * xf
-    S = 2.0 * math.sqrt((1.0 - xf) * xf * (1.0 + xf) / q)
-    T = math.sqrt((1.0 - xf) * (1.0 + 3.0 * xf) / (xf * q))
+    T = math.sqrt(t_of_x(xf))
+    S = 2.0 * math.sqrt((1.0 - xf) * xf * (1.0 + xf) / (1.0 + 7.0 * xf + 4.0 * xf * xf))
     tan_kappa = (xf - 1.0) / math.sqrt((1.0 + xf) * (1.0 + 3.0 * xf))
     kappa = math.atan(tan_kappa)
     params = D3Params(math.asin(S), math.atan(T), kappa)

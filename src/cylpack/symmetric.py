@@ -207,40 +207,32 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
     e.g. the initial configuration's d_AB) the generic distance on the
     built pair, which is the limit value, is substituted.
     """
+    def closed(num: float, den: float, tol: float, orbit: str) -> float:
+        if abs(den) < tol:
+            return getattr(triplets_generic(p), orbit)
+        return num / den
+
     sd, cd = math.sin(p.delta), math.cos(p.delta)
     sp, cp = math.sin(p.phi), math.cos(p.phi)
     c2p = math.cos(2 * p.phi)
     s2d, c2d = math.sin(2 * p.delta), math.cos(2 * p.delta)
 
     den_ab = (6 * cd * cd * c2p + 3 * c2d + 7) * (cd * cd * sp * sp + sd * sd)
-    if abs(den_ab) < _DEGEN_TOL:
-        dab = triplets_generic(p).dab_sq
-    else:
-        dab = 48 * sd * sd * cd * cd * cp ** 4 / den_ab
+    dab = closed(48 * sd * sd * cd * cd * cp ** 4, den_ab, _DEGEN_TOL, "dab_sq")
 
-    def cross_pair(arg: float) -> float:
+    def cross_pair(arg: float, orbit: str) -> float:
         sa, ca = math.sin(arg), math.cos(arg)
         mu = s2d * (2 * cp * cp + (c2p - 3) * sa) + 4 * c2d * sp * ca
         nu = -sa * (sd * sd - cd * cd * sp * sp) + s2d * sp * ca - cd * cd * cp * cp
-        den = 4 * (1 - nu * nu)
-        if abs(den) < _NEAR_PARALLEL_TOL:
-            return math.nan
-        return mu * mu / den
+        return closed(mu * mu, 4 * (1 - nu * nu), _NEAR_PARALLEL_TOL, orbit)
 
-    dad = cross_pair(2 * p.kappa + math.pi / 6)
-    if math.isnan(dad):
-        dad = triplets_generic(p).dad_sq
-    dbd = cross_pair(2 * p.kappa + 5 * math.pi / 6)
-    if math.isnan(dbd):
-        dbd = triplets_generic(p).dbd_sq
+    dad = cross_pair(2 * p.kappa + math.pi / 6, "dad_sq")
+    dbd = cross_pair(2 * p.kappa + 5 * math.pi / 6, "dbd_sq")
 
     sk, ck = math.sin(p.kappa), math.cos(p.kappa)
     mu_ae = 2 * (cd * ck - sd * sp * sk)
     nu_ae = cd * cd * cp * cp + (sd * sk - cd * sp * ck) ** 2
-    if abs(nu_ae) < _DEGEN_TOL:
-        dae = triplets_generic(p).dae_sq
-    else:
-        dae = mu_ae * mu_ae / nu_ae
+    dae = closed(mu_ae * mu_ae, nu_ae, _DEGEN_TOL, "dae_sq")
     return DistanceTriplets(dab, dad, dbd, dae)
 
 

@@ -7,10 +7,14 @@ the acceptance module, so this file and the CLI's report-all share one
 computation per process.
 """
 
+import dataclasses
 import inspect
 import json
+import math
 from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 from cylpack import acceptance
 from cylpack.acceptance import run_all
@@ -107,3 +111,38 @@ def test_error_injection_hook_flips_the_record_check(monkeypatch):
     assert not flagged["record-values"].passed
     others = [n for n, r in flagged.items() if n != "record-values" and not r.passed]
     assert others == []
+
+
+def test_alternate_strategy_fails_on_a_wrong_spot_coefficient(monkeypatch):
+    # the family's own tilt gives order 0 = the baseline, not half of it
+    real = acceptance.alt_strategy_verdict
+
+    def same_tilt(alpha):
+        report = real(alpha)
+        return {**report, "spot_dad_sq_0": report["baseline_dist_sq"]}
+
+    monkeypatch.setattr(acceptance, "alt_strategy_verdict", same_tilt)
+    assert not acceptance.check_alternate_strategy().passed
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 3, 1.5])
+@pytest.mark.parametrize("broken", ["probe_ok", "probe_dists_sq"])
+def test_unlock_verdicts_fails_on_any_bad_witness(monkeypatch, alpha, broken):
+    real = acceptance.unlock_verdict
+
+    def spoiled(a):
+        report = real(a)
+        if a != alpha:
+            return report
+        w = report.witness
+        bad = False if broken == "probe_ok" else (w["baseline_dist_sq"], *w["probe_dists_sq"][1:])
+        return dataclasses.replace(report, witness={**w, broken: bad})
+
+    monkeypatch.setattr(acceptance, "unlock_verdict", spoiled)
+    assert not acceptance.check_unlock_verdicts().passed
+
+
+def test_curve_membership_fails_on_a_wrong_u(monkeypatch):
+    real = acceptance.u_from_st
+    monkeypatch.setattr(acceptance, "u_from_st", lambda S, T: real(S, T) + 1e-8)
+    assert not acceptance.check_curve_membership().passed

@@ -77,8 +77,8 @@ class TestEval:
             "--delta", str(math.radians(20)),
             "--kappa", str(math.radians(30)),
         )
-        assert doc_deg["params"] == pytest.approx(doc_rad["params"])
-        assert doc_deg["min_distance"] == pytest.approx(doc_rad["min_distance"])
+        assert doc_deg["params"] == doc_rad["params"]
+        assert doc_deg["min_distance"] == doc_rad["min_distance"]
 
     def test_input_validation(self, capsys):
         assert main(["eval", "--x", "0.5", "--phi", "1"]) == 1

@@ -164,7 +164,10 @@ class TestGammaPoint:
         assert (g.x, g.s_var, g.t_var, g.S, g.T) == (1.0, 0.0, 0.0, 0.0, 0.0)
         assert (g.params.phi, g.params.delta, g.params.kappa) == (0.0, 0.0, 0.0)
         assert math.isclose(g.U, U0, rel_tol=1e-15)
+        assert g.U == math.tan(-math.pi / 6)
         assert g.f_value == 1.0
+        zeros = (g.s_var, g.t_var, g.S, g.T, g.params.phi, g.params.delta, g.params.kappa)
+        assert all(math.copysign(1.0, z) == 1.0 for z in zeros)
 
     def test_branch_signs(self):
         for x in (0.2, 0.5, 0.9):

@@ -55,6 +55,10 @@ class TestSphereMesh:
         with pytest.raises(ValueError):
             sphere_mesh(4)
 
+    def test_float_segments(self):
+        with pytest.raises(ValueError, match="segments must be an integer"):
+            sphere_mesh(16.0)
+
 
 class TestTubeMesh:
     def test_geometry(self):
@@ -89,6 +93,11 @@ class TestTubeMesh:
             tube_mesh(line, 0.0, 1.0, 16)
         with pytest.raises(ValueError):
             tube_mesh(line, 1.0, 1.0, 4)
+
+    def test_float_segments(self):
+        line = make_tangent_line(SphericalPoint(0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="segments must be an integer"):
+            tube_mesh(line, 1.0, 1.0, 16.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", ["radius", "half_length"])

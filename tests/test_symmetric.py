@@ -201,6 +201,22 @@ class TestTripletsTrig:
         g = triplets_generic(p)
         assert math.isclose(t.dab_sq, g.dab_sq, rel_tol=1e-10, abs_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "angles, orbit",
+        [
+            ((0.0, 0.0, 0.4), "dab_sq"),
+            ((0.0, 0.0, 0.4), "dad_sq"),
+            ((0.0, 0.0, 0.4), "dbd_sq"),
+            ((0.3, math.pi / 2, 0.0), "dae_sq"),
+            ((0.656681, -1.298713, 3.495853), "dad_sq"),
+        ],
+    )
+    def test_degenerate_forms_return_the_generic_value_exactly(self, angles, orbit):
+        # each of these closed forms sits below its degeneracy tolerance,
+        # so the value must be the generic one bit for bit
+        p = D3Params(*angles)
+        assert getattr(triplets_trig(p), orbit) == getattr(triplets_generic(p), orbit)
+
     def test_near_parallel_cross_pair_stays_accurate(self):
         # here the AD form's denominator 4(1 - nu^2) is about 6e-6, so
         # evaluating it directly would lose five digits to cancellation;
