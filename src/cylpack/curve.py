@@ -55,17 +55,18 @@ def u_from_st(S: float, T: float) -> float:
     )
 
 
-def _psi_terms(s, t) -> list:
+def _psi_terms(s, t, v=1) -> list:
+    """Terms of v^3 psi(s, t/v), psi homogenized to degree 3 in t."""
     return [
-        4 * s,
-        -8 * t,
-        -3 * s * s,
-        29 * s * t,
-        -4 * t * t,
-        -22 * s * s * t,
-        14 * s * t * t,
-        4 * s ** 3 * t,
-        -7 * s * s * t * t,
+        4 * s * v ** 3,
+        -8 * t * v * v,
+        -3 * s * s * v ** 3,
+        29 * s * t * v * v,
+        -4 * t * t * v,
+        -22 * s * s * t * v * v,
+        14 * s * t * t * v,
+        4 * s ** 3 * t * v * v,
+        -7 * s * s * t * t * v,
         s * t ** 3,
     ]
 
@@ -122,11 +123,13 @@ class CurveSample:
 
 def _check_sample(sample: CurveSample) -> None:
     s, t = sample.s_var, sample.t_var
-    terms = _psi_terms(s, t)
     # t grows like 1/x, so the terms grow like 1/x^3 as x -> 0: bound the
-    # residual relative to their size
+    # residual relative to their size, and past t = 1 test psi / t^3, whose
+    # terms cannot overflow
+    th, v = (1.0, 1.0 / t) if t > 1.0 else (t, 1.0)
+    terms = _psi_terms(s, th, v)
     residual = math.fsum(terms)
-    if abs(residual) > 1e-9 * max(1.0, math.fsum(map(abs, terms))):
+    if abs(residual) > 1e-9 * max(v ** 3, math.fsum(map(abs, terms))):
         raise ArithmeticError(f"trajectory sample off the constraint: psi = {residual!r}")
     if abs(sample.x - (1 - s) / (t + 1)) > 1e-10:
         raise ArithmeticError("trajectory sample breaks the x relation")
@@ -147,10 +150,17 @@ def gamma_point(x) -> CurveSample:
     (-pi/2, 0].  x = 1 is the initial configuration (0, 0, 0) exactly;
     there the within-triple pairs are parallel (d_AB^2 = 3) while the
     neighbor value F(1) = 1 is attained by the cross pairs only, so the
-    three-way distance equality is checked for x < 1.
+    three-way distance equality is checked for x < 1.  t grows like 1/x
+    and overflows a float below x = 1/sys.float_info.max, so the range
+    that can be sampled is [5.57e-309, 1]; smaller x raise ValueError.
     """
     xf = float(x)
-    T = math.sqrt(t_of_x(xf))
+    t = t_of_x(xf)
+    if t == math.inf:
+        raise ValueError(
+            f"trajectory parameter below the range [5.57e-309, 1] that can be sampled: {x!r}"
+        )
+    T = math.sqrt(t)
     S = 2.0 * math.sqrt((1.0 - xf) * xf * (1.0 + xf) / (1.0 + 7.0 * xf + 4.0 * xf * xf))
     tan_kappa = (xf - 1.0) / math.sqrt((1.0 + xf) * (1.0 + 3.0 * xf))
     kappa = math.atan(tan_kappa)

@@ -314,8 +314,20 @@ class Configuration:
             raise ValueError("a configuration needs at least 2 lines")
         if not all(isinstance(line, TangentLine) for line in lines):
             raise TypeError("configuration members must be TangentLine")
-        bases, dirs = map(_frozen, _stack(lines))
-        self.__dict__.update(lines=lines, bases=bases, dirs=dirs)
+        if "bases" not in self.__dict__:  # given bare lines, not by _checked
+            bases, dirs = map(_frozen, _stack(lines))
+            self.__dict__.update(bases=bases, dirs=dirs)
+        self.__dict__.update(lines=lines)
+
+    @classmethod
+    def _checked(cls, bases: np.ndarray, dirs: np.ndarray) -> "Configuration":
+        """Lines over frozen (n, 3) stacks that _unit_tangent has already
+        checked, kept as the configuration's own bases and dirs."""
+        c = object.__new__(cls)
+        lines = tuple(map(TangentLine._checked, bases, dirs))
+        c.__dict__.update(lines=lines, bases=bases, dirs=dirs)
+        c.__post_init__()
+        return c
 
     def __len__(self):
         return len(self.lines)
@@ -343,8 +355,7 @@ def chart_lines(rows) -> Configuration:
     """
     lat, lon, ang = np.array(rows, dtype=float).T
     _reject_poles(lat)
-    bases, dirs = map(_frozen, _unit_tangent(*frames(lat, _reduce_lon(lon), ang)))
-    return Configuration(tuple(map(TangentLine._checked, bases, dirs)))
+    return Configuration._checked(*map(_frozen, _unit_tangent(*frames(lat, _reduce_lon(lon), ang))))
 
 
 def min_pairwise_distance(c: Configuration) -> float:

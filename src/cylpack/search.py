@@ -5,8 +5,11 @@ charted by 18 coordinates, (latitude, longitude, tangent angle) per
 line.  The objective is the smallest pairwise line distance, a nonsmooth
 function maximized by coordinate pattern search: poll all 36 coordinate
 steps plus 12 random unit directions, move to the best improving
-candidate, halve the step when none improves.  The searches and the
-perturbation probe evaluate candidates in vectorized batches.
+candidate, halve the step when none improves.  Several starts run in
+lockstep, one objective batch per poll round for all of them, with
+results identical to running them one after another.  The searches and
+the perturbation probe evaluate candidates in vectorized batches of at
+most _BLOCK charts per kernel call.
 """
 
 from __future__ import annotations
@@ -92,10 +95,21 @@ def objective(c: FreeConfig) -> float:
     return min_pairwise_distance(config_lines(c))
 
 
+# charts per kernel call: caps the kernel's temporaries on large batches, while a
+# 32-start poll round (1536 charts) still goes through in one call
+_BLOCK = 2048
+
+
 def _objective_batch(coords: np.ndarray) -> np.ndarray:
-    """Objective for a (N, 18) batch of charts, returned as (N,)."""
+    """Objective for a (N, 18) batch of charts, returned as (N,); evaluated
+    _BLOCK charts at a time, with the same bits as row by row."""
     c = coords.reshape(-1, N_LINES, 3)
-    return np.sqrt(_pair_dsq_xyz(*_frame_xyz(c[..., 0], c[..., 1], c[..., 2])).min(axis=-1))
+    out = np.empty(len(c))
+    for lo in range(0, len(c), _BLOCK):
+        b = c[lo:lo + _BLOCK]
+        dsq = _pair_dsq_xyz(*_frame_xyz(b[..., 0], b[..., 1], b[..., 2]))
+        np.sqrt(dsq.min(axis=-1), out=out[lo:lo + _BLOCK])
+    return out
 
 
 def _clip_latitudes(coords: np.ndarray) -> np.ndarray:
@@ -106,45 +120,77 @@ def _clip_latitudes(coords: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class OptResult:
     """Outcome of a search: best chart, its objective and radius, the
-    number of objective evaluations charged, and the improvement trace
-    as (iteration, objective) pairs."""
+    number of objective evaluations charged, the improvement trace as
+    (iteration, objective) pairs, and the d_best each start reached, in
+    start order."""
 
     best: FreeConfig
     d_best: float
     r_best: float
     evals: int
     trace: tuple
+    start_d: tuple
 
 
-def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rng) -> OptResult:
+# each poll round: the 36 coordinate steps +-e_k, then this many random unit directions
+_AXES = np.concatenate([np.eye(N_COORDS), -np.eye(N_COORDS)])
+_N_RANDOM = 12
+
+
+def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rngs) -> list:
+    """Pattern searches from the rows of x0 in lockstep, start i polling
+    with rngs[i]; one OptResult per start, in start order.
+
+    Every round polls all live starts in one objective batch; the
+    bookkeeping (move or halve the step, trace, stop test) stays per
+    start, so each start takes the path it takes alone.
+    """
     if budget < 1:
         raise ValueError(f"evaluation budget must be positive: {budget!r}")
     budget = int(budget)
     x = _clip_latitudes(np.array(x0, dtype=float))
-    f = float(_objective_batch(x[None])[0])
-    evals = 1
-    step = step0
-    trace = [(0, f)]
-    iteration = 0
-    eye = np.eye(N_COORDS)
-    while step >= step_min and evals < budget:
+    f = _objective_batch(x).tolist()
+    step = np.full(len(x), float(step0))
+    live = list(range(len(x)))  # the start behind each row of x, f and step
+    traces = [[(0, v)] for v in f]
+    results = [None] * len(x)
+    buf = np.empty((len(x), len(_AXES) + _N_RANDOM, N_COORDS))
+    evals, iteration = 1, 0  # every live start has run the same rounds
+    while live:
+        going = [s >= step_min and evals < budget for s in step.tolist()]
+        if not all(going):
+            for j, i in enumerate(live):
+                if not going[j]:
+                    best = FreeConfig(x[j])
+                    d = objective(best)
+                    results[i] = OptResult(
+                        best, d, radius_from_distance(d), evals, tuple(traces[i]), (d,)
+                    )
+            x, step = x[going], step[going]
+            f = [v for v, g in zip(f, going) if g]
+            live = [i for i, g in zip(live, going) if g]
+            if not live:
+                break
         iteration += 1
-        rand = rng.standard_normal((12, N_COORDS))
-        rand /= np.linalg.norm(rand, axis=1, keepdims=True)
-        cand = np.concatenate([x + step * eye, x - step * eye, x + step * rand])
+        cand = buf[:len(live)]
+        cand[:, :len(_AXES)] = _AXES
+        for j, i in enumerate(live):
+            rngs[i].standard_normal(out=cand[j, len(_AXES):])
+        rand = cand[:, len(_AXES):]
+        rand /= np.linalg.norm(rand, axis=-1, keepdims=True)
+        cand *= step[:, None, None]
+        cand += x[:, None]
         _clip_latitudes(cand)
-        values = _objective_batch(cand)
-        evals += len(cand)
-        k = int(np.argmax(values))
-        if values[k] > f:
-            x = cand[k]
-            f = float(values[k])
-            trace.append((iteration, f))
-        else:
-            step *= 0.5
-    best = FreeConfig(x)
-    d = objective(best)
-    return OptResult(best, d, radius_from_distance(d), evals, tuple(trace))
+        values = _objective_batch(cand).reshape(len(live), -1)
+        evals += cand.shape[1]
+        for j, k in enumerate(values.argmax(axis=1).tolist()):
+            if values[j, k] > f[j]:
+                x[j] = cand[j, k]
+                f[j] = float(values[j, k])
+                traces[live[j]].append((iteration, f[j]))
+            else:
+                step[j] *= 0.5
+    return results
 
 
 def local_maximize(
@@ -161,8 +207,8 @@ def local_maximize(
     overrun it by at most one batch).  The reported d_best is recomputed
     with the scalar distance on the returned chart.
     """
-    rng = np.random.default_rng(rng_seed)
-    return _pattern_search(seed.coords, budget, step0, step_min, rng)
+    rngs = [np.random.default_rng(rng_seed)]
+    return _pattern_search(seed.coords[None], budget, step0, step_min, rngs)[0]
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
@@ -172,27 +218,27 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     x = 0.9, 0.7, 0.5; the rest jitter the initial configuration's chart
     with Gaussian noise of spread 0.2.  Start i draws its noise and its
     poll directions from its own stream seeded rng_seed + i, so any
-    prefix of starts is reproducible; ties in the merge go to the lower
-    start index.  evals is the total across starts; the trace is the
-    winning start's.
+    prefix of starts is reproducible.  The starts run in lockstep, one
+    objective batch per poll round for all of them, with results
+    identical to running them one after another.  Ties in the merge go
+    to the lower start index; evals is the total across starts; the
+    trace is the winning start's; start_d lists every start's d_best.
     """
     if n_starts < 1:
         raise ValueError(f"need at least one start: {n_starts!r}")
     curve_xs = (0.9, 0.7, 0.5)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    best, evals = None, 0
-    for i in range(n_starts):
-        rng = np.random.default_rng(rng_seed + i)
-        if i < len(curve_xs):
-            x0 = chart_curve(curve_xs[i]).coords
-        else:
-            x0 = _clip_latitudes(base + 0.2 * rng.standard_normal(N_COORDS))
-        result = _pattern_search(x0, budget_each, _STEP0, _STEP_MIN, rng)
-        evals += result.evals
-        # keep only the best so far (the lower start on ties), so the other traces are freed
-        if best is None or result.d_best > best.d_best:
-            best = result
-    return replace(best, evals=evals)
+    rngs = [np.random.default_rng(rng_seed + i) for i in range(n_starts)]
+    x0 = [
+        chart_curve(curve_xs[i]).coords if i < len(curve_xs)
+        else _clip_latitudes(base + 0.2 * rng.standard_normal(N_COORDS))
+        for i, rng in enumerate(rngs)
+    ]
+    results = _pattern_search(np.stack(x0), budget_each, _STEP0, _STEP_MIN, rngs)
+    best = max(results, key=lambda r: r.d_best)  # the first of equal maxima
+    return replace(
+        best, evals=sum(r.evals for r in results), start_d=tuple(r.d_best for r in results)
+    )
 
 
 def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int = 0) -> dict:

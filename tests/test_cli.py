@@ -85,6 +85,11 @@ class TestEval:
         assert main(["eval"]) == 1
         assert main(["eval", "--x", "0"]) == 1
         assert main(["eval", "--x", "1.5"]) == 1
+        assert main(["eval", "--x", "5e-324"]) == 1  # t(x) ~ 1/x is no float
+
+    def test_tiny_x(self, capsys):
+        rc, doc = run_json(capsys, "eval", "--x", "1e-300")
+        assert rc == 0 and math.isfinite(doc["radius"])
 
 
 class TestCurve:

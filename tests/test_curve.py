@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cylpack.lines import (
     DegenerateError,
@@ -202,6 +203,28 @@ class TestGammaPoint:
         g = gamma_point(1 - 1e-13)
         assert max(abs(g.S), abs(g.T), abs(math.tan(g.params.kappa))) < 1e-6
         assert math.isclose(g.U, U0, rel_tol=1e-6)
+
+    # the smallest x whose t(x) ~ 1/x is a finite float, and the float below it
+    X_MIN = 5.56268464626801e-309
+    X_BELOW = 5.562684646268003e-309
+
+    @settings(deadline=None)
+    @given(st.floats(math.log(5e-324), 0.0).map(math.exp))
+    @example(5e-324)
+    @example(X_BELOW)
+    @example(X_MIN)
+    @example(1e-300)
+    @example(1e-103)
+    @example(1.0)
+    def test_whole_domain(self, x):
+        # every x of (0, 1] either samples, its checks included, or is
+        # refused by name below the float range; nothing overflows
+        if x < self.X_MIN:
+            with pytest.raises(ValueError, match=r"\[5\.57e-309, 1\]"):
+                gamma_point(x)
+        else:
+            g = gamma_point(x)
+            assert g.x == x and math.isfinite(g.t_var) and g.f_value == f_of_x(x)
 
     @pytest.mark.parametrize("x", [1e-3, 1e-6])
     def test_small_x(self, x):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cylpack.lines import (
     Configuration,
@@ -27,7 +27,7 @@ from cylpack.search import (
     objective,
     perturbation_probe,
 )
-from cylpack import search
+from cylpack import acceptance, search
 from cylpack.search import _objective_batch
 from cylpack.symmetric import D3Params, build_c6
 
@@ -118,6 +118,14 @@ class TestObjective:
         for a, b in zip(batch, stacked):
             assert a.tobytes() == b.tobytes()
 
+    def test_blocks_match_row_by_row(self):
+        # a batch crossing the block boundary gives each chart the bits it gets alone
+        rng = np.random.default_rng(5)
+        coords = np.stack([random_chart(rng).coords for _ in range(search._BLOCK + 5)])
+        batch = _objective_batch(coords)
+        rows = np.concatenate([_objective_batch(row[None]) for row in coords])
+        assert batch.shape == (search._BLOCK + 5,) and batch.tobytes() == rows.tobytes()
+
     def test_rotation_invariance(self):
         c = random_chart(RNG)
         r = rotation_matrix(RNG.standard_normal(3), RNG.uniform(0, 6))
@@ -183,7 +191,64 @@ class TestLocalMaximize:
         assert (r.evals, r.d_best.hex(), sha) == (evals, d_hex, trace_sha)
 
 
+def sequential_multi_start(n_starts, rng_seed, budget):
+    """multi_start's documented rule, one start after another: start i draws
+    its seed chart and its polls from default_rng(rng_seed + i), and the
+    lower start wins ties."""
+    base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
+    runs = []
+    for i in range(n_starts):
+        rng = np.random.default_rng(rng_seed + i)
+        if i < 3:
+            x0 = chart_curve((0.9, 0.7, 0.5)[i]).coords
+        else:
+            x0 = search._clip_latitudes(base + 0.2 * rng.standard_normal(18))
+        (run,) = search._pattern_search(x0[None], budget, 0.1, 1e-9, [rng])
+        runs.append(run)
+    best = runs[0]
+    for run in runs[1:]:
+        if run.d_best > best.d_best:
+            best = run
+    return best, runs
+
+
 class TestMultiStart:
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(1, 6), st.integers(0, 2**16), st.integers(1, 3000))
+    @example(5, 0, 20000)  # starts stop in three different rounds
+    def test_lockstep_equals_sequential(self, n_starts, rng_seed, budget):
+        r = multi_start(n_starts, rng_seed, budget)
+        best, runs = sequential_multi_start(n_starts, rng_seed, budget)
+        assert r.evals == sum(run.evals for run in runs)
+        assert r.d_best.hex() == best.d_best.hex() and r.trace == best.trace
+        assert r.best.coords.tobytes() == best.best.coords.tobytes()
+        assert r.start_d == tuple(run.d_best for run in runs)
+
+    def test_starts_stop_in_different_rounds(self):
+        # the trajectory seeds converge after 27 rounds, the blind ones later
+        _, runs = sequential_multi_start(5, 0, 20000)
+        assert [run.evals for run in runs] == [1297, 1297, 1297, 14353, 11617]
+
+    def test_one_kernel_call_per_round(self, monkeypatch):
+        sizes = []
+
+        def counting(coords):
+            sizes.append(coords.size // 18)
+            return _objective_batch(coords)
+
+        monkeypatch.setattr(search, "_objective_batch", counting)
+        r = multi_start(5, 0, 2000)
+        # the seed charts, then one batch per poll round for every live start:
+        # ceil(1999 / 48) = 42 rounds, not one call per start and round
+        assert len(sizes) == 1 + 42 and sizes[0] == 5 and sum(sizes) == r.evals
+        assert max(sizes) == 5 * 48
+
+    def test_cross_check_run_pinned(self):
+        # multi_start(32, 0, 200000) as the one-start-at-a-time search gave it; the
+        # acceptance suite shares this cached run
+        r = acceptance._optimizer_run()
+        assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 433472)
+
     def test_merge_pinned(self):
         # evals summed over six starts, the winner's d_best and trace digest,
         # and its chart digest, all as the separate merge loop gave them
