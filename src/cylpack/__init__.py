@@ -9,7 +9,6 @@ derivative-free maximin search over unconstrained tangent-line
 configurations.
 """
 
-from .acceptance import CheckResult, run_all
 from .curve import (
     CurveSample,
     RecordReport,
@@ -77,6 +76,16 @@ from .unlocking import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the checks load on first use, so importing the package does not compile them
+    if name in ("CheckResult", "run_all"):
+        from . import acceptance
+
+        return getattr(acceptance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgCoords",

@@ -21,7 +21,7 @@ from .curve import (
 )
 from .lines import chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
-from .symmetric import D3Params, DegenerateError, alg_coords, build_c6, triplets_alg, triplets_generic, triplets_trig
+from .symmetric import D3Params, DegenerateError, _generic_rows, alg_coords, build_c6, triplets_alg, triplets_trig
 from .unlocking import (
     GeneralParams,
     alt_strategy_verdict,
@@ -78,35 +78,36 @@ def check_record_configuration() -> CheckResult:
     )
 
 
+def _formula_points() -> tuple:
+    """check_formula_consistency's 1000 random points: (params, trig, alg) lists."""
+    rng = np.random.default_rng(2026)
+    lo, hi = (0.01, -1.5, 0.0), (1.5, 1.5, 2.0 * math.pi)  # of (phi, delta, kappa)
+    params, trig, alg = [], [], []
+    while len(params) < 1000:
+        # row by row, the same stream of draws as one uniform call per angle
+        for row in rng.uniform(lo, hi, (1000 - len(params), 3)).tolist():
+            p = D3Params(*row)
+            if abs(p.delta) < 1e-3:
+                continue
+            try:
+                alg.append(triplets_alg(alg_coords(p)))
+            except DegenerateError:
+                continue
+            params.append(p)
+            trig.append(triplets_trig(p))
+    return params, trig, alg
+
+
 def check_formula_consistency() -> CheckResult:
     """Trig, algebraic, and generic distances agree at 1000 random points."""
-    rng = np.random.default_rng(2026)
+    params, trigs, algs = _formula_points()
     worst = 0.0
-    count = 0
-    while count < 1000:
-        p = D3Params(
-            rng.uniform(0.01, 1.5),
-            rng.uniform(-1.5, 1.5),
-            rng.uniform(0.0, 2.0 * math.pi),
-        )
-        if abs(p.delta) < 1e-3:
-            continue
-        try:
-            alg = triplets_alg(alg_coords(p))
-        except DegenerateError:
-            continue
-        count += 1
-        trig = triplets_trig(p)
-        gen = triplets_generic(p)
-        for x, y, z in zip(
-            (trig.dab_sq, trig.dad_sq, trig.dbd_sq),
-            alg,
-            (gen.dab_sq, gen.dad_sq, gen.dbd_sq),
-        ):
+    for trig, alg, (*gen, gen_dae) in zip(trigs, algs, _generic_rows(params).tolist()):
+        for x, y, z in zip((trig.dab_sq, trig.dad_sq, trig.dbd_sq), alg, gen):
             scale = max(abs(x), abs(y), abs(z), 1e-6)
             worst = max(worst, abs(x - y) / scale, abs(y - z) / scale)
-        scale = max(abs(trig.dae_sq), abs(gen.dae_sq), 1e-6)
-        worst = max(worst, abs(trig.dae_sq - gen.dae_sq) / scale)
+        scale = max(abs(trig.dae_sq), abs(gen_dae), 1e-6)
+        worst = max(worst, abs(trig.dae_sq - gen_dae) / scale)
     return CheckResult(
         "formula-consistency",
         worst <= 1e-10,

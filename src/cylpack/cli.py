@@ -16,7 +16,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .acceptance import run_all
 from .curve import gamma_point, record
 from .lines import _positive_finite, min_pairwise_distance, radius_from_distance
 from .scene import SceneSpec, min_surface_gap, scene_obj
@@ -74,7 +73,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if (args.x is None) == (not angles_given):
         raise ValueError("give either --x or angle flags (--phi/--delta/--kappa)")
     if args.x is not None:
-        params = gamma_point(args.x).params
+        sample = gamma_point(args.x)
+        params = sample.params
     else:
         angle = math.radians if args.degrees else float
         params = D3Params(
@@ -83,6 +83,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = build_c6(params)
     trip = triplets_generic(params)
     d = min_pairwise_distance(config)
+    if args.x is not None and not math.isclose(d * d, sample.f_value, rel_tol=1e-9):
+        raise ValueError(
+            f"--x {args.x!r} is too small to build: the built configuration's "
+            f"min distance^2 / F(x) is {d * d / sample.f_value:.10g}, not 1 within 1e-9"
+        )
     doc = {
         "params": {"phi": params.phi, "delta": params.delta, "kappa": params.kappa},
         "distances_sq": {
@@ -209,6 +214,8 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_report_all(args: argparse.Namespace) -> int:
+    from .acceptance import run_all  # only this command needs the checks
+
     results = run_all()
     if args.inject_record_error:  # hidden hook that tests exit code 3 and FAIL-line parsing
         results[0] = replace(results[0], passed=False, details=results[0].details + "; injected")

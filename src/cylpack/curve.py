@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lines import (
     DegenerateError,
@@ -74,12 +73,13 @@ def _psi_terms(s, t, v=1) -> list:
 def psi(s, t):
     """Planar trajectory constraint in s = sin^2(phi), t = tan^2(delta).
 
-    Exact for Fraction inputs; floats are summed with fsum.
+    Exact for rational inputs (int or Fraction); with a float input the
+    terms are floats, summed with fsum.
     """
     terms = _psi_terms(s, t)
-    if isinstance(s, Fraction) or isinstance(t, Fraction):
-        return sum(terms)
-    return math.fsum(terms)
+    if isinstance(s, float) or isinstance(t, float):
+        return math.fsum(terms)
+    return sum(terms)
 
 
 def _check_x(x) -> None:
@@ -267,6 +267,8 @@ def pure_geodetic_check(x) -> dict:
     are exactly constructible.  Floats are rejected: pass a Fraction (or
     int, or a string like '1/2').
     """
+    from fractions import Fraction  # imported on use, to keep it out of the package import
+
     if isinstance(x, float):
         raise TypeError("pass an exact rational, not a float")
     x = Fraction(x)

@@ -353,9 +353,14 @@ def chart_lines(rows) -> Configuration:
     Row k gives the line make_tangent_line(SphericalPoint(lat, lon), ang)
     would build, longitude reduction included.  Poles are rejected.
     """
+    return Configuration._checked(*map(_frozen, _chart_frames(rows)))
+
+
+def _chart_frames(rows) -> tuple:
+    """chart_lines' checked (n, 3) stacks of bases and dirs, without the line objects."""
     lat, lon, ang = np.array(rows, dtype=float).T
     _reject_poles(lat)
-    return Configuration._checked(*map(_frozen, _unit_tangent(*frames(lat, _reduce_lon(lon), ang))))
+    return _unit_tangent(*frames(lat, _reduce_lon(lon), ang))
 
 
 def min_pairwise_distance(c: Configuration) -> float:

@@ -8,8 +8,8 @@ steps plus 12 random unit directions, move to the best improving
 candidate, halve the step when none improves.  Several starts run in
 lockstep, one objective batch per poll round for all of them, with
 results identical to running them one after another.  The searches and
-the perturbation probe evaluate candidates in vectorized batches of at
-most _BLOCK charts per kernel call.
+the perturbation probe evaluate candidates in vectorized batches, in
+kernel calls of _BLOCK charts whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
@@ -95,9 +95,11 @@ def objective(c: FreeConfig) -> float:
     return min_pairwise_distance(config_lines(c))
 
 
-# charts per kernel call: caps the kernel's temporaries on large batches, while a
-# 32-start poll round (1536 charts) still goes through in one call
-_BLOCK = 2048
+# charts per kernel call: the kernel's ~35 temporaries of shape (block, 15) must stay
+# small enough that the allocator keeps their pages between calls; larger ones go back
+# to the OS when freed and fault in again on the next call (about 800 minor faults a
+# call at 2048 charts; some processes fault at 176).  A 48-chart poll round is one call.
+_BLOCK = 160
 
 
 def _objective_batch(coords: np.ndarray) -> np.ndarray:

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 from .lines import (
     Configuration,
     DegenerateError,
+    _chart_frames,
     _finite_fields,
+    _pairs,
     chart_lines,
+    pair_dsq,
     rotate_line,
     rotation_matrix,
 )
@@ -236,8 +239,18 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
     return DistanceTriplets(dab, dad, dbd, dae)
 
 
+# pair_dsq's column of each orbit's representative pair, in DistanceTriplets order
+_ORBIT_COLS = [list(zip(*_pairs(6))).index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
+
+
+def _generic_rows(params):
+    """triplets_generic of each D3Params as (len(params), 4) rows: every configuration
+    framed and checked as build_c6 does, in one call, and measured by one pair_dsq call."""
+    bases, dirs = _chart_frames([row for p in params for row in c6_chart(p)])
+    return pair_dsq(bases.reshape(-1, 6, 3), dirs.reshape(-1, 6, 3))[:, _ORBIT_COLS]
+
+
 def triplets_generic(p: D3Params) -> DistanceTriplets:
     """Squared orbit distances from the generic skew-line distance on the
     built configuration (one representative pair per orbit)."""
-    m = build_c6(p).distance_sq_matrix()
-    return DistanceTriplets(*(m[PAIR_ORBITS[o][0]] for o in ("ab", "ad", "bd", "ae")))
+    return DistanceTriplets(*_generic_rows([p])[0])

@@ -11,13 +11,26 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cylpack import acceptance
 from cylpack.acceptance import run_all
+from cylpack.symmetric import (
+    PAIR_ORBITS,
+    D3Params,
+    DegenerateError,
+    alg_coords,
+    build_c6,
+    triplets_alg,
+    triplets_generic,
+)
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -146,3 +159,55 @@ def test_curve_membership_fails_on_a_wrong_u(monkeypatch):
     real = acceptance.u_from_st
     monkeypatch.setattr(acceptance, "u_from_st", lambda S, T: real(S, T) + 1e-8)
     assert not acceptance.check_curve_membership().passed
+
+
+def test_formula_points_are_the_scalar_draws():
+    # the check draws its angles in blocks; the points are those of one
+    # uniform call per angle, with the same rejections
+    rng = np.random.default_rng(2026)
+    want = []
+    while len(want) < 1000:
+        p = D3Params(
+            rng.uniform(0.01, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+        )
+        if abs(p.delta) < 1e-3:
+            continue
+        try:
+            triplets_alg(alg_coords(p))
+        except DegenerateError:
+            continue
+        want.append(p)
+    assert acceptance._formula_points()[0] == want
+
+
+def test_formula_consistency_batch_is_triplets_generic():
+    # the check builds its 1000 configurations in one batch; each point gets
+    # the bits triplets_generic gives it alone, and those of its own built
+    # configuration's distance matrix
+    params, _, _ = acceptance._formula_points()
+    rows = acceptance._generic_rows(params)
+    assert len(params) == 1000 and rows.shape == (1000, 4)
+    for p, row in zip(params, rows):
+        t = triplets_generic(p)
+        m = build_c6(p).distance_sq_matrix()
+        for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq],
+                     [m[PAIR_ORBITS[o][0]] for o in ("ab", "ad", "bd", "ae")]):
+            assert row.tobytes() == np.array(want).tobytes()
+
+
+def test_formula_consistency_details_pinned():
+    assert _results()["formula-consistency"].details == (
+        "1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10"
+    )
+
+
+def test_package_import_loads_the_checks_on_first_use():
+    code = (
+        "import sys, cylpack; print(sorted({'cylpack.acceptance', 'fractions'} & set(sys.modules)));"
+        "cylpack.run_all; print(sorted({'cylpack.acceptance', 'fractions'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(acceptance.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split("\n") == ["[]", "['cylpack.acceptance', 'fractions']", ""]

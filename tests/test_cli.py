@@ -87,9 +87,26 @@ class TestEval:
         assert main(["eval", "--x", "1.5"]) == 1
         assert main(["eval", "--x", "5e-324"]) == 1  # t(x) ~ 1/x is no float
 
+    @staticmethod
+    def assert_refused(capsys, x):
+        # below about x = 2e-13 the built configuration's min distance^2 can
+        # leave F(x) by more than 1e-9 relative: refused, not printed wrong
+        rc, err = run_failing(capsys, "eval", "--x", x)
+        assert rc == 1
+        assert err.startswith(f"error: --x {float(x)!r} is too small to build: ")
+        assert err.endswith(", not 1 within 1e-9\n")
+
     def test_tiny_x(self, capsys):
-        rc, doc = run_json(capsys, "eval", "--x", "1e-300")
-        assert rc == 0 and math.isfinite(doc["radius"])
+        self.assert_refused(capsys, "1e-300")
+
+    @pytest.mark.parametrize("x", ["1e-20", "1e-32"])
+    def test_small_x_refused(self, capsys, x):
+        self.assert_refused(capsys, x)
+
+    def test_small_x_above_the_refusals(self, capsys):
+        rc, doc = run_json(capsys, "eval", "--x", "1e-12")
+        assert rc == 0
+        assert math.isclose(doc["min_distance"] ** 2, f_of_x(1e-12), rel_tol=1e-9)
 
 
 class TestCurve:

@@ -100,6 +100,10 @@ class TestPsi:
         t = Fraction(7, 3)
         assert psi(Fraction(1), t) == (1 + t) ** 3
 
+    def test_exact_on_ints_float_on_floats(self):
+        assert psi(1, 2) == 27 and type(psi(1, 2)) is int
+        assert type(psi(1, 2.0)) is float and psi(1, 2.0) == 27.0
+
     def test_factorization(self):
         # psi(s, t) = -(1 + t)^3 (-1 - 2x + tx + 3x^2 + 7tx^2 + 4tx^3)
         # with x = (1 - s)/(t + 1)

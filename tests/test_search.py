@@ -2,6 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +130,32 @@ class TestObjective:
         batch = _objective_batch(coords)
         rows = np.concatenate([_objective_batch(row[None]) for row in coords])
         assert batch.shape == (search._BLOCK + 5,) and batch.tobytes() == rows.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_batches_do_not_fault_their_temporaries_back_in(self):
+        # a 32-start poll round's batch, in a fresh process: once warm, the kernel
+        # reuses memory the allocator keeps instead of faulting new pages in
+        pytest.importorskip("resource")
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from cylpack.search import _clip_latitudes, _objective_batch, chart_c6
+            from cylpack.symmetric import D3Params
+            rng = np.random.default_rng(0)
+            base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
+            batch = _clip_latitudes(base + 0.2 * rng.standard_normal((1536, 18)))
+            for _ in range(5):
+                _objective_batch(batch)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(20):
+                _objective_batch(batch)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert float(out) < 50
 
     def test_rotation_invariance(self):
         c = random_chart(RNG)
