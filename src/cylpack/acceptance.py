@@ -364,13 +364,17 @@ _CHECKS = (
 )
 
 
-def run_all() -> list[CheckResult]:
-    """Run the thirteen checks; a raising check reports as failed."""
-    results = []
+def run_checks():
+    """Run the thirteen checks in order, yielding each result as its check
+    returns; a raising check reports as failed."""
     for func in _CHECKS:
         try:
-            results.append(func())
+            yield func()
         except Exception as exc:
             name = func.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"raised {exc!r}"))
-    return results
+            yield CheckResult(name, False, f"raised {exc!r}")
+
+
+def run_all() -> list[CheckResult]:
+    """The results of run_checks, as a list."""
+    return list(run_checks())

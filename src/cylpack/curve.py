@@ -172,6 +172,26 @@ def gamma_point(x) -> CurveSample:
     return sample
 
 
+def build_curve_point(x) -> tuple:
+    """gamma_point(x) and the configuration build_c6 makes of its angles.
+
+    Below about x = 2e-13 delta = atan(T) rounds toward pi/2 and the built
+    lines leave the trajectory although the sample's own checks, on S, T
+    and U, pass; where the built min distance^2 is not F(x) within 1e-9
+    relative, ValueError.
+    """
+    sample = gamma_point(x)
+    config = build_c6(sample.params)
+    d = min_pairwise_distance(config)
+    dsq = d * d
+    if not math.isclose(dsq, sample.f_value, rel_tol=1e-9):
+        raise ValueError(
+            f"trajectory parameter {x!r} is too small to build: the built configuration's "
+            f"min distance^2 / F(x) is {dsq / sample.f_value:.10g}, not 1 within 1e-9"
+        )
+    return sample, config
+
+
 @dataclass(frozen=True)
 class RecordReport:
     """The maximizing trajectory point, computed and in closed form.

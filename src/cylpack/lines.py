@@ -123,12 +123,16 @@ def _frozen(v: np.ndarray) -> np.ndarray:
 
 
 def _snap(v, values, target: float, tol: float, what: str, snapped) -> np.ndarray:
-    """v with rows more than tol off target taken from snapped(); raises on the worst past 1e-9."""
-    worst = max(values.tolist(), key=lambda x: abs(x - target), default=target)
-    off = abs(worst - target)
-    if off > 1e-9:
-        raise ValueError(f"{what} = {worst!r}")
-    return v if off <= tol else np.where(np.abs(values - target)[:, None] > tol, snapped(), v)
+    """v with rows more than tol off target taken from snapped(); raises on the first worst
+    row past 1e-9."""
+    off = np.abs(values - target)
+    if not off.size:
+        return v
+    k = off.argmax()
+    worst = off.item(k)
+    if worst > 1e-9:
+        raise ValueError(f"{what} = {values.item(k)!r}")
+    return v if worst <= tol else np.where(off[:, None] > tol, snapped(), v)
 
 
 @np.errstate(over="ignore")  # an overflowing norm is inf, and rejected as such
@@ -250,8 +254,12 @@ def _parallel_dsq(ux, uy, uz, vx, vy, vz, wx, wy, wz) -> np.ndarray:
 def _pair_dsq_xyz(bx, by, bz, dx, dy, dz) -> np.ndarray:
     """pair_dsq on the x, y, z components of (..., n) bases and dirs."""
     i, j = _pairs(dx.shape[-1])
-    ux, uy, uz, vx, vy, vz = (a[..., k] for k in (i, j) for a in (dx, dy, dz))
-    wx, wy, wz = (a[..., j] - a[..., i] for a in (bx, by, bz))
+    return _uvw_dsq(*(a[..., k] for k in (i, j) for a in (dx, dy, dz)),
+                    *(a[..., j] - a[..., i] for a in (bx, by, bz)))
+
+
+def _uvw_dsq(ux, uy, uz, vx, vy, vz, wx, wy, wz) -> np.ndarray:
+    """pair_dsq's arithmetic on gathered pairs: directions u, v and base offset w = base_v - base_u."""
     cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     denom = (cx * cx + cz * cz) + cy * cy
     det = (cx * wx + cz * wz) + cy * wy

@@ -6,16 +6,18 @@ line.  The objective is the smallest pairwise line distance, a nonsmooth
 function maximized by coordinate pattern search: poll all 36 coordinate
 steps plus 12 random unit directions, move to the best improving
 candidate, halve the step when none improves.  Several starts run in
-lockstep, one objective batch per poll round for all of them, with
-results identical to running them one after another.  The searches and
-the perturbation probe evaluate candidates in vectorized batches, in
-kernel calls of _BLOCK charts whose temporaries the allocator keeps.
+lockstep, one poll evaluation per round for all of them, with results
+identical to running them one after another.  A poll round measures
+only the pair distances its steps move (_poll_values); seed charts and
+the perturbation probe evaluate full batches.  Both go through one
+pair-distance kernel, in calls whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -24,13 +26,14 @@ from .lines import (
     _frame_xyz,
     _pair_dsq_xyz,
     _positive_finite,
+    _uvw_dsq,
     chart_lines,
     chart_rows,
     min_pairwise_distance,
     radius_from_distance,
 )
 from .symmetric import D3Params, c6_chart
-from .curve import gamma_point
+from .curve import build_curve_point
 
 N_LINES = 6
 N_COORDS = 3 * N_LINES
@@ -70,8 +73,9 @@ def chart_c6(p: D3Params) -> FreeConfig:
 
 
 def chart_curve(x: float) -> FreeConfig:
-    """Chart of the trajectory configuration at parameter x."""
-    return chart_c6(gamma_point(x).params)
+    """Chart of the trajectory configuration at parameter x; refused like
+    build_curve_point where its lines leave the trajectory."""
+    return chart_c6(build_curve_point(x)[0].params)
 
 
 def chart_record() -> FreeConfig:
@@ -95,10 +99,10 @@ def objective(c: FreeConfig) -> float:
     return min_pairwise_distance(config_lines(c))
 
 
-# charts per kernel call: the kernel's ~35 temporaries of shape (block, 15) must stay
-# small enough that the allocator keeps their pages between calls; larger ones go back
-# to the OS when freed and fault in again on the next call (about 800 minor faults a
-# call at 2048 charts; some processes fault at 176).  A 48-chart poll round is one call.
+# charts per _objective_batch kernel call: the kernel's ~35 temporaries of shape
+# (block, 15) must stay small enough that the allocator keeps their pages between
+# calls; larger ones go back to the OS when freed and fault in again on the next call
+# (about 800 minor faults a call at 2048 charts; some processes fault at 176).
 _BLOCK = 160
 
 
@@ -139,11 +143,71 @@ _AXES = np.concatenate([np.eye(N_COORDS), -np.eye(N_COORDS)])
 _N_RANDOM = 12
 
 
+def _poll_tables() -> tuple:
+    """Index tables of a poll round's line table and the pairs it measures.
+
+    Per start the table holds 6 + 36 + 72 = 114 lines: the current point's
+    six, the one line each axis candidate moves, and the six of each random
+    candidate.  Returns each table line's (lat, lon, ang) columns in the row
+    [x, cand.ravel()], as (3, 114); the table rows (i, j) of the 375
+    distinct pairs of the point and its 48 candidates; and pair p of every
+    candidate, in _pair_dsq_xyz's order, as an index into those 375,
+    pair-major: (15, 48).  Built in plain Python: each numpy function a
+    process first calls maps more of numpy's code in.
+    """
+    n_axes = len(_AXES)
+    charts = [list(range(N_LINES))]  # the table row of each line, point first
+    for k in range(n_axes):
+        rows = list(range(N_LINES))
+        rows[k % N_COORDS // 3] = N_LINES + k
+        charts.append(rows)
+    first = N_LINES + n_axes
+    charts += [list(range(first + N_LINES * r, first + N_LINES * (r + 1))) for r in range(_N_RANDOM)]
+    cols, pairs, chart_pairs = {}, {}, []
+    for c, rows in enumerate(charts):
+        for line, row in enumerate(rows):
+            cols.setdefault(row, 3 * (N_LINES * c + line))
+        chart_pairs.append([pairs.setdefault((rows[i], rows[j]), len(pairs))
+                            for i, j in combinations(range(N_LINES), 2)])
+    table = [[cols[row] + k for row in range(len(cols))] for k in range(3)]
+    return np.array(table), *np.array(list(zip(*pairs))), np.array(list(zip(*chart_pairs[1:])))
+
+
+_TABLE_COLS, _POLL_I, _POLL_J, _CHART_PAIRS = _poll_tables()
+# starts per _poll_values call, small enough that the allocator keeps the call's
+# temporaries, (375, starts) pair arrays and the (15, 48, starts) gather of candidate
+# pairs: multi_start(32, 0, 200000) alone in a process faulted about 310-330 pages in
+# at 3-5 starts, like the full-batch search, and 7,300-19,500 at 6
+_POLL_STARTS = 4
+
+
+def _poll_values(x: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Objective of the (L, 48, 18) poll candidates cand around the (L, 18)
+    points x, as (L, 48), with the same bits as _objective_batch(cand).
+
+    An axis candidate moves one line, so 10 of its 15 pair distances are
+    the point's: each start measures the 375 distinct pairs of its point
+    and candidates, not 48 * 15, and every candidate takes the minimum of
+    its own 15.  An axis candidate's unmoved lines equal the point's up to
+    the sign of a zero coordinate (x + 0.0 turns -0.0 into +0.0), which
+    moves no distance.
+    """
+    out = np.empty(cand.shape[:2])
+    for lo in range(0, len(x), _POLL_STARTS):
+        n = min(_POLL_STARTS, len(x) - lo)
+        src = np.concatenate([x[lo:lo + n], cand[lo:lo + n].reshape(n, -1)], axis=1)
+        bx, by, bz, dx, dy, dz = _frame_xyz(*src.T.take(_TABLE_COLS, axis=0))
+        dsq = _uvw_dsq(*(a.take(k, axis=0) for k in (_POLL_I, _POLL_J) for a in (dx, dy, dz)),
+                       *(a.take(_POLL_J, axis=0) - a.take(_POLL_I, axis=0) for a in (bx, by, bz)))
+        np.sqrt(dsq.take(_CHART_PAIRS, axis=0).min(axis=0).T, out=out[lo:lo + n])
+    return out
+
+
 def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rngs) -> list:
     """Pattern searches from the rows of x0 in lockstep, start i polling
     with rngs[i]; one OptResult per start, in start order.
 
-    Every round polls all live starts in one objective batch; the
+    Every round polls all live starts in one _poll_values call; the
     bookkeeping (move or halve the step, trace, stop test) stays per
     start, so each start takes the path it takes alone.
     """
@@ -183,7 +247,7 @@ def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, 
         cand *= step[:, None, None]
         cand += x[:, None]
         _clip_latitudes(cand)
-        values = _objective_batch(cand).reshape(len(live), -1)
+        values = _poll_values(x, cand)
         evals += cand.shape[1]
         for j, k in enumerate(values.argmax(axis=1).tolist()):
             if values[j, k] > f[j]:

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 import warnings
 
 import pytest
 
+from cylpack.acceptance import run_all
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, main
 from cylpack.curve import f_of_x
 from cylpack.search import chart_record
@@ -88,12 +90,12 @@ class TestEval:
         assert main(["eval", "--x", "5e-324"]) == 1  # t(x) ~ 1/x is no float
 
     @staticmethod
-    def assert_refused(capsys, x):
+    def assert_refused(capsys, x, *argv):
         # below about x = 2e-13 the built configuration's min distance^2 can
         # leave F(x) by more than 1e-9 relative: refused, not printed wrong
-        rc, err = run_failing(capsys, "eval", "--x", x)
+        rc, err = run_failing(capsys, *(argv or ("eval", "--x", x)))
         assert rc == 1
-        assert err.startswith(f"error: --x {float(x)!r} is too small to build: ")
+        assert err.startswith(f"error: trajectory parameter {float(x)!r} is too small to build: ")
         assert err.endswith(", not 1 within 1e-9\n")
 
     def test_tiny_x(self, capsys):
@@ -102,6 +104,16 @@ class TestEval:
     @pytest.mark.parametrize("x", ["1e-20", "1e-32"])
     def test_small_x_refused(self, capsys, x):
         self.assert_refused(capsys, x)
+
+    @pytest.mark.parametrize("command", ["optimize --from", "probe --at", "export-scene --at"])
+    def test_small_curve_source_refused(self, capsys, tmp_path, command):
+        # every configuration source of the form curve:<x> is refused like eval --x
+        out_path = tmp_path / "scene.obj"
+        argv = [*command.split(), "curve:1e-20"]
+        if argv[0] == "export-scene":
+            argv += ["--out", str(out_path)]
+        self.assert_refused(capsys, "1e-20", *argv)
+        assert not out_path.exists()
 
     def test_small_x_above_the_refusals(self, capsys):
         rc, doc = run_json(capsys, "eval", "--x", "1e-12")
@@ -307,6 +319,16 @@ class TestReportAll:
         assert len(doc["checks"]) == 13
         names = [c["name"] for c in doc["checks"]]
         assert names[0] == "record-values" and len(set(names)) == 13
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_timings_go_to_stderr_only(self, capsys, fmt):
+        rc, out = run(capsys, "report-all", *fmt)
+        rc_timed = main(["report-all", *fmt, "--timings"])
+        timed = capsys.readouterr()
+        assert (rc_timed, timed.out) == (rc, out)
+        rows = [ln.split(": ") for ln in timed.err.splitlines()]
+        assert [name for name, _ in rows] == [r.name for r in run_all()]
+        assert all(re.fullmatch(r"\d+\.\d{4} s", seconds) for _, seconds in rows)
 
     def test_injected_error_fails(self, capsys):
         rc, out = run(capsys, "report-all", "--inject-record-error")

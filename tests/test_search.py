@@ -99,6 +99,33 @@ class TestCharts:
             chart_from_configuration(Configuration(tuple(lines)))
 
 
+def faults_per_call(call):
+    """Minor page faults per call of `call` in a fresh process, warm: batch is
+    a 32-start poll round's 1536 charts, x the 32 points."""
+    pytest.importorskip("resource")
+    code = textwrap.dedent(f"""
+        import resource
+        import numpy as np
+        from cylpack.search import _clip_latitudes, _objective_batch, _poll_values, chart_c6
+        from cylpack.symmetric import D3Params
+        rng = np.random.default_rng(0)
+        base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
+        batch = _clip_latitudes(base + 0.2 * rng.standard_normal((1536, 18)))
+        x = batch[::48].copy()
+        for _ in range(5):
+            {call}
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            {call}
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return float(out)
+
+
 class TestObjective:
     def test_initial_configuration(self):
         assert objective(chart_c6(D3Params(0.0, 0.0, 0.0))) == pytest.approx(1.0, abs=1e-12)
@@ -135,27 +162,11 @@ class TestObjective:
     def test_batches_do_not_fault_their_temporaries_back_in(self):
         # a 32-start poll round's batch, in a fresh process: once warm, the kernel
         # reuses memory the allocator keeps instead of faulting new pages in
-        pytest.importorskip("resource")
-        code = textwrap.dedent("""
-            import resource
-            import numpy as np
-            from cylpack.search import _clip_latitudes, _objective_batch, chart_c6
-            from cylpack.symmetric import D3Params
-            rng = np.random.default_rng(0)
-            base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-            batch = _clip_latitudes(base + 0.2 * rng.standard_normal((1536, 18)))
-            for _ in range(5):
-                _objective_batch(batch)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for _ in range(20):
-                _objective_batch(batch)
-            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
-        """)
-        env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert float(out) < 50
+        assert faults_per_call("_objective_batch(batch)") < 50
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_poll_rounds_do_not_fault_their_temporaries_back_in(self):
+        assert faults_per_call("_poll_values(x, batch.reshape(32, 48, 18))") < 50
 
     def test_rotation_invariance(self):
         c = random_chart(RNG)
@@ -170,6 +181,55 @@ class TestObjective:
         perm = RNG.permutation(6)
         shuffled = FreeConfig(c.coords.reshape(6, 3)[perm])
         assert objective(shuffled) == objective(c)
+
+
+def poll_round(x, step, seed):
+    """The (L, 48, 18) candidates a poll round builds around the points x."""
+    cand = np.empty((len(x), 48, 18))
+    cand[:, :36] = search._AXES
+    cand[:, 36:] = np.random.default_rng(seed).standard_normal((len(x), 12, 18))
+    cand[:, 36:] /= np.linalg.norm(cand[:, 36:], axis=-1, keepdims=True)
+    cand *= np.asarray(step)[:, None, None]
+    cand += x[:, None]
+    return search._clip_latitudes(cand)
+
+
+# poll points: skew and parallel equatorial rows as in CHARTS, rows at the
+# latitude cap, where +e_k steps clip back, and rows of signed zeros, which
+# the +e_k candidates turn to +0.0
+ZERO = st.sampled_from([0.0, -0.0])
+POLL_ROW = st.one_of(
+    SKEW_ROW,
+    st.tuples(ZERO, st.floats(0.0, 2 * math.pi), st.sampled_from([0.0, -0.0, math.pi])),
+    st.tuples(st.sampled_from([-search._PHI_CAP, search._PHI_CAP]), ZERO | st.floats(0.0, 6.0), ZERO),
+)
+POLL_STARTS = st.lists(
+    st.tuples(
+        st.lists(POLL_ROW, min_size=6, max_size=6),
+        st.sampled_from([0.1, 1e-9]) | st.floats(1e-9, 0.1),
+    ),
+    min_size=1,
+    max_size=9,
+)
+
+
+class TestPollValues:
+    @settings(deadline=None)
+    @given(POLL_STARTS, st.integers(0, 2**32 - 1))
+    def test_equals_the_full_batch(self, starts, seed):
+        x = np.array([rows for rows, _ in starts]).reshape(-1, 18)
+        cand = poll_round(x, [s for _, s in starts], seed)
+        want = _objective_batch(cand).reshape(len(x), 48)
+        assert search._poll_values(x, cand).tobytes() == want.tobytes()
+
+    def test_untilted_chart(self):
+        # the first round of `optimize --from c6`, with every latitude made -0.0: all 15
+        # pairs of the point are parallel
+        x = chart_c6(D3Params(0.0, 0.0, 0.0)).coords.reshape(1, 18).copy()
+        x[0, 0::3] = -0.0
+        cand = poll_round(x, [0.1], 0)
+        want = _objective_batch(cand).reshape(1, 48)
+        assert search._poll_values(x, cand).tobytes() == want.tobytes()
 
 
 class TestLocalMaximize:
@@ -263,13 +323,16 @@ class TestMultiStart:
     def test_one_kernel_call_per_round(self, monkeypatch):
         sizes = []
 
-        def counting(coords):
-            sizes.append(coords.size // 18)
-            return _objective_batch(coords)
+        def counting(kernel):
+            def call(*args):
+                sizes.append(args[-1].size // 18)
+                return kernel(*args)
+            return call
 
-        monkeypatch.setattr(search, "_objective_batch", counting)
+        monkeypatch.setattr(search, "_objective_batch", counting(_objective_batch))
+        monkeypatch.setattr(search, "_poll_values", counting(search._poll_values))
         r = multi_start(5, 0, 2000)
-        # the seed charts, then one batch per poll round for every live start:
+        # the seed charts, then one poll evaluation per round for every live start:
         # ceil(1999 / 48) = 42 rounds, not one call per start and round
         assert len(sizes) == 1 + 42 and sizes[0] == 5 and sum(sizes) == r.evals
         assert max(sizes) == 5 * 48
