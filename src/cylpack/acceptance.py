@@ -17,11 +17,12 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import (
-    f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record, scan_unimodality, u_from_st
+    build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record,
+    scan_unimodality, u_from_st,
 )
-from .lines import chart_lines, distance_sq, radius_from_distance
+from .lines import chart_lines, distance_sq, pair_dsq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
-from .symmetric import D3Params, DegenerateError, _generic_rows, alg_coords, build_c6, triplets_alg, triplets_trig
+from .symmetric import D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig
 from .unlocking import (
     GeneralParams,
     alt_strategy_verdict,
@@ -63,9 +64,8 @@ def check_record_values() -> CheckResult:
 
 def check_record_configuration() -> CheckResult:
     """Of the 15 record pairwise squared distances, 12 are 12/11 and 3 are 540/143."""
-    config = build_c6(gamma_point(0.5).params)
-    matrix = config.distance_sq_matrix()
-    values = matrix[np.triu_indices(6, 1)]
+    config = build_curve_point(0.5)[1]
+    values = pair_dsq(config.bases, config.dirs)
     near_f = np.abs(values - 12.0 / 11.0) <= 1e-9
     near_ae = np.abs(values - 540.0 / 143.0) <= 1e-9
     counts_ok = int(near_f.sum()) == 12 and int(near_ae.sum()) == 3
@@ -215,9 +215,10 @@ def check_unlock_verdicts() -> CheckResult:
         (2.0, "blocked"),
         (3.0, "blocked"),
     ]
-    verdicts = [(a, unlock_verdict(a).verdict) for a, _ in expected]
+    reports = [unlock_verdict(a) for a, _ in expected]
+    verdicts = [(a, r.verdict) for (a, _), r in zip(expected, reports)]
     verdict_ok = all(v == want for (_, v), (_, want) in zip(verdicts, expected))
-    witnesses = [unlock_verdict(a).witness for a, want in expected if want == "unlockable"]
+    witnesses = [r.witness for r, (_, want) in zip(reports, expected) if want == "unlockable"]
     margin = min(
         min(d - w["baseline_dist_sq"] for d in w["probe_dists_sq"]) for w in witnesses
     )

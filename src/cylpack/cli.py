@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .curve import build_curve_point, gamma_point, record
-from .lines import _positive_finite, min_pairwise_distance, radius_from_distance
+from .lines import Configuration, _positive_finite, min_pairwise_distance, radius_from_distance
 from .scene import SceneSpec, min_surface_gap, scene_obj
 from .search import (
     FreeConfig,
@@ -37,14 +37,16 @@ from .unlocking import alt_strategy_verdict, four_cyl_point, unlock_verdict
 
 CURVE_HEADER = "x,phi,delta,kappa,S,T,U,F,dae_sq"
 FOUR_CYL_HEADER = "T,S,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"
+_SOURCES = "record, c6, curve:<x>, file:<path>"
 
 
-def _chart_from_source(text: str) -> FreeConfig:
+def _source(text: str) -> FreeConfig | Configuration:
     """Resolve a configuration source written as a flag value.
 
-    Accepted forms: ``record``, ``c6`` (the untilted configuration),
-    ``curve:<x>`` for a trajectory point, and ``file:<path>`` naming a
-    JSON document with either ``coords`` (18 chart numbers) or ``lines``.
+    ``record``, ``c6`` (the untilted configuration), ``curve:<x>`` for a
+    trajectory point and a ``file:<path>`` JSON document of 18 chart
+    ``coords`` give a chart; a ``file:`` document of ``lines`` gives its
+    Configuration, read by config_from_dict.
     """
     if text == "record":
         return chart_record()
@@ -53,16 +55,18 @@ def _chart_from_source(text: str) -> FreeConfig:
     if text.startswith("curve:"):
         return chart_curve(float(text[len("curve:"):]))
     if text.startswith("file:"):
-        path = text[len("file:"):]
-        with open(path, encoding="utf-8") as handle:
+        with open(text[len("file:"):], encoding="utf-8") as handle:
             data = json.load(handle)
         if isinstance(data, dict) and "coords" in data and "lines" not in data:
             return FreeConfig(np.asarray(data["coords"], dtype=float))
-        return chart_from_configuration(config_from_dict(data))
-    raise ValueError(
-        f"unknown configuration source {text!r}; "
-        "expected record, c6, curve:<x>, or file:<path>"
-    )
+        return config_from_dict(data)
+    raise ValueError(f"unknown configuration source {text!r}; expected {_SOURCES}")
+
+
+def _chart_from_source(text: str) -> FreeConfig:
+    """The chart of a source; a lines document must hold six lines off the poles."""
+    source = _source(text)
+    return chart_from_configuration(source) if isinstance(source, Configuration) else source
 
 
 def _emit(text: str) -> None:
@@ -191,7 +195,9 @@ def cmd_four_cyl(args: argparse.Namespace) -> int:
 
 
 def cmd_export_scene(args: argparse.Namespace) -> int:
-    config = config_lines(_chart_from_source(args.at))
+    config = _source(args.at)
+    if isinstance(config, FreeConfig):
+        config = config_lines(config)
     radius = args.radius
     if radius is None:
         radius = radius_from_distance(min_pairwise_distance(config))
@@ -275,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--from", dest="from_source", metavar="SOURCE",
-        help="polish one seed instead (record, c6, curve:<x>, file:<path>)",
+        help=f"polish one seed instead ({_SOURCES})",
     )
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("probe", help="random perturbations around a configuration")
     p.add_argument(
         "--at", default="record",
-        help="configuration source (record, c6, curve:<x>, file:<path>)",
+        help=f"configuration source ({_SOURCES})",
     )
     p.add_argument("--radius", type=float, default=1e-3, help="perturbation box size")
     p.add_argument("--trials", type=int, default=10000, help="number of perturbations")
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-scene", help="write an OBJ mesh of a configuration")
     p.add_argument(
         "--at", default="record",
-        help="configuration source (record, c6, curve:<x>, file:<path>)",
+        help=f"configuration source ({_SOURCES})",
     )
     p.add_argument(
         "--radius", type=float, default=None,

@@ -220,9 +220,8 @@ class RecordReport:
 
 def record() -> RecordReport:
     """The trajectory maximum x = 1/2 with its closed forms."""
-    sample = gamma_point(0.5)
+    sample, c = build_curve_point(0.5)
     p = sample.params
-    c = build_c6(p)
     d = min_pairwise_distance(c)
     report = RecordReport(
         x_m=sample.x,

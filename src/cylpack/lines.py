@@ -346,14 +346,6 @@ class Configuration:
     def __getitem__(self, i):
         return self.lines[i]
 
-    def distance_sq_matrix(self) -> np.ndarray:
-        """Symmetric matrix of pairwise squared distances (zero diagonal)."""
-        n = len(self.lines)
-        i, j = _pairs(n)
-        m = np.zeros((n, n))
-        m[i, j] = m[j, i] = pair_dsq(self.bases, self.dirs)
-        return m
-
 
 def chart_lines(rows) -> Configuration:
     """Tangent lines from (latitude, longitude, tangent angle) rows.

@@ -115,23 +115,18 @@ def line_from_dict(data: Any) -> TangentLine:
 
 
 def config_from_dict(data: Any) -> Configuration:
-    """Rebuild a configuration from its plain-data form.
-
-    Accepts either ``{"lines": [{base, dir}, ...]}`` or a free-chart
-    document ``{"coords": [18 numbers]}`` (latitude, longitude, tangent
-    angle per line).
+    """Rebuild a configuration from the ``{"lines": [{base, dir}, ...]}``
+    document config_to_dict writes: two or more tangent lines, used as
+    given, poles included.  A document that carries ``coords`` (a free
+    chart, which the command line reads itself) is refused.
     """
     if not isinstance(data, dict):
         raise ValueError("a configuration document must be a JSON object")
-    if ("coords" in data) == ("lines" in data):
-        raise ValueError(
-            "a configuration document needs exactly one of 'coords' or 'lines'"
-        )
     if "coords" in data:
-        from .search import FreeConfig, config_lines
-
-        return config_lines(FreeConfig(np.asarray(data["coords"], dtype=float)))
-    lines = data["lines"]
+        raise ValueError(
+            "a lines document must not carry 'coords' (a chart document carries it alone)"
+        )
+    lines = data.get("lines")
     if not isinstance(lines, list) or len(lines) < 2:
         raise ValueError("'lines' must list at least two tangent lines")
     return Configuration(tuple(line_from_dict(item) for item in lines))

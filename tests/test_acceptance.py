@@ -22,6 +22,7 @@ import pytest
 
 from cylpack import acceptance
 from cylpack.acceptance import run_all
+from cylpack.lines import pair_dsq
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -183,15 +184,16 @@ def test_formula_points_are_the_scalar_draws():
 def test_formula_consistency_batch_is_triplets_generic():
     # the check builds its 1000 configurations in one batch; each point gets
     # the bits triplets_generic gives it alone, and those of its own built
-    # configuration's distance matrix
+    # configuration's pair distances
     params, _, _ = acceptance._formula_points()
     rows = acceptance._generic_rows(params)
     assert len(params) == 1000 and rows.shape == (1000, 4)
+    pairs = list(zip(*np.triu_indices(6, 1)))
+    cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
     for p, row in zip(params, rows):
         t = triplets_generic(p)
-        m = build_c6(p).distance_sq_matrix()
-        for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq],
-                     [m[PAIR_ORBITS[o][0]] for o in ("ab", "ad", "bd", "ae")]):
+        c = build_c6(p)
+        for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq], pair_dsq(c.bases, c.dirs)[cols]):
             assert row.tobytes() == np.array(want).tobytes()
 
 

@@ -1,19 +1,39 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylpack.acceptance import run_all
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, main
 from cylpack.curve import f_of_x
-from cylpack.search import chart_record
+from cylpack.lines import chart_lines, min_pairwise_distance, radius_from_distance
+from cylpack.scene import SceneSpec, scene_obj
+from cylpack.search import chart_from_configuration, chart_record, config_lines, objective
+from cylpack.serialize import config_from_dict, config_to_dict, json_dumps
 
 D_RECORD = math.sqrt(12.0 / 11.0)
 R_RECORD = (3.0 + math.sqrt(33.0)) / 8.0
+
+# lines documents no six-line chart covers: four vertical lines a quarter turn
+# apart (pairwise sqrt(2), radius 1 + sqrt(2)), and the record with its last
+# line moved to the north pole
+FOUR_VERTICALS = {"lines": [
+    {"base": base, "dir": [0.0, 0.0, 1.0]}
+    for base in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0])
+]}
+POLE_TANGENT = {"lines": [
+    *config_to_dict(config_lines(chart_record()))["lines"][:5],
+    {"base": [0.0, 0.0, 1.0], "dir": [1.0, 0.0, 0.0]},
+]}
 
 
 def run(capsys, *argv):
@@ -293,6 +313,61 @@ class TestExportScene:
         )
         assert rc == 0
         assert doc["radius"] == pytest.approx(R_RECORD, abs=1e-12)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.0, 2 * math.pi),
+                              st.floats(-math.pi, math.pi)), min_size=6, max_size=6))
+    def test_lines_document_exported_as_given(self, rows):
+        # a lines document of six lines off the poles: export-scene uses its lines,
+        # probe their chart, each bit for bit
+        with tempfile.TemporaryDirectory() as tmp:
+            doc_path, out_path = Path(tmp) / "lines.json", Path(tmp) / "scene.obj"
+            doc_path.write_text(json_dumps(config_to_dict(chart_lines(rows))))
+            config = config_from_dict(json.loads(doc_path.read_text()))
+            source = f"file:{doc_path}"
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                rc = main(["export-scene", "--at", source, "--segments", "8",
+                           "--out", str(out_path)])
+                rc_probe = main(["probe", "--at", source, "--trials", "5"])
+            d = min_pairwise_distance(config)
+            if d == 0.0:  # coincident or crossing lines leave no cylinder radius
+                assert (rc, out_path.exists()) == (1, False)
+                out_text = out.getvalue()
+            else:
+                assert rc == 0
+                scene_doc, out_text = out.getvalue().split("\n", 1)
+                radius = radius_from_distance(d)
+                assert json.loads(scene_doc)["radius"] == radius
+                assert out_path.read_bytes() == scene_obj(SceneSpec(config, radius, 6.0, 8)).encode()
+            assert rc_probe == 0
+            want = objective(chart_from_configuration(config))
+            assert json.loads(out_text)["objective"] == want
+
+    @pytest.mark.parametrize("doc", [FOUR_VERTICALS, POLE_TANGENT], ids=["four-lines", "pole-tangent"])
+    def test_documents_no_chart_covers(self, capsys, tmp_path, doc):
+        doc_path, out_path = tmp_path / "lines.json", tmp_path / "scene.obj"
+        doc_path.write_text(json.dumps(doc))
+        rc, out = run_json(capsys, "export-scene", "--at", f"file:{doc_path}",
+                           "--segments", "8", "--out", str(out_path))
+        assert rc == 0
+        config = config_from_dict(doc)
+        assert out["radius"] == radius_from_distance(min_pairwise_distance(config))
+        text = out_path.read_text()
+        assert sum(ln.startswith("o ") for ln in text.splitlines()) == 1 + len(doc["lines"])
+        assert text == scene_obj(SceneSpec(config, out["radius"], 6.0, 8))
+        if doc is FOUR_VERTICALS:
+            assert out["radius"] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
+
+    def test_document_with_both_keys_refused(self, capsys, tmp_path):
+        doc = config_to_dict(config_lines(chart_record()))
+        doc["coords"] = [float(c) for c in chart_record().coords]
+        doc_path = tmp_path / "both.json"
+        doc_path.write_text(json.dumps(doc))
+        for argv in (["export-scene", "--segments", "8", "--out", str(tmp_path / "x.obj")],
+                     ["probe", "--trials", "5"]):
+            rc, err = run_failing(capsys, *argv, "--at", f"file:{doc_path}")
+            assert rc == 1 and "'coords'" in err
+        assert not (tmp_path / "x.obj").exists()
 
     def test_validation_and_io(self, capsys, tmp_path):
         assert main(

@@ -1,13 +1,18 @@
-"""The README's Quick start runs, and its annotated values hold.
+"""The README's Quick start runs, and its annotated values hold; its
+command lines run.
 
 Each statement of the Quick start block runs in order; an expression
 line followed by a comment that opens with a literal (`rep.r_m  # 1.09...`,
-`....verdict  # 'blocked'`) must evaluate to exactly that literal.
+`....verdict  # 'blocked'`) must evaluate to exactly that literal.  Each
+`cylpack ...` line of the Command line block must exit 0.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from cylpack.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,14 +20,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 _LITERAL = re.compile(r"#\s+('[^']*'|[-+]?\d[\d.]*(?:[eE][-+]?\d+)?)")
 
 
-def _quick_start() -> str:
+def _block(section: str, fence: str) -> str:
     text = README.read_text()
-    start = text.index("```python\n", text.index("## Quick start")) + len("```python\n")
+    start = text.index(fence, text.index(section)) + len(fence)
     return text[start:text.index("\n```", start)]
 
 
 def test_quick_start_values():
-    block = _quick_start()
+    block = _block("## Quick start", "```python\n")
     lines = block.splitlines()
     namespace: dict = {}
     checked = []
@@ -42,3 +47,17 @@ def test_quick_start_values():
         "cylpack.unlock_verdict(3.14159 / 3).verdict",
         "cylpack.unlock_verdict(2.0).verdict",
     ]
+
+
+def test_command_lines_exit_zero(tmp_path):
+    ran = []
+    for line in _block("## Command line", "```sh\n").splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cylpack", line
+        argv = argv[1:]
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        assert main(argv) == 0, line
+        ran.append(argv[0])
+    assert "export-scene" in ran
