@@ -223,6 +223,17 @@ class TestConfiguration:
         with pytest.raises(TypeError):
             Configuration((vertical(0.0), "not a line"))
 
+    def test_distance_matrix(self):
+        # the configuration's pair distances through pair_dsq on its own stacks,
+        # in pair order (0, 1), (0, 2), (1, 2)
+        c = Configuration((vertical(0.0), vertical(math.pi / 3), vertical(math.pi)))
+        out = pair_dsq(c.bases, c.dirs)
+        assert out.shape == (3,)
+        assert math.isclose(out[0], 1.0, abs_tol=1e-14)
+        assert math.isclose(out[1], 4.0, abs_tol=1e-14)
+        assert math.isclose(out[2], 3.0, abs_tol=1e-14)
+        assert np.array_equal(pair_dsq(c.bases[::-1], c.dirs[::-1]), out[::-1])
+
     def test_min_pairwise(self):
         c = Configuration((vertical(0.0), vertical(math.pi / 3), vertical(math.pi)))
         assert math.isclose(min_pairwise_distance(c), 1.0, abs_tol=1e-14)
@@ -333,17 +344,14 @@ class TestKernelProperties:
         assert np.all(np.abs(np.einsum("nk,nk->n", bases, dirs)) <= 1e-15)
 
     def test_parallel_pairs_exact(self):
-        # vertical lines tilted 0 and pi: the fallback branch on every pair;
-        # the second set, verticals at longitudes 0, pi/3 and pi, ends at 1, 4 and 3
-        for rows in ([(0.0, 0.3, 0.0), (0.0, 1.9, math.pi), (0.0, 4.0, 0.0)],
-                     [(0.0, 0.0, 0.0), (0.0, math.pi / 3, 0.0), (0.0, math.pi, 0.0)]):
-            bases, dirs = kernel_input(rows)
-            out = pair_dsq(bases, dirs)
-            for (i, j), k in pair_index(3).items():
-                chord = 2 * math.sin((rows[j][1] - rows[i][1]) / 2)
-                assert math.isclose(out[k], chord * chord, rel_tol=1e-14)
-            assert np.array_equal(pair_dsq(bases[::-1], dirs[::-1]), out[::-1])
-        assert np.allclose(out, [1.0, 4.0, 3.0], rtol=0.0, atol=1e-14)
+        # vertical lines tilted 0 and pi: the fallback branch on every pair
+        rows = [(0.0, 0.3, 0.0), (0.0, 1.9, math.pi), (0.0, 4.0, 0.0)]
+        bases, dirs = kernel_input(rows)
+        out = pair_dsq(bases, dirs)
+        for (i, j), k in pair_index(3).items():
+            chord = 2 * math.sin((rows[j][1] - rows[i][1]) / 2)
+            assert math.isclose(out[k], chord * chord, rel_tol=1e-14)
+        assert np.array_equal(pair_dsq(bases[::-1], dirs[::-1]), out[::-1])
 
 
 # ---------------------------------------------------------------- stacked line checks
