@@ -215,17 +215,22 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
     return 0
 
 
+def _peak_rss_mb() -> float:
+    import resource  # a Unix module, imported only for report-all --timings
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
 def cmd_report_all(args: argparse.Namespace) -> int:
     from .acceptance import run_checks  # only this command needs the checks
 
     results = []
-    start = time.perf_counter()
+    start, peak = time.perf_counter(), _peak_rss_mb() if args.timings else 0.0
     for r in run_checks():
         results.append(r)
         if args.timings:
-            now = time.perf_counter()
-            print(f"{r.name}: {now - start:.4f} s", file=sys.stderr)
-            start = now
+            now, rss = time.perf_counter(), _peak_rss_mb()
+            print(f"{r.name}: {now - start:.4f} s, peak +{rss - peak:.1f} MB", file=sys.stderr)
+            start, peak = now, rss
     if args.inject_record_error:  # hidden hook that tests exit code 3 and FAIL-line parsing
         results[0] = replace(results[0], passed=False, details=results[0].details + "; injected")
     all_passed = all(r.passed for r in results)
@@ -324,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report-all", help="verify every headline numeric claim")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
-        "--timings", action="store_true", help="each check's wall seconds on stderr, in run order"
+        "--timings", action="store_true",
+        help="each check's wall seconds and growth of peak RSS on stderr, in run order",
     )
     p.add_argument(
         "--inject-record-error", action="store_true", help=argparse.SUPPRESS

@@ -131,13 +131,14 @@ def _check_sample(sample: CurveSample) -> None:
     residual = math.fsum(terms)
     if abs(residual) > 1e-9 * max(v ** 3, math.fsum(map(abs, terms))):
         raise ArithmeticError(f"trajectory sample off the constraint: psi = {residual!r}")
-    if abs(sample.x - (1 - s) / (t + 1)) > 1e-10:
+    # both bounds relative, since x and F(x) ~ 12x shrink together, and failed by a NaN
+    if not abs(sample.x - (1 - s) / (t + 1)) <= 1e-10 * sample.x:
         raise ArithmeticError("trajectory sample breaks the x relation")
     if sample.x < 1.0:
         ubar = -math.tan(sample.params.kappa + math.pi / 6)
         dists = triplets_alg(AlgCoords(sample.S, sample.T, sample.U, ubar))
         for d in dists:
-            if abs(d - sample.f_value) > 1e-9:
+            if not abs(d - sample.f_value) <= 1e-9 * sample.f_value:
                 raise ArithmeticError(
                     f"trajectory sample distances off F(x): {dists!r} vs {sample.f_value!r}"
                 )

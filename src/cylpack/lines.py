@@ -22,6 +22,12 @@ _TAU = 2.0 * math.pi
 # formula is 0/0 and the point-to-line fallback is used instead.
 PARALLEL_TOL = 1e-12
 
+# configurations per kernel call in every batched path: the kernel's ~35 temporaries of
+# shape (block, 15) must stay small enough that the allocator keeps their pages between
+# calls; larger ones go back to the OS when freed and fault in again on the next call
+# (about 800 minor faults a call at 2048 configurations; some processes fault at 176).
+_BLOCK = 160
+
 
 class DegenerateError(ArithmeticError):
     """A closed-form expression was evaluated where it degenerates."""
@@ -263,11 +269,12 @@ def _uvw_dsq(ux, uy, uz, vx, vy, vz, wx, wy, wz) -> np.ndarray:
     cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     denom = (cx * cx + cz * cz) + cy * cy
     det = (cx * wx + cz * wz) + cy * wy
+    parallel = denom <= PARALLEL_TOL
+    if not parallel.any():
+        return det * det / denom
     with np.errstate(divide="ignore", invalid="ignore"):
         dsq = det * det / denom
-    parallel = denom <= PARALLEL_TOL
-    if parallel.any():
-        dsq[parallel] = _parallel_dsq(*(a[parallel] for a in (ux, uy, uz, vx, vy, vz, wx, wy, wz)))
+    dsq[parallel] = _parallel_dsq(*(a[parallel] for a in (ux, uy, uz, vx, vy, vz, wx, wy, wz)))
     return dsq
 
 
@@ -291,7 +298,13 @@ def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     (x + z) + y, the order the earlier einsum kernel rounded in, so
     search paths stay bit for bit the same.
     """
-    return _pair_dsq_xyz(*(a[..., k] for a in (bases, dirs) for k in range(3)))
+    i, j = _pairs(dirs.shape[-2])
+    # one gather per side of the pairs on (base, dir) rows: fewer calls than per component
+    rows = np.concatenate((bases, dirs), axis=-1)
+    first, second = rows[..., i, :], rows[..., j, :]
+    w = second[..., :3] - first[..., :3]
+    return _uvw_dsq(*(r[..., k] for r in (first, second) for k in (3, 4, 5)),
+                    *(w[..., k] for k in range(3)))
 
 
 def _stack(lines) -> tuple:

@@ -9,7 +9,8 @@ candidate, halve the step when none improves.  Several starts run in
 lockstep, one poll evaluation per round for all of them, with results
 identical to running them one after another.  A poll round measures
 only the pair distances its steps move (_poll_values); seed charts and
-the perturbation probe evaluate full batches.  Both go through one
+the perturbation probe evaluate full charts, _BLOCK at a time, and the
+probe draws its trials a block at a time too.  Both go through one
 pair-distance kernel, in calls whose temporaries the allocator keeps.
 """
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .lines import (
     Configuration,
+    _BLOCK,
     _frame_xyz,
     _pair_dsq_xyz,
     _positive_finite,
@@ -97,13 +99,6 @@ def chart_from_configuration(c: Configuration) -> FreeConfig:
 def objective(c: FreeConfig) -> float:
     """Smallest pairwise distance of the chart's configuration."""
     return min_pairwise_distance(config_lines(c))
-
-
-# charts per _objective_batch kernel call: the kernel's ~35 temporaries of shape
-# (block, 15) must stay small enough that the allocator keeps their pages between
-# calls; larger ones go back to the OS when freed and fault in again on the next call
-# (about 800 minor faults a call at 2048 charts; some processes fault at 176).
-_BLOCK = 160
 
 
 def _objective_batch(coords: np.ndarray) -> np.ndarray:
@@ -310,20 +305,26 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
 def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int = 0) -> dict:
     """Sample uniform coordinate perturbations of a chart within a box
     of the given radius and report the best objective found and the
-    fraction of trials that beat the unperturbed value."""
+    fraction of trials that beat the unperturbed value.  Trials are drawn
+    and evaluated _BLOCK at a time, in memory flat in trials: the same
+    stream of draws, and the same report bit for bit, as one batch."""
     _positive_finite("perturbation radius", radius)
     if trials < 1:
         raise ValueError(f"need at least one trial: {trials!r}")
+    trials = int(trials)
     rng = np.random.default_rng(rng_seed)
-    cand = c.coords + rng.uniform(-radius, radius, (int(trials), N_COORDS))
-    _clip_latitudes(cand)
-    values = _objective_batch(cand)
     f0 = float(_objective_batch(c.coords[None])[0])
+    best, exceed = -np.inf, 0
+    for lo in range(0, trials, _BLOCK):
+        cand = c.coords + rng.uniform(-radius, radius, (min(_BLOCK, trials - lo), N_COORDS))
+        values = _objective_batch(_clip_latitudes(cand))
+        best = np.maximum(best, values.max())  # carries a NaN through, as max() does
+        exceed += int(np.count_nonzero(values > f0))
     return {
         "objective": f0,
         "radius": float(radius),
-        "trials": int(trials),
+        "trials": trials,
         "rng_seed": int(rng_seed),
-        "max_found": float(values.max()),
-        "exceed_fraction": float(np.mean(values > f0)),
+        "max_found": float(best),
+        "exceed_fraction": exceed / trials,
     }

@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lines import (
     Configuration,
     DegenerateError,
+    _BLOCK,
     _chart_frames,
     _finite_fields,
     _pairs,
@@ -169,7 +172,9 @@ def _neighbor_dists_sq(S, T, U, Ub, sin_sq, cos_sq) -> tuple:
     if st < 1e-30:
         dab = 4.0 * sin_sq
     else:
-        dab = 4.0 * sin_sq * (1.0 - s2) ** 2 * t2 / (st * (1.0 - sin_sq * s2 + cos_sq * t2))
+        num, den = 4.0 * sin_sq * (1.0 - s2) ** 2, st * (1.0 - sin_sq * s2 + cos_sq * t2)
+        # past t2 ~ 1e154 den overflows: there, the same form divided through by t2
+        dab = num / (st * ((1.0 - sin_sq * s2) / t2 + cos_sq)) if den == math.inf else num * t2 / den
     dad = 4.0 * (S * T + U) ** 2 / (1.0 - s2 + t2 + U * U + 2.0 * S * T * U)
     dbd = 4.0 * (-S * T + Ub) ** 2 / (1.0 - s2 + t2 + Ub * Ub - 2.0 * S * T * Ub)
     return (dab, dad, dbd)
@@ -240,14 +245,19 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
 
 
 # pair_dsq's column of each orbit's representative pair, in DistanceTriplets order
-_ORBIT_COLS = [list(zip(*_pairs(6))).index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
+_ORBIT_COLS = np.array([list(zip(*_pairs(6))).index(PAIR_ORBITS[o][0])
+                        for o in ("ab", "ad", "bd", "ae")])
 
 
 def _generic_rows(params):
-    """triplets_generic of each D3Params as (len(params), 4) rows: every configuration
-    framed and checked as build_c6 does, in one call, and measured by one pair_dsq call."""
-    bases, dirs = _chart_frames([row for p in params for row in c6_chart(p)])
-    return pair_dsq(bases.reshape(-1, 6, 3), dirs.reshape(-1, 6, 3))[:, _ORBIT_COLS]
+    """triplets_generic of each D3Params as (len(params), 4) rows: the configurations
+    framed and checked as build_c6 does and measured by pair_dsq, _BLOCK per call."""
+    out = np.empty((len(params), 4))
+    for lo in range(0, len(params), _BLOCK):
+        bases, dirs = _chart_frames([row for p in params[lo:lo + _BLOCK] for row in c6_chart(p)])
+        dsq = pair_dsq(bases.reshape(-1, 6, 3), dirs.reshape(-1, 6, 3))
+        out[lo:lo + _BLOCK] = dsq[:, _ORBIT_COLS]
+    return out
 
 
 def triplets_generic(p: D3Params) -> DistanceTriplets:

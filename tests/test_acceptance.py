@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,13 +23,14 @@ import pytest
 
 from cylpack import acceptance
 from cylpack.acceptance import run_all
-from cylpack.lines import pair_dsq
+from cylpack.lines import _chart_frames, _pair_dsq_xyz, pair_dsq
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
     DegenerateError,
     alg_coords,
     build_c6,
+    c6_chart,
     triplets_alg,
     triplets_generic,
 )
@@ -195,6 +197,31 @@ def test_formula_consistency_batch_is_triplets_generic():
         c = build_c6(p)
         for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq], pair_dsq(c.bases, c.dirs)[cols]):
             assert row.tobytes() == np.array(want).tobytes()
+
+
+def test_generic_rows_blocks_match_one_batch():
+    # _BLOCK configurations per kernel call give the bits of one call over all
+    # 1000, framed and measured component by component
+    params, _, _ = acceptance._formula_points()
+    bases, dirs = _chart_frames([row for p in params for row in c6_chart(p)])
+    xyz = (a.reshape(-1, 6, 3)[..., k] for a in (bases, dirs) for k in range(3))
+    pairs = list(zip(*np.triu_indices(6, 1)))
+    cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
+    want = _pair_dsq_xyz(*xyz)[:, cols]
+    assert acceptance._generic_rows(params).tobytes() == want.tobytes()
+
+
+def test_formula_consistency_memory_is_one_block():
+    # the 1000 configurations are framed and measured _BLOCK at a time; all at
+    # once the kernel's temporaries alone passed 2 MB
+    acceptance.check_formula_consistency()
+    tracemalloc.start()
+    try:
+        acceptance.check_formula_consistency()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_formula_consistency_details_pinned():

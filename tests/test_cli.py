@@ -403,7 +403,7 @@ class TestReportAll:
         assert (rc_timed, timed.out) == (rc, out)
         rows = [ln.split(": ") for ln in timed.err.splitlines()]
         assert [name for name, _ in rows] == [r.name for r in run_all()]
-        assert all(re.fullmatch(r"\d+\.\d{4} s", seconds) for _, seconds in rows)
+        assert all(re.fullmatch(r"\d+\.\d{4} s, peak \+\d+\.\d MB", rest) for _, rest in rows)
 
     def test_injected_error_fails(self, capsys):
         rc, out = run(capsys, "report-all", "--inject-record-error")

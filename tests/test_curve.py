@@ -1,6 +1,7 @@
 """Equal-distance trajectory: constraints, rational parametrization, record."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from cylpack.lines import (
 )
 from cylpack.curve import (
     CurveSample,
+    _check_sample,
     f_of_x,
     gamma_point,
     k1,
@@ -27,7 +29,14 @@ from cylpack.curve import (
     t_of_x,
     u_from_st,
 )
-from cylpack.symmetric import D3Params, alg_coords, build_c6, triplets_alg, triplets_trig
+from cylpack.symmetric import (
+    AlgCoords,
+    D3Params,
+    alg_coords,
+    build_c6,
+    triplets_alg,
+    triplets_trig,
+)
 
 RNG = np.random.default_rng(92)
 
@@ -229,6 +238,30 @@ class TestGammaPoint:
         else:
             g = gamma_point(x)
             assert g.x == x and math.isfinite(g.t_var) and g.f_value == f_of_x(x)
+
+    @settings(deadline=None)
+    @given(st.floats(math.log(5.57e-309), 0.0).map(math.exp).filter(lambda x: x < 1.0))
+    @example(5.57e-309)
+    @example(1e-308)
+    @example(1e-154)
+    @example(1e-155)
+    def test_alg_distances_relative_to_f(self, x):
+        # d_AB^2's denominator overflows past t ~ 1e154; the sample's own
+        # coordinates still give F(x) to 1e-14 relative, however small F is
+        g = gamma_point(x)
+        ubar = -math.tan(g.params.kappa + math.pi / 6)
+        for dsq in triplets_alg(AlgCoords(g.S, g.T, g.U, ubar)):
+            assert abs(dsq - g.f_value) <= 1e-14 * g.f_value
+
+    @pytest.mark.parametrize(
+        "field, factor", [("f_value", 1.0 + 1e-8), ("f_value", math.nan), ("x", 1.0 + 1e-9)]
+    )
+    def test_sample_checks_are_relative(self, field, factor):
+        # at x = 1e-200, F and x are ~1e-199: absolute bounds of 1e-9 and
+        # 1e-10 would pass any value, a NaN included
+        g = gamma_point(1e-200)
+        with pytest.raises(ArithmeticError):
+            _check_sample(replace(g, **{field: getattr(g, field) * factor}))
 
     @pytest.mark.parametrize("x", [1e-3, 1e-6])
     def test_small_x(self, x):

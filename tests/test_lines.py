@@ -297,6 +297,20 @@ def pair_index(n):
     return {pair: k for k, pair in enumerate(zip(*np.triu_indices(n, 1)))}
 
 
+def component_skew_dsq(bases, dirs):
+    """pair_dsq's skew branch gathered component by component, x, y and z arrays
+    first and pairs from each: a skew mask and the values under it."""
+    i, j = np.triu_indices(bases.shape[-2], 1)
+    bx, by, bz, dx, dy, dz = (a[..., k] for a in (bases, dirs) for k in range(3))
+    ux, uy, uz, vx, vy, vz = (a[..., m] for m in (i, j) for a in (dx, dy, dz))
+    wx, wy, wz = (a[..., j] - a[..., i] for a in (bx, by, bz))
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    denom = (cx * cx + cz * cz) + cy * cy
+    det = (cx * wx + cz * wz) + cy * wy
+    skew = denom > PARALLEL_TOL
+    return skew, (det * det)[skew] / denom[skew]
+
+
 class TestKernelProperties:
     @settings(deadline=None)
     @given(ROWS, st.data())
@@ -326,6 +340,18 @@ class TestKernelProperties:
         bases, dirs = bases.reshape(2, -1, 3), dirs.reshape(2, -1, 3)
         out = pair_dsq(bases, dirs)
         assert np.array_equal(pair_dsq(np.asfortranarray(bases), np.asfortranarray(dirs)), out)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(ROWS.map(lambda rows: (rows, (-1, 3))), BATCH.map(lambda rows: (rows, (2, -1, 3)))),
+        st.sampled_from([np.ascontiguousarray, np.asfortranarray]),
+    )
+    def test_skew_bits_pinned(self, case, layout):
+        # gathering u, v and w from the stacked arrays moves no skew pair's bits
+        rows, shape = case
+        bases, dirs = (layout(a.reshape(shape)) for a in kernel_input(rows))
+        skew, want = component_skew_dsq(bases, dirs)
+        assert pair_dsq(bases, dirs)[skew].tobytes() == want.tobytes()
 
     @settings(deadline=None)
     @given(ROWS)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from cylpack.search import (
     perturbation_probe,
 )
 from cylpack import acceptance, search
-from cylpack.search import _objective_batch
+from cylpack.search import _clip_latitudes, _objective_batch
 from cylpack.symmetric import D3Params, build_c6
 
 RNG = np.random.default_rng(94)
@@ -377,7 +378,49 @@ class TestMultiStart:
             multi_start(1, 0, 0)
 
 
+def one_shot_probe(c, radius, trials, rng_seed):
+    """perturbation_probe with all trials drawn and evaluated in one batch."""
+    rng = np.random.default_rng(rng_seed)
+    cand = _clip_latitudes(c.coords + rng.uniform(-radius, radius, (trials, 18)))
+    values = _objective_batch(cand)
+    f0 = float(_objective_batch(c.coords[None])[0])
+    return {
+        "objective": f0,
+        "radius": float(radius),
+        "trials": trials,
+        "rng_seed": rng_seed,
+        "max_found": float(values.max()),
+        "exceed_fraction": float(np.mean(values > f0)),
+    }
+
+
+def traced_peak_mb(call):
+    """Peak traced allocation of call(), in MB, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 class TestPerturbationProbe:
+    @pytest.mark.parametrize("trials", [1, search._BLOCK - 1, search._BLOCK, search._BLOCK + 1, 10000])
+    def test_blocks_match_one_batch(self, trials):
+        # the blocked draws are the one-shot draw's stream, and the folded
+        # maximum and exceed count give its report bit for bit
+        for chart, radius, seed in ((chart_record(), 1e-3, 0), (random_chart(RNG), 1e-2, 7)):
+            want = one_shot_probe(chart, radius, trials, seed)
+            assert perturbation_probe(chart, radius, trials, seed) == want
+
+    @pytest.mark.parametrize("trials", [10_000, 100_000])
+    def test_memory_flat_in_trials(self, trials):
+        # one block of draws and objective values at a time: a (trials, 18)
+        # draw alone is 1.4 MB at 10^4 trials
+        chart = chart_record()
+        assert traced_peak_mb(lambda: perturbation_probe(chart, 1e-3, trials, 0)) < 1.0
+
     def test_radius_zero_limit(self):
         report = perturbation_probe(chart_record(), 1e-15, 100, 3)
         assert abs(report["max_found"] - report["objective"]) < 1e-12
