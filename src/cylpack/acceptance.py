@@ -20,7 +20,7 @@ from .curve import (
     build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record,
     scan_unimodality, u_from_st,
 )
-from .lines import chart_lines, distance_sq, pair_dsq, radius_from_distance
+from .lines import chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig
 from .unlocking import (
@@ -65,7 +65,7 @@ def check_record_values() -> CheckResult:
 def check_record_configuration() -> CheckResult:
     """Of the 15 record pairwise squared distances, 12 are 12/11 and 3 are 540/143."""
     config = build_curve_point(0.5)[1]
-    values = pair_dsq(config.bases, config.dirs)
+    values = config.dsq
     near_f = np.abs(values - 12.0 / 11.0) <= 1e-9
     near_ae = np.abs(values - 540.0 / 143.0) <= 1e-9
     counts_ok = int(near_f.sum()) == 12 and int(near_ae.sum()) == 3

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 from .lines import (
     DegenerateError,
-    distance_sq,
     min_pairwise_distance,
     radius_from_distance,
 )
-from .symmetric import AlgCoords, D3Params, build_c6, triplets_alg
+from .symmetric import _ORBIT_COLS, AlgCoords, D3Params, build_c6, triplets_alg
 
 SQRT3 = math.sqrt(3.0)
 
@@ -232,7 +231,7 @@ def record() -> RecordReport:
         tan_kappa_m=math.tan(p.kappa),
         f_m=sample.f_value,
         d_m=d,
-        dae_sq_m=distance_sq(c[0], c[4]),
+        dae_sq_m=c.dsq.item(_ORBIT_COLS[3]),  # pair (0, 4)
         r_m=radius_from_distance(d),
         closed={
             "x": 0.5,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -323,7 +323,8 @@ def distance(u: TangentLine, v: TangentLine) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Ordered family of tangent lines (at least two), stacked read-only in bases/dirs."""
+    """Ordered family of tangent lines (at least two), stacked read-only in bases/dirs;
+    dsq holds their pair_dsq, measured on first read and kept read-only."""
 
     lines: tuple
     bases: np.ndarray = field(init=False, repr=False)
@@ -349,6 +350,10 @@ class Configuration:
         c.__dict__.update(lines=lines, bases=bases, dirs=dirs)
         c.__post_init__()
         return c
+
+    @cached_property
+    def dsq(self) -> np.ndarray:
+        return _frozen(pair_dsq(self.bases, self.dirs))
 
     def __len__(self):
         return len(self.lines)
@@ -378,7 +383,7 @@ def _chart_frames(rows) -> tuple:
 
 def min_pairwise_distance(c: Configuration) -> float:
     """Smallest distance over all line pairs of the configuration."""
-    return math.sqrt(float(pair_dsq(c.bases, c.dirs).min()))
+    return math.sqrt(float(c.dsq.min()))
 
 
 def chart_rows(lines) -> np.ndarray:

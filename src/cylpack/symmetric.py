@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,9 @@ class D3Params:
 
     phi in (-pi/2, pi/2) tilts the two latitude circles apart, delta
     swings every tangent off its meridian (positive delta turns them
-    toward decreasing longitude), kappa counter-rotates the triples.
+    toward decreasing longitude), kappa in [-2pi, 2pi] counter-rotates the
+    triples; past that the chart's longitude offsets would round away.
+    Each instance keeps the configuration build_c6 makes of it.
     """
 
     phi: float
@@ -70,6 +73,13 @@ class D3Params:
         _finite_fields(self, "phi", "delta", "kappa")
         if abs(self.phi) >= math.pi / 2:
             raise ValueError(f"latitude tilt out of range: {self.phi!r}")
+        if abs(self.kappa) > 2 * math.pi:
+            raise ValueError(f"kappa out of range [-2pi, 2pi]: {self.kappa!r}")
+
+    # per instance, not per value: -0.0 and 0.0 compare equal but build different bits
+    @cached_property
+    def _c6(self) -> Configuration:
+        return chart_lines(c6_chart(self))
 
 
 def c6_chart(p: D3Params) -> tuple:
@@ -85,8 +95,9 @@ def c6_chart(p: D3Params) -> tuple:
 
 
 def build_c6(p: D3Params) -> Configuration:
-    """The six tangent lines (A, B, C, D, E, F) of the symmetric family."""
-    return chart_lines(c6_chart(p))
+    """The six tangent lines (A, B, C, D, E, F) of the symmetric family,
+    built once per D3Params instance."""
+    return p._c6
 
 
 def d3_orbit_check(c: Configuration) -> bool:
@@ -263,4 +274,4 @@ def _generic_rows(params):
 def triplets_generic(p: D3Params) -> DistanceTriplets:
     """Squared orbit distances from the generic skew-line distance on the
     built configuration (one representative pair per orbit)."""
-    return DistanceTriplets(*_generic_rows([p])[0])
+    return DistanceTriplets(*build_c6(p).dsq[_ORBIT_COLS].tolist())

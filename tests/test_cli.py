@@ -109,6 +109,14 @@ class TestEval:
         assert main(["eval", "--x", "1.5"]) == 1
         assert main(["eval", "--x", "5e-324"]) == 1  # t(x) ~ 1/x is no float
 
+    def test_kappa_domain(self, capsys):
+        # kappa past 2pi would print a collapsed d_AB and a broken symmetry; refused
+        assert main(["eval", "--kappa", "1e17"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: kappa out of range [-2pi, 2pi]: 1e+17\n"
+        rc, doc = run_json(capsys, "eval", "--kappa", "-360", "--degrees")
+        assert rc == 0 and doc["params"]["kappa"] == -2 * math.pi and doc["d3_symmetric"]
+
     @staticmethod
     def assert_refused(capsys, x, *argv):
         # below about x = 2e-13 the built configuration's min distance^2 can

@@ -568,3 +568,19 @@ class TestLongitudeReduction:
         assert rows[0, 1].hex() == kappa.hex()
         built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)])[0]
         assert same_bits(built.base, embed_point(SphericalPoint(0.0, kappa)))
+
+
+class TestConfigurationDsq:
+    @settings(deadline=None)
+    @given(ROWS, st.booleans())
+    def test_dsq_is_the_kernel_kept_read_only(self, rows, from_lines):
+        # dsq is pair_dsq of the configuration's own stacks, byte for byte, measured
+        # once and frozen, whether the configuration was charted or given bare lines
+        c = chart_lines(rows)
+        if from_lines:
+            c = Configuration(tuple(c))
+        assert c.dsq is c.dsq
+        assert c.dsq.tobytes() == pair_dsq(c.bases, c.dirs).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            c.dsq[0] = 0.0
+        assert min_pairwise_distance(c) == math.sqrt(float(pair_dsq(c.bases, c.dirs).min()))

@@ -1,22 +1,33 @@
 """Six-line family: construction, symmetry, closed distance forms."""
 
 import math
+import sys
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cylpack import lines
+from cylpack.cli import main
+from cylpack.curve import gamma_point
 from cylpack.lines import (
     DegenerateError,
     SphericalPoint,
+    chart_lines,
     distance_sq,
     embed_point,
     make_tangent_line,
     min_pairwise_distance,
+    pair_dsq,
+    radius_from_distance,
 )
 from cylpack.symmetric import (
     AlgCoords,
     D3Params,
     PAIR_ORBITS,
+    _generic_rows,
     alg_coords,
     build_c6,
     c6_chart,
@@ -187,7 +198,7 @@ class TestTripletsTrig:
 
     def test_dab_ignores_kappa(self):
         p = random_params(RNG)
-        q = D3Params(p.phi, p.delta, p.kappa + 0.7)
+        q = D3Params(p.phi, p.delta, p.kappa - 0.7)
         assert triplets_trig(p).dab_sq == triplets_trig(q).dab_sq
         assert math.isclose(
             triplets_generic(p).dab_sq, triplets_generic(q).dab_sq, rel_tol=1e-10
@@ -255,3 +266,109 @@ class TestThreeWayConsistency:
                 assert abs(y - z) <= 1e-10 * scale
             scale = max(abs(trig.dae_sq), abs(gen.dae_sq), 1e-6)
             assert abs(trig.dae_sq - gen.dae_sq) <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------- built once
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+PARAMS = st.builds(
+    D3Params,
+    st.floats(-1.57, 1.57) | SIGNED_ZERO,
+    st.floats(-4.0, 4.0) | SIGNED_ZERO,
+    st.floats(-2 * math.pi, 2 * math.pi) | SIGNED_ZERO,
+)
+
+
+def same_lines(c, d):
+    return c.bases.tobytes() == d.bases.tobytes() and c.dirs.tobytes() == d.dirs.tobytes()
+
+
+class TestBuiltOnce:
+    @settings(deadline=None)
+    @given(PARAMS)
+    @example(D3Params(0.0, 0.0, 0.0))
+    @example(D3Params(-0.0, -0.0, -0.0))
+    @example(D3Params(0.4, 0.0, 0.3))  # untilted
+    def test_generic_reads_the_kept_configuration(self, p):
+        c = build_c6(p)
+        assert build_c6(p) is c
+        assert same_lines(c, chart_lines(c6_chart(p)))
+        assert not c.dsq.flags.writeable
+        assert c.dsq.tobytes() == pair_dsq(c.bases, c.dirs).tobytes()
+        assert np.array(astuple(triplets_generic(p))).tobytes() == _generic_rows([p])[0].tobytes()
+
+    @settings(deadline=None)
+    @given(st.tuples(SIGNED_ZERO, SIGNED_ZERO, SIGNED_ZERO),
+           st.tuples(SIGNED_ZERO, SIGNED_ZERO, SIGNED_ZERO))
+    def test_equal_params_keep_their_own_lines(self, a, b):
+        # zeros of either sign compare and hash alike, so the configuration is kept
+        # per instance: each one's lines are the bits its own chart builds
+        p, q = D3Params(*a), D3Params(*b)
+        assert p == q and hash(p) == hash(q)
+        build_c6(p)
+        for r in (p, q):
+            assert same_lines(build_c6(r), chart_lines(c6_chart(r)))
+
+    def test_signed_zero_latitudes_build_different_bits(self):
+        # what the test above guards against is real: the two zeros build different lines
+        negative, positive = D3Params(-0.0, 0.0, 0.0), D3Params(0.0, 0.0, 0.0)
+        assert negative == positive
+        assert not same_lines(build_c6(negative), build_c6(positive))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of chart framings and pair-kernel calls, wherever the package binds them."""
+    counts = Counter()
+    for name in ("_chart_frames", "pair_dsq"):
+        original = getattr(lines, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "cylpack" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestFramedAndMeasuredOnce:
+    @pytest.mark.parametrize("x", [0.5, 0.25, 1e-3, 0.9])
+    def test_trajectory_point(self, kernel_calls, x):
+        # the closed forms, the min distance and the generic triplets of one point
+        sample = gamma_point(x)
+        p = sample.params
+        config = build_c6(p)
+        radius_from_distance(min_pairwise_distance(config))
+        triplets_trig(p)
+        triplets_alg(alg_coords(p))
+        triplets_generic(p)
+        assert kernel_calls == {"_chart_frames": 1, "pair_dsq": 1}
+
+    def test_eval(self, kernel_calls, capsys):
+        assert main(["eval", "--x", "0.5"]) == 0
+        assert capsys.readouterr().out
+        assert kernel_calls == {"_chart_frames": 1, "pair_dsq": 1}
+
+
+class TestKappaDomain:
+    @given(st.floats(min_value=2 * math.pi, exclude_min=True, allow_infinity=False),
+           st.booleans())
+    @example(2 * math.pi + 1e-15, False)
+    @example(1e17, True)
+    def test_refused_past_two_pi(self, kappa, negate):
+        with pytest.raises(ValueError, match=r"^kappa out of range \[-2pi, 2pi\]: "):
+            D3Params(0.4, 0.3, -kappa if negate else kappa)
+
+    @settings(deadline=None)
+    @given(st.floats(-2 * math.pi, 2 * math.pi))
+    @example(2 * math.pi)
+    @example(-2 * math.pi)
+    def test_formulations_agree_across_the_domain(self, kappa):
+        # formula-consistency's measure and bound; past the domain the chart's
+        # longitude offsets round away (about 1.8e-10 at kappa = 1e5 + 0.3)
+        p = D3Params(0.4, 0.3, kappa)
+        for a, b in zip(astuple(triplets_trig(p)), astuple(triplets_generic(p))):
+            assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-6)
+        assert d3_orbit_check(build_c6(p))
