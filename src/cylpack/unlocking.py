@@ -37,7 +37,7 @@ class GeneralParams:
     """Angles of the three-line subfamily at neighbor angle alpha.
 
     alpha in (0, pi); phi, delta, kappa as in the six-line family (which
-    is alpha = pi/3).
+    is alpha = pi/3), kappa in [-2pi, 2pi] as there.
     """
 
     alpha: float
@@ -50,6 +50,8 @@ class GeneralParams:
         _neighbor_angle(self.alpha)
         if abs(self.phi) >= math.pi / 2:
             raise ValueError(f"latitude tilt out of range: {self.phi!r}")
+        if abs(self.kappa) > 2 * math.pi:
+            raise ValueError(f"kappa out of range [-2pi, 2pi]: {self.kappa!r}")
 
 
 def build_c3(g: GeneralParams) -> Configuration:

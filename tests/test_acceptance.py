@@ -8,6 +8,7 @@ computation per process.
 """
 
 import dataclasses
+import importlib
 import inspect
 import json
 import math
@@ -231,12 +232,29 @@ def test_formula_consistency_details_pinned():
 
 
 def test_package_import_loads_the_checks_on_first_use():
+    # a fresh interpreter: the package import loads no submodule and not numpy
     code = (
-        "import sys, cylpack; print(sorted({'cylpack.acceptance', 'fractions'} & set(sys.modules)));"
-        "cylpack.run_all; print(sorted({'cylpack.acceptance', 'fractions'} & set(sys.modules)))"
+        "import sys, cylpack\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('cylpack') or m == 'numpy')\n"
+        "print(loaded()); cylpack.run_all; print({'cylpack.acceptance', 'fractions'} <= set(sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(acceptance.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split("\n") == ["[]", "['cylpack.acceptance', 'fractions']", ""]
+    assert out.split("\n") == ["['cylpack']", "True", ""]
+
+    import cylpack
+
+    for name in cylpack.__all__[:-1]:
+        home = importlib.import_module(f"cylpack.{cylpack._HOME[name]}")
+        assert getattr(cylpack, name) is getattr(home, name), name
+        assert vars(cylpack)[name] is getattr(home, name), name  # bound: later reads skip __getattr__
+        assert getattr(getattr(home, name), "__module__", home.__name__) == home.__name__, name
+    assert cylpack.__all__[-1] == "__version__"
+    namespace = {}
+    exec("from cylpack import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(cylpack.__all__)
+    with pytest.raises(AttributeError, match="^module 'cylpack' has no attribute 'no_such_name'$"):
+        cylpack.no_such_name
+    assert set(cylpack.__all__) <= set(dir(cylpack))

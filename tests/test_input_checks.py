@@ -39,12 +39,11 @@ class TestFiniteFields:
             cls(**{**fields, name: bad})
 
     @settings(deadline=None)
-    @given(st.integers(-1, 1), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-           st.integers(-6, 6), st.integers(1, 3))
-    def test_int_inputs_are_stored_as_float(self, phi, delta, kappa, d3_kappa, alpha):
+    @given(st.integers(-1, 1), st.integers(-10**6, 10**6), st.integers(-6, 6), st.integers(1, 3))
+    def test_int_inputs_are_stored_as_float(self, phi, delta, kappa, alpha):
         a = alg_coords(D3Params(0.3, 0.2, -0.4))
         for obj in (
-            D3Params(phi, delta, d3_kappa),  # D3Params' kappa lies in [-2pi, 2pi]
+            D3Params(phi, delta, kappa),  # kappa lies in [-2pi, 2pi]
             GeneralParams(alpha, phi, delta, kappa),
             AlgCoords(phi, delta, a.u_var, a.ubar_var),
         ):
