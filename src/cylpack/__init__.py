@@ -13,28 +13,34 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each home module and the public names it exports; __getattr__ imports it on first use
+# each submodule and the public names it exports; __getattr__ imports it on first use
 _EXPORTS = {
-    "acceptance": "CheckResult run_all",
-    "curve": "CurveSample RecordReport f_of_x gamma_point pure_geodetic_check record"
-             " scan_unimodality t_of_x",
-    "lines": "Configuration DegenerateError PARALLEL_TOL SphericalPoint TangentLine distance"
-             " distance_from_radius distance_sq embed_point make_tangent_line"
-             " min_pairwise_distance north_tangent radius_from_distance rotate_line rotation_matrix",
-    "scene": "SceneSpec min_surface_gap scene_obj surface_gap",
-    "search": "FreeConfig OptResult chart_c6 chart_curve chart_from_configuration chart_record"
-              " config_lines local_maximize multi_start objective perturbation_probe",
-    "symmetric": "AlgCoords D3Params DistanceTriplets alg_coords build_c6 c6_chart d3_orbit_check"
-                 " triplets_alg triplets_generic triplets_trig",
-    "unlocking": "FourCylSample GeneralParams UnlockReport alt_strategy_verdict build_c3"
-                 " dists_general four_cyl_point series_coeffs taylor_coeffs_numeric unlock_verdict",
+    "acceptance": ("CheckResult", "run_all"),
+    "curve": ("CurveSample", "RecordReport", "f_of_x", "gamma_point", "pure_geodetic_check",
+              "record", "scan_unimodality", "t_of_x"),
+    "lines": ("Configuration", "DegenerateError", "PARALLEL_TOL", "SphericalPoint", "TangentLine",
+              "distance", "distance_from_radius", "distance_sq", "embed_point", "make_tangent_line",
+              "min_pairwise_distance", "north_tangent", "radius_from_distance", "rotate_line",
+              "rotation_matrix"),
+    "scene": ("SceneSpec", "min_surface_gap", "scene_obj", "surface_gap"),
+    "search": ("FreeConfig", "OptResult", "chart_c6", "chart_curve", "chart_from_configuration",
+               "chart_record", "config_lines", "local_maximize", "multi_start", "objective",
+               "perturbation_probe"),
+    "serialize": (),
+    "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "alg_coords", "build_c6", "c6_chart",
+                  "d3_orbit_check", "triplets_alg", "triplets_generic", "triplets_trig"),
+    "unlocking": ("FourCylSample", "GeneralParams", "UnlockReport", "alt_strategy_verdict", "build_c3",
+                  "dists_general", "four_cyl_point", "series_coeffs", "taylor_coeffs_numeric",
+                  "unlock_verdict"),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME) + ["__version__"]
 
 
 def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
@@ -43,4 +49,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

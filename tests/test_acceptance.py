@@ -236,25 +236,28 @@ def test_package_import_loads_the_checks_on_first_use():
     code = (
         "import sys, cylpack\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('cylpack') or m == 'numpy')\n"
-        "print(loaded()); cylpack.run_all; print({'cylpack.acceptance', 'fractions'} <= set(sys.modules))"
+        "print(loaded()); cylpack.run_all; print({'cylpack.acceptance', 'fractions'} <= set(sys.modules))\n"
+        "print(cylpack.scene.scene_obj is cylpack.scene_obj, cylpack.serialize.__name__)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(acceptance.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split("\n") == ["['cylpack']", "True", ""]
+    assert out.split("\n") == ["['cylpack']", "True", "True cylpack.serialize", ""]
 
     import cylpack
 
-    for name in cylpack.__all__[:-1]:
-        home = importlib.import_module(f"cylpack.{cylpack._HOME[name]}")
-        assert getattr(cylpack, name) is getattr(home, name), name
-        assert vars(cylpack)[name] is getattr(home, name), name  # bound: later reads skip __getattr__
-        assert getattr(getattr(home, name), "__module__", home.__name__) == home.__name__, name
-    assert cylpack.__all__[-1] == "__version__"
+    for module, names in cylpack._EXPORTS.items():
+        home = importlib.import_module(f"cylpack.{module}")
+        assert getattr(cylpack, module) is home, module
+        for name in names:
+            assert getattr(cylpack, name) is getattr(home, name), name
+            assert vars(cylpack)[name] is getattr(home, name), name  # bound: later reads skip __getattr__
+            assert getattr(getattr(home, name), "__module__", home.__name__) == home.__name__, name
+    assert cylpack.__all__ == sorted(cylpack._HOME) + ["__version__"]
     namespace = {}
     exec("from cylpack import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(cylpack.__all__)
     with pytest.raises(AttributeError, match="^module 'cylpack' has no attribute 'no_such_name'$"):
         cylpack.no_such_name
-    assert set(cylpack.__all__) <= set(dir(cylpack))
+    assert set(cylpack.__all__) | set(cylpack._EXPORTS) <= set(dir(cylpack))
