@@ -6,12 +6,17 @@ radius r around a family of such lines avoid overlap exactly when every
 pairwise line distance is at least 2r/(1+r), which makes the conversion
 between line distances and cylinder radii the bridge between the geometry
 here and the packing statements elsewhere in the package.
+
+A chart is framed once into a C-ordered (n, 6) frame table of [base | dir]
+rows, which a Configuration keeps, making TangentLine objects only when read.
+One pair kernel measures every table, batched or not, at flat take indices
+cached per line count and layout (_chart_index).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -22,11 +27,11 @@ _TAU = 2.0 * math.pi
 # formula is 0/0 and the point-to-line fallback is used instead.
 PARALLEL_TOL = 1e-12
 
-# configurations per kernel call in every batched path: the kernel's ~35 temporaries of
-# shape (block, 15) must stay small enough that the allocator keeps their pages between
-# calls; larger ones go back to the OS when freed and fault in again on the next call
-# (about 800 minor faults a call at 2048 configurations; some processes fault at 176).
-_BLOCK = 160
+# configurations per kernel call in every batched path: the kernel's (3, 15, block) gathers
+# and its other temporaries must stay small enough that the allocator keeps their pages
+# between calls; larger ones go back to the OS when freed and fault in again on the next call
+# (a 1536-chart batch faulted about 60 pages a call at 160 in some processes, none at 128).
+_BLOCK = 128
 
 
 class DegenerateError(ArithmeticError):
@@ -87,24 +92,12 @@ def _basis(phi, kappa) -> tuple:
 
 
 def _frame_xyz(phi, kappa, ang) -> tuple:
-    """frames(phi, kappa, ang) as unstacked components (bx, by, bz, dx, dy, dz)."""
+    """Components (bx, by, bz, dx, dy, dz) of the lines at latitudes phi, longitudes kappa, along
+    the north tangent rotated by ang (pi/2: due east), over arrays or scalars; the frame
+    degenerates at the poles, which callers must reject."""
     base, (nx, ny, nz), (ex, ey, ez) = _basis(phi, kappa)
     ca, sa = np.cos(ang), np.sin(ang)
     return (*base, ca * nx + sa * ex, ca * ny + sa * ey, ca * nz + sa * ez)
-
-
-def frames(phi, kappa, ang) -> tuple:
-    """Tangency points and directions of tangent lines, over arrays.
-
-    Line k touches the sphere at latitude phi[k], longitude kappa[k] and
-    points along the north tangent rotated by ang[k] in the tangent
-    plane; ang = pi/2 points due east (toward increasing longitude).
-    Each output stacks 3-vectors on a new last axis: bases over the
-    broadcast shape of phi and kappa, dirs over that of all three.  The
-    frame degenerates at the poles, which callers must reject.
-    """
-    xyz = _frame_xyz(phi, kappa, ang)
-    return np.stack(xyz[:3], axis=-1), np.stack(xyz[3:], axis=-1)
 
 
 def _reject_poles(phi) -> None:
@@ -114,13 +107,13 @@ def _reject_poles(phi) -> None:
 
 def embed_point(p: SphericalPoint) -> np.ndarray:
     """Unit vector (cos phi cos kappa, cos phi sin kappa, sin phi)."""
-    return frames(p.phi, p.kappa, 0.0)[0]
+    return np.array(_frame_xyz(p.phi, p.kappa, 0.0)[:3])
 
 
 def north_tangent(p: SphericalPoint) -> np.ndarray:
     """Unit tangent at p pointing due north; undefined at the poles."""
     _reject_poles(p.phi)
-    return frames(p.phi, p.kappa, 0.0)[1]
+    return np.array(_frame_xyz(p.phi, p.kappa, 0.0)[3:])
 
 
 def _frozen(v: np.ndarray) -> np.ndarray:
@@ -128,37 +121,37 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _snap(v, values, target: float, tol: float, what: str, snapped) -> np.ndarray:
-    """v with rows more than tol off target taken from snapped(); raises on the first worst
-    row past 1e-9."""
+def _snap(v, values, target: float, tol: float, what: str, snapped) -> bool:
+    """Whether rows of v more than tol off target were replaced in place by snapped()'s; raises
+    on the first worst row past 1e-9."""
     off = np.abs(values - target)
     if not off.size:
-        return v
+        return False
     k = off.argmax()
     worst = off.item(k)
     if worst > 1e-9:
         raise ValueError(f"{what} = {values.item(k)!r}")
-    return v if worst <= tol else np.where(off[:, None] > tol, snapped(), v)
+    if worst > tol:
+        np.copyto(v, snapped(), where=off[:, None] > tol)
+    return worst > tol
 
 
 @np.errstate(over="ignore")  # an overflowing norm is inf, and rejected as such
-def _unit_tangent(bases: np.ndarray, dirs: np.ndarray) -> tuple:
-    """TangentLine's checks and snaps, in its order, on (n, 3) stacks.  np.vecdot rounds each
-    row like the 1-D BLAS dot of `@`, so rows get the bits they get alone.  Components are
-    checked one by one only when a squared norm is not finite (a non-finite one or overflow)."""
+def _unit_tangent(table: np.ndarray) -> np.ndarray:
+    """TangentLine's checks and snaps, in its order, in place on the rows of an (n, 6) frame table,
+    returned.  np.vecdot rounds each row like the 1-D BLAS dot of `@`, so rows get the bits they
+    get alone.  Components are checked only when a squared norm is not finite (or overflows)."""
+    bases, dirs = table[:, :3], table[:, 3:]
     nb, nd = np.sqrt(np.vecdot(bases, bases)), np.sqrt(np.vecdot(dirs, dirs))
-    if not math.isfinite(sum(nb.tolist()) + sum(nd.tolist())) and not (
-            np.isfinite(bases).all() and np.isfinite(dirs).all()):
+    if not math.isfinite(sum(nb.tolist()) + sum(nd.tolist())) and not np.isfinite(table).all():
         raise ValueError("base and dir must be finite")
-    bases = _snap(bases, nb, 1.0, 5e-16, "base must be a unit vector, |base|",
-                  lambda: bases / nb[:, None])
+    _snap(bases, nb, 1.0, 5e-16, "base must be a unit vector, |base|", lambda: bases / nb[:, None])
     dot = np.vecdot(dirs, bases)
-    tangent = _snap(dirs, dot, 0.0, 1e-15, "dir must be tangent at base, base . dir",
-                    lambda: dirs - dot[:, None] * bases)
-    if tangent is not dirs:  # rows moved by the snap need their norms again
-        nd = np.sqrt(np.vecdot(tangent, tangent))
-    return bases, _snap(tangent, nd, 1.0, 5e-16, "dir must be a unit vector, |dir|",
-                        lambda: tangent / nd[:, None])
+    if _snap(dirs, dot, 0.0, 1e-15, "dir must be tangent at base, base . dir",
+             lambda: dirs - dot[:, None] * bases):  # rows moved by the snap need their norms again
+        nd = np.sqrt(np.vecdot(dirs, dirs))
+    _snap(dirs, nd, 1.0, 5e-16, "dir must be a unit vector, |dir|", lambda: dirs / nd[:, None])
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,23 +174,20 @@ class TangentLine:
         direction = np.array(self.dir, dtype=float)
         if base.shape != (3,) or direction.shape != (3,):
             raise ValueError("base and dir must be 3-vectors")
-        bases, dirs = map(_frozen, _unit_tangent(base[None], direction[None]))
-        self.__dict__.update(base=bases[0], dir=dirs[0])
+        row = _frozen(_unit_tangent(np.concatenate((base, direction))[None]))[0]
+        self.__dict__.update(base=row[:3], dir=row[3:])
 
     @classmethod
-    def _checked(cls, base: np.ndarray, direction: np.ndarray) -> "TangentLine":
-        """Wrap frozen vectors that _unit_tangent has already checked."""
+    def _checked(cls, row: np.ndarray) -> "TangentLine":
+        """Wrap a [base | dir] row of a frozen frame table that _unit_tangent has checked."""
         line = object.__new__(cls)
-        line.__dict__.update(base=base, dir=direction)
+        line.__dict__.update(base=row[:3], dir=row[3:])
         return line
 
     def canonical(self) -> "TangentLine":
-        """Copy whose dir has a positive first nonzero component.
-
-        Gives every line one deterministic representative for printing
-        and comparisons.
-        """
-        return TangentLine(self.base, np.array(_canonical(*self.dir)))
+        """Copy whose dir has a positive first nonzero component: every line's one
+        deterministic representative for printing and comparisons."""
+        return TangentLine(self.base, _canonical(self.dir))
 
     def same_line_as(self, other: "TangentLine", tol: float = 1e-10) -> bool:
         """Whether the two lines coincide, ignoring dir orientation."""
@@ -209,13 +199,10 @@ class TangentLine:
 
 
 def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
-    """Tangent line at p, north tangent rotated by delta in the
-    tangent plane; delta = pi/2 points it due east (toward increasing
-    longitude).  Poles are rejected: the north direction is undefined
-    there.
-    """
-    _reject_poles(p.phi)
-    return TangentLine(*frames(p.phi, p.kappa, delta))
+    """Tangent line at p, north tangent rotated by delta in the tangent plane; delta = pi/2
+    points it due east (toward increasing longitude).  Poles, where north is undefined, are
+    rejected.  The line is chart_lines' for the one row (p.phi, p.kappa, delta)."""
+    return TangentLine._checked(_frame_table(p.phi, p.kappa, delta)[0])
 
 
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -235,46 +222,61 @@ def rotate_line(line: TangentLine, matrix: np.ndarray) -> TangentLine:
     return TangentLine(matrix @ line.base, matrix @ line.dir)
 
 
+def _take_index(i, j, line_step: int, comp_step: int) -> np.ndarray:
+    """(6, 3, P) flat positions of the pair kernel's operands for pairs (i[p], j[p]) in a frame
+    table holding component k (bx, by, bz, dx, dy, dz) of line l at line_step l + comp_step k:
+    u = dir_i as (y, z, x), base_j, u as (z, x, y), base_i, v = dir_j as (z, x, y) and (y, z, x)."""
+    yzx, zxy, xyz = (4, 5, 3), (5, 3, 4), (0, 1, 2)
+    operands = ((i, yzx), (j, xyz), (i, zxy), (i, xyz), (j, zxy), (j, yzx))
+    return _frozen(np.array([[[line_step * int(a) + comp_step * k for a in at] for k in comps]
+                             for at, comps in operands]))  # Python ints: no integer ufunc is mapped in
+
+
 @lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple:
-    return np.triu_indices(n, 1)
+def _chart_index(n: int, comp_major: bool = False) -> np.ndarray:
+    """_take_index of n lines' pairs i < j, in row-major order, in an (n, 6) table or (6, n) one."""
+    return _take_index(*np.triu_indices(n, 1), *((1, n) if comp_major else (6, 1)))
 
 
-def _canonical(x, y, z) -> tuple:
-    """Components of directions flipped so the first nonzero one is positive."""
-    flip = np.where(x != 0.0, x, np.where(y != 0.0, y, z)) < 0.0
-    return tuple(np.where(flip, -c, c) for c in (x, y, z))
+def _sum_xzy(m) -> np.ndarray:
+    """Sum of the x, y, z components on m's first axis, rounded as (x + z) + y."""
+    return (m[0] + m[2]) + m[1]
 
 
-def _parallel_dsq(ux, uy, uz, vx, vy, vz, wx, wy, wz) -> np.ndarray:
-    """Squared point-to-line gaps of parallel pairs, on components,
-    projected along the lexicographically larger canonical direction."""
-    a, b = _canonical(ux, uy, uz), _canonical(vx, vy, vz)
+def _canonical(d) -> np.ndarray:
+    """Directions, components on the first axis, flipped to a positive first nonzero component."""
+    flip = np.where(d[0] != 0.0, d[0], np.where(d[1] != 0.0, d[1], d[2])) < 0.0
+    return np.where(flip, -d, d)
+
+
+def _parallel_dsq(u, v, w) -> np.ndarray:
+    """Squared point-to-line gaps of parallel pairs, on (3, m) components of their directions u, v
+    and base offsets w, projected along the lexicographically larger canonical direction."""
+    a, b = _canonical(u), _canonical(v)
     keep_a = np.where(a[0] != b[0], a[0] > b[0], np.where(a[1] != b[1], a[1] > b[1], a[2] >= b[2]))
-    nx, ny, nz = (np.where(keep_a, p, q) for p, q in zip(a, b))
-    dot = (wx * nx + wz * nz) + wy * ny
-    px, py, pz = wx - dot * nx, wy - dot * ny, wz - dot * nz
-    return (px * px + pz * pz) + py * py
+    n = np.where(keep_a, a, b)
+    p = w - _sum_xzy(w * n) * n
+    return _sum_xzy(p * p)
 
 
-def _pair_dsq_xyz(bx, by, bz, dx, dy, dz) -> np.ndarray:
-    """pair_dsq on the x, y, z components of (..., n) bases and dirs."""
-    i, j = _pairs(dx.shape[-1])
-    return _uvw_dsq(*(a[..., k] for k in (i, j) for a in (dx, dy, dz)),
-                    *(a[..., j] - a[..., i] for a in (bx, by, bz)))
-
-
-def _uvw_dsq(ux, uy, uz, vx, vy, vz, wx, wy, wz) -> np.ndarray:
-    """pair_dsq's arithmetic on gathered pairs: directions u, v and base offset w = base_v - base_u."""
-    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-    denom = (cx * cx + cz * cz) + cy * cy
-    det = (cx * wx + cz * wz) + cy * wy
+def _pair_kernel(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """pair_dsq of the pairs index (from _take_index) places in a table flat on its first axis,
+    batched by any further ones; each operand is its own take, made when needed: four at most."""
+    w, c, cc = (table.take(index[k], axis=0) for k in (1, 0, 2))  # base_j, u, u
+    np.subtract(w, table.take(index[3], axis=0), out=w)  # w = base_j - base_i
+    np.multiply(c, table.take(index[4], axis=0), out=c)  # uy vz, uz vx, ux vy
+    np.multiply(cc, table.take(index[5], axis=0), out=cc)  # uz vy, ux vz, uy vx
+    np.subtract(c, cc, out=c)  # c = u x v
+    np.multiply(c, c, out=cc)
+    np.multiply(w, c, out=w)
+    denom, det = _sum_xzy(cc), _sum_xzy(w)
     parallel = denom <= PARALLEL_TOL
     if not parallel.any():
         return det * det / denom
     with np.errstate(divide="ignore", invalid="ignore"):
         dsq = det * det / denom
-    dsq[parallel] = _parallel_dsq(*(a[parallel] for a in (ux, uy, uz, vx, vy, vz, wx, wy, wz)))
+    u, base_j, _, base_i, v, _ = (table.take(k, axis=0)[:, parallel] for k in index)
+    dsq[parallel] = _parallel_dsq(u[[2, 0, 1]], v[[1, 2, 0]], base_j - base_i)
     return dsq
 
 
@@ -292,28 +294,21 @@ def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     both branches change only by exact floating-point sign flips under
     those operations.
 
-    The arithmetic is fixed elementwise, on separate x, y, z arrays:
-    c = du x dv is (uy vz - uz vy, uz vx - ux vz, ux vy - uy vx), and
-    every 3-term dot product, the fallback's included, sums as
-    (x + z) + y, the order the earlier einsum kernel rounded in, so
-    search paths stay bit for bit the same.
+    The stacks are joined into one [base | dir] frame table for the pair
+    kernel every path shares.  It takes six (3, P) operands at cached flat
+    indices (u and v each in two rolled component orders, base_j, base_i),
+    forms c = u x v = (uy vz - uz vy, uz vx - ux vz, ux vy - uy vx), c . c
+    and c . w as one ufunc each, and sums every 3-term dot product, the
+    fallback's too, as (x + z) + y, so every path keeps its bits.
     """
-    i, j = _pairs(dirs.shape[-2])
-    # one gather per side of the pairs on (base, dir) rows: fewer calls than per component
-    rows = np.concatenate((bases, dirs), axis=-1)
-    first, second = rows[..., i, :], rows[..., j, :]
-    w = second[..., :3] - first[..., :3]
-    return _uvw_dsq(*(r[..., k] for r in (first, second) for k in (3, 4, 5)),
-                    *(w[..., k] for k in range(3)))
-
-
-def _stack(lines) -> tuple:
-    return np.array([u.base for u in lines]), np.array([u.dir for u in lines])
+    table = np.concatenate((bases, dirs), axis=-1)
+    n = table.shape[-2]
+    return _pair_kernel(table.reshape(-1, 6 * n).T, _chart_index(n)).T.reshape(*table.shape[:-2], -1)
 
 
 def distance_sq(u: TangentLine, v: TangentLine) -> float:
     """Squared distance between two lines; see pair_dsq."""
-    return float(pair_dsq(*_stack((u, v)))[0])
+    return float(_pair_kernel(np.concatenate((u.base, u.dir, v.base, v.dir)), _chart_index(2))[0])
 
 
 def distance(u: TangentLine, v: TangentLine) -> float:
@@ -321,42 +316,44 @@ def distance(u: TangentLine, v: TangentLine) -> float:
     return math.sqrt(distance_sq(u, v))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Configuration:
-    """Ordered family of tangent lines (at least two), stacked read-only in bases/dirs;
-    dsq holds their pair_dsq, measured on first read and kept read-only."""
+    """Ordered family of tangent lines (at least two) in one read-only (n, 6) frame table, with
+    bases and dirs as views of it.  A chart's configuration makes its TangentLine objects on
+    first read; dsq holds the table's pair distances, measured on first read, read-only."""
 
-    lines: tuple
-    bases: np.ndarray = field(init=False, repr=False)
-    dirs: np.ndarray = field(init=False, repr=False)
+    table: np.ndarray
 
-    def __post_init__(self):
-        lines = tuple(self.lines)
+    def __init__(self, lines):
+        lines = tuple(lines)
         if len(lines) < 2:
             raise ValueError("a configuration needs at least 2 lines")
         if not all(isinstance(line, TangentLine) for line in lines):
             raise TypeError("configuration members must be TangentLine")
-        if "bases" not in self.__dict__:  # given bare lines, not by _checked
-            bases, dirs = map(_frozen, _stack(lines))
-            self.__dict__.update(bases=bases, dirs=dirs)
-        self.__dict__.update(lines=lines)
+        self.__dict__.update(lines=lines, table=_frozen(np.array([(*u.base, *u.dir) for u in lines])))
 
     @classmethod
-    def _checked(cls, bases: np.ndarray, dirs: np.ndarray) -> "Configuration":
-        """Lines over frozen (n, 3) stacks that _unit_tangent has already
-        checked, kept as the configuration's own bases and dirs."""
+    def _framed(cls, table: np.ndarray) -> "Configuration":
+        """The configuration of a frozen frame table that _unit_tangent has checked."""
+        if len(table) < 2:
+            raise ValueError("a configuration needs at least 2 lines")
         c = object.__new__(cls)
-        lines = tuple(map(TangentLine._checked, bases, dirs))
-        c.__dict__.update(lines=lines, bases=bases, dirs=dirs)
-        c.__post_init__()
+        c.__dict__["table"] = table
         return c
 
     @cached_property
+    def lines(self) -> tuple:
+        return tuple(map(TangentLine._checked, self.table))
+
+    bases = property(lambda self: self.table[:, :3])
+    dirs = property(lambda self: self.table[:, 3:])
+
+    @cached_property
     def dsq(self) -> np.ndarray:
-        return _frozen(pair_dsq(self.bases, self.dirs))
+        return _frozen(_pair_kernel(self.table.reshape(-1), _chart_index(len(self.table))))
 
     def __len__(self):
-        return len(self.lines)
+        return len(self.table)
 
     def __iter__(self):
         return iter(self.lines)
@@ -366,19 +363,22 @@ class Configuration:
 
 
 def chart_lines(rows) -> Configuration:
-    """Tangent lines from (latitude, longitude, tangent angle) rows.
-
-    Row k gives the line make_tangent_line(SphericalPoint(lat, lon), ang)
-    would build, longitude reduction included.  Poles are rejected.
-    """
-    return Configuration._checked(*map(_frozen, _chart_frames(rows)))
+    """Tangent lines from (latitude, longitude, tangent angle) rows, framed into one table:
+    row k gives the line make_tangent_line(SphericalPoint(lat, lon), ang) would build,
+    longitude reduction included.  Poles are rejected."""
+    return Configuration._framed(_chart_table(rows))
 
 
-def _chart_frames(rows) -> tuple:
-    """chart_lines' checked (n, 3) stacks of bases and dirs, without the line objects."""
+def _chart_table(rows) -> np.ndarray:
+    """chart_lines' checked, read-only (n, 6) frame table, without the configuration."""
     lat, lon, ang = np.array(rows, dtype=float).T
-    _reject_poles(lat)
-    return _unit_tangent(*frames(lat, _reduce_lon(lon), ang))
+    return _frame_table(lat, _reduce_lon(lon), ang)
+
+
+def _frame_table(phi, kappa, ang) -> np.ndarray:
+    """Checked, read-only (n, 6) frame table, one copy, at 1-D or scalar lat, reduced lon, ang."""
+    _reject_poles(phi)
+    return _frozen(_unit_tangent(np.array(_frame_xyz(phi, kappa, ang), order="F").T.reshape(-1, 6)))
 
 
 def min_pairwise_distance(c: Configuration) -> float:

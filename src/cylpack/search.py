@@ -25,10 +25,11 @@ import numpy as np
 from .lines import (
     Configuration,
     _BLOCK,
+    _chart_index,
     _frame_xyz,
-    _pair_dsq_xyz,
+    _pair_kernel,
     _positive_finite,
-    _uvw_dsq,
+    _take_index,
     chart_lines,
     chart_rows,
     min_pairwise_distance,
@@ -107,9 +108,9 @@ def _objective_batch(coords: np.ndarray) -> np.ndarray:
     c = coords.reshape(-1, N_LINES, 3)
     out = np.empty(len(c))
     for lo in range(0, len(c), _BLOCK):
-        b = c[lo:lo + _BLOCK]
-        dsq = _pair_dsq_xyz(*_frame_xyz(b[..., 0], b[..., 1], b[..., 2]))
-        np.sqrt(dsq.min(axis=-1), out=out[lo:lo + _BLOCK])
+        table = np.array(_frame_xyz(*c[lo:lo + _BLOCK].T)).reshape(6 * N_LINES, -1)
+        dsq = _pair_kernel(table, _chart_index(N_LINES, comp_major=True))
+        np.sqrt(dsq.min(axis=0), out=out[lo:lo + _BLOCK])
     return out
 
 
@@ -144,11 +145,11 @@ def _poll_tables() -> tuple:
     Per start the table holds 6 + 36 + 72 = 114 lines: the current point's
     six, the one line each axis candidate moves, and the six of each random
     candidate.  Returns each table line's (lat, lon, ang) columns in the row
-    [x, cand.ravel()], as (3, 114); the table rows (i, j) of the 375
-    distinct pairs of the point and its 48 candidates; and pair p of every
-    candidate, in _pair_dsq_xyz's order, as an index into those 375,
-    pair-major: (15, 48).  Built in plain Python: each numpy function a
-    process first calls maps more of numpy's code in.
+    [x, cand.ravel()], as (3, 114); the pair kernel's take index of the 375
+    distinct pairs of the point and its 48 candidates in their (6, 114) frame
+    table; and pair p of every candidate, in pair_dsq's order, as an index
+    into those 375, pair-major: (15, 48).  Built in plain Python up to the
+    take index: each numpy function a process first calls maps in more code.
     """
     n_axes = len(_AXES)
     charts = [list(range(N_LINES))]  # the table row of each line, point first
@@ -165,14 +166,15 @@ def _poll_tables() -> tuple:
         chart_pairs.append([pairs.setdefault((rows[i], rows[j]), len(pairs))
                             for i, j in combinations(range(N_LINES), 2)])
     table = [[cols[row] + k for row in range(len(cols))] for k in range(3)]
-    return np.array(table), *np.array(list(zip(*pairs))), np.array(list(zip(*chart_pairs[1:])))
+    take = _take_index(*zip(*pairs), 1, len(cols))
+    return np.array(table), take, np.array(list(zip(*chart_pairs[1:])))
 
 
-_TABLE_COLS, _POLL_I, _POLL_J, _CHART_PAIRS = _poll_tables()
+_TABLE_COLS, _POLL_INDEX, _CHART_PAIRS = _poll_tables()
 # starts per _poll_values call, small enough that the allocator keeps the call's
-# temporaries, (375, starts) pair arrays and the (15, 48, starts) gather of candidate
-# pairs: multi_start(32, 0, 200000) alone in a process faulted about 310-330 pages in
-# at 3-5 starts, like the full-batch search, and 7,300-19,500 at 6
+# temporaries, the kernel's (3, 375, starts) takes and the (15, 48, starts) gather of
+# candidate pairs: multi_start(32, 0, 200000) alone in a process faulted 640-700 pages
+# at 2-6 starts, 800-3,900 at 7, about 14,000 at 8 and 81,000 at all 32
 _POLL_STARTS = 4
 
 
@@ -191,9 +193,8 @@ def _poll_values(x: np.ndarray, cand: np.ndarray) -> np.ndarray:
     for lo in range(0, len(x), _POLL_STARTS):
         n = min(_POLL_STARTS, len(x) - lo)
         src = np.concatenate([x[lo:lo + n], cand[lo:lo + n].reshape(n, -1)], axis=1)
-        bx, by, bz, dx, dy, dz = _frame_xyz(*src.T.take(_TABLE_COLS, axis=0))
-        dsq = _uvw_dsq(*(a.take(k, axis=0) for k in (_POLL_I, _POLL_J) for a in (dx, dy, dz)),
-                       *(a.take(_POLL_J, axis=0) - a.take(_POLL_I, axis=0) for a in (bx, by, bz)))
+        table = np.array(_frame_xyz(*src.T.take(_TABLE_COLS, axis=0))).reshape(-1, n)
+        dsq = _pair_kernel(table, _POLL_INDEX)
         np.sqrt(dsq.take(_CHART_PAIRS, axis=0).min(axis=0).T, out=out[lo:lo + n])
     return out
 

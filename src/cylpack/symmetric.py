@@ -23,11 +23,11 @@ from .lines import (
     Configuration,
     DegenerateError,
     _BLOCK,
-    _chart_frames,
+    _chart_index,
+    _chart_table,
     _finite_fields,
-    _pairs,
+    _pair_kernel,
     chart_lines,
-    pair_dsq,
     rotate_line,
     rotation_matrix,
 )
@@ -256,18 +256,17 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
 
 
 # pair_dsq's column of each orbit's representative pair, in DistanceTriplets order
-_ORBIT_COLS = np.array([list(zip(*_pairs(6))).index(PAIR_ORBITS[o][0])
+_ORBIT_COLS = np.array([list(zip(*np.triu_indices(6, 1))).index(PAIR_ORBITS[o][0])
                         for o in ("ab", "ad", "bd", "ae")])
 
 
 def _generic_rows(params):
-    """triplets_generic of each D3Params as (len(params), 4) rows: the configurations
-    framed and checked as build_c6 does and measured by pair_dsq, _BLOCK per call."""
+    """triplets_generic of each D3Params as (len(params), 4) rows: the configurations framed
+    into a table and checked as build_c6 does, and measured by the pair kernel, _BLOCK a call."""
     out = np.empty((len(params), 4))
     for lo in range(0, len(params), _BLOCK):
-        bases, dirs = _chart_frames([row for p in params[lo:lo + _BLOCK] for row in c6_chart(p)])
-        dsq = pair_dsq(bases.reshape(-1, 6, 3), dirs.reshape(-1, 6, 3))
-        out[lo:lo + _BLOCK] = dsq[:, _ORBIT_COLS]
+        table = _chart_table([row for p in params[lo:lo + _BLOCK] for row in c6_chart(p)])
+        out[lo:lo + _BLOCK] = _pair_kernel(table.reshape(-1, 36).T, _chart_index(6))[_ORBIT_COLS].T
     return out
 
 

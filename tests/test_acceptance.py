@@ -24,7 +24,7 @@ import pytest
 
 from cylpack import acceptance
 from cylpack.acceptance import run_all
-from cylpack.lines import _chart_frames, _pair_dsq_xyz, pair_dsq
+from cylpack.lines import _chart_index, _chart_table, _pair_kernel, pair_dsq
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -201,15 +201,16 @@ def test_formula_consistency_batch_is_triplets_generic():
 
 
 def test_generic_rows_blocks_match_one_batch():
-    # _BLOCK configurations per kernel call give the bits of one call over all
-    # 1000, framed and measured component by component
+    # _BLOCK configurations per kernel call give the bits of one kernel call over all
+    # 1000 framed into one table, and those of pair_dsq on that table's stacks
     params, _, _ = acceptance._formula_points()
-    bases, dirs = _chart_frames([row for p in params for row in c6_chart(p)])
-    xyz = (a.reshape(-1, 6, 3)[..., k] for a in (bases, dirs) for k in range(3))
+    table = _chart_table([row for p in params for row in c6_chart(p)])
     pairs = list(zip(*np.triu_indices(6, 1)))
     cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
-    want = _pair_dsq_xyz(*xyz)[:, cols]
-    assert acceptance._generic_rows(params).tobytes() == want.tobytes()
+    one_call = _pair_kernel(table.reshape(-1, 36).T, _chart_index(6))[cols].T
+    stacks = pair_dsq(table[:, :3].reshape(-1, 6, 3), table[:, 3:].reshape(-1, 6, 3))[:, cols]
+    rows = acceptance._generic_rows(params)
+    assert rows.tobytes() == one_call.tobytes() == stacks.tobytes()
 
 
 def test_formula_consistency_memory_is_one_block():

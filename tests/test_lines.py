@@ -11,13 +11,17 @@ from cylpack.lines import (
     PARALLEL_TOL,
     SphericalPoint,
     TangentLine,
+    _BLOCK,
+    _chart_index,
+    _chart_table,
+    _frame_xyz,
+    _pair_kernel,
     _unit_tangent,
     chart_lines,
     chart_rows,
     distance_from_radius,
     distance_sq,
     embed_point,
-    frames,
     make_tangent_line,
     min_pairwise_distance,
     north_tangent,
@@ -26,6 +30,8 @@ from cylpack.lines import (
     rotate_line,
     rotation_matrix,
 )
+from cylpack.search import _objective_batch, chart_record, objective
+from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
 RNG = np.random.default_rng(90)  # fixed stream for the property tests
 
@@ -287,9 +293,15 @@ ROWS = st.lists(ROW, min_size=2, max_size=7)
 BATCH = st.integers(2, 7).flatmap(lambda n: st.lists(ROW, min_size=2 * n, max_size=2 * n))
 
 
+def frame_stacks(lat, lon, ang):
+    """(n, 3) stacks of tangency points and directions of the lines at these chart angles."""
+    xyz = _frame_xyz(lat, lon, ang)
+    return np.stack(xyz[:3], axis=-1), np.stack(xyz[3:], axis=-1)
+
+
 def kernel_input(rows):
     lat, lon, ang = np.array(rows).T
-    return frames(lat, lon, ang)
+    return frame_stacks(lat, lon, ang)
 
 
 def pair_index(n):
@@ -419,44 +431,46 @@ NOISE = st.sampled_from([0.0, 1e-16, 5e-16, 3e-15, 1e-12, 1e-10, 3e-9, 1e-6, 1e2
 NOISY_ROWS = st.lists(st.tuples(LAT, LON, ANG, NOISE, NOISE), min_size=1, max_size=7)
 
 
-def noisy_stack(rows, seed):
+def noisy_table(rows, seed):
+    """(n, 6) frame table of [base | dir] rows, perturbed row by row."""
     lat, lon, ang, base_noise, dir_noise = np.array(rows).T
-    bases, dirs = frames(lat, lon, ang)
+    bases, dirs = frame_stacks(lat, lon, ang)
     rng = np.random.default_rng(seed)
     bases = bases + base_noise[:, None] * rng.uniform(-1.0, 1.0, bases.shape)
     dirs = dirs + dir_noise[:, None] * rng.uniform(-1.0, 1.0, dirs.shape)
-    return bases, dirs
+    return np.concatenate((bases, dirs), axis=1)
 
 
 class TestStackedValidation:
     @settings(deadline=None, max_examples=300)
     @given(NOISY_ROWS, st.integers(0, 2**32 - 1))
     def test_matches_one_line_oracle(self, rows, seed):
-        bases, dirs = noisy_stack(rows, seed)
-        results = [one_line_check(b.copy(), d.copy()) for b, d in zip(bases, dirs)]
+        table = noisy_table(rows, seed)
+        results = [one_line_check(t[:3].copy(), t[3:].copy()) for t in table]
         good = [k for k, r in enumerate(results) if len(r) == 2]
-        out_b, out_d = _unit_tangent(bases[good], dirs[good])
+        checked = table[good]
+        assert _unit_tangent(checked) is checked  # snapped in place
         for row, k in enumerate(good):
-            assert same_bits(out_b[row], results[k][0])
-            assert same_bits(out_d[row], results[k][1])
+            assert same_bits(checked[row, :3], results[k][0])
+            assert same_bits(checked[row, 3:], results[k][1])
         bad = [(r[0], -r[1], k, r[2]) for k, r in enumerate(results) if len(r) == 3]
         if bad:
             # the earliest failing check, on its worst row (first on ties)
             with pytest.raises(ValueError) as info:
-                _unit_tangent(bases, dirs)
+                _unit_tangent(table.copy())
             assert str(info.value) == min(bad)[3]
 
     def test_forced_snaps_match_one_line_oracle(self):
         rng = np.random.default_rng(94)
         charts = rng.uniform([-1.5, 0.0, -4.0], [1.5, 7.0, 4.0], (3000, 3))
         rows = np.column_stack([charts, np.full((3000, 2), 1e-10)])
-        bases, dirs = noisy_stack(rows, 95)
-        out_b, out_d = _unit_tangent(bases, dirs)
+        table = noisy_table(rows, 95)
+        out = _unit_tangent(table.copy())
         snapped = 0
         for k in range(len(rows)):
-            ref_b, ref_d = one_line_check(bases[k].copy(), dirs[k].copy())
-            assert same_bits(out_b[k], ref_b) and same_bits(out_d[k], ref_d)
-            snapped += not (same_bits(ref_b, bases[k]) and same_bits(ref_d, dirs[k]))
+            ref_b, ref_d = one_line_check(table[k, :3].copy(), table[k, 3:].copy())
+            assert same_bits(out[k, :3], ref_b) and same_bits(out[k, 3:], ref_d)
+            snapped += not (same_bits(ref_b, table[k, :3]) and same_bits(ref_d, table[k, 3:]))
         assert snapped == len(rows)
 
     def test_single_line_messages_name_plain_floats(self):
@@ -584,3 +598,134 @@ class TestConfigurationDsq:
         with pytest.raises(ValueError, match="read-only"):
             c.dsq[0] = 0.0
         assert min_pairwise_distance(c) == math.sqrt(float(pair_dsq(c.bases, c.dirs).min()))
+
+
+# ---------------------------------------------------------------- one frame table, one pair kernel
+
+
+def oracle_canonical(x, y, z):
+    """Reference copy of the earlier component-wise canonical flip."""
+    flip = np.where(x != 0.0, x, np.where(y != 0.0, y, z)) < 0.0
+    return tuple(np.where(flip, -c, c) for c in (x, y, z))
+
+
+def oracle_parallel_dsq(ux, uy, uz, vx, vy, vz, wx, wy, wz):
+    """Reference copy of the earlier component-wise parallel fallback."""
+    a, b = oracle_canonical(ux, uy, uz), oracle_canonical(vx, vy, vz)
+    keep_a = np.where(a[0] != b[0], a[0] > b[0], np.where(a[1] != b[1], a[1] > b[1], a[2] >= b[2]))
+    nx, ny, nz = (np.where(keep_a, p, q) for p, q in zip(a, b))
+    dot = (wx * nx + wz * nz) + wy * ny
+    px, py, pz = wx - dot * nx, wy - dot * ny, wz - dot * nz
+    return (px * px + pz * pz) + py * py
+
+
+def oracle_dsq(bases, dirs):
+    """Reference copy of the earlier nine-component kernel on (..., n, 3) stacks: every pair
+    gathered component by component, the skew formula, and the parallel fallback under it."""
+    i, j = np.triu_indices(bases.shape[-2], 1)
+    ux, uy, uz, vx, vy, vz = (dirs[..., m, k] for m in (i, j) for k in range(3))
+    wx, wy, wz = (bases[..., j, k] - bases[..., i, k] for k in range(3))
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    denom = (cx * cx + cz * cz) + cy * cy
+    det = (cx * wx + cz * wz) + cy * wy
+    parallel = denom <= PARALLEL_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dsq = det * det / denom
+    if parallel.any():
+        dsq[parallel] = oracle_parallel_dsq(
+            *(a[parallel] for a in (ux, uy, uz, vx, vy, vz, wx, wy, wz)))
+    return dsq
+
+
+def oracle_charts(n, batch, seed, special):
+    """(batch, n, 3) chart rows from a seeded stream; with special, about half the lines take
+    latitudes and tangent angles whose frames have exact zero components, and a quarter of the
+    configurations are equatorial lines tilted 0 or pi, or within 3e-7 of it: every pair of
+    them exactly parallel or within PARALLEL_TOL of it."""
+    rng = np.random.default_rng(seed)
+    charts = rng.uniform([-1.5, 0.0, -4.0], [1.5, 2 * math.pi, 4.0], (batch, n, 3))
+    if special:
+        pick = rng.random((batch, n)) < 0.5
+        charts[..., 0] = np.where(pick, rng.choice([0.0, -0.0, 1.0, -1.0], (batch, n)), charts[..., 0])
+        pick = rng.random((batch, n)) < 0.5
+        angles = rng.choice([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi], (batch, n))
+        charts[..., 2] = np.where(pick, angles, charts[..., 2])
+        flat = rng.random(batch) < 0.25
+        charts[flat, :, 0] = 0.0
+        tilt = rng.choice([0.0, 0.0, 1e-7, -3e-7], (int(flat.sum()), n))  # within PARALLEL_TOL
+        charts[flat, :, 2] = rng.choice([0.0, math.pi], (int(flat.sum()), n)) + tilt
+    return charts
+
+
+class TestStackedKernelOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_single_table_matches_oracle(self, n, seed, special):
+        c = chart_lines(oracle_charts(n, 1, seed, special)[0])
+        want = oracle_dsq(c.bases, c.dirs)
+        assert c.dsq.tobytes() == want.tobytes()
+        assert pair_dsq(c.bases, c.dirs).tobytes() == want.tobytes()
+        for (i, j), k in pair_index(n).items():
+            assert np.float64(distance_sq(c[i], c[j])).tobytes() == want[k].tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 8), st.sampled_from([1, 159, 160, 161, 400, _BLOCK - 1, _BLOCK + 1]),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_batched_tables_match_oracle(self, n, batch, seed, special):
+        charts = oracle_charts(n, batch, seed, special)
+        # checked frame tables, as chart_lines and _generic_rows make them, line by line
+        table = _chart_table(charts.reshape(-1, 3))
+        bases, dirs = table[:, :3].reshape(batch, n, 3), table[:, 3:].reshape(batch, n, 3)
+        want = oracle_dsq(bases, dirs)
+        line_major = _pair_kernel(table.reshape(batch, 6 * n).T, _chart_index(n)).T
+        assert line_major.tobytes() == want.tobytes()
+        assert pair_dsq(bases, dirs).tobytes() == want.tobytes()
+        # unchecked frames, component-major, as the search's batches make them
+        xyz = _frame_xyz(*np.moveaxis(charts, -1, 0))
+        want = oracle_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1))
+        comp_major = _pair_kernel(np.array(xyz).transpose(0, 2, 1).reshape(6 * n, batch),
+                                  _chart_index(n, comp_major=True)).T
+        assert comp_major.tobytes() == want.tobytes()
+        if n == 6:
+            got = _objective_batch(charts.reshape(batch, 18))
+            assert got.tobytes() == np.sqrt(want.min(axis=-1)).tobytes()
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, 0.3, 2.0])
+    def test_untilted_c6_is_all_parallel(self, kappa):
+        p = D3Params(0.0, 0.0, kappa)
+        c = build_c6(p)
+        want = oracle_dsq(c.bases, c.dirs)
+        i, j = np.triu_indices(6, 1)
+        u, v = c.dirs[i], c.dirs[j]
+        assert np.all(np.abs(np.cross(u, v)).max(axis=-1) == 0.0)  # every pair exactly parallel
+        assert c.dsq.tobytes() == want.tobytes()
+        assert _generic_rows([p] * 3).tobytes() == np.tile(want[_ORBIT_COLS], (3, 1)).tobytes()
+
+
+class TestLazyLines:
+    @settings(deadline=None)
+    @given(ROWS)
+    def test_chart_configuration_makes_lines_on_first_read(self, rows):
+        c = chart_lines(rows)
+        min_pairwise_distance(c)
+        assert len(c) == len(rows) and c.bases.shape == c.dirs.shape == (len(rows), 3)
+        assert "lines" not in vars(c)  # measured without a TangentLine
+        first = c[0]
+        assert c.lines is c.lines and first is c.lines[0] and list(c) == list(c.lines)
+        for k, line in enumerate(c):
+            assert isinstance(line, TangentLine)
+            assert same_bits(line.base, c.table[k, :3]) and same_bits(line.dir, c.table[k, 3:])
+            assert not (line.base.flags.writeable or line.dir.flags.writeable)
+
+    def test_trajectory_point_makes_no_line(self, monkeypatch):
+        made = []
+        checked = TangentLine._checked.__func__
+        monkeypatch.setattr(TangentLine, "_checked", classmethod(
+            lambda cls, row: made.append(row) or checked(cls, row)))
+        monkeypatch.setattr(TangentLine, "__post_init__", lambda self: made.append(self))
+        p = D3Params(0.4, 0.3, 0.2)
+        min_pairwise_distance(build_c6(p))
+        triplets_generic(p)
+        objective(chart_record())
+        assert made == []
+        assert len(build_c6(p).lines) == 6 and len(made) == 6

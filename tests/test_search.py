@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cylpack.lines import (
     Configuration,
-    frames,
+    _frame_xyz,
     min_pairwise_distance,
     pair_dsq,
     rotate_line,
@@ -146,7 +146,8 @@ class TestObjective:
     def test_batch_shares_the_stacked_kernel(self, charts):
         coords = np.array(charts)
         lat, lon, ang = np.moveaxis(coords, -1, 0)
-        stacked = np.sqrt(pair_dsq(*frames(lat, lon, ang)).min(-1))
+        xyz = _frame_xyz(lat, lon, ang)
+        stacked = np.sqrt(pair_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1)).min(-1))
         batch = _objective_batch(coords.reshape(-1, 18))
         for a, b in zip(batch, stacked):
             assert a.tobytes() == b.tobytes()
@@ -406,7 +407,9 @@ def traced_peak_mb(call):
 
 
 class TestPerturbationProbe:
-    @pytest.mark.parametrize("trials", [1, search._BLOCK - 1, search._BLOCK, search._BLOCK + 1, 10000])
+    # the block edges, and 159-161: past one block and short of two
+    @pytest.mark.parametrize("trials", sorted(
+        {1, search._BLOCK - 1, search._BLOCK, search._BLOCK + 1, 159, 160, 161, 10000}))
     def test_blocks_match_one_batch(self, trials):
         # the blocked draws are the one-shot draw's stream, and the folded
         # maximum and exceed count give its report bit for bit

@@ -320,7 +320,7 @@ class TestBuiltOnce:
 def kernel_calls(monkeypatch):
     """Counts of chart framings and pair-kernel calls, wherever the package binds them."""
     counts = Counter()
-    for name in ("_chart_frames", "pair_dsq"):
+    for name in ("_frame_table", "_pair_kernel"):
         original = getattr(lines, name)
 
         def counted(*args, _name=name, _original=original):
@@ -344,12 +344,12 @@ class TestFramedAndMeasuredOnce:
         triplets_trig(p)
         triplets_alg(alg_coords(p))
         triplets_generic(p)
-        assert kernel_calls == {"_chart_frames": 1, "pair_dsq": 1}
+        assert kernel_calls == {"_frame_table": 1, "_pair_kernel": 1}
 
     def test_eval(self, kernel_calls, capsys):
         assert main(["eval", "--x", "0.5"]) == 0
         assert capsys.readouterr().out
-        assert kernel_calls == {"_chart_frames": 1, "pair_dsq": 1}
+        assert kernel_calls == {"_frame_table": 1, "_pair_kernel": 1}
 
 
 class TestKappaDomain:
