@@ -19,10 +19,8 @@ _EXPORTS = {
     "curve": ("CurveSample", "RecordReport", "f_of_x", "gamma_point", "pure_geodetic_check",
               "record", "scan_unimodality", "t_of_x"),
     "lines": ("Configuration", "DegenerateError", "PARALLEL_TOL", "SphericalPoint", "TangentLine",
-              "distance", "distance_from_radius", "distance_sq", "embed_point", "make_tangent_line",
-              "min_pairwise_distance", "north_tangent", "radius_from_distance", "rotate_line",
-              "rotation_matrix"),
-    "scene": ("SceneSpec", "min_surface_gap", "scene_obj", "surface_gap"),
+              "distance_sq", "make_tangent_line", "min_pairwise_distance", "radius_from_distance"),
+    "scene": ("SceneSpec", "min_surface_gap", "scene_obj"),
     "search": ("FreeConfig", "OptResult", "chart_c6", "chart_curve", "chart_from_configuration",
                "chart_record", "config_lines", "local_maximize", "multi_start", "objective",
                "perturbation_probe"),

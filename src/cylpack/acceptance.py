@@ -178,28 +178,24 @@ def check_initial_point() -> CheckResult:
 
 
 def check_four_cylinder_rigidity() -> CheckResult:
-    """Four cylinders keep all distances at sqrt(2) along their whole trajectory."""
+    """Four cylinders keep all distances at sqrt(2) along both branches of their trajectory."""
     worst = 0.0
     decreases = 0
     n = 100
-    for T in np.linspace(0.0, 5.0, n):
-        sample = four_cyl_point(float(T))
-        worst = max(worst, max(abs(d - 2.0) for d in sample.dists_sq))
-        base = min(sample.dists_sq)
-        p = sample.params
-        perturbed_ok = True
-        for sign in (-1.0, 1.0):
-            moved = GeneralParams(p.alpha, p.phi, p.delta, p.kappa + sign * 1e-3)
-            if not min(dists_general(moved)) < base:
-                perturbed_ok = False
-        decreases += perturbed_ok
+    for mirror in (False, True):
+        for T in np.linspace(0.0, 5.0, n).tolist():
+            sample = four_cyl_point(T, mirror)
+            worst = max(worst, max(abs(d - 2.0) for d in sample.dists_sq))
+            p = sample.params
+            moved = (GeneralParams(p.alpha, p.phi, p.delta, p.kappa + e) for e in (-1e-3, 1e-3))
+            decreases += all(min(dists_general(g)) < min(sample.dists_sq) for g in moved)
     radius = radius_from_distance(math.sqrt(2.0))
     radius_ok = abs(radius - (1.0 + math.sqrt(2.0))) <= 1e-12
     return CheckResult(
         "four-cylinder-rigidity",
-        worst <= 1e-10 and decreases == n and radius_ok,
-        f"max |d^2 - 2| = {worst:.3g} <= 1e-10 over {n} samples; kappa "
-        f"perturbations of 1e-3 decrease the minimum in {decreases}/{n}; "
+        worst <= 1e-10 and decreases == 2 * n and radius_ok,
+        f"max |d^2 - 2| = {worst:.3g} <= 1e-10 over {n} samples of each branch; kappa "
+        f"perturbations of 1e-3 decrease the minimum in {decreases}/{2 * n}; "
         f"radius_from_distance(sqrt(2)) = {radius:.17g} vs 1+sqrt(2): {radius_ok}",
     )
 
@@ -325,7 +321,7 @@ def check_local_max_probe() -> CheckResult:
     """Random perturbations of the record chart never beat it."""
     report = _record_probe()
     cap = D_RECORD + 1e-6
-    passed = report["max_found"] <= cap
+    passed = report["max_found"] <= cap and report["exceed_fraction"] == 0.0
     return CheckResult(
         "local-max-probe",
         passed,
@@ -336,15 +332,17 @@ def check_local_max_probe() -> CheckResult:
 
 
 def check_rational_angles() -> CheckResult:
-    """The record tilt angles have rational squared sines."""
+    """The record tilt and counter-rotation angles have rational squared sines."""
     report = pure_geodetic_check(Fraction(1, 2))
     phi_ok = report["sin_sq_phi"] == Fraction(3, 11)
     delta_ok = report["sin_sq_delta"] == Fraction(5, 16)
+    kappa_ok = report["sin_sq_kappa"] == Fraction(1, 16)
     return CheckResult(
         "rational-angles",
-        phi_ok and delta_ok,
+        phi_ok and delta_ok and kappa_ok,
         f"sin^2(phi) = {report['sin_sq_phi']} == 3/11: {phi_ok}; "
-        f"sin^2(delta) = {report['sin_sq_delta']} == 5/16: {delta_ok}",
+        f"sin^2(delta) = {report['sin_sq_delta']} == 5/16: {delta_ok}; "
+        f"sin^2(kappa) = {report['sin_sq_kappa']} == 1/16: {kappa_ok}",
     )
 
 

@@ -21,9 +21,7 @@ from .lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
-from .symmetric import _ORBIT_COLS, AlgCoords, D3Params, build_c6, triplets_alg
-
-SQRT3 = math.sqrt(3.0)
+from .symmetric import _ORBIT_COLS, SQRT3, AlgCoords, D3Params, build_c6, triplets_alg
 
 
 def k1(S: float, T: float, U: float) -> float:

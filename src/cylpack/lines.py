@@ -105,17 +105,6 @@ def _reject_poles(phi) -> None:
         raise ValueError("north direction undefined at the poles")
 
 
-def embed_point(p: SphericalPoint) -> np.ndarray:
-    """Unit vector (cos phi cos kappa, cos phi sin kappa, sin phi)."""
-    return np.array(_frame_xyz(p.phi, p.kappa, 0.0)[:3])
-
-
-def north_tangent(p: SphericalPoint) -> np.ndarray:
-    """Unit tangent at p pointing due north; undefined at the poles."""
-    _reject_poles(p.phi)
-    return np.array(_frame_xyz(p.phi, p.kappa, 0.0)[3:])
-
-
 def _frozen(v: np.ndarray) -> np.ndarray:
     v.flags.writeable = False
     return v
@@ -205,23 +194,6 @@ def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
     return TangentLine._checked(_frame_table(p.phi, p.kappa, delta)[0])
 
 
-def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """3x3 rotation by angle about axis, right-hand rule."""
-    k = np.asarray(axis, dtype=float)
-    n = math.sqrt(float(k @ k))
-    if n == 0.0 or not math.isfinite(n):
-        raise ValueError("rotation axis must be a nonzero vector")
-    k = k / n
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    c, s = math.cos(angle), math.sin(angle)
-    return c * np.eye(3) + s * kx + (1.0 - c) * np.outer(k, k)
-
-
-def rotate_line(line: TangentLine, matrix: np.ndarray) -> TangentLine:
-    """Image of a tangent line under a rotation matrix."""
-    return TangentLine(matrix @ line.base, matrix @ line.dir)
-
-
 def _take_index(i, j, line_step: int, comp_step: int) -> np.ndarray:
     """(6, 3, P) flat positions of the pair kernel's operands for pairs (i[p], j[p]) in a frame
     table holding component k (bx, by, bz, dx, dy, dz) of line l at line_step l + comp_step k:
@@ -309,11 +281,6 @@ def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 def distance_sq(u: TangentLine, v: TangentLine) -> float:
     """Squared distance between two lines; see pair_dsq."""
     return float(_pair_kernel(np.concatenate((u.base, u.dir, v.base, v.dir)), _chart_index(2))[0])
-
-
-def distance(u: TangentLine, v: TangentLine) -> float:
-    """Distance between two lines; sqrt of distance_sq."""
-    return math.sqrt(distance_sq(u, v))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -415,10 +382,3 @@ def radius_from_distance(d: float) -> float:
     if d >= 2:
         raise ValueError("radius unbounded at distance >= 2")
     return d / (2.0 - d)
-
-
-def distance_from_radius(r: float) -> float:
-    """Line distance at which cylinders of radius r touch: 2r/(1+r)."""
-    if not 0 <= r < math.inf:
-        raise ValueError(f"invalid radius: {r!r}")
-    return 2.0 * r / (1.0 + r)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lines import Configuration, TangentLine, _positive_finite, distance, min_pairwise_distance
+from .lines import Configuration, TangentLine, _positive_finite, min_pairwise_distance
 from .serialize import CSV_SIG, fmt_float
 
 Mesh = tuple[np.ndarray, list[tuple[int, ...]]]
@@ -107,19 +107,9 @@ def tube_mesh(
     return np.array(verts), faces
 
 
-def surface_gap(line_a: TangentLine, line_b: TangentLine, radius: float) -> float:
-    """Closest distance between the two cylinder surfaces.
-
-    Scaling a tangent line outward by (1 + radius) scales the pairwise
-    line distance by the same factor, so the gap is
-    (1 + radius) * distance - 2 * radius; zero means touching and
-    negative means overlap.
-    """
-    return (1.0 + radius) * distance(line_a, line_b) - 2.0 * radius
-
-
 def min_surface_gap(config: Configuration, radius: float) -> float:
-    """Smallest surface_gap over all cylinder pairs of the configuration."""
+    """Smallest surface gap (1 + radius) d - 2 radius over the configuration's line
+    distances d: zero means touching, negative overlap."""
     return (1.0 + radius) * min_pairwise_distance(config) - 2.0 * radius
 
 

@@ -28,8 +28,6 @@ from .lines import (
     _finite_fields,
     _pair_kernel,
     chart_lines,
-    rotate_line,
-    rotation_matrix,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -54,6 +52,20 @@ _DEGEN_TOL = 1e-12
 _NEAR_PARALLEL_TOL = 1e-4
 
 
+# d3_orbit_check's two symmetries, and the image of each line A..F under Rz
+_RZ = np.array([[-0.5, -SQRT3 / 2, 0.0], [SQRT3 / 2, -0.5, 0.0], [0.0, 0.0, 1.0]])
+_RZ_PERM = (1, 2, 0, 4, 5, 3)
+_RX = np.diag([1.0, -1.0, -1.0])
+
+
+def _check_tilt_and_twist(p) -> None:
+    """The family's range checks on p.phi, in (-pi/2, pi/2), and p.kappa, in [-2pi, 2pi]."""
+    if abs(p.phi) >= math.pi / 2:
+        raise ValueError(f"latitude tilt out of range: {p.phi!r}")
+    if abs(p.kappa) > 2 * math.pi:
+        raise ValueError(f"kappa out of range [-2pi, 2pi]: {p.kappa!r}")
+
+
 @dataclass(frozen=True)
 class D3Params:
     """Angles (phi, delta, kappa) of the symmetric family.
@@ -71,10 +83,7 @@ class D3Params:
 
     def __post_init__(self):
         _finite_fields(self, "phi", "delta", "kappa")
-        if abs(self.phi) >= math.pi / 2:
-            raise ValueError(f"latitude tilt out of range: {self.phi!r}")
-        if abs(self.kappa) > 2 * math.pi:
-            raise ValueError(f"kappa out of range [-2pi, 2pi]: {self.kappa!r}")
+        _check_tilt_and_twist(self)
 
     # per instance, not per value: -0.0 and 0.0 compare equal but build different bits
     @cached_property
@@ -100,26 +109,29 @@ def build_c6(p: D3Params) -> Configuration:
     return p._c6
 
 
+def _images_match(table: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """(6, 6) bools: whether line i of a [base | dir] table, rotated by matrix, is line j, with
+    base and dir (up to sign) within 1e-10 in every component, as TangentLine.same_line_as."""
+    rows = table.reshape(1, 6, 2, 3)
+    image = table.reshape(6, 1, 2, 3) @ matrix.T
+    off = np.abs(image - rows).max(-1)
+    flipped = np.abs(image[..., 1, :] + rows[..., 1, :]).max(-1)
+    return (off[..., 0] <= 1e-10) & (np.minimum(off[..., 1], flipped) <= 1e-10)
+
+
 def d3_orbit_check(c: Configuration) -> bool:
     """Whether a six-line configuration has the family's symmetry.
 
-    Checks, to 1e-10, that the 120-degree rotation about z permutes the
-    lines as (A,B,C,D,E,F) -> (B,C,A,E,F,D) and that the half-turn about x
-    maps the line set onto itself.
+    Rotates the rows of the configuration's frame table by the two fixed
+    matrices Rz(120 deg) = [[-1/2, -sqrt(3)/2, 0], [sqrt(3)/2, -1/2, 0],
+    [0, 0, 1]] and Rx(pi) = diag(1, -1, -1), and checks, to 1e-10 in every
+    component of base and of dir up to sign, that Rz maps the lines
+    (A,B,C,D,E,F) to (B,C,A,E,F,D) and that Rx maps the line set onto itself.
     """
     if len(c) != 6:
         raise ValueError("orbit check needs exactly 6 lines")
-    rz = rotation_matrix([0.0, 0.0, 1.0], 2 * math.pi / 3)
-    perm = (1, 2, 0, 4, 5, 3)
-    for i in range(6):
-        if not rotate_line(c[i], rz).same_line_as(c[perm[i]]):
-            return False
-    rx = rotation_matrix([1.0, 0.0, 0.0], math.pi)
-    for i in range(6):
-        image = rotate_line(c[i], rx)
-        if not any(image.same_line_as(c[j]) for j in range(6)):
-            return False
-    return True
+    rz_ok = _images_match(c.table, _RZ)[range(6), _RZ_PERM].all()
+    return bool(rz_ok and _images_match(c.table, _RX).any(axis=1).all())
 
 
 @dataclass(frozen=True)

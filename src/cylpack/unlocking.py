@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .lines import Configuration, _finite_fields, chart_lines
-from .symmetric import _alg_map, _neighbor_dists_sq
+from .symmetric import _alg_map, _check_tilt_and_twist, _neighbor_dists_sq
 
 _MARGINAL_TOL = 1e-12
 
@@ -48,10 +48,7 @@ class GeneralParams:
     def __post_init__(self):
         _finite_fields(self, "alpha", "phi", "delta", "kappa")
         _neighbor_angle(self.alpha)
-        if abs(self.phi) >= math.pi / 2:
-            raise ValueError(f"latitude tilt out of range: {self.phi!r}")
-        if abs(self.kappa) > 2 * math.pi:
-            raise ValueError(f"kappa out of range [-2pi, 2pi]: {self.kappa!r}")
+        _check_tilt_and_twist(self)
 
 
 def build_c3(g: GeneralParams) -> Configuration:

@@ -165,6 +165,43 @@ def test_curve_membership_fails_on_a_wrong_u(monkeypatch):
     assert not acceptance.check_curve_membership().passed
 
 
+def test_rational_angles_fails_on_a_wrong_kappa(monkeypatch):
+    real = acceptance.pure_geodetic_check
+
+    def tan_for_sin(x):
+        report = real(x)
+        return {**report, "sin_sq_kappa": report["sin_sq_kappa"] / (1 - report["sin_sq_kappa"])}
+
+    monkeypatch.setattr(acceptance, "pure_geodetic_check", tan_for_sin)
+    assert not acceptance.check_rational_angles().passed
+
+
+def test_local_max_probe_fails_on_any_exceeding_trial(monkeypatch):
+    # one trial of 10000 above the record, by less than the 1e-6 cap on the largest
+    report = {**acceptance._record_probe(), "exceed_fraction": 1e-4}
+    monkeypatch.setattr(acceptance, "_record_probe", lambda: report)
+    assert report["max_found"] <= acceptance.D_RECORD + 1e-6
+    assert not acceptance.check_local_max_probe().passed
+
+
+def test_four_cylinder_rigidity_fails_on_a_wrong_mirror_root(monkeypatch):
+    # the mirror branch with the sign of S T flipped in its root U = -S T + sqrt(S^2 T^2 + 1)
+    real = acceptance.four_cyl_point
+
+    def flipped(T, mirror=False):
+        sample = real(T, mirror)
+        if not mirror or T == 0.0:
+            return sample
+        S = math.sqrt(sample.s_var)
+        p = sample.params
+        U = S * T + math.sqrt(S * S * T * T + 1.0)
+        moved = dataclasses.replace(p, kappa=math.atan(U) + p.alpha / 2)
+        return dataclasses.replace(sample, params=moved, dists_sq=acceptance.dists_general(moved))
+
+    monkeypatch.setattr(acceptance, "four_cyl_point", flipped)
+    assert not acceptance.check_four_cylinder_rigidity().passed
+
+
 def test_formula_points_are_the_scalar_draws():
     # the check draws its angles in blocks; the points are those of one
     # uniform call per angle, with the same rejections

@@ -19,16 +19,11 @@ from cylpack.lines import (
     _unit_tangent,
     chart_lines,
     chart_rows,
-    distance_from_radius,
     distance_sq,
-    embed_point,
     make_tangent_line,
     min_pairwise_distance,
-    north_tangent,
     pair_dsq,
     radius_from_distance,
-    rotate_line,
-    rotation_matrix,
 )
 from cylpack.search import _objective_batch, chart_record, objective
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
@@ -38,6 +33,16 @@ RNG = np.random.default_rng(90)  # fixed stream for the property tests
 
 def random_point(rng):
     return SphericalPoint(rng.uniform(-1.4, 1.4), rng.uniform(0.0, 2 * math.pi))
+
+
+def random_rotation(rng):
+    """A random rotation matrix: the Q of a Gaussian 3x3's QR, its sign fixed so det = +1."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def rotated(line, r):
+    return TangentLine(r @ line.base, r @ line.dir)
 
 
 class TestSphericalPoint:
@@ -57,24 +62,30 @@ class TestSphericalPoint:
         with pytest.raises(ValueError):
             SphericalPoint(0.0, math.inf)
 
+    # a point embeds as the base of its tangent lines; delta = 0 points them north
     def test_embed_examples(self):
-        assert np.allclose(embed_point(SphericalPoint(0.0, 0.0)), [1, 0, 0], atol=1e-15)
-        assert np.allclose(embed_point(SphericalPoint(0.0, math.pi / 2)), [0, 1, 0], atol=1e-15)
-        assert np.allclose(embed_point(SphericalPoint(math.pi / 2, 1.3)), [0, 0, 1], atol=1e-15)
+        half = math.sqrt(0.5)
+        for (phi, kappa), want in (((0.0, 0.0), [1, 0, 0]), ((0.0, math.pi / 2), [0, 1, 0]),
+                                   ((-math.pi / 4, 3 * math.pi / 2), [0, -half, -half])):
+            line = make_tangent_line(SphericalPoint(phi, kappa), 0.3)
+            assert np.allclose(line.base, want, atol=1e-15)
 
     def test_embed_unit_norm(self):
         for _ in range(50):
-            p = random_point(RNG)
-            assert math.isclose(float(np.linalg.norm(embed_point(p))), 1.0, abs_tol=1e-15)
+            line = make_tangent_line(random_point(RNG), RNG.uniform(-math.pi, math.pi))
+            assert math.isclose(float(np.linalg.norm(line.base)), 1.0, abs_tol=1e-15)
 
     def test_north_tangent(self):
-        assert np.allclose(north_tangent(SphericalPoint(0.0, 0.0)), [0, 0, 1], atol=1e-15)
+        assert np.allclose(make_tangent_line(SphericalPoint(0.0, 0.0), 0.0).dir, [0, 0, 1], atol=1e-15)
         p = SphericalPoint(0.7, 2.1)
-        n = north_tangent(p)
-        assert math.isclose(float(np.linalg.norm(n)), 1.0, abs_tol=1e-15)
-        assert abs(float(n @ embed_point(p))) < 1e-15
+        line = make_tangent_line(p, 0.0)
+        assert math.isclose(float(np.linalg.norm(line.dir)), 1.0, abs_tol=1e-15)
+        assert abs(float(line.dir @ line.base)) < 1e-15
+        # due north: in the meridian plane of the base, rising toward the pole
+        assert abs(float(np.cross(line.base, [0.0, 0.0, 1.0]) @ line.dir)) < 1e-15
+        assert math.isclose(float(line.dir[2]), math.cos(0.7), rel_tol=1e-15)
         with pytest.raises(ValueError):
-            north_tangent(SphericalPoint(math.pi / 2, 0.0))
+            make_tangent_line(SphericalPoint(math.pi / 2, 0.0), 0.0)
 
 
 class TestTangentLine:
@@ -136,15 +147,21 @@ class TestMakeTangentLine:
         assert np.allclose(line.dir, [0, 1, 0], atol=1e-15)
 
     def test_matches_rotation_about_radius(self):
-        # independent oracle: rotate the north tangent about the base
-        # radius; delta turns it east, a negative rotation about base
+        # independent oracle: the north tangent turned about the base radius by
+        # delta toward east, cos(delta) N + sin(delta) E, in a frame written out here
         for _ in range(50):
             p = random_point(RNG)
             delta = RNG.uniform(-math.pi, math.pi)
             line = make_tangent_line(p, delta)
-            expected = rotation_matrix(embed_point(p), -delta) @ north_tangent(p)
-            assert np.allclose(line.dir, expected, atol=1e-14)
-            assert np.allclose(line.base, embed_point(p), atol=1e-15)
+            sp, cp, sk, ck = math.sin(p.phi), math.cos(p.phi), math.sin(p.kappa), math.cos(p.kappa)
+            base = np.array([cp * ck, cp * sk, sp])
+            north = np.array([-sp * ck, -sp * sk, cp])
+            east = np.array([-sk, ck, 0.0])
+            frame = np.array([base, north, east])  # orthonormal, east = north x base
+            assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+            assert np.allclose(np.cross(north, base), east, atol=1e-15)
+            assert np.allclose(line.dir, math.cos(delta) * north + math.sin(delta) * east, atol=1e-14)
+            assert np.allclose(line.base, base, atol=1e-15)
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError, match="north direction undefined"):
@@ -192,10 +209,9 @@ class TestDistance:
         for _ in range(50):
             u = make_tangent_line(random_point(RNG), RNG.uniform(-1.5, 1.5))
             v = make_tangent_line(random_point(RNG), RNG.uniform(-1.5, 1.5))
-            axis = RNG.standard_normal(3)
-            r = rotation_matrix(axis, RNG.uniform(0, 2 * math.pi))
+            r = random_rotation(RNG)
             d = distance_sq(u, v)
-            dr = distance_sq(rotate_line(u, r), rotate_line(v, r))
+            dr = distance_sq(rotated(u, r), rotated(v, r))
             assert math.isclose(dr, d, rel_tol=1e-10, abs_tol=1e-10)
 
     def test_near_parallel_consistency(self):
@@ -249,35 +265,18 @@ class TestRadius:
     def test_examples(self):
         assert radius_from_distance(1.0) == 1.0
         assert math.isclose(radius_from_distance(math.sqrt(2.0)), 1.0 + math.sqrt(2.0), rel_tol=1e-15)
-        assert distance_from_radius(1.0) == 1.0
 
     def test_round_trip(self):
+        # cylinders of radius r touch at line distance 2r/(1+r)
         for d in np.linspace(0.0, 1.9, 96):
             r = radius_from_distance(float(d))
-            assert math.isclose(distance_from_radius(r), float(d), rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(2.0 * r / (1.0 + r), float(d), rel_tol=1e-12, abs_tol=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="radius unbounded"):
             radius_from_distance(2.0)
         with pytest.raises(ValueError, match="invalid distance"):
             radius_from_distance(-0.1)
-        with pytest.raises(ValueError, match="invalid radius"):
-            distance_from_radius(-1.0)
-
-
-class TestRotationMatrix:
-    def test_quarter_turn_about_z(self):
-        r = rotation_matrix(np.array([0.0, 0.0, 1.0]), math.pi / 2)
-        assert np.allclose(r @ [1, 0, 0], [0, 1, 0], atol=1e-15)
-
-    def test_orthogonal_determinant_one(self):
-        r = rotation_matrix(RNG.standard_normal(3), RNG.uniform(0, 7))
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-14)
-        assert math.isclose(float(np.linalg.det(r)), 1.0, abs_tol=1e-14)
-
-    def test_zero_axis_rejected(self):
-        with pytest.raises(ValueError):
-            rotation_matrix(np.zeros(3), 1.0)
 
 
 # ---------------------------------------------------------------- kernel properties
@@ -581,7 +580,7 @@ class TestLongitudeReduction:
         rows = chart_rows([TangentLine([1.0, -eps, 0.0], [0.0, 0.0, 1.0])])
         assert rows[0, 1].hex() == kappa.hex()
         built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)])[0]
-        assert same_bits(built.base, embed_point(SphericalPoint(0.0, kappa)))
+        assert same_bits(built.base, make_tangent_line(SphericalPoint(0.0, kappa), 0.0).base)
 
 
 class TestConfigurationDsq:

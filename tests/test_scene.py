@@ -1,7 +1,6 @@
 """Scene meshes: unit sphere plus touching cylinders."""
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from cylpack.scene import (
     min_surface_gap,
     scene_obj,
     sphere_mesh,
-    surface_gap,
     tube_mesh,
 )
 from cylpack.symmetric import D3Params, build_c6
@@ -110,13 +108,13 @@ class TestTubeMesh:
 
 class TestSurfaceGap:
     def test_initial_configuration_touching_pairs(self):
-        # at radius 1 the six nearest pairs touch and none overlap
-        gaps = [
-            surface_gap(a, b, 1.0) for a, b in combinations(C6_INITIAL.lines, 2)
-        ]
-        touching = sum(1 for g in gaps if abs(g) <= 1e-9)
+        # at radius 1 the six nearest pairs touch and none overlap: a pair at
+        # line distance d has surface gap (1 + 1) d - 2
+        gaps = 2.0 * np.sqrt(C6_INITIAL.dsq) - 2.0
+        touching = int((np.abs(gaps) <= 1e-9).sum())
         assert touching == 6
-        assert min(gaps) >= -1e-12
+        assert gaps.min() >= -1e-12
+        assert min_surface_gap(C6_INITIAL, 1.0) == gaps.min()
 
     def test_record_configuration(self):
         rep = record()

@@ -15,11 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cylpack.lines import (
     Configuration,
+    TangentLine,
     _frame_xyz,
     min_pairwise_distance,
     pair_dsq,
-    rotate_line,
-    rotation_matrix,
 )
 from cylpack.search import (
     FreeConfig,
@@ -172,8 +171,10 @@ class TestObjective:
 
     def test_rotation_invariance(self):
         c = random_chart(RNG)
-        r = rotation_matrix(RNG.standard_normal(3), RNG.uniform(0, 6))
-        rotated = Configuration(tuple(rotate_line(line, r) for line in config_lines(c)))
+        # a random rotation: the Q of a Gaussian 3x3's QR, its sign fixed so det = +1
+        q, _ = np.linalg.qr(RNG.standard_normal((3, 3)))
+        r = q if np.linalg.det(q) > 0 else -q
+        rotated = Configuration(tuple(TangentLine(r @ u.base, r @ u.dir) for u in config_lines(c)))
         assert math.isclose(
             min_pairwise_distance(rotated), objective(c), rel_tol=1e-10, abs_tol=1e-10
         )

@@ -1,5 +1,6 @@
 """Six-line family: construction, symmetry, closed distance forms."""
 
+import json
 import math
 import sys
 from collections import Counter
@@ -7,22 +8,24 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cylpack import lines
 from cylpack.cli import main
 from cylpack.curve import gamma_point
 from cylpack.lines import (
+    Configuration,
     DegenerateError,
     SphericalPoint,
+    TangentLine,
     chart_lines,
     distance_sq,
-    embed_point,
     make_tangent_line,
     min_pairwise_distance,
     pair_dsq,
     radius_from_distance,
 )
+from cylpack.serialize import config_from_dict, config_to_dict, json_dumps
 from cylpack.symmetric import (
     AlgCoords,
     D3Params,
@@ -59,7 +62,7 @@ class TestBuild:
         lons = (math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2,
                 math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6)
         for line, lon in zip(c, lons):
-            assert np.allclose(line.base, embed_point(SphericalPoint(0.0, lon)), atol=1e-15)
+            assert np.allclose(line.base, [math.cos(lon), math.sin(lon), 0.0], atol=1e-15)
             assert abs(abs(float(line.dir[2])) - 1.0) < 1e-15  # vertical
 
     def test_chart_matches_build(self):
@@ -101,16 +104,99 @@ class TestOrbitCheck:
         lines = list(build_c6(p).lines)
         lat, lon, ang = c6_chart(p)[2]
         lines[2] = make_tangent_line(SphericalPoint(lat, lon + 0.1), ang)
-        from cylpack.lines import Configuration
-
         assert not d3_orbit_check(Configuration(tuple(lines)))
 
     def test_wrong_length_rejected(self):
-        from cylpack.lines import Configuration
-
         c = build_c6(random_params(RNG))
         with pytest.raises(ValueError):
             d3_orbit_check(Configuration(c.lines[:5]))
+
+
+def _axis_rotation(axis, angle):
+    """Rodrigues' rotation by angle about a unit axis."""
+    k = np.asarray(axis, dtype=float)
+    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    c, s = math.cos(angle), math.sin(angle)
+    return c * np.eye(3) + s * kx + (1.0 - c) * np.outer(k, k)
+
+
+def orbit_check_oracle(c, tol=1e-10):
+    """d3_orbit_check line by line: each line rotated into a new TangentLine and compared
+    with same_line_as, the rotations built by Rodrigues' formula."""
+    if len(c) != 6:
+        raise ValueError("orbit check needs exactly 6 lines")
+    rz = _axis_rotation([0.0, 0.0, 1.0], 2 * math.pi / 3)
+    rx = _axis_rotation([1.0, 0.0, 0.0], math.pi)
+    images = [[TangentLine(r @ u.base, r @ u.dir) for u in c] for r in (rz, rx)]
+    rz_ok = all(u.same_line_as(c[j], tol) for u, j in zip(images[0], (1, 2, 0, 4, 5, 3)))
+    return rz_ok and all(any(u.same_line_as(v, tol) for v in c) for u in images[1])
+
+
+def assert_agrees_with_oracle(c):
+    # where a deviation lies within 1e-14 of the tolerance, the Rodrigues matrices'
+    # rounding (cos(2pi/3) = -0.4999999999999998, sin(pi) = 1.2e-16) decides the
+    # oracle, so those ties are left to test_tie_is_decided_exactly
+    verdict = orbit_check_oracle(c, 1e-10 - 1e-14)
+    assume(verdict == orbit_check_oracle(c, 1e-10 + 1e-14))
+    assert d3_orbit_check(c) is verdict
+
+
+FAMILY = st.builds(D3Params, st.floats(-1.5, 1.5), st.floats(-math.pi, math.pi),
+                   st.floats(-2 * math.pi, 2 * math.pi))
+# one chart coordinate (row, column) moved by 10^U(-13, -8), either sign: across the 1e-10 tolerance
+NUDGE = st.tuples(st.integers(0, 5), st.integers(0, 2), st.floats(-13.0, -8.0),
+                  st.sampled_from([-1, 1]))
+
+
+def nudged(p, nudge):
+    rows = np.array(c6_chart(p))
+    if nudge is not None:
+        row, col, exponent, sign = nudge
+        rows[row, col] += sign * 10.0 ** exponent
+    return chart_lines(rows)
+
+
+class TestOrbitCheckOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(FAMILY)
+    def test_family_builds_pass(self, p):
+        c = build_c6(p)
+        assert d3_orbit_check(c) is orbit_check_oracle(c) is True
+
+    @settings(deadline=None, max_examples=300)
+    @given(FAMILY, NUDGE)
+    def test_nudged_charts_agree(self, p, nudge):
+        assert_agrees_with_oracle(nudged(p, nudge))
+
+    @settings(deadline=None, max_examples=200)
+    @given(FAMILY, st.permutations(range(6)), st.booleans())
+    def test_reordered_and_mirrored_lines_agree(self, p, order, mirror):
+        # mirror reflects every line through the plane x = 0, which reverses Rz's sense
+        m = np.diag([-1.0 if mirror else 1.0, 1.0, 1.0])
+        built = build_c6(p).lines
+        assert_agrees_with_oracle(
+            Configuration(tuple(TangentLine(m @ built[i].base, m @ built[i].dir) for i in order))
+        )
+
+    @settings(deadline=None, max_examples=50)
+    @given(FAMILY, st.one_of(st.none(), NUDGE))
+    def test_lines_documents_agree(self, p, nudge):
+        document = json.loads(json_dumps(config_to_dict(nudged(p, nudge))))
+        assert_agrees_with_oracle(config_from_dict(document))
+
+    def test_tie_is_decided_exactly(self):
+        # the untilted chart with line A's latitude moved by 1e-10: the half-turn about x
+        # maps F to a base sin(1e-10), 1e-10 once rounded, off A's in z, inside the
+        # tolerance; the oracle's rounded Rx adds about 6e-17 to that and refuses
+        c = nudged(D3Params(0.0, 0.0, 0.0), (0, 0, -10.0, 1))
+        assert d3_orbit_check(c) and not orbit_check_oracle(c)
+        assert not d3_orbit_check(nudged(D3Params(0.0, 0.0, 0.0), (0, 0, math.log10(2e-10), 1)))
+
+    def test_five_lines_rejected_alike(self):
+        c = Configuration(build_c6(D3Params(0.3, 0.2, -0.4)).lines[:5])
+        for check in (d3_orbit_check, orbit_check_oracle):
+            with pytest.raises(ValueError, match="^orbit check needs exactly 6 lines$"):
+                check(c)
 
 
 class TestOrbits:
