@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .curve import (
 )
 from .lines import chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
-from .symmetric import D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig
+from .symmetric import (
+    PAIR_ORBITS, D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig,
+)
 from .unlocking import (
     GeneralParams,
     alt_strategy_verdict,
@@ -63,18 +66,24 @@ def check_record_values() -> CheckResult:
 
 
 def check_record_configuration() -> CheckResult:
-    """Of the 15 record pairwise squared distances, 12 are 12/11 and 3 are 540/143."""
+    """Of the 15 record pairwise squared distances, the 12 of orbits ab, ad and bd are 12/11 and
+    the 3 of orbit ae are 540/143, pairs compared unordered."""
     config = build_curve_point(0.5)[1]
     values = config.dsq
     near_f = np.abs(values - 12.0 / 11.0) <= 1e-9
     near_ae = np.abs(values - 540.0 / 143.0) <= 1e-9
-    counts_ok = int(near_f.sum()) == 12 and int(near_ae.sum()) == 3
     all_covered = bool((near_f | near_ae).all())
+    pairs = [frozenset(pair) for pair in combinations(range(6), 2)]  # dsq's row-major order
+    f_pairs = {pair for pair, near in zip(pairs, near_f.tolist()) if near}
+    ae_pairs = {pair for pair, near in zip(pairs, near_ae.tolist()) if near}
+    orbit = {name: set(map(frozenset, members)) for name, members in PAIR_ORBITS.items()}
+    orbits_ok = f_pairs == orbit["ab"] | orbit["ad"] | orbit["bd"] and ae_pairs == orbit["ae"]
     return CheckResult(
         "record-configuration",
-        counts_ok and all_covered,
+        orbits_ok,  # 12 + 3 pairs, so the counts and the coverage follow
         f"12/11 within 1e-9: {int(near_f.sum())} of 15; 540/143 within 1e-9: "
-        f"{int(near_ae.sum())} of 15; every pair classified: {all_covered}",
+        f"{int(near_ae.sum())} of 15; every pair classified: {all_covered}; "
+        f"12/11 exactly on orbits ab, ad, bd and 540/143 on orbit ae: {orbits_ok}",
     )
 
 

@@ -134,11 +134,11 @@ def _check_sample(sample: CurveSample) -> None:
     if sample.x < 1.0:
         ubar = -math.tan(sample.params.kappa + math.pi / 6)
         dists = triplets_alg(AlgCoords(sample.S, sample.T, sample.U, ubar))
-        for d in dists:
-            if not abs(d - sample.f_value) <= 1e-9 * sample.f_value:
-                raise ArithmeticError(
-                    f"trajectory sample distances off F(x): {dists!r} vs {sample.f_value!r}"
-                )
+        f = sample.f_value
+        tol = 1e-9 * f
+        dab, dad, dbd = dists
+        if not (abs(dab - f) <= tol and abs(dad - f) <= tol and abs(dbd - f) <= tol):
+            raise ArithmeticError(f"trajectory sample distances off F(x): {dists!r} vs {f!r}")
 
 
 def gamma_point(x) -> CurveSample:

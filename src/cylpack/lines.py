@@ -8,9 +8,11 @@ between line distances and cylinder radii the bridge between the geometry
 here and the packing statements elsewhere in the package.
 
 A chart is framed once into a C-ordered (n, 6) frame table of [base | dir]
-rows, which a Configuration keeps, making TangentLine objects only when read.
+rows, which a Configuration keeps, making TangentLine objects only when read;
+a table whose rows pass one clean test skips the ordered checks and snaps.
 One pair kernel measures every table, batched or not, at flat take indices
-cached per line count and layout (_chart_index).
+cached per line count and layout (_chart_index): one chart's table in one
+gather, a batch one operand at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ class DegenerateError(ArithmeticError):
 
 
 def _finite_fields(obj, *names: str) -> None:
-    """Store each named field of a frozen dataclass as a float; "<name> must be finite" if not."""
+    """Store each named field of a frozen dataclass as a float; "<name> must be finite" if not.
+    D3Params and AlgCoords, built for every trajectory point, call it only when their one combined
+    test (every field a plain float, and their sum finite) fails: to convert, or to name the field."""
     for name in names:
         v = float(getattr(obj, name))
         if not math.isfinite(v):
@@ -125,11 +129,23 @@ def _snap(v, values, target: float, tol: float, what: str, snapped) -> bool:
     return worst > tol
 
 
-@np.errstate(over="ignore")  # an overflowing norm is inf, and rejected as such
+# |base . base - 1| and |dir . dir - 1| at most 7e-16 put each norm within 3.5e-16 of 1 before
+# rounding, 4.7e-16 after, so neither is snapped at 5e-16; |base . dir| is held to 1e-15 exactly
+_CLEAN = np.array([[7e-16, 1e-15], [1e-15, 7e-16]])
+_EYE = np.eye(2)
+
+
+# an overflowing norm is inf, and rejected as such; the clean test meets non-finite rows first
+@np.errstate(over="ignore", invalid="ignore")
 def _unit_tangent(table: np.ndarray) -> np.ndarray:
     """TangentLine's checks and snaps, in its order, in place on the rows of an (n, 6) frame table,
     returned.  np.vecdot rounds each row like the 1-D BLAS dot of `@`, so rows get the bits they
-    get alone.  Components are checked only when a squared norm is not finite (or overflows)."""
+    get alone.  A table whose every row passes one test on its Gram matrix [[b.b, b.d], [d.b,
+    d.d]] (NaN fails it) needs no check or snap and returns at once.  Components are checked
+    only when a squared norm is not finite (or overflows)."""
+    rows = table.reshape(-1, 2, 3)
+    if (np.abs(np.vecdot(rows[:, :, None], rows[:, None]) - _EYE) <= _CLEAN).all():
+        return table
     bases, dirs = table[:, :3], table[:, 3:]
     nb, nd = np.sqrt(np.vecdot(bases, bases)), np.sqrt(np.vecdot(dirs, dirs))
     if not math.isfinite(sum(nb.tolist()) + sum(nd.tolist())) and not np.isfinite(table).all():
@@ -178,14 +194,6 @@ class TangentLine:
         deterministic representative for printing and comparisons."""
         return TangentLine(self.base, _canonical(self.dir))
 
-    def same_line_as(self, other: "TangentLine", tol: float = 1e-10) -> bool:
-        """Whether the two lines coincide, ignoring dir orientation."""
-        if float(np.max(np.abs(self.base - other.base))) > tol:
-            return False
-        straight = float(np.max(np.abs(self.dir - other.dir)))
-        flipped = float(np.max(np.abs(self.dir + other.dir)))
-        return min(straight, flipped) <= tol
-
 
 def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
     """Tangent line at p, north tangent rotated by delta in the tangent plane; delta = pi/2
@@ -233,22 +241,29 @@ def _parallel_dsq(u, v, w) -> np.ndarray:
 
 def _pair_kernel(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """pair_dsq of the pairs index (from _take_index) places in a table flat on its first axis,
-    batched by any further ones; each operand is its own take, made when needed: four at most."""
-    w, c, cc = (table.take(index[k], axis=0) for k in (1, 0, 2))  # base_j, u, u
-    np.subtract(w, table.take(index[3], axis=0), out=w)  # w = base_j - base_i
-    np.multiply(c, table.take(index[4], axis=0), out=c)  # uy vz, uz vx, ux vy
-    np.multiply(cc, table.take(index[5], axis=0), out=cc)  # uz vy, ux vz, uy vx
+    batched by any further ones.  One chart's (1-D) table takes all six operands in one gather;
+    a batch takes each operand when needed, so it holds four (3, P, B) arrays at most, whose
+    pages the allocator keeps between calls.  The arithmetic writes only over base_j, which
+    becomes w, and u and v in (y, z, x) order, so the fallback reads u and v (z, x, y) and w."""
+    if table.ndim == 1:
+        operand = table.take(index, axis=0).__getitem__
+    else:
+        operand = lambda k: table.take(index[k], axis=0)
+    w, c, cc = operand(1), operand(0), operand(5)  # base_j, u, v
+    np.subtract(w, operand(3), out=w)  # w = base_j - base_i
+    np.multiply(c, operand(4), out=c)  # uy vz, uz vx, ux vy
+    np.multiply(cc, operand(2), out=cc)  # vy uz, vz ux, vx uy
     np.subtract(c, cc, out=c)  # c = u x v
     np.multiply(c, c, out=cc)
-    np.multiply(w, c, out=w)
-    denom, det = _sum_xzy(cc), _sum_xzy(w)
+    np.multiply(w, c, out=c)
+    denom, det = _sum_xzy(cc), _sum_xzy(c)
     parallel = denom <= PARALLEL_TOL
     if not parallel.any():
         return det * det / denom
     with np.errstate(divide="ignore", invalid="ignore"):
         dsq = det * det / denom
-    u, base_j, _, base_i, v, _ = (table.take(k, axis=0)[:, parallel] for k in index)
-    dsq[parallel] = _parallel_dsq(u[[2, 0, 1]], v[[1, 2, 0]], base_j - base_i)
+    u, v = (operand(k)[:, parallel][[1, 2, 0]] for k in (2, 4))
+    dsq[parallel] = _parallel_dsq(u, v, w[:, parallel])
     return dsq
 
 

@@ -82,7 +82,9 @@ class D3Params:
     kappa: float
 
     def __post_init__(self):
-        _finite_fields(self, "phi", "delta", "kappa")
+        phi, delta, kappa = self.phi, self.delta, self.kappa
+        if not (type(phi) is type(delta) is type(kappa) is float and math.isfinite(phi + delta + kappa)):
+            _finite_fields(self, "phi", "delta", "kappa")
         _check_tilt_and_twist(self)
 
     # per instance, not per value: -0.0 and 0.0 compare equal but build different bits
@@ -110,8 +112,8 @@ def build_c6(p: D3Params) -> Configuration:
 
 
 def _images_match(table: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """(6, 6) bools: whether line i of a [base | dir] table, rotated by matrix, is line j, with
-    base and dir (up to sign) within 1e-10 in every component, as TangentLine.same_line_as."""
+    """(6, 6) bools: whether line i of a [base | dir] table, rotated by matrix, is line j: its base
+    within 1e-10 in every component, and its dir too, up to sign, since a line is unoriented."""
     rows = table.reshape(1, 6, 2, 3)
     image = table.reshape(6, 1, 2, 3) @ matrix.T
     off = np.abs(image - rows).max(-1)
@@ -149,10 +151,12 @@ class AlgCoords:
     ubar_var: float
 
     def __post_init__(self):
-        _finite_fields(self, "s_var", "t_var", "u_var", "ubar_var")
-        if abs(self.s_var) > 1.0:
-            raise ValueError(f"S must lie in [-1, 1]: {self.s_var!r}")
-        u, ub = self.u_var, self.ubar_var
+        s, t, u, ub = self.s_var, self.t_var, self.u_var, self.ubar_var
+        if not (type(s) is type(t) is type(u) is type(ub) is float and math.isfinite(s + t + u + ub)):
+            _finite_fields(self, "s_var", "t_var", "u_var", "ubar_var")
+            s, u, ub = self.s_var, self.u_var, self.ubar_var
+        if abs(s) > 1.0:
+            raise ValueError(f"S must lie in [-1, 1]: {s!r}")
         residual = -SQRT3 * u * ub + u + ub + SQRT3
         scale = 1.0 + abs(u) + abs(ub) + abs(u * ub)
         if abs(residual) > 1e-9 * scale:
@@ -224,6 +228,11 @@ class DistanceTriplets:
     dae_sq: float
 
     def __post_init__(self):
+        ab, ad, bd, ae = self.dab_sq, self.dad_sq, self.dbd_sq, self.dae_sq
+        if type(ab) is type(ad) is type(bd) is type(ae) is float and (
+            min(ab, ad, bd, ae) >= 0.0 and math.isfinite(ab + ad + bd + ae)
+        ):
+            return
         for name in ("dab_sq", "dad_sq", "dbd_sq", "dae_sq"):
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v >= 0.0):

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from functools import lru_cache
 from pathlib import Path
 
@@ -128,6 +129,33 @@ def test_error_injection_hook_flips_the_record_check(monkeypatch):
     assert not flagged["record-values"].passed
     others = [n for n, r in flagged.items() if n != "record-values" and not r.passed]
     assert others == []
+
+
+@pytest.mark.parametrize("moved, into", [((1, 5), (1, 2)), ((2, 3), (2, 5)), ((0, 4), (5, 3))])
+def test_record_configuration_fails_on_a_pair_in_the_wrong_orbit(monkeypatch, moved, into):
+    # the record's distances with an orbit-ae pair's value swapped with a 12/11 pair's: the
+    # counts (12 and 3) and the coverage still hold, only the orbits are wrong
+    sample, config = acceptance.build_curve_point(0.5)
+    column = {pair: k for k, pair in enumerate(zip(*np.triu_indices(6, 1)))}
+    a, b = column[moved], column[tuple(sorted(into))]
+    dsq = config.dsq.copy()
+    dsq[[a, b]] = dsq[[b, a]]
+    monkeypatch.setattr(acceptance, "build_curve_point",
+                        lambda x: (sample, types.SimpleNamespace(dsq=dsq)))
+    result = acceptance.check_record_configuration()
+    assert "12 of 15; 540/143 within 1e-9: 3 of 15; every pair classified: True" in result.details
+    assert not result.passed
+
+
+@pytest.mark.parametrize("orbit, slot", [(o, k) for o in PAIR_ORBITS for k in range(1, len(PAIR_ORBITS[o]))])
+def test_record_configuration_fails_on_a_wrong_orbit_entry(monkeypatch, orbit, slot):
+    # one non-first entry of one orbit replaced by the first pair of the next orbit
+    names = list(PAIR_ORBITS)
+    other = PAIR_ORBITS[names[(names.index(orbit) + 1) % len(names)]][0]
+    members = list(PAIR_ORBITS[orbit])
+    members[slot] = other
+    monkeypatch.setattr(acceptance, "PAIR_ORBITS", {**PAIR_ORBITS, orbit: tuple(members)})
+    assert not acceptance.check_record_configuration().passed
 
 
 def test_alternate_strategy_fails_on_a_wrong_spot_coefficient(monkeypatch):

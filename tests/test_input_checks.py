@@ -3,10 +3,11 @@ angle fields, and the neighbor angle's range (0, pi)."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cylpack.symmetric import AlgCoords, D3Params, alg_coords
+from cylpack.symmetric import AlgCoords, D3Params, DistanceTriplets, alg_coords
 from cylpack.unlocking import GeneralParams, alt_strategy_verdict, series_coeffs, unlock_verdict
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -48,6 +49,25 @@ class TestFiniteFields:
             AlgCoords(phi, delta, a.u_var, a.ubar_var),
         ):
             assert all(type(v) is float for v in vars(obj).values()), obj
+
+
+TRIPLET_NAMES = ("dab_sq", "dad_sq", "dbd_sq", "dae_sq")
+
+
+class TestDistanceTriplets:
+    @settings(deadline=None)
+    @given(st.lists(st.floats(0.0, 1e308), min_size=4, max_size=4), st.sampled_from(TRIPLET_NAMES),
+           NON_FINITE | st.sampled_from([-1.0, -5e-324]))
+    def test_every_field_rejects_non_finite_and_negative(self, values, name, bad):
+        fields = dict(zip(TRIPLET_NAMES, values))
+        with pytest.raises(ValueError, match=f"^{name} must be a finite nonnegative number$"):
+            DistanceTriplets(**{**fields, name: bad})
+
+    def test_fields_are_stored_as_float(self):
+        for values in ((1, np.float64(2.0), 3, 4.0), (-0.0, 0.0, 1e308, 1e308)):  # the sum overflows
+            t = DistanceTriplets(*values)
+            assert [type(v) for v in vars(t).values()] == [float] * 4
+            assert [float(v).hex() for v in values] == [v.hex() for v in vars(t).values()]
 
 
 OUT_OF_RANGE = st.floats(max_value=0.0) | st.floats(min_value=math.pi)

@@ -1,11 +1,15 @@
 """Tangent-line geometry: constructions, distances, radius conversions."""
 
+import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cylpack import lines as lines_module
 from cylpack.lines import (
     Configuration,
     PARALLEL_TOL,
@@ -126,14 +130,6 @@ class TestTangentLine:
         c = line.canonical()
         assert np.array_equal(c.dir, [0.0, 0.0, 1.0])
         assert np.array_equal(c.canonical().dir, c.dir)
-
-    def test_same_line_as(self):
-        a = make_tangent_line(SphericalPoint(0.5, 1.0), 0.25)
-        b = TangentLine(a.base, -a.dir)
-        assert a.same_line_as(b)
-        c = make_tangent_line(SphericalPoint(0.5, 1.0 + 1e-6), 0.25)
-        assert not a.same_line_as(c)
-        assert a.same_line_as(c, tol=1e-3)
 
 
 class TestMakeTangentLine:
@@ -511,6 +507,71 @@ class TestStackedValidation:
                 c.dirs[0, 0] = 0.0
 
 
+def near(value):
+    """The double nearest value and its two neighbours."""
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+# |base| and |dir| at the doubles around 1 -+ 5e-16 and 1 -+ 1e-15, and base . dir at the doubles
+# around -+5e-16 and -+1e-15: each one ulp inside, at, or outside a snap threshold
+NORMS = [1.0] + [v for t in (5e-16, 1e-15) for s in (-1, 1) for v in near(1 + s * t)]
+DOTS = [0.0] + [v for t in (5e-16, 1e-15) for s in (-1, 1) for v in near(s * t)]
+# (|base|, |dir|, base . dir, which axis base lies on, sign of dir)
+THRESHOLD_ROWS = st.lists(st.tuples(st.sampled_from(NORMS), st.sampled_from(NORMS),
+                                    st.sampled_from(DOTS), st.integers(0, 2), st.sampled_from([-1, 1])),
+                          min_size=2, max_size=6)
+
+
+def threshold_table(rows):
+    """(n, 6) table of axis-aligned rows: base = nb e_k, dir = t e_k + nd s e_(k+1), so that
+    |base| = nb exactly, and base . dir = nb t, |dir| = nd to within an ulp."""
+    table = np.zeros((len(rows), 6))
+    for r, (nb, nd, t, k, s) in enumerate(rows):
+        table[r, k] = nb
+        table[r, 3 + k] = t
+        table[r, 3 + (k + 1) % 3] = s * nd
+    return table
+
+
+def checked(table):
+    """_unit_tangent's table, or its message."""
+    try:
+        return _unit_tangent(table).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def checked_in_order(table):
+    """checked(table) with the clean-table exit shut, so every table takes the ordered path."""
+    with mock.patch.object(lines_module, "_CLEAN", np.full((2, 2), -1.0)):
+        return checked(table)
+
+
+class TestCleanTableExit:
+    def test_fast_exit_agrees_with_the_ordered_path_row_by_row(self):
+        for row in itertools.product(NORMS, NORMS, DOTS, [0], [1]):
+            table = threshold_table([row])
+            assert checked(table.copy()) == checked_in_order(table.copy()), row
+
+    @settings(deadline=None, max_examples=300)
+    @given(THRESHOLD_ROWS)
+    def test_fast_exit_agrees_with_the_ordered_path(self, rows):
+        table = threshold_table(rows)
+        assert checked(table.copy()) == checked_in_order(table.copy())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("column", range(6))
+    def test_nonfinite_rows_raise_the_ordered_message_without_a_warning(self, bad, column):
+        # 1e200 is finite, but its square overflows
+        table = threshold_table([(1.0, 1.0, 0.0, 0, 1)] * 4)
+        table[2, column] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = checked(table.copy())
+            assert checked_in_order(table.copy()) == message
+        assert (message == "base and dir must be finite") is (bad != 1e200)
+
+
 # ---------------------------------------------------------------- parallel fallback and longitudes
 
 
@@ -597,6 +658,19 @@ class TestConfigurationDsq:
         with pytest.raises(ValueError, match="read-only"):
             c.dsq[0] = 0.0
         assert min_pairwise_distance(c) == math.sqrt(float(pair_dsq(c.bases, c.dirs).min()))
+
+    @settings(deadline=None)
+    @given(st.integers(2, 7).flatmap(
+        lambda n: st.lists(st.lists(ROW, min_size=n, max_size=n), min_size=1, max_size=4)))
+    @example([[(0.0, 0.3, 0.0), (0.0, 1.9, math.pi), (0.0, 4.0, 0.0)]])  # every pair parallel
+    def test_one_chart_matches_the_batch_bytewise(self, charts):
+        # one chart's gather against the batch's takes: the same bits, the fallback's included
+        configs = [chart_lines(rows) for rows in charts]
+        batch = pair_dsq(np.stack([c.bases for c in configs]), np.stack([c.dirs for c in configs]))
+        for c, want in zip(configs, batch):
+            assert c.dsq.tobytes() == want.tobytes()
+            pairs = zip(*np.triu_indices(len(c), 1))
+            assert np.array([distance_sq(c[i], c[j]) for i, j in pairs]).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- one frame table, one pair kernel

@@ -17,6 +17,7 @@ from cylpack.serialize import (
     line_from_dict,
     line_to_dict,
 )
+from helpers import same_line
 
 RNG = np.random.default_rng(95)
 
@@ -106,7 +107,7 @@ class TestLineRoundTrip:
         again = config_from_dict(json.loads(json_dumps(config_to_dict(config))))
         assert len(again) == len(config)
         for a, b in zip(again, config):
-            assert a.same_line_as(b, tol=1e-14)
+            assert same_line(a, b, tol=1e-14)
 
     def test_chart_document_refused(self):
         # a {"coords": [...]} chart is not a lines document; the command line reads it itself

@@ -39,6 +39,7 @@ from cylpack.symmetric import (
     triplets_generic,
     triplets_trig,
 )
+from helpers import same_line
 
 RNG = np.random.default_rng(91)
 
@@ -71,7 +72,7 @@ class TestBuild:
         c = build_c6(p)
         for (lat, lon, ang), line in zip(chart, c):
             rebuilt = make_tangent_line(SphericalPoint(lat, lon), ang)
-            assert line.same_line_as(rebuilt, tol=1e-14)
+            assert same_line(line, rebuilt, tol=1e-14)
 
     def test_upper_triple_meets_axis(self):
         # at kappa = delta = 0 the upper lines run along their meridians
@@ -122,14 +123,14 @@ def _axis_rotation(axis, angle):
 
 def orbit_check_oracle(c, tol=1e-10):
     """d3_orbit_check line by line: each line rotated into a new TangentLine and compared
-    with same_line_as, the rotations built by Rodrigues' formula."""
+    with same_line, the rotations built by Rodrigues' formula."""
     if len(c) != 6:
         raise ValueError("orbit check needs exactly 6 lines")
     rz = _axis_rotation([0.0, 0.0, 1.0], 2 * math.pi / 3)
     rx = _axis_rotation([1.0, 0.0, 0.0], math.pi)
     images = [[TangentLine(r @ u.base, r @ u.dir) for u in c] for r in (rz, rx)]
-    rz_ok = all(u.same_line_as(c[j], tol) for u, j in zip(images[0], (1, 2, 0, 4, 5, 3)))
-    return rz_ok and all(any(u.same_line_as(v, tol) for v in c) for u in images[1])
+    rz_ok = all(same_line(u, c[j], tol) for u, j in zip(images[0], (1, 2, 0, 4, 5, 3)))
+    return rz_ok and all(any(same_line(u, v, tol) for v in c) for u in images[1])
 
 
 def assert_agrees_with_oracle(c):

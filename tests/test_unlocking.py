@@ -19,6 +19,7 @@ from cylpack.unlocking import (
     taylor_coeffs_numeric,
     unlock_verdict,
 )
+from helpers import same_line
 
 RNG = np.random.default_rng(93)
 
@@ -89,7 +90,7 @@ class TestDistsGeneral:
         c3 = build_c3(GeneralParams(math.pi / 3, phi, delta, kappa))
         c6 = build_c6(D3Params(phi, delta, kappa))
         for line3, line6 in zip(c3, (c6[0], c6[1], c6[3])):
-            assert line3.same_line_as(line6, tol=1e-14)
+            assert same_line(line3, line6, tol=1e-14)
 
 
 class TestSeries:
