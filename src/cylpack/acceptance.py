@@ -21,13 +21,16 @@ from .curve import (
     build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record,
     scan_unimodality, u_from_st,
 )
-from .lines import chart_lines, distance_sq, radius_from_distance
+from .lines import (
+    _chart_index, _chart_table, _pair_kernel, chart_lines, distance_sq, radius_from_distance,
+)
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
     PAIR_ORBITS, D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig,
 )
 from .unlocking import (
     GeneralParams,
+    _c3_chart,
     alt_strategy_verdict,
     dists_general,
     four_cyl_point,
@@ -107,8 +110,26 @@ def _formula_points() -> tuple:
     return params, trig, alg
 
 
+def _ring_points() -> tuple:
+    """check_formula_consistency's 2n-ring points from 100 random draws, skipping |delta| < 1e-3
+    and DegenerateError as _formula_points does: (GeneralParams, dists_general) lists."""
+    rng = np.random.default_rng(2027)
+    lo, hi = (0.1, 0.01, -1.5, 0.0), (3.0, 1.5, 1.5, 2.0 * math.pi)  # of (alpha, phi, delta, kappa)
+    params, closed = [], []
+    for g in (GeneralParams(*row) for row in rng.uniform(lo, hi, (100, 4)).tolist()):
+        if abs(g.delta) < 1e-3:
+            continue
+        try:
+            closed.append(dists_general(g))
+        except DegenerateError:
+            continue
+        params.append(g)
+    return params, closed
+
+
 def check_formula_consistency() -> CheckResult:
-    """Trig, algebraic, and generic distances agree at 1000 random points."""
+    """Trig, algebraic, and generic distances agree at 1000 random points of the six-line family,
+    and the 2n-ring's closed forms agree with its built lines at 100 random points."""
     params, trigs, algs = _formula_points()
     worst = 0.0
     for trig, alg, (*gen, gen_dae) in zip(trigs, algs, _generic_rows(params).tolist()):
@@ -117,10 +138,20 @@ def check_formula_consistency() -> CheckResult:
             worst = max(worst, abs(x - y) / scale, abs(y - z) / scale)
         scale = max(abs(trig.dae_sq), abs(gen_dae), 1e-6)
         worst = max(worst, abs(trig.dae_sq - gen_dae) / scale)
+    ring, closed = _ring_points()
+    # build_c3's configurations framed into one table and measured by one kernel call, as
+    # _generic_rows does: (AB, AD, BD) per point, the order of dists_general
+    table = _chart_table([row for g in ring for row in _c3_chart(g)])
+    built = _pair_kernel(table.reshape(-1, 18).T, _chart_index(3)).T.tolist()
+    ring_worst = 0.0
+    for xs, ys in zip(closed, built):
+        for x, y in zip(xs, ys):
+            ring_worst = max(ring_worst, abs(x - y) / max(abs(x), abs(y), 1e-6))
     return CheckResult(
         "formula-consistency",
-        worst <= 1e-10,
-        f"1000 points, worst pairwise relative deviation {worst:.3g} <= 1e-10",
+        worst <= 1e-10 and ring_worst <= 1e-10,
+        f"1000 points, worst pairwise relative deviation {worst:.3g} <= 1e-10; {len(ring)} ring "
+        f"points, alpha in [0.1, 3], dists_general vs build_c3 worst {ring_worst:.3g} <= 1e-10",
     )
 
 
@@ -329,14 +360,14 @@ def check_optimizer_cross_check() -> CheckResult:
 def check_local_max_probe() -> CheckResult:
     """Random perturbations of the record chart never beat it."""
     report = _record_probe()
-    cap = D_RECORD + 1e-6
-    passed = report["max_found"] <= cap and report["exceed_fraction"] == 0.0
+    max_ok = report["max_found"] <= D_RECORD + 1e-6
+    none_exceed = report["exceed_fraction"] == 0.0
     return CheckResult(
         "local-max-probe",
-        passed,
+        max_ok and none_exceed,
         f"radius 1e-3, 10000 trials, seed 0: max objective found "
-        f"{report['max_found']:.17g} <= sqrt(12/11) + 1e-6: {passed} "
-        f"(exceed fraction {report['exceed_fraction']:.3g})",
+        f"{report['max_found']:.17g} <= sqrt(12/11) + 1e-6: {max_ok}; "
+        f"exceed fraction {report['exceed_fraction']:.3g} == 0: {none_exceed}",
     )
 
 

@@ -11,8 +11,8 @@ A chart is framed once into a C-ordered (n, 6) frame table of [base | dir]
 rows, which a Configuration keeps, making TangentLine objects only when read;
 a table whose rows pass one clean test skips the ordered checks and snaps.
 One pair kernel measures every table, batched or not, at flat take indices
-cached per line count and layout (_chart_index): one chart's table in one
-gather, a batch one operand at a time.
+cached per line count and layout (_chart_index); _pair_kernel's docstring is
+its one statement: formula, parallel fallback, symmetries, rounding, pair order.
 """
 
 from __future__ import annotations
@@ -240,11 +240,19 @@ def _parallel_dsq(u, v, w) -> np.ndarray:
 
 
 def _pair_kernel(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """pair_dsq of the pairs index (from _take_index) places in a table flat on its first axis,
-    batched by any further ones.  One chart's (1-D) table takes all six operands in one gather;
-    a batch takes each operand when needed, so it holds four (3, P, B) arrays at most, whose
-    pages the allocator keeps between calls.  The arithmetic writes only over base_j, which
-    becomes w, and u and v in (y, z, x) order, so the fallback reads u and v (z, x, y) and w."""
+    """Squared distances of the line pairs index (from _take_index) places in a frame table flat
+    on its first axis, batched by any further ones; _chart_index's pairs i < j come in row-major
+    order.  A pair with directions u, v and w = base_j - base_i is at det^2[u, v, w] / |u x v|^2;
+    |u x v|^2 equals 1 - (u . v)^2 for unit vectors but does not cancel near parallel.  Where it
+    is at most PARALLEL_TOL that form is 0/0, and the squared point-to-line gap (_parallel_dsq) is
+    used instead.  Each value is exactly invariant under swapping the lines or negating either
+    direction (both branches change only by exact sign flips), and every 3-term sum, the
+    fallback's too, is rounded (x + z) + y, so one chart and a batch get the same bits.
+
+    One chart's (1-D) table takes all six operands in one gather; a batch takes each when
+    needed, holding four (3, P, B) arrays at most, whose pages the allocator keeps between calls.
+    c = u x v, c . c and c . w are one ufunc each, written over base_j (becoming w) and u and v
+    (y, z, x), so the fallback reads u and v (z, x, y) and w."""
     if table.ndim == 1:
         operand = table.take(index, axis=0).__getitem__
     else:
@@ -267,34 +275,8 @@ def _pair_kernel(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return dsq
 
 
-def pair_dsq(bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Squared distances of all line pairs i < j, in row-major order.
-
-    bases and dirs are (..., n, 3) stacks of tangency points and unit
-    directions; the result has shape (..., n(n-1)/2).  Skew pairs use
-    det^2[du, dv, w] / |du x dv|^2 with w = base_j - base_i; the
-    denominator equals 1 - (du . dv)^2 for unit vectors but is free of
-    its catastrophic cancellation near parallel pairs.  Within
-    PARALLEL_TOL of parallel that formula is 0/0 and the squared
-    point-to-line gap is used instead.  Every value is exactly invariant
-    under swapping the two lines and under negating either direction:
-    both branches change only by exact floating-point sign flips under
-    those operations.
-
-    The stacks are joined into one [base | dir] frame table for the pair
-    kernel every path shares.  It takes six (3, P) operands at cached flat
-    indices (u and v each in two rolled component orders, base_j, base_i),
-    forms c = u x v = (uy vz - uz vy, uz vx - ux vz, ux vy - uy vx), c . c
-    and c . w as one ufunc each, and sums every 3-term dot product, the
-    fallback's too, as (x + z) + y, so every path keeps its bits.
-    """
-    table = np.concatenate((bases, dirs), axis=-1)
-    n = table.shape[-2]
-    return _pair_kernel(table.reshape(-1, 6 * n).T, _chart_index(n)).T.reshape(*table.shape[:-2], -1)
-
-
 def distance_sq(u: TangentLine, v: TangentLine) -> float:
-    """Squared distance between two lines; see pair_dsq."""
+    """Squared distance between two lines; see _pair_kernel."""
     return float(_pair_kernel(np.concatenate((u.base, u.dir, v.base, v.dir)), _chart_index(2))[0])
 
 

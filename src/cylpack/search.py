@@ -147,7 +147,7 @@ def _poll_tables() -> tuple:
     candidate.  Returns each table line's (lat, lon, ang) columns in the row
     [x, cand.ravel()], as (3, 114); the pair kernel's take index of the 375
     distinct pairs of the point and its 48 candidates in their (6, 114) frame
-    table; and pair p of every candidate, in pair_dsq's order, as an index
+    table; and pair p of every candidate, in row-major i < j order, as an index
     into those 375, pair-major: (15, 48).  Built in plain Python up to the
     take index: each numpy function a process first calls maps in more code.
     """

@@ -32,8 +32,9 @@ from .lines import (
 
 SQRT3 = math.sqrt(3.0)
 
-_UPPER_LON = (math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2)
-_LOWER_LON = (math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6)
+# the ring's longitudes as twelfths of a turn, m * 2pi / 12: slots 1, 5, 9 above, 3, 7, 11 below
+_UPPER_LON = tuple(m * (2 * math.pi) / 12 for m in (1, 5, 9))
+_LOWER_LON = tuple(m * (2 * math.pi) / 12 for m in (3, 7, 11))
 
 # pair index orbits under the symmetry group, lines ordered A..F = 0..5
 PAIR_ORBITS = {
@@ -276,7 +277,7 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
     return DistanceTriplets(dab, dad, dbd, dae)
 
 
-# pair_dsq's column of each orbit's representative pair, in DistanceTriplets order
+# each orbit's representative pair as its column in row-major i < j order, in DistanceTriplets order
 _ORBIT_COLS = np.array([list(zip(*np.triu_indices(6, 1))).index(PAIR_ORBITS[o][0])
                         for o in ("ab", "ad", "bd", "ae")])
 

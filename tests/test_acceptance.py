@@ -25,7 +25,8 @@ import pytest
 
 from cylpack import acceptance
 from cylpack.acceptance import run_all
-from cylpack.lines import _chart_index, _chart_table, _pair_kernel, pair_dsq
+from cylpack.unlocking import build_c3
+from cylpack.lines import _chart_index, _chart_table, _pair_kernel
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -36,6 +37,8 @@ from cylpack.symmetric import (
     triplets_alg,
     triplets_generic,
 )
+
+from helpers import batched_dsq
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -209,7 +212,19 @@ def test_local_max_probe_fails_on_any_exceeding_trial(monkeypatch):
     report = {**acceptance._record_probe(), "exceed_fraction": 1e-4}
     monkeypatch.setattr(acceptance, "_record_probe", lambda: report)
     assert report["max_found"] <= acceptance.D_RECORD + 1e-6
-    assert not acceptance.check_local_max_probe().passed
+    result = acceptance.check_local_max_probe()
+    assert not result.passed
+    # each condition reports its own verdict: the maximum holds, the fraction does not
+    assert result.details.endswith(
+        " <= sqrt(12/11) + 1e-6: True; exceed fraction 0.0001 == 0: False"
+    )
+
+
+def test_local_max_probe_details_pinned():
+    assert _results()["local-max-probe"].details == (
+        "radius 1e-3, 10000 trials, seed 0: max objective found 1.0441449650842853 "
+        "<= sqrt(12/11) + 1e-6: True; exceed fraction 0 == 0: True"
+    )
 
 
 def test_four_cylinder_rigidity_fails_on_a_wrong_mirror_root(monkeypatch):
@@ -261,21 +276,20 @@ def test_formula_consistency_batch_is_triplets_generic():
     for p, row in zip(params, rows):
         t = triplets_generic(p)
         c = build_c6(p)
-        for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq], pair_dsq(c.bases, c.dirs)[cols]):
+        for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq], batched_dsq(c.bases, c.dirs)[cols]):
             assert row.tobytes() == np.array(want).tobytes()
 
 
 def test_generic_rows_blocks_match_one_batch():
     # _BLOCK configurations per kernel call give the bits of one kernel call over all
-    # 1000 framed into one table, and those of pair_dsq on that table's stacks
+    # 1000 framed into one table
     params, _, _ = acceptance._formula_points()
     table = _chart_table([row for p in params for row in c6_chart(p)])
     pairs = list(zip(*np.triu_indices(6, 1)))
     cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
     one_call = _pair_kernel(table.reshape(-1, 36).T, _chart_index(6))[cols].T
-    stacks = pair_dsq(table[:, :3].reshape(-1, 6, 3), table[:, 3:].reshape(-1, 6, 3))[:, cols]
     rows = acceptance._generic_rows(params)
-    assert rows.tobytes() == one_call.tobytes() == stacks.tobytes()
+    assert rows.tobytes() == one_call.tobytes()
 
 
 def test_formula_consistency_memory_is_one_block():
@@ -293,8 +307,36 @@ def test_formula_consistency_memory_is_one_block():
 
 def test_formula_consistency_details_pinned():
     assert _results()["formula-consistency"].details == (
-        "1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10"
+        "1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10; 100 ring points, "
+        "alpha in [0.1, 3], dists_general vs build_c3 worst 1.16e-13 <= 1e-10"
     )
+
+
+@pytest.mark.parametrize("line", [0, 1, 2])
+def test_formula_consistency_fails_on_a_wrong_ring_longitude(monkeypatch, line):
+    # build_c3's rows (A, B, D) with one line's longitude scaled by 1.001: the six-line
+    # points never build the ring, so only its own rows can catch this
+    real = acceptance._c3_chart
+
+    def moved(g):
+        rows = [list(row) for row in real(g)]
+        rows[line][1] *= 1.001
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(acceptance, "_c3_chart", moved)
+    result = acceptance.check_formula_consistency()
+    assert not result.passed
+    assert result.details.startswith("1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10;")
+
+
+def test_ring_points_are_build_c3s():
+    # the check's batch gives each ring point the bits of its own build_c3 configuration
+    params, closed = acceptance._ring_points()
+    assert len(params) == len(closed) == 100
+    table = _chart_table([row for g in params for row in acceptance._c3_chart(g)])
+    built = _pair_kernel(table.reshape(-1, 18).T, _chart_index(3)).T
+    for g, want in zip(params, built):
+        assert build_c3(g).dsq.tobytes() == want.tobytes()
 
 
 def test_package_import_loads_the_checks_on_first_use():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cylpack import curve
 from cylpack.lines import (
     DegenerateError,
     distance_sq,
@@ -302,6 +303,17 @@ class TestScan:
     def test_small_grid(self):
         report = scan_unimodality(3)
         assert report["argmax_x"] == 0.5
+
+    @pytest.mark.parametrize("grid_size", [3, 5, 1001])
+    def test_odd_grid_holds_one_half(self, grid_size, monkeypatch):
+        # F is read at x_i = i/(grid_size + 1), i = 1..grid_size, so an odd grid holds 1/2
+        # exactly, and that is its argmax; a grid shifted one step still holds 1/2
+        seen = []
+        monkeypatch.setattr(curve, "f_of_x", lambda x: seen.append(x) or f_of_x(x))
+        report = scan_unimodality(grid_size)
+        assert seen == [i / (grid_size + 1) for i in range(1, grid_size + 1)]
+        assert report["argmax_x"] == 0.5
+        assert report["max_value"] == f_of_x(0.5)
 
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):

@@ -26,11 +26,12 @@ from cylpack.lines import (
     distance_sq,
     make_tangent_line,
     min_pairwise_distance,
-    pair_dsq,
     radius_from_distance,
 )
 from cylpack.search import _objective_batch, chart_record, objective
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
+
+from helpers import batched_dsq
 
 RNG = np.random.default_rng(90)  # fixed stream for the property tests
 
@@ -242,15 +243,15 @@ class TestConfiguration:
             Configuration((vertical(0.0), "not a line"))
 
     def test_distance_matrix(self):
-        # the configuration's pair distances through pair_dsq on its own stacks,
+        # the configuration's pair distances through the batched kernel on its own stacks,
         # in pair order (0, 1), (0, 2), (1, 2)
         c = Configuration((vertical(0.0), vertical(math.pi / 3), vertical(math.pi)))
-        out = pair_dsq(c.bases, c.dirs)
+        out = batched_dsq(c.bases, c.dirs)
         assert out.shape == (3,)
         assert math.isclose(out[0], 1.0, abs_tol=1e-14)
         assert math.isclose(out[1], 4.0, abs_tol=1e-14)
         assert math.isclose(out[2], 3.0, abs_tol=1e-14)
-        assert np.array_equal(pair_dsq(c.bases[::-1], c.dirs[::-1]), out[::-1])
+        assert np.array_equal(batched_dsq(c.bases[::-1], c.dirs[::-1]), out[::-1])
 
     def test_min_pairwise(self):
         c = Configuration((vertical(0.0), vertical(math.pi / 3), vertical(math.pi)))
@@ -300,12 +301,12 @@ def kernel_input(rows):
 
 
 def pair_index(n):
-    """Position of pair (i, j), i < j, in pair_dsq's output."""
+    """Position of pair (i, j), i < j, in the pair kernel's row-major output."""
     return {pair: k for k, pair in enumerate(zip(*np.triu_indices(n, 1)))}
 
 
 def component_skew_dsq(bases, dirs):
-    """pair_dsq's skew branch gathered component by component, x, y and z arrays
+    """The pair kernel's skew branch gathered component by component, x, y and z arrays
     first and pairs from each: a skew mask and the values under it."""
     i, j = np.triu_indices(bases.shape[-2], 1)
     bx, by, bz, dx, dy, dz = (a[..., k] for a in (bases, dirs) for k in range(3))
@@ -325,8 +326,8 @@ class TestKernelProperties:
         n = len(rows)
         perm = data.draw(st.permutations(range(n)))
         bases, dirs = kernel_input(rows)
-        out = pair_dsq(bases, dirs)
-        permuted = pair_dsq(bases[perm], dirs[perm])
+        out = batched_dsq(bases, dirs)
+        permuted = batched_dsq(bases[perm], dirs[perm])
         index = pair_index(n)
         for (i, j), k in index.items():
             a, b = perm[i], perm[j]
@@ -338,15 +339,18 @@ class TestKernelProperties:
         bases, dirs = kernel_input(rows)
         flips = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
         signs = np.where(flips, -1.0, 1.0)[:, None]
-        assert np.array_equal(pair_dsq(bases, signs * dirs), pair_dsq(bases, dirs))
+        assert np.array_equal(batched_dsq(bases, signs * dirs), batched_dsq(bases, dirs))
 
     @settings(deadline=None)
     @given(BATCH)
     def test_memory_layout_does_not_change_bits(self, rows):
+        # the batched branch takes operands along the table's first axis; a (6n, 2) table of
+        # two charts, one column each, gives the same bits in Fortran and in C order
         bases, dirs = kernel_input(rows)
-        bases, dirs = bases.reshape(2, -1, 3), dirs.reshape(2, -1, 3)
-        out = pair_dsq(bases, dirs)
-        assert np.array_equal(pair_dsq(np.asfortranarray(bases), np.asfortranarray(dirs)), out)
+        table = np.concatenate((bases, dirs), axis=-1).reshape(2, -1).T
+        index = _chart_index(len(rows) // 2)
+        out = _pair_kernel(table, index)
+        assert _pair_kernel(np.ascontiguousarray(table), index).tobytes() == out.tobytes()
 
     @settings(deadline=None)
     @given(
@@ -358,13 +362,13 @@ class TestKernelProperties:
         rows, shape = case
         bases, dirs = (layout(a.reshape(shape)) for a in kernel_input(rows))
         skew, want = component_skew_dsq(bases, dirs)
-        assert pair_dsq(bases, dirs)[skew].tobytes() == want.tobytes()
+        assert batched_dsq(bases, dirs)[skew].tobytes() == want.tobytes()
 
     @settings(deadline=None)
     @given(ROWS)
     def test_scalar_matches_batch_bitwise(self, rows):
         c = chart_lines(rows)
-        out = pair_dsq(np.array([u.base for u in c]), np.array([u.dir for u in c]))
+        out = batched_dsq(np.array([u.base for u in c]), np.array([u.dir for u in c]))
         for (i, j), k in pair_index(len(c)).items():
             assert distance_sq(c[i], c[j]) == out[k]
 
@@ -380,11 +384,11 @@ class TestKernelProperties:
         # vertical lines tilted 0 and pi: the fallback branch on every pair
         rows = [(0.0, 0.3, 0.0), (0.0, 1.9, math.pi), (0.0, 4.0, 0.0)]
         bases, dirs = kernel_input(rows)
-        out = pair_dsq(bases, dirs)
+        out = batched_dsq(bases, dirs)
         for (i, j), k in pair_index(3).items():
             chord = 2 * math.sin((rows[j][1] - rows[i][1]) / 2)
             assert math.isclose(out[k], chord * chord, rel_tol=1e-14)
-        assert np.array_equal(pair_dsq(bases[::-1], dirs[::-1]), out[::-1])
+        assert np.array_equal(batched_dsq(bases[::-1], dirs[::-1]), out[::-1])
 
 
 # ---------------------------------------------------------------- stacked line checks
@@ -614,8 +618,9 @@ class TestParallelFallback:
                          for _, along, (eps, e) in lines])
         i, j = np.triu_indices(len(lines), 1)
         ref = einsum_parallel_dsq(dirs[i], dirs[j], bases[j] - bases[i])
-        assert same_bits(pair_dsq(bases, dirs), ref)
-        assert same_bits(pair_dsq(np.asfortranarray(bases), np.asfortranarray(dirs)), ref)
+        assert same_bits(batched_dsq(bases, dirs), ref)
+        table = np.concatenate((bases, dirs), axis=-1).reshape(-1)  # one chart's gather
+        assert same_bits(_pair_kernel(table, _chart_index(len(lines))), ref)
 
     @settings(deadline=None, max_examples=300)
     @given(SPECIAL_LAT, SPECIAL_ANGLE, SPECIAL_ANGLE, st.booleans())
@@ -648,16 +653,16 @@ class TestConfigurationDsq:
     @settings(deadline=None)
     @given(ROWS, st.booleans())
     def test_dsq_is_the_kernel_kept_read_only(self, rows, from_lines):
-        # dsq is pair_dsq of the configuration's own stacks, byte for byte, measured
+        # dsq is the batched kernel on the configuration's own stacks, byte for byte, measured
         # once and frozen, whether the configuration was charted or given bare lines
         c = chart_lines(rows)
         if from_lines:
             c = Configuration(tuple(c))
         assert c.dsq is c.dsq
-        assert c.dsq.tobytes() == pair_dsq(c.bases, c.dirs).tobytes()
+        assert c.dsq.tobytes() == batched_dsq(c.bases, c.dirs).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             c.dsq[0] = 0.0
-        assert min_pairwise_distance(c) == math.sqrt(float(pair_dsq(c.bases, c.dirs).min()))
+        assert min_pairwise_distance(c) == math.sqrt(float(batched_dsq(c.bases, c.dirs).min()))
 
     @settings(deadline=None)
     @given(st.integers(2, 7).flatmap(
@@ -666,7 +671,7 @@ class TestConfigurationDsq:
     def test_one_chart_matches_the_batch_bytewise(self, charts):
         # one chart's gather against the batch's takes: the same bits, the fallback's included
         configs = [chart_lines(rows) for rows in charts]
-        batch = pair_dsq(np.stack([c.bases for c in configs]), np.stack([c.dirs for c in configs]))
+        batch = batched_dsq(np.stack([c.bases for c in configs]), np.stack([c.dirs for c in configs]))
         for c, want in zip(configs, batch):
             assert c.dsq.tobytes() == want.tobytes()
             pairs = zip(*np.triu_indices(len(c), 1))
@@ -737,7 +742,7 @@ class TestStackedKernelOracle:
         c = chart_lines(oracle_charts(n, 1, seed, special)[0])
         want = oracle_dsq(c.bases, c.dirs)
         assert c.dsq.tobytes() == want.tobytes()
-        assert pair_dsq(c.bases, c.dirs).tobytes() == want.tobytes()
+        assert batched_dsq(c.bases, c.dirs).tobytes() == want.tobytes()
         for (i, j), k in pair_index(n).items():
             assert np.float64(distance_sq(c[i], c[j])).tobytes() == want[k].tobytes()
 
@@ -752,7 +757,6 @@ class TestStackedKernelOracle:
         want = oracle_dsq(bases, dirs)
         line_major = _pair_kernel(table.reshape(batch, 6 * n).T, _chart_index(n)).T
         assert line_major.tobytes() == want.tobytes()
-        assert pair_dsq(bases, dirs).tobytes() == want.tobytes()
         # unchecked frames, component-major, as the search's batches make them
         xyz = _frame_xyz(*np.moveaxis(charts, -1, 0))
         want = oracle_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1))

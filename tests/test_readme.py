@@ -1,23 +1,30 @@
 """The README's Quick start runs, and its annotated values hold; its
-command lines run.
+command lines run; its Layout table names only what exists.
 
 Each statement of the Quick start block runs in order; an expression
 line followed by a comment that opens with a literal (`rep.r_m  # 1.09...`,
 `....verdict  # 'blocked'`) must evaluate to exactly that literal.  Each
-`cylpack ...` line of the Command line block must exit 0.
+`cylpack ...` line of the Command line block must exit 0.  Each module of
+the package has a Layout row, and every backticked name in a row resolves.
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import cylpack
 from cylpack.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # a number or a quoted string right after the comment sign
 _LITERAL = re.compile(r"#\s+('[^']*'|[-+]?\d[\d.]*(?:[eE][-+]?\d+)?)")
+# a dotted Python name; other backticked text (flags, shapes, commands) is prose
+_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _block(section: str, fence: str) -> str:
@@ -61,3 +68,43 @@ def test_command_lines_exit_zero(tmp_path):
         assert main(argv) == 0, line
         ran.append(argv[0])
     assert "export-scene" in ran
+
+
+def _attr_path(owner, parts):
+    """Whether each of parts is an attribute of what the part before it names."""
+    for part in parts:
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def _resolves(name, module, classes):
+    """Whether name is the package or a module or attribute under it (`cylpack.lines`), or an
+    attribute of the row's module or of a class the row names (`Configuration.dsq`, `bases`)."""
+    head, *parts = name.split(".")
+    if head == "cylpack":
+        return _attr_path(cylpack, parts)
+    return any(_attr_path(owner, [head, *parts]) for owner in (module, *classes))
+
+
+def test_layout_names_exist():
+    text = README.read_text()
+    start = text.index("## Layout")
+    end = text.find("\n## ", start)
+    rows = [re.findall(r"`([^`]+)`", line)
+            for line in text[start:None if end < 0 else end].splitlines() if line.startswith("| `")]
+    modules = [names[0] for names in rows]
+    submodules = sorted(f"cylpack.{m.name}" for m in pkgutil.iter_modules(cylpack.__path__))
+    assert sorted(modules) == ["cylpack", *submodules]
+    missing, checked = [], 0
+    for module_name, *names in rows:
+        module = importlib.import_module(module_name)
+        names = [name for name in names if _NAME.fullmatch(name)]
+        classes = [c for c in (getattr(module, n, None) for n in names) if inspect.isclass(c)]
+        for name in names:
+            checked += 1
+            if not _resolves(name, module, classes):
+                missing.append(f"{module_name}: {name}")
+    assert not missing, missing
+    assert checked >= 15

@@ -18,7 +18,6 @@ from cylpack.lines import (
     TangentLine,
     _frame_xyz,
     min_pairwise_distance,
-    pair_dsq,
 )
 from cylpack.search import (
     FreeConfig,
@@ -35,7 +34,7 @@ from cylpack.search import (
 from cylpack import acceptance, search
 from cylpack.search import _clip_latitudes, _objective_batch
 from cylpack.symmetric import D3Params, build_c6
-from helpers import same_line
+from helpers import batched_dsq, same_line
 
 RNG = np.random.default_rng(94)
 
@@ -149,7 +148,7 @@ class TestObjective:
         coords = np.array(charts)
         lat, lon, ang = np.moveaxis(coords, -1, 0)
         xyz = _frame_xyz(lat, lon, ang)
-        stacked = np.sqrt(pair_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1)).min(-1))
+        stacked = np.sqrt(batched_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1)).min(-1))
         batch = _objective_batch(coords.reshape(-1, 18))
         for a, b in zip(batch, stacked):
             assert a.tobytes() == b.tobytes()

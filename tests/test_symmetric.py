@@ -22,7 +22,6 @@ from cylpack.lines import (
     distance_sq,
     make_tangent_line,
     min_pairwise_distance,
-    pair_dsq,
     radius_from_distance,
 )
 from cylpack.serialize import config_from_dict, config_to_dict, json_dumps
@@ -39,7 +38,7 @@ from cylpack.symmetric import (
     triplets_generic,
     triplets_trig,
 )
-from helpers import same_line
+from helpers import batched_dsq, same_line
 
 RNG = np.random.default_rng(91)
 
@@ -62,6 +61,8 @@ class TestBuild:
         c = build_c6(D3Params(0.0, 0.0, 0.0))
         lons = (math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2,
                 math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6)
+        # the chart's twelfths of a turn, m * 2pi / 12, keep these literals' bits
+        assert tuple(row[1] for row in c6_chart(D3Params(0.0, 0.0, 0.0))) == lons
         for line, lon in zip(c, lons):
             assert np.allclose(line.base, [math.cos(lon), math.sin(lon), 0.0], atol=1e-15)
             assert abs(abs(float(line.dir[2])) - 1.0) < 1e-15  # vertical
@@ -381,7 +382,7 @@ class TestBuiltOnce:
         assert build_c6(p) is c
         assert same_lines(c, chart_lines(c6_chart(p)))
         assert not c.dsq.flags.writeable
-        assert c.dsq.tobytes() == pair_dsq(c.bases, c.dirs).tobytes()
+        assert c.dsq.tobytes() == batched_dsq(c.bases, c.dirs).tobytes()
         assert np.array(astuple(triplets_generic(p))).tobytes() == _generic_rows([p])[0].tobytes()
 
     @settings(deadline=None)

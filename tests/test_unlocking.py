@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cylpack import unlocking
 from cylpack.lines import chart_lines, distance_sq, radius_from_distance
 from cylpack.symmetric import D3Params, alg_coords, build_c6, triplets_alg
 from cylpack.unlocking import (
@@ -138,6 +139,19 @@ class TestSeries:
             assert set(numeric) == set(closed)
             for key, value in closed.items():
                 assert math.isclose(numeric[key], value, rel_tol=1e-6, abs_tol=1e-6), key
+
+    def test_numeric_reads_each_key_from_its_own_distance(self, monkeypatch):
+        # each distance a different quadratic in t (= phi at phi1 = 1), which the stencils
+        # recover exactly up to rounding: every key must read its own component
+        coeffs = ((1.0, 2.0, 3.0), (10.0, 20.0, 30.0), (100.0, 200.0, 300.0))  # AB, AD, BD
+        monkeypatch.setattr(unlocking, "dists_general",
+                            lambda g: tuple(a + b * g.phi + c * g.phi**2 for a, b, c in coeffs))
+        numeric = taylor_coeffs_numeric(1.0, 1.0, 0.5, 0.0, 0.25)
+        want = {"dab_sq_0": 1.0, "dad_sq_0": 10.0, "dbd_sq_0": 100.0, "dad_sq_1": 20.0,
+                "dbd_sq_1": 200.0, "dad_sq_2": 30.0, "dbd_sq_2": 300.0}
+        assert numeric.keys() == want.keys()
+        for key, value in want.items():
+            assert math.isclose(numeric[key], value, rel_tol=1e-8), (key, numeric[key])
 
 
 class TestUnlockVerdict:
