@@ -191,14 +191,14 @@ def check_unimodality() -> CheckResult:
     """F rises to x = 1/2, falls after, and revisits 1 at x = 1/4."""
     scan = scan_unimodality(1001)
     shape_ok = scan["strictly_increasing_below"] and scan["strictly_decreasing_above"]
-    argmax_ok = abs(scan["argmax_x"] - 0.5) <= scan["step"] + 1e-15
+    argmax_ok = scan["argmax_x"] == 0.5  # the odd grid holds 1/2 exactly
     quarter = f_of_x(0.25)
     quarter_ok = abs(quarter - 1.0) <= 1e-12
     return CheckResult(
         "unimodality",
         shape_ok and argmax_ok and quarter_ok,
         f"strict rise/fall on 1001-point grid: {shape_ok}; argmax "
-        f"{scan['argmax_x']:.6g} within one step of 1/2: {argmax_ok}; "
+        f"{scan['argmax_x']:.6g} == 1/2: {argmax_ok}; "
         f"F(1/4) = {quarter:.17g}, |F(1/4) - 1| <= 1e-12: {quarter_ok}",
     )
 

@@ -122,11 +122,13 @@ def _check_sample(sample: CurveSample) -> None:
     s, t = sample.s_var, sample.t_var
     # t grows like 1/x, so the terms grow like 1/x^3 as x -> 0: bound the
     # residual relative to their size, and past t = 1 test psi / t^3, whose
-    # terms cannot overflow
+    # terms cannot overflow; the bound is at least 1e-9 v^3, so the sum of |terms| is
+    # needed only past that
     th, v = (1.0, 1.0 / t) if t > 1.0 else (t, 1.0)
     terms = _psi_terms(s, th, v)
     residual = math.fsum(terms)
-    if abs(residual) > 1e-9 * max(v ** 3, math.fsum(map(abs, terms))):
+    off = abs(residual)
+    if off > 1e-9 * v ** 3 and off > 1e-9 * max(v ** 3, math.fsum(map(abs, terms))):
         raise ArithmeticError(f"trajectory sample off the constraint: psi = {residual!r}")
     # both bounds relative, since x and F(x) ~ 12x shrink together, and failed by a NaN
     if not abs(sample.x - (1 - s) / (t + 1)) <= 1e-10 * sample.x:

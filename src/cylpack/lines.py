@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +49,22 @@ def _finite_fields(obj, *names: str) -> None:
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite")
         object.__setattr__(obj, name, v)
+
+
+class _cached:
+    """A per-instance cached property without functools.cached_property's lock, which Python 3.11
+    takes on every first read: the first read computes the value and stores it in the instance
+    __dict__, where every later read finds it as a plain attribute.  There is no lock because the
+    values are pure: a concurrent first read computes the same value twice, and one is kept."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _positive_finite(name: str, value) -> None:
@@ -92,16 +108,20 @@ def _basis(phi, kappa) -> tuple:
     """x, y, z components of tangency points, north and east unit tangents."""
     sp, cp = np.sin(phi), np.cos(phi)
     sk, ck = np.sin(kappa), np.cos(kappa)
-    return (cp * ck, cp * sk, sp), (-sp * ck, -sp * sk, cp), (-sk, ck, 0.0)
+    nsp = -sp
+    return (cp * ck, cp * sk, sp), (nsp * ck, nsp * sk, cp), (-sk, ck, 0.0)
 
 
 def _frame_xyz(phi, kappa, ang) -> tuple:
     """Components (bx, by, bz, dx, dy, dz) of the lines at latitudes phi, longitudes kappa, along
     the north tangent rotated by ang (pi/2: due east), over arrays or scalars; the frame
-    degenerates at the poles, which callers must reject."""
-    base, (nx, ny, nz), (ex, ey, ez) = _basis(phi, kappa)
+    degenerates at the poles, which callers must reject.  dz drops the east tangent's z = 0.0
+    term: ca * nz + sa * 0.0 is ca * nz exactly, since the cosine of a finite double is never
+    +-0 and ca * nz = cos(ang) cos(phi) cannot underflow, so the +-0 added never changes it
+    (a NaN stays NaN)."""
+    base, (nx, ny, nz), (ex, ey, _) = _basis(phi, kappa)
     ca, sa = np.cos(ang), np.sin(ang)
-    return (*base, ca * nx + sa * ex, ca * ny + sa * ey, ca * nz + sa * ez)
+    return (*base, ca * nx + sa * ex, ca * ny + sa * ey, ca * nz)
 
 
 def _reject_poles(phi) -> None:
@@ -305,14 +325,14 @@ class Configuration:
         c.__dict__["table"] = table
         return c
 
-    @cached_property
+    @_cached
     def lines(self) -> tuple:
         return tuple(map(TangentLine._checked, self.table))
 
     bases = property(lambda self: self.table[:, :3])
     dirs = property(lambda self: self.table[:, 3:])
 
-    @cached_property
+    @_cached
     def dsq(self) -> np.ndarray:
         return _frozen(_pair_kernel(self.table.reshape(-1), _chart_index(len(self.table))))
 
@@ -347,7 +367,10 @@ def _frame_table(phi, kappa, ang) -> np.ndarray:
 
 def min_pairwise_distance(c: Configuration) -> float:
     """Smallest distance over all line pairs of the configuration."""
-    return math.sqrt(float(c.dsq.min()))
+    # min() of the list skips ndarray.min's reduction setup; it would be order-dependent on a NaN,
+    # but none reaches here: the frame table is checked finite, and both kernel branches are
+    # finite on unit vectors (a pair at |u x v|^2 <= PARALLEL_TOL takes the fallback's value)
+    return math.sqrt(min(c.dsq.tolist()))
 
 
 def chart_rows(lines) -> np.ndarray:

@@ -104,7 +104,9 @@ def objective(c: FreeConfig) -> float:
 
 def _objective_batch(coords: np.ndarray) -> np.ndarray:
     """Objective for a (N, 18) batch of charts, returned as (N,); evaluated
-    _BLOCK charts at a time, with the same bits as row by row."""
+    _BLOCK charts at a time, with the same bits as row by row.  Longitudes
+    are framed as given, not reduced to [0, 2pi) as objective's are, so the
+    two agree bit for bit only on charts whose longitudes lie in [0, 2pi)."""
     c = coords.reshape(-1, N_LINES, 3)
     out = np.empty(len(c))
     for lo in range(0, len(c), _BLOCK):

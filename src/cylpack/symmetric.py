@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .lines import (
     Configuration,
     DegenerateError,
     _BLOCK,
+    _cached,
     _chart_index,
     _chart_table,
     _finite_fields,
@@ -89,7 +89,7 @@ class D3Params:
         _check_tilt_and_twist(self)
 
     # per instance, not per value: -0.0 and 0.0 compare equal but build different bits
-    @cached_property
+    @_cached
     def _c6(self) -> Configuration:
         return chart_lines(c6_chart(self))
 

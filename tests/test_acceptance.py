@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylpack import acceptance
+from cylpack import acceptance, curve
 from cylpack.acceptance import run_all
 from cylpack.unlocking import build_c3
 from cylpack.lines import _chart_index, _chart_table, _pair_kernel
@@ -225,6 +225,30 @@ def test_local_max_probe_details_pinned():
         "radius 1e-3, 10000 trials, seed 0: max objective found 1.0441449650842853 "
         "<= sqrt(12/11) + 1e-6: True; exceed fraction 0 == 0: True"
     )
+
+
+def test_unimodality_details_pinned():
+    assert _results()["unimodality"].details == (
+        "strict rise/fall on 1001-point grid: True; argmax 0.5 == 1/2: True; "
+        "F(1/4) = 1, |F(1/4) - 1| <= 1e-12: True"
+    )
+
+
+def test_unimodality_fails_on_a_rescaled_grid(monkeypatch):
+    # scan_unimodality with its grid rescaled to (i + 1) / (grid_size + 2): 1001 points that
+    # miss 1/2, the argmax 502/1003 within one step of it, and F still rising then falling
+    source = inspect.getsource(curve.scan_unimodality)
+    assert source.count("(i + 1) / (grid_size + 1)") == 1
+    namespace = dict(vars(curve))
+    exec(source.replace("(i + 1) / (grid_size + 1)", "(i + 1) / (grid_size + 2)"), namespace)
+    rescaled = namespace["scan_unimodality"]
+    scan = rescaled(1001)
+    assert scan["argmax_x"] == 502 / 1003 and abs(scan["argmax_x"] - 0.5) <= scan["step"]
+    assert scan["strictly_increasing_below"] and scan["strictly_decreasing_above"]
+    monkeypatch.setattr(acceptance, "scan_unimodality", rescaled)
+    result = acceptance.check_unimodality()
+    assert not result.passed
+    assert "; argmax 0.500499 == 1/2: False; " in result.details
 
 
 def test_four_cylinder_rigidity_fails_on_a_wrong_mirror_root(monkeypatch):

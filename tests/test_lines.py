@@ -3,6 +3,8 @@
 import itertools
 import math
 import warnings
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -317,6 +319,37 @@ def component_skew_dsq(bases, dirs):
     det = (cx * wx + cz * wz) + cy * wy
     skew = denom > PARALLEL_TOL
     return skew, (det * det)[skew] / denom[skew]
+
+
+def reference_frame_xyz(phi, kappa, ang):
+    """The frame with dz written out in full, ca * nz + sa * ez, at the east tangent's ez = 0.0."""
+    sp, cp = np.sin(phi), np.cos(phi)
+    sk, ck = np.sin(kappa), np.cos(kappa)
+    ca, sa = np.cos(ang), np.sin(ang)
+    (nx, ny, nz), (ex, ey, ez) = (-sp * ck, -sp * sk, cp), (-sk, ck, 0.0)
+    return cp * ck, cp * sk, sp, ca * nx + sa * ex, ca * ny + sa * ey, ca * nz + sa * ez
+
+
+HALF_PI = math.pi / 2
+# tangent angles at signed zeros, at +-pi, and at +-pi/2 and its neighbours, where cos is tiny
+EDGE_ANG = st.sampled_from([0.0, -0.0, HALF_PI, -HALF_PI, math.pi, -math.pi,
+                            *(s * math.nextafter(HALF_PI, to) for s in (1, -1) for to in (0, 4))])
+FRAME_ROW = st.one_of(ROW, st.tuples(st.sampled_from([0.0, -0.0]) | LAT, LON, EDGE_ANG))
+
+
+class TestFrameOracle:
+    @settings(deadline=None)
+    @given(st.lists(FRAME_ROW, min_size=1, max_size=7))
+    def test_frame_matches_the_full_dz_bytewise(self, rows):
+        # over arrays, as charts and batches frame them, and over scalars, as one line does
+        lat, lon, ang = np.array(rows).T
+        assert same_bits(_frame_xyz(lat, lon, ang), reference_frame_xyz(lat, lon, ang))
+        for row in rows:
+            assert same_bits(_frame_xyz(*row), reference_frame_xyz(*row))
+
+    def test_nan_angle_stays_nan(self):
+        for xyz in (_frame_xyz(0.3, 1.0, math.nan), reference_frame_xyz(0.3, 1.0, math.nan)):
+            assert np.isnan(xyz[3:]).all() and np.isfinite(xyz[:3]).all()
 
 
 class TestKernelProperties:
@@ -777,6 +810,38 @@ class TestStackedKernelOracle:
         assert np.all(np.abs(np.cross(u, v)).max(axis=-1) == 0.0)  # every pair exactly parallel
         assert c.dsq.tobytes() == want.tobytes()
         assert _generic_rows([p] * 3).tobytes() == np.tile(want[_ORBIT_COLS], (3, 1)).tobytes()
+
+
+class TestCachedAttributes:
+    CHART = [(0.3, 0.2, 0.1), (-0.4, 2.1, 1.2), (0.1, 4.0, -0.7)]
+
+    def test_each_is_computed_once_per_instance(self, monkeypatch):
+        calls = Counter()
+        kernel, checked = lines_module._pair_kernel, TangentLine._checked.__func__
+        monkeypatch.setattr(lines_module, "_pair_kernel",
+                            lambda *args: calls.update(["kernel"]) or kernel(*args))
+        monkeypatch.setattr(TangentLine, "_checked", classmethod(
+            lambda cls, row: calls.update(["line"]) or checked(cls, row)))
+        c = chart_lines(self.CHART)
+        for _ in range(3):
+            dsq, made = c.dsq, c.lines
+            min_pairwise_distance(c)
+        assert calls == {"kernel": 1, "line": 3}
+        assert vars(c)["dsq"] is dsq and vars(c)["lines"] is made
+        d = chart_lines(self.CHART)  # a second instance computes its own
+        assert d.dsq is not dsq and d.lines is not made and calls == {"kernel": 2, "line": 6}
+
+    def test_dsq_stays_read_only(self):
+        c = chart_lines(self.CHART)
+        with pytest.raises(ValueError, match="read-only"):
+            c.dsq[0] = 0.0
+        for change in (lambda: setattr(c, "dsq", np.zeros(3)), lambda: delattr(c, "dsq")):
+            with pytest.raises(FrozenInstanceError):
+                change()
+
+    def test_class_access_returns_the_descriptor(self):
+        assert isinstance(Configuration.dsq, lines_module._cached)
+        assert isinstance(Configuration.lines, lines_module._cached)
 
 
 class TestLazyLines:

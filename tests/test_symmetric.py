@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cylpack import lines
+from cylpack import lines, symmetric
 from cylpack.cli import main
 from cylpack.curve import gamma_point
 from cylpack.lines import (
@@ -400,8 +400,19 @@ class TestBuiltOnce:
     def test_signed_zero_latitudes_build_different_bits(self):
         # what the test above guards against is real: the two zeros build different lines
         negative, positive = D3Params(-0.0, 0.0, 0.0), D3Params(0.0, 0.0, 0.0)
-        assert negative == positive
+        assert negative == positive and build_c6(negative) is not build_c6(positive)
         assert not same_lines(build_c6(negative), build_c6(positive))
+
+    def test_c6_is_built_once_per_instance(self, monkeypatch):
+        built = []
+        real = symmetric.chart_lines
+        monkeypatch.setattr(symmetric, "chart_lines", lambda rows: built.append(rows) or real(rows))
+        p, q = D3Params(0.4, 0.3, 0.2), D3Params(0.4, 0.3, 0.2)
+        assert build_c6(p) is build_c6(p) is p._c6 and len(built) == 1
+        assert build_c6(q) is not build_c6(p) and len(built) == 2
+
+    def test_class_access_returns_the_descriptor(self):
+        assert isinstance(D3Params._c6, lines._cached)
 
 
 @pytest.fixture
