@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it exports; __getattr__ imports it on first use
 _EXPORTS = {
-    "acceptance": ("CheckResult", "run_all"),
+    "acceptance": ("CheckResult", "run_checks"),
     "curve": ("CurveSample", "RecordReport", "f_of_x", "gamma_point", "pure_geodetic_check",
               "record", "scan_unimodality", "t_of_x"),
     "lines": ("Configuration", "DegenerateError", "PARALLEL_TOL", "SphericalPoint", "TangentLine",

@@ -2,8 +2,8 @@
 
 Each check is deterministic (fixed seeds), independent of the others,
 and returns a CheckResult carrying a pass flag plus the numbers it
-compared, so a report can show exactly what was verified.  run_all
-executes all thirteen; the expensive optimizer and probe runs are
+compared, so a report can show exactly what was verified.  run_checks
+runs all thirteen; the expensive optimizer and probe runs are
 cached per process so a report and a test suite can share them.
 """
 
@@ -21,17 +21,15 @@ from .curve import (
     build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record,
     scan_unimodality, u_from_st,
 )
-from .lines import (
-    _chart_index, _chart_table, _pair_kernel, chart_lines, distance_sq, radius_from_distance,
-)
+from .lines import chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
     PAIR_ORBITS, D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig,
 )
 from .unlocking import (
     GeneralParams,
-    _c3_chart,
     alt_strategy_verdict,
+    build_c3,
     dists_general,
     four_cyl_point,
     series_coeffs,
@@ -139,10 +137,7 @@ def check_formula_consistency() -> CheckResult:
         scale = max(abs(trig.dae_sq), abs(gen_dae), 1e-6)
         worst = max(worst, abs(trig.dae_sq - gen_dae) / scale)
     ring, closed = _ring_points()
-    # build_c3's configurations framed into one table and measured by one kernel call, as
-    # _generic_rows does: (AB, AD, BD) per point, the order of dists_general
-    table = _chart_table([row for g in ring for row in _c3_chart(g)])
-    built = _pair_kernel(table.reshape(-1, 18).T, _chart_index(3)).T.tolist()
+    built = [build_c3(g).dsq.tolist() for g in ring]  # (AB, AD, BD), the order of dists_general
     ring_worst = 0.0
     for xs, ys in zip(closed, built):
         for x, y in zip(xs, ys):
@@ -412,8 +407,3 @@ def run_checks():
         except Exception as exc:
             name = func.__name__.removeprefix("check_").replace("_", "-")
             yield CheckResult(name, False, f"raised {exc!r}")
-
-
-def run_all() -> list[CheckResult]:
-    """The results of run_checks, as a list."""
-    return list(run_checks())

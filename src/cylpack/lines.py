@@ -209,11 +209,6 @@ class TangentLine:
         line.__dict__.update(base=row[:3], dir=row[3:])
         return line
 
-    def canonical(self) -> "TangentLine":
-        """Copy whose dir has a positive first nonzero component: every line's one
-        deterministic representative for printing and comparisons."""
-        return TangentLine(self.base, _canonical(self.dir))
-
 
 def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
     """Tangent line at p, north tangent rotated by delta in the tangent plane; delta = pi/2
@@ -376,16 +371,16 @@ def min_pairwise_distance(c: Configuration) -> float:
 def chart_rows(lines) -> np.ndarray:
     """(latitude, longitude, tangent angle) rows of tangent lines.
 
-    Inverts chart_lines, with longitudes reduced to [0, 2*pi); rejects
-    lines based at a pole, where the tangent angle is undefined.
+    Inverts chart_lines, with longitudes reduced to [0, 2*pi); rejects, as
+    chart_lines does, latitude +-pi/2, where the tangent angle is undefined.
     """
     rows = []
     for line in lines:
-        z = float(line.base[2])
-        if abs(z) >= 1.0 - 1e-12:
+        x, y, z = line.base.tolist()
+        phi = math.atan2(z, math.hypot(x, y))  # asin(z) loses accuracy near the poles
+        if abs(phi) >= math.pi / 2:
             raise ValueError("line based at a pole has no chart coordinates")
-        phi = math.asin(z)
-        (kappa,) = _reduce_lon([math.atan2(float(line.base[1]), float(line.base[0]))]).tolist()
+        (kappa,) = _reduce_lon([math.atan2(y, x)]).tolist()
         _, north, east = _basis(phi, kappa)
         rows.append((phi, kappa, math.atan2(float(line.dir @ east), float(line.dir @ north))))
     return np.array(rows)

@@ -1,4 +1,4 @@
-"""Deterministic text formatting and configuration round-tripping.
+"""Deterministic text formatting, and the reader of lines documents.
 
 JSON output uses 17 significant digits so every float survives a
 parse round trip bit-exactly; CSV and OBJ output use 12, enough for
@@ -88,19 +88,6 @@ def csv_line(values: Iterable[Any]) -> str:
     return ",".join(parts)
 
 
-def line_to_dict(line: TangentLine) -> dict:
-    """Plain-data form of a tangent line, in canonical orientation."""
-    canon = line.canonical()
-    return {
-        "base": [float(x) for x in canon.base],
-        "dir": [float(x) for x in canon.dir],
-    }
-
-
-def config_to_dict(config: Configuration) -> dict:
-    return {"lines": [line_to_dict(line) for line in config]}
-
-
 def _vector3(data: Any, name: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.shape != (3,):
@@ -115,8 +102,8 @@ def line_from_dict(data: Any) -> TangentLine:
 
 
 def config_from_dict(data: Any) -> Configuration:
-    """Rebuild a configuration from the ``{"lines": [{base, dir}, ...]}``
-    document config_to_dict writes: two or more tangent lines, used as
+    """Build a configuration from a ``{"lines": [{"base": [x, y, z],
+    "dir": [x, y, z]}, ...]}`` document: two or more tangent lines, used as
     given, poles included.  A document that carries ``coords`` (a free
     chart, which the command line reads itself) is refused.
     """

@@ -58,13 +58,8 @@ def build_c3(g: GeneralParams) -> Configuration:
     3 alpha/2 - kappa at latitude -phi, all tangents tilted by the family
     delta (toward decreasing longitude, as in the six-line build).
     """
-    return chart_lines(_c3_chart(g))
-
-
-def _c3_chart(g: GeneralParams) -> tuple:
-    """build_c3's (latitude, longitude, tangent angle) rows of A, B and D."""
     a, k, d = g.alpha, g.kappa, g.delta
-    return ((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, -d))
+    return chart_lines(((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, -d)))
 
 
 def dists_general(g: GeneralParams) -> tuple:

@@ -15,6 +15,12 @@ def same_line(a, b, tol=1e-10):
     return min(straight, flipped) <= tol
 
 
+def lines_document(config):
+    """The lines document config_from_dict reads, {"lines": [{"base": [x, y, z], "dir": [x, y,
+    z]}, ...]}, of a configuration's lines, each as stored."""
+    return {"lines": [{"base": line.base.tolist(), "dir": line.dir.tolist()} for line in config]}
+
+
 def batched_dsq(bases, dirs):
     """The pair kernel's batched branch on (..., n, 3) base and dir stacks: the squared distances
     of all pairs i < j, row-major, of each configuration, shaped (..., n(n-1)/2)."""

@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylpack import acceptance, curve
-from cylpack.acceptance import run_all
-from cylpack.unlocking import build_c3
+from cylpack import acceptance, curve, unlocking
+from cylpack.acceptance import run_checks
 from cylpack.lines import _chart_index, _chart_table, _pair_kernel
 from cylpack.symmetric import (
     PAIR_ORBITS,
@@ -45,7 +44,7 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 @lru_cache(maxsize=1)
 def _results():
-    return {r.name: r for r in run_all()}
+    return {r.name: r for r in run_checks()}
 
 
 def _gate(name):
@@ -110,9 +109,9 @@ def test_every_check_ran_exactly_once():
     assert len(_results()) == 13
 
 
-def test_run_all_runs_every_check_once_in_definition_order():
+def test_run_checks_runs_every_check_once_in_definition_order():
     # bench/workloads.py times the public check_* functions in definition
-    # order, while run_all reads _CHECKS; both must name the same checks
+    # order, while run_checks reads _CHECKS; both must name the same checks
     checks = sorted(
         (fn for name, fn in inspect.getmembers(acceptance, inspect.isfunction)
          if name.startswith("check_") and fn.__module__ == acceptance.__name__),
@@ -120,7 +119,7 @@ def test_run_all_runs_every_check_once_in_definition_order():
     )
     names = [fn.__name__.removeprefix("check_").replace("_", "-") for fn in checks]
     assert len(names) == 13
-    assert [r.name for r in run_all()] == names
+    assert [r.name for r in run_checks()] == names
     layers = json.loads(BENCHMARK.read_text())["per_layer"]
     timed = [m["name"] for m in layers if m["name"].startswith("acceptance.")]
     assert timed == [f"acceptance.{name}_s" for name in names]
@@ -128,7 +127,7 @@ def test_run_all_runs_every_check_once_in_definition_order():
 
 def test_error_injection_hook_flips_the_record_check(monkeypatch):
     monkeypatch.setattr(acceptance, "R_RECORD", acceptance.R_RECORD + 1e-6)
-    flagged = {r.name: r for r in run_all()}
+    flagged = {r.name: r for r in run_checks()}
     assert not flagged["record-values"].passed
     others = [n for n, r in flagged.items() if n != "record-values" and not r.passed]
     assert others == []
@@ -334,33 +333,25 @@ def test_formula_consistency_details_pinned():
         "1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10; 100 ring points, "
         "alpha in [0.1, 3], dists_general vs build_c3 worst 1.16e-13 <= 1e-10"
     )
+    params, closed = acceptance._ring_points()
+    assert len(params) == len(closed) == 100  # no ring point skipped at this seed
 
 
 @pytest.mark.parametrize("line", [0, 1, 2])
 def test_formula_consistency_fails_on_a_wrong_ring_longitude(monkeypatch, line):
-    # build_c3's rows (A, B, D) with one line's longitude scaled by 1.001: the six-line
-    # points never build the ring, so only its own rows can catch this
-    real = acceptance._c3_chart
+    # build_c3's chart_lines rows (A, B, D) with one line's longitude scaled by 1.001: the
+    # six-line points never build the ring, so only its own rows can catch this
+    real = unlocking.chart_lines
 
-    def moved(g):
-        rows = [list(row) for row in real(g)]
+    def moved(rows):
+        rows = [list(row) for row in rows]
         rows[line][1] *= 1.001
-        return tuple(map(tuple, rows))
+        return real(rows)
 
-    monkeypatch.setattr(acceptance, "_c3_chart", moved)
+    monkeypatch.setattr(unlocking, "chart_lines", moved)
     result = acceptance.check_formula_consistency()
     assert not result.passed
     assert result.details.startswith("1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10;")
-
-
-def test_ring_points_are_build_c3s():
-    # the check's batch gives each ring point the bits of its own build_c3 configuration
-    params, closed = acceptance._ring_points()
-    assert len(params) == len(closed) == 100
-    table = _chart_table([row for g in params for row in acceptance._c3_chart(g)])
-    built = _pair_kernel(table.reshape(-1, 18).T, _chart_index(3)).T
-    for g, want in zip(params, built):
-        assert build_c3(g).dsq.tobytes() == want.tobytes()
 
 
 def test_package_import_loads_the_checks_on_first_use():
@@ -368,7 +359,7 @@ def test_package_import_loads_the_checks_on_first_use():
     code = (
         "import sys, cylpack\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('cylpack') or m == 'numpy')\n"
-        "print(loaded()); cylpack.run_all; print({'cylpack.acceptance', 'fractions'} <= set(sys.modules))\n"
+        "print(loaded()); cylpack.run_checks; print({'cylpack.acceptance', 'fractions'} <= set(sys.modules))\n"
         "print(cylpack.scene.scene_obj is cylpack.scene_obj, cylpack.serialize.__name__)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(acceptance.__file__).parents[1]))

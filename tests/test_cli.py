@@ -12,13 +12,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylpack.acceptance import run_all
+from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, main
 from cylpack.curve import f_of_x
 from cylpack.lines import chart_lines, min_pairwise_distance, radius_from_distance
 from cylpack.scene import SceneSpec, scene_obj
 from cylpack.search import chart_from_configuration, chart_record, config_lines, objective
-from cylpack.serialize import config_from_dict, config_to_dict, json_dumps
+from cylpack.serialize import config_from_dict, json_dumps
+
+from helpers import lines_document
 
 D_RECORD = math.sqrt(12.0 / 11.0)
 R_RECORD = (3.0 + math.sqrt(33.0)) / 8.0
@@ -31,7 +33,7 @@ FOUR_VERTICALS = {"lines": [
     for base in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0])
 ]}
 POLE_TANGENT = {"lines": [
-    *config_to_dict(config_lines(chart_record()))["lines"][:5],
+    *lines_document(config_lines(chart_record()))["lines"][:5],
     {"base": [0.0, 0.0, 1.0], "dir": [1.0, 0.0, 0.0]},
 ]}
 
@@ -330,7 +332,7 @@ class TestExportScene:
         # probe their chart, each bit for bit
         with tempfile.TemporaryDirectory() as tmp:
             doc_path, out_path = Path(tmp) / "lines.json", Path(tmp) / "scene.obj"
-            doc_path.write_text(json_dumps(config_to_dict(chart_lines(rows))))
+            doc_path.write_text(json_dumps(lines_document(chart_lines(rows))))
             config = config_from_dict(json.loads(doc_path.read_text()))
             source = f"file:{doc_path}"
             with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -367,7 +369,7 @@ class TestExportScene:
             assert out["radius"] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 
     def test_document_with_both_keys_refused(self, capsys, tmp_path):
-        doc = config_to_dict(config_lines(chart_record()))
+        doc = lines_document(config_lines(chart_record()))
         doc["coords"] = [float(c) for c in chart_record().coords]
         doc_path = tmp_path / "both.json"
         doc_path.write_text(json.dumps(doc))
@@ -410,7 +412,7 @@ class TestReportAll:
         timed = capsys.readouterr()
         assert (rc_timed, timed.out) == (rc, out)
         rows = [ln.split(": ") for ln in timed.err.splitlines()]
-        assert [name for name, _ in rows] == [r.name for r in run_all()]
+        assert [name for name, _ in rows] == [r.name for r in run_checks()]
         assert all(re.fullmatch(r"\d+\.\d{4} s, peak \+\d+\.\d MB", rest) for _, rest in rows)
 
     def test_injected_error_fails(self, capsys):

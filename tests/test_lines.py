@@ -30,7 +30,7 @@ from cylpack.lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
-from cylpack.search import _objective_batch, chart_record, objective
+from cylpack.search import _PHI_CAP, _objective_batch, chart_record, objective
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
 from helpers import batched_dsq
@@ -129,10 +129,9 @@ class TestTangentLine:
         assert np.array_equal(flipped.dir, -line.dir)
 
     def test_canonical(self):
-        line = TangentLine(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]))
-        c = line.canonical()
-        assert np.array_equal(c.dir, [0.0, 0.0, 1.0])
-        assert np.array_equal(c.canonical().dir, c.dir)
+        flipped = lines_module._canonical(np.array([0.0, 0.0, -1.0]))
+        assert np.array_equal(flipped, [0.0, 0.0, 1.0])
+        assert np.array_equal(lines_module._canonical(flipped), flipped)
 
 
 class TestMakeTangentLine:
@@ -661,9 +660,21 @@ class TestParallelFallback:
         line = make_tangent_line(SphericalPoint(lat, lon), ang)
         if negate:
             line = TangentLine(line.base, -line.dir)
-        c = line.canonical()
-        assert same_bits(c.base, line.base)
-        assert same_bits(c.dir, einsum_canonical(line.dir[None])[0])
+        assert same_bits(lines_module._canonical(line.dir), einsum_canonical(line.dir[None])[0])
+
+
+class TestChartRows:
+    @settings(deadline=None)
+    @given(st.floats(-_PHI_CAP, _PHI_CAP), LON, ANG)  # every latitude the search reaches
+    @example(_PHI_CAP, 1.0, 0.5)
+    @example(-_PHI_CAP + 1e-7, 4.0, -2.0)
+    def test_inverts_chart_lines_up_to_the_search_cap(self, lat, lon, ang):
+        # within about 1.4e-6 rad of a pole, |z| >= 1 - 1e-12 and asin(z) loses up to about
+        # 2e-11 of latitude: the pole rule and the latitude go by atan2(z, hypot(x, y))
+        (phi, kappa, angle), _ = chart_rows(chart_lines([(lat, lon, ang), (0.0, 0.0, 0.0)])).tolist()
+        assert abs(phi - lat) <= 1e-15
+        assert abs(math.remainder(kappa - lon, 2 * math.pi)) <= 4e-15
+        assert abs(math.remainder(angle - ang, 2 * math.pi)) <= 4e-15
 
 
 class TestLongitudeReduction:

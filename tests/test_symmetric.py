@@ -24,7 +24,7 @@ from cylpack.lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
-from cylpack.serialize import config_from_dict, config_to_dict, json_dumps
+from cylpack.serialize import config_from_dict, json_dumps
 from cylpack.symmetric import (
     AlgCoords,
     D3Params,
@@ -38,7 +38,7 @@ from cylpack.symmetric import (
     triplets_generic,
     triplets_trig,
 )
-from helpers import batched_dsq, same_line
+from helpers import batched_dsq, lines_document, same_line
 
 RNG = np.random.default_rng(91)
 
@@ -183,7 +183,7 @@ class TestOrbitCheckOracle:
     @settings(deadline=None, max_examples=50)
     @given(FAMILY, st.one_of(st.none(), NUDGE))
     def test_lines_documents_agree(self, p, nudge):
-        document = json.loads(json_dumps(config_to_dict(nudged(p, nudge))))
+        document = json.loads(json_dumps(lines_document(nudged(p, nudge))))
         assert_agrees_with_oracle(config_from_dict(document))
 
     def test_tie_is_decided_exactly(self):
