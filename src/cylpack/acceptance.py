@@ -166,13 +166,9 @@ def check_curve_membership() -> CheckResult:
     worst_vanish = 0.0
     for i in range(200):
         sample = gamma_point((i + 1) / 201.0)
-        worst_vanish = max(
-            worst_vanish,
-            abs(psi(sample.s_var, sample.t_var)),
-            abs(k1(sample.S, sample.T, sample.U)),
-            abs(k2(sample.S, sample.T, sample.U)),
-            abs(sample.U - u_from_st(sample.S, sample.T)),
-        )
+        s2, t2, st = sample.s_var, sample.t_var, sample.S * sample.T  # s_var, t_var: S^2, T^2
+        worst_vanish = max(worst_vanish, abs(psi(s2, t2)), abs(k1(st, sample.U)),
+                           abs(k2(s2, t2, st, sample.U)), abs(sample.U - u_from_st(s2, t2, st)))
     return CheckResult(
         "curve-membership",
         worst_fact <= 1e-10 and worst_vanish <= 1e-9,

@@ -3,9 +3,11 @@
 Requiring the three neighbor distance squares d_AB^2 = d_AD^2 = d_BD^2
 of the symmetric family cuts out a curve in (phi, delta, kappa) space.
 In the coordinates S = sin(phi), T = tan(delta), U = tan(kappa - pi/6)
-the two differences reduce to polynomials K1 and K2; eliminating U
-leaves one planar constraint psi(s, t) = 0 in s = S^2, t = T^2, and that
-constraint factors so the curve is rational in the single parameter
+the two differences reduce to polynomials K1 and K2 in (S^2, T^2, S T),
+the arguments of k1, k2 and u_from_st: k2 is exact on rationals, and k1
+and u_from_st wait for an exact sqrt(3).  Eliminating U leaves one
+planar constraint psi(s, t) = 0 in s = S^2, t = T^2, and that constraint
+factors so the curve is rational in the single parameter
 x = cos^2(phi) cos^2(delta).  The common squared distance along the
 curve is F(x) = 12x/(1 + 7x + 4x^2), maximized at x = 1/2 with value
 12/11, which yields the cylinder radius (3 + sqrt(33))/8.
@@ -24,31 +26,30 @@ from .lines import (
 from .symmetric import _ORBIT_COLS, SQRT3, AlgCoords, D3Params, build_c6, triplets_alg
 
 
-def k1(S: float, T: float, U: float) -> float:
-    """First equal-distance polynomial; vanishes on the trajectory."""
-    return -SQRT3 * U * U + 2.0 * U * (1.0 - SQRT3 * S * T) + 2.0 * S * T + SQRT3
+def k1(st, U):
+    """First equal-distance polynomial in st = S T; vanishes on the trajectory.
+    Float-only: it needs sqrt(3)."""
+    return -SQRT3 * U * U + 2 * U * (1 - SQRT3 * st) + 2 * st + SQRT3
 
 
-def k2(S: float, T: float, U: float) -> float:
-    """Second equal-distance polynomial; vanishes on the trajectory."""
-    s2, t2 = S * S, T * T
-    return (-4.0 * s2 + 3.0 * s2 * s2 - t2) * (U + S * T) ** 2 - 3.0 * t2 * (s2 - 1.0) ** 3
+def k2(s2, t2, st, U):
+    """Second equal-distance polynomial in s2 = S^2, t2 = T^2, st = S T; vanishes on the
+    trajectory.  Exact on rationals."""
+    return (-4 * s2 + 3 * s2 * s2 - t2) * (U + st) ** 2 - 3 * t2 * (s2 - 1) ** 3
 
 
-def u_from_st(S: float, T: float) -> float:
-    """The counter-rotation coordinate U forced by the trajectory at (S, T).
+def u_from_st(s2, t2, st):
+    """The counter-rotation coordinate U forced by the trajectory at s2 = S^2, t2 = T^2,
+    st = S T.  Float-only: it needs sqrt(3).
 
     Solves the elimination of U from k1 = k2 = 0; valid on the trajectory
     away from its endpoint, where the denominator 4S^2 - 3S^4 + T^2
     vanishes and the constraint surface is singular.
     """
-    s2, t2 = S * S, T * T
-    den = 4.0 * s2 - 3.0 * s2 * s2 + t2
+    den = 4 * s2 - 3 * s2 * s2 + t2
     if abs(den) < 1e-15:
         raise DegenerateError("trajectory coordinate U undefined at S = T = 0")
-    return 0.5 * (
-        -3.0 * SQRT3 * t2 * (s2 - 1.0) ** 3 / den - SQRT3 - 2.0 * S * T - SQRT3 * s2 * t2
-    )
+    return (-3 * SQRT3 * t2 * (s2 - 1) ** 3 / den - SQRT3 - 2 * st - SQRT3 * s2 * t2) / 2
 
 
 def _psi_terms(s, t, v=1) -> list:

@@ -297,9 +297,9 @@ def distance_sq(u: TangentLine, v: TangentLine) -> float:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Configuration:
-    """Ordered family of tangent lines (at least two) in one read-only (n, 6) frame table, with
-    bases and dirs as views of it.  A chart's configuration makes its TangentLine objects on
-    first read; dsq holds the table's pair distances, measured on first read, read-only."""
+    """Ordered family of tangent lines (at least two) in one read-only (n, 6) frame table of
+    [base | dir] rows.  A chart's configuration makes its TangentLine objects on first read;
+    dsq holds the table's pair distances, measured on first read, read-only."""
 
     table: np.ndarray
 
@@ -323,9 +323,6 @@ class Configuration:
     @_cached
     def lines(self) -> tuple:
         return tuple(map(TangentLine._checked, self.table))
-
-    bases = property(lambda self: self.table[:, :3])
-    dirs = property(lambda self: self.table[:, 3:])
 
     @_cached
     def dsq(self) -> np.ndarray:

@@ -142,7 +142,9 @@ class AlgCoords:
     """Rational coordinates (S, T, U, Ubar) of the family.
 
     S = sin(phi), T = tan(delta), U = tan(kappa - pi/6),
-    Ubar = -tan(kappa + pi/6).  U and Ubar derived from one kappa are
+    Ubar = -tan(kappa + pi/6).  s_var and t_var hold S and T themselves,
+    not squared as CurveSample.s_var and t_var are; the closed forms read
+    the products S^2, T^2 and S T.  U and Ubar derived from one kappa are
     Moebius-linked: -sqrt(3) U Ubar + U + Ubar + sqrt(3) = 0.
     """
 
@@ -186,25 +188,24 @@ def _alg_map(phi: float, delta: float, kappa: float, half: float, half_name: str
     return math.sin(phi), math.tan(delta), math.tan(lo), -math.tan(hi)
 
 
-def _neighbor_dists_sq(S, T, U, Ub, sin_sq, cos_sq) -> tuple:
-    """(d_AB^2, d_AD^2, d_BD^2) of the rational coordinate forms at a
-    neighbor angle alpha given by sin_sq = sin^2(alpha) and
-    cos_sq = cos^2(alpha); U and Ub are tan(kappa - alpha/2) and
-    -tan(kappa + alpha/2).
+def _neighbor_dists_sq(s2, t2, st, U, Ub, sin_sq, cos_sq) -> tuple:
+    """(d_AB^2, d_AD^2, d_BD^2) of the rational coordinate forms, read from the products
+    s2 = S^2, t2 = T^2 and st = S T, at a neighbor angle alpha given by sin_sq = sin^2(alpha)
+    and cos_sq = cos^2(alpha); U and Ub are tan(kappa - alpha/2) and -tan(kappa + alpha/2).
+    Exact on rationals (int or Fraction).
 
     d_AB^2 degenerates to 0/0 at S = T = 0, where its limit along the
     delta direction, 4 sin^2(alpha), is returned.
     """
-    s2, t2 = S * S, T * T
-    st = s2 + t2
-    if st < 1e-30:
-        dab = 4.0 * sin_sq
+    r2 = s2 + t2
+    if r2 < 1e-30:
+        dab = 4 * sin_sq
     else:
-        num, den = 4.0 * sin_sq * (1.0 - s2) ** 2, st * (1.0 - sin_sq * s2 + cos_sq * t2)
+        num, den = 4 * sin_sq * (1 - s2) ** 2, r2 * (1 - sin_sq * s2 + cos_sq * t2)
         # past t2 ~ 1e154 den overflows: there, the same form divided through by t2
-        dab = num / (st * ((1.0 - sin_sq * s2) / t2 + cos_sq)) if den == math.inf else num * t2 / den
-    dad = 4.0 * (S * T + U) ** 2 / (1.0 - s2 + t2 + U * U + 2.0 * S * T * U)
-    dbd = 4.0 * (-S * T + Ub) ** 2 / (1.0 - s2 + t2 + Ub * Ub - 2.0 * S * T * Ub)
+        dab = num / (r2 * ((1 - sin_sq * s2) / t2 + cos_sq)) if den == math.inf else num * t2 / den
+    dad = 4 * (st + U) ** 2 / (1 - s2 + t2 + U * U + 2 * st * U)
+    dbd = 4 * (-st + Ub) ** 2 / (1 - s2 + t2 + Ub * Ub - 2 * st * Ub)
     return (dab, dad, dbd)
 
 
@@ -215,8 +216,9 @@ def triplets_alg(a: AlgCoords) -> tuple:
     delta direction, the value 3 of the initial configuration's skew
     pairs, is returned.
     """
+    S, T = a.s_var, a.t_var
     # sin^2 and cos^2 of the neighbor angle pi/3
-    return _neighbor_dists_sq(a.s_var, a.t_var, a.u_var, a.ubar_var, 0.75, 0.25)
+    return _neighbor_dists_sq(S * S, T * T, S * T, a.u_var, a.ubar_var, 0.75, 0.25)
 
 
 @dataclass(frozen=True)

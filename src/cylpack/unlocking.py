@@ -73,7 +73,7 @@ def dists_general(g: GeneralParams) -> tuple:
     """
     S, T, U, Ub = _alg_map(g.phi, g.delta, g.kappa, g.alpha / 2, "alpha/2")
     sa, ca = math.sin(g.alpha), math.cos(g.alpha)
-    return _neighbor_dists_sq(S, T, U, Ub, sa * sa, ca * ca)
+    return _neighbor_dists_sq(S * S, T * T, S * T, U, Ub, sa * sa, ca * ca)
 
 
 def series_coeffs(alpha: float, phi1: float, delta1: float, kappa1: float, kappa2: float) -> dict:

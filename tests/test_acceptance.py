@@ -191,7 +191,7 @@ def test_unlock_verdicts_fails_on_any_bad_witness(monkeypatch, alpha, broken):
 
 def test_curve_membership_fails_on_a_wrong_u(monkeypatch):
     real = acceptance.u_from_st
-    monkeypatch.setattr(acceptance, "u_from_st", lambda S, T: real(S, T) + 1e-8)
+    monkeypatch.setattr(acceptance, "u_from_st", lambda s2, t2, st: real(s2, t2, st) + 1e-8)
     assert not acceptance.check_curve_membership().passed
 
 
@@ -299,7 +299,8 @@ def test_formula_consistency_batch_is_triplets_generic():
     for p, row in zip(params, rows):
         t = triplets_generic(p)
         c = build_c6(p)
-        for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq], batched_dsq(c.bases, c.dirs)[cols]):
+        batched = batched_dsq(c.table[:, :3], c.table[:, 3:])[cols]
+        for want in ([t.dab_sq, t.dad_sq, t.dbd_sq, t.dae_sq], batched):
             assert row.tobytes() == np.array(want).tobytes()
 
 

@@ -50,13 +50,15 @@ def grid_xs(n):
 
 class TestPolynomials:
     def test_k1_initial_root(self):
-        assert abs(k1(0.0, 0.0, U0)) < 1e-15
-        assert math.isclose(k1(0.0, 0.0, 0.0), math.sqrt(3.0), rel_tol=1e-15)
+        assert abs(k1(0.0, U0)) < 1e-15
+        assert math.isclose(k1(0.0, 0.0), math.sqrt(3.0), rel_tol=1e-15)
 
     def test_k2_value_is_exact(self):
-        # all inputs and intermediates are dyadic, so this is exact
-        assert k2(0.5, 1.0, 0.0) == 13.0 / 16.0
-        assert k2(0.3, 0.7, 0.0) == k2(0.3, 0.7, -0.0)
+        # all inputs and intermediates are dyadic, so this is exact: S = 0.5, T = 1
+        assert k2(0.25, 1.0, 0.5, 0.0) == 13.0 / 16.0
+        assert k2(Fraction(1, 4), 1, Fraction(1, 2), 0) == Fraction(13, 16)
+        s2, t2, st = 0.3 * 0.3, 0.7 * 0.7, 0.3 * 0.7
+        assert k2(s2, t2, st, 0.0) == k2(s2, t2, st, -0.0)
 
     def test_k2_matches_distance_difference(self):
         # independent oracle: the difference of the closed distance forms
@@ -72,7 +74,7 @@ class TestPolynomials:
             d2 = 1 + U * U + t2 - s2 + 2 * S * T * U
             dab = 12 * t2 * (1 - s2) ** 2 / d1
             dad = 4 * (T * S + U) ** 2 / d2
-            rhs = 4 * (1 + t2) * k2(S, T, U) / (d1 * d2)
+            rhs = 4 * (1 + t2) * k2(s2, t2, S * T, U) / (d1 * d2)
             assert math.isclose(dab - dad, rhs, rel_tol=1e-10, abs_tol=1e-12)
 
     def test_vanish_along_trajectory(self):
@@ -81,22 +83,23 @@ class TestPolynomials:
             g = gamma_point(x)
             worst = max(
                 worst,
-                abs(k1(g.S, g.T, g.U)),
-                abs(k2(g.S, g.T, g.U)),
+                abs(k1(g.S * g.T, g.U)),
+                abs(k2(g.s_var, g.t_var, g.S * g.T, g.U)),
                 abs(psi(g.s_var, g.t_var)),
             )
         assert worst < 1e-9
 
     def test_u_from_st(self):
         g = gamma_point(0.5)
-        assert math.isclose(u_from_st(g.S, g.T), U_M, rel_tol=1e-13)
+        assert math.isclose(u_from_st(g.s_var, g.t_var, g.S * g.T), U_M, rel_tol=1e-13)
         for x in grid_xs(50):
             if x == 1.0:
                 continue
             g = gamma_point(x)
-            assert math.isclose(u_from_st(g.S, g.T), g.U, rel_tol=1e-9, abs_tol=1e-9)
+            u = u_from_st(g.s_var, g.t_var, g.S * g.T)
+            assert math.isclose(u, g.U, rel_tol=1e-9, abs_tol=1e-9)
         with pytest.raises(DegenerateError):
-            u_from_st(0.0, 0.0)
+            u_from_st(0.0, 0.0, 0.0)
 
 
 class TestPsi:

@@ -247,12 +247,12 @@ class TestConfiguration:
         # the configuration's pair distances through the batched kernel on its own stacks,
         # in pair order (0, 1), (0, 2), (1, 2)
         c = Configuration((vertical(0.0), vertical(math.pi / 3), vertical(math.pi)))
-        out = batched_dsq(c.bases, c.dirs)
+        out = batched_dsq(c.table[:, :3], c.table[:, 3:])
         assert out.shape == (3,)
         assert math.isclose(out[0], 1.0, abs_tol=1e-14)
         assert math.isclose(out[1], 4.0, abs_tol=1e-14)
         assert math.isclose(out[2], 3.0, abs_tol=1e-14)
-        assert np.array_equal(batched_dsq(c.bases[::-1], c.dirs[::-1]), out[::-1])
+        assert np.array_equal(batched_dsq(c.table[::-1, :3], c.table[::-1, 3:]), out[::-1])
 
     def test_min_pairwise(self):
         c = Configuration((vertical(0.0), vertical(math.pi / 3), vertical(math.pi)))
@@ -534,13 +534,13 @@ class TestStackedValidation:
         built = chart_lines(rows)
         rebuilt = Configuration(tuple(TangentLine(u.base, u.dir) for u in built))
         for c in (built, rebuilt):
-            assert c.bases.shape == c.dirs.shape == (len(rows), 3)
-            assert same_bits(c.bases, [u.base for u in c])
-            assert same_bits(c.dirs, [u.dir for u in c])
+            assert c.table[:, :3].shape == c.table[:, 3:].shape == (len(rows), 3)
+            assert same_bits(c.table[:, :3], [u.base for u in c])
+            assert same_bits(c.table[:, 3:], [u.dir for u in c])
             with pytest.raises(ValueError):
-                c.bases[0, 0] = 0.0
+                c.table[0, 0] = 0.0
             with pytest.raises(ValueError):
-                c.dirs[0, 0] = 0.0
+                c.table[0, 3] = 0.0
 
 
 def near(value):
@@ -702,11 +702,12 @@ class TestConfigurationDsq:
         c = chart_lines(rows)
         if from_lines:
             c = Configuration(tuple(c))
+        out = batched_dsq(c.table[:, :3], c.table[:, 3:])
         assert c.dsq is c.dsq
-        assert c.dsq.tobytes() == batched_dsq(c.bases, c.dirs).tobytes()
+        assert c.dsq.tobytes() == out.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             c.dsq[0] = 0.0
-        assert min_pairwise_distance(c) == math.sqrt(float(batched_dsq(c.bases, c.dirs).min()))
+        assert min_pairwise_distance(c) == math.sqrt(float(out.min()))
 
     @settings(deadline=None)
     @given(st.integers(2, 7).flatmap(
@@ -715,7 +716,8 @@ class TestConfigurationDsq:
     def test_one_chart_matches_the_batch_bytewise(self, charts):
         # one chart's gather against the batch's takes: the same bits, the fallback's included
         configs = [chart_lines(rows) for rows in charts]
-        batch = batched_dsq(np.stack([c.bases for c in configs]), np.stack([c.dirs for c in configs]))
+        tables = np.stack([c.table for c in configs])
+        batch = batched_dsq(tables[..., :3], tables[..., 3:])
         for c, want in zip(configs, batch):
             assert c.dsq.tobytes() == want.tobytes()
             pairs = zip(*np.triu_indices(len(c), 1))
@@ -784,9 +786,9 @@ class TestStackedKernelOracle:
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
     def test_single_table_matches_oracle(self, n, seed, special):
         c = chart_lines(oracle_charts(n, 1, seed, special)[0])
-        want = oracle_dsq(c.bases, c.dirs)
+        want = oracle_dsq(c.table[:, :3], c.table[:, 3:])
         assert c.dsq.tobytes() == want.tobytes()
-        assert batched_dsq(c.bases, c.dirs).tobytes() == want.tobytes()
+        assert batched_dsq(c.table[:, :3], c.table[:, 3:]).tobytes() == want.tobytes()
         for (i, j), k in pair_index(n).items():
             assert np.float64(distance_sq(c[i], c[j])).tobytes() == want[k].tobytes()
 
@@ -815,9 +817,9 @@ class TestStackedKernelOracle:
     def test_untilted_c6_is_all_parallel(self, kappa):
         p = D3Params(0.0, 0.0, kappa)
         c = build_c6(p)
-        want = oracle_dsq(c.bases, c.dirs)
+        want = oracle_dsq(c.table[:, :3], c.table[:, 3:])
         i, j = np.triu_indices(6, 1)
-        u, v = c.dirs[i], c.dirs[j]
+        u, v = c.table[i, 3:], c.table[j, 3:]
         assert np.all(np.abs(np.cross(u, v)).max(axis=-1) == 0.0)  # every pair exactly parallel
         assert c.dsq.tobytes() == want.tobytes()
         assert _generic_rows([p] * 3).tobytes() == np.tile(want[_ORBIT_COLS], (3, 1)).tobytes()
@@ -861,7 +863,7 @@ class TestLazyLines:
     def test_chart_configuration_makes_lines_on_first_read(self, rows):
         c = chart_lines(rows)
         min_pairwise_distance(c)
-        assert len(c) == len(rows) and c.bases.shape == c.dirs.shape == (len(rows), 3)
+        assert len(c) == len(rows) and c.table.shape == (len(rows), 6)
         assert "lines" not in vars(c)  # measured without a TangentLine
         first = c[0]
         assert c.lines is c.lines and first is c.lines[0] and list(c) == list(c.lines)

@@ -81,7 +81,7 @@ def _attr_path(owner, parts):
 
 def _resolves(name, module, classes):
     """Whether name is the package or a module or attribute under it (`cylpack.lines`), or an
-    attribute of the row's module or of a class the row names (`Configuration.dsq`, `bases`)."""
+    attribute of the row's module or of a class the row names (`Configuration.dsq`, `lines`)."""
     head, *parts = name.split(".")
     if head == "cylpack":
         return _attr_path(cylpack, parts)

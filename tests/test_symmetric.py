@@ -368,7 +368,7 @@ PARAMS = st.builds(
 
 
 def same_lines(c, d):
-    return c.bases.tobytes() == d.bases.tobytes() and c.dirs.tobytes() == d.dirs.tobytes()
+    return c.table.tobytes() == d.table.tobytes()
 
 
 class TestBuiltOnce:
@@ -382,7 +382,7 @@ class TestBuiltOnce:
         assert build_c6(p) is c
         assert same_lines(c, chart_lines(c6_chart(p)))
         assert not c.dsq.flags.writeable
-        assert c.dsq.tobytes() == batched_dsq(c.bases, c.dirs).tobytes()
+        assert c.dsq.tobytes() == batched_dsq(c.table[:, :3], c.table[:, 3:]).tobytes()
         assert np.array(astuple(triplets_generic(p))).tobytes() == _generic_rows([p])[0].tobytes()
 
     @settings(deadline=None)
