@@ -7,9 +7,11 @@ pairwise line distance is at least 2r/(1+r), which makes the conversion
 between line distances and cylinder radii the bridge between the geometry
 here and the packing statements elsewhere in the package.
 
-A chart is framed once into a C-ordered (n, 6) frame table of [base | dir]
-rows, which a Configuration keeps, making TangentLine objects only when read;
-a table whose rows pass one clean test skips the ordered checks and snaps.
+A chart is framed once, from its coordinates as given, into a C-ordered (n, 6)
+frame table of [base | dir] rows, which a Configuration keeps, making TangentLine
+objects only when read; a table whose rows pass one clean test skips the ordered
+checks and snaps.  SphericalPoint and chart_rows, which name a point rather than
+frame one, report longitudes in [0, 2*pi).
 One pair kernel measures every table, batched or not, at flat take indices
 cached per line count and layout (_chart_index); _pair_kernel's docstring is
 its one statement: formula, parallel fallback, symmetries, rounding, pair order.
@@ -339,20 +341,19 @@ class Configuration:
 
 
 def chart_lines(rows) -> Configuration:
-    """Tangent lines from (latitude, longitude, tangent angle) rows, framed into one table:
-    row k gives the line make_tangent_line(SphericalPoint(lat, lon), ang) would build,
-    longitude reduction included.  Poles are rejected."""
+    """Tangent lines from (latitude, longitude, tangent angle) rows, framed into one table from
+    the coordinates as given, longitudes unreduced; make_tangent_line(p, ang) is the line of the
+    row (p.phi, p.kappa, ang).  Poles are rejected."""
     return Configuration._framed(_chart_table(rows))
 
 
 def _chart_table(rows) -> np.ndarray:
     """chart_lines' checked, read-only (n, 6) frame table, without the configuration."""
-    lat, lon, ang = np.array(rows, dtype=float).T
-    return _frame_table(lat, _reduce_lon(lon), ang)
+    return _frame_table(*np.array(rows, dtype=float).T)
 
 
 def _frame_table(phi, kappa, ang) -> np.ndarray:
-    """Checked, read-only (n, 6) frame table, one copy, at 1-D or scalar lat, reduced lon, ang."""
+    """Checked, read-only (n, 6) frame table, one copy, at 1-D or scalar lat, lon, ang."""
     _reject_poles(phi)
     return _frozen(_unit_tangent(np.array(_frame_xyz(phi, kappa, ang), order="F").T.reshape(-1, 6)))
 

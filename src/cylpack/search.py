@@ -104,9 +104,7 @@ def objective(c: FreeConfig) -> float:
 
 def _objective_batch(coords: np.ndarray) -> np.ndarray:
     """Objective for a (N, 18) batch of charts, returned as (N,); evaluated
-    _BLOCK charts at a time, with the same bits as row by row.  Longitudes
-    are framed as given, not reduced to [0, 2pi) as objective's are, so the
-    two agree bit for bit only on charts whose longitudes lie in [0, 2pi)."""
+    _BLOCK charts at a time, with the same bits as row by row and as objective."""
     c = coords.reshape(-1, N_LINES, 3)
     out = np.empty(len(c))
     for lo in range(0, len(c), _BLOCK):
@@ -269,7 +267,8 @@ def local_maximize(
     Deterministic for fixed arguments; stops when the step drops below
     step_min or the evaluation budget is spent (the final poll batch may
     overrun it by at most one batch).  The reported d_best is recomputed
-    with the scalar distance on the returned chart.
+    with the scalar distance on the returned chart, and equals the last
+    trace value, since every chart path frames the same coordinates alike.
     """
     rngs = [np.random.default_rng(rng_seed)]
     return _pattern_search(seed.coords[None], budget, step0, step_min, rngs)[0]

@@ -198,7 +198,7 @@ def _neighbor_dists_sq(s2, t2, st, U, Ub, sin_sq, cos_sq) -> tuple:
     delta direction, 4 sin^2(alpha), is returned.
     """
     r2 = s2 + t2
-    if r2 < 1e-30:
+    if r2 == 0:
         dab = 4 * sin_sq
     else:
         num, den = 4 * sin_sq * (1 - s2) ** 2, r2 * (1 - sin_sq * s2 + cos_sq * t2)

@@ -40,7 +40,7 @@ def ref_neighbor_dists_sq(S, T, U, Ub, sin_sq, cos_sq):
     """(d_AB^2, d_AD^2, d_BD^2) of symmetric._neighbor_dists_sq, in (S, T)."""
     s2, t2 = S * S, T * T
     st = s2 + t2
-    if st < 1e-30:
+    if st == 0.0:
         dab = 4.0 * sin_sq
     else:
         num, den = 4.0 * sin_sq * (1.0 - s2) ** 2, st * (1.0 - sin_sq * s2 + cos_sq * t2)

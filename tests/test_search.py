@@ -17,7 +17,6 @@ from cylpack.lines import (
     Configuration,
     TangentLine,
     _frame_xyz,
-    _reduce_lon,
     min_pairwise_distance,
 )
 from cylpack.search import (
@@ -55,6 +54,12 @@ EQUATORIAL_ROW = st.tuples(st.just(0.0), st.floats(0.0, 2 * math.pi), st.sampled
 CHARTS = st.lists(
     st.lists(st.one_of(SKEW_ROW, EQUATORIAL_ROW), min_size=6, max_size=6), min_size=1, max_size=8
 )
+# charts as a search leaves them: longitudes and angles far outside [0, 2pi), latitudes to the cap
+WIDE_CHART = st.lists(
+    st.tuples(st.floats(-search._PHI_CAP, search._PHI_CAP), st.floats(-50.0, 50.0),
+              st.floats(-50.0, 50.0)),
+    min_size=6, max_size=6,
+).map(lambda rows: np.array(rows).reshape(18))
 
 
 class TestFreeConfig:
@@ -138,12 +143,15 @@ class TestObjective:
         assert objective(chart_curve(0.5)) == pytest.approx(D_RECORD, abs=1e-12)
 
     def test_batch_matches_scalar(self):
-        # the batch frames longitudes as given and objective reduces them to [0, 2pi),
-        # so on charts whose longitudes lie there already the two agree byte for byte
         coords = np.stack([random_chart(RNG).coords for _ in range(200)])
-        coords[:, 1::3] = _reduce_lon(coords[:, 1::3].ravel()).reshape(-1, 6)
         scalar = np.array([objective(FreeConfig(x)) for x in coords])
         assert scalar.tobytes() == _objective_batch(coords).tobytes()
+
+    @settings(deadline=None)
+    @given(WIDE_CHART)
+    def test_one_framing(self, x):
+        # every chart path frames the coordinates as given, so objective is the batch's bits
+        assert np.float64(objective(FreeConfig(x))).tobytes() == _objective_batch(x[None]).tobytes()
 
     @settings(deadline=None)
     @given(CHARTS)
@@ -239,6 +247,18 @@ class TestPollValues:
         want = _objective_batch(cand).reshape(len(x), 48)
         assert search._poll_values(x, cand).tobytes() == want.tobytes()
 
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.tuples(WIDE_CHART, st.floats(1e-9, 0.1)), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_wide_longitudes_match_objective(self, starts, seed):
+        # candidates around points of any longitude: poll, batch and objective give one value
+        x = np.array([x for x, _ in starts])
+        cand = poll_round(x, [s for _, s in starts], seed)
+        want = _objective_batch(cand.reshape(-1, 18))
+        assert search._poll_values(x, cand).tobytes() == want.tobytes()
+        scalar = np.array([objective(FreeConfig(c)) for c in cand.reshape(-1, 18)])
+        assert scalar.tobytes() == want.tobytes()
+
     def test_untilted_chart(self):
         # the first round of `optimize --from c6`, with every latitude made -0.0: all 15
         # pairs of the point are parallel
@@ -266,6 +286,17 @@ class TestLocalMaximize:
         r = local_maximize(random_chart(RNG), 2000, rng_seed=1)
         assert math.isclose(r.d_best, objective(r.best), rel_tol=1e-12)
         assert math.isclose(r.r_best, r.d_best / (2 - r.d_best), rel_tol=1e-12)
+
+    def test_d_best_is_the_last_trace_value(self):
+        # the curve:0.1 chart has a negative longitude; its search makes no move
+        r = local_maximize(chart_curve(0.1), 20000)
+        assert r.d_best == r.trace[-1][1]
+
+    @settings(deadline=None, max_examples=30)
+    @given(WIDE_CHART, st.integers(0, 2**16))
+    def test_d_best_is_the_last_trace_value_on_wide_charts(self, x, rng_seed):
+        r = local_maximize(FreeConfig(x), 500, rng_seed=rng_seed)
+        assert r.d_best.hex() == r.trace[-1][1].hex()
 
     def test_deterministic(self):
         seed = random_chart(RNG)
