@@ -106,23 +106,25 @@ def _reduce_lon(lon) -> np.ndarray:
     return lon
 
 
-def _basis(phi, kappa) -> tuple:
-    """x, y, z components of tangency points, north and east unit tangents."""
-    sp, cp = np.sin(phi), np.cos(phi)
-    sk, ck = np.sin(kappa), np.cos(kappa)
+def _basis(sin, cos) -> tuple:
+    """x, y, z components of tangency points, north and east unit tangents, from the sines and
+    cosines of latitude and longitude, the first two entries of sin and cos."""
+    sp, sk, cp, ck = sin[0], sin[1], cos[0], cos[1]
     nsp = -sp
     return (cp * ck, cp * sk, sp), (nsp * ck, nsp * sk, cp), (-sk, ck, 0.0)
 
 
-def _frame_xyz(phi, kappa, ang) -> tuple:
-    """Components (bx, by, bz, dx, dy, dz) of the lines at latitudes phi, longitudes kappa, along
-    the north tangent rotated by ang (pi/2: due east), over arrays or scalars; the frame
-    degenerates at the poles, which callers must reject.  dz drops the east tangent's z = 0.0
-    term: ca * nz + sa * 0.0 is ca * nz exactly, since the cosine of a finite double is never
-    +-0 and ca * nz = cos(ang) cos(phi) cannot underflow, so the +-0 added never changes it
-    (a NaN stays NaN)."""
-    base, (nx, ny, nz), (ex, ey, _) = _basis(phi, kappa)
-    ca, sa = np.cos(ang), np.sin(ang)
+def _frame_xyz(chart) -> tuple:
+    """Components (bx, by, bz, dx, dy, dz) of the lines whose latitudes, longitudes and angles are
+    stacked on chart's first axis, (3, ...) or (3,), each line along its north tangent rotated
+    by its angle (pi/2: due east); np.sin and np.cos are called once each, over the whole stack.
+    The frame degenerates at the poles, which callers must reject.  dz drops the east tangent's
+    z = 0.0 term: ca * nz + sa * 0.0 is ca * nz exactly, since the cosine of a finite double is
+    never +-0 and ca * nz = cos(ang) cos(phi) cannot underflow, so the +-0 added never changes
+    it (a NaN stays NaN)."""
+    sin, cos = np.sin(chart), np.cos(chart)
+    base, (nx, ny, nz), (ex, ey, _) = _basis(sin, cos)
+    sa, ca = sin[2], cos[2]
     return (*base, ca * nx + sa * ex, ca * ny + sa * ey, ca * nz)
 
 
@@ -216,7 +218,7 @@ def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
     """Tangent line at p, north tangent rotated by delta in the tangent plane; delta = pi/2
     points it due east (toward increasing longitude).  Poles, where north is undefined, are
     rejected.  The line is chart_lines' for the one row (p.phi, p.kappa, delta)."""
-    return TangentLine._checked(_frame_table(p.phi, p.kappa, delta)[0])
+    return TangentLine._checked(_frame_table(np.array((p.phi, p.kappa, delta)))[0])
 
 
 def _take_index(i, j, line_step: int, comp_step: int) -> np.ndarray:
@@ -349,13 +351,13 @@ def chart_lines(rows) -> Configuration:
 
 def _chart_table(rows) -> np.ndarray:
     """chart_lines' checked, read-only (n, 6) frame table, without the configuration."""
-    return _frame_table(*np.array(rows, dtype=float).T)
+    return _frame_table(np.array(rows, dtype=float).T)
 
 
-def _frame_table(phi, kappa, ang) -> np.ndarray:
-    """Checked, read-only (n, 6) frame table, one copy, at 1-D or scalar lat, lon, ang."""
-    _reject_poles(phi)
-    return _frozen(_unit_tangent(np.array(_frame_xyz(phi, kappa, ang), order="F").T.reshape(-1, 6)))
+def _frame_table(chart) -> np.ndarray:
+    """Checked, read-only (n, 6) frame table, one copy, of a (3, n) or (3,) stacked chart."""
+    _reject_poles(chart[0])
+    return _frozen(_unit_tangent(np.array(_frame_xyz(chart), order="F").T.reshape(-1, 6)))
 
 
 def min_pairwise_distance(c: Configuration) -> float:
@@ -379,7 +381,7 @@ def chart_rows(lines) -> np.ndarray:
         if abs(phi) >= math.pi / 2:
             raise ValueError("line based at a pole has no chart coordinates")
         (kappa,) = _reduce_lon([math.atan2(y, x)]).tolist()
-        _, north, east = _basis(phi, kappa)
+        _, north, east = _basis(np.sin((phi, kappa)), np.cos((phi, kappa)))
         rows.append((phi, kappa, math.atan2(float(line.dir @ east), float(line.dir @ north))))
     return np.array(rows)
 

@@ -7,11 +7,17 @@ function maximized by coordinate pattern search: poll all 36 coordinate
 steps plus 12 random unit directions, move to the best improving
 candidate, halve the step when none improves.  Several starts run in
 lockstep, one poll evaluation per round for all of them, with results
-identical to running them one after another.  A poll round measures
-only the pair distances its steps move (_poll_values); seed charts and
-the perturbation probe evaluate full charts, _BLOCK at a time, and the
-probe draws its trials a block at a time too.  Both go through one
-pair-distance kernel, in calls whose temporaries the allocator keeps.
+identical to running them one after another.  A search writes its
+rounds into one buffer allocated once, each live start's point and then
+its candidates, and each start draws its random directions a block of
+rounds at a time.  A round moves to the argmax of its candidates'
+distances, taken after the square root: of two candidates whose squared
+minima differ but round to one distance, the first wins.  A poll round
+measures only the pair distances its steps move (_poll_values); seed
+charts and the perturbation probe evaluate full charts, _BLOCK at a
+time, and the probe draws its trials a block at a time too.  Both go
+through one pair-distance kernel, in calls whose temporaries the
+allocator keeps.
 """
 
 from __future__ import annotations
@@ -108,14 +114,15 @@ def _objective_batch(coords: np.ndarray) -> np.ndarray:
     c = coords.reshape(-1, N_LINES, 3)
     out = np.empty(len(c))
     for lo in range(0, len(c), _BLOCK):
-        table = np.array(_frame_xyz(*c[lo:lo + _BLOCK].T)).reshape(6 * N_LINES, -1)
+        table = np.array(_frame_xyz(c[lo:lo + _BLOCK].T)).reshape(6 * N_LINES, -1)
         dsq = _pair_kernel(table, _chart_index(N_LINES, comp_major=True))
         np.sqrt(dsq.min(axis=0), out=out[lo:lo + _BLOCK])
     return out
 
 
 def _clip_latitudes(coords: np.ndarray) -> np.ndarray:
-    coords[..., 0::3] = np.clip(coords[..., 0::3], -_PHI_CAP, _PHI_CAP)
+    lat = coords[..., 0::3]
+    np.clip(lat, -_PHI_CAP, _PHI_CAP, out=lat)
     return coords
 
 
@@ -173,14 +180,15 @@ def _poll_tables() -> tuple:
 _TABLE_COLS, _POLL_INDEX, _CHART_PAIRS = _poll_tables()
 # starts per _poll_values call, small enough that the allocator keeps the call's
 # temporaries, the kernel's (3, 375, starts) takes and the (15, 48, starts) gather of
-# candidate pairs: multi_start(32, 0, 200000) alone in a process faulted 640-700 pages
-# at 2-6 starts, 800-3,900 at 7, about 14,000 at 8 and 81,000 at all 32
+# candidate pairs: multi_start(32, 0, 200000) after a warm-up faults about 300 pages
+# at 4 starts and 5,000-10,500 at 8 (imported from a bytecode cache)
 _POLL_STARTS = 4
 
 
-def _poll_values(x: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Objective of the (L, 48, 18) poll candidates cand around the (L, 18)
-    points x, as (L, 48), with the same bits as _objective_batch(cand).
+def _poll_values(rows: np.ndarray) -> np.ndarray:
+    """Objective of the (L, 48, 18) poll candidates rows[:, 1:] around the
+    points rows[:, 0], as (L, 48), with the same bits as
+    _objective_batch(rows[:, 1:]).
 
     An axis candidate moves one line, so 10 of its 15 pair distances are
     the point's: each start measures the 375 distinct pairs of its point
@@ -189,14 +197,20 @@ def _poll_values(x: np.ndarray, cand: np.ndarray) -> np.ndarray:
     the sign of a zero coordinate (x + 0.0 turns -0.0 into +0.0), which
     moves no distance.
     """
-    out = np.empty(cand.shape[:2])
-    for lo in range(0, len(x), _POLL_STARTS):
-        n = min(_POLL_STARTS, len(x) - lo)
-        src = np.concatenate([x[lo:lo + n], cand[lo:lo + n].reshape(n, -1)], axis=1)
-        table = np.array(_frame_xyz(*src.T.take(_TABLE_COLS, axis=0))).reshape(-1, n)
-        dsq = _pair_kernel(table, _POLL_INDEX)
+    out = np.empty((len(rows), rows.shape[1] - 1))
+    for lo in range(0, len(rows), _POLL_STARTS):
+        src = rows[lo:lo + _POLL_STARTS]
+        n = len(src)
+        table = np.array(_frame_xyz(src.reshape(n, -1).T.take(_TABLE_COLS, axis=0))).reshape(-1, n)
+        # one start's table is one chart's: the kernel's 1-D branch gathers it at once
+        dsq = _pair_kernel(table if n > 1 else table.reshape(-1), _POLL_INDEX)
         np.sqrt(dsq.take(_CHART_PAIRS, axis=0).min(axis=0).T, out=out[lo:lo + n])
     return out
+
+
+# start-rounds of poll directions drawn and normalised at a time (8 x 1.7 KB): 8 rounds for
+# one start, one for 8 starts or more; a 32-round block raised report-all's peak memory
+_DRAW_ROUNDS = 8
 
 
 def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rngs) -> list:
@@ -205,18 +219,24 @@ def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, 
 
     Every round polls all live starts in one _poll_values call; the
     bookkeeping (move or halve the step, trace, stop test) stays per
-    start, so each start takes the path it takes alone.
+    start, so each start takes the path it takes alone.  The live starts
+    fill the first rows of one buffer, each row its point and then its
+    candidates.  A start's directions come from a block drawn with one
+    standard_normal call, which fills it in stream order, so a block
+    holds the draws of its rounds one after another.
     """
     if budget < 1:
         raise ValueError(f"evaluation budget must be positive: {budget!r}")
     budget = int(budget)
-    x = _clip_latitudes(np.array(x0, dtype=float))
+    rows = np.empty((len(x0), 1 + len(_AXES) + _N_RANDOM, N_COORDS))
+    rows[:, 0] = x0
+    x = _clip_latitudes(rows[:, 0])
     f = _objective_batch(x).tolist()
     step = np.full(len(x), float(step0))
-    live = list(range(len(x)))  # the start behind each row of x, f and step
+    live = list(range(len(x)))  # the start behind each row of rows, f and step
     traces = [[(0, v)] for v in f]
     results = [None] * len(x)
-    buf = np.empty((len(x), len(_AXES) + _N_RANDOM, N_COORDS))
+    dirs, r = np.empty((len(x), 0, _N_RANDOM, N_COORDS)), 0  # drawn per live start; next round
     evals, iteration = 1, 0  # every live start has run the same rounds
     while live:
         going = [s >= step_min and evals < budget for s in step.tolist()]
@@ -228,22 +248,26 @@ def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, 
                     results[i] = OptResult(
                         best, d, radius_from_distance(d), evals, tuple(traces[i]), (d,)
                     )
-            x, step = x[going], step[going]
+            rows[:sum(going), 0] = x[going]
+            step, dirs = step[going], dirs[going]
             f = [v for v, g in zip(f, going) if g]
             live = [i for i, g in zip(live, going) if g]
+            x = rows[:len(live), 0]
             if not live:
                 break
-        iteration += 1
-        cand = buf[:len(live)]
-        cand[:, :len(_AXES)] = _AXES
-        for j, i in enumerate(live):
-            rngs[i].standard_normal(out=cand[j, len(_AXES):])
-        rand = cand[:, len(_AXES):]
-        rand /= np.linalg.norm(rand, axis=-1, keepdims=True)
-        cand *= step[:, None, None]
+        if r == dirs.shape[1]:
+            rounds = max(1, _DRAW_ROUNDS // len(live))
+            r, dirs = 0, np.empty((len(live), rounds, _N_RANDOM, N_COORDS))
+            for j, i in enumerate(live):
+                rngs[i].standard_normal(out=dirs[j])
+            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        cand = rows[:len(live), 1:]
+        np.multiply(_AXES, step[:, None, None], out=cand[:, :len(_AXES)])
+        np.multiply(dirs[:, r], step[:, None, None], out=cand[:, len(_AXES):])
+        iteration, r = iteration + 1, r + 1
         cand += x[:, None]
         _clip_latitudes(cand)
-        values = _poll_values(x, cand)
+        values = _poll_values(rows[:len(live)])
         evals += cand.shape[1]
         for j, k in enumerate(values.argmax(axis=1).tolist()):
             if values[j, k] > f[j]:

@@ -293,7 +293,7 @@ BATCH = st.integers(2, 7).flatmap(lambda n: st.lists(ROW, min_size=2 * n, max_si
 
 def frame_stacks(lat, lon, ang):
     """(n, 3) stacks of tangency points and directions of the lines at these chart angles."""
-    xyz = _frame_xyz(lat, lon, ang)
+    xyz = _frame_xyz(np.array([lat, lon, ang]))
     return np.stack(xyz[:3], axis=-1), np.stack(xyz[3:], axis=-1)
 
 
@@ -342,13 +342,13 @@ class TestFrameOracle:
     @given(st.lists(FRAME_ROW, min_size=1, max_size=7))
     def test_frame_matches_the_full_dz_bytewise(self, rows):
         # over arrays, as charts and batches frame them, and over scalars, as one line does
-        lat, lon, ang = np.array(rows).T
-        assert same_bits(_frame_xyz(lat, lon, ang), reference_frame_xyz(lat, lon, ang))
+        chart = np.array(rows).T
+        assert same_bits(_frame_xyz(chart), reference_frame_xyz(*chart))
         for row in rows:
-            assert same_bits(_frame_xyz(*row), reference_frame_xyz(*row))
+            assert same_bits(_frame_xyz(np.array(row)), reference_frame_xyz(*row))
 
     def test_nan_angle_stays_nan(self):
-        for xyz in (_frame_xyz(0.3, 1.0, math.nan), reference_frame_xyz(0.3, 1.0, math.nan)):
+        for xyz in (_frame_xyz(np.array([0.3, 1.0, math.nan])), reference_frame_xyz(0.3, 1.0, math.nan)):
             assert np.isnan(xyz[3:]).all() and np.isfinite(xyz[:3]).all()
 
 
@@ -694,7 +694,7 @@ class TestLongitudeReduction:
         assert rows[0, 1].hex() == kappa.hex()
         # chart_lines frames the longitude -eps itself, not its reduction
         built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)]).table[0]
-        assert same_bits(built, _frame_table(0.0, -eps, 0.0)[0])
+        assert same_bits(built, _frame_table(np.array([0.0, -eps, 0.0]))[0])
 
 
 class TestConfigurationDsq:
@@ -808,7 +808,7 @@ class TestStackedKernelOracle:
         line_major = _pair_kernel(table.reshape(batch, 6 * n).T, _chart_index(n)).T
         assert line_major.tobytes() == want.tobytes()
         # unchecked frames, component-major, as the search's batches make them
-        xyz = _frame_xyz(*np.moveaxis(charts, -1, 0))
+        xyz = _frame_xyz(np.moveaxis(charts, -1, 0))
         want = oracle_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1))
         comp_major = _pair_kernel(np.array(xyz).transpose(0, 2, 1).reshape(6 * n, batch),
                                   _chart_index(n, comp_major=True)).T

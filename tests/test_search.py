@@ -107,8 +107,9 @@ class TestCharts:
 
 def faults_per_call(call, pad=0):
     """Minor page faults per call of `call` in a fresh process, warm: batch is
-    a 32-start poll round's 1536 charts, x the 32 points; pad bytes are allocated
-    before the import, which moves where the heap's later blocks lie."""
+    a 32-start poll round's 1536 charts, rows the round's (32, 49, 18) poll rows
+    (each start's point, then its 48 charts); pad bytes are allocated before
+    the import, which moves where the heap's later blocks lie."""
     pytest.importorskip("resource")
     code = textwrap.dedent(f"""
         import resource
@@ -119,7 +120,7 @@ def faults_per_call(call, pad=0):
         rng = np.random.default_rng(0)
         base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
         batch = _clip_latitudes(base + 0.2 * rng.standard_normal((1536, 18)))
-        x = batch[::48].copy()
+        rows = np.concatenate([batch[::48, None], batch.reshape(32, 48, 18)], axis=1)
         for _ in range(5):
             {call}
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -132,6 +133,41 @@ def faults_per_call(call, pad=0):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     return float(out)
+
+
+@pytest.fixture(scope="module")
+def cached_env(tmp_path_factory):
+    """Environment of fresh processes that import this checkout's cylpack
+    from a bytecode cache filled here once: compiling the sources at import
+    leaves a heap in which a whole run faults several times less, so the
+    verdict would follow whether the checkout happens to hold a cache."""
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]),
+               PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    # every module a whole run loads, numpy.random's too, so no measured process writes one
+    subprocess.run([sys.executable, "-c", "import cylpack.cli, cylpack.search, numpy.random"],
+                   env=env, check=True)
+    return env
+
+
+def whole_run_faults(env, pad):
+    """Minor page faults of one multi_start(32, 0, 200000) in a fresh process,
+    after `import cylpack` and a small warm-up search; pad as in faults_per_call."""
+    pytest.importorskip("resource")
+    code = textwrap.dedent(f"""
+        import resource
+        pad = bytearray({pad})
+        import cylpack
+        from cylpack.search import multi_start
+        multi_start(4, 0, 3000)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        multi_start(32, 0, 200000)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return int(out)
 
 
 class TestObjective:
@@ -157,8 +193,7 @@ class TestObjective:
     @given(CHARTS)
     def test_batch_shares_the_stacked_kernel(self, charts):
         coords = np.array(charts)
-        lat, lon, ang = np.moveaxis(coords, -1, 0)
-        xyz = _frame_xyz(lat, lon, ang)
+        xyz = _frame_xyz(np.moveaxis(coords, -1, 0))
         stacked = np.sqrt(batched_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1)).min(-1))
         batch = _objective_batch(coords.reshape(-1, 18))
         for a, b in zip(batch, stacked):
@@ -189,7 +224,8 @@ class TestObjective:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
     def test_poll_rounds_do_not_fault_their_temporaries_back_in(self):
-        assert faults_per_call("_poll_values(x, batch.reshape(32, 48, 18))") < 50
+        # guards _POLL_STARTS (starts per kernel call) under the batch test's three layouts
+        assert max(faults_per_call("_poll_values(rows)", pad) for pad in (0, 5000, 100000)) < 50
 
     def test_rotation_invariance(self):
         c = random_chart(RNG)
@@ -219,6 +255,11 @@ def poll_round(x, step, seed):
     return search._clip_latitudes(cand)
 
 
+def poll_rows(x, cand):
+    """_poll_values' (L, 49, 18) rows: each start's point, then its candidates."""
+    return np.concatenate([x[:, None], cand], axis=1)
+
+
 # poll points: skew and parallel equatorial rows as in CHARTS, rows at the
 # latitude cap, where +e_k steps clip back, and rows of signed zeros, which
 # the +e_k candidates turn to +0.0
@@ -245,7 +286,7 @@ class TestPollValues:
         x = np.array([rows for rows, _ in starts]).reshape(-1, 18)
         cand = poll_round(x, [s for _, s in starts], seed)
         want = _objective_batch(cand).reshape(len(x), 48)
-        assert search._poll_values(x, cand).tobytes() == want.tobytes()
+        assert search._poll_values(poll_rows(x, cand)).tobytes() == want.tobytes()
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.tuples(WIDE_CHART, st.floats(1e-9, 0.1)), min_size=1, max_size=4),
@@ -255,7 +296,7 @@ class TestPollValues:
         x = np.array([x for x, _ in starts])
         cand = poll_round(x, [s for _, s in starts], seed)
         want = _objective_batch(cand.reshape(-1, 18))
-        assert search._poll_values(x, cand).tobytes() == want.tobytes()
+        assert search._poll_values(poll_rows(x, cand)).tobytes() == want.tobytes()
         scalar = np.array([objective(FreeConfig(c)) for c in cand.reshape(-1, 18)])
         assert scalar.tobytes() == want.tobytes()
 
@@ -266,7 +307,21 @@ class TestPollValues:
         x[0, 0::3] = -0.0
         cand = poll_round(x, [0.1], 0)
         want = _objective_batch(cand).reshape(1, 48)
-        assert search._poll_values(x, cand).tobytes() == want.tobytes()
+        assert search._poll_values(poll_rows(x, cand)).tobytes() == want.tobytes()
+
+
+def digest(values):
+    """The first 16 hex digits of the sha256 of values as a float array."""
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()[:16]
+
+
+def bench_start_search(seed, index, budget):
+    """local_maximize from blind start `index` of a seed, drawn like the
+    benchmark's search workload: chart and poll seed from default_rng([seed, 1, index])."""
+    rng = np.random.default_rng([seed, 1, index])
+    x0 = chart_c6(D3Params(0.0, 0.0, 0.0)).coords + 0.2 * rng.standard_normal(18)
+    x0[0::3] = np.clip(x0[0::3], -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)
+    return local_maximize(FreeConfig(x0), budget, rng_seed=int(rng.integers(2**31)))
 
 
 class TestLocalMaximize:
@@ -322,12 +377,23 @@ class TestLocalMaximize:
         ],
     )
     def test_search_paths_pinned(self, index, evals, d_hex, trace_sha):
-        rng = np.random.default_rng([1, 1, index])
-        x0 = chart_c6(D3Params(0.0, 0.0, 0.0)).coords + 0.2 * rng.standard_normal(18)
-        x0[0::3] = np.clip(x0[0::3], -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)
-        r = local_maximize(FreeConfig(x0), 20000, rng_seed=int(rng.integers(2**31)))
-        sha = hashlib.sha256(np.array(r.trace).tobytes()).hexdigest()[:16]
-        assert (r.evals, r.d_best.hex(), sha) == (evals, d_hex, trace_sha)
+        r = bench_start_search(1, index, 20000)
+        assert (r.evals, r.d_best.hex(), digest(r.trace)) == (evals, d_hex, trace_sha)
+
+    # bench-drawn starts (seed 8) where, in one round, two candidates' squared
+    # minima differ but their distances round to the same double: the round's
+    # argmax is taken after the square root, so the first of the two wins; taken
+    # before it, start 6 ends at 9601 evals and d = 0.69543
+    @pytest.mark.parametrize(
+        "index, evals, d_hex, trace_sha",
+        [
+            (6, 9649, "0x1.6c8db0974ee32p-1", "c4b2d36a1790a4a0"),
+            (7, 16753, "0x1.99fd0f1bbad50p-1", "67a27db6c9c08250"),
+        ],
+    )
+    def test_square_root_ties_pinned(self, index, evals, d_hex, trace_sha):
+        r = bench_start_search(8, index, 200000)
+        assert (r.evals, r.d_best.hex(), digest(r.trace)) == (evals, d_hex, trace_sha)
 
 
 def sequential_multi_start(n_starts, rng_seed, budget):
@@ -371,14 +437,15 @@ class TestMultiStart:
     def test_one_kernel_call_per_round(self, monkeypatch):
         sizes = []
 
-        def counting(kernel):
-            def call(*args):
-                sizes.append(args[-1].size // 18)
-                return kernel(*args)
+        def counting(kernel, charts):
+            def call(arg):
+                sizes.append(charts(arg).size // 18)
+                return kernel(arg)
             return call
 
-        monkeypatch.setattr(search, "_objective_batch", counting(_objective_batch))
-        monkeypatch.setattr(search, "_poll_values", counting(search._poll_values))
+        monkeypatch.setattr(search, "_objective_batch", counting(_objective_batch, lambda x: x))
+        # a poll row holds its start's point, then the 48 charts evaluated
+        monkeypatch.setattr(search, "_poll_values", counting(search._poll_values, lambda rows: rows[:, 1:]))
         r = multi_start(5, 0, 2000)
         # the seed charts, then one poll evaluation per round for every live start:
         # ceil(1999 / 48) = 42 rounds, not one call per start and round
@@ -390,6 +457,19 @@ class TestMultiStart:
         # acceptance suite shares this cached run
         r = acceptance._optimizer_run()
         assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 433472)
+        # the run itself bit for bit: every start's d_best, the winner's trace and chart
+        assert (digest(r.start_d), digest(r.trace), digest(r.best.coords)) == (
+            "a0b10e942f274ead", "52e8191d517e8e17", "226201f1946e664e"
+        )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_whole_run_does_not_fault_its_rounds_back_in(self, cached_env):
+        """The cross-check's run, whole, under the three heap layouts of the
+        per-call probes, which time one warm call in a process that imported
+        only cylpack.search and so miss faults that follow the heap a whole
+        run leaves: at 8 starts per _poll_values call they pass, while this
+        run takes 5,000-10,500 faults.  A run at 4 takes about 300."""
+        assert max(whole_run_faults(cached_env, pad) for pad in (0, 5000, 100000)) < 2000
 
     def test_merge_pinned(self):
         # evals summed over six starts, the winner's d_best and trace digest,
