@@ -88,59 +88,52 @@ def check_record_configuration() -> CheckResult:
     )
 
 
-def _formula_points() -> tuple:
-    """check_formula_consistency's 1000 random points: (params, trig, alg) lists."""
-    rng = np.random.default_rng(2026)
-    lo, hi = (0.01, -1.5, 0.0), (1.5, 1.5, 2.0 * math.pi)  # of (phi, delta, kappa)
-    params, trig, alg = [], [], []
-    while len(params) < 1000:
-        # row by row, the same stream of draws as one uniform call per angle
-        for row in rng.uniform(lo, hi, (1000 - len(params), 3)).tolist():
-            p = D3Params(*row)
+def _family_points(seed, lo, hi, n, make, measure) -> tuple:
+    """n points make(*row) of rows uniform in [lo, hi) from default_rng(seed), each measured;
+    a point with |delta| < 1e-3, or on which measure raises DegenerateError, is skipped and
+    redrawn: (params, measures) lists."""
+    rng = np.random.default_rng(seed)
+    params, measures = [], []
+    while len(params) < n:
+        # row by row, the same stream of draws as one uniform call per coordinate
+        for row in rng.uniform(lo, hi, (n - len(params), len(lo))).tolist():
+            p = make(*row)
             if abs(p.delta) < 1e-3:
                 continue
             try:
-                alg.append(triplets_alg(alg_coords(p)))
+                measures.append(measure(p))
             except DegenerateError:
                 continue
             params.append(p)
-            trig.append(triplets_trig(p))
-    return params, trig, alg
+    return params, measures
+
+
+def _formula_points() -> tuple:
+    """check_formula_consistency's 1000 six-line points: (D3Params, triplets_alg) lists."""
+    return _family_points(2026, (0.01, -1.5, 0.0), (1.5, 1.5, 2.0 * math.pi), 1000, D3Params,
+                          lambda p: triplets_alg(alg_coords(p)))
 
 
 def _ring_points() -> tuple:
-    """check_formula_consistency's 2n-ring points from 100 random draws, skipping |delta| < 1e-3
-    and DegenerateError as _formula_points does: (GeneralParams, dists_general) lists."""
-    rng = np.random.default_rng(2027)
-    lo, hi = (0.1, 0.01, -1.5, 0.0), (3.0, 1.5, 1.5, 2.0 * math.pi)  # of (alpha, phi, delta, kappa)
-    params, closed = [], []
-    for g in (GeneralParams(*row) for row in rng.uniform(lo, hi, (100, 4)).tolist()):
-        if abs(g.delta) < 1e-3:
-            continue
-        try:
-            closed.append(dists_general(g))
-        except DegenerateError:
-            continue
-        params.append(g)
-    return params, closed
+    """check_formula_consistency's 100 2n-ring points: (GeneralParams, dists_general) lists."""
+    return _family_points(2027, (0.1, 0.01, -1.5, 0.0), (3.0, 1.5, 1.5, 2.0 * math.pi), 100,
+                          GeneralParams, dists_general)
 
 
 def check_formula_consistency() -> CheckResult:
     """Trig, algebraic, and generic distances agree at 1000 random points of the six-line family,
     and the 2n-ring's closed forms agree with its built lines at 100 random points."""
-    params, trigs, algs = _formula_points()
+    params, algs = _formula_points()
     worst = 0.0
-    for trig, alg, (*gen, gen_dae) in zip(trigs, algs, _generic_rows(params).tolist()):
+    for p, alg, (*gen, gen_dae) in zip(params, algs, _generic_rows(params).tolist()):
+        trig = triplets_trig(p)
         for x, y, z in zip((trig.dab_sq, trig.dad_sq, trig.dbd_sq), alg, gen):
-            scale = max(abs(x), abs(y), abs(z), 1e-6)
-            worst = max(worst, abs(x - y) / scale, abs(y - z) / scale)
-        scale = max(abs(trig.dae_sq), abs(gen_dae), 1e-6)
-        worst = max(worst, abs(trig.dae_sq - gen_dae) / scale)
+            worst = max(worst, max(abs(x - y), abs(y - z)) / max(abs(x), abs(y), abs(z), 1e-6))
+        worst = max(worst, abs(trig.dae_sq - gen_dae) / max(abs(trig.dae_sq), abs(gen_dae), 1e-6))
     ring, closed = _ring_points()
-    built = [build_c3(g).dsq.tolist() for g in ring]  # (AB, AD, BD), the order of dists_general
     ring_worst = 0.0
-    for xs, ys in zip(closed, built):
-        for x, y in zip(xs, ys):
+    for g, xs in zip(ring, closed):
+        for x, y in zip(xs, build_c3(g).dsq.tolist()):  # (AB, AD, BD), the order of dists_general
             ring_worst = max(ring_worst, abs(x - y) / max(abs(x), abs(y), 1e-6))
     return CheckResult(
         "formula-consistency",
@@ -155,9 +148,7 @@ def check_curve_membership() -> CheckResult:
     there is the one its elimination u_from_st gives."""
     rng = np.random.default_rng(4)
     worst_fact = 0.0
-    for _ in range(500):
-        s = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, 3.0)
+    for s, t in rng.uniform((0.0, 0.0), (1.0, 3.0), (500, 2)).tolist():  # stream of scalar pairs
         x = (1.0 - s) / (t + 1.0)
         g = -1.0 - 2.0 * x + t * x + 3.0 * x * x + 7.0 * t * x * x + 4.0 * t * x**3
         expected = -((1.0 + t) ** 3) * g
@@ -294,13 +285,15 @@ def check_series_coefficients() -> CheckResult:
     worst_pair = ""
     mismatches = 0
     compared = 0
+
+    def sign():
+        return 1.0 if rng.uniform() < 0.5 else -1.0
+
     for i in range(20):
         alpha = rng.uniform(0.3, 2.8)
-        phi1 = rng.uniform(0.3, 1.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        delta1 = rng.uniform(0.3, 1.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        kappa1 = 0.0 if i % 2 == 0 else rng.uniform(0.2, 1.0) * (
-            1.0 if rng.uniform() < 0.5 else -1.0
-        )
+        phi1 = rng.uniform(0.3, 1.0) * sign()
+        delta1 = rng.uniform(0.3, 1.0) * sign()
+        kappa1 = 0.0 if i % 2 == 0 else rng.uniform(0.2, 1.0) * sign()
         kappa2 = rng.uniform(-1.0, 1.0)
         closed = series_coeffs(alpha, phi1, delta1, kappa1, kappa2)
         numeric = taylor_coeffs_numeric(alpha, phi1, delta1, kappa1, kappa2)

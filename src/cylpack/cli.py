@@ -36,7 +36,7 @@ from .symmetric import D3Params, build_c6, d3_orbit_check, triplets_generic
 from .unlocking import alt_strategy_verdict, four_cyl_point, unlock_verdict
 
 CURVE_HEADER = "x,phi,delta,kappa,S,T,U,F,dae_sq"
-FOUR_CYL_HEADER = "T,S,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"
+FOUR_CYL_HEADER = "T,S2,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"  # S2 is S^2
 _SOURCES = "record, c6, curve:<x>, file:<path>"
 
 
@@ -130,7 +130,13 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError("--seed must be non-negative")
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     if args.from_source is None:
         result = multi_start(args.starts, args.seed, args.budget)
         run_doc = {"starts": args.starts, "seed": args.seed, "budget_each": args.budget}
@@ -151,6 +157,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     chart = _chart_from_source(args.at)
     report = perturbation_probe(chart, args.radius, args.trials, args.seed)
     _emit(json_dumps({"at": args.at, **report}))
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_unlock_check)
 
     p = sub.add_parser("four-cyl", help="CSV trace of the four-cylinder trajectory")
-    p.add_argument("--t-max", type=float, default=5.0, help="largest tilt tangent")
+    p.add_argument("--t-max", type=float, default=5.0, help="largest tilt tangent, at most 1e5")
     p.add_argument("--samples", type=int, default=100, help="grid points")
     p.add_argument("--mirror", action="store_true", help="use the mirror branch")
     p.set_defaults(func=cmd_four_cyl)

@@ -245,7 +245,13 @@ def alt_strategy_verdict(alpha: float) -> dict:
 
 @dataclass(frozen=True)
 class FourCylSample:
-    """One point of the four-cylinder constant-distance trajectory."""
+    """One point of the four-cylinder constant-distance trajectory.
+
+    t_var is T = tan(delta) and s_var is S^2 = sin^2(phi), squared unlike
+    t_var; u_var is the counter-rotation root U.  dists_sq holds d_AB^2,
+    d_AD^2, d_BD^2; parallel_pair names the adjacent pair that stays
+    parallel ("AD" or "BD") and parallel_residual is 1 - |cos| of its angle.
+    """
 
     t_var: float
     s_var: float
@@ -257,25 +263,31 @@ class FourCylSample:
 
 
 def four_cyl_point(T: float, mirror: bool = False) -> FourCylSample:
-    """Sample the alpha = pi/2 trajectory at T = tan(delta) >= 0.
+    """Sample the alpha = pi/2 trajectory at T = tan(delta) in [0, 1e5].
 
     The trajectory is S^2 = T^2/(1 + 2 T^2) with the counter-rotation
-    root U = -ST - sqrt(S^2 T^2 + 1) (the mirror flag picks the other
-    root of U^2 + 2STU - 1 = 0); along it all three squared distances
-    are identically 2.  At T = 0 the A-B pair is antipodal-parallel with
-    pointwise distance 2 while the skew distance tends to sqrt(2) (the
-    closest points run off to infinity), and the sample reports the
-    trajectory limit 2 for d_AB^2.  One adjacent pair stays exactly
-    parallel along the trajectory: B-D on the default branch, A-D on the
-    mirror branch.
+    root U = -ST - sqrt(S^2 T^2 + 1); the mirror flag picks the other
+    root of U^2 + 2STU - 1 = 0, taken as 1/(ST + sqrt(S^2 T^2 + 1)) since
+    the roots multiply to -1, so that it does not cancel as ST grows.
+    Along it all three squared distances are identically 2.  At T = 0
+    the A-B pair is antipodal-parallel with pointwise distance 2 while
+    the skew distance tends to sqrt(2) (the closest points run off to
+    infinity), and the sample reports the trajectory limit 2 for d_AB^2.
+    One adjacent pair stays exactly parallel along the trajectory: B-D on
+    the default branch, A-D on the mirror branch.
+
+    The angles pass through atan(T), so the computed distances drift from
+    2 as T grows: over [0, 1e5] both branches hold |d^2 - 2| <= 1e-9
+    (about 5e-11 at 1e5), past about 7e5 they do not, and near 1e15 the
+    lines degenerate.  T outside [0, 1e5] raises ValueError.
     """
     T = float(T)
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"trajectory parameter must be nonnegative: {T!r}")
+    if not 0.0 <= T <= 1e5:
+        raise ValueError(f"trajectory parameter outside the range [0, 1e5]: {T!r}")
     alpha = math.pi / 2
     S = T / math.sqrt(1.0 + 2.0 * T * T)
     root = math.sqrt(S * S * T * T + 1.0)
-    U = -S * T + root if mirror else -S * T - root
+    U = 1.0 / (S * T + root) if mirror else -S * T - root
     kappa = math.atan(U) + alpha / 2
     params = GeneralParams(alpha, math.asin(S), math.atan(T), kappa)
     if T == 0.0:

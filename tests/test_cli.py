@@ -275,10 +275,11 @@ class TestFourCyl:
         rc, out = run(capsys, "four-cyl", "--samples", "10")
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0] == FOUR_CYL_HEADER
+        assert lines[0] == FOUR_CYL_HEADER == "T,S2,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"
         assert len(lines) == 11
         for row in lines[1:]:
             cells = [float(c) for c in row.split(",")]
+            assert cells[1] == pytest.approx(cells[0] ** 2 / (1 + 2 * cells[0] ** 2), rel=1e-11)
             assert cells[4] == pytest.approx(2.0, abs=1e-10)
             assert cells[5] == pytest.approx(2.0, abs=1e-10)
             assert cells[6] == pytest.approx(2.0, abs=1e-10)
@@ -292,6 +293,15 @@ class TestFourCyl:
     def test_validation(self, capsys):
         assert main(["four-cyl", "--samples", "1"]) == 1
         assert main(["four-cyl", "--t-max", "0"]) == 1
+
+    @pytest.mark.parametrize("mirror", [[], ["--mirror"]])
+    def test_t_max_past_the_range(self, capsys, mirror):
+        # a T whose distances are not held to 1e-9 is refused, not printed with a wrong d^2
+        rc, err = run_failing(capsys, "four-cyl", "--t-max", "1e8", "--samples", "2", *mirror)
+        assert rc == 1
+        assert err == "error: trajectory parameter outside the range [0, 1e5]: 100000000.0\n"
+        rc, out = run(capsys, "four-cyl", "--t-max", "1e5", "--samples", "2", *mirror)
+        assert rc == 0 and len(out.splitlines()) == 3
 
 
 class TestExportScene:
@@ -426,6 +436,15 @@ class TestReportAll:
 
 
 class TestDirectErrors:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--starts", "2", "--budget", "100"],
+        ["optimize", "--from", "record", "--budget", "100"],
+        ["probe", "--trials", "5"],
+    ])
+    def test_negative_seed_names_the_flag(self, capsys, argv):
+        rc, err = run_failing(capsys, *argv, "--seed", "-1")
+        assert (rc, err) == (1, "error: --seed must be non-negative\n")
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -105,11 +106,12 @@ class TestCharts:
             chart_from_configuration(Configuration(tuple(lines)))
 
 
-def faults_per_call(call, pad=0):
-    """Minor page faults per call of `call` in a fresh process, warm: batch is
-    a 32-start poll round's 1536 charts, rows the round's (32, 49, 18) poll rows
-    (each start's point, then its 48 charts); pad bytes are allocated before
-    the import, which moves where the heap's later blocks lie."""
+def faults_per_call(call, env, pad=0):
+    """Minor page faults per call of `call` in a fresh process with environment
+    env, warm: batch is a 32-start poll round's 1536 charts, rows the round's
+    (32, 49, 18) poll rows (each start's point, then its 48 charts); pad bytes
+    are allocated before the import, which moves where the heap's later blocks
+    lie."""
     pytest.importorskip("resource")
     code = textwrap.dedent(f"""
         import resource
@@ -128,26 +130,43 @@ def faults_per_call(call, pad=0):
             {call}
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     return float(out)
 
 
+def filled_cache_env(prefix):
+    """Environment of fresh processes that import this checkout's cylpack with
+    bytecode read from prefix, filled here with every module a measured process
+    loads, numpy.random's too."""
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]),
+               PYTHONPYCACHEPREFIX=str(prefix))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    imports = "import resource, cylpack.cli, cylpack.search, numpy.random"
+    subprocess.run([sys.executable, "-c", imports], env=env, check=True)
+    return env
+
+
 @pytest.fixture(scope="module")
 def cached_env(tmp_path_factory):
-    """Environment of fresh processes that import this checkout's cylpack
-    from a bytecode cache filled here once: compiling the sources at import
-    leaves a heap in which a whole run faults several times less, so the
-    verdict would follow whether the checkout happens to hold a cache."""
-    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).parents[1]),
-               PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    # every module a whole run loads, numpy.random's too, so no measured process writes one
-    subprocess.run([sys.executable, "-c", "import cylpack.cli, cylpack.search, numpy.random"],
-                   env=env, check=True)
-    return env
+    """Fresh processes import cylpack from a bytecode cache: compiling the
+    sources at import leaves a heap in which a whole run faults several times
+    less, so the verdict would follow whether the checkout happens to hold a
+    cache.  The cache is filled once, so no measured process writes one."""
+    return filled_cache_env(tmp_path_factory.mktemp("pycache"))
+
+
+@pytest.fixture(scope="module")
+def compiling_env(tmp_path_factory):
+    """Fresh processes compile cylpack's sources at every import, as from a
+    checkout without a bytecode cache, while every other module comes from a
+    filled cache as under cached_env."""
+    prefix = tmp_path_factory.mktemp("pycache")
+    env = filled_cache_env(prefix)
+    # the prefix mirrors the package's absolute path
+    shutil.rmtree(prefix.joinpath(*Path(search.__file__).parent.parts[1:]))
+    return dict(env, PYTHONDONTWRITEBYTECODE="1")
 
 
 def whole_run_faults(env, pad):
@@ -208,7 +227,7 @@ class TestObjective:
         assert batch.shape == (search._BLOCK + 5,) and batch.tobytes() == rows.tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
-    def test_batches_do_not_fault_their_temporaries_back_in(self):
+    def test_batches_do_not_fault_their_temporaries_back_in(self, compiling_env, cached_env):
         """A warm batched call reuses the pages the allocator kept from the last one.
 
         Guards lines._BLOCK (charts per kernel call) and the batched branch of
@@ -216,16 +235,20 @@ class TestObjective:
         batch, in fresh processes.  Whether glibc hands freed pages back to the OS
         depends on what lies above them on the heap, so one layout's verdict says
         little about the next; the probe runs under three layouts and each must stay
-        under the limit.  At _BLOCK = 128, one gather of all six operands per block
-        faulted 166-286 pages a call in five of seven layouts and none in the other
-        two, and 256-chart blocks faulted 86-171 in three of seven.
+        under the limit, with cylpack compiled at import and read from a bytecode
+        cache, the two states a checkout can be in.  At _BLOCK = 128, one gather of
+        all six operands per block faulted 166-286 pages a call in five of seven
+        layouts and none in the other two, and 256-chart blocks faulted 86-171 in
+        three of seven.
         """
-        assert max(faults_per_call("_objective_batch(batch)", pad) for pad in (0, 5000, 100000)) < 50
+        assert max(faults_per_call("_objective_batch(batch)", env, pad)
+                   for env in (compiling_env, cached_env) for pad in (0, 5000, 100000)) < 50
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
-    def test_poll_rounds_do_not_fault_their_temporaries_back_in(self):
-        # guards _POLL_STARTS (starts per kernel call) under the batch test's three layouts
-        assert max(faults_per_call("_poll_values(rows)", pad) for pad in (0, 5000, 100000)) < 50
+    def test_poll_rounds_do_not_fault_their_temporaries_back_in(self, compiling_env, cached_env):
+        # guards _POLL_STARTS (starts per kernel call) under the batch test's layouts and states
+        assert max(faults_per_call("_poll_values(rows)", env, pad)
+                   for env in (compiling_env, cached_env) for pad in (0, 5000, 100000)) < 50
 
     def test_rotation_invariance(self):
         c = random_chart(RNG)

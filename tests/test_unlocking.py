@@ -283,3 +283,18 @@ class TestFourCylinders:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             four_cyl_point(-0.1)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_distances_hold_over_the_whole_range(self, mirror):
+        # -ST + sqrt(S^2 T^2 + 1) cancels as S T grows (|d^2 - 2| = 2e-8 at T = 1e4), so the
+        # grid runs to the bound, where the angles' trip through atan(T) leaves 5e-11
+        for T in [*np.geomspace(1e-6, 1e5, 200).tolist(), 1e5]:
+            sample = four_cyl_point(T, mirror)
+            assert max(abs(d - 2.0) for d in sample.dists_sq) <= 1e-9, T
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("T", [math.nextafter(1e5, math.inf), 1e15, math.inf, math.nan])
+    def test_t_past_the_range_rejected(self, mirror, T):
+        # past about 7e5 the distances drift beyond 1e-9, and from about 1e15 the lines degenerate
+        with pytest.raises(ValueError, match=r"^trajectory parameter outside the range \[0, 1e5\]"):
+            four_cyl_point(T, mirror)
