@@ -88,6 +88,12 @@ def check_record_configuration() -> CheckResult:
     )
 
 
+def _worst(*devs) -> float:
+    """The largest of devs, or NaN if any is NaN: max() keeps its running value past a NaN
+    argument, so a NaN measurement would read as no deviation and pass its check."""
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
+
+
 def _family_points(seed, lo, hi, n, make, measure) -> tuple:
     """n points make(*row) of rows uniform in [lo, hi) from default_rng(seed), each measured;
     a point with |delta| < 1e-3, or on which measure raises DegenerateError, is skipped and
@@ -128,13 +134,15 @@ def check_formula_consistency() -> CheckResult:
     for p, alg, (*gen, gen_dae) in zip(params, algs, _generic_rows(params).tolist()):
         trig = triplets_trig(p)
         for x, y, z in zip((trig.dab_sq, trig.dad_sq, trig.dbd_sq), alg, gen):
-            worst = max(worst, max(abs(x - y), abs(y - z)) / max(abs(x), abs(y), abs(z), 1e-6))
-        worst = max(worst, abs(trig.dae_sq - gen_dae) / max(abs(trig.dae_sq), abs(gen_dae), 1e-6))
+            scale = max(abs(x), abs(y), abs(z), 1e-6)
+            worst = _worst(worst, _worst(abs(x - y), abs(y - z)) / scale)
+        scale = max(abs(trig.dae_sq), abs(gen_dae), 1e-6)
+        worst = _worst(worst, abs(trig.dae_sq - gen_dae) / scale)
     ring, closed = _ring_points()
     ring_worst = 0.0
     for g, xs in zip(ring, closed):
         for x, y in zip(xs, build_c3(g).dsq.tolist()):  # (AB, AD, BD), the order of dists_general
-            ring_worst = max(ring_worst, abs(x - y) / max(abs(x), abs(y), 1e-6))
+            ring_worst = _worst(ring_worst, abs(x - y) / max(abs(x), abs(y), 1e-6))
     return CheckResult(
         "formula-consistency",
         worst <= 1e-10 and ring_worst <= 1e-10,
@@ -153,13 +161,13 @@ def check_curve_membership() -> CheckResult:
         g = -1.0 - 2.0 * x + t * x + 3.0 * x * x + 7.0 * t * x * x + 4.0 * t * x**3
         expected = -((1.0 + t) ** 3) * g
         scale = max(abs(expected), 1.0)
-        worst_fact = max(worst_fact, abs(psi(s, t) - expected) / scale)
+        worst_fact = _worst(worst_fact, abs(psi(s, t) - expected) / scale)
     worst_vanish = 0.0
     for i in range(200):
         sample = gamma_point((i + 1) / 201.0)
         s2, t2, st = sample.s_var, sample.t_var, sample.S * sample.T  # s_var, t_var: S^2, T^2
-        worst_vanish = max(worst_vanish, abs(psi(s2, t2)), abs(k1(st, sample.U)),
-                           abs(k2(s2, t2, st, sample.U)), abs(sample.U - u_from_st(s2, t2, st)))
+        worst_vanish = _worst(worst_vanish, abs(psi(s2, t2)), abs(k1(st, sample.U)),
+                              abs(k2(s2, t2, st, sample.U)), abs(sample.U - u_from_st(s2, t2, st)))
     return CheckResult(
         "curve-membership",
         worst_fact <= 1e-10 and worst_vanish <= 1e-9,
@@ -207,7 +215,7 @@ def check_four_cylinder_rigidity() -> CheckResult:
     for mirror in (False, True):
         for T in np.linspace(0.0, 5.0, n).tolist():
             sample = four_cyl_point(T, mirror)
-            worst = max(worst, max(abs(d - 2.0) for d in sample.dists_sq))
+            worst = _worst(worst, *(abs(d - 2.0) for d in sample.dists_sq))
             p = sample.params
             moved = (GeneralParams(p.alpha, p.phi, p.delta, p.kappa + e) for e in (-1e-3, 1e-3))
             decreases += all(min(dists_general(g)) < min(sample.dists_sq) for g in moved)
@@ -269,7 +277,7 @@ def check_alternate_strategy() -> CheckResult:
             for t in (1e-4, -1e-4)
         ]
         mean = 0.5 * sum(distance_sq(*pair) for pair in pairs)
-        worst = max(worst, abs(mean - r["spot_dad_sq_0"]) / r["baseline_dist_sq"])
+        worst = _worst(worst, abs(mean - r["spot_dad_sq_0"]) / r["baseline_dist_sq"])
     return CheckResult(
         "alternate-strategy",
         blocked == len(alphas) and worst <= 1e-6,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .lines import (
     DegenerateError,
+    _count,
     min_pairwise_distance,
     radius_from_distance,
 )
@@ -261,8 +262,7 @@ def scan_unimodality(grid_size: int) -> dict:
     and strictly decreasing right of it (the grid contains 1/2 exactly
     when grid_size is odd).
     """
-    if grid_size < 3:
-        raise ValueError(f"grid needs at least 3 points: {grid_size!r}")
+    grid_size = _count("grid_size", grid_size, 3)
     xs = [(i + 1) / (grid_size + 1) for i in range(grid_size)]
     fs = [f_of_x(x) for x in xs]
     k = max(range(grid_size), key=fs.__getitem__)

@@ -20,6 +20,7 @@ its one statement: formula, parallel fallback, symmetries, rounding, pair order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,6 +73,17 @@ class _cached:
 def _positive_finite(name: str, value) -> None:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite: {value!r}")
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int; refused unless operator.index takes it and it is at least least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer: {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}: {value!r}")
+    return n
 
 
 @dataclass(frozen=True)

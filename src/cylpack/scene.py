@@ -15,17 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lines import Configuration, TangentLine, _positive_finite, min_pairwise_distance
+from .lines import Configuration, TangentLine, _count, _positive_finite, min_pairwise_distance
 from .serialize import CSV_SIG, fmt_float
 
 Mesh = tuple[np.ndarray, list[tuple[int, ...]]]
-
-
-def _check_segments(segments) -> None:
-    if not isinstance(segments, int):
-        raise ValueError("segments must be an integer")
-    if segments < 8:
-        raise ValueError("segments must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -38,7 +31,7 @@ class SceneSpec:
     segments: int = 64
 
     def __post_init__(self) -> None:
-        _check_segments(self.segments)
+        _count("segments", self.segments, 8)
         _positive_finite("radius", self.radius)
         _positive_finite("cyl_length", self.cyl_length)
 
@@ -49,7 +42,7 @@ def sphere_mesh(segments: int) -> Mesh:
     Returns vertices of unit norm and faces as tuples of 0-based vertex
     indices (triangle fans at the poles, quads in between).
     """
-    _check_segments(segments)
+    segments = _count("segments", segments, 8)
     bands = segments // 2
     verts: list[tuple[float, float, float]] = [(0.0, 0.0, 1.0)]
     for i in range(1, bands):
@@ -88,7 +81,7 @@ def tube_mesh(
     the tube spans ``half_length`` to each side of that point.  Two
     rings of ``segments`` vertices, quad faces, no caps.
     """
-    _check_segments(segments)
+    segments = _count("segments", segments, 8)
     _positive_finite("radius", radius)
     _positive_finite("half_length", half_length)
     axis_point = (1.0 + radius) * line.base

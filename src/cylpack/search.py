@@ -23,7 +23,8 @@ allocator keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,7 @@ from .lines import (
     Configuration,
     _BLOCK,
     _chart_index,
+    _count,
     _frame_xyz,
     _pair_kernel,
     _positive_finite,
@@ -208,14 +210,20 @@ def _poll_values(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+# a trace entry, (iteration, objective), as a search keeps it: 16 bytes packed, where a
+# tuple of an int and a float takes about 110
+_TRACE_ENTRY = struct.Struct("qd")
+
 # start-rounds of poll directions drawn and normalised at a time (8 x 1.7 KB): 8 rounds for
 # one start, one for 8 starts or more; a 32-round block raised report-all's peak memory
 _DRAW_ROUNDS = 8
 
 
-def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rngs) -> list:
+def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rngs) -> OptResult:
     """Pattern searches from the rows of x0 in lockstep, start i polling
-    with rngs[i]; one OptResult per start, in start order.
+    with rngs[i], merged to one OptResult: the chart, d_best and trace of
+    the first start of largest d_best, evals summed over the starts, and
+    every start's d_best in start order.
 
     Every round polls all live starts in one _poll_values call; the
     bookkeeping (move or halve the step, trace, stop test) stays per
@@ -223,19 +231,19 @@ def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, 
     fill the first rows of one buffer, each row its point and then its
     candidates.  A start's directions come from a block drawn with one
     standard_normal call, which fills it in stream order, so a block
-    holds the draws of its rounds one after another.
+    holds the draws of its rounds one after another.  A start's trace is
+    kept packed in one byte buffer, 16 bytes an entry, and only the
+    returned start's is unpacked into (iteration, objective) pairs.
     """
-    if budget < 1:
-        raise ValueError(f"evaluation budget must be positive: {budget!r}")
-    budget = int(budget)
+    budget = _count("budget", budget, 1)
     rows = np.empty((len(x0), 1 + len(_AXES) + _N_RANDOM, N_COORDS))
     rows[:, 0] = x0
     x = _clip_latitudes(rows[:, 0])
     f = _objective_batch(x).tolist()
     step = np.full(len(x), float(step0))
     live = list(range(len(x)))  # the start behind each row of rows, f and step
-    traces = [[(0, v)] for v in f]
-    results = [None] * len(x)
+    traces = [bytearray(_TRACE_ENTRY.pack(0, v)) for v in f]
+    ends = [None] * len(x)  # each start's final chart, d_best and evals
     dirs, r = np.empty((len(x), 0, _N_RANDOM, N_COORDS)), 0  # drawn per live start; next round
     evals, iteration = 1, 0  # every live start has run the same rounds
     while live:
@@ -244,10 +252,7 @@ def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, 
             for j, i in enumerate(live):
                 if not going[j]:
                     best = FreeConfig(x[j])
-                    d = objective(best)
-                    results[i] = OptResult(
-                        best, d, radius_from_distance(d), evals, tuple(traces[i]), (d,)
-                    )
+                    ends[i] = (best, objective(best), evals)
             rows[:sum(going), 0] = x[going]
             step, dirs = step[going], dirs[going]
             f = [v for v, g in zip(f, going) if g]
@@ -273,10 +278,14 @@ def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, 
             if values[j, k] > f[j]:
                 x[j] = cand[j, k]
                 f[j] = float(values[j, k])
-                traces[live[j]].append((iteration, f[j]))
+                traces[live[j]] += _TRACE_ENTRY.pack(iteration, f[j])
             else:
                 step[j] *= 0.5
-    return results
+    start_d = tuple(d for _, d, _ in ends)
+    k = max(range(len(ends)), key=start_d.__getitem__)  # the first of equal maxima
+    best, d, _ = ends[k]
+    return OptResult(best, d, radius_from_distance(d), sum(e for *_, e in ends),
+                     tuple(_TRACE_ENTRY.iter_unpack(traces[k])), start_d)
 
 
 def local_maximize(
@@ -294,8 +303,10 @@ def local_maximize(
     with the scalar distance on the returned chart, and equals the last
     trace value, since every chart path frames the same coordinates alike.
     """
+    _positive_finite("step0", step0)
+    _positive_finite("step_min", step_min)
     rngs = [np.random.default_rng(rng_seed)]
-    return _pattern_search(seed.coords[None], budget, step0, step_min, rngs)[0]
+    return _pattern_search(seed.coords[None], budget, step0, step_min, rngs)
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
@@ -311,8 +322,7 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     to the lower start index; evals is the total across starts; the
     trace is the winning start's; start_d lists every start's d_best.
     """
-    if n_starts < 1:
-        raise ValueError(f"need at least one start: {n_starts!r}")
+    n_starts = _count("n_starts", n_starts, 1)
     curve_xs = (0.9, 0.7, 0.5)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
     rngs = [np.random.default_rng(rng_seed + i) for i in range(n_starts)]
@@ -321,11 +331,7 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
         else _clip_latitudes(base + 0.2 * rng.standard_normal(N_COORDS))
         for i, rng in enumerate(rngs)
     ]
-    results = _pattern_search(np.stack(x0), budget_each, _STEP0, _STEP_MIN, rngs)
-    best = max(results, key=lambda r: r.d_best)  # the first of equal maxima
-    return replace(
-        best, evals=sum(r.evals for r in results), start_d=tuple(r.d_best for r in results)
-    )
+    return _pattern_search(np.stack(x0), budget_each, _STEP0, _STEP_MIN, rngs)
 
 
 def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int = 0) -> dict:
@@ -335,9 +341,7 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     and evaluated _BLOCK at a time, in memory flat in trials: the same
     stream of draws, and the same report bit for bit, as one batch."""
     _positive_finite("perturbation radius", radius)
-    if trials < 1:
-        raise ValueError(f"need at least one trial: {trials!r}")
-    trials = int(trials)
+    trials = _count("trials", trials, 1)
     rng = np.random.default_rng(rng_seed)
     f0 = float(_objective_batch(c.coords[None])[0])
     best, exceed = -np.inf, 0

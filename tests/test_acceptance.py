@@ -268,6 +268,47 @@ def test_four_cylinder_rigidity_fails_on_a_wrong_mirror_root(monkeypatch):
     assert not acceptance.check_four_cylinder_rigidity().passed
 
 
+def _nan_generic_rows(real):
+    return lambda params: np.full_like(real(params), math.nan)
+
+
+def _nan_last_ring_distance(real):
+    return lambda g: (*real(g)[:-1], math.nan)
+
+
+def _nan_spot_coefficient(real):
+    return lambda alpha: {**real(alpha), "spot_dad_sq_0": math.nan}
+
+
+def _nan_last_four_cyl_distance(real):
+    def spoiled(T, mirror=False):
+        sample = real(T, mirror)
+        return dataclasses.replace(sample, dists_sq=(*sample.dists_sq[:-1], math.nan))
+    return spoiled
+
+
+# one formulation at a time returns NaN: each fold of the check must carry it into its figure,
+# where max() dropped it (the NaN-last distances also pass the four-cylinder decrease count)
+@pytest.mark.parametrize("check, name, spoil, figure", [
+    ("formula_consistency", "_generic_rows", _nan_generic_rows,
+     "worst pairwise relative deviation nan <= 1e-10"),
+    ("formula_consistency", "dists_general", _nan_last_ring_distance,
+     "dists_general vs build_c3 worst nan <= 1e-10"),
+    ("curve_membership", "psi", lambda real: lambda s, t: math.nan,
+     "factorization residual nan <= 1e-10"),
+    ("curve_membership", "k1", lambda real: lambda st, U: math.nan,
+     "along 200 trajectory points nan <= 1e-9"),
+    ("alternate_strategy", "alt_strategy_verdict", _nan_spot_coefficient,
+     "worst deviation nan of the baseline"),
+    ("four_cylinder_rigidity", "four_cyl_point", _nan_last_four_cyl_distance,
+     "max |d^2 - 2| = nan <= 1e-10"),
+], ids=["generic", "ring", "psi", "k1", "spot", "four-cyl"])
+def test_a_nan_measurement_fails_its_check(monkeypatch, check, name, spoil, figure):
+    monkeypatch.setattr(acceptance, name, spoil(getattr(acceptance, name)))
+    result = getattr(acceptance, f"check_{check}")()
+    assert not result.passed and figure in result.details, result.details
+
+
 def test_formula_points_are_the_scalar_draws():
     # the check draws its angles in blocks; the points are those of one
     # uniform call per angle, with the same rejections

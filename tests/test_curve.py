@@ -322,6 +322,12 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_unimodality(2)
 
+    def test_grid_size_is_an_integer(self):
+        # range() refused a float grid with a TypeError naming no argument
+        with pytest.raises(ValueError, match=r"^grid_size must be an integer: 1001\.0$"):
+            scan_unimodality(1001.0)
+        assert scan_unimodality(np.int64(5)) == scan_unimodality(5)
+
 
 class TestPureGeodetic:
     def test_record_rationals(self):

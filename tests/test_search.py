@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -387,6 +388,13 @@ class TestLocalMaximize:
         with pytest.raises(ValueError):
             local_maximize(chart_record(), 0)
 
+    @pytest.mark.parametrize("name", ["step0", "step_min"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_validation(self, name, value):
+        # a NaN or negative step0 returned the seed after one evaluation
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite: "):
+            local_maximize(chart_record(), 1000, **{name: value})
+
     # blind starts drawn like the benchmark's search workload (seed 1,
     # starts 0-2), pinned to what the einsum/np.cross kernel gave: evals,
     # d_best and a digest of the trace, whose values move by an ulp when a
@@ -431,7 +439,7 @@ def sequential_multi_start(n_starts, rng_seed, budget):
             x0 = chart_curve((0.9, 0.7, 0.5)[i]).coords
         else:
             x0 = search._clip_latitudes(base + 0.2 * rng.standard_normal(18))
-        (run,) = search._pattern_search(x0[None], budget, 0.1, 1e-9, [rng])
+        run = search._pattern_search(x0[None], budget, 0.1, 1e-9, [rng])
         runs.append(run)
     best = runs[0]
     for run in runs[1:]:
@@ -510,6 +518,11 @@ class TestMultiStart:
         first = local_maximize(chart_curve(0.9), 500, rng_seed=0)
         assert np.array_equal(r.best.coords, first.best.coords) and r.trace == first.trace
 
+    def test_memory_holds_one_trace(self):
+        # each start's improvements are packed 16 bytes an entry and only the winner's trace
+        # is built: holding every start's (iteration, value) tuples, the peak read 1.07-1.16 MiB
+        assert traced_peak_mb(lambda: multi_start(32, 0, 200000)) < 0.8
+
     def test_small_run_reaches_curve_seed_level(self):
         r = multi_start(4, 0, 3000)
         assert r.d_best >= D_RECORD - 1e-9  # the x = 0.5 seed is start 2
@@ -526,6 +539,29 @@ class TestMultiStart:
             multi_start(0, 0, 100)
         with pytest.raises(ValueError):
             multi_start(1, 0, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: multi_start(2.0, 0, 100), "n_starts must be an integer: 2.0"),
+    (lambda: multi_start(0, 0, 100), "n_starts must be at least 1: 0"),
+    (lambda: multi_start(2, 0, 100.5), "budget must be an integer: 100.5"),
+    (lambda: multi_start(2, 0, 0), "budget must be at least 1: 0"),
+    (lambda: local_maximize(chart_record(), math.nan), "budget must be an integer: nan"),
+    (lambda: perturbation_probe(chart_record(), 1e-3, 10.5), "trials must be an integer: 10.5"),
+    (lambda: perturbation_probe(chart_record(), 1e-3, 0), "trials must be at least 1: 0"),
+], ids=["float starts", "no starts", "float budget", "no budget", "nan budget", "float trials",
+        "no trials"])
+def test_counts_are_integers(call, message):
+    # a float count was truncated, reported as its floor, or failed in range() naming no argument
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_counts_are_counts():
+    chart = chart_record()
+    assert perturbation_probe(chart, 1e-3, np.int64(50)) == perturbation_probe(chart, 1e-3, 50)
+    a, b = multi_start(np.int32(4), 0, np.int64(500)), multi_start(4, 0, 500)
+    assert (a.evals, a.trace, a.start_d) == (b.evals, b.trace, b.start_d)
 
 
 def one_shot_probe(c, radius, trials, rng_seed):
