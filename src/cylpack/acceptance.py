@@ -18,8 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .curve import (
-    build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record,
-    scan_unimodality, u_from_st,
+    _RECORD_CLOSED, build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check,
+    record, scan_unimodality, u_from_st,
 )
 from .lines import chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
@@ -37,8 +37,7 @@ from .unlocking import (
     unlock_verdict,
 )
 
-D_RECORD = math.sqrt(12.0 / 11.0)
-R_RECORD = (3.0 + math.sqrt(33.0)) / 8.0
+D_RECORD, R_RECORD = _RECORD_CLOSED["d"], _RECORD_CLOSED["r"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class CheckResult:
 def check_record_values() -> CheckResult:
     """f(1/2) = 12/11 exactly and r_m = (3 + sqrt(33))/8 = 1.093070331."""
     exact_ok = f_of_x(Fraction(1, 2)) == Fraction(12, 11)
-    float_ok = abs(f_of_x(0.5) - 12.0 / 11.0) <= 1e-14
+    float_ok = abs(f_of_x(0.5) - _RECORD_CLOSED["f"]) <= 1e-14
     r_m = record().r_m
     closed_ok = abs(r_m - R_RECORD) <= 1e-12
     decimal_ok = abs(r_m - 1.093070331) <= 1e-9
@@ -71,8 +70,8 @@ def check_record_configuration() -> CheckResult:
     the 3 of orbit ae are 540/143, pairs compared unordered."""
     config = build_curve_point(0.5)[1]
     values = config.dsq
-    near_f = np.abs(values - 12.0 / 11.0) <= 1e-9
-    near_ae = np.abs(values - 540.0 / 143.0) <= 1e-9
+    near_f = np.abs(values - _RECORD_CLOSED["f"]) <= 1e-9
+    near_ae = np.abs(values - _RECORD_CLOSED["dae_sq"]) <= 1e-9
     all_covered = bool((near_f | near_ae).all())
     pairs = [frozenset(pair) for pair in combinations(range(6), 2)]  # dsq's row-major order
     f_pairs = {pair for pair, near in zip(pairs, near_f.tolist()) if near}

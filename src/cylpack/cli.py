@@ -38,6 +38,9 @@ from .unlocking import alt_strategy_verdict, four_cyl_point, unlock_verdict
 CURVE_HEADER = "x,phi,delta,kappa,S,T,U,F,dae_sq"
 FOUR_CYL_HEADER = "T,S2,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"  # S2 is S^2
 _SOURCES = "record, c6, curve:<x>, file:<path>"
+# the flag that sets each value the library checks, keyed by the name its errors start with
+_FLAGS = {"n_starts": "--starts", "budget": "--budget", "trials": "--trials", "radius": "--radius",
+          "perturbation radius": "--radius", "cyl_length": "--length", "segments": "--segments"}
 
 
 def _source(text: str) -> FreeConfig | Configuration:
@@ -356,7 +359,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        name, must, rest = str(exc).partition(" must ")
+        print(f"error: {_FLAGS.get(name, name)}{must}{rest}", file=sys.stderr)
         return 1
     except (OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ frame one, report longitudes in [0, 2*pi).
 One pair kernel measures every table, batched or not, at flat take indices
 cached per line count and layout (_chart_index); _pair_kernel's docstring is
 its one statement: formula, parallel fallback, symmetries, rounding, pair order.
+Batches of whole charts, of any line count, are framed and measured by _charts_dsq.
 """
 
 from __future__ import annotations
@@ -358,18 +359,21 @@ def chart_lines(rows) -> Configuration:
     """Tangent lines from (latitude, longitude, tangent angle) rows, framed into one table from
     the coordinates as given, longitudes unreduced; make_tangent_line(p, ang) is the line of the
     row (p.phi, p.kappa, ang).  Poles are rejected."""
-    return Configuration._framed(_chart_table(rows))
-
-
-def _chart_table(rows) -> np.ndarray:
-    """chart_lines' checked, read-only (n, 6) frame table, without the configuration."""
-    return _frame_table(np.array(rows, dtype=float).T)
+    return Configuration._framed(_frame_table(np.array(rows, dtype=float).T))
 
 
 def _frame_table(chart) -> np.ndarray:
     """Checked, read-only (n, 6) frame table, one copy, of a (3, n) or (3,) stacked chart."""
     _reject_poles(chart[0])
     return _frozen(_unit_tangent(np.array(_frame_xyz(chart), order="F").T.reshape(-1, 6)))
+
+
+def _charts_dsq(block: np.ndarray) -> np.ndarray:
+    """(P, B) pair distances of a (B, n, 3) block of charts, framed as chart_lines frames them
+    but unchecked, into one component-major table for one kernel call: chart_lines(chart).dsq's
+    bits wherever _unit_tangent snaps nothing.  Callers pass finite charts off the poles."""
+    table = np.array(_frame_xyz(block.T)).reshape(6 * block.shape[1], -1)
+    return _pair_kernel(table, _chart_index(block.shape[1], comp_major=True))
 
 
 def min_pairwise_distance(c: Configuration) -> float:

@@ -14,9 +14,9 @@ rounds at a time.  A round moves to the argmax of its candidates'
 distances, taken after the square root: of two candidates whose squared
 minima differ but round to one distance, the first wins.  A poll round
 measures only the pair distances its steps move (_poll_values); seed
-charts and the perturbation probe evaluate full charts, _BLOCK at a
-time, and the probe draws its trials a block at a time too.  Both go
-through one pair-distance kernel, in calls whose temporaries the
+charts and the perturbation probe measure full charts by _charts_dsq,
+_BLOCK at a time, and the probe draws its trials a block at a time too.
+Both go through one pair-distance kernel, in calls whose temporaries the
 allocator keeps.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 from .lines import (
     Configuration,
     _BLOCK,
-    _chart_index,
+    _charts_dsq,
     _count,
     _frame_xyz,
     _pair_kernel,
@@ -116,9 +116,7 @@ def _objective_batch(coords: np.ndarray) -> np.ndarray:
     c = coords.reshape(-1, N_LINES, 3)
     out = np.empty(len(c))
     for lo in range(0, len(c), _BLOCK):
-        table = np.array(_frame_xyz(c[lo:lo + _BLOCK].T)).reshape(6 * N_LINES, -1)
-        dsq = _pair_kernel(table, _chart_index(N_LINES, comp_major=True))
-        np.sqrt(dsq.min(axis=0), out=out[lo:lo + _BLOCK])
+        np.sqrt(_charts_dsq(c[lo:lo + _BLOCK]).min(axis=0), out=out[lo:lo + _BLOCK])
     return out
 
 

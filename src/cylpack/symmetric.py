@@ -23,10 +23,8 @@ from .lines import (
     DegenerateError,
     _BLOCK,
     _cached,
-    _chart_index,
-    _chart_table,
+    _charts_dsq,
     _finite_fields,
-    _pair_kernel,
     chart_lines,
 )
 
@@ -285,12 +283,12 @@ _ORBIT_COLS = np.array([list(zip(*np.triu_indices(6, 1))).index(PAIR_ORBITS[o][0
 
 
 def _generic_rows(params):
-    """triplets_generic of each D3Params as (len(params), 4) rows: the configurations framed
-    into a table and checked as build_c6 does, and measured by the pair kernel, _BLOCK a call."""
+    """triplets_generic of each D3Params as (len(params), 4) rows, their charts measured by
+    _charts_dsq _BLOCK at a time; D3Params keeps every chart finite and off the poles."""
     out = np.empty((len(params), 4))
     for lo in range(0, len(params), _BLOCK):
-        table = _chart_table([row for p in params[lo:lo + _BLOCK] for row in c6_chart(p)])
-        out[lo:lo + _BLOCK] = _pair_kernel(table.reshape(-1, 36).T, _chart_index(6))[_ORBIT_COLS].T
+        charts = np.array([c6_chart(p) for p in params[lo:lo + _BLOCK]])
+        out[lo:lo + _BLOCK] = _charts_dsq(charts)[_ORBIT_COLS].T
     return out
 
 

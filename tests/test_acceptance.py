@@ -25,7 +25,7 @@ import pytest
 
 from cylpack import acceptance, curve, unlocking
 from cylpack.acceptance import run_checks
-from cylpack.lines import _chart_index, _chart_table, _pair_kernel
+from cylpack.lines import _chart_index, _pair_kernel, chart_lines
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -349,7 +349,7 @@ def test_generic_rows_blocks_match_one_batch():
     # _BLOCK configurations per kernel call give the bits of one kernel call over all
     # 1000 framed into one table
     params, _ = acceptance._formula_points()
-    table = _chart_table([row for p in params for row in c6_chart(p)])
+    table = chart_lines([row for p in params for row in c6_chart(p)]).table
     pairs = list(zip(*np.triu_indices(6, 1)))
     cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
     one_call = _pair_kernel(table.reshape(-1, 36).T, _chart_index(6))[cols].T

@@ -241,7 +241,7 @@ class TestProbe:
     @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_non_finite_radius_is_a_validation_error(self, capsys, radius):
         assert main(["probe", "--radius", radius, "--trials", "5"]) == 1
-        assert "perturbation radius must be positive and finite" in capsys.readouterr().err
+        assert "--radius must be positive and finite" in capsys.readouterr().err
 
 
 class TestUnlockCheck:
@@ -450,9 +450,9 @@ class TestDirectErrors:
         [
             (["four-cyl", "--t-max", "inf"], "--t-max must be positive and finite: inf"),
             (["four-cyl", "--t-max", "nan"], "--t-max must be positive and finite: nan"),
-            (["export-scene", "--radius", "inf"], "radius must be positive and finite: inf"),
-            (["export-scene", "--length", "inf"], "cyl_length must be positive and finite: inf"),
-            (["export-scene", "--length", "nan"], "cyl_length must be positive and finite: nan"),
+            (["export-scene", "--radius", "inf"], "--radius must be positive and finite: inf"),
+            (["export-scene", "--length", "inf"], "--length must be positive and finite: inf"),
+            (["export-scene", "--length", "nan"], "--length must be positive and finite: nan"),
         ],
     )
     def test_non_finite_inputs_fail_before_numpy(self, capsys, tmp_path, argv, message):
@@ -461,6 +461,19 @@ class TestDirectErrors:
             argv = [*argv, "--segments", "8", "--out", str(out_path)]
         assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--starts", "0"],
+        ["optimize", "--budget", "0"],
+        ["probe", "--trials", "0"],
+        ["probe", "--radius", "0"],
+        ["export-scene", "--length", "-1"],
+    ])
+    def test_library_checks_name_the_flag(self, capsys, tmp_path, argv):
+        # the library checks these values under its own names; the error line names the flag
+        out = ["--out", str(tmp_path / "scene.obj")] if argv[0] == "export-scene" else []
+        rc, err = run_failing(capsys, *argv, *out)
+        assert rc == 1 and err.startswith(f"error: {argv[1]} must be ")
 
     def test_overflowing_base_is_one_error_line(self, capsys, tmp_path):
         doc = tmp_path / "lines.json"

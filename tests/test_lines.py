@@ -19,7 +19,7 @@ from cylpack.lines import (
     TangentLine,
     _BLOCK,
     _chart_index,
-    _chart_table,
+    _charts_dsq,
     _frame_table,
     _frame_xyz,
     _pair_kernel,
@@ -797,17 +797,28 @@ class TestStackedKernelOracle:
             assert np.float64(distance_sq(c[i], c[j])).tobytes() == want[k].tobytes()
 
     @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 8), st.sampled_from([1, 2, _BLOCK]), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_charts_dsq_is_each_charts_dsq(self, n, batch, seed, special):
+        # any line count: each chart's column of a block has the bits chart_lines gives it alone
+        charts = oracle_charts(n, batch, seed, special)
+        block = _charts_dsq(charts)
+        assert block.shape == (n * (n - 1) // 2, batch)
+        for chart, column in zip(charts, block.T):
+            assert column.tobytes() == chart_lines(chart).dsq.tobytes()
+
+    @settings(deadline=None, max_examples=40)
     @given(st.integers(2, 8), st.sampled_from([1, 159, 160, 161, 400, _BLOCK - 1, _BLOCK + 1]),
            st.integers(0, 2**32 - 1), st.booleans())
     def test_batched_tables_match_oracle(self, n, batch, seed, special):
         charts = oracle_charts(n, batch, seed, special)
-        # checked frame tables, as chart_lines and _generic_rows make them, line by line
-        table = _chart_table(charts.reshape(-1, 3))
+        # checked frame tables, as chart_lines makes them, line by line
+        table = chart_lines(charts.reshape(-1, 3)).table
         bases, dirs = table[:, :3].reshape(batch, n, 3), table[:, 3:].reshape(batch, n, 3)
         want = oracle_dsq(bases, dirs)
         line_major = _pair_kernel(table.reshape(batch, 6 * n).T, _chart_index(n)).T
         assert line_major.tobytes() == want.tobytes()
-        # unchecked frames, component-major, as the search's batches make them
+        # unchecked frames, component-major, as _charts_dsq makes them
         xyz = _frame_xyz(np.moveaxis(charts, -1, 0))
         want = oracle_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1))
         comp_major = _pair_kernel(np.array(xyz).transpose(0, 2, 1).reshape(6 * n, batch),

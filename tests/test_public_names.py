@@ -9,6 +9,11 @@ module-level name is referenced by a bare name or an attribute of that
 name anywhere in those files; a class member only by an attribute
 (`x.name`), since a bare name of the same spelling is some other binding.
 The guard parses the files and imports nothing.
+
+A second guard keeps the pair kernel's table format in one module:
+_pair_kernel, _frame_xyz and _chart_index are named only in lines.py,
+apart from search's poll round (_poll_tables and _poll_values), which
+builds its own kernel table until the pattern search is replaced.
 """
 
 import ast
@@ -94,3 +99,38 @@ def test_a_property_only_a_bare_name_spells_is_flagged(tmp_path):
     package = _with_extra(tmp_path, "\n\nclass Extra:\n    spare = property(lambda self: 0)\n"
                                     "\n\ndef _use(spare):\n    return Extra(), spare\n")
     assert unreferenced(package) == ["serialize.Extra.spare"]
+
+
+KERNEL_NAMES = {"_pair_kernel", "_frame_xyz", "_chart_index"}
+# where each module may name them: anywhere (None), or only inside these definitions
+KERNEL_HOMES = {"lines": None, "search": {"_poll_tables", "_poll_values"}}
+
+
+def kernel_references(package=sorted(PACKAGE.glob("*.py"))):
+    """(module, name) of every naming of a kernel name outside its homes; an import counts in a
+    module with no home, where nothing may use what it imports."""
+    found = []
+    for path in package:
+        homes = KERNEL_HOMES.get(path.stem, set())
+        if homes is None:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        if not homes:
+            found += [(path.stem, alias.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names
+                      if alias.name in KERNEL_NAMES]
+        found += [(path.stem, name) for name, _, inside in _references(tree)
+                  if name in KERNEL_NAMES and not inside & homes]
+    return found
+
+
+def test_only_lines_builds_kernel_tables():
+    assert kernel_references() == []
+
+
+def test_a_kernel_call_outside_its_homes_is_flagged(tmp_path):
+    # a function named _poll_values is a home only in search.py
+    package = _with_extra(tmp_path, "\n\nfrom .lines import _pair_kernel\n\n\n"
+                                    "def _poll_values(table, index):\n"
+                                    "    return _pair_kernel(table, index)\n")
+    assert kernel_references(package) == [("serialize", "_pair_kernel")] * 2
