@@ -21,7 +21,7 @@ from .curve import (
     _RECORD_CLOSED, build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check,
     record, scan_unimodality, u_from_st,
 )
-from .lines import chart_lines, distance_sq, radius_from_distance
+from .lines import _BLOCK, chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
     PAIR_ORBITS, D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig,
@@ -93,15 +93,15 @@ def _worst(*devs) -> float:
     return math.nan if any(map(math.isnan, devs)) else max(devs)
 
 
-def _family_points(seed, lo, hi, n, make, measure) -> tuple:
-    """n points make(*row) of rows uniform in [lo, hi) from default_rng(seed), each measured;
-    a point with |delta| < 1e-3, or on which measure raises DegenerateError, is skipped and
-    redrawn: (params, measures) lists."""
+def _family_points(seed, lo, hi, n, make, measure):
+    """n points make(*row) of rows uniform in [lo, hi) from default_rng(seed), each measured, as
+    (params, measures) lists of at most _BLOCK; a point with |delta| < 1e-3, or on which
+    measure raises DegenerateError, is skipped and redrawn."""
     rng = np.random.default_rng(seed)
-    params, measures = [], []
-    while len(params) < n:
+    while n:
+        params, measures = [], []
         # row by row, the same stream of draws as one uniform call per coordinate
-        for row in rng.uniform(lo, hi, (n - len(params), len(lo))).tolist():
+        for row in rng.uniform(lo, hi, (min(_BLOCK, n), len(lo))).tolist():
             p = make(*row)
             if abs(p.delta) < 1e-3:
                 continue
@@ -110,17 +110,18 @@ def _family_points(seed, lo, hi, n, make, measure) -> tuple:
             except DegenerateError:
                 continue
             params.append(p)
-    return params, measures
+        n -= len(params)
+        yield params, measures
 
 
-def _formula_points() -> tuple:
-    """check_formula_consistency's 1000 six-line points: (D3Params, triplets_alg) lists."""
+def _formula_points():
+    """check_formula_consistency's 1000 six-line points: (D3Params, triplets_alg) blocks."""
     return _family_points(2026, (0.01, -1.5, 0.0), (1.5, 1.5, 2.0 * math.pi), 1000, D3Params,
                           lambda p: triplets_alg(alg_coords(p)))
 
 
-def _ring_points() -> tuple:
-    """check_formula_consistency's 100 2n-ring points: (GeneralParams, dists_general) lists."""
+def _ring_points():
+    """check_formula_consistency's 100 2n-ring points: (GeneralParams, dists_general) blocks."""
     return _family_points(2027, (0.1, 0.01, -1.5, 0.0), (3.0, 1.5, 1.5, 2.0 * math.pi), 100,
                           GeneralParams, dists_general)
 
@@ -128,24 +129,23 @@ def _ring_points() -> tuple:
 def check_formula_consistency() -> CheckResult:
     """Trig, algebraic, and generic distances agree at 1000 random points of the six-line family,
     and the 2n-ring's closed forms agree with its built lines at 100 random points."""
-    params, algs = _formula_points()
-    worst = 0.0
-    for p, alg, (*gen, gen_dae) in zip(params, algs, _generic_rows(params).tolist()):
-        trig = triplets_trig(p)
-        for x, y, z in zip((trig.dab_sq, trig.dad_sq, trig.dbd_sq), alg, gen):
-            scale = max(abs(x), abs(y), abs(z), 1e-6)
-            worst = _worst(worst, _worst(abs(x - y), abs(y - z)) / scale)
-        scale = max(abs(trig.dae_sq), abs(gen_dae), 1e-6)
-        worst = _worst(worst, abs(trig.dae_sq - gen_dae) / scale)
-    ring, closed = _ring_points()
-    ring_worst = 0.0
-    for g, xs in zip(ring, closed):
-        for x, y in zip(xs, build_c3(g).dsq.tolist()):  # (AB, AD, BD), the order of dists_general
-            ring_worst = _worst(ring_worst, abs(x - y) / max(abs(x), abs(y), 1e-6))
+    worst = ring_worst = 0.0
+    for params, algs in _formula_points():
+        for p, alg, (*gen, gen_dae) in zip(params, algs, _generic_rows(params).tolist()):
+            trig = triplets_trig(p)
+            for x, y, z in zip((trig.dab_sq, trig.dad_sq, trig.dbd_sq), alg, gen):
+                scale = max(abs(x), abs(y), abs(z), 1e-6)
+                worst = _worst(worst, _worst(abs(x - y), abs(y - z)) / scale)
+            scale = max(abs(trig.dae_sq), abs(gen_dae), 1e-6)
+            worst = _worst(worst, abs(trig.dae_sq - gen_dae) / scale)
+    for ring, closed in _ring_points():
+        for g, xs in zip(ring, closed):
+            for x, y in zip(xs, build_c3(g).dsq.tolist()):  # (AB, AD, BD): dists_general's order
+                ring_worst = _worst(ring_worst, abs(x - y) / max(abs(x), abs(y), 1e-6))
     return CheckResult(
         "formula-consistency",
         worst <= 1e-10 and ring_worst <= 1e-10,
-        f"1000 points, worst pairwise relative deviation {worst:.3g} <= 1e-10; {len(ring)} ring "
+        f"1000 points, worst pairwise relative deviation {worst:.3g} <= 1e-10; 100 ring "
         f"points, alpha in [0.1, 3], dists_general vs build_c3 worst {ring_worst:.3g} <= 1e-10",
     )
 

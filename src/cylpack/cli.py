@@ -9,7 +9,6 @@ failure from report-all.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -18,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .curve import build_curve_point, gamma_point, record
-from .lines import Configuration, _positive_finite, min_pairwise_distance, radius_from_distance
-from .scene import SceneSpec, min_surface_gap, scene_obj
+from .lines import Configuration, _count, _positive_finite, min_pairwise_distance, radius_from_distance
 from .search import (
     FreeConfig,
     chart_c6,
@@ -31,9 +29,8 @@ from .search import (
     multi_start,
     perturbation_probe,
 )
-from .serialize import config_from_dict, csv_line, json_dumps
 from .symmetric import D3Params, build_c6, d3_orbit_check, triplets_generic
-from .unlocking import alt_strategy_verdict, four_cyl_point, unlock_verdict
+from .unlocking import _T_MAX, alt_strategy_verdict, four_cyl_point, unlock_verdict
 
 CURVE_HEADER = "x,phi,delta,kappa,S,T,U,F,dae_sq"
 FOUR_CYL_HEADER = "T,S2,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"  # S2 is S^2
@@ -58,6 +55,8 @@ def _source(text: str) -> FreeConfig | Configuration:
     if text.startswith("curve:"):
         return chart_curve(float(text[len("curve:"):]))
     if text.startswith("file:"):
+        import json
+        from .serialize import config_from_dict
         with open(text[len("file:"):], encoding="utf-8") as handle:
             data = json.load(handle)
         if isinstance(data, dict) and "coords" in data and "lines" not in data:
@@ -74,6 +73,17 @@ def _chart_from_source(text: str) -> FreeConfig:
 
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+# serialize (and json) load only where a command writes JSON or CSV: text report-all needs neither
+def _emit_json(doc: dict) -> None:
+    from .serialize import json_dumps
+    _emit(json_dumps(doc))
+
+
+def _emit_csv(header: str, rows) -> None:
+    from .serialize import csv_line
+    _emit("\n".join([header, *map(csv_line, rows)]))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -103,43 +113,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "radius": radius_from_distance(d),
         "d3_symmetric": d3_orbit_check(config),
     }
-    _emit(json_dumps(doc))
+    _emit_json(doc)
     return 0
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    rows = [CURVE_HEADER]
-    for i in range(args.samples):
-        x = (i + 1) / (args.samples + 1)
+    n = _count("--samples", args.samples, 1)
+
+    def row(x: float) -> list:
         sample = gamma_point(x)
         p = sample.params
-        dae_sq = triplets_generic(p).dae_sq
-        rows.append(
-            csv_line(
-                [x, p.phi, p.delta, p.kappa, sample.S, sample.T, sample.U,
-                 sample.f_value, dae_sq]
-            )
-        )
-    _emit("\n".join(rows))
+        return [x, p.phi, p.delta, p.kappa, sample.S, sample.T, sample.U, sample.f_value,
+                triplets_generic(p).dae_sq]
+
+    _emit_csv(CURVE_HEADER, (row((i + 1) / (n + 1)) for i in range(n)))
     return 0
 
 
 def cmd_record(args: argparse.Namespace) -> int:
     rep = record()
     doc = {"computed": rep.computed(), "closed_form": rep.closed}
-    _emit(json_dumps(doc))
+    _emit_json(doc)
     return 0
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError("--seed must be non-negative")
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    _count("--seed", args.seed, 0)
     if args.from_source is None:
         result = multi_start(args.starts, args.seed, args.budget)
         run_doc = {"starts": args.starts, "seed": args.seed, "budget_each": args.budget}
@@ -155,15 +154,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "trace": [[i, f] for i, f in result.trace],
         "coords": [float(c) for c in result.best.coords],
     }
-    _emit(json_dumps(doc))
+    _emit_json(doc)
     return 0
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    _count("--seed", args.seed, 0)
     chart = _chart_from_source(args.at)
     report = perturbation_probe(chart, args.radius, args.trials, args.seed)
-    _emit(json_dumps({"at": args.at, **report}))
+    _emit_json({"at": args.at, **report})
     return 0
 
 
@@ -171,9 +170,7 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
     if (args.alpha is None) == (args.n is None):
         raise ValueError("give exactly one of --alpha or --n")
     if args.n is not None:
-        if args.n < 2:
-            raise ValueError("--n must be at least 2")
-        alpha = math.pi / args.n
+        alpha = math.pi / _count("--n", args.n, 2)
     else:
         alpha = math.radians(args.alpha) if args.degrees else args.alpha
     report = unlock_verdict(alpha)
@@ -183,28 +180,24 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
         "witness": report.witness,
         "alternate_strategy": alt_strategy_verdict(alpha),
     }
-    _emit(json_dumps(doc))
+    _emit_json(doc)
     return 0
 
 
 def cmd_four_cyl(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        raise ValueError("--samples must be at least 2")
+    n = _count("--samples", args.samples, 2)
     _positive_finite("--t-max", args.t_max)
-    rows = [FOUR_CYL_HEADER]
-    for T in np.linspace(0.0, args.t_max, args.samples):
-        sample = four_cyl_point(float(T), mirror=args.mirror)
-        rows.append(
-            csv_line(
-                [sample.t_var, sample.s_var, sample.u_var, sample.params.kappa,
-                 *sample.dists_sq, sample.parallel_residual]
-            )
-        )
-    _emit("\n".join(rows))
+    if args.t_max > float(_T_MAX):
+        raise ValueError(f"--t-max must be at most {_T_MAX}: {args.t_max!r}")
+    samples = (four_cyl_point(T, args.mirror) for T in np.linspace(0.0, args.t_max, n).tolist())
+    _emit_csv(FOUR_CYL_HEADER, ([s.t_var, s.s_var, s.u_var, s.params.kappa, *s.dists_sq,
+                                 s.parallel_residual] for s in samples))
     return 0
 
 
 def cmd_export_scene(args: argparse.Namespace) -> int:
+    from .scene import SceneSpec, min_surface_gap, scene_obj
+
     config = _source(args.at)
     if isinstance(config, FreeConfig):
         config = config_lines(config)
@@ -221,7 +214,7 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
         "segments": args.segments,
         "min_surface_gap": min_surface_gap(config, radius),
     }
-    _emit(json_dumps(doc))
+    _emit_json(doc)
     return 0
 
 
@@ -235,6 +228,8 @@ def cmd_report_all(args: argparse.Namespace) -> int:
 
     results = []
     start, peak = time.perf_counter(), _peak_rss_mb() if args.timings else 0.0
+    if args.timings:
+        print(f"imports: peak {peak:.1f} MB", file=sys.stderr)
     for r in run_checks():
         results.append(r)
         if args.timings:
@@ -252,7 +247,7 @@ def cmd_report_all(args: argparse.Namespace) -> int:
             ],
             "all_passed": all_passed,
         }
-        _emit(json_dumps(doc))
+        _emit_json(doc)
     else:
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.details}"

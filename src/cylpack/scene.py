@@ -19,6 +19,15 @@ from .lines import Configuration, TangentLine, _count, _positive_finite, min_pai
 from .serialize import CSV_SIG, fmt_float
 
 Mesh = tuple[np.ndarray, list[tuple[int, ...]]]
+MAX_SEGMENTS = 1024  # a sphere of about 0.5M vertices
+
+
+def _segments(value) -> int:
+    """value as a mesh resolution: an integer in [8, MAX_SEGMENTS]."""
+    segments = _count("segments", value, 8)
+    if segments > MAX_SEGMENTS:
+        raise ValueError(f"segments must be at most {MAX_SEGMENTS}: {value!r}")
+    return segments
 
 
 @dataclass(frozen=True)
@@ -31,7 +40,7 @@ class SceneSpec:
     segments: int = 64
 
     def __post_init__(self) -> None:
-        _count("segments", self.segments, 8)
+        _segments(self.segments)
         _positive_finite("radius", self.radius)
         _positive_finite("cyl_length", self.cyl_length)
 
@@ -42,7 +51,7 @@ def sphere_mesh(segments: int) -> Mesh:
     Returns vertices of unit norm and faces as tuples of 0-based vertex
     indices (triangle fans at the poles, quads in between).
     """
-    segments = _count("segments", segments, 8)
+    segments = _segments(segments)
     bands = segments // 2
     verts: list[tuple[float, float, float]] = [(0.0, 0.0, 1.0)]
     for i in range(1, bands):
@@ -81,7 +90,7 @@ def tube_mesh(
     the tube spans ``half_length`` to each side of that point.  Two
     rings of ``segments`` vertices, quad faces, no caps.
     """
-    segments = _count("segments", segments, 8)
+    segments = _segments(segments)
     _positive_finite("radius", radius)
     _positive_finite("half_length", half_length)
     axis_point = (1.0 + radius) * line.base

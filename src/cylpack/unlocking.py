@@ -22,6 +22,7 @@ from .lines import Configuration, _finite_fields, chart_lines
 from .symmetric import _alg_map, _check_tilt_and_twist, _neighbor_dists_sq
 
 _MARGINAL_TOL = 1e-12
+_T_MAX = "1e5"  # four_cyl_point's largest T, as printed
 
 
 def _neighbor_angle(alpha) -> float:
@@ -276,14 +277,13 @@ def four_cyl_point(T: float, mirror: bool = False) -> FourCylSample:
     One adjacent pair stays exactly parallel along the trajectory: B-D on
     the default branch, A-D on the mirror branch.
 
-    The angles pass through atan(T), so the computed distances drift from
-    2 as T grows: over [0, 1e5] both branches hold |d^2 - 2| <= 1e-9
-    (about 5e-11 at 1e5), past about 7e5 they do not, and near 1e15 the
-    lines degenerate.  T outside [0, 1e5] raises ValueError.
+    The angles pass through atan(T), so the distances drift from 2 as T grows: over [0, 1e5]
+    both branches hold |d^2 - 2| <= 1e-9, past about 7e5 they do not, near 1e15 the lines
+    degenerate, and T outside [0, _T_MAX] raises ValueError.
     """
     T = float(T)
-    if not 0.0 <= T <= 1e5:
-        raise ValueError(f"trajectory parameter outside the range [0, 1e5]: {T!r}")
+    if not 0.0 <= T <= float(_T_MAX):
+        raise ValueError(f"trajectory parameter outside the range [0, {_T_MAX}]: {T!r}")
     alpha = math.pi / 2
     S = T / math.sqrt(1.0 + 2.0 * T * T)
     root = math.sqrt(S * S * T * T + 1.0)

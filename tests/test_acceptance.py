@@ -25,7 +25,7 @@ import pytest
 
 from cylpack import acceptance, curve, unlocking
 from cylpack.acceptance import run_checks
-from cylpack.lines import _chart_index, _pair_kernel, chart_lines
+from cylpack.lines import _BLOCK, _chart_index, _pair_kernel, chart_lines
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -309,9 +309,14 @@ def test_a_nan_measurement_fails_its_check(monkeypatch, check, name, spoil, figu
     assert not result.passed and figure in result.details, result.details
 
 
+def _points(blocks) -> list:
+    """The points of a _family_points stream of (points, measures) blocks, in order."""
+    return [p for points, _ in blocks for p in points]
+
+
 def test_formula_points_are_the_scalar_draws():
-    # the check draws its angles in blocks; the points are those of one
-    # uniform call per angle, with the same rejections
+    # the check draws its angles in blocks of at most _BLOCK rows; the points are
+    # those of one uniform call per angle, with the same rejections
     rng = np.random.default_rng(2026)
     want = []
     while len(want) < 1000:
@@ -325,14 +330,16 @@ def test_formula_points_are_the_scalar_draws():
         except DegenerateError:
             continue
         want.append(p)
-    assert acceptance._formula_points()[0] == want
+    blocks = list(acceptance._formula_points())
+    assert _points(blocks) == want
+    assert all(len(points) == len(measures) <= _BLOCK for points, measures in blocks)
 
 
 def test_formula_consistency_batch_is_triplets_generic():
     # the check builds its 1000 configurations in one batch; each point gets
     # the bits triplets_generic gives it alone, and those of its own built
     # configuration's pair distances
-    params, _ = acceptance._formula_points()
+    params = _points(acceptance._formula_points())
     rows = acceptance._generic_rows(params)
     assert len(params) == 1000 and rows.shape == (1000, 4)
     pairs = list(zip(*np.triu_indices(6, 1)))
@@ -348,7 +355,7 @@ def test_formula_consistency_batch_is_triplets_generic():
 def test_generic_rows_blocks_match_one_batch():
     # _BLOCK configurations per kernel call give the bits of one kernel call over all
     # 1000 framed into one table
-    params, _ = acceptance._formula_points()
+    params = _points(acceptance._formula_points())
     table = chart_lines([row for p in params for row in c6_chart(p)]).table
     pairs = list(zip(*np.triu_indices(6, 1)))
     cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
@@ -358,9 +365,10 @@ def test_generic_rows_blocks_match_one_batch():
 
 
 def test_formula_consistency_memory_is_one_block():
-    # the 1000 configurations are framed and measured _BLOCK at a time, and the trig
-    # distances taken one point at a time; all at once the kernel's temporaries alone
-    # passed 2 MB, and a list of the 1000 trig triplets held the peak at 0.73 MB
+    # the 1000 points are drawn, framed and measured _BLOCK at a time, and each block is
+    # folded before the next is drawn; all at once the kernel's temporaries alone passed
+    # 2 MB, a list of the 1000 trig triplets held the peak at 0.73 MB, and the 1000 points
+    # with their algebraic triplets at 540 KiB (streamed: 299 KiB)
     acceptance.check_formula_consistency()
     tracemalloc.start()
     try:
@@ -368,7 +376,7 @@ def test_formula_consistency_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < 384 * 2**10
 
 
 def test_formula_consistency_details_pinned():
@@ -380,7 +388,7 @@ def test_formula_consistency_details_pinned():
     rows = np.random.default_rng(2027).uniform(
         (0.1, 0.01, -1.5, 0.0), (3.0, 1.5, 1.5, 2.0 * math.pi), (100, 4)
     )
-    assert acceptance._ring_points()[0] == [unlocking.GeneralParams(*row) for row in rows.tolist()]
+    assert _points(acceptance._ring_points()) == [unlocking.GeneralParams(*row) for row in rows.tolist()]
 
 
 @pytest.mark.parametrize("line", [0, 1, 2])

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cylpack
 from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, main
 from cylpack.curve import f_of_x
@@ -295,11 +299,13 @@ class TestFourCyl:
         assert main(["four-cyl", "--t-max", "0"]) == 1
 
     @pytest.mark.parametrize("mirror", [[], ["--mirror"]])
-    def test_t_max_past_the_range(self, capsys, mirror):
-        # a T whose distances are not held to 1e-9 is refused, not printed with a wrong d^2
-        rc, err = run_failing(capsys, "four-cyl", "--t-max", "1e8", "--samples", "2", *mirror)
+    @pytest.mark.parametrize("t_max, samples", [("2e5", "100"), ("1e8", "2")])
+    def test_t_max_past_the_range(self, capsys, mirror, t_max, samples):
+        # a T whose distances are not held to 1e-9 is refused, not printed with a wrong d^2;
+        # the error names the flag and its value, not the first grid point past the range
+        rc, err = run_failing(capsys, "four-cyl", "--t-max", t_max, "--samples", samples, *mirror)
         assert rc == 1
-        assert err == "error: trajectory parameter outside the range [0, 1e5]: 100000000.0\n"
+        assert err == f"error: --t-max must be at most 1e5: {float(t_max)!r}\n"
         rc, out = run(capsys, "four-cyl", "--t-max", "1e5", "--samples", "2", *mirror)
         assert rc == 0 and len(out.splitlines()) == 3
 
@@ -315,6 +321,14 @@ class TestExportScene:
         assert abs(doc["min_surface_gap"]) <= 1e-12
         text = out_path.read_text()
         assert text.startswith("o sphere\n") and text.endswith("\n")
+
+    def test_segments_past_the_bound(self, capsys, tmp_path):
+        # refused before any mesh is built: no file, and no wait on a typo
+        out_path = tmp_path / "scene.obj"
+        rc, err = run_failing(capsys, "export-scene", "--segments", "100000000000",
+                              "--out", str(out_path))
+        assert (rc, err) == (1, "error: --segments must be at most 1024: 100000000000\n")
+        assert not out_path.exists()
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
@@ -425,9 +439,21 @@ class TestReportAll:
         rc_timed = main(["report-all", *fmt, "--timings"])
         timed = capsys.readouterr()
         assert (rc_timed, timed.out) == (rc, out)
-        rows = [ln.split(": ") for ln in timed.err.splitlines()]
+        first, *rows = [ln.split(": ") for ln in timed.err.splitlines()]
+        assert first[0] == "imports" and re.fullmatch(r"peak \d+\.\d MB", first[1])
         assert [name for name, _ in rows] == [r.name for r in run_checks()]
         assert all(re.fullmatch(r"\d+\.\d{4} s, peak \+\d+\.\d MB", rest) for _, rest in rows)
+
+    def test_text_report_loads_no_writer(self):
+        # a cold text report writes no JSON, CSV or OBJ, so it never imports their writers;
+        # -X importtime names on stderr every module the process imports
+        env = dict(os.environ, PYTHONPATH=str(Path(cylpack.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cylpack.cli", "report-all"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0 and run.stdout.endswith("\n13/13 checks passed\n")
+        imported = {ln.rpartition("|")[2].strip() for ln in run.stderr.splitlines()}
+        assert {"cylpack.acceptance", "numpy"} <= imported
+        assert not {"json", "cylpack.scene", "cylpack.serialize"} & imported
 
     def test_injected_error_fails(self, capsys):
         rc, out = run(capsys, "report-all", "--inject-record-error")
@@ -443,7 +469,15 @@ class TestDirectErrors:
     ])
     def test_negative_seed_names_the_flag(self, capsys, argv):
         rc, err = run_failing(capsys, *argv, "--seed", "-1")
-        assert (rc, err) == (1, "error: --seed must be non-negative\n")
+        assert (rc, err) == (1, "error: --seed must be at least 0: -1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["curve", "--samples", "0"], "--samples must be at least 1: 0"),
+        (["four-cyl", "--samples", "1"], "--samples must be at least 2: 1"),
+        (["unlock-check", "--n", "1"], "--n must be at least 2: 1"),
+    ])
+    def test_cli_counts_read_like_library_counts(self, capsys, argv, message):
+        assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, message",

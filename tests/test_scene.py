@@ -1,6 +1,7 @@
 """Scene meshes: unit sphere plus touching cylinders."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cylpack.curve import gamma_point, record
 from cylpack.lines import make_tangent_line, SphericalPoint
 from cylpack.scene import (
+    MAX_SEGMENTS,
     SceneSpec,
     min_surface_gap,
     scene_obj,
@@ -33,6 +35,27 @@ class TestSceneSpec:
     def test_defaults(self):
         spec = SceneSpec(C6_INITIAL, radius=1.0)
         assert spec.cyl_length == 6.0 and spec.segments == 64
+
+
+class TestSegmentsBound:
+    # every count of segments has one upper bound, so a typo fails at once, not after minutes
+    LINE = make_tangent_line(SphericalPoint(0.0, 0.0), 0.0)
+    BUILDERS = {
+        "spec": lambda n: SceneSpec(C6_INITIAL, radius=1.0, segments=n),
+        "sphere": sphere_mesh,
+        "tube": lambda n: tube_mesh(TestSegmentsBound.LINE, 1.0, 1.0, n),
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize("segments", [MAX_SEGMENTS + 1, 10**11, np.int64(10**11)])
+    def test_past_the_bound(self, build, segments):
+        with pytest.raises(ValueError, match=f"^segments must be at most 1024: {re.escape(repr(segments))}$"):
+            build(segments)
+
+    def test_the_bound_itself(self):
+        assert MAX_SEGMENTS == 1024
+        assert SceneSpec(C6_INITIAL, radius=1.0, segments=MAX_SEGMENTS).segments == MAX_SEGMENTS
+        assert len(tube_mesh(self.LINE, 1.0, 1.0, MAX_SEGMENTS)[0]) == 2 * MAX_SEGMENTS
 
 
 class TestSphereMesh:
