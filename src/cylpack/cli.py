@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -91,6 +91,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if (args.x is None) == (not angles_given):
         raise ValueError("give either --x or angle flags (--phi/--delta/--kappa)")
     if args.x is not None:
+        if args.degrees:
+            raise ValueError("--degrees has no effect with --x")
         sample, config = build_curve_point(args.x)
         params = sample.params
     else:
@@ -140,8 +142,11 @@ def cmd_record(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     _count("--seed", args.seed, 0)
     if args.from_source is None:
-        result = multi_start(args.starts, args.seed, args.budget)
-        run_doc = {"starts": args.starts, "seed": args.seed, "budget_each": args.budget}
+        starts = 32 if args.starts is None else args.starts
+        result = multi_start(starts, args.seed, args.budget)
+        run_doc = {"starts": starts, "seed": args.seed, "budget_each": args.budget}
+    elif args.starts is not None:
+        raise ValueError("--starts has no effect with --from")
     else:
         seed_chart = _chart_from_source(args.from_source)
         result = local_maximize(seed_chart, args.budget, rng_seed=args.seed)
@@ -151,8 +156,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "d_best": result.d_best,
         "r_best": result.r_best,
         "evals": result.evals,
-        "trace": [[i, f] for i, f in result.trace],
-        "coords": [float(c) for c in result.best.coords],
+        "trace": result.trace,
+        "coords": result.best.coords.tolist(),
     }
     _emit_json(doc)
     return 0
@@ -170,6 +175,8 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
     if (args.alpha is None) == (args.n is None):
         raise ValueError("give exactly one of --alpha or --n")
     if args.n is not None:
+        if args.degrees:
+            raise ValueError("--degrees has no effect with --n")
         alpha = math.pi / _count("--n", args.n, 2)
     else:
         alpha = math.radians(args.alpha) if args.degrees else args.alpha
@@ -240,14 +247,7 @@ def cmd_report_all(args: argparse.Namespace) -> int:
         results[0] = replace(results[0], passed=False, details=results[0].details + "; injected")
     all_passed = all(r.passed for r in results)
     if args.json:
-        doc = {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "details": r.details}
-                for r in results
-            ],
-            "all_passed": all_passed,
-        }
-        _emit_json(doc)
+        _emit_json({"checks": [asdict(r) for r in results], "all_passed": all_passed})
     else:
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.details}"
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, help="ring latitude")
     p.add_argument("--delta", type=float, help="tangent tilt")
     p.add_argument("--kappa", type=float, help="longitude offset")
-    p.add_argument("--degrees", action="store_true", help="angles are in degrees")
+    p.add_argument("--degrees", action="store_true", help="angles are in degrees; not with --x")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("curve", help="CSV sample of the unlocking trajectory")
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("optimize", help="maximin search over free configurations")
-    p.add_argument("--starts", type=int, default=32, help="multi-start count")
+    p.add_argument("--starts", type=int, help="multi-start count (default 32); not with --from")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument(
         "--budget", type=int, default=200000, help="evaluation budget per start"
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unlock-check", help="can 2n cylinders start growing?")
     p.add_argument("--alpha", type=float, help="neighbor angle in (0, pi)")
     p.add_argument("--n", type=int, help="ring size n, meaning alpha = pi/n")
-    p.add_argument("--degrees", action="store_true", help="--alpha is in degrees")
+    p.add_argument("--degrees", action="store_true", help="--alpha is in degrees; not with --n")
     p.set_defaults(func=cmd_unlock_check)
 
     p = sub.add_parser("four-cyl", help="CSV trace of the four-cylinder trajectory")

@@ -1,13 +1,13 @@
-"""Deterministic text formatting, and the reader of lines documents.
+"""Deterministic text of builtin values, and the reader of lines documents.
 
-JSON output uses 17 significant digits so every float survives a
-parse round trip bit-exactly; CSV and OBJ output use 12, enough for
-any downstream geometry while keeping rows readable.
+JSON floats get 17 significant digits, which parse back as floats to the same
+double (``json.loads`` reads ``-0`` as the int 0); CSV and OBJ numbers get 12.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable
 
 import numpy as np
@@ -19,73 +19,34 @@ CSV_SIG = 12
 
 
 def fmt_float(value: float, sig: int = JSON_SIG) -> str:
-    """Format ``value`` with ``sig`` significant digits as a JSON number."""
-    value = float(value)
-    if not np.isfinite(value):
+    """Format the number ``value`` (not a bool) with ``sig`` significant digits as a JSON number."""
+    if isinstance(value, bool):
+        raise TypeError("format booleans explicitly before output")
+    if not math.isfinite(value):
         raise ValueError("cannot format a non-finite value")
     return f"{value:.{sig}g}"
 
 
 def json_dumps(obj: Any) -> str:
-    """Serialize nested dicts/lists with fixed-precision floats.
+    """Serialize nested dicts, lists and tuples of str, int, float, bool and None.
 
-    Unlike :func:`json.dumps`, floats are written with exactly JSON_SIG
-    significant digits, so repeated runs produce identical bytes and
-    numpy scalars serialize like their Python counterparts.
+    Floats get exactly JSON_SIG significant digits, so repeated runs write identical
+    bytes; other values go to :func:`json.dumps`, which refuses every other type.
     """
-    pieces: list[str] = []
-    _write_json(obj, pieces)
-    return "".join(pieces)
-
-
-def _write_json(obj: Any, out: list[str]) -> None:
+    if isinstance(obj, float):
+        return fmt_float(obj)
     if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _write_json(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        out.append("[")
-        for i, value in enumerate(list(obj)):
-            if i:
-                out.append(", ")
-            _write_json(value, out)
-        out.append("]")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be strings")
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(json_dumps, obj)) + "]"
+    return json.dumps(obj)
 
 
-def csv_line(values: Iterable[Any]) -> str:
-    """Join values into one CSV row (no trailing newline), floats to CSV_SIG digits."""
-    parts: list[str] = []
-    for value in values:
-        if isinstance(value, str):
-            if "," in value or "\n" in value:
-                raise ValueError("CSV cells must not contain separators")
-            parts.append(value)
-        elif isinstance(value, (bool, np.bool_)):
-            raise TypeError("format booleans explicitly before CSV output")
-        elif isinstance(value, (int, np.integer)):
-            parts.append(str(int(value)))
-        else:
-            parts.append(fmt_float(float(value), CSV_SIG))
-    return ",".join(parts)
+def csv_line(values: Iterable[float]) -> str:
+    """Join numbers into one CSV row (no trailing newline), each to CSV_SIG digits."""
+    return ",".join(fmt_float(value, CSV_SIG) for value in values)
 
 
 def _vector3(data: Any, name: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -220,6 +221,10 @@ class TestOptimize:
         _, first = run(capsys, *argv)
         _, second = run(capsys, *argv)
         assert first == second
+
+    def test_starts_default_to_32(self, capsys):
+        rc, doc = run_json(capsys, "optimize", "--budget", "100")
+        assert (rc, doc["starts"], doc["budget_each"]) == (0, 32, 100)
 
     def test_validation(self, capsys):
         assert main(["optimize", "--starts", "0"]) == 1
@@ -509,6 +514,14 @@ class TestDirectErrors:
         rc, err = run_failing(capsys, *argv, *out)
         assert rc == 1 and err.startswith(f"error: {argv[1]} must be ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--from", "c6", "--starts", "5"], "--starts has no effect with --from"),
+        (["eval", "--x", "0.5", "--degrees"], "--degrees has no effect with --x"),
+        (["unlock-check", "--n", "3", "--degrees"], "--degrees has no effect with --n"),
+    ])
+    def test_flags_the_mode_ignores_are_refused(self, capsys, argv, message):
+        assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
+
     def test_overflowing_base_is_one_error_line(self, capsys, tmp_path):
         doc = tmp_path / "lines.json"
         doc.write_text(json.dumps({"lines": [
@@ -517,3 +530,49 @@ class TestDirectErrors:
         ]}))
         rc, err = run_failing(capsys, "probe", "--at", f"file:{doc}", "--trials", "5")
         assert (rc, err) == (1, "error: base must be a unit vector, |base| = inf\n")
+
+
+
+# sha256 of the stdout, and the exit code, of each command, taken before the writers were cut
+# down to builtin values; paths are relative, so no digest depends on where the tests run
+GOLDEN = [
+    (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
+    (["eval", "--x", "0.25"], "79a7f251cadea70309c84587d5899cac6c49b268b267dd2e70e567ce6a4384ca"),
+    (["eval", "--phi", "0.3", "--delta", "0.2", "--kappa", "-0.4"],
+     "49dff8018ea62d55987b4e025b3d815096fff19ded93d7d3541c183bad925e5d"),
+    (["eval", "--phi", "10", "--degrees"],
+     "c1e9f12e384b4f58a325df2c74d1f3fba1642136532f118e7cb71edf5a07e5c8"),
+    (["curve", "--samples", "101"], "4839fdb5696fffec3d79b4846c74600e9c132730416a78e97bb3e9db463ffdcf"),
+    (["curve", "--samples", "3"], "c237900d54cfc969c07c86eadf37bef10562b4437553faee5525eb38e4cda0ee"),
+    (["record"], "4c8c267b56f8a1af7008a464489973f54ec79d814eb250dba099e6183124ff3b"),
+    (["optimize", "--starts", "4", "--budget", "20000"],
+     "c799fb1d4f100962b43790336330f033434eef15aef369ed2a0c0515c51d128d"),
+    (["optimize", "--from", "c6", "--budget", "20000"],
+     "84a9d2cda92ba877ce54a638305f3de0941e70617d1ade361355b066244a5917"),
+    (["optimize", "--from", "file:record.json", "--budget", "20000"],
+     "4cf136875f0dc63752788b92f9347800fc007eeef332ba69a92cf8137d7cdc20"),
+    (["probe", "--at", "record"], "55d1d458c526418de7c292fed445adb7f6b19cac4b2eab52d1cf74c89a6e67df"),
+    (["probe", "--at", "curve:0.3"], "2fb1bee2c48ab3d136016f4c1a8889210d114570e98c2bce4c3c31c6041b6131"),
+    (["unlock-check", "--n", "3"], "ec22cb443bb04962141a6c3d0c4c4df56a0ca08e49c4c1a48b5065e9603e8a1c"),
+    (["unlock-check", "--alpha", "1.6"],
+     "f785b4ef8626744cd7d680f0fe937beca0b9fb1bac6a2755ad9435bb5cdfcbfe"),
+    (["unlock-check", "--alpha", "40", "--degrees"],
+     "c064d85f04d66ad588ac6af72515986529a235f191bb4e502410d1aebef558a8"),
+    (["four-cyl"], "44033c16ccf5b0cd187342356033026d6cad0a54693b45ab5c9512e6c5e1d6b8"),
+    (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
+    (["export-scene", "--segments", "8", "--out", "scene.obj"],
+     "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
+    (["report-all", "--json"], "8722ae1ab0c24fa1383a6dcab62ac7bcd06671e0ebf0c000acb7b71c4b705d56"),
+    (["report-all"], "fd47371b0377f5990149b99e3d6db73a49b29ac2fb9cc98eaf2f273a5c32cf33"),
+]
+SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_output(capsys, tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    Path("record.json").write_text(json.dumps({"coords": chart_record().coords.tolist()}))
+    rc, out = run(capsys, *argv)
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+    if argv[0] == "export-scene":
+        assert hashlib.sha256(Path("scene.obj").read_bytes()).hexdigest() == SCENE_OBJ

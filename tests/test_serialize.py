@@ -2,9 +2,11 @@
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cylpack.lines import Configuration, SphericalPoint, make_tangent_line
 from cylpack.search import chart_record
@@ -18,6 +20,28 @@ from cylpack.serialize import (
 from helpers import lines_document, same_line
 
 RNG = np.random.default_rng(95)
+
+# nested documents of the builtin values the commands write; floats include -0.0, subnormals
+# and values near the largest double
+SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def documents(scalars):
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=5), inner, max_size=4), max_leaves=12)
+
+
+def typed_like(doc, parsed):
+    """``parsed``, read with every number as an exact Decimal, with each number turned back into
+    the type it has in ``doc``: a float is then the double its digits round to."""
+    if isinstance(doc, dict):
+        return {key: typed_like(doc[key], value) for key, value in parsed.items()}
+    if isinstance(doc, list):
+        return [typed_like(d, value) for d, value in zip(doc, parsed, strict=True)]
+    if isinstance(parsed, Decimal):
+        return float(parsed) if isinstance(doc, float) else int(parsed)
+    return parsed
 
 
 def random_config(n=4):
@@ -57,34 +81,48 @@ class TestJsonDumps:
         assert json.loads(text) == doc
         assert '"ok": true' in text
 
-    def test_floats_survive_parse(self):
-        values = [math.pi, 1e-300, -0.1, 12.0 / 11.0]
-        assert json.loads(json_dumps(values)) == values
+    @given(documents(SCALARS | FLOATS))
+    @example([math.pi, 1e-300, -0.1, 12.0 / 11.0])
+    @example({"zero": -0.0, "tiny": [5e-324, -2.2250738585072014e-308], "huge": [1e308, -1e308]})
+    def test_floats_survive_parse(self, doc):
+        # json.loads reads "-0" and "2" as ints, so numbers are read exactly and typed like doc's;
+        # repr then tells -0.0 from 0.0 and 2.0 from 2, and shows each float's shortest digits
+        parsed = json.loads(json_dumps(doc), parse_float=Decimal, parse_int=Decimal)
+        assert repr(typed_like(doc, parsed)) == repr(doc)
 
-    def test_numpy_scalars_and_arrays(self):
-        doc = {"a": np.float64(0.5), "b": np.int64(7), "c": np.arange(3.0)}
-        assert json.loads(json_dumps(doc)) == {"a": 0.5, "b": 7, "c": [0.0, 1.0, 2.0]}
+    @given(documents(SCALARS))
+    def test_without_floats_it_is_json_dumps(self, doc):
+        assert json_dumps(doc) == json.dumps(doc)
+
+    def test_tuples_are_lists(self):
+        assert json_dumps({"trace": ((0, 1.5), (3, 2.0))}) == '{"trace": [[0, 1.5], [3, 2]]}'
 
     def test_key_order_preserved(self):
         assert json_dumps({"z": 1, "a": 2}) == '{"z": 1, "a": 2}'
 
-    def test_unsupported_type(self):
+    @pytest.mark.parametrize("value", [np.int64(7), np.arange(3.0), np.bool_(True), object()])
+    def test_refuses_values_that_are_not_builtins(self, value):
         with pytest.raises(TypeError):
-            json_dumps({"x": object()})
+            json_dumps({"x": [value]})
+
+    def test_float64_is_a_float(self):
+        assert json_dumps([np.float64(0.1), -np.float64(0.0)]) == json_dumps([0.1, -0.0])
+
+    def test_refuses_non_string_keys(self):
         with pytest.raises(TypeError):
             json_dumps({1: "non-string key"})
 
 
 class TestCsvLine:
-    def test_mixed_row(self):
-        assert csv_line(["x", 2, 0.5]) == "x,2,0.5"
+    def test_float_row(self):
+        assert csv_line([2.0, 0.5, -1e-20, 1e300]) == "2,0.5,-1e-20,1e+300"
 
     def test_float_digits(self):
         assert csv_line([math.pi]) == "3.14159265359"
 
-    def test_rejects_embedded_separator(self):
-        with pytest.raises(ValueError):
-            csv_line(["a,b"])
+    def test_rejects_strings(self):
+        with pytest.raises(TypeError):
+            csv_line([0.5, "a"])
 
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
