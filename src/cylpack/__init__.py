@@ -5,7 +5,7 @@ cylinders arranged with a three-fold mirror symmetry around the unit
 ball, the one-parameter trajectory along which the six can grow while
 sliding, the maximizing radius (3 + sqrt(33))/8 on that trajectory, the
 2n-cylinder generalization with its unlocking criterion, and a
-derivative-free maximin search over unconstrained tangent-line
+sequential-quadratic-programming maximin search over tangent-line
 configurations.
 """
 

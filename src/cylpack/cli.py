@@ -156,6 +156,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "d_best": result.d_best,
         "r_best": result.r_best,
         "evals": result.evals,
+        "stop": result.stop,
         "trace": result.trace,
         "coords": result.best.coords.tolist(),
     }
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, help="multi-start count (default 32); not with --from")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument(
-        "--budget", type=int, default=200000, help="evaluation budget per start"
+        "--budget", type=int, default=200000, help="charts measured per start, 16 a step"
     )
     p.add_argument(
         "--from", dest="from_source", metavar="SOURCE",

@@ -15,7 +15,7 @@ frame one, report longitudes in [0, 2*pi).
 One pair kernel measures every table, batched or not, at flat take indices
 cached per line count and layout (_chart_index); _pair_kernel's docstring is
 its one statement: formula, parallel fallback, symmetries, rounding, pair order.
-Batches of whole charts, of any line count, are framed and measured by _charts_dsq.
+Batches of whole charts are framed and measured by _charts_dsq, a chart and its slopes by _dsq_slopes.
 """
 
 from __future__ import annotations
@@ -374,6 +374,39 @@ def _charts_dsq(block: np.ndarray) -> np.ndarray:
     bits wherever _unit_tangent snaps nothing.  Callers pass finite charts off the poles."""
     table = np.array(_frame_xyz(block.T)).reshape(6 * block.shape[1], -1)
     return _pair_kernel(table, _chart_index(block.shape[1], comp_major=True))
+
+
+@lru_cache(maxsize=None)
+def _slope_index(n: int) -> tuple:
+    """_dsq_slopes' tables for n lines, built in plain Python as _take_index is: each table line's
+    chart line (the n lines, then copy k of line 1 + k // 3); each copy's moved entry in the flat
+    (3, 4n - 3) chart table; the take index of the P pairs i < j, row-major, then of each copy with
+    the chart's other lines; the chart pair each moves, (3n - 3, n - 1); and its Jacobian slot."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    moved = [(k, j) for k in range(3 * n - 3) for j in range(n) if j != 1 + k // 3]
+    source = [pairs.index(tuple(sorted((1 + k // 3, j)))) for k, j in moved]
+    i, j = zip(*pairs, *((n + k, j) for k, j in moved))
+    return (np.array([*range(n), *(1 + k // 3 for k in range(3 * n - 3))]),
+            np.array([k % 3 * (4 * n - 3) + n + k for k in range(3 * n - 3)]), _take_index(i, j, 1, 4 * n - 3),
+            np.array(source).reshape(-1, n - 1), np.array([p * (3 * n - 3) + k for p, (k, _) in zip(source, moved)]))
+
+
+def _dsq_slopes(rows: np.ndarray, steps: np.ndarray) -> tuple:
+    """Pair distances of a (B, n, 3) block of charts, (B, P) in chart_lines(chart).dsq's order and
+    bits wherever _unit_tangent snaps nothing, and their forward differences in the coordinates
+    of lines 1..n-1, coordinate k moved by steps[:, k], (B, P, 3n - 3): one kernel call measures
+    each chart's lines and copy k of line 1 + k // 3 with column k % 3 moved against the others."""
+    b, n = rows.shape[:2]
+    lines, moved, index, source, slots = _slope_index(n)
+    chart = rows.T.take(lines, axis=1)  # (3, 4n - 3, B), contiguous
+    chart.reshape(-1, b)[moved] += steps.T
+    table = np.array(_frame_xyz(chart)).reshape(-1, b)
+    dsq = _pair_kernel(table if b > 1 else table.reshape(-1), index).reshape(-1, b).T
+    p = dsq.shape[1] - len(slots)
+    f = dsq[:, :p]
+    jac = np.zeros((b, p * (3 * n - 3)))
+    jac[:, slots] = ((dsq[:, p:].reshape(b, -1, n - 1) - f.take(source, axis=1)) / steps[:, :, None]).reshape(b, -1)
+    return f, jac.reshape(b, p, -1)
 
 
 def min_pairwise_distance(c: Configuration) -> float:

@@ -1,31 +1,18 @@
-"""Derivative-free maximin search over free six-line configurations.
+"""SQP maximin search over free six-line configurations.
 
-A free configuration is six tangent lines with no imposed symmetry,
-charted by 18 coordinates, (latitude, longitude, tangent angle) per
-line.  The objective is the smallest pairwise line distance, a nonsmooth
-function maximized by coordinate pattern search: poll all 36 coordinate
-steps plus 12 random unit directions, move to the best improving
-candidate, halve the step when none improves.  Several starts run in
-lockstep, one poll evaluation per round for all of them, with results
-identical to running them one after another.  A search writes its
-rounds into one buffer allocated once, each live start's point and then
-its candidates, and each start draws its random directions a block of
-rounds at a time.  A round moves to the argmax of its candidates'
-distances, taken after the square root: of two candidates whose squared
-minima differ but round to one distance, the first wins.  A poll round
-measures only the pair distances its steps move (_poll_values); seed
-charts and the perturbation probe measure full charts by _charts_dsq,
-_BLOCK at a time, and the probe draws its trials a block at a time too.
-Both go through one pair-distance kernel, in calls whose temporaries the
-allocator keeps.
+A free configuration is six tangent lines with no imposed symmetry, charted by 18
+coordinates, (latitude, longitude, tangent angle) per line.  Its smallest pairwise line
+distance, a nonsmooth function, is maximized as max t subject to d^2_ij >= t by sequential
+quadratic programming over the 15 coordinates of lines 1-5 (_sqp), the starts of a search in
+lockstep (_lockstep).  Seed charts and the perturbation probe measure full charts by
+_charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -34,10 +21,8 @@ from .lines import (
     _BLOCK,
     _charts_dsq,
     _count,
-    _frame_xyz,
-    _pair_kernel,
+    _dsq_slopes,
     _positive_finite,
-    _take_index,
     chart_lines,
     chart_rows,
     min_pairwise_distance,
@@ -50,7 +35,7 @@ N_LINES = 6
 N_COORDS = 3 * N_LINES
 
 _PHI_CAP = math.pi / 2 - 1e-9
-# pattern-search step schedule: first step and the step that stops a search
+# trust-radius schedule: the first radius and the one that stops a search
 _STEP0, _STEP_MIN = 0.1, 1e-9
 
 
@@ -122,168 +107,155 @@ def _objective_batch(coords: np.ndarray) -> np.ndarray:
 
 def _clip_latitudes(coords: np.ndarray) -> np.ndarray:
     lat = coords[..., 0::3]
-    np.clip(lat, -_PHI_CAP, _PHI_CAP, out=lat)
+    np.minimum(lat, _PHI_CAP, out=lat)
+    np.maximum(lat, -_PHI_CAP, out=lat)
     return coords
 
 
 @dataclass(frozen=True)
 class OptResult:
-    """Outcome of a search: best chart, its objective and radius, the
-    number of objective evaluations charged, the improvement trace as
-    (iteration, objective) pairs, and the d_best each start reached, in
-    start order."""
+    """Outcome of a search: best chart, its objective and radius, charts
+    measured, the improvement trace as (step, objective) pairs, why the
+    returned start stopped ("step": the trust radius fell below step_min;
+    "budget"; "steps": _MAX_STEPS), and each start's d_best and stop."""
 
     best: FreeConfig
     d_best: float
     r_best: float
     evals: int
     trace: tuple
+    stop: str
     start_d: tuple
+    start_stop: tuple
 
 
-# each poll round: the 36 coordinate steps +-e_k, then this many random unit directions
-_AXES = np.concatenate([np.eye(N_COORDS), -np.eye(N_COORDS)])
-_N_RANDOM = 12
+# the Jacobian's forward-difference step; charts a step measures, the point and one moved
+# copy per free coordinate; and the cap on steps: uncapped, a tenth of 80 bench-drawn blind
+# starts ran past 370 steps and one to 3368, while the median (142) did not move
+_H = 1e-7
+_CAPPED = np.array([-_H, _H, _H])  # the steps of a line whose latitude is within _H of the cap
+_CHARTS_PER_STEP = 1 + N_COORDS - 3
+_MAX_STEPS = 300
 
 
-def _poll_tables() -> tuple:
-    """Index tables of a poll round's line table and the pairs it measures.
-
-    Per start the table holds 6 + 36 + 72 = 114 lines: the current point's
-    six, the one line each axis candidate moves, and the six of each random
-    candidate.  Returns each table line's (lat, lon, ang) columns in the row
-    [x, cand.ravel()], as (3, 114); the pair kernel's take index of the 375
-    distinct pairs of the point and its 48 candidates in their (6, 114) frame
-    table; and pair p of every candidate, in row-major i < j order, as an index
-    into those 375, pair-major: (15, 48).  Built in plain Python up to the
-    take index: each numpy function a process first calls maps in more code.
-    """
-    n_axes = len(_AXES)
-    charts = [list(range(N_LINES))]  # the table row of each line, point first
-    for k in range(n_axes):
-        rows = list(range(N_LINES))
-        rows[k % N_COORDS // 3] = N_LINES + k
-        charts.append(rows)
-    first = N_LINES + n_axes
-    charts += [list(range(first + N_LINES * r, first + N_LINES * (r + 1))) for r in range(_N_RANDOM)]
-    cols, pairs, chart_pairs = {}, {}, []
-    for c, rows in enumerate(charts):
-        for line, row in enumerate(rows):
-            cols.setdefault(row, 3 * (N_LINES * c + line))
-        chart_pairs.append([pairs.setdefault((rows[i], rows[j]), len(pairs))
-                            for i, j in combinations(range(N_LINES), 2)])
-    table = [[cols[row] + k for row in range(len(cols))] for k in range(3)]
-    take = _take_index(*zip(*pairs), 1, len(cols))
-    return np.array(table), take, np.array(list(zip(*chart_pairs[1:])))
+def _measure(x: np.ndarray) -> tuple:
+    """Squared pair distances of (L, 18) charts and their slopes in the 15 free coordinates, a
+    latitude within _H of the cap stepped downward: (L, 15), (L, 15, 15)."""
+    steps = np.where(x[:, 3::3, None] > _PHI_CAP - _H, _CAPPED, _H).reshape(len(x), -1)
+    return _dsq_slopes(x.reshape(len(x), N_LINES, 3), steps)
 
 
-_TABLE_COLS, _POLL_INDEX, _CHART_PAIRS = _poll_tables()
-# starts per _poll_values call, small enough that the allocator keeps the call's
-# temporaries, the kernel's (3, 375, starts) takes and the (15, 48, starts) gather of
-# candidate pairs: multi_start(32, 0, 200000) after a warm-up faults about 300 pages
-# at 4 starts and 5,000-10,500 at 8 (imported from a bytecode cache)
-_POLL_STARTS = 4
+def _dual_qp(kkt: np.ndarray, rhs: np.ndarray, z: np.ndarray, free: list) -> None:
+    """Solve the QP dual min lam . f + lam . Q lam / 2 over the simplex by a primal active set from
+    kkt = [[Q, 1], [1, 0]] and rhs = [-f, 1], updating z (lam, feasible, then the simplex multiplier)
+    and free (lam's entries off zero) in place; each subproblem is one (|free| + 1)-square system
+    gathered from kkt, and a singular one drops the entry that just entered and ends the solve."""
+    n = len(z) - 1
+    entering = None
+    for _ in range(4 * n):
+        m = len(free)
+        sel = np.array(free + [n])
+        try:
+            sol = np.linalg.solve(kkt.take(sel[:, None] * (n + 1) + sel), rhs.take(sel))
+        except np.linalg.LinAlgError:
+            if entering is not None:
+                free.remove(entering)
+            return
+        target, idx = sol[:m], sel[:m]
+        if target.min() < 0.0:  # step toward target until an entry reaches zero; fix it there
+            cur = z.take(idx)
+            down = np.flatnonzero(target < cur)
+            k = down[int((cur[down] / (cur[down] - target[down])).argmin())]
+            z[idx] = cur + cur[k] / (cur[k] - target[k]) * (target - cur)
+            z[idx[k]], entering = 0.0, None
+            del free[k]
+            continue
+        z[idx], z[n] = target, sol[m]
+        slack = kkt[:n] @ z - rhs[:n]  # the multipliers of lam >= 0 off free
+        slack[idx] = 0.0
+        k = int(slack.argmin())
+        if slack[k] >= -1e-12:
+            return
+        free.append(k)
+        entering = k
 
 
-def _poll_values(rows: np.ndarray) -> np.ndarray:
-    """Objective of the (L, 48, 18) poll candidates rows[:, 1:] around the
-    points rows[:, 0], as (L, 48), with the same bits as
-    _objective_batch(rows[:, 1:]).
+def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
+    """SQP ascent of max t subject to d^2_ij(x) >= t over the coordinates of lines 1-5
+    (Nocedal & Wright, Numerical Optimization, ch. 18); line 0 stays, fixing the rotations.
+    A generator: it yields each chart to measure and takes back _measure's values for it,
+    and returns the final chart, trace, charts measured and stop reason.  Each step solves the
+    QP's dual (_dual_qp), Q = G H G^T for the Jacobian G and H the BFGS inverse Hessian of
+    the Lagrangian, for p = H G^T lam, capped in max-norm by the trust radius; the trial is
+    accepted only if its min d^2 strictly rises.  An accepted step doubles the radius from
+    |p| (to at most 1 when p hit it), a rejected one halves it.  H and G meet only in
+    np.vecdot and matrix-vector @, so np.linalg.solve is the only LAPACK call."""
+    x = _clip_latitudes(np.array(x0, dtype=float))
+    f, g = yield x
+    n = len(f)
+    fmin = float(f.min())
+    trace = array("d", (0, math.sqrt(fmin)))  # (step, objective) pairs, flat
+    h = np.eye(N_COORDS - 3)
+    kkt, rhs, z = np.ones((n + 1, n + 1)), np.ones(n + 1), np.zeros(n + 1)
+    kkt[n, n] = 0.0
+    lam, free = z[:n], [int(f.argmin())]
+    lam[free] = 1.0
+    radius, evals, steps = float(step0), _CHARTS_PER_STEP, 0
+    full = None  # the QP step at x, kept while trials from x are rejected
+    while True:
+        stop = "step" if not radius >= step_min else "budget" if evals >= budget else (
+            "steps" if steps >= _MAX_STEPS else None)
+        if stop:
+            return x, trace, evals, stop
+        if full is None:
+            gh = np.vecdot(g[:, None], h)
+            np.vecdot(gh[:, None], g, out=kkt[:n, :n])
+            np.negative(f, out=rhs[:n])
+            _dual_qp(kkt, rhs, z, free)
+            full = lam @ gh
+            size, gh = float(np.abs(full).max()), None  # a start keeps no more than it needs
+        trial = x.copy()
+        trial[3:] += full * (radius / size) if size > radius else full
+        _clip_latitudes(trial)
+        f_new, g_new = yield trial
+        evals, steps = evals + _CHARTS_PER_STEP, steps + 1
+        step = min(size, radius)
+        if not f_new.min() > fmin:
+            radius = step / 2
+            continue
+        s = trial[3:] - x[3:]
+        y = lam @ (g - g_new)
+        sy = float(s @ y)
+        if sy > 1e-12 * float(s @ s):
+            hy = h @ y
+            w = (0.5 + 0.5 * float(y @ hy) / sy) / sy * s - hy / sy
+            h += np.multiply.outer(w, s) + np.multiply.outer(s, w)  # inverse BFGS, exactly symmetric
+        radius = min(2 * step, 1.0) if size >= radius else max(2 * step, step_min)
+        x, f, g, fmin, full = trial, f_new, g_new, float(f_new.min()), None
+        trace.extend((steps, math.sqrt(fmin)))
 
-    An axis candidate moves one line, so 10 of its 15 pair distances are
-    the point's: each start measures the 375 distinct pairs of its point
-    and candidates, not 48 * 15, and every candidate takes the minimum of
-    its own 15.  An axis candidate's unmoved lines equal the point's up to
-    the sign of a zero coordinate (x + 0.0 turns -0.0 into +0.0), which
-    moves no distance.
-    """
-    out = np.empty((len(rows), rows.shape[1] - 1))
-    for lo in range(0, len(rows), _POLL_STARTS):
-        src = rows[lo:lo + _POLL_STARTS]
-        n = len(src)
-        table = np.array(_frame_xyz(src.reshape(n, -1).T.take(_TABLE_COLS, axis=0))).reshape(-1, n)
-        # one start's table is one chart's: the kernel's 1-D branch gathers it at once
-        dsq = _pair_kernel(table if n > 1 else table.reshape(-1), _POLL_INDEX)
-        np.sqrt(dsq.take(_CHART_PAIRS, axis=0).min(axis=0).T, out=out[lo:lo + n])
-    return out
 
-
-# a trace entry, (iteration, objective), as a search keeps it: 16 bytes packed, where a
-# tuple of an int and a float takes about 110
-_TRACE_ENTRY = struct.Struct("qd")
-
-# start-rounds of poll directions drawn and normalised at a time (8 x 1.7 KB): 8 rounds for
-# one start, one for 8 starts or more; a 32-round block raised report-all's peak memory
-_DRAW_ROUNDS = 8
-
-
-def _pattern_search(x0: np.ndarray, budget: int, step0: float, step_min: float, rngs) -> OptResult:
-    """Pattern searches from the rows of x0 in lockstep, start i polling
-    with rngs[i], merged to one OptResult: the chart, d_best and trace of
-    the first start of largest d_best, evals summed over the starts, and
-    every start's d_best in start order.
-
-    Every round polls all live starts in one _poll_values call; the
-    bookkeeping (move or halve the step, trace, stop test) stays per
-    start, so each start takes the path it takes alone.  The live starts
-    fill the first rows of one buffer, each row its point and then its
-    candidates.  A start's directions come from a block drawn with one
-    standard_normal call, which fills it in stream order, so a block
-    holds the draws of its rounds one after another.  A start's trace is
-    kept packed in one byte buffer, 16 bytes an entry, and only the
-    returned start's is unpacked into (iteration, objective) pairs.
-    """
-    budget = _count("budget", budget, 1)
-    rows = np.empty((len(x0), 1 + len(_AXES) + _N_RANDOM, N_COORDS))
-    rows[:, 0] = x0
-    x = _clip_latitudes(rows[:, 0])
-    f = _objective_batch(x).tolist()
-    step = np.full(len(x), float(step0))
-    live = list(range(len(x)))  # the start behind each row of rows, f and step
-    traces = [bytearray(_TRACE_ENTRY.pack(0, v)) for v in f]
-    ends = [None] * len(x)  # each start's final chart, d_best and evals
-    dirs, r = np.empty((len(x), 0, _N_RANDOM, N_COORDS)), 0  # drawn per live start; next round
-    evals, iteration = 1, 0  # every live start has run the same rounds
+def _lockstep(x0s: list, budget: int, step0: float, step_min: float) -> OptResult:
+    """_sqp from each chart of x0s, each round measuring the live starts' charts in one _measure
+    call, which gives each the bits it gets alone; merged to the first start of largest d_best,
+    with evals summed and every start's d_best and stop reason."""
+    runs = [_sqp(x0, budget, step0, step_min) for x0 in x0s]
+    ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
-        going = [s >= step_min and evals < budget for s in step.tolist()]
-        if not all(going):
-            for j, i in enumerate(live):
-                if not going[j]:
-                    best = FreeConfig(x[j])
-                    ends[i] = (best, objective(best), evals)
-            rows[:sum(going), 0] = x[going]
-            step, dirs = step[going], dirs[going]
-            f = [v for v, g in zip(f, going) if g]
-            live = [i for i, g in zip(live, going) if g]
-            x = rows[:len(live), 0]
-            if not live:
-                break
-        if r == dirs.shape[1]:
-            rounds = max(1, _DRAW_ROUNDS // len(live))
-            r, dirs = 0, np.empty((len(live), rounds, _N_RANDOM, N_COORDS))
-            for j, i in enumerate(live):
-                rngs[i].standard_normal(out=dirs[j])
-            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        cand = rows[:len(live), 1:]
-        np.multiply(_AXES, step[:, None, None], out=cand[:, :len(_AXES)])
-        np.multiply(dirs[:, r], step[:, None, None], out=cand[:, len(_AXES):])
-        iteration, r = iteration + 1, r + 1
-        cand += x[:, None]
-        _clip_latitudes(cand)
-        values = _poll_values(rows[:len(live)])
-        evals += cand.shape[1]
-        for j, k in enumerate(values.argmax(axis=1).tolist()):
-            if values[j, k] > f[j]:
-                x[j] = cand[j, k]
-                f[j] = float(values[j, k])
-                traces[live[j]] += _TRACE_ENTRY.pack(iteration, f[j])
-            else:
-                step[j] *= 0.5
-    start_d = tuple(d for _, d, _ in ends)
-    k = max(range(len(ends)), key=start_d.__getitem__)  # the first of equal maxima
-    best, d, _ = ends[k]
-    return OptResult(best, d, radius_from_distance(d), sum(e for *_, e in ends),
-                     tuple(_TRACE_ENTRY.iter_unpack(traces[k])), start_d)
+        f, g = _measure(np.array(charts))
+        going, charts = [], []
+        for j, i in enumerate(live):
+            try:  # copies, so that no start holds a whole round's arrays
+                charts.append(runs[i].send((f[j].copy(), g[j].copy())))
+                going.append(i)
+            except StopIteration as end:
+                ends[i] = end.value
+        live, f, g = going, None, None
+    d = [objective(FreeConfig(x)) for x, *_ in ends]
+    k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima
+    x, trace, _, stop = ends[k]
+    return OptResult(FreeConfig(x), d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
+                     tuple(zip(map(int, trace[::2]), trace[1::2])), stop, tuple(d), tuple(e[3] for e in ends))
 
 
 def local_maximize(
@@ -293,43 +265,32 @@ def local_maximize(
     step_min: float = _STEP_MIN,
     rng_seed: int = 0,
 ) -> OptResult:
-    """Pattern-search ascent from one seed chart.
-
-    Deterministic for fixed arguments; stops when the step drops below
-    step_min or the evaluation budget is spent (the final poll batch may
-    overrun it by at most one batch).  The reported d_best is recomputed
-    with the scalar distance on the returned chart, and equals the last
-    trace value, since every chart path frames the same coordinates alike.
+    """SQP ascent from one seed chart (_sqp): step0 is the first trust
+    radius and step_min the smallest; budget counts charts measured,
+    _CHARTS_PER_STEP a step, and the last step may overrun it.  The solver
+    draws no random numbers: rng_seed changes nothing and is accepted only
+    so existing calls keep working.  d_best is objective(best), which is
+    the last trace value, since every chart path frames coordinates alike.
     """
     _positive_finite("step0", step0)
     _positive_finite("step_min", step_min)
-    rngs = [np.random.default_rng(rng_seed)]
-    return _pattern_search(seed.coords[None], budget, step0, step_min, rngs)
+    budget = _count("budget", budget, 1)
+    return _lockstep([seed.coords], budget, step0, step_min)
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
-    """Independent pattern searches merged to the best result.
-
-    The first three starts seed from trajectory configurations at
-    x = 0.9, 0.7, 0.5; the rest jitter the initial configuration's chart
-    with Gaussian noise of spread 0.2.  Start i draws its noise and its
-    poll directions from its own stream seeded rng_seed + i, so any
-    prefix of starts is reproducible.  The starts run in lockstep, one
-    objective batch per poll round for all of them, with results
-    identical to running them one after another.  Ties in the merge go
-    to the lower start index; evals is the total across starts; the
-    trace is the winning start's; start_d lists every start's d_best.
-    """
+    """Independent SQP ascents in lockstep (_lockstep), merged to the best result.
+    The first three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5;
+    start i >= 3 jitters the initial configuration's chart with Gaussian noise of spread 0.2
+    from default_rng(rng_seed + i), so any prefix of starts is reproducible.  Ties go to the
+    lower start; evals is the total; the trace and stop reason are the winning start's."""
     n_starts = _count("n_starts", n_starts, 1)
-    curve_xs = (0.9, 0.7, 0.5)
+    budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    rngs = [np.random.default_rng(rng_seed + i) for i in range(n_starts)]
-    x0 = [
-        chart_curve(curve_xs[i]).coords if i < len(curve_xs)
-        else _clip_latitudes(base + 0.2 * rng.standard_normal(N_COORDS))
-        for i, rng in enumerate(rngs)
-    ]
-    return _pattern_search(np.stack(x0), budget_each, _STEP0, _STEP_MIN, rngs)
+    seeds = [chart_curve(x).coords for x in (0.9, 0.7, 0.5)[:n_starts]] + [
+        base + 0.2 * np.random.default_rng(rng_seed + i).standard_normal(N_COORDS)
+        for i in range(3, n_starts)]
+    return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 
 
 def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int = 0) -> dict:

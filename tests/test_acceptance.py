@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylpack import acceptance, curve, unlocking
+from cylpack import acceptance, cli, curve, search, unlocking
 from cylpack.acceptance import run_checks
 from cylpack.lines import _BLOCK, _chart_index, _pair_kernel, chart_lines
 from cylpack.symmetric import (
@@ -216,6 +216,42 @@ def test_local_max_probe_fails_on_any_exceeding_trial(monkeypatch):
     # each condition reports its own verdict: the maximum holds, the fraction does not
     assert result.details.endswith(
         " <= sqrt(12/11) + 1e-6: True; exceed fraction 0.0001 == 0: False"
+    )
+
+
+def _seed_returning_solver(x0, budget, step0, step_min):
+    """A solver that measures its seed chart and returns it unchanged, as _sqp does its end."""
+    x = search._clip_latitudes(np.array(x0, dtype=float))
+    f, _ = yield x
+    return x, [0, math.sqrt(f.min())], search._CHARTS_PER_STEP, "step"  # the trace, flat
+
+
+def test_cross_check_fails_when_the_solver_returns_its_seed(monkeypatch, capsys):
+    # the x = 0.5 trajectory seed is the record, so only the blind starts can fail it
+    monkeypatch.setattr(search, "_sqp", _seed_returning_solver)
+    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(32, 0, 200000))
+    result = acceptance.check_optimizer_cross_check()
+    assert not result.passed and "blind starts within 1e-9: 0 of 29 >= 3: False" in result.details
+    assert cli.main(["report-all"]) == 3
+    assert "\nFAIL optimizer-cross-check: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("d", [acceptance.D_RECORD + 2e-9, math.nan])
+def test_cross_check_fails_on_a_start_above_the_record(monkeypatch, d):
+    # a blind start above sqrt(12/11) + 1e-9 (or NaN) is named in the details, never clipped
+    run = acceptance._optimizer_run()
+    start_d = (*run.start_d[:20], d, *run.start_d[21:])
+    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: dataclasses.replace(run, start_d=start_d))
+    result = acceptance.check_optimizer_cross_check()
+    assert not result.passed and "above sqrt(12/11) + 1e-9: [20];" in result.details
+
+
+def test_cross_check_details_pinned():
+    assert _results()["optimizer-cross-check"].details == (
+        "32 starts, budget 2e5 charts each, seed 0 (70528 charts): best blind start d = "
+        "1.0444659357341814 within 1e-9 of sqrt(12/11): True; blind starts within 1e-9: 6 of "
+        "29 >= 3: True; blind starts above sqrt(12/11) + 1e-9: none; exceeds the prior record "
+        "distance 1.0242: True; blind starts stopped by step: 24, steps: 5"
     )
 
 
@@ -413,14 +449,16 @@ def test_package_import_loads_the_checks_on_first_use():
     code = (
         "import sys, cylpack\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('cylpack') or m == 'numpy')\n"
-        "print(loaded()); cylpack.run_checks; print({'cylpack.acceptance', 'fractions'} <= set(sys.modules))\n"
+        "print(loaded()); cylpack.run_checks\n"
+        # the exact checks import fractions (and with it decimal) when they run, not on import
+        "print(sorted({'cylpack.acceptance', 'fractions', 'decimal'} & set(sys.modules)))\n"
         "print(cylpack.scene.scene_obj is cylpack.scene_obj, cylpack.serialize.__name__)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(acceptance.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split("\n") == ["['cylpack']", "True", "True cylpack.serialize", ""]
+    assert out.split("\n") == ["['cylpack']", "['cylpack.acceptance']", "True cylpack.serialize", ""]
 
     import cylpack
 

@@ -202,7 +202,7 @@ class TestOptimize:
         assert doc["d_best"] == pytest.approx(D_RECORD, abs=1e-9)
         assert doc["r_best"] == pytest.approx(R_RECORD, abs=1e-9)
         assert len(doc["coords"]) == 18
-        assert doc["evals"] >= 1
+        assert doc["evals"] >= 1 and doc["stop"] == "step"
 
     def test_d_best_is_the_last_trace_value(self, capsys):
         rc, doc = run_json(capsys, "optimize", "--from", "curve:0.1", "--budget", "20000")
@@ -225,6 +225,11 @@ class TestOptimize:
     def test_starts_default_to_32(self, capsys):
         rc, doc = run_json(capsys, "optimize", "--budget", "100")
         assert (rc, doc["starts"], doc["budget_each"]) == (0, 32, 100)
+
+    def test_budget_stop_is_reported(self, capsys):
+        # budget counts charts, 16 a step, and the last step may overrun it
+        rc, doc = run_json(capsys, "optimize", "--from", "curve:0.9", "--budget", "100")
+        assert (rc, doc["stop"], doc["evals"]) == (0, "budget", 112)
 
     def test_validation(self, capsys):
         assert main(["optimize", "--starts", "0"]) == 1
@@ -534,7 +539,8 @@ class TestDirectErrors:
 
 
 # sha256 of the stdout, and the exit code, of each command, taken before the writers were cut
-# down to builtin values; paths are relative, so no digest depends on where the tests run
+# down to builtin values (the optimize and report-all ones since the SQP search replaced the
+# pattern search); paths are relative, so no digest depends on where the tests run
 GOLDEN = [
     (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
     (["eval", "--x", "0.25"], "79a7f251cadea70309c84587d5899cac6c49b268b267dd2e70e567ce6a4384ca"),
@@ -546,11 +552,11 @@ GOLDEN = [
     (["curve", "--samples", "3"], "c237900d54cfc969c07c86eadf37bef10562b4437553faee5525eb38e4cda0ee"),
     (["record"], "4c8c267b56f8a1af7008a464489973f54ec79d814eb250dba099e6183124ff3b"),
     (["optimize", "--starts", "4", "--budget", "20000"],
-     "c799fb1d4f100962b43790336330f033434eef15aef369ed2a0c0515c51d128d"),
+     "b23ce69e0b5e2b39142e3bb98e01fcb5085e5c2a4083666b326105979b14d890"),
     (["optimize", "--from", "c6", "--budget", "20000"],
-     "84a9d2cda92ba877ce54a638305f3de0941e70617d1ade361355b066244a5917"),
+     "272e6eacaa03ca6b3de49be4ac1b8b420df22c70b210dda1838dcc32ddac1d79"),
     (["optimize", "--from", "file:record.json", "--budget", "20000"],
-     "4cf136875f0dc63752788b92f9347800fc007eeef332ba69a92cf8137d7cdc20"),
+     "0c4eccee6a5d43405c4d71b1b4535e7bbfb495110795299097ca21ca75f868f9"),
     (["probe", "--at", "record"], "55d1d458c526418de7c292fed445adb7f6b19cac4b2eab52d1cf74c89a6e67df"),
     (["probe", "--at", "curve:0.3"], "2fb1bee2c48ab3d136016f4c1a8889210d114570e98c2bce4c3c31c6041b6131"),
     (["unlock-check", "--n", "3"], "ec22cb443bb04962141a6c3d0c4c4df56a0ca08e49c4c1a48b5065e9603e8a1c"),
@@ -562,8 +568,8 @@ GOLDEN = [
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
      "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
-    (["report-all", "--json"], "8722ae1ab0c24fa1383a6dcab62ac7bcd06671e0ebf0c000acb7b71c4b705d56"),
-    (["report-all"], "fd47371b0377f5990149b99e3d6db73a49b29ac2fb9cc98eaf2f273a5c32cf33"),
+    (["report-all", "--json"], "8cac76cae881beae33e974c964770ad2ecf89d273a0cf084c81b5378ed30e516"),
+    (["report-all"], "15a7fa792cc655f3f25969ec62154eec1658a1ccbe96b137f9028caeafdfcfcb"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 

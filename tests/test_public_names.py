@@ -11,9 +11,7 @@ name anywhere in those files; a class member only by an attribute
 The guard parses the files and imports nothing.
 
 A second guard keeps the pair kernel's table format in one module:
-_pair_kernel, _frame_xyz and _chart_index are named only in lines.py,
-apart from search's poll round (_poll_tables and _poll_values), which
-builds its own kernel table until the pattern search is replaced.
+_pair_kernel, _frame_xyz and _chart_index are named only in lines.py.
 """
 
 import ast
@@ -102,25 +100,21 @@ def test_a_property_only_a_bare_name_spells_is_flagged(tmp_path):
 
 
 KERNEL_NAMES = {"_pair_kernel", "_frame_xyz", "_chart_index"}
-# where each module may name them: anywhere (None), or only inside these definitions
-KERNEL_HOMES = {"lines": None, "search": {"_poll_tables", "_poll_values"}}
+# the modules that may name them
+KERNEL_HOMES = {"lines"}
 
 
 def kernel_references(package=sorted(PACKAGE.glob("*.py"))):
-    """(module, name) of every naming of a kernel name outside its homes; an import counts in a
-    module with no home, where nothing may use what it imports."""
+    """(module, name) of every naming of a kernel name outside its homes, imports included."""
     found = []
     for path in package:
-        homes = KERNEL_HOMES.get(path.stem, set())
-        if homes is None:
+        if path.stem in KERNEL_HOMES:
             continue
         tree = ast.parse(path.read_text(), str(path))
-        if not homes:
-            found += [(path.stem, alias.name) for node in ast.walk(tree)
-                      if isinstance(node, ast.ImportFrom) for alias in node.names
-                      if alias.name in KERNEL_NAMES]
-        found += [(path.stem, name) for name, _, inside in _references(tree)
-                  if name in KERNEL_NAMES and not inside & homes]
+        found += [(path.stem, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name in KERNEL_NAMES]
+        found += [(path.stem, name) for name, _, _ in _references(tree) if name in KERNEL_NAMES]
     return found
 
 
@@ -129,8 +123,8 @@ def test_only_lines_builds_kernel_tables():
 
 
 def test_a_kernel_call_outside_its_homes_is_flagged(tmp_path):
-    # a function named _poll_values is a home only in search.py
+    # the import and the call, each inside whatever definition names it
     package = _with_extra(tmp_path, "\n\nfrom .lines import _pair_kernel\n\n\n"
-                                    "def _poll_values(table, index):\n"
+                                    "def _dual_qp(table, index):\n"
                                     "    return _pair_kernel(table, index)\n")
     assert kernel_references(package) == [("serialize", "_pair_kernel")] * 2

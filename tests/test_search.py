@@ -1,4 +1,4 @@
-"""Maximin pattern search over free six-line charts."""
+"""SQP maximin search over free six-line charts."""
 
 import hashlib
 import math
@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cylpack.lines import (
     Configuration,
     TangentLine,
+    _charts_dsq,
     _frame_xyz,
     min_pairwise_distance,
 )
@@ -109,21 +110,18 @@ class TestCharts:
 
 def faults_per_call(call, env, pad=0):
     """Minor page faults per call of `call` in a fresh process with environment
-    env, warm: batch is a 32-start poll round's 1536 charts, rows the round's
-    (32, 49, 18) poll rows (each start's point, then its 48 charts); pad bytes
-    are allocated before the import, which moves where the heap's later blocks
-    lie."""
+    env, warm: batch is 1536 jittered charts; pad bytes are allocated before the
+    import, which moves where the heap's later blocks lie."""
     pytest.importorskip("resource")
     code = textwrap.dedent(f"""
         import resource
         pad = bytearray({pad})
         import numpy as np
-        from cylpack.search import _clip_latitudes, _objective_batch, _poll_values, chart_c6
+        from cylpack.search import _clip_latitudes, _objective_batch, chart_c6
         from cylpack.symmetric import D3Params
         rng = np.random.default_rng(0)
         base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
         batch = _clip_latitudes(base + 0.2 * rng.standard_normal((1536, 18)))
-        rows = np.concatenate([batch[::48, None], batch.reshape(32, 48, 18)], axis=1)
         for _ in range(5):
             {call}
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -232,8 +230,8 @@ class TestObjective:
         """A warm batched call reuses the pages the allocator kept from the last one.
 
         Guards lines._BLOCK (charts per kernel call) and the batched branch of
-        _pair_kernel, which takes each operand when needed: a 32-start poll round's
-        batch, in fresh processes.  Whether glibc hands freed pages back to the OS
+        _pair_kernel, which takes each operand when needed: a 1536-chart batch, in
+        fresh processes.  Whether glibc hands freed pages back to the OS
         depends on what lies above them on the heap, so one layout's verdict says
         little about the next; the probe runs under three layouts and each must stay
         under the limit, with cylpack compiled at import and read from a bytecode
@@ -243,12 +241,6 @@ class TestObjective:
         three of seven.
         """
         assert max(faults_per_call("_objective_batch(batch)", env, pad)
-                   for env in (compiling_env, cached_env) for pad in (0, 5000, 100000)) < 50
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
-    def test_poll_rounds_do_not_fault_their_temporaries_back_in(self, compiling_env, cached_env):
-        # guards _POLL_STARTS (starts per kernel call) under the batch test's layouts and states
-        assert max(faults_per_call("_poll_values(rows)", env, pad)
                    for env in (compiling_env, cached_env) for pad in (0, 5000, 100000)) < 50
 
     def test_rotation_invariance(self):
@@ -268,72 +260,6 @@ class TestObjective:
         assert objective(shuffled) == objective(c)
 
 
-def poll_round(x, step, seed):
-    """The (L, 48, 18) candidates a poll round builds around the points x."""
-    cand = np.empty((len(x), 48, 18))
-    cand[:, :36] = search._AXES
-    cand[:, 36:] = np.random.default_rng(seed).standard_normal((len(x), 12, 18))
-    cand[:, 36:] /= np.linalg.norm(cand[:, 36:], axis=-1, keepdims=True)
-    cand *= np.asarray(step)[:, None, None]
-    cand += x[:, None]
-    return search._clip_latitudes(cand)
-
-
-def poll_rows(x, cand):
-    """_poll_values' (L, 49, 18) rows: each start's point, then its candidates."""
-    return np.concatenate([x[:, None], cand], axis=1)
-
-
-# poll points: skew and parallel equatorial rows as in CHARTS, rows at the
-# latitude cap, where +e_k steps clip back, and rows of signed zeros, which
-# the +e_k candidates turn to +0.0
-ZERO = st.sampled_from([0.0, -0.0])
-POLL_ROW = st.one_of(
-    SKEW_ROW,
-    st.tuples(ZERO, st.floats(0.0, 2 * math.pi), st.sampled_from([0.0, -0.0, math.pi])),
-    st.tuples(st.sampled_from([-search._PHI_CAP, search._PHI_CAP]), ZERO | st.floats(0.0, 6.0), ZERO),
-)
-POLL_STARTS = st.lists(
-    st.tuples(
-        st.lists(POLL_ROW, min_size=6, max_size=6),
-        st.sampled_from([0.1, 1e-9]) | st.floats(1e-9, 0.1),
-    ),
-    min_size=1,
-    max_size=9,
-)
-
-
-class TestPollValues:
-    @settings(deadline=None)
-    @given(POLL_STARTS, st.integers(0, 2**32 - 1))
-    def test_equals_the_full_batch(self, starts, seed):
-        x = np.array([rows for rows, _ in starts]).reshape(-1, 18)
-        cand = poll_round(x, [s for _, s in starts], seed)
-        want = _objective_batch(cand).reshape(len(x), 48)
-        assert search._poll_values(poll_rows(x, cand)).tobytes() == want.tobytes()
-
-    @settings(deadline=None, max_examples=50)
-    @given(st.lists(st.tuples(WIDE_CHART, st.floats(1e-9, 0.1)), min_size=1, max_size=4),
-           st.integers(0, 2**32 - 1))
-    def test_wide_longitudes_match_objective(self, starts, seed):
-        # candidates around points of any longitude: poll, batch and objective give one value
-        x = np.array([x for x, _ in starts])
-        cand = poll_round(x, [s for _, s in starts], seed)
-        want = _objective_batch(cand.reshape(-1, 18))
-        assert search._poll_values(poll_rows(x, cand)).tobytes() == want.tobytes()
-        scalar = np.array([objective(FreeConfig(c)) for c in cand.reshape(-1, 18)])
-        assert scalar.tobytes() == want.tobytes()
-
-    def test_untilted_chart(self):
-        # the first round of `optimize --from c6`, with every latitude made -0.0: all 15
-        # pairs of the point are parallel
-        x = chart_c6(D3Params(0.0, 0.0, 0.0)).coords.reshape(1, 18).copy()
-        x[0, 0::3] = -0.0
-        cand = poll_round(x, [0.1], 0)
-        want = _objective_batch(cand).reshape(1, 48)
-        assert search._poll_values(poll_rows(x, cand)).tobytes() == want.tobytes()
-
-
 def digest(values):
     """The first 16 hex digits of the sha256 of values as a float array."""
     return hashlib.sha256(np.array(values).tobytes()).hexdigest()[:16]
@@ -348,41 +274,112 @@ def bench_start_search(seed, index, budget):
     return local_maximize(FreeConfig(x0), budget, rng_seed=int(rng.integers(2**31)))
 
 
+def skew(x):
+    """Smallest |u x v|^2 over the direction pairs of a chart's lines."""
+    d = config_lines(FreeConfig(x)).table[:, 3:]
+    i, j = np.triu_indices(6, 1)
+    return float((np.cross(d[i], d[j]) ** 2).sum(axis=1).min())
+
+
+SKEW_CHART = st.lists(SKEW_ROW, min_size=6, max_size=6).map(lambda rows: np.array(rows).reshape(18))
+
+
+class TestMeasure:
+    @settings(deadline=None)
+    @given(SKEW_CHART, st.integers(0, 5))
+    @example(chart_record().coords.copy(), 0)
+    def test_slopes_match_central_differences(self, x, capped):
+        # line `capped` (if not 0) sits at the latitude cap, where its latitude steps downward
+        if capped:
+            x[3 * capped] = search._PHI_CAP
+        assume(skew(x) >= 0.05)  # near-parallel pairs curve too sharply for either difference
+        (f,), (g,) = search._measure(x[None])
+        h = 1e-6
+        moved = np.repeat(x[None], 30, axis=0)
+        moved[np.arange(15), np.arange(3, 18)] += h
+        moved[np.arange(15, 30), np.arange(3, 18)] -= h
+        dsq = _charts_dsq(moved.reshape(30, 6, 3))
+        central = (dsq[:, :15] - dsq[:, 15:]) / (2 * h)
+        assert np.all(np.abs(g - central) <= 1e-4 * (1 + np.abs(central)))
+        assert f.tobytes() == config_lines(FreeConfig(x)).dsq.tobytes()
+
+    def test_block_matches_row_by_row(self):
+        # a lockstep round measures its live starts' charts in one call, with the bits of each alone
+        x = np.stack([random_chart(np.random.default_rng(i)).coords for i in range(5)])
+        x[2, 3] = search._PHI_CAP
+        f, g = search._measure(x)
+        for k in range(5):
+            (fk,), (gk,) = search._measure(x[k:k + 1])
+            assert f[k].tobytes() == fk.tobytes() and g[k].tobytes() == gk.tobytes()
+
+
 class TestLocalMaximize:
     def test_record_is_a_local_max(self):
-        r = local_maximize(chart_record(), 1000)
-        assert abs(r.d_best - D_RECORD) <= 1e-6
-        assert r.evals >= 1
+        r = local_maximize(chart_record(), 200000)
+        assert abs(r.d_best - D_RECORD) <= 1e-12 and r.stop == "step"
         assert r.trace[0] == (0, pytest.approx(D_RECORD, abs=1e-12))
+
+    def test_reaches_the_record_from_the_x_09_trajectory_point(self):
+        # the pattern search stalled at 1.01226 from here
+        r = local_maximize(chart_curve(0.9), 200000)
+        assert abs(r.d_best - D_RECORD) <= 1e-9
+
+    def test_untilted_chart_stays_at_one(self):
+        r = local_maximize(chart_c6(D3Params(0.0, 0.0, 0.0)), 200000)
+        assert r.d_best == pytest.approx(1.0, abs=1e-12)
 
     def test_never_below_seed(self):
         for _ in range(3):
             seed = random_chart(RNG)
-            r = local_maximize(seed, 3000, rng_seed=7)
-            assert r.d_best >= objective(seed) - 1e-12
+            r = local_maximize(seed, 3000)
+            assert r.d_best >= objective(seed)
+
+    @settings(deadline=None, max_examples=30)
+    @given(WIDE_CHART)
+    def test_d_best_is_the_last_trace_value_on_wide_charts(self, x):
+        # and the trace rises from the seed's value, and line 0 stays; a step is taken only if
+        # the smallest d^2 strictly rises, but two d^2 can round to one d
+        seed = FreeConfig(x)
+        r = local_maximize(seed, 2000)
+        values = [d for _, d in r.trace]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert r.d_best.hex() == objective(r.best).hex() == values[-1].hex()
+        assert values[0] == objective(seed) <= r.d_best
+        assert r.best.coords[:3].tobytes() == seed.coords[:3].tobytes()  # line 0 stays
 
     def test_d_best_matches_chart(self):
-        r = local_maximize(random_chart(RNG), 2000, rng_seed=1)
-        assert math.isclose(r.d_best, objective(r.best), rel_tol=1e-12)
+        r = local_maximize(random_chart(RNG), 2000)
+        assert r.d_best == objective(r.best)
         assert math.isclose(r.r_best, r.d_best / (2 - r.d_best), rel_tol=1e-12)
 
     def test_d_best_is_the_last_trace_value(self):
-        # the curve:0.1 chart has a negative longitude; its search makes no move
+        # the curve:0.1 chart has a negative longitude
         r = local_maximize(chart_curve(0.1), 20000)
         assert r.d_best == r.trace[-1][1]
 
-    @settings(deadline=None, max_examples=30)
-    @given(WIDE_CHART, st.integers(0, 2**16))
-    def test_d_best_is_the_last_trace_value_on_wide_charts(self, x, rng_seed):
-        r = local_maximize(FreeConfig(x), 500, rng_seed=rng_seed)
-        assert r.d_best.hex() == r.trace[-1][1].hex()
+    def test_budget_stop(self):
+        # the seed's step, then six more reach 100 charts
+        r = local_maximize(random_chart(np.random.default_rng(3)), 100)
+        assert (r.stop, r.evals) == ("budget", 7 * search._CHARTS_PER_STEP)
+
+    def test_step_min_stop(self):
+        seed = random_chart(np.random.default_rng(3))
+        coarse = local_maximize(seed, 200000, step_min=1e-3)
+        fine = local_maximize(seed, 200000)
+        assert coarse.stop == fine.stop == "step" and coarse.evals < fine.evals
+
+    def test_step_cap_stop(self, monkeypatch):
+        monkeypatch.setattr(search, "_MAX_STEPS", 3)
+        r = local_maximize(random_chart(np.random.default_rng(3)), 200000)
+        assert (r.stop, r.evals) == ("steps", 4 * search._CHARTS_PER_STEP)
 
     def test_deterministic(self):
+        # and rng_seed changes nothing: the solver draws no random numbers
         seed = random_chart(RNG)
         a = local_maximize(seed, 2000, rng_seed=11)
-        b = local_maximize(seed, 2000, rng_seed=11)
+        b = local_maximize(seed, 2000, rng_seed=12)
         assert np.array_equal(a.best.coords, b.best.coords)
-        assert a.d_best == b.d_best and a.evals == b.evals and a.trace == b.trace
+        assert (a.d_best, a.evals, a.trace, a.stop) == (b.d_best, b.evals, b.trace, b.stop)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -395,132 +392,90 @@ class TestLocalMaximize:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite: "):
             local_maximize(chart_record(), 1000, **{name: value})
 
-    # blind starts drawn like the benchmark's search workload (seed 1,
-    # starts 0-2), pinned to what the einsum/np.cross kernel gave: evals,
-    # d_best and a digest of the trace, whose values move by an ulp when a
-    # kernel rewrite sums |du x dv|^2 in another order
+    # blind starts drawn like the benchmark's search workload (seed 1, starts 0-2): charts
+    # measured, d_best, a digest of the trace and the stop reason, whose values move by an
+    # ulp when a kernel rewrite sums |du x dv|^2 in another order
     @pytest.mark.parametrize(
         "index, evals, d_hex, trace_sha",
         [
-            (0, 12049, "0x1.f8aa2b1d06e2ap-1", "78fea8144783a9e3"),
-            (1, 20017, "0x1.86c363b5b5edfp-1", "65a94f162626a9a3"),
-            (2, 11089, "0x1.c1359d437a0e6p-1", "17e4c267c53655b4"),
+            (0, 2480, "0x1.fffc5a405d8eap-1", "095091048c823f87"),
+            (1, 1088, "0x1.afdcf1a00983cp-1", "40559ee232ece35e"),
+            (2, 1616, "0x1.ed77cbd6a3233p-1", "1ccecb894a9f73d7"),
         ],
     )
     def test_search_paths_pinned(self, index, evals, d_hex, trace_sha):
         r = bench_start_search(1, index, 20000)
-        assert (r.evals, r.d_best.hex(), digest(r.trace)) == (evals, d_hex, trace_sha)
-
-    # bench-drawn starts (seed 8) where, in one round, two candidates' squared
-    # minima differ but their distances round to the same double: the round's
-    # argmax is taken after the square root, so the first of the two wins; taken
-    # before it, start 6 ends at 9601 evals and d = 0.69543
-    @pytest.mark.parametrize(
-        "index, evals, d_hex, trace_sha",
-        [
-            (6, 9649, "0x1.6c8db0974ee32p-1", "c4b2d36a1790a4a0"),
-            (7, 16753, "0x1.99fd0f1bbad50p-1", "67a27db6c9c08250"),
-        ],
-    )
-    def test_square_root_ties_pinned(self, index, evals, d_hex, trace_sha):
-        r = bench_start_search(8, index, 200000)
-        assert (r.evals, r.d_best.hex(), digest(r.trace)) == (evals, d_hex, trace_sha)
-
-
-def sequential_multi_start(n_starts, rng_seed, budget):
-    """multi_start's documented rule, one start after another: start i draws
-    its seed chart and its polls from default_rng(rng_seed + i), and the
-    lower start wins ties."""
-    base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    runs = []
-    for i in range(n_starts):
-        rng = np.random.default_rng(rng_seed + i)
-        if i < 3:
-            x0 = chart_curve((0.9, 0.7, 0.5)[i]).coords
-        else:
-            x0 = search._clip_latitudes(base + 0.2 * rng.standard_normal(18))
-        run = search._pattern_search(x0[None], budget, 0.1, 1e-9, [rng])
-        runs.append(run)
-    best = runs[0]
-    for run in runs[1:]:
-        if run.d_best > best.d_best:
-            best = run
-    return best, runs
+        assert (r.evals, r.d_best.hex(), digest(r.trace), r.stop) == (evals, d_hex, trace_sha, "step")
 
 
 class TestMultiStart:
-    @settings(deadline=None, max_examples=25)
+    @settings(deadline=None, max_examples=10)
     @given(st.integers(1, 6), st.integers(0, 2**16), st.integers(1, 3000))
-    @example(5, 0, 20000)  # starts stop in three different rounds
     def test_lockstep_equals_sequential(self, n_starts, rng_seed, budget):
+        # start i seeds from a trajectory point (i < 3) or a jitter drawn from
+        # default_rng(rng_seed + i); the lower start wins ties
+        base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
+        runs = [local_maximize(chart_curve((0.9, 0.7, 0.5)[i]) if i < 3 else FreeConfig(
+            base + 0.2 * np.random.default_rng(rng_seed + i).standard_normal(18)), budget)
+            for i in range(n_starts)]
+        best = runs[[run.d_best for run in runs].index(max(run.d_best for run in runs))]
         r = multi_start(n_starts, rng_seed, budget)
-        best, runs = sequential_multi_start(n_starts, rng_seed, budget)
         assert r.evals == sum(run.evals for run in runs)
-        assert r.d_best.hex() == best.d_best.hex() and r.trace == best.trace
+        assert (r.d_best.hex(), r.trace, r.stop) == (best.d_best.hex(), best.trace, best.stop)
         assert r.best.coords.tobytes() == best.best.coords.tobytes()
         assert r.start_d == tuple(run.d_best for run in runs)
+        assert r.start_stop == tuple(run.stop for run in runs)
 
-    def test_starts_stop_in_different_rounds(self):
-        # the trajectory seeds converge after 27 rounds, the blind ones later
-        _, runs = sequential_multi_start(5, 0, 20000)
-        assert [run.evals for run in runs] == [1297, 1297, 1297, 14353, 11617]
-
-    def test_one_kernel_call_per_round(self, monkeypatch):
-        sizes = []
-
-        def counting(kernel, charts):
-            def call(arg):
-                sizes.append(charts(arg).size // 18)
-                return kernel(arg)
-            return call
-
-        monkeypatch.setattr(search, "_objective_batch", counting(_objective_batch, lambda x: x))
-        # a poll row holds its start's point, then the 48 charts evaluated
-        monkeypatch.setattr(search, "_poll_values", counting(search._poll_values, lambda rows: rows[:, 1:]))
-        r = multi_start(5, 0, 2000)
-        # the seed charts, then one poll evaluation per round for every live start:
-        # ceil(1999 / 48) = 42 rounds, not one call per start and round
-        assert len(sizes) == 1 + 42 and sizes[0] == 5 and sum(sizes) == r.evals
-        assert max(sizes) == 5 * 48
+    def test_starts_stop_in_different_rounds(self, monkeypatch):
+        # one _measure call a round for every live start: the x = 0.5 seed leaves after 7
+        # rounds, the x = 0.7 and 0.9 seeds after 29 and 48, the blind starts after 111 and 191
+        sizes, measure = [], search._measure
+        monkeypatch.setattr(search, "_measure", lambda x: sizes.append(len(x)) or measure(x))
+        r = multi_start(5, 0, 20000)
+        assert [sizes.count(k) for k in (5, 4, 3, 2, 1)] == [7, 22, 19, 63, 80]
+        assert sizes == sorted(sizes, reverse=True) and sum(sizes) * search._CHARTS_PER_STEP == r.evals
+        assert r.start_stop == ("step",) * 5
 
     def test_cross_check_run_pinned(self):
-        # multi_start(32, 0, 200000) as the one-start-at-a-time search gave it; the
-        # acceptance suite shares this cached run
+        # the acceptance suite shares this cached run; its winner is the x = 0.5 seed,
+        # the record itself, which never moves, and six blind starts reach the record
         r = acceptance._optimizer_run()
-        assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 433472)
+        assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 70528)
         # the run itself bit for bit: every start's d_best, the winner's trace and chart
         assert (digest(r.start_d), digest(r.trace), digest(r.best.coords)) == (
-            "a0b10e942f274ead", "52e8191d517e8e17", "226201f1946e664e"
+            "0b8d38e37c663f64", "52e8191d517e8e17", "226201f1946e664e"
         )
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
-    def test_whole_run_does_not_fault_its_rounds_back_in(self, cached_env):
-        """The cross-check's run, whole, under the three heap layouts of the
-        per-call probes, which time one warm call in a process that imported
-        only cylpack.search and so miss faults that follow the heap a whole
-        run leaves: at 8 starts per _poll_values call they pass, while this
-        run takes 5,000-10,500 faults.  A run at 4 takes about 300."""
-        assert max(whole_run_faults(cached_env, pad) for pad in (0, 5000, 100000)) < 2000
+        hits = [i for i, d in enumerate(r.start_d) if i >= 3 and abs(d - D_RECORD) <= 1e-9]
+        assert hits == [7, 8, 15, 18, 25, 30]
+        assert [i for i, stop in enumerate(r.start_stop) if stop != "step"] == [5, 10, 12, 14, 17]
+        assert set(r.start_stop) == {"step", "steps"}
 
     def test_merge_pinned(self):
-        # evals summed over six starts, the winner's d_best and trace digest,
-        # and its chart digest, all as the separate merge loop gave them
+        # charts summed over six starts, the winner's d_best and trace digest,
+        # and its chart digest
         r = multi_start(6, 3, 20000)
-        trace_sha = hashlib.sha256(np.array(r.trace).tobytes()).hexdigest()[:16]
-        chart_sha = hashlib.sha256(r.best.coords.tobytes()).hexdigest()[:16]
-        assert (r.evals, r.d_best.hex(), trace_sha, chart_sha) == (
-            36006, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
+        assert (r.evals, r.d_best.hex(), digest(r.trace), digest(r.best.coords)) == (
+            6384, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
         )
 
     def test_ties_go_to_the_lower_start(self, monkeypatch):
         monkeypatch.setattr(search, "objective", lambda chart: 1.0)  # every start ties
         r = multi_start(3, 0, 500)
-        first = local_maximize(chart_curve(0.9), 500, rng_seed=0)
+        first = local_maximize(chart_curve(0.9), 500)
         assert np.array_equal(r.best.coords, first.best.coords) and r.trace == first.trace
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_whole_run_does_not_fault_its_rounds_back_in(self, cached_env):
+        """The cross-check's run, whole, under three heap layouts: its lockstep rounds measure
+        up to 32 starts' charts in one kernel call, whose temporaries the allocator must keep
+        between rounds; the run takes about 75 faults, and the pattern search's took 300 at 4
+        starts per kernel call and 5,000-10,500 at 8."""
+        assert max(whole_run_faults(cached_env, pad) for pad in (0, 5000, 100000)) < 2000
+
     def test_memory_holds_one_trace(self):
-        # each start's improvements are packed 16 bytes an entry and only the winner's trace
-        # is built: holding every start's (iteration, value) tuples, the peak read 1.07-1.16 MiB
+        # traces are kept flat, 16 bytes an entry, and no start keeps a round's batch or its own
+        # temporaries: with (step, value) tuples, u and gh kept and each start holding views of
+        # its round's arrays, the peak read 0.85 MiB
         assert traced_peak_mb(lambda: multi_start(32, 0, 200000)) < 0.8
 
     def test_small_run_reaches_curve_seed_level(self):
