@@ -1,11 +1,11 @@
 """SQP maximin search over free six-line configurations.
 
-A free configuration is six tangent lines with no imposed symmetry, charted by 18
-coordinates, (latitude, longitude, tangent angle) per line.  Its smallest pairwise line
-distance, a nonsmooth function, is maximized as max t subject to d^2_ij >= t by sequential
-quadratic programming over the 15 coordinates of lines 1-5 (_sqp), the starts of a search in
-lockstep (_lockstep).  Seed charts and the perturbation probe measure full charts by
-_charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
+A free configuration is six tangent lines with no imposed symmetry, charted by 18 coordinates,
+(latitude, longitude, tangent angle) per line.  Its smallest pairwise line distance, a nonsmooth
+function, is maximized as max t subject to d^2_ij >= t by sequential quadratic programming over
+the 15 coordinates of lines 1-5 (_sqp), each step's QP solved in numpy without LAPACK (_dual_qp),
+the starts of a search in lockstep (_lockstep).  Seed charts and the perturbation probe measure
+full charts by _charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
@@ -16,18 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lines import (
-    Configuration,
-    _BLOCK,
-    _charts_dsq,
-    _count,
-    _dsq_slopes,
-    _positive_finite,
-    chart_lines,
-    chart_rows,
-    min_pairwise_distance,
-    radius_from_distance,
-)
+from .lines import (Configuration, _BLOCK, _charts_dsq, _count, _dsq_slopes, _positive_finite,
+                    chart_lines, chart_rows, min_pairwise_distance, radius_from_distance)
 from .symmetric import D3Params, c6_chart
 from .curve import build_curve_point
 
@@ -80,11 +70,8 @@ def chart_record() -> FreeConfig:
 
 
 def chart_from_configuration(c: Configuration) -> FreeConfig:
-    """Recover a chart from six built tangent lines.
-
-    Inverts config_lines; rejects lines based at a pole, where the chart
-    has no angle coordinate.
-    """
+    """Recover a chart from six built tangent lines, inverting config_lines; rejects lines
+    based at a pole, where the chart has no angle coordinate."""
     if len(c) != N_LINES:
         raise ValueError(f"chart covers configurations of {N_LINES} lines")
     return FreeConfig(chart_rows(c))
@@ -96,8 +83,7 @@ def objective(c: FreeConfig) -> float:
 
 
 def _objective_batch(coords: np.ndarray) -> np.ndarray:
-    """Objective for a (N, 18) batch of charts, returned as (N,); evaluated
-    _BLOCK charts at a time, with the same bits as row by row and as objective."""
+    """Objective for a (N, 18) batch of charts, as (N,), _BLOCK charts at a time: objective's bits."""
     c = coords.reshape(-1, N_LINES, 3)
     out = np.empty(len(c))
     for lo in range(0, len(c), _BLOCK):
@@ -107,17 +93,15 @@ def _objective_batch(coords: np.ndarray) -> np.ndarray:
 
 def _clip_latitudes(coords: np.ndarray) -> np.ndarray:
     lat = coords[..., 0::3]
-    np.minimum(lat, _PHI_CAP, out=lat)
-    np.maximum(lat, -_PHI_CAP, out=lat)
+    np.clip(lat, -_PHI_CAP, _PHI_CAP, out=lat)
     return coords
 
 
 @dataclass(frozen=True)
 class OptResult:
-    """Outcome of a search: best chart, its objective and radius, charts
-    measured, the improvement trace as (step, objective) pairs, why the
-    returned start stopped ("step": the trust radius fell below step_min;
-    "budget"; "steps": _MAX_STEPS), and each start's d_best and stop."""
+    """Outcome of a search: best chart, its objective and radius, charts measured, the improvement
+    trace as (step, objective) pairs, why the returned start stopped ("step": the trust radius fell
+    below step_min; "budget"; "steps": _MAX_STEPS), and each start's d_best and stop."""
 
     best: FreeConfig
     d_best: float
@@ -136,6 +120,11 @@ _H = 1e-7
 _CAPPED = np.array([-_H, _H, _H])  # the steps of a line whose latitude is within _H of the cap
 _CHARTS_PER_STEP = 1 + N_COORDS - 3
 _MAX_STEPS = 300
+# an entering pivot at or below this fraction of its diagonal entry counts as singular; the
+# dual QP's tableau [0 | I | 1 | 1] for the 15 pairs, before Q + rho and -f fill it
+_PIVOT = 1e-12
+_TABLEAU = np.hstack((np.zeros((15, 15)), np.eye(15), np.ones((15, 2))))
+_TABLEAU.flags.writeable = False
 
 
 def _measure(x: np.ndarray) -> tuple:
@@ -145,59 +134,83 @@ def _measure(x: np.ndarray) -> tuple:
     return _dsq_slopes(x.reshape(len(x), N_LINES, 3), steps)
 
 
-def _dual_qp(kkt: np.ndarray, rhs: np.ndarray, z: np.ndarray, free: list) -> None:
-    """Solve the QP dual min lam . f + lam . Q lam / 2 over the simplex by a primal active set from
-    kkt = [[Q, 1], [1, 0]] and rhs = [-f, 1], updating z (lam, feasible, then the simplex multiplier)
-    and free (lam's entries off zero) in place; each subproblem is one (|free| + 1)-square system
-    gathered from kkt, and a singular one drops the entry that just entered and ends the solve."""
-    n = len(z) - 1
-    entering = None
-    for _ in range(4 * n):
-        m = len(free)
-        sel = np.array(free + [n])
-        try:
-            sol = np.linalg.solve(kkt.take(sel[:, None] * (n + 1) + sel), rhs.take(sel))
-        except np.linalg.LinAlgError:
-            if entering is not None:
-                free.remove(entering)
+def _pivot(t: np.ndarray, r: int, c: int, floor: float = 0.0) -> bool:
+    """One Gauss-Jordan pivot of t on entry (r, c), in place; False, t unchanged, if not above floor."""
+    p = t[r, c]
+    if not p > floor:
+        return False
+    col = t[:, c] * (1.0 / p)
+    col[r] = 1.0 - 1.0 / p  # row r becomes row r / p
+    t -= np.multiply.outer(col, t[r])
+    return True
+
+
+def _dual_qp(q: np.ndarray, f: np.ndarray, z: np.ndarray, free: list) -> None:
+    """Solve the QP dual min lam . f + lam . Q lam / 2 over the simplex by a primal active set,
+    updating z (lam, feasible, then the simplex multiplier) and free (lam's support) in place.
+    Q_FF is singular at a maximin point (G^T lam = 0), but on 1 . lam = 1 its minimizer is that of
+    A = Q_FF + rho 1 1^T.  The tableau [Q + rho | I | 1 | -f] pivoted on F's columns holds u = A^-1 1
+    and v = -A^-1 f_F on F's rows, whence lam_F = v - mu u, mu = (1 . v - 1) / (1 . u), multiplier
+    mu + rho; off F, mu u - v is each multiplier of lam >= 0.  An entry enters by a pivot on its
+    column (a singular one ends the solve) and leaves by one on its identity column; the final lam
+    is refined once, as Gauss-Jordan leaves residuals near cond(A) times rounding.  No LAPACK."""
+    n, diag = len(f), q.diagonal().tolist()
+    rho = sum(diag) / n
+    t = _TABLEAU.copy()
+    np.add(q, rho, out=t[:, :n])
+    np.negative(f, out=t[:, -1])
+    floor = [_PIVOT * (d + rho) for d in diag]
+    for k in free:
+        if not _pivot(t, k, k, floor[k]):
             return
-        target, idx = sol[:m], sel[:m]
-        if target.min() < 0.0:  # step toward target until an entry reaches zero; fix it there
-            cur = z.take(idx)
+    for _ in range(4 * n):
+        idx = np.array(free)
+        ul, vl = t[:, -2:].take(idx, axis=0).T.tolist()  # u and v on F, in free's order
+        su = sum(ul)
+        mu = (sum(vl) - 1.0) / su
+        target = [v - mu * u for u, v in zip(ul, vl)]
+        if min(target) < 0.0:  # step toward target until an entry reaches zero; fix it there
+            cur, target = z.take(idx), np.array(target)
             down = np.flatnonzero(target < cur)
             k = down[int((cur[down] / (cur[down] - target[down])).argmin())]
             z[idx] = cur + cur[k] / (cur[k] - target[k]) * (target - cur)
-            z[idx[k]], entering = 0.0, None
+            z[idx[k]] = 0.0
             del free[k]
+            if not _pivot(t, idx[k], n + idx[k]):  # A^-1's diagonal is positive; never seen
+                return
             continue
-        z[idx], z[n] = target, sol[m]
-        slack = kkt[:n] @ z - rhs[:n]  # the multipliers of lam >= 0 off free
-        slack[idx] = 0.0
-        k = int(slack.argmin())
-        if slack[k] >= -1e-12:
-            return
-        free.append(k)
-        entering = k
+        z[idx], z[n] = target, mu + rho
+        r = t[:, -1] - mu * t[:, -2]
+        r[idx] = 0.0
+        k = int(r.argmax())
+        if r[k] > 1e-12 and _pivot(t, k, k, floor[k]):
+            free.append(k)
+            continue
+        # A^-1 times the residual Q lam + mu + f, from the identity block's rows on F
+        y = (t[:, n:2 * n] @ (q @ z[:n] + (z[n] + f))).take(idx).tolist()
+        short = 1.0 - sum(target)
+        dmu = (sum(y) + short) / su
+        fixed = [a - b + dmu * u for a, b, u in zip(target, y, ul)]
+        if min(fixed) > 0.0:
+            z[idx], z[n] = fixed, z[n] - dmu + rho * short
+        return
 
 
 def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
-    """SQP ascent of max t subject to d^2_ij(x) >= t over the coordinates of lines 1-5
-    (Nocedal & Wright, Numerical Optimization, ch. 18); line 0 stays, fixing the rotations.
-    A generator: it yields each chart to measure and takes back _measure's values for it,
-    and returns the final chart, trace, charts measured and stop reason.  Each step solves the
-    QP's dual (_dual_qp), Q = G H G^T for the Jacobian G and H the BFGS inverse Hessian of
-    the Lagrangian, for p = H G^T lam, capped in max-norm by the trust radius; the trial is
-    accepted only if its min d^2 strictly rises.  An accepted step doubles the radius from
-    |p| (to at most 1 when p hit it), a rejected one halves it.  H and G meet only in
-    np.vecdot and matrix-vector @, so np.linalg.solve is the only LAPACK call."""
+    """SQP ascent of max t subject to d^2_ij(x) >= t over the coordinates of lines 1-5 (Nocedal &
+    Wright, Numerical Optimization, ch. 18); line 0 stays, fixing the rotations.  A generator: it
+    yields each chart to measure, takes back _measure's values for it, and returns the final chart,
+    trace, charts measured and stop reason.  Each step solves the QP's dual (_dual_qp), Q = G H G^T
+    for the Jacobian G and H the BFGS inverse Hessian of the Lagrangian, for p = H G^T lam, capped
+    in max-norm by the trust radius; the trial is accepted only if its min d^2 strictly rises.  An
+    accepted step doubles the radius from |p| (to at most 1 when p hit it), a rejected one halves
+    it.  H and G meet only in np.vecdot and matrix-vector @, and no step calls LAPACK."""
     x = _clip_latitudes(np.array(x0, dtype=float))
     f, g = yield x
-    n = len(f)
-    fmin = float(f.min())
+    n, fmin = len(f), float(f.min())
     trace = array("d", (0, math.sqrt(fmin)))  # (step, objective) pairs, flat
     h = np.eye(N_COORDS - 3)
-    kkt, rhs, z = np.ones((n + 1, n + 1)), np.ones(n + 1), np.zeros(n + 1)
-    kkt[n, n] = 0.0
+    q, z = np.empty((n, n)), np.zeros(n + 1)
     lam, free = z[:n], [int(f.argmin())]
     lam[free] = 1.0
     radius, evals, steps = float(step0), _CHARTS_PER_STEP, 0
@@ -209,9 +222,8 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
             return x, trace, evals, stop
         if full is None:
             gh = np.vecdot(g[:, None], h)
-            np.vecdot(gh[:, None], g, out=kkt[:n, :n])
-            np.negative(f, out=rhs[:n])
-            _dual_qp(kkt, rhs, z, free)
+            np.vecdot(gh[:, None], g, out=q)
+            _dual_qp(q, f, z, free)
             full = lam @ gh
             size, gh = float(np.abs(full).max()), None  # a start keeps no more than it needs
         trial = x.copy()
@@ -219,8 +231,8 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
         _clip_latitudes(trial)
         f_new, g_new = yield trial
         evals, steps = evals + _CHARTS_PER_STEP, steps + 1
-        step = min(size, radius)
-        if not f_new.min() > fmin:
+        step, new_min = min(size, radius), float(f_new.min())
+        if not new_min > fmin:
             radius = step / 2
             continue
         s = trial[3:] - x[3:]
@@ -231,7 +243,7 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
             w = (0.5 + 0.5 * float(y @ hy) / sy) / sy * s - hy / sy
             h += np.multiply.outer(w, s) + np.multiply.outer(s, w)  # inverse BFGS, exactly symmetric
         radius = min(2 * step, 1.0) if size >= radius else max(2 * step, step_min)
-        x, f, g, fmin, full = trial, f_new, g_new, float(f_new.min()), None
+        x, f, g, fmin, full = trial, f_new, g_new, new_min, None
         trace.extend((steps, math.sqrt(fmin)))
 
 
@@ -258,13 +270,8 @@ def _lockstep(x0s: list, budget: int, step0: float, step_min: float) -> OptResul
                      tuple(zip(map(int, trace[::2]), trace[1::2])), stop, tuple(d), tuple(e[3] for e in ends))
 
 
-def local_maximize(
-    seed: FreeConfig,
-    budget: int,
-    step0: float = _STEP0,
-    step_min: float = _STEP_MIN,
-    rng_seed: int = 0,
-) -> OptResult:
+def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_min: float = _STEP_MIN,
+                   rng_seed: int = 0) -> OptResult:
     """SQP ascent from one seed chart (_sqp): step0 is the first trust
     radius and step_min the smallest; budget counts charts measured,
     _CHARTS_PER_STEP a step, and the last step may overrun it.  The solver
@@ -309,11 +316,5 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
         values = _objective_batch(_clip_latitudes(cand))
         best = np.maximum(best, values.max())  # carries a NaN through, as max() does
         exceed += int(np.count_nonzero(values > f0))
-    return {
-        "objective": f0,
-        "radius": float(radius),
-        "trials": trials,
-        "rng_seed": int(rng_seed),
-        "max_found": float(best),
-        "exceed_fraction": exceed / trials,
-    }
+    return {"objective": f0, "radius": float(radius), "trials": trials, "rng_seed": int(rng_seed),
+            "max_found": float(best), "exceed_fraction": exceed / trials}

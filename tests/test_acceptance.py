@@ -248,10 +248,10 @@ def test_cross_check_fails_on_a_start_above_the_record(monkeypatch, d):
 
 def test_cross_check_details_pinned():
     assert _results()["optimizer-cross-check"].details == (
-        "32 starts, budget 2e5 charts each, seed 0 (70528 charts): best blind start d = "
-        "1.0444659357341814 within 1e-9 of sqrt(12/11): True; blind starts within 1e-9: 6 of "
+        "32 starts, budget 2e5 charts each, seed 0 (61616 charts): best blind start d = "
+        "1.0444659357341717 within 1e-9 of sqrt(12/11): True; blind starts within 1e-9: 6 of "
         "29 >= 3: True; blind starts above sqrt(12/11) + 1e-9: none; exceeds the prior record "
-        "distance 1.0242: True; blind starts stopped by step: 24, steps: 5"
+        "distance 1.0242: True; blind starts stopped by step: 28, steps: 1"
     )
 
 

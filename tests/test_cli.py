@@ -552,7 +552,7 @@ GOLDEN = [
     (["curve", "--samples", "3"], "c237900d54cfc969c07c86eadf37bef10562b4437553faee5525eb38e4cda0ee"),
     (["record"], "4c8c267b56f8a1af7008a464489973f54ec79d814eb250dba099e6183124ff3b"),
     (["optimize", "--starts", "4", "--budget", "20000"],
-     "b23ce69e0b5e2b39142e3bb98e01fcb5085e5c2a4083666b326105979b14d890"),
+     "659f6a23546cccc553ccbfd01694fa40e318e6954ed74073eae3605f990f8e3d"),
     (["optimize", "--from", "c6", "--budget", "20000"],
      "272e6eacaa03ca6b3de49be4ac1b8b420df22c70b210dda1838dcc32ddac1d79"),
     (["optimize", "--from", "file:record.json", "--budget", "20000"],
@@ -568,8 +568,8 @@ GOLDEN = [
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
      "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
-    (["report-all", "--json"], "8cac76cae881beae33e974c964770ad2ecf89d273a0cf084c81b5378ed30e516"),
-    (["report-all"], "15a7fa792cc655f3f25969ec62154eec1658a1ccbe96b137f9028caeafdfcfcb"),
+    (["report-all", "--json"], "00781f659a9ed91e30d594c28ede2ee3b211ef1cf9caf1b826e1e293efb1f6fd"),
+    (["report-all"], "249d290efc46f3228e280110cda9be9438957afe8465b6eca226c00111a3d5e9"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 
