@@ -36,8 +36,8 @@ CURVE_HEADER = "x,phi,delta,kappa,S,T,U,F,dae_sq"
 FOUR_CYL_HEADER = "T,S2,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"  # S2 is S^2
 _SOURCES = "record, c6, curve:<x>, file:<path>"
 # the flag that sets each value the library checks, keyed by the name its errors start with
-_FLAGS = {"n_starts": "--starts", "budget": "--budget", "trials": "--trials", "radius": "--radius",
-          "perturbation radius": "--radius", "cyl_length": "--length", "segments": "--segments"}
+_FLAGS = {"n_starts": "--starts", "rng_seed": "--seed", "budget": "--budget", "trials": "--trials",
+          "radius": "--radius", "cyl_length": "--length", "segments": "--segments"}
 
 
 def _source(text: str) -> FreeConfig | Configuration:
@@ -140,17 +140,18 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    _count("--seed", args.seed, 0)
     if args.from_source is None:
         starts = 32 if args.starts is None else args.starts
-        result = multi_start(starts, args.seed, args.budget)
-        run_doc = {"starts": starts, "seed": args.seed, "budget_each": args.budget}
+        seed = 0 if args.seed is None else args.seed
+        result = multi_start(starts, seed, args.budget)
+        run_doc = {"starts": starts, "seed": seed, "budget_each": args.budget}
     elif args.starts is not None:
         raise ValueError("--starts has no effect with --from")
+    elif args.seed is not None:
+        raise ValueError("--seed has no effect with --from")
     else:
-        seed_chart = _chart_from_source(args.from_source)
-        result = local_maximize(seed_chart, args.budget, rng_seed=args.seed)
-        run_doc = {"from": args.from_source, "seed": args.seed, "budget": args.budget}
+        result = local_maximize(_chart_from_source(args.from_source), args.budget)
+        run_doc = {"from": args.from_source, "budget": args.budget}
     doc = {
         **run_doc,
         "d_best": result.d_best,
@@ -165,7 +166,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    _count("--seed", args.seed, 0)
     chart = _chart_from_source(args.at)
     report = perturbation_probe(chart, args.radius, args.trials, args.seed)
     _emit_json({"at": args.at, **report})
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximin search over free configurations")
     p.add_argument("--starts", type=int, help="multi-start count (default 32); not with --from")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=int, help="seed of the blind starts (default 0); not with --from")
     p.add_argument(
         "--budget", type=int, default=200000, help="charts measured per start, 16 a step"
     )

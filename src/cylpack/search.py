@@ -272,13 +272,11 @@ def _lockstep(x0s: list, budget: int, step0: float, step_min: float) -> OptResul
 
 def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_min: float = _STEP_MIN,
                    rng_seed: int = 0) -> OptResult:
-    """SQP ascent from one seed chart (_sqp): step0 is the first trust
-    radius and step_min the smallest; budget counts charts measured,
-    _CHARTS_PER_STEP a step, and the last step may overrun it.  The solver
-    draws no random numbers: rng_seed changes nothing and is accepted only
-    so existing calls keep working.  d_best is objective(best), which is
-    the last trace value, since every chart path frames coordinates alike.
-    """
+    """SQP ascent from one seed chart (_sqp): step0 is the first trust radius and step_min the
+    smallest; budget counts charts measured, _CHARTS_PER_STEP a step, and the last step may overrun
+    it.  d_best is objective(best), the last trace value, since every chart path frames coordinates
+    alike.  The solver draws no random numbers: rng_seed is neither checked nor read, and is kept
+    only for callers that pass it by position, as bench/workloads.py does."""
     _positive_finite("step0", step0)
     _positive_finite("step_min", step_min)
     budget = _count("budget", budget, 1)
@@ -286,16 +284,17 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
-    """Independent SQP ascents in lockstep (_lockstep), merged to the best result.
-    The first three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5;
-    start i >= 3 jitters the initial configuration's chart with Gaussian noise of spread 0.2
-    from default_rng(rng_seed + i), so any prefix of starts is reproducible.  Ties go to the
-    lower start; evals is the total; the trace and stop reason are the winning start's."""
+    """Independent SQP ascents in lockstep (_lockstep), merged to the best result.  The first
+    three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5; start i >= 3 jitters the
+    initial configuration's chart with Gaussian noise of spread 0.2 from default_rng([i, rng_seed]),
+    rng_seed an integer >= 0: any prefix of starts is reproducible, and no two seeds share a blind
+    start.  Ties go to the lower start; evals is the total; the trace and stop reason are the winner's."""
     n_starts = _count("n_starts", n_starts, 1)
+    rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
     seeds = [chart_curve(x).coords for x in (0.9, 0.7, 0.5)[:n_starts]] + [
-        base + 0.2 * np.random.default_rng(rng_seed + i).standard_normal(N_COORDS)
+        base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(N_COORDS)
         for i in range(3, n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 
@@ -306,8 +305,9 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     fraction of trials that beat the unperturbed value.  Trials are drawn
     and evaluated _BLOCK at a time, in memory flat in trials: the same
     stream of draws, and the same report bit for bit, as one batch."""
-    _positive_finite("perturbation radius", radius)
+    _positive_finite("radius", radius)
     trials = _count("trials", trials, 1)
+    rng_seed = _count("rng_seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)
     f0 = float(_objective_batch(c.coords[None])[0])
     best, exceed = -np.inf, 0
@@ -316,5 +316,5 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
         values = _objective_batch(_clip_latitudes(cand))
         best = np.maximum(best, values.max())  # carries a NaN through, as max() does
         exceed += int(np.count_nonzero(values > f0))
-    return {"objective": f0, "radius": float(radius), "trials": trials, "rng_seed": int(rng_seed),
+    return {"objective": f0, "radius": float(radius), "trials": trials, "rng_seed": rng_seed,
             "max_found": float(best), "exceed_fraction": exceed / trials}

@@ -470,10 +470,10 @@ class TestMultiStart:
     @example(5, 0, 20000)  # starts leave in five different rounds
     def test_lockstep_equals_sequential(self, n_starts, rng_seed, budget):
         # start i seeds from a trajectory point (i < 3) or a jitter drawn from
-        # default_rng(rng_seed + i); the lower start wins ties
+        # default_rng([i, rng_seed]); the lower start wins ties
         base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
         runs = [local_maximize(chart_curve((0.9, 0.7, 0.5)[i]) if i < 3 else FreeConfig(
-            base + 0.2 * np.random.default_rng(rng_seed + i).standard_normal(18)), budget)
+            base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(18)), budget)
             for i in range(n_starts)]
         best = runs[[run.d_best for run in runs].index(max(run.d_best for run in runs))]
         r = multi_start(n_starts, rng_seed, budget)
@@ -509,11 +509,18 @@ class TestMultiStart:
 
     def test_merge_pinned(self):
         # charts summed over six starts, the winner's d_best and trace digest,
-        # and its chart digest
+        # and its chart digest; 6256 charts while start i drew from default_rng(3 + i)
         r = multi_start(6, 3, 20000)
         assert (r.evals, r.d_best.hex(), digest(r.trace), digest(r.best.coords)) == (
-            6256, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
+            6832, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
         )
+
+    def test_seeds_share_no_blind_start(self):
+        # a budget of 1 stops each start at its seed chart, so start_d[3:] holds the objective of
+        # each blind seed chart; with default_rng(rng_seed + i), seeds 0 and 1 shared 28 of 29
+        blind = [set(multi_start(32, s, 1).start_d[3:]) for s in range(6)]
+        assert all(len(b) == 29 for b in blind)
+        assert len(set().union(*blind)) == 6 * 29
 
     def test_ties_go_to_the_lower_start(self, monkeypatch):
         monkeypatch.setattr(search, "objective", lambda chart: 1.0)  # every start ties
@@ -561,10 +568,18 @@ class TestMultiStart:
     (lambda: local_maximize(chart_record(), math.nan), "budget must be an integer: nan"),
     (lambda: perturbation_probe(chart_record(), 1e-3, 10.5), "trials must be an integer: 10.5"),
     (lambda: perturbation_probe(chart_record(), 1e-3, 0), "trials must be at least 1: 0"),
+    (lambda: multi_start(4, -1, 100), "rng_seed must be at least 0: -1"),
+    (lambda: multi_start(3, -1, 100), "rng_seed must be at least 0: -1"),
+    (lambda: multi_start(4, 1.5, 100), "rng_seed must be an integer: 1.5"),
+    (lambda: multi_start(1, 1.5, 100), "rng_seed must be an integer: 1.5"),
+    (lambda: perturbation_probe(chart_record(), 1e-3, 5, -1), "rng_seed must be at least 0: -1"),
+    (lambda: perturbation_probe(chart_record(), 1e-3, 5, 1.5), "rng_seed must be an integer: 1.5"),
 ], ids=["float starts", "no starts", "float budget", "no budget", "nan budget", "float trials",
-        "no trials"])
+        "no trials", "negative seed", "negative seed, no blind start", "float seed",
+        "float seed, no blind start", "negative probe seed", "float probe seed"])
 def test_counts_are_integers(call, message):
-    # a float count was truncated, reported as its floor, or failed in range() naming no argument
+    # a float count was truncated, reported as its floor, or failed in range() naming no argument;
+    # a negative seed ran silently or raised numpy's own message, a float one numpy's TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
