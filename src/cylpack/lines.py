@@ -131,7 +131,7 @@ def _frame_xyz(chart) -> tuple:
     """Components (bx, by, bz, dx, dy, dz) of the lines whose latitudes, longitudes and angles are
     stacked on chart's first axis, (3, ...) or (3,), each line along its north tangent rotated
     by its angle (pi/2: due east); np.sin and np.cos are called once each, over the whole stack.
-    The frame degenerates at the poles, which callers must reject.  dz drops the east tangent's
+    The frame is smooth at every real latitude, past the poles too.  dz drops the east tangent's
     z = 0.0 term: ca * nz + sa * 0.0 is ca * nz exactly, since the cosine of a finite double is
     never +-0 and ca * nz = cos(ang) cos(phi) cannot underflow, so the +-0 added never changes
     it (a NaN stays NaN)."""
@@ -371,7 +371,7 @@ def _frame_table(chart) -> np.ndarray:
 def _charts_dsq(block: np.ndarray) -> np.ndarray:
     """(P, B) pair distances of a (B, n, 3) block of charts, framed as chart_lines frames them
     but unchecked, into one component-major table for one kernel call: chart_lines(chart).dsq's
-    bits wherever _unit_tangent snaps nothing.  Callers pass finite charts off the poles."""
+    bits wherever _unit_tangent snaps nothing.  Callers pass finite charts, at any latitude."""
     table = np.array(_frame_xyz(block.T)).reshape(6 * block.shape[1], -1)
     return _pair_kernel(table, _chart_index(block.shape[1], comp_major=True))
 
@@ -391,21 +391,21 @@ def _slope_index(n: int) -> tuple:
             np.array(source).reshape(-1, n - 1), np.array([p * (3 * n - 3) + k for p, (k, _) in zip(source, moved)]))
 
 
-def _dsq_slopes(rows: np.ndarray, steps: np.ndarray) -> tuple:
+def _dsq_slopes(rows: np.ndarray, h: float) -> tuple:
     """Pair distances of a (B, n, 3) block of charts, (B, P) in chart_lines(chart).dsq's order and
     bits wherever _unit_tangent snaps nothing, and their forward differences in the coordinates
-    of lines 1..n-1, coordinate k moved by steps[:, k], (B, P, 3n - 3): one kernel call measures
+    of lines 1..n-1, each moved by h, (B, P, 3n - 3), at any latitude: one kernel call measures
     each chart's lines and copy k of line 1 + k // 3 with column k % 3 moved against the others."""
     b, n = rows.shape[:2]
     lines, moved, index, source, slots = _slope_index(n)
     chart = rows.T.take(lines, axis=1)  # (3, 4n - 3, B), contiguous
-    chart.reshape(-1, b)[moved] += steps.T
+    chart.reshape(-1, b)[moved] += h
     table = np.array(_frame_xyz(chart)).reshape(-1, b)
     dsq = _pair_kernel(table if b > 1 else table.reshape(-1), index).reshape(-1, b).T
     p = dsq.shape[1] - len(slots)
     f = dsq[:, :p]
     jac = np.zeros((b, p * (3 * n - 3)))
-    jac[:, slots] = ((dsq[:, p:].reshape(b, -1, n - 1) - f.take(source, axis=1)) / steps[:, :, None]).reshape(b, -1)
+    jac[:, slots] = ((dsq[:, p:].reshape(b, -1, n - 1) - f.take(source, axis=1)) / h).reshape(b, -1)
     return f, jac.reshape(b, p, -1)
 
 

@@ -4,8 +4,9 @@ A free configuration is six tangent lines with no imposed symmetry, charted by 1
 (latitude, longitude, tangent angle) per line.  Its smallest pairwise line distance, a nonsmooth
 function, is maximized as max t subject to d^2_ij >= t by sequential quadratic programming over
 the 15 coordinates of lines 1-5 (_sqp), each step's QP solved in numpy without LAPACK (_dual_qp),
-the starts of a search in lockstep (_lockstep).  Seed charts and the perturbation probe measure
-full charts by _charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
+the starts of a search in lockstep (_lockstep), latitudes unbounded as longitudes and angles are,
+each returned chart folded into (-pi/2, pi/2) (_fold).  Seed charts and the perturbation probe
+measure full charts by _charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .curve import build_curve_point
 N_LINES = 6
 N_COORDS = 3 * N_LINES
 
-_PHI_CAP = math.pi / 2 - 1e-9
 # trust-radius schedule: the first radius and the one that stops a search
 _STEP0, _STEP_MIN = 0.1, 1e-9
 
@@ -91,10 +91,15 @@ def _objective_batch(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clip_latitudes(coords: np.ndarray) -> np.ndarray:
-    lat = coords[..., 0::3]
-    np.clip(lat, -_PHI_CAP, _PHI_CAP, out=lat)
-    return coords
+def _fold(x: np.ndarray) -> np.ndarray:
+    """Chart x, (18,), each latitude moved into (-pi/2, pi/2) in place: less whole turns, then past
+    a pole to pi - phi at longitude + pi, the same line with its dir negated.  In range, bits stay."""
+    for row in x.reshape(N_LINES, 3):
+        phi = math.remainder(row[0], 2 * math.pi)  # exact: phi itself where |phi| <= pi
+        if abs(phi) > math.pi / 2:
+            phi, row[1] = math.copysign(math.pi, phi) - phi, row[1] + math.pi
+        row[0] = phi if abs(phi) < math.pi / 2 else math.nextafter(phi, 0.0)
+    return x
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,6 @@ class OptResult:
 # copy per free coordinate; and the cap on steps: uncapped, a tenth of 80 bench-drawn blind
 # starts ran past 370 steps and one to 3368, while the median (142) did not move
 _H = 1e-7
-_CAPPED = np.array([-_H, _H, _H])  # the steps of a line whose latitude is within _H of the cap
 _CHARTS_PER_STEP = 1 + N_COORDS - 3
 _MAX_STEPS = 300
 # an entering pivot at or below this fraction of its diagonal entry counts as singular; the
@@ -125,13 +129,6 @@ _MAX_STEPS = 300
 _PIVOT = 1e-12
 _TABLEAU = np.hstack((np.zeros((15, 15)), np.eye(15), np.ones((15, 2))))
 _TABLEAU.flags.writeable = False
-
-
-def _measure(x: np.ndarray) -> tuple:
-    """Squared pair distances of (L, 18) charts and their slopes in the 15 free coordinates, a
-    latitude within _H of the cap stepped downward: (L, 15), (L, 15, 15)."""
-    steps = np.where(x[:, 3::3, None] > _PHI_CAP - _H, _CAPPED, _H).reshape(len(x), -1)
-    return _dsq_slopes(x.reshape(len(x), N_LINES, 3), steps)
 
 
 def _pivot(t: np.ndarray, r: int, c: int, floor: float = 0.0) -> bool:
@@ -199,13 +196,13 @@ def _dual_qp(q: np.ndarray, f: np.ndarray, z: np.ndarray, free: list) -> None:
 def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
     """SQP ascent of max t subject to d^2_ij(x) >= t over the coordinates of lines 1-5 (Nocedal &
     Wright, Numerical Optimization, ch. 18); line 0 stays, fixing the rotations.  A generator: it
-    yields each chart to measure, takes back _measure's values for it, and returns the final chart,
+    yields each chart to measure, takes back _dsq_slopes' values for it, and returns the final chart,
     trace, charts measured and stop reason.  Each step solves the QP's dual (_dual_qp), Q = G H G^T
     for the Jacobian G and H the BFGS inverse Hessian of the Lagrangian, for p = H G^T lam, capped
     in max-norm by the trust radius; the trial is accepted only if its min d^2 strictly rises.  An
     accepted step doubles the radius from |p| (to at most 1 when p hit it), a rejected one halves
     it.  H and G meet only in np.vecdot and matrix-vector @, and no step calls LAPACK."""
-    x = _clip_latitudes(np.array(x0, dtype=float))
+    x = np.array(x0, dtype=float)
     f, g = yield x
     n, fmin = len(f), float(f.min())
     trace = array("d", (0, math.sqrt(fmin)))  # (step, objective) pairs, flat
@@ -228,7 +225,6 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
             size, gh = float(np.abs(full).max()), None  # a start keeps no more than it needs
         trial = x.copy()
         trial[3:] += full * (radius / size) if size > radius else full
-        _clip_latitudes(trial)
         f_new, g_new = yield trial
         evals, steps = evals + _CHARTS_PER_STEP, steps + 1
         step, new_min = min(size, radius), float(f_new.min())
@@ -248,13 +244,13 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
 
 
 def _lockstep(x0s: list, budget: int, step0: float, step_min: float) -> OptResult:
-    """_sqp from each chart of x0s, each round measuring the live starts' charts in one _measure
-    call, which gives each the bits it gets alone; merged to the first start of largest d_best,
-    with evals summed and every start's d_best and stop reason."""
+    """_sqp from each chart of x0s, each round measuring the live starts' charts in one _dsq_slopes
+    call, which gives each the bits it gets alone; each end folded (_fold) and merged to the first
+    start of largest d_best, with evals summed and every start's d_best and stop reason."""
     runs = [_sqp(x0, budget, step0, step_min) for x0 in x0s]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
-        f, g = _measure(np.array(charts))
+        f, g = _dsq_slopes(np.reshape(charts, (-1, N_LINES, 3)), _H)
         going, charts = [], []
         for j, i in enumerate(live):
             try:  # copies, so that no start holds a whole round's arrays
@@ -263,7 +259,7 @@ def _lockstep(x0s: list, budget: int, step0: float, step_min: float) -> OptResul
             except StopIteration as end:
                 ends[i] = end.value
         live, f, g = going, None, None
-    d = [objective(FreeConfig(x)) for x, *_ in ends]
+    d = [objective(FreeConfig(_fold(x))) for x, *_ in ends]
     k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima
     x, trace, _, stop = ends[k]
     return OptResult(FreeConfig(x), d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
@@ -274,9 +270,9 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
                    rng_seed: int = 0) -> OptResult:
     """SQP ascent from one seed chart (_sqp): step0 is the first trust radius and step_min the
     smallest; budget counts charts measured, _CHARTS_PER_STEP a step, and the last step may overrun
-    it.  d_best is objective(best), the last trace value, since every chart path frames coordinates
-    alike.  The solver draws no random numbers: rng_seed is neither checked nor read, and is kept
-    only for callers that pass it by position, as bench/workloads.py does."""
+    it.  d_best is objective(best), the last trace value unless _fold moved the end (the trace
+    holds the walked charts' values).  The solver draws no random numbers: rng_seed is neither
+    checked nor read, kept only for callers that pass it by position, as bench/workloads.py does."""
     _positive_finite("step0", step0)
     _positive_finite("step_min", step_min)
     budget = _count("budget", budget, 1)
@@ -313,7 +309,7 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     best, exceed = -np.inf, 0
     for lo in range(0, trials, _BLOCK):
         cand = c.coords + rng.uniform(-radius, radius, (min(_BLOCK, trials - lo), N_COORDS))
-        values = _objective_batch(_clip_latitudes(cand))
+        values = _objective_batch(cand)
         best = np.maximum(best, values.max())  # carries a NaN through, as max() does
         exceed += int(np.count_nonzero(values > f0))
     return {"objective": f0, "radius": float(radius), "trials": trials, "rng_seed": rng_seed,

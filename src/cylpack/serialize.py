@@ -1,7 +1,8 @@
 """Deterministic text of builtin values, and the reader of lines documents.
 
-JSON floats get 17 significant digits, which parse back as floats to the same
-double (``json.loads`` reads ``-0`` as the int 0); CSV and OBJ numbers get 12.
+JSON floats get 17 significant digits, which parse back to the same double, and
+-0.0 is written ``-0.0``, since ``json.loads`` reads ``-0`` as the int 0; CSV and OBJ
+numbers get 12.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ def json_dumps(obj: Any) -> str:
     """Serialize nested dicts, lists and tuples of str, int, float, bool and None.
 
     Floats get exactly JSON_SIG significant digits, so repeated runs write identical
-    bytes; other values go to :func:`json.dumps`, which refuses every other type.
+    bytes, and -0.0 keeps its sign; other values go to :func:`json.dumps`, which refuses
+    every other type.
     """
     if isinstance(obj, float):
-        return fmt_float(obj)
+        return "-0.0" if obj == 0.0 and math.copysign(1.0, obj) < 0.0 else fmt_float(obj)
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON object keys must be strings")

@@ -221,7 +221,7 @@ def test_local_max_probe_fails_on_any_exceeding_trial(monkeypatch):
 
 def _seed_returning_solver(x0, budget, step0, step_min):
     """A solver that measures its seed chart and returns it unchanged, as _sqp does its end."""
-    x = search._clip_latitudes(np.array(x0, dtype=float))
+    x = np.array(x0, dtype=float)
     f, _ = yield x
     return x, [0, math.sqrt(f.min())], search._CHARTS_PER_STEP, "step"  # the trace, flat
 
@@ -231,7 +231,7 @@ def test_cross_check_fails_when_the_solver_returns_its_seed(monkeypatch, capsys)
     monkeypatch.setattr(search, "_sqp", _seed_returning_solver)
     monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(32, 0, 200000))
     result = acceptance.check_optimizer_cross_check()
-    assert not result.passed and "blind starts within 1e-9: 0 of 29 >= 3: False" in result.details
+    assert not result.passed and "blind starts within 1e-9: 0 of 29 >= 4: False" in result.details
     assert cli.main(["report-all"]) == 3
     assert "\nFAIL optimizer-cross-check: " in capsys.readouterr().out
 
@@ -246,11 +246,21 @@ def test_cross_check_fails_on_a_start_above_the_record(monkeypatch, d):
     assert not result.passed and "above sqrt(12/11) + 1e-9: [20];" in result.details
 
 
+def test_cross_check_fails_on_three_hits(monkeypatch):
+    # the floor is four blind starts within 1e-9 of the record, about half the run's seven
+    run = acceptance._optimizer_run()
+    hits = [i for i, d in enumerate(run.start_d) if i >= 3 and abs(d - acceptance.D_RECORD) <= 1e-9]
+    start_d = tuple(1.0 if i in hits[3:] else d for i, d in enumerate(run.start_d))
+    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: dataclasses.replace(run, start_d=start_d))
+    result = acceptance.check_optimizer_cross_check()
+    assert not result.passed and "blind starts within 1e-9: 3 of 29 >= 4: False" in result.details
+
+
 def test_cross_check_details_pinned():
     assert _results()["optimizer-cross-check"].details == (
-        "32 starts, budget 2e5 charts each, seed 0 (61616 charts): best blind start d = "
-        "1.0444659357341717 within 1e-9 of sqrt(12/11): True; blind starts within 1e-9: 6 of "
-        "29 >= 3: True; blind starts above sqrt(12/11) + 1e-9: none; exceeds the prior record "
+        "32 starts, budget 2e5 charts each, seed 0 (61696 charts): best blind start d = "
+        "1.0444659357341717 within 1e-9 of sqrt(12/11): True; blind starts within 1e-9: 7 of "
+        "29 >= 4: True; blind starts above sqrt(12/11) + 1e-9: none; exceeds the prior record "
         "distance 1.0242: True; blind starts stopped by step: 28, steps: 1"
     )
 

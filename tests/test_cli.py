@@ -13,6 +13,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +23,9 @@ from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, main
 from cylpack.curve import f_of_x
 from cylpack.lines import chart_lines, min_pairwise_distance, radius_from_distance
 from cylpack.scene import SceneSpec, scene_obj
-from cylpack.search import chart_from_configuration, chart_record, config_lines, objective
+from cylpack.search import (chart_c6, chart_from_configuration, chart_record, config_lines,
+                            local_maximize, objective)
+from cylpack.symmetric import D3Params
 from cylpack.serialize import config_from_dict, json_dumps
 
 from helpers import lines_document
@@ -556,7 +559,8 @@ class TestDirectErrors:
 
 # sha256 of the stdout, and the exit code, of each command, taken before the writers were cut
 # down to builtin values (the optimize and report-all ones since the SQP search replaced the
-# pattern search, the optimize --from ones since their documents dropped the unread seed);
+# pattern search, the optimize --from ones since their documents dropped the unread seed, the
+# report-all ones since latitudes crossed the poles, optimize --from c6 since -0.0 kept its sign);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
     (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
@@ -571,7 +575,7 @@ GOLDEN = [
     (["optimize", "--starts", "4", "--budget", "20000"],
      "659f6a23546cccc553ccbfd01694fa40e318e6954ed74073eae3605f990f8e3d"),
     (["optimize", "--from", "c6", "--budget", "20000"],
-     "05b1656d3986851412159062993cff1b61b95a672ef8b2f61cdd787812aa2685"),
+     "a7864ce5f415c8b72bd1369f8f31e4155b7e7161ef067f7b4b2ceed49466346e"),
     (["optimize", "--from", "file:record.json", "--budget", "20000"],
      "cf4741c30ebfff88b49052d79c97a5fabcc7c8a33174be0ad2935c9960dde1ad"),
     (["probe", "--at", "record"], "55d1d458c526418de7c292fed445adb7f6b19cac4b2eab52d1cf74c89a6e67df"),
@@ -585,10 +589,19 @@ GOLDEN = [
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
      "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
-    (["report-all", "--json"], "00781f659a9ed91e30d594c28ede2ee3b211ef1cf9caf1b826e1e293efb1f6fd"),
-    (["report-all"], "249d290efc46f3228e280110cda9be9438957afe8465b6eca226c00111a3d5e9"),
+    (["report-all", "--json"], "3da4a300ca8a91db6c184d32a00f29683533cb565b8f28968e3d051a95a99561"),
+    (["report-all"], "82616adbdd94c745fac5beacbe995823803ae23e0c30034ef0a44eebee0aafe4"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
+
+
+def test_optimize_coords_read_back_bit_for_bit(capsys):
+    # the c6 chart's nine -0.0 coordinates were written "-0", which json.loads reads as the int 0
+    rc, out = run(capsys, "optimize", "--from", "c6", "--budget", "2000")
+    coords = json.loads(out)["coords"]
+    want = local_maximize(chart_c6(D3Params(0.0, 0.0, 0.0)), 2000).best.coords
+    assert rc == 0 and np.array(coords, dtype=float).tobytes() == want.tobytes()
+    assert sum(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in coords) == 9
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])

@@ -1,7 +1,7 @@
-"""The README's Quick start runs, and its annotated values hold; its
-command lines run; its Layout table names only what exists.
+"""The Quick starts of README.md and PAPER.md run, and their annotated values
+hold; the README's command lines run; its Layout table names only what exists.
 
-Each statement of the Quick start block runs in order; an expression
+Each statement of a Quick start block runs in order; an expression
 line followed by a comment that opens with a literal (`rep.r_m  # 1.09...`,
 `....verdict  # 'blocked'`) must evaluate to exactly that literal.  Each
 `cylpack ...` line of the Command line block must exit 0.  Each module of
@@ -16,10 +16,13 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import cylpack
 from cylpack.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PAPER = README.with_name("PAPER.md")
 
 # a number or a quoted string right after the comment sign
 _LITERAL = re.compile(r"#\s+('[^']*'|[-+]?\d[\d.]*(?:[eE][-+]?\d+)?)")
@@ -27,26 +30,27 @@ _LITERAL = re.compile(r"#\s+('[^']*'|[-+]?\d[\d.]*(?:[eE][-+]?\d+)?)")
 _NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
-def _block(section: str, fence: str) -> str:
-    text = README.read_text()
+def _block(section: str, fence: str, path: Path = README) -> str:
+    text = path.read_text()
     start = text.index(fence, text.index(section)) + len(fence)
     return text[start:text.index("\n```", start)]
 
 
-def test_quick_start_values():
-    block = _block("## Quick start", "```python\n")
+@pytest.mark.parametrize("path", [README, PAPER], ids=lambda path: path.name)
+def test_quick_start_values(path):
+    block = _block("## Quick start", "```python\n", path)
     lines = block.splitlines()
     namespace: dict = {}
     checked = []
     for stmt in ast.parse(block).body:
         found = _LITERAL.search(lines[stmt.lineno - 1])
         if isinstance(stmt, ast.Expr) and found:
-            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            value = eval(compile(ast.Expression(stmt.value), path.name, "eval"), namespace)
             expected = ast.literal_eval(found.group(1))
             assert value == expected, f"{ast.unparse(stmt)}: {value!r} != {expected!r}"
             checked.append(ast.unparse(stmt))
         else:
-            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            exec(compile(ast.Module([stmt], []), path.name, "exec"), namespace)
     assert checked == [
         "rep.r_m",
         "rep.d_m",

@@ -35,7 +35,7 @@ from cylpack.search import (
     perturbation_probe,
 )
 from cylpack import acceptance, search
-from cylpack.search import _clip_latitudes, _objective_batch
+from cylpack.search import _fold, _objective_batch
 from cylpack.symmetric import D3Params, build_c6
 from helpers import batched_dsq, same_line
 
@@ -57,10 +57,12 @@ EQUATORIAL_ROW = st.tuples(st.just(0.0), st.floats(0.0, 2 * math.pi), st.sampled
 CHARTS = st.lists(
     st.lists(st.one_of(SKEW_ROW, EQUATORIAL_ROW), min_size=6, max_size=6), min_size=1, max_size=8
 )
-# charts as a search leaves them: longitudes and angles far outside [0, 2pi), latitudes to the cap
+# the largest latitude FreeConfig takes: a search walks latitudes unbounded and folds its ends
+# into (-pi/2, pi/2), so a chart it returns may lie this close to a pole
+LAT_MAX = math.nextafter(math.pi / 2, 0.0)
+# charts as a search leaves them: longitudes and angles far outside [0, 2pi), latitudes to a pole
 WIDE_CHART = st.lists(
-    st.tuples(st.floats(-search._PHI_CAP, search._PHI_CAP), st.floats(-50.0, 50.0),
-              st.floats(-50.0, 50.0)),
+    st.tuples(st.floats(-LAT_MAX, LAT_MAX), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
     min_size=6, max_size=6,
 ).map(lambda rows: np.array(rows).reshape(18))
 
@@ -117,11 +119,11 @@ def faults_per_call(call, env, pad=0):
         import resource
         pad = bytearray({pad})
         import numpy as np
-        from cylpack.search import _clip_latitudes, _objective_batch, chart_c6
+        from cylpack.search import _objective_batch, chart_c6
         from cylpack.symmetric import D3Params
         rng = np.random.default_rng(0)
         base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-        batch = _clip_latitudes(base + 0.2 * rng.standard_normal((1536, 18)))
+        batch = base + 0.2 * rng.standard_normal((1536, 18))
         for _ in range(5):
             {call}
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -274,9 +276,17 @@ def bench_start_search(seed, index, budget):
     return local_maximize(FreeConfig(x0), budget, rng_seed=int(rng.integers(2**31)))
 
 
+def maximize_seeing_the_end(seed, budget):
+    """local_maximize's result, and the chart its solver ended at, before _fold moved it."""
+    ends = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_fold", lambda end: ends.append(end.copy()) or _fold(end))
+        return local_maximize(seed, budget), ends[0]
+
+
 def skew(x):
-    """Smallest |u x v|^2 over the direction pairs of a chart's lines."""
-    d = config_lines(FreeConfig(x)).table[:, 3:]
+    """Smallest |u x v|^2 over the direction pairs of a chart's lines, at any latitude."""
+    d = np.array(_frame_xyz(x.reshape(6, 3).T)[3:]).T
     i, j = np.triu_indices(6, 1)
     return float((np.cross(d[i], d[j]) ** 2).sum(axis=1).min())
 
@@ -284,16 +294,24 @@ def skew(x):
 SKEW_CHART = st.lists(SKEW_ROW, min_size=6, max_size=6).map(lambda rows: np.array(rows).reshape(18))
 
 
+def measure(x):
+    """The SQP's measure of (L, 18) charts: squared pair distances and their slopes in the 15
+    free coordinates, (L, 15) and (L, 15, 15)."""
+    return search._dsq_slopes(x.reshape(len(x), 6, 3), search._H)
+
+
 class TestMeasure:
     @settings(deadline=None)
     @given(SKEW_CHART, st.integers(0, 5))
     @example(chart_record().coords.copy(), 0)
-    def test_slopes_match_central_differences(self, x, capped):
-        # line `capped` (if not 0) sits at the latitude cap, where its latitude steps downward
-        if capped:
-            x[3 * capped] = search._PHI_CAP
+    @example(chart_record().coords.copy(), 3)
+    def test_slopes_match_central_differences(self, x, past):
+        # line `past` (if not 0) lies past a pole, latitude pi - phi: the chart has no edge there
+        if past:
+            x = x.copy()
+            x[3 * past] = math.copysign(math.pi, x[3 * past]) - x[3 * past]
         assume(skew(x) >= 0.05)  # near-parallel pairs curve too sharply for either difference
-        (f,), (g,) = search._measure(x[None])
+        (f,), (g,) = measure(x[None])
         h = 1e-6
         moved = np.repeat(x[None], 30, axis=0)
         moved[np.arange(15), np.arange(3, 18)] += h
@@ -301,16 +319,40 @@ class TestMeasure:
         dsq = _charts_dsq(moved.reshape(30, 6, 3))
         central = (dsq[:, :15] - dsq[:, 15:]) / (2 * h)
         assert np.all(np.abs(g - central) <= 1e-4 * (1 + np.abs(central)))
-        assert f.tobytes() == config_lines(FreeConfig(x)).dsq.tobytes()
+        assert f.tobytes() == _charts_dsq(x.reshape(1, 6, 3))[:, 0].tobytes()
+        if not past:
+            assert f.tobytes() == config_lines(FreeConfig(x)).dsq.tobytes()
 
     def test_block_matches_row_by_row(self):
         # a lockstep round measures its live starts' charts in one call, with the bits of each alone
         x = np.stack([random_chart(np.random.default_rng(i)).coords for i in range(5)])
-        x[2, 3] = search._PHI_CAP
-        f, g = search._measure(x)
+        x[2, 3] = 2.0  # past the north pole
+        f, g = measure(x)
         for k in range(5):
-            (fk,), (gk,) = search._measure(x[k:k + 1])
+            (fk,), (gk,) = measure(x[k:k + 1])
             assert f[k].tobytes() == fk.tobytes() and g[k].tobytes() == gk.tobytes()
+
+
+class TestFold:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                    min_size=6, max_size=6).map(lambda rows: np.array(rows).reshape(18)))
+    @example(np.tile([math.pi / 2, 1.0, 0.5], 6))
+    @example(np.tile([-math.pi / 2 - 4 * math.pi, 1.0, 0.5], 6))
+    @example(np.tile([math.pi, -3.0, 2.0], 6))
+    @example(np.tile([-LAT_MAX, 1.0, 0.5, -0.0, 2.0, -0.5], 3))
+    def test_folds_into_range_keeping_the_lines(self, x):
+        # an in-range row keeps its bytes; a row past a pole frames the same line
+        folded = _fold(x.copy())
+        assert np.all(np.abs(folded[0::3]) < math.pi / 2)
+        a = np.array(_frame_xyz(x.reshape(6, 3).T)).T
+        b = config_lines(FreeConfig(folded)).table
+        assert np.abs(a[:, :3] - b[:, :3]).max() <= 4e-15
+        # dirs are negated where the latitude crossed a pole: the same unoriented line
+        sign = np.where(np.sum(a[:, 3:] * b[:, 3:], axis=1) < 0.0, -1.0, 1.0)
+        assert np.abs(a[:, 3:] - sign[:, None] * b[:, 3:]).max() <= 4e-15
+        inside = np.abs(x[0::3]) < math.pi / 2
+        assert folded.reshape(6, 3)[inside].tobytes() == x.reshape(6, 3)[inside].tobytes()
 
 
 def qp_instance(seed: int, m_dependent: int):
@@ -394,13 +436,17 @@ class TestLocalMaximize:
     @given(WIDE_CHART)
     def test_d_best_is_the_last_trace_value_on_wide_charts(self, x):
         # and the trace rises from the seed's value, and line 0 stays; a step is taken only if
-        # the smallest d^2 strictly rises, but two d^2 can round to one d
+        # the smallest d^2 strictly rises, but two d^2 can round to one d.  The trace ends at the
+        # value of the chart the solver walked, which d_best is unless the fold moved it
         seed = FreeConfig(x)
-        r = local_maximize(seed, 2000)
+        r, end = maximize_seeing_the_end(seed, 2000)
         values = [d for _, d in r.trace]
         assert all(a <= b for a, b in zip(values, values[1:]))
-        assert r.d_best.hex() == objective(r.best).hex() == values[-1].hex()
-        assert values[0] == objective(seed) <= r.d_best
+        assert r.d_best.hex() == objective(r.best).hex()
+        assert values[-1].hex() == _objective_batch(end[None])[0].hex()
+        if end.tobytes() == r.best.coords.tobytes():
+            assert r.d_best.hex() == values[-1].hex()
+        assert values[0] == objective(seed) <= values[-1]
         assert r.best.coords[:3].tobytes() == seed.coords[:3].tobytes()  # line 0 stays
 
     def test_d_best_matches_chart(self):
@@ -456,12 +502,21 @@ class TestLocalMaximize:
         [
             (0, 2704, "0x1.fffcabcaaafaap-1", "2efb728be000eaee"),
             (1, 1088, "0x1.afddbceb5b3a6p-1", "fd66c370fac4504b"),
-            (2, 1536, "0x1.ec62ea91aac85p-1", "c5de7f74e784bbe7"),
+            (2, 1424, "0x1.ecd96caa76af7p-1", "363a27565cf4eb03"),
         ],
     )
     def test_search_paths_pinned(self, index, evals, d_hex, trace_sha):
         r = bench_start_search(1, index, 20000)
         assert (r.evals, r.d_best.hex(), digest(r.trace), r.stop) == (evals, d_hex, trace_sha, "step")
+
+    def test_a_start_crosses_a_pole_to_the_record(self):
+        # the cross-check's blind start 21 walks line 5's latitude past the north pole; while
+        # latitudes were capped short of it, the start stalled at the cap at d = 0.95816
+        x0 = chart_c6(D3Params(0.0, 0.0, 0.0)).coords + 0.2 * np.random.default_rng([21, 0]).standard_normal(18)
+        r, end = maximize_seeing_the_end(FreeConfig(x0), 200000)
+        assert end[15] > math.pi / 2 > r.best.coords[15]
+        assert (r.evals, r.d_best.hex(), r.stop) == (1232, "0x1.0b621e9bc39c8p+0", "step")
+        assert abs(r.d_best - D_RECORD) <= 1e-9
 
 
 class TestMultiStart:
@@ -484,10 +539,10 @@ class TestMultiStart:
         assert r.start_stop == tuple(run.stop for run in runs)
 
     def test_starts_stop_in_different_rounds(self, monkeypatch):
-        # one _measure call a round for every live start: the x = 0.5 seed leaves after 7
+        # one _dsq_slopes call a round for every live start: the x = 0.5 seed leaves after 7
         # rounds, the x = 0.7 and 0.9 seeds after 33 and 46, the blind starts after 123 and 183
-        sizes, measure = [], search._measure
-        monkeypatch.setattr(search, "_measure", lambda x: sizes.append(len(x)) or measure(x))
+        sizes, slopes = [], search._dsq_slopes
+        monkeypatch.setattr(search, "_dsq_slopes", lambda rows, h: sizes.append(len(rows)) or slopes(rows, h))
         r = multi_start(5, 0, 20000)
         assert [sizes.count(k) for k in (5, 4, 3, 2, 1)] == [7, 26, 13, 77, 60]
         assert sizes == sorted(sizes, reverse=True) and sum(sizes) * search._CHARTS_PER_STEP == r.evals
@@ -495,15 +550,15 @@ class TestMultiStart:
 
     def test_cross_check_run_pinned(self):
         # the acceptance suite shares this cached run; its winner is the x = 0.5 seed,
-        # the record itself, which never moves, and six blind starts reach the record
+        # the record itself, which never moves, and seven blind starts reach the record
         r = acceptance._optimizer_run()
-        assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 61616)
+        assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 61696)
         # the run itself bit for bit: every start's d_best, the winner's trace and chart
         assert (digest(r.start_d), digest(r.trace), digest(r.best.coords)) == (
-            "5e7512320a9fc064", "52e8191d517e8e17", "226201f1946e664e"
+            "2335fe604a90085a", "52e8191d517e8e17", "226201f1946e664e"
         )
         hits = [i for i, d in enumerate(r.start_d) if i >= 3 and abs(d - D_RECORD) <= 1e-9]
-        assert hits == [7, 8, 15, 18, 25, 30]
+        assert hits == [7, 8, 15, 18, 21, 25, 30]
         assert [i for i, stop in enumerate(r.start_stop) if stop != "step"] == [5]
         assert set(r.start_stop) == {"step", "steps"}
 
@@ -512,7 +567,7 @@ class TestMultiStart:
         # and its chart digest; 6256 charts while start i drew from default_rng(3 + i)
         r = multi_start(6, 3, 20000)
         assert (r.evals, r.d_best.hex(), digest(r.trace), digest(r.best.coords)) == (
-            6832, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
+            8576, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
         )
 
     def test_seeds_share_no_blind_start(self):
@@ -594,7 +649,7 @@ def test_numpy_integer_counts_are_counts():
 def one_shot_probe(c, radius, trials, rng_seed):
     """perturbation_probe with all trials drawn and evaluated in one batch."""
     rng = np.random.default_rng(rng_seed)
-    cand = _clip_latitudes(c.coords + rng.uniform(-radius, radius, (trials, 18)))
+    cand = c.coords + rng.uniform(-radius, radius, (trials, 18))
     values = _objective_batch(cand)
     f0 = float(_objective_batch(c.coords[None])[0])
     return {

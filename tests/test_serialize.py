@@ -105,6 +105,14 @@ class TestJsonDumps:
         with pytest.raises(TypeError):
             json_dumps({"x": [value]})
 
+    def test_negative_zero_keeps_its_sign_through_json_loads(self):
+        # written "-0", it read back as the int 0, which has no sign
+        text = json_dumps({"x": [-0.0, 0.0, -1.0]})
+        assert text == '{"x": [-0.0, 0, -1]}'
+        back = json.loads(text)["x"]
+        assert [math.copysign(1.0, v) for v in back] == [-1.0, 1.0, -1.0]
+        assert isinstance(back[0], float)
+
     def test_float64_is_a_float(self):
         assert json_dumps([np.float64(0.1), -np.float64(0.0)]) == json_dumps([0.1, -0.0])
 
