@@ -243,11 +243,11 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
         trace.extend((steps, math.sqrt(fmin)))
 
 
-def _lockstep(x0s: list, budget: int, step0: float, step_min: float) -> OptResult:
-    """_sqp from each chart of x0s, each round measuring the live starts' charts in one _dsq_slopes
-    call, which gives each the bits it gets alone; each end folded (_fold) and merged to the first
-    start of largest d_best, with evals summed and every start's d_best and stop reason."""
-    runs = [_sqp(x0, budget, step0, step_min) for x0 in x0s]
+def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptResult:
+    """_sqp from each seed chart, each round measuring the live starts' charts in one _dsq_slopes call,
+    with the bits each gets alone; each start's end folded (_fold), or its seed where that is higher,
+    merged to the first start of largest d_best, with evals summed and every start's d_best and stop."""
+    runs = [_sqp(seed.coords, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
         f, g = _dsq_slopes(np.reshape(charts, (-1, N_LINES, 3)), _H)
@@ -259,24 +259,25 @@ def _lockstep(x0s: list, budget: int, step0: float, step_min: float) -> OptResul
             except StopIteration as end:
                 ends[i] = end.value
         live, f, g = going, None, None
-    d = [objective(FreeConfig(_fold(x))) for x, *_ in ends]
+    d, best = zip(*(max(((objective(c), c) for c in (FreeConfig(_fold(e[0])), s)), key=lambda p: p[0])
+                    for s, e in zip(seeds, ends)))
     k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima
-    x, trace, _, stop = ends[k]
-    return OptResult(FreeConfig(x), d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
-                     tuple(zip(map(int, trace[::2]), trace[1::2])), stop, tuple(d), tuple(e[3] for e in ends))
+    _, trace, _, stop = ends[k]
+    return OptResult(best[k], d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
+                     tuple(zip(map(int, trace[::2]), trace[1::2])), stop, d, tuple(e[3] for e in ends))
 
 
 def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_min: float = _STEP_MIN,
                    rng_seed: int = 0) -> OptResult:
     """SQP ascent from one seed chart (_sqp): step0 is the first trust radius and step_min the
     smallest; budget counts charts measured, _CHARTS_PER_STEP a step, and the last step may overrun
-    it.  d_best is objective(best), the last trace value unless _fold moved the end (the trace
-    holds the walked charts' values).  The solver draws no random numbers: rng_seed is neither
-    checked nor read, kept only for callers that pass it by position, as bench/workloads.py does."""
+    it.  best is the walked end folded (_fold), or the seed if the fold took it lower: d_best =
+    objective(best) >= objective(seed); the trace holds the walked charts' values.  rng_seed is
+    unchecked and unread, as the solver draws no random numbers; bench/workloads.py passes it."""
     _positive_finite("step0", step0)
     _positive_finite("step_min", step_min)
     budget = _count("budget", budget, 1)
-    return _lockstep([seed.coords], budget, step0, step_min)
+    return _lockstep([seed], budget, step0, step_min)
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
@@ -289,8 +290,8 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    seeds = [chart_curve(x).coords for x in (0.9, 0.7, 0.5)[:n_starts]] + [
-        base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(N_COORDS)
+    seeds = [chart_curve(x) for x in (0.9, 0.7, 0.5)[:n_starts]] + [
+        FreeConfig(_fold(base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(N_COORDS)))
         for i in range(3, n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 

@@ -34,7 +34,7 @@ from cylpack.lines import (
 from cylpack.search import _objective_batch, chart_record, objective
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
-from helpers import batched_dsq
+from helpers import LAT_MAX, batched_dsq
 
 RNG = np.random.default_rng(90)  # fixed stream for the property tests
 
@@ -664,11 +664,6 @@ class TestParallelFallback:
         if negate:
             line = TangentLine(line.base, -line.dir)
         assert same_bits(lines_module._canonical(line.dir), einsum_canonical(line.dir[None])[0])
-
-
-# the largest latitude a chart takes: FreeConfig's range is open at the poles, and the search
-# folds the charts it returns into it, so a returned chart may lie this close to a pole
-LAT_MAX = math.nextafter(math.pi / 2, 0.0)
 
 
 class TestChartRows:

@@ -37,7 +37,7 @@ from cylpack.search import (
 from cylpack import acceptance, search
 from cylpack.search import _fold, _objective_batch
 from cylpack.symmetric import D3Params, build_c6
-from helpers import batched_dsq, same_line
+from helpers import LAT_MAX, batched_dsq, same_line
 
 RNG = np.random.default_rng(94)
 
@@ -57,9 +57,6 @@ EQUATORIAL_ROW = st.tuples(st.just(0.0), st.floats(0.0, 2 * math.pi), st.sampled
 CHARTS = st.lists(
     st.lists(st.one_of(SKEW_ROW, EQUATORIAL_ROW), min_size=6, max_size=6), min_size=1, max_size=8
 )
-# the largest latitude FreeConfig takes: a search walks latitudes unbounded and folds its ends
-# into (-pi/2, pi/2), so a chart it returns may lie this close to a pole
-LAT_MAX = math.nextafter(math.pi / 2, 0.0)
 # charts as a search leaves them: longitudes and angles far outside [0, 2pi), latitudes to a pole
 WIDE_CHART = st.lists(
     st.tuples(st.floats(-LAT_MAX, LAT_MAX), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
@@ -276,12 +273,12 @@ def bench_start_search(seed, index, budget):
     return local_maximize(FreeConfig(x0), budget, rng_seed=int(rng.integers(2**31)))
 
 
-def maximize_seeing_the_end(seed, budget):
+def maximize_seeing_the_end(seed, budget, *steps):
     """local_maximize's result, and the chart its solver ended at, before _fold moved it."""
     ends = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_fold", lambda end: ends.append(end.copy()) or _fold(end))
-        return local_maximize(seed, budget), ends[0]
+        return local_maximize(seed, budget, *steps), ends[0]
 
 
 def skew(x):
@@ -422,6 +419,19 @@ class TestLocalMaximize:
         r = local_maximize(chart_curve(0.9), 200000)
         assert abs(r.d_best - D_RECORD) <= 1e-9
 
+    def test_a_fold_below_the_seed_returns_the_seed(self):
+        # one step of 1e-15 takes line 5 from one ulp below the north pole to past it and gains
+        # a few ulps, fewer than folding the end back loses at this near-parallel chart
+        rng = np.random.default_rng(17869)
+        x = rng.uniform(-50.0, 50.0, 18)
+        x[0::3] = rng.uniform(-1.0, 1.0, 6) * LAT_MAX
+        x[15] = LAT_MAX
+        seed = FreeConfig(x)
+        r, end = maximize_seeing_the_end(seed, 32, 1e-15, 1e-16)
+        assert end[15] > math.pi / 2 and r.trace[-1][1] > r.trace[0][1] == objective(seed)
+        assert objective(FreeConfig(_fold(end.copy()))) < objective(seed)
+        assert r.best.coords.tobytes() == x.tobytes() and r.d_best == objective(seed)
+
     def test_untilted_chart_stays_at_one(self):
         r = local_maximize(chart_c6(D3Params(0.0, 0.0, 0.0)), 200000)
         assert r.d_best == pytest.approx(1.0, abs=1e-12)
@@ -437,7 +447,8 @@ class TestLocalMaximize:
     def test_d_best_is_the_last_trace_value_on_wide_charts(self, x):
         # and the trace rises from the seed's value, and line 0 stays; a step is taken only if
         # the smallest d^2 strictly rises, but two d^2 can round to one d.  The trace ends at the
-        # value of the chart the solver walked, which d_best is unless the fold moved it
+        # value of the chart the solver walked, which d_best is unless the fold moved it, and
+        # d_best never falls below the seed's value
         seed = FreeConfig(x)
         r, end = maximize_seeing_the_end(seed, 2000)
         values = [d for _, d in r.trace]
@@ -447,6 +458,7 @@ class TestLocalMaximize:
         if end.tobytes() == r.best.coords.tobytes():
             assert r.d_best.hex() == values[-1].hex()
         assert values[0] == objective(seed) <= values[-1]
+        assert objective(seed) <= r.d_best
         assert r.best.coords[:3].tobytes() == seed.coords[:3].tobytes()  # line 0 stays
 
     def test_d_best_matches_chart(self):
@@ -517,6 +529,19 @@ class TestLocalMaximize:
         assert end[15] > math.pi / 2 > r.best.coords[15]
         assert (r.evals, r.d_best.hex(), r.stop) == (1232, "0x1.0b621e9bc39c8p+0", "step")
         assert abs(r.d_best - D_RECORD) <= 1e-9
+
+    def test_a_fold_below_the_seed_returns_the_seed(self):
+        # one step of 1e-15 takes line 5 from one ulp below the north pole to past it and gains
+        # a few ulps, fewer than folding the end back loses at this near-parallel chart
+        rng = np.random.default_rng(17869)
+        x = rng.uniform(-50.0, 50.0, 18)
+        x[0::3] = rng.uniform(-1.0, 1.0, 6) * LAT_MAX
+        x[15] = LAT_MAX
+        seed = FreeConfig(x)
+        r, end = maximize_seeing_the_end(seed, 32, 1e-15, 1e-16)
+        assert end[15] > math.pi / 2 and r.trace[-1][1] > r.trace[0][1] == objective(seed)
+        assert objective(FreeConfig(_fold(end.copy()))) < objective(seed)
+        assert r.best.coords.tobytes() == x.tobytes() and r.d_best == objective(seed)
 
 
 class TestMultiStart:
