@@ -37,7 +37,8 @@ FOUR_CYL_HEADER = "T,S2,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"  # S2 is
 _SOURCES = "record, c6, curve:<x>, file:<path>"
 # the flag that sets each value the library checks, keyed by the name its errors start with
 _FLAGS = {"n_starts": "--starts", "rng_seed": "--seed", "budget": "--budget", "trials": "--trials",
-          "radius": "--radius", "cyl_length": "--length", "segments": "--segments"}
+          "radius": "--radius", "cyl_length": "--length", "segments": "--segments", "phi": "--phi",
+          "delta": "--delta", "kappa": "--kappa"}
 
 
 def _source(text: str) -> FreeConfig | Configuration:

@@ -7,10 +7,11 @@ pairwise line distance is at least 2r/(1+r), which makes the conversion
 between line distances and cylinder radii the bridge between the geometry
 here and the packing statements elsewhere in the package.
 
-A chart is framed once, from its coordinates as given, into a C-ordered (n, 6)
-frame table of [base | dir] rows, which a Configuration keeps, making TangentLine
-objects only when read; a table whose rows pass one clean test skips the ordered
-checks and snaps.  SphericalPoint and chart_rows, which name a point rather than
+A chart's (latitude, longitude, tangent angle) rows may be any finite numbers: a latitude
+past a pole frames the line it reaches there.  A chart is framed once, from its coordinates as
+given, into a C-ordered (n, 6) frame table of [base | dir] rows, which a Configuration keeps,
+making TangentLine objects only when read; a table whose rows pass one clean test skips the
+ordered checks and snaps.  SphericalPoint and chart_rows, which name a point rather than
 frame one, report longitudes in [0, 2*pi).
 One pair kernel measures every table, batched or not, at flat take indices
 cached per line count and layout (_chart_index); _pair_kernel's docstring is
@@ -141,11 +142,6 @@ def _frame_xyz(chart) -> tuple:
     return (*base, ca * nx + sa * ex, ca * ny + sa * ey, ca * nz)
 
 
-def _reject_poles(phi) -> None:
-    if (np.abs(phi) >= math.pi / 2).any():
-        raise ValueError("north direction undefined at the poles")
-
-
 def _frozen(v: np.ndarray) -> np.ndarray:
     v.flags.writeable = False
     return v
@@ -231,6 +227,8 @@ def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
     """Tangent line at p, north tangent rotated by delta in the tangent plane; delta = pi/2
     points it due east (toward increasing longitude).  Poles, where north is undefined, are
     rejected.  The line is chart_lines' for the one row (p.phi, p.kappa, delta)."""
+    if abs(p.phi) == math.pi / 2:
+        raise ValueError("north direction undefined at the poles")
     return TangentLine._checked(_frame_table(np.array((p.phi, p.kappa, delta)))[0])
 
 
@@ -357,14 +355,13 @@ class Configuration:
 
 def chart_lines(rows) -> Configuration:
     """Tangent lines from (latitude, longitude, tangent angle) rows, framed into one table from
-    the coordinates as given, longitudes unreduced; make_tangent_line(p, ang) is the line of the
-    row (p.phi, p.kappa, ang).  Poles are rejected."""
+    the coordinates as given, at any finite latitude, past a pole too, and longitudes unreduced;
+    make_tangent_line(p, ang) is the line of the row (p.phi, p.kappa, ang)."""
     return Configuration._framed(_frame_table(np.array(rows, dtype=float).T))
 
 
 def _frame_table(chart) -> np.ndarray:
     """Checked, read-only (n, 6) frame table, one copy, of a (3, n) or (3,) stacked chart."""
-    _reject_poles(chart[0])
     return _frozen(_unit_tangent(np.array(_frame_xyz(chart), order="F").T.reshape(-1, 6)))
 
 
@@ -420,8 +417,9 @@ def min_pairwise_distance(c: Configuration) -> float:
 def chart_rows(lines) -> np.ndarray:
     """(latitude, longitude, tangent angle) rows of tangent lines.
 
-    Inverts chart_lines, with longitudes reduced to [0, 2*pi); rejects, as
-    chart_lines does, latitude +-pi/2, where the tangent angle is undefined.
+    Inverts chart_lines, each row in range: latitude in (-pi/2, pi/2) and
+    longitude in [0, 2*pi).  Rejects a line based at a pole, where the
+    tangent angle is undefined.
     """
     rows = []
     for line in lines:

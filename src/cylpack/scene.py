@@ -43,6 +43,11 @@ class SceneSpec:
         _segments(self.segments)
         _positive_finite("radius", self.radius)
         _positive_finite("cyl_length", self.cyl_length)
+        # every mesh coordinate lies within 1 + 2 radius + cyl_length of 0
+        if not math.isfinite(1.0 + 2.0 * self.radius + self.cyl_length):
+            name = "radius" if 2.0 * self.radius >= self.cyl_length else "cyl_length"
+            raise ValueError(f"{name} must keep the mesh bound 1 + 2 radius + length finite: "
+                             f"{getattr(self, name)!r}")
 
 
 def sphere_mesh(segments: int) -> Mesh:

@@ -4,9 +4,10 @@ A free configuration is six tangent lines with no imposed symmetry, charted by 1
 (latitude, longitude, tangent angle) per line.  Its smallest pairwise line distance, a nonsmooth
 function, is maximized as max t subject to d^2_ij >= t by sequential quadratic programming over
 the 15 coordinates of lines 1-5 (_sqp), each step's QP solved in numpy without LAPACK (_dual_qp),
-the starts of a search in lockstep (_lockstep), latitudes unbounded as longitudes and angles are,
-each returned chart folded into (-pi/2, pi/2) (_fold).  Seed charts and the perturbation probe
-measure full charts by _charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
+the starts of a search in lockstep (_lockstep).  A chart is any 18 finite numbers: latitudes run
+unbounded as longitudes and angles do, and a start returns the chart it walked to.  Seed charts and
+the perturbation probe measure full charts by _charts_dsq, _BLOCK at a time, in calls whose
+temporaries the allocator keeps.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ _STEP0, _STEP_MIN = 0.1, 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FreeConfig:
-    """Chart of six tangent lines: 18 coordinates, three per line in the
-    order (latitude, longitude, tangent angle)."""
+    """Chart of six tangent lines: 18 finite coordinates, three per line in
+    the order (latitude, longitude, tangent angle), at any latitude."""
 
     coords: np.ndarray
 
@@ -42,8 +43,6 @@ class FreeConfig:
             raise ValueError(f"chart needs {N_COORDS} coordinates")
         if not np.all(np.isfinite(coords)):
             raise ValueError("chart coordinates must be finite")
-        if np.any(np.abs(coords[0::3]) >= math.pi / 2):
-            raise ValueError("chart latitudes must lie strictly inside (-pi/2, pi/2)")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
@@ -91,22 +90,12 @@ def _objective_batch(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(x: np.ndarray) -> np.ndarray:
-    """Chart x, (18,), each latitude moved into (-pi/2, pi/2) in place: less whole turns, then past
-    a pole to pi - phi at longitude + pi, the same line with its dir negated.  In range, bits stay."""
-    for row in x.reshape(N_LINES, 3):
-        phi = math.remainder(row[0], 2 * math.pi)  # exact: phi itself where |phi| <= pi
-        if abs(phi) > math.pi / 2:
-            phi, row[1] = math.copysign(math.pi, phi) - phi, row[1] + math.pi
-        row[0] = phi if abs(phi) < math.pi / 2 else math.nextafter(phi, 0.0)
-    return x
-
-
 @dataclass(frozen=True)
 class OptResult:
-    """Outcome of a search: best chart, its objective and radius, charts measured, the improvement
-    trace as (step, objective) pairs, why the returned start stopped ("step": the trust radius fell
-    below step_min; "budget"; "steps": _MAX_STEPS), and each start's d_best and stop."""
+    """Outcome of a search: best chart, the one the returned start walked to, its objective (the
+    trace's last value) and radius, charts measured, the improvement trace as (step, objective)
+    pairs, why the returned start stopped ("step": the trust radius fell below step_min; "budget";
+    "steps": _MAX_STEPS), and each start's d_best and stop."""
 
     best: FreeConfig
     d_best: float
@@ -245,8 +234,8 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
 
 def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptResult:
     """_sqp from each seed chart, each round measuring the live starts' charts in one _dsq_slopes call,
-    with the bits each gets alone; each start's end folded (_fold), or its seed where that is higher,
-    merged to the first start of largest d_best, with evals summed and every start's d_best and stop."""
+    with the bits each gets alone; each start's walked end, merged to the first start of largest
+    d_best, with evals summed and every start's d_best and stop."""
     runs = [_sqp(seed.coords, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
@@ -259,8 +248,8 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
             except StopIteration as end:
                 ends[i] = end.value
         live, f, g = going, None, None
-    d, best = zip(*(max(((objective(c), c) for c in (FreeConfig(_fold(e[0])), s)), key=lambda p: p[0])
-                    for s, e in zip(seeds, ends)))
+    best = [FreeConfig(e[0]) for e in ends]
+    d = tuple(map(objective, best))
     k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima
     _, trace, _, stop = ends[k]
     return OptResult(best[k], d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
@@ -271,9 +260,10 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
                    rng_seed: int = 0) -> OptResult:
     """SQP ascent from one seed chart (_sqp): step0 is the first trust radius and step_min the
     smallest; budget counts charts measured, _CHARTS_PER_STEP a step, and the last step may overrun
-    it.  best is the walked end folded (_fold), or the seed if the fold took it lower: d_best =
-    objective(best) >= objective(seed); the trace holds the walked charts' values.  rng_seed is
-    unchecked and unread, as the solver draws no random numbers; bench/workloads.py passes it."""
+    it.  best is the chart the walk ended at, and d_best = objective(best) is the trace's last
+    value, at least objective(seed), since a step is taken only if min d^2 strictly rises.
+    rng_seed is unchecked and unread, as the solver draws no random numbers; bench/workloads.py
+    passes it."""
     _positive_finite("step0", step0)
     _positive_finite("step_min", step_min)
     budget = _count("budget", budget, 1)
@@ -291,7 +281,7 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
     seeds = [chart_curve(x) for x in (0.9, 0.7, 0.5)[:n_starts]] + [
-        FreeConfig(_fold(base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(N_COORDS)))
+        FreeConfig(base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(N_COORDS))
         for i in range(3, n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 
@@ -303,6 +293,8 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     and evaluated _BLOCK at a time, in memory flat in trials: the same
     stream of draws, and the same report bit for bit, as one batch."""
     _positive_finite("radius", radius)
+    if 2.0 * radius == math.inf:
+        raise ValueError(f"radius must keep the box width 2 * radius finite: {radius!r}")
     trials = _count("trials", trials, 1)
     rng_seed = _count("rng_seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)

@@ -60,9 +60,9 @@ _RX = np.diag([1.0, -1.0, -1.0])
 def _check_tilt_and_twist(p) -> None:
     """The family's range checks on p.phi, in (-pi/2, pi/2), and p.kappa, in [-2pi, 2pi]."""
     if abs(p.phi) >= math.pi / 2:
-        raise ValueError(f"latitude tilt out of range: {p.phi!r}")
+        raise ValueError(f"phi must lie in (-pi/2, pi/2): {p.phi!r}")
     if abs(p.kappa) > 2 * math.pi:
-        raise ValueError(f"kappa out of range [-2pi, 2pi]: {p.kappa!r}")
+        raise ValueError(f"kappa must lie in [-2pi, 2pi]: {p.kappa!r}")
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,6 @@ import numpy as np
 from cylpack.lines import DegenerateError, _chart_index, _pair_kernel
 from cylpack.symmetric import SQRT3
 
-# the largest latitude a chart takes: FreeConfig's range is open at the poles, and the search
-# walks latitudes unbounded and folds the charts it returns into it, so one may lie this close
-LAT_MAX = math.nextafter(math.pi / 2, 0.0)
-
-
 def same_line(a, b, tol=1e-10):
     """Whether two tangent lines coincide: base within tol in every component, and dir within
     tol in every component up to sign, since a line is unoriented."""

@@ -132,7 +132,7 @@ class TestEval:
         # kappa past 2pi would print a collapsed d_AB and a broken symmetry; refused
         assert main(["eval", "--kappa", "1e17"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: kappa out of range [-2pi, 2pi]: 1e+17\n"
+        assert out == "" and err == "error: --kappa must lie in [-2pi, 2pi]: 1e+17\n"
         rc, doc = run_json(capsys, "eval", "--kappa", "-360", "--degrees")
         assert rc == 0 and doc["params"]["kappa"] == -2 * math.pi and doc["d3_symmetric"]
 
@@ -514,6 +514,17 @@ class TestDirectErrors:
             (["export-scene", "--radius", "inf"], "--radius must be positive and finite: inf"),
             (["export-scene", "--length", "inf"], "--length must be positive and finite: inf"),
             (["export-scene", "--length", "nan"], "--length must be positive and finite: nan"),
+            # mesh coordinates that overflow: numpy warned, then the OBJ writer refused an inf
+            (["export-scene", "--at", "c6", "--radius", "1e308"],
+             "--radius must keep the mesh bound 1 + 2 radius + length finite: 1e+308"),
+            (["export-scene", "--radius", "1e307", "--length", "1.7e308"],
+             "--length must keep the mesh bound 1 + 2 radius + length finite: 1.7e+308"),
+            # a box 2 * radius wide that overflows: numpy's uniform refused it, exit 2
+            (["probe", "--radius", "1e308", "--trials", "3"],
+             "--radius must keep the box width 2 * radius finite: 1e+308"),
+            (["eval", "--phi", "nan"], "--phi must be finite"),
+            (["eval", "--delta", "inf"], "--delta must be finite"),
+            (["eval", "--kappa", "nan"], "--kappa must be finite"),
         ],
     )
     def test_non_finite_inputs_fail_before_numpy(self, capsys, tmp_path, argv, message):
@@ -529,12 +540,15 @@ class TestDirectErrors:
         ["probe", "--trials", "0"],
         ["probe", "--radius", "0"],
         ["export-scene", "--length", "-1"],
+        ["eval", "--phi", "1.6"],
+        ["eval", "--phi", "-90", "--degrees"],
+        ["eval", "--kappa", "7"],
     ])
     def test_library_checks_name_the_flag(self, capsys, tmp_path, argv):
         # the library checks these values under its own names; the error line names the flag
         out = ["--out", str(tmp_path / "scene.obj")] if argv[0] == "export-scene" else []
         rc, err = run_failing(capsys, *argv, *out)
-        assert rc == 1 and err.startswith(f"error: {argv[1]} must be ")
+        assert rc == 1 and err.startswith(f"error: {argv[1]} must ")
 
     @pytest.mark.parametrize("argv, message", [
         (["optimize", "--from", "c6", "--starts", "5"], "--starts has no effect with --from"),

@@ -315,6 +315,7 @@ class TestScan:
         monkeypatch.setattr(curve, "f_of_x", lambda x: seen.append(x) or f_of_x(x))
         report = scan_unimodality(grid_size)
         assert seen == [i / (grid_size + 1) for i in range(1, grid_size + 1)]
+        assert report["step"] == 1 / (grid_size + 1)
         assert report["argmax_x"] == 0.5
         assert report["max_value"] == f_of_x(0.5)
 

@@ -12,6 +12,9 @@ The guard parses the files and imports nothing.
 
 A second guard keeps the pair kernel's table format in one module:
 _pair_kernel, _frame_xyz and _chart_index are named only in lines.py.
+A third finds shadowed definitions: no module or class body of src/ or
+tests/ defines a name twice by def or class, where the second silently
+replaces the first (a test defined twice runs once).
 """
 
 import ast
@@ -128,3 +131,29 @@ def test_a_kernel_call_outside_its_homes_is_flagged(tmp_path):
                                     "def _dual_qp(table, index):\n"
                                     "    return _pair_kernel(table, index)\n")
     assert kernel_references(package) == [("serialize", "_pair_kernel")] * 2
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def redefined(paths=sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])):
+    """(file, body, name) of every name that a module or class body defines twice."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for body in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]:
+            names = [node.name for node in body.body if isinstance(node, DEFINITIONS)]
+            found += [(path.name, getattr(body, "name", "<module>"), name)
+                      for name in sorted({name for name in names if names.count(name) > 1})]
+    return found
+
+
+def test_no_body_defines_a_name_twice():
+    assert redefined() == []
+
+
+def test_a_second_definition_is_flagged(tmp_path):
+    path = tmp_path / "twice.py"
+    path.write_text("def f():\n    pass\n\n\nclass T:\n    def test(self):\n        pass\n\n"
+                    "    def test(self):\n        pass\n\n\nclass f:\n    pass\n")
+    assert redefined([path]) == [("twice.py", "<module>", "f"), ("twice.py", "T", "test")]

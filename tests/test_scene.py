@@ -32,6 +32,20 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec(C6_INITIAL, radius=1.0, segments=16.0)
 
+    @pytest.mark.parametrize("radius, length, name", [
+        (1e308, 6.0, "radius"), (2.0**1023, 6.0, "radius"), (1e307, 1.7e308, "cyl_length")])
+    def test_a_mesh_past_float_range_is_refused(self, radius, length, name):
+        # every coordinate lies within 1 + 2 radius + length of 0; past float range numpy
+        # overflowed and the OBJ writer refused the inf
+        value = repr(radius if name == "radius" else length)
+        message = f"{name} must keep the mesh bound 1 + 2 radius + length finite: {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SceneSpec(C6_INITIAL, radius=radius, cyl_length=length)
+
+    def test_the_largest_length_renders(self):
+        spec = SceneSpec(C6_INITIAL, radius=1.0, cyl_length=1.7976931348623157e308, segments=8)
+        assert "inf" not in scene_obj(spec)
+
     def test_defaults(self):
         spec = SceneSpec(C6_INITIAL, radius=1.0)
         assert spec.cyl_length == 6.0 and spec.segments == 64

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from cylpack.lines import (
     TangentLine,
     _charts_dsq,
     _frame_xyz,
+    chart_lines,
+    chart_rows,
     min_pairwise_distance,
 )
 from cylpack.search import (
@@ -35,9 +38,9 @@ from cylpack.search import (
     perturbation_probe,
 )
 from cylpack import acceptance, search
-from cylpack.search import _fold, _objective_batch
+from cylpack.search import _objective_batch
 from cylpack.symmetric import D3Params, build_c6
-from helpers import LAT_MAX, batched_dsq, same_line
+from helpers import batched_dsq, same_line
 
 RNG = np.random.default_rng(94)
 
@@ -45,9 +48,7 @@ D_RECORD = math.sqrt(12.0 / 11.0)
 
 
 def random_chart(rng, spread=0.3):
-    x = chart_c6(D3Params(0.0, 0.0, 0.0)).coords + spread * rng.standard_normal(18)
-    x[0::3] = np.clip(x[0::3], -1.5, 1.5)
-    return FreeConfig(x)
+    return FreeConfig(chart_c6(D3Params(0.0, 0.0, 0.0)).coords + spread * rng.standard_normal(18))
 
 
 # chart rows: skew lines, or equatorial lines tilted 0 or pi, which are
@@ -57,23 +58,30 @@ EQUATORIAL_ROW = st.tuples(st.just(0.0), st.floats(0.0, 2 * math.pi), st.sampled
 CHARTS = st.lists(
     st.lists(st.one_of(SKEW_ROW, EQUATORIAL_ROW), min_size=6, max_size=6), min_size=1, max_size=8
 )
-# charts as a search leaves them: longitudes and angles far outside [0, 2pi), latitudes to a pole
-WIDE_CHART = st.lists(
-    st.tuples(st.floats(-LAT_MAX, LAT_MAX), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
-    min_size=6, max_size=6,
-).map(lambda rows: np.array(rows).reshape(18))
+# any finite chart, as a search may leave it: every coordinate far outside its range in
+# (-pi/2, pi/2) or [0, 2pi), latitudes past the poles
+WIDE_CHART = st.lists(st.tuples(*[st.floats(-50.0, 50.0)] * 3), min_size=6, max_size=6).map(
+    lambda rows: np.array(rows).reshape(18))
+PAST_POLE = math.nextafter(math.pi / 2, 4.0)
+
+
+def wide_examples(test):
+    """test with examples at the poles, at pi and one step past the north pole."""
+    for x in (np.tile([math.pi / 2, 1.0, 0.5], 6), np.tile([-math.pi / 2, -3.0, 2.0], 6),
+              np.tile([math.pi, 1.0, 0.5, -math.pi / 2, 2.0, -0.5], 3),
+              np.tile([PAST_POLE, 4.0, -2.0, 0.3, 1.0, 0.5], 3)):
+        test = example(x)(test)
+    return test
 
 
 class TestFreeConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FreeConfig(np.zeros(17))
-        bad = np.zeros(18)
-        bad[0] = math.pi / 2
-        with pytest.raises(ValueError):
-            FreeConfig(bad)
         with pytest.raises(ValueError):
             FreeConfig(np.full(18, math.nan))
+        with pytest.raises(ValueError):
+            FreeConfig(np.full(18, math.inf))
 
     def test_coords_read_only(self):
         c = chart_record()
@@ -99,12 +107,36 @@ class TestCharts:
             assert same_line(a, b, tol=1e-14)
 
     def test_pole_rejected(self):
-        from cylpack.lines import TangentLine
-
         lines = list(config_lines(random_chart(RNG)).lines)
         lines[0] = TangentLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="pole"):
             chart_from_configuration(Configuration(tuple(lines)))
+
+    @settings(deadline=None)
+    @given(WIDE_CHART)
+    @wide_examples
+    def test_every_finite_chart_frames_its_lines(self, x):
+        # unsnapped: chart_lines keeps the frame's bits, which _charts_dsq measures
+        rows = x.reshape(6, 3)
+        c = config_lines(FreeConfig(x))
+        assert c.table.tobytes() == np.array(_frame_xyz(rows.T)).T.tobytes()
+        assert c.dsq.tobytes() == _charts_dsq(rows[None])[:, 0].tobytes()
+        # each line re-charted in range is the same line, at the same distances; a line at a pole
+        # has no chart, and a pair within 1e-3 of parallel is left out of the distances: its
+        # distance moves by up to the lines' rounding over the sine of their angle
+        bases = c.table[:, :3].tolist()
+        keep = [abs(math.atan2(z, math.hypot(x_, y))) < math.pi / 2 for x_, y, z in bases]
+        assume(sum(keep) >= 2)
+        lines = chart_lines(rows[keep])
+        inside = chart_rows(lines)
+        again = chart_lines(inside)
+        assert np.all(np.abs(inside[:, 0]) < math.pi / 2)
+        assert all(same_line(a, b, tol=4e-15) for a, b in zip(lines, again))
+        dirs = lines.table[:, 3:]
+        i, j = np.triu_indices(len(dirs), 1)
+        skew = (np.cross(dirs[i], dirs[j]) ** 2).sum(axis=1) >= 1e-6
+        d, d_again = np.sqrt(lines.dsq[skew]), np.sqrt(again.dsq[skew])
+        assert np.allclose(d_again, d, rtol=1e-12, atol=1e-12)
 
 
 def faults_per_call(call, env, pad=0):
@@ -273,14 +305,6 @@ def bench_start_search(seed, index, budget):
     return local_maximize(FreeConfig(x0), budget, rng_seed=int(rng.integers(2**31)))
 
 
-def maximize_seeing_the_end(seed, budget, *steps):
-    """local_maximize's result, and the chart its solver ended at, before _fold moved it."""
-    ends = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_fold", lambda end: ends.append(end.copy()) or _fold(end))
-        return local_maximize(seed, budget, *steps), ends[0]
-
-
 def skew(x):
     """Smallest |u x v|^2 over the direction pairs of a chart's lines, at any latitude."""
     d = np.array(_frame_xyz(x.reshape(6, 3).T)[3:]).T
@@ -317,8 +341,7 @@ class TestMeasure:
         central = (dsq[:, :15] - dsq[:, 15:]) / (2 * h)
         assert np.all(np.abs(g - central) <= 1e-4 * (1 + np.abs(central)))
         assert f.tobytes() == _charts_dsq(x.reshape(1, 6, 3))[:, 0].tobytes()
-        if not past:
-            assert f.tobytes() == config_lines(FreeConfig(x)).dsq.tobytes()
+        assert f.tobytes() == config_lines(FreeConfig(x)).dsq.tobytes()
 
     def test_block_matches_row_by_row(self):
         # a lockstep round measures its live starts' charts in one call, with the bits of each alone
@@ -328,28 +351,6 @@ class TestMeasure:
         for k in range(5):
             (fk,), (gk,) = measure(x[k:k + 1])
             assert f[k].tobytes() == fk.tobytes() and g[k].tobytes() == gk.tobytes()
-
-
-class TestFold:
-    @settings(deadline=None)
-    @given(st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
-                    min_size=6, max_size=6).map(lambda rows: np.array(rows).reshape(18)))
-    @example(np.tile([math.pi / 2, 1.0, 0.5], 6))
-    @example(np.tile([-math.pi / 2 - 4 * math.pi, 1.0, 0.5], 6))
-    @example(np.tile([math.pi, -3.0, 2.0], 6))
-    @example(np.tile([-LAT_MAX, 1.0, 0.5, -0.0, 2.0, -0.5], 3))
-    def test_folds_into_range_keeping_the_lines(self, x):
-        # an in-range row keeps its bytes; a row past a pole frames the same line
-        folded = _fold(x.copy())
-        assert np.all(np.abs(folded[0::3]) < math.pi / 2)
-        a = np.array(_frame_xyz(x.reshape(6, 3).T)).T
-        b = config_lines(FreeConfig(folded)).table
-        assert np.abs(a[:, :3] - b[:, :3]).max() <= 4e-15
-        # dirs are negated where the latitude crossed a pole: the same unoriented line
-        sign = np.where(np.sum(a[:, 3:] * b[:, 3:], axis=1) < 0.0, -1.0, 1.0)
-        assert np.abs(a[:, 3:] - sign[:, None] * b[:, 3:]).max() <= 4e-15
-        inside = np.abs(x[0::3]) < math.pi / 2
-        assert folded.reshape(6, 3)[inside].tobytes() == x.reshape(6, 3)[inside].tobytes()
 
 
 def qp_instance(seed: int, m_dependent: int):
@@ -364,6 +365,20 @@ def qp_instance(seed: int, m_dependent: int):
     a = rng.standard_normal((15, 15))
     h = a @ a.T / 15 + 0.1 * np.eye(15)
     return g @ h @ g.T, 1.0 + 1e-3 * rng.standard_normal(15)
+
+
+def exact_multiplier(q, f, free):
+    """The multiplier m of the lam solving Q_FF lam + m 1 + f_F = 0, 1 . lam = 1, exactly, as a
+    Fraction of the float entries, by Gauss-Jordan elimination on the bordered system."""
+    rows = [[*(Fraction(q[i, j]) for j in free), Fraction(1), -Fraction(f[i])] for i in free]
+    rows.append([Fraction(1)] * len(free) + [Fraction(0), Fraction(1)])
+    for c in range(len(rows)):
+        k = next(r for r in range(c, len(rows)) if rows[r][c])
+        rows[c], rows[k] = rows[k], rows[c]
+        for r in range(len(rows)):
+            if r != c and rows[r][c]:
+                rows[r] = [a - rows[r][c] / rows[c][c] * b for a, b in zip(rows[r], rows[c])]
+    return rows[-1][-1] / rows[-1][-2]
 
 
 class TestDualQP:
@@ -397,6 +412,20 @@ class TestDualQP:
         assert sorted(free) == list(range(6))
         assert np.abs(q @ lam).max() <= 1e-12 * np.abs(q).max()
 
+    def test_refined_multiplier_near_a_maximin_point(self, monkeypatch):
+        # the last QP of the ascent from the x = 0.9 trajectory point to the record, whose Q_FF
+        # on 12 pairs has a condition number near 1e17; the refinement brings the multiplier to
+        # within an ulp or so of the exact one, from about 3e-13 off before it
+        caught, solve = [], search._dual_qp
+        monkeypatch.setattr(search, "_dual_qp", lambda q, f, z, free: caught.append(
+            (q.copy(), f.copy(), z.copy(), list(free))) or solve(q, f, z, free))
+        local_maximize(chart_curve(0.9), 200000)
+        q, f, z, free = caught[-1]
+        solve(q, f, z, free)
+        assert len(free) == 12
+        mu = exact_multiplier(q, f, free)
+        assert abs(Fraction(z[15]) - mu) <= Fraction(1e-14) * abs(mu)
+
     def test_no_lapack_call(self, monkeypatch):
         # numpy's LAPACK pages in about 0.4 MB of OpenBLAS code on its first call
         def refuse(*args, **kwargs):
@@ -419,19 +448,6 @@ class TestLocalMaximize:
         r = local_maximize(chart_curve(0.9), 200000)
         assert abs(r.d_best - D_RECORD) <= 1e-9
 
-    def test_a_fold_below_the_seed_returns_the_seed(self):
-        # one step of 1e-15 takes line 5 from one ulp below the north pole to past it and gains
-        # a few ulps, fewer than folding the end back loses at this near-parallel chart
-        rng = np.random.default_rng(17869)
-        x = rng.uniform(-50.0, 50.0, 18)
-        x[0::3] = rng.uniform(-1.0, 1.0, 6) * LAT_MAX
-        x[15] = LAT_MAX
-        seed = FreeConfig(x)
-        r, end = maximize_seeing_the_end(seed, 32, 1e-15, 1e-16)
-        assert end[15] > math.pi / 2 and r.trace[-1][1] > r.trace[0][1] == objective(seed)
-        assert objective(FreeConfig(_fold(end.copy()))) < objective(seed)
-        assert r.best.coords.tobytes() == x.tobytes() and r.d_best == objective(seed)
-
     def test_untilted_chart_stays_at_one(self):
         r = local_maximize(chart_c6(D3Params(0.0, 0.0, 0.0)), 200000)
         assert r.d_best == pytest.approx(1.0, abs=1e-12)
@@ -444,22 +460,30 @@ class TestLocalMaximize:
 
     @settings(deadline=None, max_examples=30)
     @given(WIDE_CHART)
-    def test_d_best_is_the_last_trace_value_on_wide_charts(self, x):
-        # and the trace rises from the seed's value, and line 0 stays; a step is taken only if
-        # the smallest d^2 strictly rises, but two d^2 can round to one d.  The trace ends at the
-        # value of the chart the solver walked, which d_best is unless the fold moved it, and
-        # d_best never falls below the seed's value
+    @wide_examples
+    def test_d_best_is_the_walked_end_on_wide_charts(self, x):
+        # best is the chart the solver walked to and d_best its objective, the trace's last value;
+        # the trace rises from the seed's value, as a step is taken only if the smallest d^2
+        # strictly rises (two d^2 can round to one d), and line 0 stays
         seed = FreeConfig(x)
-        r, end = maximize_seeing_the_end(seed, 2000)
+        r = local_maximize(seed, 2000)
         values = [d for _, d in r.trace]
         assert all(a <= b for a, b in zip(values, values[1:]))
-        assert r.d_best.hex() == objective(r.best).hex()
-        assert values[-1].hex() == _objective_batch(end[None])[0].hex()
-        if end.tobytes() == r.best.coords.tobytes():
-            assert r.d_best.hex() == values[-1].hex()
-        assert values[0] == objective(seed) <= values[-1]
-        assert objective(seed) <= r.d_best
-        assert r.best.coords[:3].tobytes() == seed.coords[:3].tobytes()  # line 0 stays
+        assert r.d_best.hex() == objective(r.best).hex() == values[-1].hex()
+        assert values[0] == objective(seed) <= r.d_best
+        assert r.best.coords[:3].tobytes() == seed.coords[:3].tobytes()
+
+    def test_a_step_past_a_pole_is_kept(self):
+        # one step of 1e-15 takes line 5 from one ulp below the north pole to past it and gains
+        # a few ulps; folding that end back into (-pi/2, pi/2) lost more at this near-parallel chart
+        rng = np.random.default_rng(17869)
+        x = rng.uniform(-50.0, 50.0, 18)
+        x[0::3] = rng.uniform(-1.0, 1.0, 6) * math.nextafter(math.pi / 2, 0.0)
+        x[15] = math.nextafter(math.pi / 2, 0.0)
+        seed = FreeConfig(x)
+        r = local_maximize(seed, 32, 1e-15, 1e-16)
+        assert r.best.coords[15] > math.pi / 2
+        assert r.d_best == objective(r.best) == r.trace[-1][1] > r.trace[0][1] == objective(seed)
 
     def test_d_best_matches_chart(self):
         r = local_maximize(random_chart(RNG), 2000)
@@ -514,7 +538,7 @@ class TestLocalMaximize:
         [
             (0, 2704, "0x1.fffcabcaaafaap-1", "2efb728be000eaee"),
             (1, 1088, "0x1.afddbceb5b3a6p-1", "fd66c370fac4504b"),
-            (2, 1424, "0x1.ecd96caa76af7p-1", "363a27565cf4eb03"),
+            (2, 1424, "0x1.ecd96caa76af5p-1", "363a27565cf4eb03"),
         ],
     )
     def test_search_paths_pinned(self, index, evals, d_hex, trace_sha):
@@ -522,26 +546,14 @@ class TestLocalMaximize:
         assert (r.evals, r.d_best.hex(), digest(r.trace), r.stop) == (evals, d_hex, trace_sha, "step")
 
     def test_a_start_crosses_a_pole_to_the_record(self):
-        # the cross-check's blind start 21 walks line 5's latitude past the north pole; while
-        # latitudes were capped short of it, the start stalled at the cap at d = 0.95816
+        # the cross-check's blind start 21 walks line 5's latitude past the north pole, to 2.33,
+        # and returns it there; while latitudes were capped short of it, the start stalled at the
+        # cap at d = 0.95816
         x0 = chart_c6(D3Params(0.0, 0.0, 0.0)).coords + 0.2 * np.random.default_rng([21, 0]).standard_normal(18)
-        r, end = maximize_seeing_the_end(FreeConfig(x0), 200000)
-        assert end[15] > math.pi / 2 > r.best.coords[15]
+        r = local_maximize(FreeConfig(x0), 200000)
+        assert r.best.coords[15] > math.pi / 2
         assert (r.evals, r.d_best.hex(), r.stop) == (1232, "0x1.0b621e9bc39c8p+0", "step")
         assert abs(r.d_best - D_RECORD) <= 1e-9
-
-    def test_a_fold_below_the_seed_returns_the_seed(self):
-        # one step of 1e-15 takes line 5 from one ulp below the north pole to past it and gains
-        # a few ulps, fewer than folding the end back loses at this near-parallel chart
-        rng = np.random.default_rng(17869)
-        x = rng.uniform(-50.0, 50.0, 18)
-        x[0::3] = rng.uniform(-1.0, 1.0, 6) * LAT_MAX
-        x[15] = LAT_MAX
-        seed = FreeConfig(x)
-        r, end = maximize_seeing_the_end(seed, 32, 1e-15, 1e-16)
-        assert end[15] > math.pi / 2 and r.trace[-1][1] > r.trace[0][1] == objective(seed)
-        assert objective(FreeConfig(_fold(end.copy()))) < objective(seed)
-        assert r.best.coords.tobytes() == x.tobytes() and r.d_best == objective(seed)
 
 
 class TestMultiStart:
@@ -737,3 +749,11 @@ class TestPerturbationProbe:
             perturbation_probe(chart_record(), 0.0, 10)
         with pytest.raises(ValueError):
             perturbation_probe(chart_record(), 1e-3, 0)
+
+    @pytest.mark.parametrize("radius", [1e308, math.nextafter(2.0**1023, math.inf)])
+    def test_a_box_past_float_range_is_refused(self, radius):
+        # numpy's uniform refused the box with "high - low range exceeds valid bounds"
+        message = f"radius must keep the box width 2 * radius finite: {radius!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            perturbation_probe(chart_record(), radius, 3)
+        assert perturbation_probe(chart_record(), 2.0**1022, 3)["radius"] == 2.0**1022

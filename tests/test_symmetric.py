@@ -89,7 +89,7 @@ class TestBuild:
         assert distance_sq(c[0], c[1]) < 1e-16
 
     def test_latitude_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^phi must lie in \(-pi/2, pi/2\): 1\.5707963267948966$"):
             D3Params(math.pi / 2, 0.0, 0.0)
         with pytest.raises(ValueError):
             D3Params(0.0, math.nan, 0.0)
@@ -457,7 +457,7 @@ class TestKappaDomain:
     @example(2 * math.pi + 1e-15, False)
     @example(1e17, True)
     def test_refused_past_two_pi(self, kappa, negate):
-        with pytest.raises(ValueError, match=r"^kappa out of range \[-2pi, 2pi\]: "):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[-2pi, 2pi\]: "):
             D3Params(0.4, 0.3, -kappa if negate else kappa)
 
     @settings(deadline=None)

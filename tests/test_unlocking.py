@@ -45,7 +45,7 @@ class TestGeneralParams:
     @pytest.mark.parametrize("kappa", [1e5 + 0.3, -(1e5 + 0.3), 1e17, 2 * math.pi + 1e-9])
     def test_kappa_range(self, kappa):
         # past 2pi build_c3's longitude offsets round away: at 1e17 the built d_AB^2 read 0.0
-        with pytest.raises(ValueError, match=r"^kappa out of range \[-2pi, 2pi\]: "):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \[-2pi, 2pi\]: "):
             GeneralParams(1.0, 0.4, 0.3, kappa)
         GeneralParams(1.0, 0.4, 0.3, math.copysign(2 * math.pi, kappa))
 
