@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -38,7 +39,7 @@ _SOURCES = "record, c6, curve:<x>, file:<path>"
 # the flag that sets each value the library checks, keyed by the name its errors start with
 _FLAGS = {"n_starts": "--starts", "rng_seed": "--seed", "budget": "--budget", "trials": "--trials",
           "radius": "--radius", "cyl_length": "--length", "segments": "--segments", "phi": "--phi",
-          "delta": "--delta", "kappa": "--kappa"}
+          "delta": "--delta", "kappa": "--kappa", "alpha": "--alpha"}
 
 
 def _source(text: str) -> FreeConfig | Configuration:
@@ -344,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_report_all)
 
+    # a negative float flag value such as -1e-3 or -inf is a value, not an unknown flag: argparse
+    # takes only the forms -1 and -1.5 for negative numbers
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

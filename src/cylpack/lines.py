@@ -10,8 +10,9 @@ here and the packing statements elsewhere in the package.
 A chart's (latitude, longitude, tangent angle) rows may be any finite numbers: a latitude
 past a pole frames the line it reaches there.  A chart is framed once, from its coordinates as
 given, into a C-ordered (n, 6) frame table of [base | dir] rows, which a Configuration keeps,
-making TangentLine objects only when read; a table whose rows pass one clean test skips the
-ordered checks and snaps.  SphericalPoint and chart_rows, which name a point rather than
+making TangentLine objects only when read.  Framed from finite coordinates, every row is unit and
+tangent to rounding, so only a line given as vectors (a TangentLine, as a lines document gives
+it) is checked and snapped.  SphericalPoint and chart_rows, which name a point rather than
 frame one, report longitudes in [0, 2*pi).
 One pair kernel measures every table, batched or not, at flat take indices
 cached per line count and layout (_chart_index); _pair_kernel's docstring is
@@ -147,49 +148,11 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _snap(v, values, target: float, tol: float, what: str, snapped) -> bool:
-    """Whether rows of v more than tol off target were replaced in place by snapped()'s; raises
-    on the first worst row past 1e-9."""
-    off = np.abs(values - target)
-    if not off.size:
-        return False
-    k = off.argmax()
-    worst = off.item(k)
-    if worst > 1e-9:
-        raise ValueError(f"{what} = {values.item(k)!r}")
-    if worst > tol:
-        np.copyto(v, snapped(), where=off[:, None] > tol)
-    return worst > tol
-
-
-# |base . base - 1| and |dir . dir - 1| at most 7e-16 put each norm within 3.5e-16 of 1 before
-# rounding, 4.7e-16 after, so neither is snapped at 5e-16; |base . dir| is held to 1e-15 exactly
-_CLEAN = np.array([[7e-16, 1e-15], [1e-15, 7e-16]])
-_EYE = np.eye(2)
-
-
-# an overflowing norm is inf, and rejected as such; the clean test meets non-finite rows first
-@np.errstate(over="ignore", invalid="ignore")
-def _unit_tangent(table: np.ndarray) -> np.ndarray:
-    """TangentLine's checks and snaps, in its order, in place on the rows of an (n, 6) frame table,
-    returned.  np.vecdot rounds each row like the 1-D BLAS dot of `@`, so rows get the bits they
-    get alone.  A table whose every row passes one test on its Gram matrix [[b.b, b.d], [d.b,
-    d.d]] (NaN fails it) needs no check or snap and returns at once.  Components are checked
-    only when a squared norm is not finite (or overflows)."""
-    rows = table.reshape(-1, 2, 3)
-    if (np.abs(np.vecdot(rows[:, :, None], rows[:, None]) - _EYE) <= _CLEAN).all():
-        return table
-    bases, dirs = table[:, :3], table[:, 3:]
-    nb, nd = np.sqrt(np.vecdot(bases, bases)), np.sqrt(np.vecdot(dirs, dirs))
-    if not math.isfinite(sum(nb.tolist()) + sum(nd.tolist())) and not np.isfinite(table).all():
-        raise ValueError("base and dir must be finite")
-    _snap(bases, nb, 1.0, 5e-16, "base must be a unit vector, |base|", lambda: bases / nb[:, None])
-    dot = np.vecdot(dirs, bases)
-    if _snap(dirs, dot, 0.0, 1e-15, "dir must be tangent at base, base . dir",
-             lambda: dirs - dot[:, None] * bases):  # rows moved by the snap need their norms again
-        nd = np.sqrt(np.vecdot(dirs, dirs))
-    _snap(dirs, nd, 1.0, 5e-16, "dir must be a unit vector, |dir|", lambda: dirs / nd[:, None])
-    return table
+def _off(value: float, target: float, tol: float, what: str) -> bool:
+    """Whether value is more than tol off target; "<what> = <value>" raised past 1e-9."""
+    if abs(value - target) > 1e-9:
+        raise ValueError(f"{what} = {value!r}")
+    return abs(value - target) > tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,17 +170,28 @@ class TangentLine:
     base: np.ndarray
     dir: np.ndarray
 
+    @np.errstate(over="ignore")  # a squared norm that overflows is inf, refused as such
     def __post_init__(self):
         base = np.array(self.base, dtype=float)
         direction = np.array(self.dir, dtype=float)
         if base.shape != (3,) or direction.shape != (3,):
             raise ValueError("base and dir must be 3-vectors")
-        row = _frozen(_unit_tangent(np.concatenate((base, direction))[None]))[0]
-        self.__dict__.update(base=row[:3], dir=row[3:])
+        if not np.isfinite((base, direction)).all():
+            raise ValueError("base and dir must be finite")
+        nb = math.sqrt(base @ base)
+        if _off(nb, 1.0, 5e-16, "base must be a unit vector, |base|"):
+            base = base / nb
+        dot = float(direction @ base)
+        if _off(dot, 0.0, 1e-15, "dir must be tangent at base, base . dir"):
+            direction = direction - dot * base
+        nd = math.sqrt(direction @ direction)
+        if _off(nd, 1.0, 5e-16, "dir must be a unit vector, |dir|"):
+            direction = direction / nd
+        self.__dict__.update(base=_frozen(base), dir=_frozen(direction))
 
     @classmethod
     def _checked(cls, row: np.ndarray) -> "TangentLine":
-        """Wrap a [base | dir] row of a frozen frame table that _unit_tangent has checked."""
+        """Wrap a [base | dir] row of a frozen frame table: a chart's frame, or checked lines'."""
         line = object.__new__(cls)
         line.__dict__.update(base=row[:3], dir=row[3:])
         return line
@@ -328,7 +302,7 @@ class Configuration:
 
     @classmethod
     def _framed(cls, table: np.ndarray) -> "Configuration":
-        """The configuration of a frozen frame table that _unit_tangent has checked."""
+        """The configuration of a chart's frozen frame table (_frame_table)."""
         if len(table) < 2:
             raise ValueError("a configuration needs at least 2 lines")
         c = object.__new__(cls)
@@ -361,14 +335,17 @@ def chart_lines(rows) -> Configuration:
 
 
 def _frame_table(chart) -> np.ndarray:
-    """Checked, read-only (n, 6) frame table, one copy, of a (3, n) or (3,) stacked chart."""
-    return _frozen(_unit_tangent(np.array(_frame_xyz(chart), order="F").T.reshape(-1, 6)))
+    """Read-only (n, 6) frame table, one copy, of a (3, n) or (3,) stacked chart; refused unless
+    every coordinate is finite, which makes every row unit and tangent to rounding."""
+    if not np.isfinite(chart).all():
+        raise ValueError("chart coordinates must be finite")
+    return _frozen(np.array(_frame_xyz(chart), order="F").T.reshape(-1, 6))
 
 
 def _charts_dsq(block: np.ndarray) -> np.ndarray:
     """(P, B) pair distances of a (B, n, 3) block of charts, framed as chart_lines frames them
-    but unchecked, into one component-major table for one kernel call: chart_lines(chart).dsq's
-    bits wherever _unit_tangent snaps nothing.  Callers pass finite charts, at any latitude."""
+    into one component-major table for one kernel call: chart_lines(chart).dsq's bits.  Callers
+    pass finite charts, at any latitude."""
     table = np.array(_frame_xyz(block.T)).reshape(6 * block.shape[1], -1)
     return _pair_kernel(table, _chart_index(block.shape[1], comp_major=True))
 
@@ -389,10 +366,10 @@ def _slope_index(n: int) -> tuple:
 
 
 def _dsq_slopes(rows: np.ndarray, h: float) -> tuple:
-    """Pair distances of a (B, n, 3) block of charts, (B, P) in chart_lines(chart).dsq's order and
-    bits wherever _unit_tangent snaps nothing, and their forward differences in the coordinates
-    of lines 1..n-1, each moved by h, (B, P, 3n - 3), at any latitude: one kernel call measures
-    each chart's lines and copy k of line 1 + k // 3 with column k % 3 moved against the others."""
+    """Pair distances of a (B, n, 3) block of finite charts, (B, P) in chart_lines(chart).dsq's
+    order and bits, and their forward differences in the coordinates of lines 1..n-1, each moved
+    by h, (B, P, 3n - 3), at any latitude: one kernel call measures each chart's lines and copy k
+    of line 1 + k // 3 with column k % 3 moved against the others."""
     b, n = rows.shape[:2]
     lines, moved, index, source, slots = _slope_index(n)
     chart = rows.T.take(lines, axis=1)  # (3, 4n - 3, B), contiguous
@@ -409,8 +386,9 @@ def _dsq_slopes(rows: np.ndarray, h: float) -> tuple:
 def min_pairwise_distance(c: Configuration) -> float:
     """Smallest distance over all line pairs of the configuration."""
     # min() of the list skips ndarray.min's reduction setup; it would be order-dependent on a NaN,
-    # but none reaches here: the frame table is checked finite, and both kernel branches are
-    # finite on unit vectors (a pair at |u x v|^2 <= PARALLEL_TOL takes the fallback's value)
+    # but none reaches here: a chart is framed from finite coordinates, a line given as vectors is
+    # checked finite, and both kernel branches are finite on unit vectors (a pair at |u x v|^2 <=
+    # PARALLEL_TOL takes the fallback's value)
     return math.sqrt(min(c.dsq.tolist()))
 
 

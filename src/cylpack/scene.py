@@ -30,6 +30,15 @@ def _segments(value) -> int:
     return segments
 
 
+def _sizes(radius, length, length_name: str) -> None:
+    """Refuse sizes not positive and finite, or overflowing 1 + 2 radius + length, every vertex's bound."""
+    _positive_finite("radius", radius)
+    _positive_finite(length_name, length)
+    if not math.isfinite(1.0 + 2.0 * radius + length):
+        name, value = ("radius", radius) if 2.0 * radius >= length else (length_name, length)
+        raise ValueError(f"{name} must keep the mesh bound 1 + 2 radius + length finite: {value!r}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """A renderable scene: which lines, how thick, how long, how fine."""
@@ -41,13 +50,7 @@ class SceneSpec:
 
     def __post_init__(self) -> None:
         _segments(self.segments)
-        _positive_finite("radius", self.radius)
-        _positive_finite("cyl_length", self.cyl_length)
-        # every mesh coordinate lies within 1 + 2 radius + cyl_length of 0
-        if not math.isfinite(1.0 + 2.0 * self.radius + self.cyl_length):
-            name = "radius" if 2.0 * self.radius >= self.cyl_length else "cyl_length"
-            raise ValueError(f"{name} must keep the mesh bound 1 + 2 radius + length finite: "
-                             f"{getattr(self, name)!r}")
+        _sizes(self.radius, self.cyl_length, "cyl_length")
 
 
 def sphere_mesh(segments: int) -> Mesh:
@@ -96,8 +99,7 @@ def tube_mesh(
     rings of ``segments`` vertices, quad faces, no caps.
     """
     segments = _segments(segments)
-    _positive_finite("radius", radius)
-    _positive_finite("half_length", half_length)
+    _sizes(radius, half_length, "half_length")
     axis_point = (1.0 + radius) * line.base
     u = line.base
     v = np.cross(line.dir, u)

@@ -235,7 +235,8 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
 def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptResult:
     """_sqp from each seed chart, each round measuring the live starts' charts in one _dsq_slopes call,
     with the bits each gets alone; each start's walked end, merged to the first start of largest
-    d_best, with evals summed and every start's d_best and stop."""
+    d_best, its trace's last value (objective's bits: _dsq_slopes frames as chart_lines does), with
+    evals summed and every start's d_best and stop."""
     runs = [_sqp(seed.coords, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
@@ -248,11 +249,10 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
             except StopIteration as end:
                 ends[i] = end.value
         live, f, g = going, None, None
-    best = [FreeConfig(e[0]) for e in ends]
-    d = tuple(map(objective, best))
+    d = tuple(e[1][-1] for e in ends)
     k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima
-    _, trace, _, stop = ends[k]
-    return OptResult(best[k], d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
+    x, trace, _, stop = ends[k]
+    return OptResult(FreeConfig(x), d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
                      tuple(zip(map(int, trace[::2]), trace[1::2])), stop, d, tuple(e[3] for e in ends))
 
 

@@ -283,8 +283,8 @@ _ORBIT_COLS = np.array([list(zip(*np.triu_indices(6, 1))).index(PAIR_ORBITS[o][0
 
 
 def _generic_rows(params):
-    """triplets_generic of each D3Params as (len(params), 4) rows, their charts measured by
-    _charts_dsq _BLOCK at a time; D3Params keeps every chart finite and off the poles."""
+    """triplets_generic of each D3Params as (len(params), 4) rows, with its bits, their charts
+    measured by _charts_dsq _BLOCK at a time; D3Params keeps every chart finite."""
     out = np.empty((len(params), 4))
     for lo in range(0, len(params), _BLOCK):
         charts = np.array([c6_chart(p) for p in params[lo:lo + _BLOCK]])

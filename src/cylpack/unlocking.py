@@ -29,7 +29,7 @@ def _neighbor_angle(alpha) -> float:
     """alpha as a float, checked to lie in (0, pi)."""
     alpha = float(alpha)
     if not 0.0 < alpha < math.pi:
-        raise ValueError(f"neighbor angle out of range: {alpha!r}")
+        raise ValueError(f"alpha must lie in (0, pi): {alpha!r}")
     return alpha
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import cylpack
 from cylpack.acceptance import run_checks
-from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, main
+from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, build_parser, main
 from cylpack.curve import f_of_x
 from cylpack.lines import chart_lines, min_pairwise_distance, radius_from_distance
 from cylpack.scene import SceneSpec, scene_obj
@@ -487,6 +487,12 @@ class TestReportAll:
         assert "FAIL record-values" in out
 
 
+# every float-valued flag, by subcommand
+FLOAT_FLAGS = [(command, action.option_strings[0])
+               for command, parser in next(a for a in build_parser()._actions if a.choices).choices.items()
+               for action in parser._actions if action.type is float]
+
+
 class TestDirectErrors:
     @pytest.mark.parametrize("argv", [
         ["optimize", "--starts", "2", "--budget", "100"],
@@ -525,6 +531,7 @@ class TestDirectErrors:
             (["eval", "--phi", "nan"], "--phi must be finite"),
             (["eval", "--delta", "inf"], "--delta must be finite"),
             (["eval", "--kappa", "nan"], "--kappa must be finite"),
+            (["eval", "--kappa", "-inf"], "--kappa must be finite"),
         ],
     )
     def test_non_finite_inputs_fail_before_numpy(self, capsys, tmp_path, argv, message):
@@ -543,6 +550,7 @@ class TestDirectErrors:
         ["eval", "--phi", "1.6"],
         ["eval", "--phi", "-90", "--degrees"],
         ["eval", "--kappa", "7"],
+        ["unlock-check", "--alpha", "4.0"],
     ])
     def test_library_checks_name_the_flag(self, capsys, tmp_path, argv):
         # the library checks these values under its own names; the error line names the flag
@@ -559,6 +567,17 @@ class TestDirectErrors:
     ])
     def test_flags_the_mode_ignores_are_refused(self, capsys, argv, message):
         assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=[" ".join(f) for f in FLOAT_FLAGS])
+    def test_negative_floats_with_an_exponent_are_values(self, capsys, tmp_path, command, flag):
+        # argparse reads only -1 and -1.5 as negative numbers unless told otherwise, and took -1e-3
+        # for a flag: "expected one argument"
+        out = ["--segments", "8", "--out", str(tmp_path / "scene.obj")] if command == "export-scene" else []
+        results = []
+        for argv in ([command, flag, "-1e-3", *out], [command, f"{flag}=-1e-3", *out]):
+            rc = main(argv)
+            results.append((rc, *capsys.readouterr()))
+        assert results[0] == results[1] and "expected one argument" not in results[0][2]
 
     def test_overflowing_base_is_one_error_line(self, capsys, tmp_path):
         doc = tmp_path / "lines.json"

@@ -91,7 +91,7 @@ class TestNeighborAngle:
     @example(4.0)
     @example(math.nan)
     def test_functions_reject(self, check, alpha):
-        with pytest.raises(ValueError, match="^neighbor angle out of range: "):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, pi\): "):
             check(alpha)
 
     @settings(deadline=None)
@@ -102,5 +102,5 @@ class TestNeighborAngle:
     @example(4.0)
     def test_general_params_rejects(self, alpha):
         # a non-finite alpha fails the finite-field check first (TestFiniteFields)
-        with pytest.raises(ValueError, match="^neighbor angle out of range: "):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, pi\): "):
             GeneralParams(alpha, 0.0, 0.0, 0.0)

@@ -5,7 +5,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from cylpack.lines import (
     _frame_table,
     _frame_xyz,
     _pair_kernel,
-    _unit_tangent,
     chart_lines,
     chart_rows,
     distance_sq,
@@ -335,6 +333,8 @@ HALF_PI = math.pi / 2
 EDGE_ANG = st.sampled_from([0.0, -0.0, HALF_PI, -HALF_PI, math.pi, -math.pi,
                             *(s * math.nextafter(HALF_PI, to) for s in (1, -1) for to in (0, 4))])
 FRAME_ROW = st.one_of(ROW, st.tuples(st.sampled_from([0.0, -0.0]) | LAT, LON, EDGE_ANG))
+# any finite chart row
+WIDE_ROW = st.tuples(*[st.floats(-1e300, 1e300)] * 3)
 
 
 class TestFrameOracle:
@@ -405,13 +405,19 @@ class TestKernelProperties:
         for (i, j), k in pair_index(len(c)).items():
             assert distance_sq(c[i], c[j]) == out[k]
 
-    @settings(deadline=None)
-    @given(ROWS)
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(FRAME_ROW | WIDE_ROW, min_size=1, max_size=7))
+    @example([(1e300, -1e300, 1e300), (-1e300, 1e300, HALF_PI), (1e300, 0.0, -math.pi)])
     def test_frames_orthonormal(self, rows):
+        # a frame of finite coordinates is unit and tangent to rounding, so no chart's line needs
+        # a check: |b.b - 1| and |d.d - 1| at most 7e-16 put each norm within 4.7e-16 of 1 after
+        # rounding, short of TangentLine's 5e-16 snap, and |b.d| is held to its 1e-15
         bases, dirs = kernel_input(rows)
-        assert np.all(np.abs(np.linalg.norm(bases, axis=-1) - 1.0) <= 1e-15)
-        assert np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-15)
-        assert np.all(np.abs(np.einsum("nk,nk->n", bases, dirs)) <= 1e-15)
+        assert np.all(np.abs(np.vecdot(bases, bases) - 1.0) <= 7e-16)
+        assert np.all(np.abs(np.vecdot(dirs, dirs) - 1.0) <= 7e-16)
+        assert np.all(np.abs(np.vecdot(bases, dirs)) <= 1e-15)
+        for b, d in zip(bases, dirs):
+            assert line_or_message(np.concatenate((b, d))) == b.tobytes() + d.tobytes()
 
     def test_parallel_pairs_exact(self):
         # vertical lines tilted 0 and pi: the fallback branch on every pair
@@ -424,7 +430,7 @@ class TestKernelProperties:
         assert np.array_equal(batched_dsq(bases[::-1], dirs[::-1]), out[::-1])
 
 
-# ---------------------------------------------------------------- stacked line checks
+# ---------------------------------------------------------------- line checks
 
 
 @np.errstate(over="ignore")  # squares of 1e200 noise overflow to an inf norm
@@ -473,37 +479,37 @@ def noisy_table(rows, seed):
     return np.concatenate((bases, dirs), axis=1)
 
 
-class TestStackedValidation:
+def line_or_message(row):
+    """TangentLine's base and dir bits for a [base | dir] row, or its message; it warns about nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            line = TangentLine(row[:3], row[3:])
+        except ValueError as exc:
+            return str(exc)
+    return line.base.tobytes() + line.dir.tobytes()
+
+
+def oracle_line_or_message(row):
+    """one_line_check's base and dir bits for a [base | dir] row, or its message."""
+    result = one_line_check(row[:3].copy(), row[3:].copy())
+    return result[2] if len(result) == 3 else result[0].tobytes() + result[1].tobytes()
+
+
+class TestLineChecks:
     @settings(deadline=None, max_examples=300)
     @given(NOISY_ROWS, st.integers(0, 2**32 - 1))
     def test_matches_one_line_oracle(self, rows, seed):
-        table = noisy_table(rows, seed)
-        results = [one_line_check(t[:3].copy(), t[3:].copy()) for t in table]
-        good = [k for k, r in enumerate(results) if len(r) == 2]
-        checked = table[good]
-        assert _unit_tangent(checked) is checked  # snapped in place
-        for row, k in enumerate(good):
-            assert same_bits(checked[row, :3], results[k][0])
-            assert same_bits(checked[row, 3:], results[k][1])
-        bad = [(r[0], -r[1], k, r[2]) for k, r in enumerate(results) if len(r) == 3]
-        if bad:
-            # the earliest failing check, on its worst row (first on ties)
-            with pytest.raises(ValueError) as info:
-                _unit_tangent(table.copy())
-            assert str(info.value) == min(bad)[3]
+        for row in noisy_table(rows, seed):
+            assert line_or_message(row) == oracle_line_or_message(row)
 
     def test_forced_snaps_match_one_line_oracle(self):
         rng = np.random.default_rng(94)
         charts = rng.uniform([-1.5, 0.0, -4.0], [1.5, 7.0, 4.0], (3000, 3))
         rows = np.column_stack([charts, np.full((3000, 2), 1e-10)])
-        table = noisy_table(rows, 95)
-        out = _unit_tangent(table.copy())
-        snapped = 0
-        for k in range(len(rows)):
-            ref_b, ref_d = one_line_check(table[k, :3].copy(), table[k, 3:].copy())
-            assert same_bits(out[k, :3], ref_b) and same_bits(out[k, 3:], ref_d)
-            snapped += not (same_bits(ref_b, table[k, :3]) and same_bits(ref_d, table[k, 3:]))
-        assert snapped == len(rows)
+        for row in noisy_table(rows, 95):
+            got = line_or_message(row)
+            assert got == oracle_line_or_message(row) and got != row.tobytes()  # snapped
 
     def test_single_line_messages_name_plain_floats(self):
         with pytest.raises(ValueError, match=r"\|base\| = 2\.0$"):
@@ -519,6 +525,17 @@ class TestStackedValidation:
             TangentLine(np.array([1e200, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match=r"\|dir\| = inf$"):
             TangentLine(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e200, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", range(3))
+    def test_charts_refuse_a_non_finite_coordinate(self, bad, column):
+        # a chart is refused before it is framed, so no line of it needs a check
+        rows = [[0.3, 1.0, 0.5], [-0.2, 2.0, 1.0]]
+        rows[1][column] = bad
+        with pytest.raises(ValueError, match="^chart coordinates must be finite$"):
+            chart_lines(rows)
+        with pytest.raises(ValueError, match="^chart coordinates must be finite$"):
+            make_tangent_line(SphericalPoint(0.3, 1.0), bad)
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(LAT, st.floats(-20.0, 20.0), ANG), min_size=2, max_size=7))
@@ -555,59 +572,31 @@ def near(value):
 # around -+5e-16 and -+1e-15: each one ulp inside, at, or outside a snap threshold
 NORMS = [1.0] + [v for t in (5e-16, 1e-15) for s in (-1, 1) for v in near(1 + s * t)]
 DOTS = [0.0] + [v for t in (5e-16, 1e-15) for s in (-1, 1) for v in near(s * t)]
-# (|base|, |dir|, base . dir, which axis base lies on, sign of dir)
-THRESHOLD_ROWS = st.lists(st.tuples(st.sampled_from(NORMS), st.sampled_from(NORMS),
-                                    st.sampled_from(DOTS), st.integers(0, 2), st.sampled_from([-1, 1])),
-                          min_size=2, max_size=6)
 
 
-def threshold_table(rows):
-    """(n, 6) table of axis-aligned rows: base = nb e_k, dir = t e_k + nd s e_(k+1), so that
+def threshold_row(nb, nd, t, k, s):
+    """[base | dir] row on the axes: base = nb e_k, dir = t e_k + nd s e_(k+1), so that
     |base| = nb exactly, and base . dir = nb t, |dir| = nd to within an ulp."""
-    table = np.zeros((len(rows), 6))
-    for r, (nb, nd, t, k, s) in enumerate(rows):
-        table[r, k] = nb
-        table[r, 3 + k] = t
-        table[r, 3 + (k + 1) % 3] = s * nd
-    return table
+    row = np.zeros(6)
+    row[k], row[3 + k], row[3 + (k + 1) % 3] = nb, t, s * nd
+    return row
 
 
-def checked(table):
-    """_unit_tangent's table, or its message."""
-    try:
-        return _unit_tangent(table).tobytes()
-    except ValueError as exc:
-        return str(exc)
-
-
-def checked_in_order(table):
-    """checked(table) with the clean-table exit shut, so every table takes the ordered path."""
-    with mock.patch.object(lines_module, "_CLEAN", np.full((2, 2), -1.0)):
-        return checked(table)
-
-
-class TestCleanTableExit:
-    def test_fast_exit_agrees_with_the_ordered_path_row_by_row(self):
-        for row in itertools.product(NORMS, NORMS, DOTS, [0], [1]):
-            table = threshold_table([row])
-            assert checked(table.copy()) == checked_in_order(table.copy()), row
-
-    @settings(deadline=None, max_examples=300)
-    @given(THRESHOLD_ROWS)
-    def test_fast_exit_agrees_with_the_ordered_path(self, rows):
-        table = threshold_table(rows)
-        assert checked(table.copy()) == checked_in_order(table.copy())
+class TestThresholdNeighbours:
+    def test_every_row_matches_the_one_line_oracle(self):
+        # (|base|, |dir|, base . dir, which axis base lies on, sign of dir)
+        for args in itertools.product(NORMS, NORMS, DOTS, range(3), (-1, 1)):
+            row = threshold_row(*args)
+            assert line_or_message(row) == oracle_line_or_message(row), args
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
     @pytest.mark.parametrize("column", range(6))
-    def test_nonfinite_rows_raise_the_ordered_message_without_a_warning(self, bad, column):
+    def test_nonfinite_rows_raise_the_oracle_message_without_a_warning(self, bad, column):
         # 1e200 is finite, but its square overflows
-        table = threshold_table([(1.0, 1.0, 0.0, 0, 1)] * 4)
-        table[2, column] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            message = checked(table.copy())
-            assert checked_in_order(table.copy()) == message
+        row = threshold_row(1.0, 1.0, 0.0, 0, 1)
+        row[column] = bad
+        message = line_or_message(row)
+        assert message == oracle_line_or_message(row)
         assert (message == "base and dir must be finite") is (bad != 1e200)
 
 

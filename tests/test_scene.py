@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -32,15 +33,21 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec(C6_INITIAL, radius=1.0, segments=16.0)
 
-    @pytest.mark.parametrize("radius, length, name", [
-        (1e308, 6.0, "radius"), (2.0**1023, 6.0, "radius"), (1e307, 1.7e308, "cyl_length")])
-    def test_a_mesh_past_float_range_is_refused(self, radius, length, name):
+    @pytest.mark.parametrize("radius, length, larger", [
+        (1e308, 6.0, "radius"), (2.0**1023, 6.0, "radius"), (1e307, 1.7e308, "length")])
+    @pytest.mark.parametrize("build, length_name", [
+        (lambda r, h: SceneSpec(C6_INITIAL, radius=r, cyl_length=h), "cyl_length"),
+        (lambda r, h: tube_mesh(make_tangent_line(SphericalPoint(0.0, 0.0), 0.0), r, h, 8), "half_length"),
+    ], ids=["spec", "tube"])
+    def test_a_mesh_past_float_range_is_refused(self, radius, length, larger, build, length_name):
         # every coordinate lies within 1 + 2 radius + length of 0; past float range numpy
-        # overflowed and the OBJ writer refused the inf
-        value = repr(radius if name == "radius" else length)
-        message = f"{name} must keep the mesh bound 1 + 2 radius + length finite: {value}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SceneSpec(C6_INITIAL, radius=radius, cyl_length=length)
+        # overflowed, warning, and the OBJ writer refused the inf
+        name, value = ("radius", radius) if larger == "radius" else (length_name, length)
+        message = f"{name} must keep the mesh bound 1 + 2 radius + length finite: {value!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(radius, length)
 
     def test_the_largest_length_renders(self):
         spec = SceneSpec(C6_INITIAL, radius=1.0, cyl_length=1.7976931348623157e308, segments=8)

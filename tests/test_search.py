@@ -615,9 +615,18 @@ class TestMultiStart:
         assert len(set().union(*blind)) == 6 * 29
 
     def test_ties_go_to_the_lower_start(self, monkeypatch):
-        monkeypatch.setattr(search, "objective", lambda chart: 1.0)  # every start ties
+        # a start's d_best is its trace's last value: every start ends at 1.0
+        sqp = search._sqp
+
+        def tied(*args):
+            x, trace, evals, stop = yield from sqp(*args)
+            trace[-1] = 1.0
+            return x, trace, evals, stop
+
+        monkeypatch.setattr(search, "_sqp", tied)
         r = multi_start(3, 0, 500)
         first = local_maximize(chart_curve(0.9), 500)
+        assert r.start_d == (1.0,) * 3 and r.d_best == first.d_best == 1.0
         assert np.array_equal(r.best.coords, first.best.coords) and r.trace == first.trace
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
