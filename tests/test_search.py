@@ -619,9 +619,9 @@ class TestMultiStart:
         sqp = search._sqp
 
         def tied(*args):
-            x, trace, evals, stop = yield from sqp(*args)
-            trace[-1] = 1.0
-            return x, trace, evals, stop
+            end = yield from sqp(*args)  # (chart, trace, evals, stop)
+            end[1][-1] = 1.0
+            return end
 
         monkeypatch.setattr(search, "_sqp", tied)
         r = multi_start(3, 0, 500)
