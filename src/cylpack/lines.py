@@ -9,15 +9,15 @@ here and the packing statements elsewhere in the package.
 
 A chart's (latitude, longitude, tangent angle) rows may be any finite numbers: a latitude
 past a pole frames the line it reaches there.  A chart is framed once, from its coordinates as
-given, into a C-ordered (n, 6) frame table of [base | dir] rows, which a Configuration keeps,
-making TangentLine objects only when read.  Framed from finite coordinates, every row is unit and
-tangent to rounding, so only a line given as vectors (a TangentLine, as a lines document gives
-it) is checked and snapped.  SphericalPoint and chart_rows, which name a point rather than
-frame one, report longitudes in [0, 2*pi).
-One pair kernel measures every table, batched or not, at flat take indices
-cached per line count and layout (_chart_index); _pair_kernel's docstring is
-its one statement: formula, parallel fallback, symmetries, rounding, pair order.
-Batches of whole charts are framed and measured by _charts_dsq, a chart and its slopes by _dsq_slopes.
+given, into a frame table of [base | dir] rows, the (n, 6) view of a C-ordered (6, n) array,
+which a Configuration keeps, making TangentLine objects only when read.  Framed from finite
+coordinates, every row is unit and tangent to rounding, so only a line given as vectors (a
+TangentLine, as a lines document gives it) is checked and snapped.  SphericalPoint and chart_rows,
+which name a point rather than frame one, report longitudes in [0, 2*pi).
+Every table has that one component-major layout, so one pair kernel measures them all, batched or
+not, at flat take indices cached per line count (_chart_index); _pair_kernel's docstring is its
+one statement: formula, parallel fallback, symmetries, rounding, pair order.  A block of whole
+charts is framed and measured by _charts_dsq, a chart and its slopes by _dsq_slopes.
 """
 
 from __future__ import annotations
@@ -206,20 +206,20 @@ def make_tangent_line(p: SphericalPoint, delta: float) -> TangentLine:
     return TangentLine._checked(_frame_table(np.array((p.phi, p.kappa, delta)))[0])
 
 
-def _take_index(i, j, line_step: int, comp_step: int) -> np.ndarray:
+def _take_index(i, j, n: int) -> np.ndarray:
     """(6, 3, P) flat positions of the pair kernel's operands for pairs (i[p], j[p]) in a frame
-    table holding component k (bx, by, bz, dx, dy, dz) of line l at line_step l + comp_step k:
-    u = dir_i as (y, z, x), base_j, u as (z, x, y), base_i, v = dir_j as (z, x, y) and (y, z, x)."""
+    table of n lines, component k (bx, by, bz, dx, dy, dz) of line l at l + n k: u = dir_i as
+    (y, z, x), base_j, u as (z, x, y), base_i, v = dir_j as (z, x, y) and (y, z, x)."""
     yzx, zxy, xyz = (4, 5, 3), (5, 3, 4), (0, 1, 2)
     operands = ((i, yzx), (j, xyz), (i, zxy), (i, xyz), (j, zxy), (j, yzx))
-    return _frozen(np.array([[[line_step * int(a) + comp_step * k for a in at] for k in comps]
+    return _frozen(np.array([[[int(a) + n * k for a in at] for k in comps]
                              for at, comps in operands]))  # Python ints: no integer ufunc is mapped in
 
 
 @lru_cache(maxsize=None)
-def _chart_index(n: int, comp_major: bool = False) -> np.ndarray:
-    """_take_index of n lines' pairs i < j, in row-major order, in an (n, 6) table or (6, n) one."""
-    return _take_index(*np.triu_indices(n, 1), *((1, n) if comp_major else (6, 1)))
+def _chart_index(n: int) -> np.ndarray:
+    """_take_index of n lines' pairs i < j, in row-major order."""
+    return _take_index(*np.triu_indices(n, 1), n)
 
 
 def _sum_xzy(m) -> np.ndarray:
@@ -281,14 +281,15 @@ def _pair_kernel(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def distance_sq(u: TangentLine, v: TangentLine) -> float:
     """Squared distance between two lines; see _pair_kernel."""
-    return float(_pair_kernel(np.concatenate((u.base, u.dir, v.base, v.dir)), _chart_index(2))[0])
+    table = np.concatenate((u.base, u.dir, v.base, v.dir)).reshape(2, 6).T.reshape(-1)
+    return float(_pair_kernel(table, _chart_index(2))[0])
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Configuration:
-    """Ordered family of tangent lines (at least two) in one read-only (n, 6) frame table of
-    [base | dir] rows.  A chart's configuration makes its TangentLine objects on first read;
-    dsq holds the table's pair distances, measured on first read, read-only."""
+    """Ordered family of tangent lines (at least two) in one read-only frame table, the (n, 6)
+    [base | dir] view of a (6, n) array.  A chart's configuration makes its TangentLine objects on
+    first read; dsq holds the table's pair distances, measured on first read, read-only."""
 
     table: np.ndarray
 
@@ -298,7 +299,7 @@ class Configuration:
             raise ValueError("a configuration needs at least 2 lines")
         if not all(isinstance(line, TangentLine) for line in lines):
             raise TypeError("configuration members must be TangentLine")
-        self.__dict__.update(lines=lines, table=_frozen(np.array([(*u.base, *u.dir) for u in lines])))
+        self.__dict__.update(lines=lines, table=_frozen(np.array([(*u.base, *u.dir) for u in lines], order="F")))
 
     @classmethod
     def _framed(cls, table: np.ndarray) -> "Configuration":
@@ -315,7 +316,7 @@ class Configuration:
 
     @_cached
     def dsq(self) -> np.ndarray:
-        return _frozen(_pair_kernel(self.table.reshape(-1), _chart_index(len(self.table))))
+        return _frozen(_pair_kernel(self.table.T.reshape(-1), _chart_index(len(self.table))))
 
     def __len__(self):
         return len(self.table)
@@ -335,19 +336,19 @@ def chart_lines(rows) -> Configuration:
 
 
 def _frame_table(chart) -> np.ndarray:
-    """Read-only (n, 6) frame table, one copy, of a (3, n) or (3,) stacked chart; refused unless
-    every coordinate is finite, which makes every row unit and tangent to rounding."""
+    """Read-only frame table, the (n, 6) view of one (6, n) array, of a (3, n) or (3,) stacked chart;
+    refused unless every coordinate is finite, which makes every row unit and tangent to rounding."""
     if not np.isfinite(chart).all():
         raise ValueError("chart coordinates must be finite")
-    return _frozen(np.array(_frame_xyz(chart), order="F").T.reshape(-1, 6))
+    return _frozen(np.array(_frame_xyz(chart)).reshape(6, -1).T)
 
 
 def _charts_dsq(block: np.ndarray) -> np.ndarray:
     """(P, B) pair distances of a (B, n, 3) block of charts, framed as chart_lines frames them
-    into one component-major table for one kernel call: chart_lines(chart).dsq's bits.  Callers
-    pass finite charts, at any latitude."""
+    into one (6n, B) table for one kernel call: chart_lines(chart).dsq's bits.  Callers pass
+    finite charts, at any latitude, and blocks of at most _BLOCK."""
     table = np.array(_frame_xyz(block.T)).reshape(6 * block.shape[1], -1)
-    return _pair_kernel(table, _chart_index(block.shape[1], comp_major=True))
+    return _pair_kernel(table, _chart_index(block.shape[1]))
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +362,7 @@ def _slope_index(n: int) -> tuple:
     source = [pairs.index(tuple(sorted((1 + k // 3, j)))) for k, j in moved]
     i, j = zip(*pairs, *((n + k, j) for k, j in moved))
     return (np.array([*range(n), *(1 + k // 3 for k in range(3 * n - 3))]),
-            np.array([k % 3 * (4 * n - 3) + n + k for k in range(3 * n - 3)]), _take_index(i, j, 1, 4 * n - 3),
+            np.array([k % 3 * (4 * n - 3) + n + k for k in range(3 * n - 3)]), _take_index(i, j, 4 * n - 3),
             np.array(source).reshape(-1, n - 1), np.array([p * (3 * n - 3) + k for p, (k, _) in zip(source, moved)]))
 
 

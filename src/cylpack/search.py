@@ -5,9 +5,9 @@ A free configuration is six tangent lines with no imposed symmetry, charted by 1
 function, is maximized as max t subject to d^2_ij >= t by sequential quadratic programming over
 the 15 coordinates of lines 1-5 (_sqp), each step's QP solved in numpy without LAPACK (_dual_qp),
 the starts of a search in lockstep (_lockstep).  A chart is any 18 finite numbers: latitudes run
-unbounded as longitudes and angles do, and a start returns the chart it walked to.  Seed charts and
-the perturbation probe measure full charts by _charts_dsq, _BLOCK at a time, in calls whose
-temporaries the allocator keeps.
+unbounded as longitudes and angles do, and a start returns the chart it walked to.  Seeds are
+measured by _dsq_slopes in the SQP's first round; the perturbation probe measures its trials by
+_charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
@@ -81,15 +81,6 @@ def objective(c: FreeConfig) -> float:
     return min_pairwise_distance(config_lines(c))
 
 
-def _objective_batch(coords: np.ndarray) -> np.ndarray:
-    """Objective for a (N, 18) batch of charts, as (N,), _BLOCK charts at a time: objective's bits."""
-    c = coords.reshape(-1, N_LINES, 3)
-    out = np.empty(len(c))
-    for lo in range(0, len(c), _BLOCK):
-        np.sqrt(_charts_dsq(c[lo:lo + _BLOCK]).min(axis=0), out=out[lo:lo + _BLOCK])
-    return out
-
-
 @dataclass(frozen=True)
 class OptResult:
     """Outcome of a search: best chart, the one the returned start walked to, its objective (the
@@ -114,9 +105,10 @@ _H = 1e-7
 _CHARTS_PER_STEP = 1 + N_COORDS - 3
 _MAX_STEPS = 300
 # an entering pivot at or below this fraction of its diagonal entry counts as singular; the
-# dual QP's tableau [0 | I | 1 | 1] for the 15 pairs, before Q + rho and -f fill it
+# dual QP's tableau [0 | I | 1 | 1] for the pairs, before Q + rho and -f fill it
 _PIVOT = 1e-12
-_TABLEAU = np.hstack((np.zeros((15, 15)), np.eye(15), np.ones((15, 2))))
+_PAIRS = N_LINES * (N_LINES - 1) // 2
+_TABLEAU = np.hstack((np.zeros((_PAIRS, _PAIRS)), np.eye(_PAIRS), np.ones((_PAIRS, 2))))
 _TABLEAU.flags.writeable = False
 
 
@@ -298,11 +290,11 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     trials = _count("trials", trials, 1)
     rng_seed = _count("rng_seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)
-    f0 = float(_objective_batch(c.coords[None])[0])
+    f0 = objective(c)
     best, exceed = -np.inf, 0
     for lo in range(0, trials, _BLOCK):
         cand = c.coords + rng.uniform(-radius, radius, (min(_BLOCK, trials - lo), N_COORDS))
-        values = _objective_batch(cand)
+        values = np.sqrt(_charts_dsq(cand.reshape(-1, N_LINES, 3)).min(axis=0))
         best = np.maximum(best, values.max())  # carries a NaN through, as max() does
         exceed += int(np.count_nonzero(values > f0))
     return {"objective": f0, "radius": float(radius), "trials": trials, "rng_seed": rng_seed,

@@ -21,7 +21,6 @@ import numpy as np
 from .lines import (
     Configuration,
     DegenerateError,
-    _BLOCK,
     _cached,
     _charts_dsq,
     _finite_fields,
@@ -284,12 +283,8 @@ _ORBIT_COLS = np.array([list(zip(*np.triu_indices(6, 1))).index(PAIR_ORBITS[o][0
 
 def _generic_rows(params):
     """triplets_generic of each D3Params as (len(params), 4) rows, with its bits, their charts
-    measured by _charts_dsq _BLOCK at a time; D3Params keeps every chart finite."""
-    out = np.empty((len(params), 4))
-    for lo in range(0, len(params), _BLOCK):
-        charts = np.array([c6_chart(p) for p in params[lo:lo + _BLOCK]])
-        out[lo:lo + _BLOCK] = _charts_dsq(charts)[_ORBIT_COLS].T
-    return out
+    measured in one _charts_dsq call; D3Params keeps every chart finite."""
+    return _charts_dsq(np.array([c6_chart(p) for p in params]))[_ORBIT_COLS].T
 
 
 def triplets_generic(p: D3Params) -> DistanceTriplets:

@@ -24,11 +24,13 @@ def lines_document(config):
 
 
 def batched_dsq(bases, dirs):
-    """The pair kernel's batched branch on (..., n, 3) base and dir stacks: the squared distances
-    of all pairs i < j, row-major, of each configuration, shaped (..., n(n-1)/2)."""
+    """The pair kernel's batched branch on (..., n, 3) base and dir stacks, each configuration a
+    component-major column of one (6n, B) table: the squared distances of all pairs i < j,
+    row-major, of each configuration, shaped (..., n(n-1)/2)."""
     table = np.concatenate((bases, dirs), axis=-1)
     n = table.shape[-2]
-    return _pair_kernel(table.reshape(-1, 6 * n).T, _chart_index(n)).T.reshape(*table.shape[:-2], -1)
+    columns = table.reshape(-1, n, 6).T.reshape(6 * n, -1)
+    return _pair_kernel(columns, _chart_index(n)).T.reshape(*table.shape[:-2], -1)
 
 
 # The closed forms written in (S, T), squaring S and T and forming S T themselves: references

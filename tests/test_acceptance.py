@@ -382,8 +382,8 @@ def test_formula_points_are_the_scalar_draws():
 
 
 def test_formula_consistency_batch_is_triplets_generic():
-    # the check builds its 1000 configurations in one batch; each point gets
-    # the bits triplets_generic gives it alone, and those of its own built
+    # the 1000 configurations measured in one call; each point gets the bits
+    # triplets_generic gives it alone, and those of its own built
     # configuration's pair distances
     params = _points(acceptance._formula_points())
     rows = acceptance._generic_rows(params)
@@ -399,14 +399,14 @@ def test_formula_consistency_batch_is_triplets_generic():
 
 
 def test_generic_rows_blocks_match_one_batch():
-    # _BLOCK configurations per kernel call give the bits of one kernel call over all
-    # 1000 framed into one table
+    # the check's blocks of at most _BLOCK configurations, one kernel call each, give the
+    # bits of one kernel call over all 1000 framed into one table
     params = _points(acceptance._formula_points())
     table = chart_lines([row for p in params for row in c6_chart(p)]).table
     pairs = list(zip(*np.triu_indices(6, 1)))
     cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
-    one_call = _pair_kernel(table.reshape(-1, 36).T, _chart_index(6))[cols].T
-    rows = acceptance._generic_rows(params)
+    one_call = _pair_kernel(table.reshape(-1, 6, 6).T.reshape(36, -1), _chart_index(6))[cols].T
+    rows = np.concatenate([acceptance._generic_rows(p) for p, _ in acceptance._formula_points()])
     assert rows.tobytes() == one_call.tobytes()
 
 

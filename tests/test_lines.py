@@ -29,7 +29,7 @@ from cylpack.lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
-from cylpack.search import _objective_batch, chart_record, objective
+from cylpack.search import chart_record, objective
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
 from helpers import batched_dsq
@@ -378,10 +378,12 @@ class TestKernelProperties:
     @given(BATCH)
     def test_memory_layout_does_not_change_bits(self, rows):
         # the batched branch takes operands along the table's first axis; a (6n, 2) table of
-        # two charts, one column each, gives the same bits in Fortran and in C order
+        # two charts, one component-major column each, gives the same bits in Fortran and in C order
         bases, dirs = kernel_input(rows)
-        table = np.concatenate((bases, dirs), axis=-1).reshape(2, -1).T
-        index = _chart_index(len(rows) // 2)
+        n = len(rows) // 2
+        charts = np.concatenate((bases, dirs), axis=-1).reshape(2, n, 6)
+        table = charts.transpose(0, 2, 1).reshape(2, -1).T
+        index = _chart_index(n)
         out = _pair_kernel(table, index)
         assert _pair_kernel(np.ascontiguousarray(table), index).tobytes() == out.tobytes()
 
@@ -643,7 +645,7 @@ class TestParallelFallback:
         i, j = np.triu_indices(len(lines), 1)
         ref = einsum_parallel_dsq(dirs[i], dirs[j], bases[j] - bases[i])
         assert same_bits(batched_dsq(bases, dirs), ref)
-        table = np.concatenate((bases, dirs), axis=-1).reshape(-1)  # one chart's gather
+        table = np.concatenate((bases, dirs), axis=-1).T.reshape(-1)  # one chart's gather
         assert same_bits(_pair_kernel(table, _chart_index(len(lines))), ref)
 
     @settings(deadline=None, max_examples=300)
@@ -809,18 +811,13 @@ class TestStackedKernelOracle:
         # checked frame tables, as chart_lines makes them, line by line
         table = chart_lines(charts.reshape(-1, 3)).table
         bases, dirs = table[:, :3].reshape(batch, n, 3), table[:, 3:].reshape(batch, n, 3)
-        want = oracle_dsq(bases, dirs)
-        line_major = _pair_kernel(table.reshape(batch, 6 * n).T, _chart_index(n)).T
-        assert line_major.tobytes() == want.tobytes()
-        # unchecked frames, component-major, as _charts_dsq makes them
+        assert batched_dsq(bases, dirs).tobytes() == oracle_dsq(bases, dirs).tobytes()
+        # unchecked frames, in one (6n, B) table, as _charts_dsq makes them
         xyz = _frame_xyz(np.moveaxis(charts, -1, 0))
         want = oracle_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1))
-        comp_major = _pair_kernel(np.array(xyz).transpose(0, 2, 1).reshape(6 * n, batch),
-                                  _chart_index(n, comp_major=True)).T
-        assert comp_major.tobytes() == want.tobytes()
-        if n == 6:
-            got = _objective_batch(charts.reshape(batch, 18))
-            assert got.tobytes() == np.sqrt(want.min(axis=-1)).tobytes()
+        columns = _pair_kernel(np.array(xyz).transpose(0, 2, 1).reshape(6 * n, batch), _chart_index(n)).T
+        assert columns.tobytes() == want.tobytes()
+        assert _charts_dsq(charts).T.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kappa", [0.0, -0.0, 0.3, 2.0])
     def test_untilted_c6_is_all_parallel(self, kappa):

@@ -10,8 +10,9 @@ name anywhere in those files; a class member only by an attribute
 (`x.name`), since a bare name of the same spelling is some other binding.
 The guard parses the files and imports nothing.
 
-A second guard keeps the pair kernel's table format in one module:
-_pair_kernel, _frame_xyz and _chart_index are named only in lines.py.
+A second guard keeps the pair kernel's one table layout in one module:
+_pair_kernel, _frame_xyz, _frame_table, _take_index, _chart_index and
+_slope_index are named only in lines.py.
 A third finds shadowed definitions: no module or class body of src/ or
 tests/ defines a name twice by def or class, where the second silently
 replaces the first (a test defined twice runs once).
@@ -102,7 +103,8 @@ def test_a_property_only_a_bare_name_spells_is_flagged(tmp_path):
     assert unreferenced(package) == ["serialize.Extra.spare"]
 
 
-KERNEL_NAMES = {"_pair_kernel", "_frame_xyz", "_chart_index"}
+KERNEL_NAMES = {"_pair_kernel", "_frame_xyz", "_frame_table", "_take_index", "_chart_index",
+                "_slope_index"}
 # the modules that may name them
 KERNEL_HOMES = {"lines"}
 

@@ -38,13 +38,17 @@ from cylpack.search import (
     perturbation_probe,
 )
 from cylpack import acceptance, search
-from cylpack.search import _objective_batch
 from cylpack.symmetric import D3Params, build_c6
 from helpers import batched_dsq, same_line
 
 RNG = np.random.default_rng(94)
 
 D_RECORD = math.sqrt(12.0 / 11.0)
+
+
+def block_objective(coords):
+    """objective of each of a (B, 18) block of charts, measured in one _charts_dsq call."""
+    return np.sqrt(_charts_dsq(coords.reshape(-1, 6, 3)).min(axis=0))
 
 
 def random_chart(rng, spread=0.3):
@@ -141,18 +145,15 @@ class TestCharts:
 
 def faults_per_call(call, env, pad=0):
     """Minor page faults per call of `call` in a fresh process with environment
-    env, warm: batch is 1536 jittered charts; pad bytes are allocated before the
+    env, warm: chart is the record chart; pad bytes are allocated before the
     import, which moves where the heap's later blocks lie."""
     pytest.importorskip("resource")
     code = textwrap.dedent(f"""
         import resource
         pad = bytearray({pad})
         import numpy as np
-        from cylpack.search import _objective_batch, chart_c6
-        from cylpack.symmetric import D3Params
-        rng = np.random.default_rng(0)
-        base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-        batch = base + 0.2 * rng.standard_normal((1536, 18))
+        from cylpack.search import chart_record, perturbation_probe
+        chart = chart_record()
         for _ in range(5):
             {call}
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -230,13 +231,13 @@ class TestObjective:
     def test_batch_matches_scalar(self):
         coords = np.stack([random_chart(RNG).coords for _ in range(200)])
         scalar = np.array([objective(FreeConfig(x)) for x in coords])
-        assert scalar.tobytes() == _objective_batch(coords).tobytes()
+        assert scalar.tobytes() == block_objective(coords).tobytes()
 
     @settings(deadline=None)
     @given(WIDE_CHART)
     def test_one_framing(self, x):
-        # every chart path frames the coordinates as given, so objective is the batch's bits
-        assert np.float64(objective(FreeConfig(x))).tobytes() == _objective_batch(x[None]).tobytes()
+        # every chart path frames the coordinates as given, so objective is the block's bits
+        assert np.float64(objective(FreeConfig(x))).tobytes() == block_objective(x[None]).tobytes()
 
     @settings(deadline=None)
     @given(CHARTS)
@@ -244,24 +245,24 @@ class TestObjective:
         coords = np.array(charts)
         xyz = _frame_xyz(np.moveaxis(coords, -1, 0))
         stacked = np.sqrt(batched_dsq(np.stack(xyz[:3], -1), np.stack(xyz[3:], -1)).min(-1))
-        batch = _objective_batch(coords.reshape(-1, 18))
+        batch = block_objective(coords.reshape(-1, 18))
         for a, b in zip(batch, stacked):
             assert a.tobytes() == b.tobytes()
 
     def test_blocks_match_row_by_row(self):
-        # a batch crossing the block boundary gives each chart the bits it gets alone
+        # a full block gives each chart the bits it gets in a block of its own
         rng = np.random.default_rng(5)
-        coords = np.stack([random_chart(rng).coords for _ in range(search._BLOCK + 5)])
-        batch = _objective_batch(coords)
-        rows = np.concatenate([_objective_batch(row[None]) for row in coords])
-        assert batch.shape == (search._BLOCK + 5,) and batch.tobytes() == rows.tobytes()
+        coords = np.stack([random_chart(rng).coords for _ in range(search._BLOCK)])
+        batch = block_objective(coords)
+        rows = np.concatenate([block_objective(row[None]) for row in coords])
+        assert batch.shape == (search._BLOCK,) and batch.tobytes() == rows.tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
     def test_batches_do_not_fault_their_temporaries_back_in(self, compiling_env, cached_env):
         """A warm batched call reuses the pages the allocator kept from the last one.
 
         Guards lines._BLOCK (charts per kernel call) and the batched branch of
-        _pair_kernel, which takes each operand when needed: a 1536-chart batch, in
+        _pair_kernel, which takes each operand when needed: a 1536-trial probe, in
         fresh processes.  Whether glibc hands freed pages back to the OS
         depends on what lies above them on the heap, so one layout's verdict says
         little about the next; the probe runs under three layouts and each must stay
@@ -271,7 +272,7 @@ class TestObjective:
         layouts and none in the other two, and 256-chart blocks faulted 86-171 in
         three of seven.
         """
-        assert max(faults_per_call("_objective_batch(batch)", env, pad)
+        assert max(faults_per_call("perturbation_probe(chart, 1e-3, 1536)", env, pad)
                    for env in (compiling_env, cached_env) for pad in (0, 5000, 100000)) < 50
 
     def test_rotation_invariance(self):
@@ -696,8 +697,8 @@ def one_shot_probe(c, radius, trials, rng_seed):
     """perturbation_probe with all trials drawn and evaluated in one batch."""
     rng = np.random.default_rng(rng_seed)
     cand = c.coords + rng.uniform(-radius, radius, (trials, 18))
-    values = _objective_batch(cand)
-    f0 = float(_objective_batch(c.coords[None])[0])
+    values = block_objective(cand)
+    f0 = objective(c)
     return {
         "objective": f0,
         "radius": float(radius),
