@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # each submodule and the public names it exports; __getattr__ imports it on first use
 _EXPORTS = {
     "acceptance": ("CheckResult", "run_checks"),
-    "curve": ("CurveSample", "RecordReport", "f_of_x", "gamma_point", "pure_geodetic_check",
-              "record", "scan_unimodality", "t_of_x"),
+    "curve": ("CurveSample", "f_of_x", "gamma_point", "pure_geodetic_check", "record",
+              "scan_unimodality", "t_of_x"),
     "lines": ("Configuration", "DegenerateError", "PARALLEL_TOL", "SphericalPoint", "TangentLine",
               "distance_sq", "make_tangent_line", "min_pairwise_distance", "radius_from_distance"),
     "scene": ("SceneSpec", "min_surface_gap", "scene_obj"),
@@ -27,7 +27,7 @@ _EXPORTS = {
     "serialize": (),
     "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "alg_coords", "build_c6", "c6_chart",
                   "d3_orbit_check", "triplets_alg", "triplets_generic", "triplets_trig"),
-    "unlocking": ("FourCylSample", "GeneralParams", "UnlockReport", "alt_strategy_verdict", "build_c3",
+    "unlocking": ("FourCylSample", "GeneralParams", "alt_strategy_verdict", "build_c3",
                   "dists_general", "four_cyl_point", "series_coeffs", "taylor_coeffs_numeric",
                   "unlock_verdict"),
 }

@@ -54,14 +54,14 @@ def check_record_values() -> CheckResult:
     from fractions import Fraction  # imported on use, as in pure_geodetic_check
     exact_ok = f_of_x(Fraction(1, 2)) == Fraction(12, 11)
     float_ok = abs(f_of_x(0.5) - _RECORD_CLOSED["f"]) <= 1e-14
-    r_m = record().r_m
-    closed_ok = abs(r_m - R_RECORD) <= 1e-12
+    r_m = record()["computed"]["r"]
+    closed_ok = abs(r_m - R_RECORD) <= 1e-14
     decimal_ok = abs(r_m - 1.093070331) <= 1e-9
     return CheckResult(
         "record-values",
         exact_ok and float_ok and closed_ok and decimal_ok,
         f"f(1/2) == 12/11 exactly: {exact_ok}; |f(0.5) - 12/11| <= 1e-14: "
-        f"{float_ok}; r_m = {r_m:.17g}, |r_m - (3+sqrt(33))/8| <= 1e-12: "
+        f"{float_ok}; r_m = {r_m:.17g}, |r_m - (3+sqrt(33))/8| <= 1e-14: "
         f"{closed_ok}; |r_m - 1.093070331| <= 1e-9: {decimal_ok}",
     )
 
@@ -242,9 +242,9 @@ def check_unlock_verdicts() -> CheckResult:
         (3.0, "blocked"),
     ]
     reports = [unlock_verdict(a) for a, _ in expected]
-    verdicts = [(a, r.verdict) for (a, _), r in zip(expected, reports)]
+    verdicts = [(a, r["verdict"]) for (a, _), r in zip(expected, reports)]
     verdict_ok = all(v == want for (_, v), (_, want) in zip(verdicts, expected))
-    witnesses = [r.witness for r, (_, want) in zip(reports, expected) if want == "unlockable"]
+    witnesses = [r["witness"] for r, (_, want) in zip(reports, expected) if want == "unlockable"]
     margin = min(
         min(d - w["baseline_dist_sq"] for d in w["probe_dists_sq"]) for w in witnesses
     )

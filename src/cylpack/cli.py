@@ -135,9 +135,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    rep = record()
-    doc = {"computed": rep.computed(), "closed_form": rep.closed}
-    _emit_json(doc)
+    _emit_json(record())
     return 0
 
 
@@ -183,14 +181,7 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
         alpha = math.pi / _count("--n", args.n, 2)
     else:
         alpha = math.radians(args.alpha) if args.degrees else args.alpha
-    report = unlock_verdict(alpha)
-    doc = {
-        "alpha": alpha,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "alternate_strategy": alt_strategy_verdict(alpha),
-    }
-    _emit_json(doc)
+    _emit_json({**unlock_verdict(alpha), "alternate_strategy": alt_strategy_verdict(alpha)})
     return 0
 
 

@@ -156,36 +156,28 @@ def taylor_coeffs_numeric(
     return out
 
 
-@dataclass(frozen=True)
-class UnlockReport:
-    """Verdict for a neighbor angle: unlockable, marginal, or blocked.
-
-    For an unlockable angle, witness holds a concrete curve direction
-    with every distance growing: kappa1 = 0, phi1 = 1, delta1 inside
-    (delta_lo, 1) so the within-ring distance grows at order 0 while
-    both order-2 cross coefficients stay positive, kappa2 at the center
-    of its admissible window, plus a finite-t numeric confirmation.
-    """
-
-    alpha: float
-    verdict: str
-    witness: dict | None
-
-
-def unlock_verdict(alpha: float) -> UnlockReport:
-    """Whether 2n cylinders at neighbor angle alpha can start growing.
+def unlock_verdict(alpha: float) -> dict:
+    """Whether 2n cylinders at neighbor angle alpha can start growing: {"alpha", "verdict",
+    "witness"}, the verdict "unlockable", "marginal" or "blocked".
 
     Growth requires kappa1 = 0 (the order-1 cross terms have opposite
     signs), then a tilt ratio delta1/phi1 large enough for the
     within-ring distance yet small enough for the order-2 cross terms;
     the window (sin(alpha/2)/sqrt(sin^2 alpha - sin^2(alpha/2)), 1) is
     nonempty exactly when alpha < pi/2.
+
+    For an unlockable angle, witness holds a concrete curve direction
+    with every distance growing: kappa1 = 0, phi1 = 1, delta1 inside
+    (delta_lo, 1) so the within-ring distance grows at order 0 while
+    both order-2 cross coefficients stay positive, kappa2 at the center
+    of its admissible window, plus a finite-t numeric confirmation;
+    otherwise witness is None.
     """
     alpha = _neighbor_angle(alpha)
     if abs(alpha - math.pi / 2) <= _MARGINAL_TOL:
-        return UnlockReport(alpha, "marginal", None)
+        return {"alpha": alpha, "verdict": "marginal", "witness": None}
     if alpha > math.pi / 2:
-        return UnlockReport(alpha, "blocked", None)
+        return {"alpha": alpha, "verdict": "blocked", "witness": None}
 
     sa, ca = math.sin(alpha), math.cos(alpha)
     sh = math.sin(alpha / 2)
@@ -213,7 +205,7 @@ def unlock_verdict(alpha: float) -> UnlockReport:
         "probe_dists_sq": probe,
         "probe_ok": all(v > baseline for v in probe),
     }
-    return UnlockReport(alpha, "unlockable", witness)
+    return {"alpha": alpha, "verdict": "unlockable", "witness": witness}
 
 
 def alt_strategy_verdict(alpha: float) -> dict:

@@ -181,9 +181,9 @@ def test_unlock_verdicts_fails_on_any_bad_witness(monkeypatch, alpha, broken):
         report = real(a)
         if a != alpha:
             return report
-        w = report.witness
+        w = report["witness"]
         bad = False if broken == "probe_ok" else (w["baseline_dist_sq"], *w["probe_dists_sq"][1:])
-        return dataclasses.replace(report, witness={**w, broken: bad})
+        return {**report, "witness": {**w, broken: bad}}
 
     monkeypatch.setattr(acceptance, "unlock_verdict", spoiled)
     assert not acceptance.check_unlock_verdicts().passed

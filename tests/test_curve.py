@@ -283,16 +283,25 @@ class TestGammaPoint:
 
 class TestRecord:
     def test_closed_forms(self):
-        r = record()
-        assert r.r_m == pytest.approx((3.0 + math.sqrt(33.0)) / 8.0, abs=1e-12)
-        assert r.r_m == pytest.approx(1.093070331, abs=1e-9)
-        assert r.f_m == pytest.approx(12.0 / 11.0, abs=1e-12)
-        assert r.d_m == pytest.approx(math.sqrt(12.0 / 11.0), abs=1e-12)
-        assert r.dae_sq_m == pytest.approx(540.0 / 143.0, abs=1e-12)
-        assert r.s_m == pytest.approx(3.0 / 11.0, abs=1e-12)
-        assert r.t_m == pytest.approx(5.0 / 11.0, abs=1e-12)
-        assert r.tan_kappa_m == pytest.approx(-1.0 / math.sqrt(15.0), abs=1e-12)
-        assert set(r.closed) == {"x", "s", "t", "phi", "tan_kappa", "f", "d", "dae_sq", "r"}
+        rep = record()
+        r = rep["computed"]
+        assert r["r"] == pytest.approx((3.0 + math.sqrt(33.0)) / 8.0, abs=1e-12)
+        assert r["r"] == pytest.approx(1.093070331, abs=1e-9)
+        assert r["f"] == pytest.approx(12.0 / 11.0, abs=1e-12)
+        assert r["d"] == pytest.approx(math.sqrt(12.0 / 11.0), abs=1e-12)
+        assert r["dae_sq"] == pytest.approx(540.0 / 143.0, abs=1e-12)
+        assert r["s"] == pytest.approx(3.0 / 11.0, abs=1e-12)
+        assert r["t"] == pytest.approx(5.0 / 11.0, abs=1e-12)
+        assert r["tan_kappa"] == pytest.approx(-1.0 / math.sqrt(15.0), abs=1e-12)
+        assert set(rep["closed_form"]) == set(r) == {
+            "x", "s", "t", "phi", "tan_kappa", "f", "d", "dae_sq", "r"}
+
+    @pytest.mark.parametrize("key", list(curve._RECORD_CLOSED))
+    def test_drift_past_1e_12_is_refused(self, monkeypatch, key):
+        # every computed value is within 4.5e-16 of its closed form, so a 2e-12 shift passes 1e-12
+        monkeypatch.setitem(curve._RECORD_CLOSED, key, curve._RECORD_CLOSED[key] + 2e-12)
+        with pytest.raises(ArithmeticError, match=f"record value {key} drifted"):
+            record()
 
 
 class TestScan:

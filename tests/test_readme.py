@@ -2,8 +2,8 @@
 hold; the README's command lines run; its Layout table names only what exists.
 
 Each statement of a Quick start block runs in order; an expression
-line followed by a comment that opens with a literal (`rep.r_m  # 1.09...`,
-`....verdict  # 'blocked'`) must evaluate to exactly that literal.  Each
+line followed by a comment that opens with a literal (`rep["computed"]["r"]  # 1.09...`,
+`...["verdict"]  # 'blocked'`) must evaluate to exactly that literal.  Each
 `cylpack ...` line of the Command line block must exit 0.  Each module of
 the package has a Layout row, and every backticked name in a row resolves.
 """
@@ -52,11 +52,11 @@ def test_quick_start_values(path):
         else:
             exec(compile(ast.Module([stmt], []), path.name, "exec"), namespace)
     assert checked == [
-        "rep.r_m",
-        "rep.d_m",
+        "rep['computed']['r']",
+        "rep['computed']['d']",
         "sample.f_value",
-        "cylpack.unlock_verdict(3.14159 / 3).verdict",
-        "cylpack.unlock_verdict(2.0).verdict",
+        "cylpack.unlock_verdict(3.14159 / 3)['verdict']",
+        "cylpack.unlock_verdict(2.0)['verdict']",
     ]
 
 

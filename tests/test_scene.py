@@ -161,12 +161,12 @@ class TestSurfaceGap:
         assert min_surface_gap(C6_INITIAL, 1.0) == gaps.min()
 
     def test_record_configuration(self):
-        rep = record()
+        r = record()["computed"]["r"]
         config = build_c6(gamma_point(0.5).params)
-        assert min_surface_gap(config, rep.r_m) >= -1e-6
-        assert abs(min_surface_gap(config, rep.r_m)) <= 1e-12
+        assert min_surface_gap(config, r) >= -1e-6
+        assert abs(min_surface_gap(config, r)) <= 1e-12
         # any thicker and the nearest pairs overlap
-        assert min_surface_gap(config, rep.r_m + 1e-6) < 0.0
+        assert min_surface_gap(config, r + 1e-6) < 0.0
 
 
 class TestSceneObj:

@@ -749,8 +749,9 @@ class TestPerturbationProbe:
 
     def test_generic_chart_is_exceeded(self):
         # at a generic chart a single pair attains the minimum, so about
-        # half of all perturbation directions increase it
-        report = perturbation_probe(random_chart(RNG), 1e-3, 2000, 3)
+        # half of all perturbation directions increase it; the chart has its own generator so
+        # that no earlier test's draws from RNG decide which chart it is
+        report = perturbation_probe(random_chart(np.random.default_rng(94)), 1e-3, 2000, 3)
         assert 0.3 < report["exceed_fraction"] < 0.7
         assert report["max_found"] > report["objective"]
 

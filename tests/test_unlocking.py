@@ -11,7 +11,6 @@ from cylpack.symmetric import D3Params, alg_coords, build_c6, triplets_alg
 from cylpack.unlocking import (
     FourCylSample,
     GeneralParams,
-    UnlockReport,
     alt_strategy_verdict,
     build_c3,
     dists_general,
@@ -157,14 +156,13 @@ class TestSeries:
 class TestUnlockVerdict:
     def test_verdicts(self):
         for alpha in (math.pi / 6, math.pi / 3, 1.5):
-            assert unlock_verdict(alpha).verdict == "unlockable"
-        assert unlock_verdict(math.pi / 2).verdict == "marginal"
+            assert unlock_verdict(alpha)["verdict"] == "unlockable"
+        assert unlock_verdict(math.pi / 2)["verdict"] == "marginal"
         for alpha in (1.6, 2.0, 3.0):
-            assert unlock_verdict(alpha).verdict == "blocked"
+            assert unlock_verdict(alpha)["verdict"] == "blocked"
 
     def test_witness_grows_all_distances(self):
-        report = unlock_verdict(math.pi / 3)
-        w = report.witness
+        w = unlock_verdict(math.pi / 3)["witness"]
         assert w is not None and w["probe_ok"]
         assert w["baseline_dist_sq"] == pytest.approx(1.0, abs=1e-15)
         assert all(v > 1.0 for v in w["probe_dists_sq"])
@@ -175,7 +173,7 @@ class TestUnlockVerdict:
         # the witness direction must have positive order-2 cross terms
         # and an order-0 within-ring gain over the baseline
         for alpha in (0.5, 1.0, 1.5):
-            w = unlock_verdict(alpha).witness
+            w = unlock_verdict(alpha)["witness"]
             out = series_coeffs(alpha, w["phi1"], w["delta1"], 0.0, w["kappa2"])
             assert out["dab_sq_0"] > w["baseline_dist_sq"]
             assert out["dad_sq_2"] > 0
@@ -188,8 +186,8 @@ class TestUnlockVerdict:
             unlock_verdict(math.pi)
 
     def test_marginal_tolerance(self):
-        assert unlock_verdict(math.pi / 2 + 1e-13).verdict == "marginal"
-        assert unlock_verdict(math.pi / 2 - 1e-13).verdict == "marginal"
+        assert unlock_verdict(math.pi / 2 + 1e-13)["verdict"] == "marginal"
+        assert unlock_verdict(math.pi / 2 - 1e-13)["verdict"] == "marginal"
 
 
 class TestAltStrategy:
