@@ -26,7 +26,7 @@ _EXPORTS = {
                "perturbation_probe"),
     "serialize": (),
     "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "alg_coords", "build_c6", "c6_chart",
-                  "d3_orbit_check", "triplets_alg", "triplets_generic", "triplets_trig"),
+                  "d3_orbit_check", "ring_chart", "triplets_alg", "triplets_generic", "triplets_trig"),
     "unlocking": ("FourCylSample", "GeneralParams", "alt_strategy_verdict", "build_c3",
                   "dists_general", "four_cyl_point", "series_coeffs", "taylor_coeffs_numeric",
                   "unlock_verdict"),

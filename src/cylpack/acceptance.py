@@ -21,10 +21,11 @@ from .curve import (
     _RECORD_CLOSED, build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check,
     record, scan_unimodality, u_from_st,
 )
-from .lines import _BLOCK, chart_lines, distance_sq, radius_from_distance
+from .lines import _BLOCK, _charts_dsq, chart_lines, distance_sq, radius_from_distance
 from .search import chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
-    PAIR_ORBITS, D3Params, DegenerateError, _generic_rows, alg_coords, triplets_alg, triplets_trig,
+    PAIR_ORBITS, D3Params, DegenerateError, _generic_rows, alg_coords, ring_chart, triplets_alg,
+    triplets_trig,
 )
 from .unlocking import (
     GeneralParams,
@@ -231,7 +232,7 @@ def check_four_cylinder_rigidity() -> CheckResult:
 
 
 def check_unlock_verdicts() -> CheckResult:
-    """Unlockable below pi/2, marginal at it, blocked above; witness grows."""
+    """Unlockable below pi/2, marginal at it, blocked above; witness grows, and so does its ring."""
     expected = [
         (math.pi / 6, "unlockable"),
         (math.pi / 3, "unlockable"),
@@ -251,13 +252,25 @@ def check_unlock_verdicts() -> CheckResult:
     probe_ok = all(w["probe_ok"] for w in witnesses) and margin > 0.0
     pi3 = witnesses[1]  # the six-cylinder angle
     baseline_one = abs(pi3["baseline_dist_sq"] - 1.0) <= 1e-15
+    margins, errors = [], []  # each whole ring's smallest d^2 less the baseline, and off the subfamily's
+    for n in range(3, 9):
+        w = unlock_verdict(math.pi / n)["witness"]
+        t = w["probe_t"]
+        rows = np.array(ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t))
+        # every pair as a two-line chart in one kernel call, which caches no index for 2n lines
+        dsq = float(_charts_dsq(rows[list(combinations(range(2 * n), 2))]).min())
+        margins.append(dsq - w["baseline_dist_sq"])
+        errors.append(abs(dsq - min(w["probe_dists_sq"])) / dsq)
+    ring_ok = min(margins) > 0.0 and max(errors) <= 1e-12
     return CheckResult(
         "unlock-verdicts",
-        verdict_ok and probe_ok and baseline_one,
+        verdict_ok and probe_ok and baseline_one and ring_ok,
         f"verdicts {[(round(a, 6), v) for a, v in verdicts]}: {verdict_ok}; "
         f"witnesses at t = 1e-2 for pi/6, pi/3, 1.5 have every squared distance "
         f"above its baseline, smallest margin {margin:.3g}: {probe_ok}; pi/3 distances "
-        f"{tuple(round(d, 9) for d in pi3['probe_dists_sq'])}, baseline 1: {baseline_one}",
+        f"{tuple(round(d, 9) for d in pi3['probe_dists_sq'])}, baseline 1: {baseline_one}; whole "
+        f"rings of 2n = 6..16 lines at the witnesses for n = 3..8: smallest d^2 above "
+        f"4 sin^2(pi/2n) by at least {min(margins):.3g} and within 1e-12 of the subfamily's: {ring_ok}",
     )
 
 

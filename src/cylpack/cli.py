@@ -46,9 +46,9 @@ def _source(text: str) -> FreeConfig | Configuration:
     """Resolve a configuration source written as a flag value.
 
     ``record``, ``c6`` (the untilted configuration), ``curve:<x>`` for a
-    trajectory point and a ``file:<path>`` JSON document of 18 chart
-    ``coords`` give a chart; a ``file:`` document of ``lines`` gives its
-    Configuration, read by config_from_dict.
+    trajectory point and a ``file:<path>`` JSON document of 3n chart
+    ``coords`` (n >= 2 lines) give a chart; a ``file:`` document of
+    ``lines`` gives its Configuration, read by config_from_dict.
     """
     if text == "record":
         return chart_record()
@@ -68,7 +68,7 @@ def _source(text: str) -> FreeConfig | Configuration:
 
 
 def _chart_from_source(text: str) -> FreeConfig:
-    """The chart of a source; a lines document must hold six lines off the poles."""
+    """The chart of a source; a lines document may hold any number of lines, none at a pole."""
     source = _source(text)
     return chart_from_configuration(source) if isinstance(source, Configuration) else source
 
@@ -280,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximin search over free configurations")
     p.add_argument("--starts", type=int, help="multi-start count (default 32); not with --from")
     p.add_argument("--seed", type=int, help="seed of the blind starts (default 0); not with --from")
-    p.add_argument(
-        "--budget", type=int, default=200000, help="charts measured per start, 16 a step"
-    )
+    p.add_argument("--budget", type=int, default=200000,
+                   help="charts measured per start, 3n - 2 a step for n lines, 16 for six")
     p.add_argument(
         "--from", dest="from_source", metavar="SOURCE",
         help=f"polish one seed instead ({_SOURCES})",

@@ -1,11 +1,12 @@
-"""SQP maximin search over free six-line configurations.
+"""SQP maximin search over free configurations of n >= 2 lines.
 
-A free configuration is six tangent lines with no imposed symmetry, charted by 18 coordinates,
-(latitude, longitude, tangent angle) per line.  Its smallest pairwise line distance, a nonsmooth
-function, is maximized as max t subject to d^2_ij >= t by sequential quadratic programming over
-the 15 coordinates of lines 1-5 (_sqp), each step's QP solved in numpy without LAPACK (_dual_qp),
-the starts of a search in lockstep (_lockstep).  A chart is any 18 finite numbers: latitudes run
-unbounded as longitudes and angles do, and a start returns the chart it walked to.  Seeds are
+A free configuration is n tangent lines with no imposed symmetry, charted by 3n coordinates,
+(latitude, longitude, tangent angle) per line; each function reads n from its chart.  Its smallest
+pairwise line distance, a nonsmooth function, is maximized as max t subject to d^2_ij >= t by
+sequential quadratic programming over the 3n - 3 coordinates of lines 1 to n - 1 (_sqp), each
+step's QP solved in numpy without LAPACK (_dual_qp), the starts of a search in lockstep
+(_lockstep).  A chart is any 3n finite numbers: latitudes run unbounded as longitudes and angles
+do, and a start returns the chart it walked to.  multi_start searches six-line charts.  Seeds are
 measured by _dsq_slopes in the SQP's first round; the perturbation probe measures its trials by
 _charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
 """
@@ -15,16 +16,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .lines import (Configuration, _BLOCK, _charts_dsq, _count, _dsq_slopes, _positive_finite,
+from .lines import (Configuration, _BLOCK, _charts_dsq, _count, _dsq_slopes, _frozen, _positive_finite,
                     chart_lines, chart_rows, min_pairwise_distance, radius_from_distance)
 from .symmetric import D3Params, c6_chart
 from .curve import build_curve_point
-
-N_LINES = 6
-N_COORDS = 3 * N_LINES
 
 # trust-radius schedule: the first radius and the one that stops a search
 _STEP0, _STEP_MIN = 0.1, 1e-9
@@ -32,15 +31,14 @@ _STEP0, _STEP_MIN = 0.1, 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FreeConfig:
-    """Chart of six tangent lines: 18 finite coordinates, three per line in
-    the order (latitude, longitude, tangent angle), at any latitude."""
+    """Chart of n >= 2 tangent lines: 3n finite coordinates, (latitude, longitude, tangent angle) per line."""
 
     coords: np.ndarray
 
     def __post_init__(self):
         coords = np.array(self.coords, dtype=float).reshape(-1)
-        if coords.shape != (N_COORDS,):
-            raise ValueError(f"chart needs {N_COORDS} coordinates")
+        if len(coords) % 3 or len(coords) < 6:
+            raise ValueError(f"chart needs 3n coordinates for n >= 2 lines: {len(coords)}")
         if not np.all(np.isfinite(coords)):
             raise ValueError("chart coordinates must be finite")
         coords.flags.writeable = False
@@ -48,8 +46,8 @@ class FreeConfig:
 
 
 def config_lines(c: FreeConfig) -> Configuration:
-    """Build the six tangent lines of a chart."""
-    return chart_lines(c.coords.reshape(N_LINES, 3))
+    """Build the tangent lines of a chart."""
+    return chart_lines(c.coords.reshape(-1, 3))
 
 
 def chart_c6(p: D3Params) -> FreeConfig:
@@ -69,10 +67,8 @@ def chart_record() -> FreeConfig:
 
 
 def chart_from_configuration(c: Configuration) -> FreeConfig:
-    """Recover a chart from six built tangent lines, inverting config_lines; rejects lines
+    """Recover a chart from built tangent lines, inverting config_lines; rejects lines
     based at a pole, where the chart has no angle coordinate."""
-    if len(c) != N_LINES:
-        raise ValueError(f"chart covers configurations of {N_LINES} lines")
     return FreeConfig(chart_rows(c))
 
 
@@ -98,18 +94,18 @@ class OptResult:
     start_stop: tuple
 
 
-# the Jacobian's forward-difference step; charts a step measures, the point and one moved
-# copy per free coordinate; and the cap on steps: uncapped, a tenth of 80 bench-drawn blind
-# starts ran past 370 steps and one to 3368, while the median (142) did not move
+# the Jacobian's forward-difference step; and the cap on steps: uncapped, a tenth of 80
+# bench-drawn blind starts ran past 370 steps and one to 3368, while the median (142) did not move
 _H = 1e-7
-_CHARTS_PER_STEP = 1 + N_COORDS - 3
 _MAX_STEPS = 300
-# an entering pivot at or below this fraction of its diagonal entry counts as singular; the
-# dual QP's tableau [0 | I | 1 | 1] for the pairs, before Q + rho and -f fill it
+# an entering pivot at or below this fraction of its diagonal entry counts as singular
 _PIVOT = 1e-12
-_PAIRS = N_LINES * (N_LINES - 1) // 2
-_TABLEAU = np.hstack((np.zeros((_PAIRS, _PAIRS)), np.eye(_PAIRS), np.ones((_PAIRS, 2))))
-_TABLEAU.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _tableau(pairs: int) -> np.ndarray:
+    """The dual QP's tableau [0 | I | 1 | 1] for the pairs, before Q + rho and -f fill it."""
+    return _frozen(np.hstack((np.zeros((pairs, pairs)), np.eye(pairs), np.ones((pairs, 2)))))
 
 
 def _pivot(t: np.ndarray, r: int, c: int, floor: float = 0.0) -> bool:
@@ -134,7 +130,7 @@ def _dual_qp(q: np.ndarray, f: np.ndarray, z: np.ndarray, free: list) -> None:
     is refined once, as Gauss-Jordan leaves residuals near cond(A) times rounding.  No LAPACK."""
     n, diag = len(f), q.diagonal().tolist()
     rho = sum(diag) / n
-    t = _TABLEAU.copy()
+    t = _tableau(n).copy()
     np.add(q, rho, out=t[:, :n])
     np.negative(f, out=t[:, -1])
     floor = [_PIVOT * (d + rho) for d in diag]
@@ -175,10 +171,11 @@ def _dual_qp(q: np.ndarray, f: np.ndarray, z: np.ndarray, free: list) -> None:
 
 
 def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
-    """SQP ascent of max t subject to d^2_ij(x) >= t over the coordinates of lines 1-5 (Nocedal &
-    Wright, Numerical Optimization, ch. 18); line 0 stays, fixing the rotations.  A generator: it
-    yields each chart to measure, takes back _dsq_slopes' values for it, and returns the final chart,
-    trace, charts measured and stop reason.  Each step solves the QP's dual (_dual_qp), Q = G H G^T
+    """SQP ascent of max t subject to d^2_ij(x) >= t over the coordinates of lines 1 to n - 1
+    (Nocedal & Wright, Numerical Optimization, ch. 18); line 0 stays, fixing the rotations.  A
+    generator: it yields each chart to measure, takes back _dsq_slopes' values for it, and returns
+    the final chart, trace, charts measured (len(x0) - 2 a step: the point and one moved copy per
+    free coordinate) and stop reason.  Each step solves the QP's dual (_dual_qp), Q = G H G^T
     for the Jacobian G and H the BFGS inverse Hessian of the Lagrangian, for p = H G^T lam, capped
     in max-norm by the trust radius; the trial is accepted only if its min d^2 strictly rises.  An
     accepted step doubles the radius from |p| (to at most 1 when p hit it), a rejected one halves
@@ -187,11 +184,11 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
     f, g = yield x
     n, fmin = len(f), float(f.min())
     trace = array("d", (0, math.sqrt(fmin)))  # (step, objective) pairs, flat
-    h = np.eye(N_COORDS - 3)
+    h, per_step = np.eye(len(x) - 3), len(x) - 2
     q, z = np.empty((n, n)), np.zeros(n + 1)
     lam, free = z[:n], [int(f.argmin())]
     lam[free] = 1.0
-    radius, evals, steps = float(step0), _CHARTS_PER_STEP, 0
+    radius, evals, steps = float(step0), per_step, 0
     full = None  # the QP step at x, kept while trials from x are rejected
     while True:
         stop = "step" if not radius >= step_min else "budget" if evals >= budget else (
@@ -207,7 +204,7 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
         trial = x.copy()
         trial[3:] += full * (radius / size) if size > radius else full
         f_new, g_new = yield trial
-        evals, steps = evals + _CHARTS_PER_STEP, steps + 1
+        evals, steps = evals + per_step, steps + 1
         step, new_min = min(size, radius), float(f_new.min())
         if not new_min > fmin:
             radius = step / 2
@@ -232,7 +229,7 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
     runs = [_sqp(seed.coords, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
-        f, g = _dsq_slopes(np.reshape(charts, (-1, N_LINES, 3)), _H)
+        f, g = _dsq_slopes(np.reshape(charts, (len(charts), -1, 3)), _H)
         going, charts = [], []
         for j, i in enumerate(live):
             try:  # copies, so that no start holds a whole round's arrays
@@ -251,7 +248,7 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
 def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_min: float = _STEP_MIN,
                    rng_seed: int = 0) -> OptResult:
     """SQP ascent from one seed chart (_sqp): step0 is the first trust radius and step_min the
-    smallest; budget counts charts measured, _CHARTS_PER_STEP a step, and the last step may overrun
+    smallest; budget counts charts measured, 3n - 2 a step for n lines, and the last step may overrun
     it.  best is the chart the walk ended at, and d_best = objective(best) is the trace's last
     value, at least objective(seed), since a step is taken only if min d^2 strictly rises.
     rng_seed is unchecked and unread, as the solver draws no random numbers; bench/workloads.py
@@ -263,17 +260,18 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
-    """Independent SQP ascents in lockstep (_lockstep), merged to the best result.  The first
-    three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5; start i >= 3 jitters the
-    initial configuration's chart with Gaussian noise of spread 0.2 from default_rng([i, rng_seed]),
-    rng_seed an integer >= 0: any prefix of starts is reproducible, and no two seeds share a blind
-    start.  Ties go to the lower start; evals is the total; the trace and stop reason are the winner's."""
+    """Independent SQP ascents of six-line charts in lockstep (_lockstep), merged to the best
+    result.  The first three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5; start
+    i >= 3 jitters the initial configuration's chart with Gaussian noise of spread 0.2 from
+    default_rng([i, rng_seed]), rng_seed an integer >= 0: any prefix of starts is reproducible, and
+    no two seeds share a blind start.  Ties go to the lower start; evals is the total; the trace and
+    stop reason are the winner's."""
     n_starts = _count("n_starts", n_starts, 1)
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
     seeds = [chart_curve(x) for x in (0.9, 0.7, 0.5)[:n_starts]] + [
-        FreeConfig(base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(N_COORDS))
+        FreeConfig(base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base)))
         for i in range(3, n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 
@@ -293,8 +291,8 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     f0 = objective(c)
     best, exceed = -np.inf, 0
     for lo in range(0, trials, _BLOCK):
-        cand = c.coords + rng.uniform(-radius, radius, (min(_BLOCK, trials - lo), N_COORDS))
-        values = np.sqrt(_charts_dsq(cand.reshape(-1, N_LINES, 3)).min(axis=0))
+        cand = c.coords + rng.uniform(-radius, radius, (min(_BLOCK, trials - lo), len(c.coords)))
+        values = np.sqrt(_charts_dsq(cand.reshape(len(cand), -1, 3)).min(axis=0))
         best = np.maximum(best, values.max())  # carries a NaN through, as max() does
         exceed += int(np.count_nonzero(values > f0))
     return {"objective": f0, "radius": float(radius), "trials": trials, "rng_seed": rng_seed,

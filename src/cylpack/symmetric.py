@@ -1,20 +1,20 @@
 """The mirror-symmetric six-line family and its closed distance forms.
 
-Six tangent lines in two latitude triples: the upper triple rides at
-latitude phi with longitudes pi/6, 5pi/6, 3pi/2 advanced by kappa, the
-lower triple at -phi with longitudes pi/2, 7pi/6, 11pi/6 retarded by
-kappa, and every tangent is tilted off its meridian by the same angle
-delta.  The family is invariant under the 120-degree rotation about the
-z-axis and the half-turn about the x-axis, so the 15 pairwise distances
-collapse to four orbit values: d_AB (within a triple), d_AD and d_BD
-(between neighboring lines of opposite triples), and d_AE (the remaining
-cross pairs).
+Six tangent lines, ring_chart's ring at n = 3: an upper triple at latitude
+phi, longitudes pi/6, 5pi/6, 3pi/2 advanced by kappa, a lower triple at -phi,
+longitudes pi/2, 7pi/6, 11pi/6 retarded by kappa, every tangent tilted off
+its meridian by the same angle delta.  The family is invariant under the
+120-degree rotation about the z-axis and the half-turn about the x-axis, so
+the 15 pairwise distances collapse to four orbit values: d_AB (within a
+triple), d_AD and d_BD (between neighboring lines of opposite triples), and
+d_AE (the remaining cross pairs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,15 +23,12 @@ from .lines import (
     DegenerateError,
     _cached,
     _charts_dsq,
+    _count,
     _finite_fields,
     chart_lines,
 )
 
 SQRT3 = math.sqrt(3.0)
-
-# the ring's longitudes as twelfths of a turn, m * 2pi / 12: slots 1, 5, 9 above, 3, 7, 11 below
-_UPPER_LON = tuple(m * (2 * math.pi) / 12 for m in (1, 5, 9))
-_LOWER_LON = tuple(m * (2 * math.pi) / 12 for m in (3, 7, 11))
 
 # pair index orbits under the symmetry group, lines ordered A..F = 0..5
 PAIR_ORBITS = {
@@ -91,16 +88,24 @@ class D3Params:
         return chart_lines(c6_chart(self))
 
 
-def c6_chart(p: D3Params) -> tuple:
-    """Per-line (latitude, longitude, tangent angle) triples, order A..F.
+@lru_cache(maxsize=None, typed=True)
+def _ring_lons(n: int) -> tuple:
+    """The 2n-line ring's longitudes m * 2pi / 4n for odd m: m = 1, 5, 9, ... above, 3, 7, ... below."""
+    lons = [m * (2 * math.pi) / (4 * n) for m in range(1, 4 * _count("n", n, 2), 2)]
+    return lons[::2], lons[1::2]
 
-    The tangent angle is the one chart_lines takes, whose positive
-    sense is toward increasing longitude; the family's delta tilts the
-    other way, hence -delta for all six lines.
-    """
-    upper = [(p.phi, lon + p.kappa, -p.delta) for lon in _UPPER_LON]
-    lower = [(-p.phi, lon - p.kappa, -p.delta) for lon in _LOWER_LON]
-    return tuple(upper + lower)
+
+def ring_chart(n: int, phi: float, delta: float, kappa: float) -> tuple:
+    """Per-line (latitude, longitude, tangent angle) of the 2n-line ring of neighbor angle pi/n,
+    n >= 2, upper lines first: n at latitude phi advanced by kappa, n at -phi retarded by kappa.
+    Each angle is -delta, as chart_lines' angle is positive toward increasing longitude."""
+    upper, lower = _ring_lons(n)
+    return tuple([(phi, lon + kappa, -delta) for lon in upper] + [(-phi, lon - kappa, -delta) for lon in lower])
+
+
+def c6_chart(p: D3Params) -> tuple:
+    """Per-line (latitude, longitude, tangent angle) triples, order A..F: the ring of n = 3."""
+    return ring_chart(3, p.phi, p.delta, p.kappa)
 
 
 def build_c6(p: D3Params) -> Configuration:

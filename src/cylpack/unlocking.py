@@ -223,7 +223,6 @@ def alt_strategy_verdict(alpha: float) -> dict:
     sh = math.sin(alpha / 2)
     baseline = 4.0 * sh * sh
     return {
-        "alpha": alpha,
         "verdict": "blocked",
         "forcing_chain": (
             "order 0 of d_AD^2 is 4 sin^2(alpha/2) phi1^2/(phi1^2 + delta1^2),"

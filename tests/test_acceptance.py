@@ -189,6 +189,21 @@ def test_unlock_verdicts_fails_on_any_bad_witness(monkeypatch, alpha, broken):
     assert not acceptance.check_unlock_verdicts().passed
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_unlock_verdicts_fails_on_a_ring_with_one_longitude_moved(monkeypatch, n):
+    real = acceptance.ring_chart
+
+    def moved(m, phi, delta, kappa):
+        rows = [list(row) for row in real(m, phi, delta, kappa)]
+        if m == n:
+            rows[0][1] += 1e-6
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(acceptance, "ring_chart", moved)
+    result = acceptance.check_unlock_verdicts()
+    assert not result.passed and result.details.endswith(": False")
+
+
 def test_curve_membership_fails_on_a_wrong_u(monkeypatch):
     real = acceptance.u_from_st
     monkeypatch.setattr(acceptance, "u_from_st", lambda s2, t2, st: real(s2, t2, st) + 1e-8)
@@ -223,7 +238,7 @@ def _seed_returning_solver(x0, budget, step0, step_min):
     """A solver that measures its seed chart and returns it unchanged, as _sqp does its end."""
     x = np.array(x0, dtype=float)
     f, _ = yield x
-    return x, [0, math.sqrt(f.min())], search._CHARTS_PER_STEP, "step"  # the trace, flat
+    return x, [0, math.sqrt(f.min())], 16, "step"  # the trace, flat; 16 charts a six-line step
 
 
 def test_cross_check_fails_when_the_solver_returns_its_seed(monkeypatch, capsys):

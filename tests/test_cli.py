@@ -34,8 +34,8 @@ D_RECORD = math.sqrt(12.0 / 11.0)
 R_RECORD = (3.0 + math.sqrt(33.0)) / 8.0
 
 # lines documents no six-line chart covers: four vertical lines a quarter turn
-# apart (pairwise sqrt(2), radius 1 + sqrt(2)), and the record with its last
-# line moved to the north pole
+# apart (pairwise sqrt(2), radius 1 + sqrt(2)), which a four-line chart does, and
+# the record with its last line moved to the north pole, which no chart does
 FOUR_VERTICALS = {"lines": [
     {"base": base, "dir": [0.0, 0.0, 1.0]}
     for base in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0])
@@ -426,6 +426,16 @@ class TestExportScene:
         if doc is FOUR_VERTICALS:
             assert out["radius"] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 
+    def test_four_line_document_is_charted(self, capsys, tmp_path):
+        # optimize --from and probe --at chart its four lines; 10 charts a step, 3n - 2
+        doc_path = tmp_path / "lines.json"
+        doc_path.write_text(json.dumps(FOUR_VERTICALS))
+        rc, out = run_json(capsys, "optimize", "--from", f"file:{doc_path}")
+        assert (rc, out["evals"], out["stop"], len(out["coords"])) == (0, 70, "step", 12)
+        assert out["d_best"] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        rc, out = run_json(capsys, "probe", "--at", f"file:{doc_path}", "--trials", "100")
+        assert rc == 0 and out["objective"] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
     def test_document_with_both_keys_refused(self, capsys, tmp_path):
         doc = lines_document(config_lines(chart_record()))
         doc["coords"] = [float(c) for c in chart_record().coords]
@@ -593,8 +603,9 @@ class TestDirectErrors:
 # sha256 of the stdout, and the exit code, of each command, taken before the writers were cut
 # down to builtin values (the optimize and report-all ones since the SQP search replaced the
 # pattern search, the optimize --from ones since their documents dropped the unread seed, the
-# report-all ones since latitudes crossed the poles and since record-values bounded r by 1e-14,
-# optimize --from c6 since -0.0 kept its sign);
+# report-all ones since latitudes crossed the poles, since record-values bounded r by 1e-14 and
+# since unlock-verdicts built the whole rings, optimize --from c6 since -0.0 kept its sign, the
+# unlock-check ones since alternate_strategy dropped its copy of alpha);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
     (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
@@ -614,18 +625,18 @@ GOLDEN = [
      "cf4741c30ebfff88b49052d79c97a5fabcc7c8a33174be0ad2935c9960dde1ad"),
     (["probe", "--at", "record"], "55d1d458c526418de7c292fed445adb7f6b19cac4b2eab52d1cf74c89a6e67df"),
     (["probe", "--at", "curve:0.3"], "2fb1bee2c48ab3d136016f4c1a8889210d114570e98c2bce4c3c31c6041b6131"),
-    (["unlock-check", "--n", "3"], "ec22cb443bb04962141a6c3d0c4c4df56a0ca08e49c4c1a48b5065e9603e8a1c"),
-    (["unlock-check", "--n", "2"], "235f594e9be7463d49cab102e32a874e1388cbe88a378d7fcdf12639497e9902"),
+    (["unlock-check", "--n", "3"], "e66c521e4044d0b5ad78fbb01019776bb6d8e685fd9569f928ff42c18b9ceac5"),
+    (["unlock-check", "--n", "2"], "1788b3f6003b02166b7fcf34ecdf113a2b89a595e12224bfe315b2c4c86e7cfe"),
     (["unlock-check", "--alpha", "1.6"],
-     "f785b4ef8626744cd7d680f0fe937beca0b9fb1bac6a2755ad9435bb5cdfcbfe"),
+     "abf051699027b7369921d0a42e0420487187967249fe2853f43910b9c4a8cd0e"),
     (["unlock-check", "--alpha", "40", "--degrees"],
-     "c064d85f04d66ad588ac6af72515986529a235f191bb4e502410d1aebef558a8"),
+     "05292055eff7a50cf8f648a860f76a34f329425857ae37ca695ddfb715ede6c1"),
     (["four-cyl"], "44033c16ccf5b0cd187342356033026d6cad0a54693b45ab5c9512e6c5e1d6b8"),
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
      "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
-    (["report-all", "--json"], "a767cc4fe58c8e2c9c7d9930c44b81b8dcb2f53790eb199a0c97e69a8bab480d"),
-    (["report-all"], "5dbb95a2b71202cb5fa8a9acafdfe726a9f9dc1e5333571454036974981b7b85"),
+    (["report-all", "--json"], "520468e61acea9fa61057fba4e8c00324113e99a7727bf77d7904e271cbc999e"),
+    (["report-all"], "5bebd3b0e269fa4510c80a1ce8d86aa356bc3edd99cead80c3a3620a6b183fb1"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 

@@ -10,9 +10,10 @@ name anywhere in those files; a class member only by an attribute
 (`x.name`), since a bare name of the same spelling is some other binding.
 The guard parses the files and imports nothing.
 
-A second guard keeps the pair kernel's one table layout in one module:
-_pair_kernel, _frame_xyz, _frame_table, _take_index, _chart_index and
-_slope_index are named only in lines.py.
+A second guard keeps each layout in one module: the pair kernel's table
+(_pair_kernel, _frame_xyz, _frame_table, _take_index, _chart_index and
+_slope_index) is named only in lines.py, the ring's longitudes (_ring_lons)
+only in symmetric.py, and the dual QP's tableau (_tableau) only in search.py.
 A third finds shadowed definitions: no module or class body of src/ or
 tests/ defines a name twice by def or class, where the second silently
 replaces the first (a test defined twice runs once).
@@ -20,6 +21,8 @@ replaces the first (a test defined twice runs once).
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cylpack"
@@ -103,36 +106,35 @@ def test_a_property_only_a_bare_name_spells_is_flagged(tmp_path):
     assert unreferenced(package) == ["serialize.Extra.spare"]
 
 
-KERNEL_NAMES = {"_pair_kernel", "_frame_xyz", "_frame_table", "_take_index", "_chart_index",
-                "_slope_index"}
-# the modules that may name them
-KERNEL_HOMES = {"lines"}
+# each layout name and the one module that may name it
+LAYOUT_HOMES = {**dict.fromkeys(["_pair_kernel", "_frame_xyz", "_frame_table", "_take_index",
+                                 "_chart_index", "_slope_index"], "lines"),
+                "_ring_lons": "symmetric", "_tableau": "search"}
 
 
-def kernel_references(package=sorted(PACKAGE.glob("*.py"))):
-    """(module, name) of every naming of a kernel name outside its homes, imports included."""
+def layout_references(package=sorted(PACKAGE.glob("*.py"))):
+    """(module, name) of every naming of a layout name outside its home, imports included."""
     found = []
     for path in package:
-        if path.stem in KERNEL_HOMES:
-            continue
+        names = {name for name, home in LAYOUT_HOMES.items() if home != path.stem}
         tree = ast.parse(path.read_text(), str(path))
         found += [(path.stem, alias.name) for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) for alias in node.names
-                  if alias.name in KERNEL_NAMES]
-        found += [(path.stem, name) for name, _, _ in _references(tree) if name in KERNEL_NAMES]
+                  if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name in names]
+        found += [(path.stem, name) for name, _, _ in _references(tree) if name in names]
     return found
 
 
-def test_only_lines_builds_kernel_tables():
-    assert kernel_references() == []
+def test_each_layout_is_named_only_in_its_home():
+    assert layout_references() == []
 
 
-def test_a_kernel_call_outside_its_homes_is_flagged(tmp_path):
+@pytest.mark.parametrize("home, name", [("lines", "_pair_kernel"), ("symmetric", "_ring_lons")])
+def test_a_layout_call_outside_its_home_is_flagged(tmp_path, home, name):
     # the import and the call, each inside whatever definition names it
-    package = _with_extra(tmp_path, "\n\nfrom .lines import _pair_kernel\n\n\n"
+    package = _with_extra(tmp_path, f"\n\nfrom .{home} import {name}\n\n\n"
                                     "def _dual_qp(table, index):\n"
-                                    "    return _pair_kernel(table, index)\n")
-    assert kernel_references(package) == [("serialize", "_pair_kernel")] * 2
+                                    f"    return {name}(table, index)\n")
+    assert layout_references(package) == [("serialize", name)] * 2
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

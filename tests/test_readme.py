@@ -1,5 +1,6 @@
 """The Quick starts of README.md and PAPER.md run, and their annotated values
-hold; the README's command lines run; its Layout table names only what exists.
+hold; PAPER.md's Install and Quick start sections are README's, byte for byte;
+the README's command lines run; its Layout table names only what exists.
 
 Each statement of a Quick start block runs in order; an expression
 line followed by a comment that opens with a literal (`rep["computed"]["r"]  # 1.09...`,
@@ -58,6 +59,18 @@ def test_quick_start_values(path):
         "cylpack.unlock_verdict(3.14159 / 3)['verdict']",
         "cylpack.unlock_verdict(2.0)['verdict']",
     ]
+
+
+def _section(heading: str, path: Path) -> str:
+    """The text of a section, from its heading to the next one."""
+    text = path.read_text()
+    start = text.index(f"\n{heading}\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+@pytest.mark.parametrize("heading", ["## Install", "## Quick start"])
+def test_paper_repeats_readme_sections(heading):
+    assert _section(heading, PAPER) == _section(heading, README)
 
 
 def test_command_lines_exit_zero(tmp_path):

@@ -1,4 +1,4 @@
-"""SQP maximin search over free six-line charts."""
+"""SQP maximin search over free charts, of six lines and of any other count."""
 
 import hashlib
 import math
@@ -38,7 +38,8 @@ from cylpack.search import (
     perturbation_probe,
 )
 from cylpack import acceptance, search
-from cylpack.symmetric import D3Params, build_c6
+from cylpack.symmetric import D3Params, build_c6, ring_chart
+from cylpack.unlocking import unlock_verdict
 from helpers import batched_dsq, same_line
 
 RNG = np.random.default_rng(94)
@@ -80,8 +81,9 @@ def wide_examples(test):
 
 class TestFreeConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FreeConfig(np.zeros(17))
+        for size in (3, 17):  # one line; not three numbers a line
+            with pytest.raises(ValueError, match=f"^chart needs 3n coordinates for n >= 2 lines: {size}$"):
+                FreeConfig(np.zeros(size))
         with pytest.raises(ValueError):
             FreeConfig(np.full(18, math.nan))
         with pytest.raises(ValueError):
@@ -95,6 +97,9 @@ class TestFreeConfig:
     def test_accepts_6x3(self):
         c = FreeConfig(np.zeros((6, 3)))
         assert c.coords.shape == (18,)
+
+    def test_accepts_four_lines(self):
+        assert FreeConfig(np.zeros(12)).coords.shape == (12,)
 
 
 class TestCharts:
@@ -499,7 +504,7 @@ class TestLocalMaximize:
     def test_budget_stop(self):
         # the seed's step, then six more reach 100 charts
         r = local_maximize(random_chart(np.random.default_rng(3)), 100)
-        assert (r.stop, r.evals) == ("budget", 7 * search._CHARTS_PER_STEP)
+        assert (r.stop, r.evals) == ("budget", 7 * 16)
 
     def test_step_min_stop(self):
         seed = random_chart(np.random.default_rng(3))
@@ -510,7 +515,7 @@ class TestLocalMaximize:
     def test_step_cap_stop(self, monkeypatch):
         monkeypatch.setattr(search, "_MAX_STEPS", 3)
         r = local_maximize(random_chart(np.random.default_rng(3)), 200000)
-        assert (r.stop, r.evals) == ("steps", 4 * search._CHARTS_PER_STEP)
+        assert (r.stop, r.evals) == ("steps", 4 * 16)
 
     def test_deterministic(self):
         # and rng_seed changes nothing: the solver draws no random numbers
@@ -557,6 +562,36 @@ class TestLocalMaximize:
         assert abs(r.d_best - D_RECORD) <= 1e-9
 
 
+def witness_ring(n):
+    """The chart of the 2n-line ring at unlock_verdict(pi/n)'s witness, at its probe t."""
+    w = unlock_verdict(math.pi / n)["witness"]
+    t = w["probe_t"]
+    return FreeConfig(ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t))
+
+
+class TestOtherLineCounts:
+    def test_six_line_witness_ring_reaches_the_record(self):
+        r = local_maximize(witness_ring(3), 200000)
+        assert (r.d_best, r.evals, r.stop) == (1.0444659357319257, 2880, "step")
+        assert abs(r.d_best - D_RECORD) <= 1e-9
+
+    def test_eight_line_witness_ring_grows(self):
+        # 3n - 2 = 22 charts a step for n = 8 lines
+        r = local_maximize(witness_ring(4), 200000)
+        assert (r.d_best, r.evals, r.stop) == (0.7834775485446147, 2618, "step")
+        assert r.d_best > 2 * math.sin(math.pi / 8) and r.evals % 22 == 0
+        assert r.best.coords.shape == (24,) and r.d_best == objective(r.best)
+
+    def test_probe_reads_its_chart_size(self):
+        # its 24-number draws, each trial measured alone
+        ring = witness_ring(4)
+        report = perturbation_probe(ring, 1e-3, 50, 7)
+        draws = ring.coords + np.random.default_rng(7).uniform(-1e-3, 1e-3, (50, 24))
+        values = [objective(FreeConfig(row)) for row in draws]
+        assert report["objective"] == objective(ring) and report["max_found"] == max(values)
+        assert report["exceed_fraction"] == sum(v > objective(ring) for v in values) / 50
+
+
 class TestMultiStart:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(1, 6), st.integers(0, 2**16), st.integers(1, 3000))
@@ -583,7 +618,7 @@ class TestMultiStart:
         monkeypatch.setattr(search, "_dsq_slopes", lambda rows, h: sizes.append(len(rows)) or slopes(rows, h))
         r = multi_start(5, 0, 20000)
         assert [sizes.count(k) for k in (5, 4, 3, 2, 1)] == [7, 26, 13, 77, 60]
-        assert sizes == sorted(sizes, reverse=True) and sum(sizes) * search._CHARTS_PER_STEP == r.evals
+        assert sizes == sorted(sizes, reverse=True) and sum(sizes) * 16 == r.evals
         assert r.start_stop == ("step",) * 5
 
     def test_cross_check_run_pinned(self):

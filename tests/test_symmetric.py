@@ -33,6 +33,7 @@ from cylpack.symmetric import (
     alg_coords,
     build_c6,
     c6_chart,
+    ring_chart,
     d3_orbit_check,
     triplets_alg,
     triplets_generic,
@@ -66,6 +67,23 @@ class TestBuild:
         for line, lon in zip(c, lons):
             assert np.allclose(line.base, [math.cos(lon), math.sin(lon), 0.0], atol=1e-15)
             assert abs(abs(float(line.dir[2])) - 1.0) < 1e-15  # vertical
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_ring_layout(self, n):
+        # upper lines first, then lower; around the equator the lines alternate, pi/n apart, so
+        # the untilted ring's neighbors are its closest pairs, vertical lines 2 sin(pi/2n) apart
+        rows = ring_chart(n, 0.1, 0.0, 0.0)
+        assert [row[0] for row in rows] == [0.1] * n + [-0.1] * n
+        lons = [row[1] for row in rows]
+        assert sorted(lons) == [lons[k // 2 + n * (k % 2)] for k in range(2 * n)]
+        assert lons[0] == math.pi / (2 * n) and np.allclose(np.diff(sorted(lons)), math.pi / n, atol=1e-14)
+        d = min_pairwise_distance(chart_lines(ring_chart(n, 0.0, 0.0, 0.0)))
+        assert d == pytest.approx(2 * math.sin(math.pi / (2 * n)), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3.0, "3"])
+    def test_ring_needs_an_integer_n_from_two(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            ring_chart(n, 0.0, 0.0, 0.0)
 
     def test_chart_matches_build(self):
         p = random_params(RNG)
