@@ -21,9 +21,9 @@ _EXPORTS = {
     "lines": ("Configuration", "DegenerateError", "PARALLEL_TOL", "SphericalPoint", "TangentLine",
               "distance_sq", "make_tangent_line", "min_pairwise_distance", "radius_from_distance"),
     "scene": ("SceneSpec", "min_surface_gap", "scene_obj"),
-    "search": ("FreeConfig", "OptResult", "chart_c6", "chart_curve", "chart_from_configuration",
-               "chart_record", "config_lines", "local_maximize", "multi_start", "objective",
-               "perturbation_probe"),
+    "search": ("FreeConfig", "OptResult", "certify", "chart_c6", "chart_curve",
+               "chart_from_configuration", "chart_record", "config_lines", "local_maximize",
+               "multi_start", "objective", "perturbation_probe"),
     "serialize": (),
     "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "alg_coords", "build_c6", "c6_chart",
                   "d3_orbit_check", "ring_chart", "triplets_alg", "triplets_generic", "triplets_trig"),

@@ -216,7 +216,7 @@ def _take_index(i, j, n: int) -> np.ndarray:
                              for at, comps in operands]))  # Python ints: no integer ufunc is mapped in
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _chart_index(n: int) -> np.ndarray:
     """_take_index of n lines' pairs i < j, in row-major order."""
     return _take_index(*np.triu_indices(n, 1), n)
@@ -351,7 +351,7 @@ def _charts_dsq(block: np.ndarray) -> np.ndarray:
     return _pair_kernel(table, _chart_index(block.shape[1]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _slope_index(n: int) -> tuple:
     """_dsq_slopes' tables for n lines, built in plain Python as _take_index is: each table line's
     chart line (the n lines, then copy k of line 1 + k // 3); each copy's moved entry in the flat

@@ -6,9 +6,10 @@ pairwise line distance, a nonsmooth function, is maximized as max t subject to d
 sequential quadratic programming over the 3n - 3 coordinates of lines 1 to n - 1 (_sqp), each
 step's QP solved in numpy without LAPACK (_dual_qp), the starts of a search in lockstep
 (_lockstep).  A chart is any 3n finite numbers: latitudes run unbounded as longitudes and angles
-do, and a start returns the chart it walked to.  multi_start searches six-line charts.  Seeds are
-measured by _dsq_slopes in the SQP's first round; the perturbation probe measures its trials by
-_charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
+do, and every start returns the chart it walked to.  multi_start searches six-line charts, and
+certify tells an end at a first-order local maximum from one beside a nearly parallel pair or
+stalled.  Seeds are measured by _dsq_slopes in the SQP's first round; the perturbation probe
+measures its trials by _charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class OptResult:
     """Outcome of a search: best chart, the one the returned start walked to, its objective (the
     trace's last value) and radius, charts measured, the improvement trace as (step, objective)
     pairs, why the returned start stopped ("step": the trust radius fell below step_min; "budget";
-    "steps": _MAX_STEPS), and each start's d_best and stop."""
+    "steps": _MAX_STEPS; none certifies an optimum, certify does), each start's d_best, and each
+    start's walked chart, best among them."""
 
     best: FreeConfig
     d_best: float
@@ -91,7 +93,7 @@ class OptResult:
     trace: tuple
     stop: str
     start_d: tuple
-    start_stop: tuple
+    ends: tuple
 
 
 # the Jacobian's forward-difference step; and the cap on steps: uncapped, a tenth of 80
@@ -102,7 +104,7 @@ _MAX_STEPS = 300
 _PIVOT = 1e-12
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _tableau(pairs: int) -> np.ndarray:
     """The dual QP's tableau [0 | I | 1 | 1] for the pairs, before Q + rho and -f fill it."""
     return _frozen(np.hstack((np.zeros((pairs, pairs)), np.eye(pairs), np.ones((pairs, 2)))))
@@ -225,7 +227,7 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
     """_sqp from each seed chart, each round measuring the live starts' charts in one _dsq_slopes call,
     with the bits each gets alone; each start's walked end, merged to the first start of largest
     d_best, its trace's last value (objective's bits: _dsq_slopes frames as chart_lines does), with
-    evals summed and every start's d_best and stop."""
+    evals summed and every start's d_best and walked chart."""
     runs = [_sqp(seed.coords, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
@@ -240,9 +242,10 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
         live, f, g = going, None, None
     d = tuple(e[1][-1] for e in ends)
     k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima
-    x, trace, _, stop = ends[k]
-    return OptResult(FreeConfig(x), d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
-                     tuple(zip(map(int, trace[::2]), trace[1::2])), stop, d, tuple(e[3] for e in ends))
+    charts = tuple(FreeConfig(e[0]) for e in ends)
+    _, trace, _, stop = ends[k]
+    return OptResult(charts[k], d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
+                     tuple(zip(map(int, trace[::2]), trace[1::2])), stop, d, charts)
 
 
 def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_min: float = _STEP_MIN,
@@ -265,7 +268,7 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     i >= 3 jitters the initial configuration's chart with Gaussian noise of spread 0.2 from
     default_rng([i, rng_seed]), rng_seed an integer >= 0: any prefix of starts is reproducible, and
     no two seeds share a blind start.  Ties go to the lower start; evals is the total; the trace and
-    stop reason are the winner's."""
+    stop reason are the winner's; ends holds every start's walked chart, in start order."""
     n_starts = _count("n_starts", n_starts, 1)
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
@@ -274,6 +277,36 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
         FreeConfig(base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base)))
         for i in range(3, n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
+
+
+def certify(c: FreeConfig) -> dict:
+    """First-order certificate of a chart as a local maximum of its smallest distance: there the
+    active gradients of d^2 balance with weights lam >= 0 on the simplex (Ogievetsky & Shlosman,
+    Russian Math. Surveys 74, 2019).  The near-active pairs A are those with d^2 <= min d^2 (1 + 1e-3);
+    G_A, over the coordinates of lines 1 to n - 1, is the mean of _dsq_slopes at h = +-1e-6, a central
+    difference; lam solves _dual_qp on Q = G_A G_A^T, f = d^2_A - min d^2.  Reports d, the pairs
+    (i, j) of A, lam, the residual |G_A^T lam| / max(1, |G_A|_F), the smallest sin^2 of the angle
+    between an active pair's lines, and class: "parallel" if that sin^2 <= 1e-2, tested first, as
+    d^2 is not smooth at parallel pairs; else "kkt" if the residual <= 1e-6; else "stalled"."""
+    rows = c.coords.reshape(1, -1, 3)
+    (f,), (up,) = _dsq_slopes(rows, 1e-6)
+    _, (down,) = _dsq_slopes(rows, -1e-6)
+    fmin = float(f.min())
+    active = np.flatnonzero(f <= fmin * (1.0 + 1e-3))
+    g = (up[active] + down[active]) / 2
+    z, free = np.zeros(len(active) + 1), [int(f[active].argmin())]
+    z[free] = 1.0
+    _dual_qp(np.vecdot(g[:, None], g), f[active] - fmin, z, free)  # no BLAS gemm, as in _sqp
+    lam = z[:-1]
+    balance = lam @ g
+    residual = math.sqrt(float(balance @ balance)) / max(1.0, math.sqrt(float((g * g).sum())))
+    i, j = (k[active] for k in np.triu_indices(rows.shape[1], 1))
+    dirs = config_lines(c).table[:, 3:]
+    cross = np.cross(dirs[i], dirs[j])
+    sin_sq = float((cross * cross).sum(axis=1).min())
+    return {"d": math.sqrt(fmin), "pairs": np.stack((i, j), axis=1).tolist(), "lam": lam.tolist(),
+            "residual": residual, "sin_sq": sin_sq,
+            "class": "parallel" if sin_sq <= 1e-2 else "kkt" if residual <= 1e-6 else "stalled"}
 
 
 def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int = 0) -> dict:

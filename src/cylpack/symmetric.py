@@ -88,7 +88,7 @@ class D3Params:
         return chart_lines(c6_chart(self))
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=8, typed=True)
 def _ring_lons(n: int) -> tuple:
     """The 2n-line ring's longitudes m * 2pi / 4n for odd m: m = 1, 5, 9, ... above, 3, 7, ... below."""
     lons = [m * (2 * math.pi) / (4 * n) for m in range(1, 4 * _count("n", n, 2), 2)]

@@ -271,12 +271,25 @@ def test_cross_check_fails_on_three_hits(monkeypatch):
     assert not result.passed and "blind starts within 1e-9: 3 of 29 >= 4: False" in result.details
 
 
+def test_cross_check_fails_on_a_hit_that_is_not_a_kkt_point(monkeypatch):
+    # start 8 reaches the record; given start 3's end, which stands beside a nearly parallel
+    # pair, its d_best still counts it a hit, but its certificate does not
+    run = acceptance._optimizer_run()
+    assert search.certify(run.ends[3])["class"] == "parallel"
+    ends = (*run.ends[:8], run.ends[3], *run.ends[9:])
+    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: dataclasses.replace(run, ends=ends))
+    result = acceptance.check_optimizer_cross_check()
+    assert not result.passed and "; of them not kkt on 12 pairs with lam > 0: [8]; " in result.details
+    assert "blind starts within 1e-9: 7 of 29 >= 4: True" in result.details
+
+
 def test_cross_check_details_pinned():
     assert _results()["optimizer-cross-check"].details == (
         "32 starts, budget 2e5 charts each, seed 0 (61696 charts): best blind start d = "
         "1.0444659357341717 within 1e-9 of sqrt(12/11): True; blind starts within 1e-9: 7 of "
-        "29 >= 4: True; blind starts above sqrt(12/11) + 1e-9: none; exceeds the prior record "
-        "distance 1.0242: True; blind starts stopped by step: 28, steps: 1"
+        "29 >= 4: True; of them not kkt on 12 pairs with lam > 0: none; blind starts above "
+        "sqrt(12/11) + 1e-9: none; exceeds the prior record distance 1.0242: True; blind ends by "
+        "class: kkt: 15, parallel: 14, stalled: 0"
     )
 
 

@@ -604,8 +604,9 @@ class TestDirectErrors:
 # down to builtin values (the optimize and report-all ones since the SQP search replaced the
 # pattern search, the optimize --from ones since their documents dropped the unread seed, the
 # report-all ones since latitudes crossed the poles, since record-values bounded r by 1e-14 and
-# since unlock-verdicts built the whole rings, optimize --from c6 since -0.0 kept its sign, the
-# unlock-check ones since alternate_strategy dropped its copy of alpha);
+# since unlock-verdicts built the whole rings and since the cross-check certified its blind ends,
+# optimize --from c6 since -0.0 kept its sign, the unlock-check ones since alternate_strategy
+# dropped its copy of alpha);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
     (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
@@ -635,8 +636,8 @@ GOLDEN = [
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
      "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
-    (["report-all", "--json"], "520468e61acea9fa61057fba4e8c00324113e99a7727bf77d7904e271cbc999e"),
-    (["report-all"], "5bebd3b0e269fa4510c80a1ce8d86aa356bc3edd99cead80c3a3620a6b183fb1"),
+    (["report-all", "--json"], "3fc9ef1b4639e30068b4e20901fa1252fc8df56cb190580c2c656141b8b3d553"),
+    (["report-all"], "20cfdb126a7683b9c84715721cc4ebf8bf4120b952d2d391f011bbeebc95f0ce"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 

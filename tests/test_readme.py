@@ -58,6 +58,7 @@ def test_quick_start_values(path):
         "sample.f_value",
         "cylpack.unlock_verdict(3.14159 / 3)['verdict']",
         "cylpack.unlock_verdict(2.0)['verdict']",
+        "cylpack.certify(result.best)['class']",
     ]
 
 

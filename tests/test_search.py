@@ -27,6 +27,7 @@ from cylpack.lines import (
 )
 from cylpack.search import (
     FreeConfig,
+    certify,
     chart_c6,
     chart_curve,
     chart_from_configuration,
@@ -37,7 +38,7 @@ from cylpack.search import (
     objective,
     perturbation_probe,
 )
-from cylpack import acceptance, search
+from cylpack import acceptance, lines, search, symmetric
 from cylpack.symmetric import D3Params, build_c6, ring_chart
 from cylpack.unlocking import unlock_verdict
 from helpers import batched_dsq, same_line
@@ -441,6 +442,7 @@ class TestDualQP:
         r = local_maximize(chart_curve(0.9), 200000)
         assert abs(r.d_best - D_RECORD) <= 1e-9
         multi_start(5, 0, 20000)
+        assert certify(r.best)["class"] == "kkt"
 
 
 class TestLocalMaximize:
@@ -592,6 +594,59 @@ class TestOtherLineCounts:
         assert report["exceed_fraction"] == sum(v > objective(ring) for v in values) / 50
 
 
+class TestCertify:
+    def test_record_is_a_kkt_point(self):
+        # the record's twelve pairs at 12/11 balance with lam 5/99 on six and (23 -+ 3 sqrt 5)/198
+        # on three each
+        cert = certify(chart_record())
+        assert (cert["class"], len(cert["pairs"]), cert["d"]) == ("kkt", 12, objective(chart_record()))
+        lam = [5 / 99] * 6 + [(23 - 3 * math.sqrt(5)) / 198] * 3 + [(23 + 3 * math.sqrt(5)) / 198] * 3
+        assert sorted(cert["lam"]) == pytest.approx(lam, abs=1e-6)
+
+    def test_six_line_witness_end_is_a_kkt_point(self):
+        assert certify(local_maximize(witness_ring(3), 200000).best)["class"] == "kkt"
+
+    def test_eight_line_witness_end_stalled(self):
+        # no nearly parallel pair explains this end: its gradients do not balance
+        cert = certify(local_maximize(witness_ring(4), 200000).best)
+        assert (cert["class"], len(cert["pairs"])) == ("stalled", 13)
+        assert cert["residual"] > 1e-3 and cert["sin_sq"] > 0.1
+
+    def test_untilted_chart_is_parallel_before_it_is_balanced(self):
+        # its six pairs at d = 1 are exactly parallel, and their gradients balance to rounding:
+        # the parallel test comes first, as d^2 is not smooth there
+        cert = certify(chart_c6(D3Params(0.0, 0.0, 0.0)))
+        assert (cert["class"], len(cert["pairs"]), cert["sin_sq"]) == ("parallel", 6, 0.0)
+        assert cert["residual"] <= 1e-12
+
+    def test_reads_its_chart_size(self):
+        # 24 coordinates, eight lines, 28 pairs
+        ring = witness_ring(4)
+        cert = certify(ring)
+        dsq = config_lines(ring).dsq
+        near = dsq <= dsq.min() * (1 + 1e-3)
+        assert cert["pairs"] == np.argwhere(np.triu(np.ones((8, 8), bool), 1))[near].tolist()
+        assert cert["d"] == objective(ring) and len(cert["lam"]) == len(cert["pairs"])
+
+
+def test_per_count_caches_stay_bounded():
+    # charts of 2 to 20 lines measured and certified, and the cross-check's ends, whose active
+    # sets come in nine sizes: each table cache keeps at most 8 counts and still hits
+    caches = (lines._chart_index, lines._slope_index, search._tableau, symmetric._ring_lons)
+    for cache in caches:
+        cache.cache_clear()
+    rng = np.random.default_rng(5)
+    for n in range(2, 21):
+        chart = FreeConfig(rng.standard_normal(3 * n))
+        objective(chart), certify(chart), ring_chart(n, 0.1, 0.2, 0.3)
+    for end in acceptance._optimizer_run().ends:
+        certify(end)
+    assert [(cache.cache_info().misses > 8, cache.cache_info().currsize) for cache in caches] == [(True, 8)] * 4
+    for cache, n in ((lines._chart_index, 6), (lines._slope_index, 6), (search._tableau, 15)):
+        first, hits = cache(n), cache.cache_info().hits
+        assert cache(n) is first and cache.cache_info().hits == hits + 1
+
+
 class TestMultiStart:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(1, 6), st.integers(0, 2**16), st.integers(1, 3000))
@@ -609,7 +664,8 @@ class TestMultiStart:
         assert (r.d_best.hex(), r.trace, r.stop) == (best.d_best.hex(), best.trace, best.stop)
         assert r.best.coords.tobytes() == best.best.coords.tobytes()
         assert r.start_d == tuple(run.d_best for run in runs)
-        assert r.start_stop == tuple(run.stop for run in runs)
+        assert [end.coords.tobytes() for end in r.ends] == [run.best.coords.tobytes() for run in runs]
+        assert r.ends[r.start_d.index(r.d_best)] is r.best
 
     def test_starts_stop_in_different_rounds(self, monkeypatch):
         # one _dsq_slopes call a round for every live start: the x = 0.5 seed leaves after 7
@@ -619,7 +675,8 @@ class TestMultiStart:
         r = multi_start(5, 0, 20000)
         assert [sizes.count(k) for k in (5, 4, 3, 2, 1)] == [7, 26, 13, 77, 60]
         assert sizes == sorted(sizes, reverse=True) and sum(sizes) * 16 == r.evals
-        assert r.start_stop == ("step",) * 5
+        assert [objective(end).hex() for end in r.ends] == [d.hex() for d in r.start_d]
+        assert r.ends[2] is r.best
 
     def test_cross_check_run_pinned(self):
         # the acceptance suite shares this cached run; its winner is the x = 0.5 seed,
@@ -632,8 +689,8 @@ class TestMultiStart:
         )
         hits = [i for i, d in enumerate(r.start_d) if i >= 3 and abs(d - D_RECORD) <= 1e-9]
         assert hits == [7, 8, 15, 18, 21, 25, 30]
-        assert [i for i, stop in enumerate(r.start_stop) if stop != "step"] == [5]
-        assert set(r.start_stop) == {"step", "steps"}
+        assert [objective(end).hex() for end in r.ends] == [d.hex() for d in r.start_d]
+        assert r.ends[2] is r.best
 
     def test_merge_pinned(self):
         # charts summed over six starts, the winner's d_best and trace digest,
