@@ -25,11 +25,11 @@ _EXPORTS = {
                "chart_from_configuration", "chart_record", "config_lines", "local_maximize",
                "multi_start", "objective", "perturbation_probe"),
     "serialize": (),
-    "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "alg_coords", "build_c6", "c6_chart",
-                  "d3_orbit_check", "ring_chart", "triplets_alg", "triplets_generic", "triplets_trig"),
-    "unlocking": ("FourCylSample", "GeneralParams", "alt_strategy_verdict", "build_c3",
-                  "dists_general", "four_cyl_point", "series_coeffs", "taylor_coeffs_numeric",
-                  "unlock_verdict"),
+    "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "GeneralParams", "alg_coords",
+                  "build_c3", "build_c6", "c6_chart", "d3_orbit_check", "dists_general", "ring_chart",
+                  "triplets_alg", "triplets_generic", "triplets_trig"),
+    "unlocking": ("FourCylSample", "alt_strategy_verdict", "four_cyl_point", "series_coeffs",
+                  "taylor_coeffs_numeric", "unlock_verdict"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

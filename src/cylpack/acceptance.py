@@ -23,18 +23,11 @@ from .curve import (
 from .lines import _BLOCK, _charts_dsq, chart_lines, distance_sq, radius_from_distance
 from .search import certify, chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
-    PAIR_ORBITS, D3Params, DegenerateError, _generic_rows, alg_coords, ring_chart, triplets_alg,
-    triplets_trig,
+    PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _generic_rows, alg_coords, build_c3,
+    dists_general, ring_chart, triplets_alg, triplets_trig,
 )
 from .unlocking import (
-    GeneralParams,
-    alt_strategy_verdict,
-    build_c3,
-    dists_general,
-    four_cyl_point,
-    series_coeffs,
-    taylor_coeffs_numeric,
-    unlock_verdict,
+    alt_strategy_verdict, four_cyl_point, series_coeffs, taylor_coeffs_numeric, unlock_verdict,
 )
 
 D_RECORD, R_RECORD = _RECORD_CLOSED["d"], _RECORD_CLOSED["r"]

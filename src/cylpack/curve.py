@@ -24,7 +24,7 @@ from .lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
-from .symmetric import _ORBIT_COLS, SQRT3, AlgCoords, D3Params, build_c6, triplets_alg
+from .symmetric import SQRT3, AlgCoords, D3Params, build_c6, triplets_alg, triplets_generic
 
 
 def k1(st, U):
@@ -217,7 +217,7 @@ def record() -> dict:
         "tan_kappa": math.tan(p.kappa),
         "f": sample.f_value,
         "d": d,
-        "dae_sq": c.dsq.item(_ORBIT_COLS[3]),  # pair (0, 4)
+        "dae_sq": triplets_generic(p).dae_sq,  # pair (0, 4) of c, which p keeps
         "r": radius_from_distance(d),
     }
     for key, value in computed.items():

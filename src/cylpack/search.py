@@ -102,6 +102,7 @@ _H = 1e-7
 _MAX_STEPS = 300
 # an entering pivot at or below this fraction of its diagonal entry counts as singular
 _PIVOT = 1e-12
+_MAX_STARTS = 1024  # multi_start's lockstep holds every start's state at once, about 24 KB a start
 
 
 @lru_cache(maxsize=8)
@@ -263,13 +264,15 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
-    """Independent SQP ascents of six-line charts in lockstep (_lockstep), merged to the best
-    result.  The first three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5; start
-    i >= 3 jitters the initial configuration's chart with Gaussian noise of spread 0.2 from
+    """Independent SQP ascents of 1 to 1024 six-line charts in lockstep (_lockstep), merged to the
+    best result.  The first three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5;
+    start i >= 3 jitters the initial configuration's chart with Gaussian noise of spread 0.2 from
     default_rng([i, rng_seed]), rng_seed an integer >= 0: any prefix of starts is reproducible, and
     no two seeds share a blind start.  Ties go to the lower start; evals is the total; the trace and
     stop reason are the winner's; ends holds every start's walked chart, in start order."""
     n_starts = _count("n_starts", n_starts, 1)
+    if n_starts > _MAX_STARTS:
+        raise ValueError(f"n_starts must be at most {_MAX_STARTS}: {n_starts}")
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords

@@ -1,13 +1,15 @@
-"""The mirror-symmetric six-line family and its closed distance forms.
+"""The 2n-line ring, its six-line family and three-line subfamily, and their closed distance forms.
 
-Six tangent lines, ring_chart's ring at n = 3: an upper triple at latitude
-phi, longitudes pi/6, 5pi/6, 3pi/2 advanced by kappa, a lower triple at -phi,
-longitudes pi/2, 7pi/6, 11pi/6 retarded by kappa, every tangent tilted off
-its meridian by the same angle delta.  The family is invariant under the
-120-degree rotation about the z-axis and the half-turn about the x-axis, so
-the 15 pairwise distances collapse to four orbit values: d_AB (within a
-triple), d_AD and d_BD (between neighboring lines of opposite triples), and
-d_AE (the remaining cross pairs).
+One row rule (_ring_rows) lays out every ring: upper lines at latitude phi
+advanced by kappa, lower lines at -phi retarded by kappa, every tangent
+tilted off its meridian by the same angle delta.  ring_chart feeds it the
+longitudes m pi/2n of odd m, and the six-line family A..F is its n = 3;
+the three-line subfamily (A, B, D) at neighbor angle alpha, which
+unlocking analyzes, feeds it alpha/2, 5alpha/2 above and 3alpha/2 below.
+The six-line family is invariant under the 120-degree rotation about the
+z-axis and the half-turn about the x-axis, so its 15 pairwise distances
+collapse to four orbit values: d_AB (within a triple), d_AD and d_BD
+(between neighboring lines of opposite triples), and d_AE (the rest).
 """
 
 from __future__ import annotations
@@ -95,12 +97,18 @@ def _ring_lons(n: int) -> tuple:
     return lons[::2], lons[1::2]
 
 
-def ring_chart(n: int, phi: float, delta: float, kappa: float) -> tuple:
-    """Per-line (latitude, longitude, tangent angle) of the 2n-line ring of neighbor angle pi/n,
-    n >= 2, upper lines first: n at latitude phi advanced by kappa, n at -phi retarded by kappa.
-    Each angle is -delta, as chart_lines' angle is positive toward increasing longitude."""
-    upper, lower = _ring_lons(n)
+def _ring_rows(upper, lower, phi: float, delta: float, kappa: float) -> tuple:
+    """Per-line (latitude, longitude, tangent angle) of a ring, upper lines first: those at the
+    upper longitudes sit at latitude phi advanced by kappa, those at the lower ones at -phi
+    retarded by kappa.  Each angle is -delta, as chart_lines' angle is positive toward
+    increasing longitude."""
     return tuple([(phi, lon + kappa, -delta) for lon in upper] + [(-phi, lon - kappa, -delta) for lon in lower])
+
+
+def ring_chart(n: int, phi: float, delta: float, kappa: float) -> tuple:
+    """The rows of the 2n-line ring of neighbor angle pi/n, n >= 2: n upper lines, then n lower."""
+    upper, lower = _ring_lons(n)
+    return _ring_rows(upper, lower, phi, delta, kappa)
 
 
 def c6_chart(p: D3Params) -> tuple:
@@ -112,6 +120,39 @@ def build_c6(p: D3Params) -> Configuration:
     """The six tangent lines (A, B, C, D, E, F) of the symmetric family,
     built once per D3Params instance."""
     return p._c6
+
+
+def _neighbor_angle(alpha) -> float:
+    """alpha as a float, checked to lie in (0, pi)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.pi:
+        raise ValueError(f"alpha must lie in (0, pi): {alpha!r}")
+    return alpha
+
+
+@dataclass(frozen=True)
+class GeneralParams:
+    """Angles of the three-line subfamily at neighbor angle alpha.
+
+    alpha in (0, pi); phi, delta, kappa as in the six-line family (which
+    is alpha = pi/3), kappa in [-2pi, 2pi] as there.
+    """
+
+    alpha: float
+    phi: float
+    delta: float
+    kappa: float
+
+    def __post_init__(self):
+        _finite_fields(self, "alpha", "phi", "delta", "kappa")
+        _neighbor_angle(self.alpha)
+        _check_tilt_and_twist(self)
+
+
+def build_c3(g: GeneralParams) -> Configuration:
+    """The lines (A, B, D) of the ring's rows: upper pair 2 alpha apart, lower line between."""
+    a = g.alpha
+    return chart_lines(_ring_rows((a / 2, 5 * a / 2), (3 * a / 2,), g.phi, g.delta, g.kappa))
 
 
 def _images_match(table: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -221,6 +262,20 @@ def triplets_alg(a: AlgCoords) -> tuple:
     S, T = a.s_var, a.t_var
     # sin^2 and cos^2 of the neighbor angle pi/3
     return _neighbor_dists_sq(S * S, T * T, S * T, a.u_var, a.ubar_var, 0.75, 0.25)
+
+
+def dists_general(g: GeneralParams) -> tuple:
+    """(d_AB^2, d_AD^2, d_BD^2) of the three-line subfamily, closed form.
+
+    In S = sin(phi), T = tan(delta), U = tan(kappa - alpha/2),
+    Ubar = -tan(kappa + alpha/2); at alpha = pi/3 these reduce exactly to
+    the six-line family's forms.  d_AB^2 degenerates to 0/0 at
+    S = T = 0; the delta-direction limit 4 sin^2(alpha) is returned
+    there (limits along other curves may differ, see unlocking.four_cyl_point).
+    """
+    S, T, U, Ub = _alg_map(g.phi, g.delta, g.kappa, g.alpha / 2, "alpha/2")
+    sa, ca = math.sin(g.alpha), math.cos(g.alpha)
+    return _neighbor_dists_sq(S * S, T * T, S * T, U, Ub, sa * sa, ca * ca)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@
 lines spaced alpha apart, neighbors at distance 2 sin(alpha/2).  By the
 ring's symmetry it is enough to follow one three-line subfamily: two
 lines A, B of the upper ring (2 alpha apart) and the lower line D
-between them, moved along curves
-(phi, delta, kappa) = (phi1 t, delta1 t, kappa1 t + kappa2 t^2).
+between them, which symmetric builds (GeneralParams, build_c3) and
+measures in closed form (dists_general).  This module analyzes it along
+curves (phi, delta, kappa) = (phi1 t, delta1 t, kappa1 t + kappa2 t^2).
 The family unlocks, meaning all pairwise distances can grow to first
 useful order, exactly when alpha < pi/2 (more than four cylinders); the
 four-cylinder case alpha = pi/2 instead slides along a trajectory that
@@ -18,63 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lines import Configuration, _finite_fields, chart_lines
-from .symmetric import _alg_map, _check_tilt_and_twist, _neighbor_dists_sq
+from .symmetric import GeneralParams, _neighbor_angle, build_c3, dists_general
 
 _MARGINAL_TOL = 1e-12
 _T_MAX = "1e5"  # four_cyl_point's largest T, as printed
-
-
-def _neighbor_angle(alpha) -> float:
-    """alpha as a float, checked to lie in (0, pi)."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.pi:
-        raise ValueError(f"alpha must lie in (0, pi): {alpha!r}")
-    return alpha
-
-
-@dataclass(frozen=True)
-class GeneralParams:
-    """Angles of the three-line subfamily at neighbor angle alpha.
-
-    alpha in (0, pi); phi, delta, kappa as in the six-line family (which
-    is alpha = pi/3), kappa in [-2pi, 2pi] as there.
-    """
-
-    alpha: float
-    phi: float
-    delta: float
-    kappa: float
-
-    def __post_init__(self):
-        _finite_fields(self, "alpha", "phi", "delta", "kappa")
-        _neighbor_angle(self.alpha)
-        _check_tilt_and_twist(self)
-
-
-def build_c3(g: GeneralParams) -> Configuration:
-    """The lines (A, B, D): upper pair 2 alpha apart, lower line between.
-
-    Longitudes alpha/2 + kappa, 5 alpha/2 + kappa at latitude phi and
-    3 alpha/2 - kappa at latitude -phi, all tangents tilted by the family
-    delta (toward decreasing longitude, as in the six-line build).
-    """
-    a, k, d = g.alpha, g.kappa, g.delta
-    return chart_lines(((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, -d)))
-
-
-def dists_general(g: GeneralParams) -> tuple:
-    """(d_AB^2, d_AD^2, d_BD^2) of the three-line subfamily, closed form.
-
-    In S = sin(phi), T = tan(delta), U = tan(kappa - alpha/2),
-    Ubar = -tan(kappa + alpha/2); at alpha = pi/3 these reduce exactly to
-    the six-line family's forms.  d_AB^2 degenerates to 0/0 at
-    S = T = 0; the delta-direction limit 4 sin^2(alpha) is returned
-    there (limits along other curves may differ, see four_cyl_point).
-    """
-    S, T, U, Ub = _alg_map(g.phi, g.delta, g.kappa, g.alpha / 2, "alpha/2")
-    sa, ca = math.sin(g.alpha), math.cos(g.alpha)
-    return _neighbor_dists_sq(S * S, T * T, S * T, U, Ub, sa * sa, ca * ca)
 
 
 def series_coeffs(alpha: float, phi1: float, delta1: float, kappa1: float, kappa2: float) -> dict:

@@ -71,3 +71,20 @@ def ref_u_from_st(S, T):
     return 0.5 * (
         -3.0 * SQRT3 * t2 * (s2 - 1.0) ** 3 / den - SQRT3 - 2.0 * S * T - SQRT3 * s2 * t2
     )
+
+
+# The ring's rows as each builder wrote them out before both called symmetric._ring_rows:
+# references for the rule, whose float bits must match them.
+
+
+def ref_ring_chart(n, phi, delta, kappa):
+    """ring_chart's rows: longitudes m * 2pi / 4n for odd m, alternately upper and lower."""
+    lons = [m * (2 * math.pi) / (4 * n) for m in range(1, 4 * n, 2)]
+    return tuple([(phi, lon + kappa, -delta) for lon in lons[::2]]
+                 + [(-phi, lon - kappa, -delta) for lon in lons[1::2]])
+
+
+def ref_c3_rows(g):
+    """build_c3's rows (A, B, D) of a GeneralParams."""
+    a, k, d = g.alpha, g.kappa, g.delta
+    return ((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, -d))

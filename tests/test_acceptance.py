@@ -37,7 +37,7 @@ from cylpack.symmetric import (
     triplets_generic,
 )
 
-from helpers import batched_dsq
+from helpers import batched_dsq, ref_c3_rows
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -131,6 +131,44 @@ def test_error_injection_hook_flips_the_record_check(monkeypatch):
     assert not flagged["record-values"].passed
     others = [n for n, r in flagged.items() if n != "record-values" and not r.passed]
     assert others == []
+
+
+def test_record_values_fails_on_a_radius_off_by_2e_14(monkeypatch):
+    real = acceptance.record
+
+    def shifted():
+        document = real()
+        document["computed"]["r"] += 2e-14
+        return document
+
+    monkeypatch.setattr(acceptance, "record", shifted)
+    result = acceptance.check_record_values()
+    assert "|r_m - (3+sqrt(33))/8| <= 1e-14: False;" in result.details
+    assert not result.passed
+
+
+def test_initial_point_fails_on_an_objective_off_by_2e_12(monkeypatch):
+    monkeypatch.setattr(acceptance, "objective", lambda chart: 1.0 + 2e-12)
+    result = acceptance.check_initial_point()
+    assert "|objective - 1| <= 1e-12: False;" in result.details
+    assert not result.passed
+
+
+@pytest.mark.parametrize("key", ["dab_sq_0", "dad_sq_0", "dbd_sq_0", "dad_sq_1", "dbd_sq_1",
+                                 "dad_sq_2", "dbd_sq_2"])
+def test_series_coefficients_fails_on_one_scaled_coefficient(monkeypatch, key):
+    real = acceptance.series_coeffs
+
+    def scaled(*direction):
+        closed = real(*direction)
+        if key in closed:
+            closed[key] *= 1 + 1e-5
+        return closed
+
+    monkeypatch.setattr(acceptance, "series_coeffs", scaled)
+    result = acceptance.check_series_coefficients()
+    assert f" ({key}: closed " in result.details
+    assert not result.passed
 
 
 @pytest.mark.parametrize("moved, into", [((1, 5), (1, 2)), ((2, 3), (2, 5)), ((0, 4), (5, 3))])
@@ -467,16 +505,15 @@ def test_formula_consistency_details_pinned():
 
 @pytest.mark.parametrize("line", [0, 1, 2])
 def test_formula_consistency_fails_on_a_wrong_ring_longitude(monkeypatch, line):
-    # build_c3's chart_lines rows (A, B, D) with one line's longitude scaled by 1.001: the
-    # six-line points never build the ring, so only its own rows can catch this
-    real = unlocking.chart_lines
-
-    def moved(rows):
-        rows = [list(row) for row in rows]
+    # build_c3's rows (A, B, D) with one line's longitude scaled by 1.001: the six-line points
+    # never build the ring, so only its own rows can catch this; moving symmetric's chart_lines
+    # or _ring_rows instead would move the six-line charts too
+    def moved(g):
+        rows = [list(row) for row in ref_c3_rows(g)]
         rows[line][1] *= 1.001
-        return real(rows)
+        return chart_lines(rows)
 
-    monkeypatch.setattr(unlocking, "chart_lines", moved)
+    monkeypatch.setattr(acceptance, "build_c3", moved)
     result = acceptance.check_formula_consistency()
     assert not result.passed
     assert result.details.startswith("1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10;")

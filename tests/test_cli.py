@@ -255,6 +255,10 @@ class TestOptimize:
         assert main(["optimize", "--starts", "0"]) == 1
         assert main(["optimize", "--budget", "0", "--from", "record"]) == 1
 
+    def test_starts_past_the_bound(self, capsys):
+        rc, err = run_failing(capsys, "optimize", "--starts", "1025")
+        assert (rc, err) == (1, "error: --starts must be at most 1024: 1025\n")
+
 
 class TestProbe:
     def test_record_probe(self, capsys):

@@ -12,8 +12,11 @@ The guard parses the files and imports nothing.
 
 A second guard keeps each layout in one module: the pair kernel's table
 (_pair_kernel, _frame_xyz, _frame_table, _take_index, _chart_index and
-_slope_index) is named only in lines.py, the ring's longitudes (_ring_lons)
-only in symmetric.py, and the dual QP and its tableau (_dual_qp, _tableau) only in search.py.
+_slope_index) is named only in lines.py; the ring's longitudes and row rule
+(_ring_lons, _ring_rows), its algebraic chart and range check (_alg_map,
+_check_tilt_and_twist), its closed form (_neighbor_dists_sq) and the
+six-line family's orbit columns (_ORBIT_COLS) only in symmetric.py; and the
+dual QP and its tableau (_dual_qp, _tableau) only in search.py.
 A third finds shadowed definitions: no module or class body of src/ or
 tests/ defines a name twice by def or class, where the second silently
 replaces the first (a test defined twice runs once).
@@ -109,7 +112,9 @@ def test_a_property_only_a_bare_name_spells_is_flagged(tmp_path):
 # each layout name and the one module that may name it
 LAYOUT_HOMES = {**dict.fromkeys(["_pair_kernel", "_frame_xyz", "_frame_table", "_take_index",
                                  "_chart_index", "_slope_index"], "lines"),
-                "_ring_lons": "symmetric", "_dual_qp": "search", "_tableau": "search"}
+                **dict.fromkeys(["_ring_lons", "_ring_rows", "_alg_map", "_neighbor_dists_sq",
+                                 "_check_tilt_and_twist", "_ORBIT_COLS"], "symmetric"),
+                "_dual_qp": "search", "_tableau": "search"}
 
 
 def layout_references(package=sorted(PACKAGE.glob("*.py"))):
@@ -128,7 +133,8 @@ def test_each_layout_is_named_only_in_its_home():
     assert layout_references() == []
 
 
-@pytest.mark.parametrize("home, name", [("lines", "_pair_kernel"), ("symmetric", "_ring_lons")])
+@pytest.mark.parametrize("home, name", [("lines", "_pair_kernel"), ("symmetric", "_ring_lons"),
+                                        ("symmetric", "_ring_rows")])
 def test_a_layout_call_outside_its_home_is_flagged(tmp_path, home, name):
     # the import and the call, each inside whatever definition names it
     package = _with_extra(tmp_path, f"\n\nfrom .{home} import {name}\n\n\n"

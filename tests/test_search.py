@@ -778,6 +778,19 @@ def test_counts_are_integers(call, message):
         call()
 
 
+def test_starts_past_the_bound_are_refused_before_any_is_drawn(monkeypatch):
+    # the lockstep holds every start's state at once, about 24 KB a start: 1024 grew the
+    # peak by about 25 MB, so an unbounded count would ask for gigabytes before it failed
+    drawn, real = [], search.chart_curve
+    monkeypatch.setattr(search, "chart_curve", lambda x: drawn.append(x) or real(x))
+    monkeypatch.setattr(search, "_lockstep", lambda seeds, *rest: len(seeds))
+    for n_starts in (1025, np.int64(1025)):
+        with pytest.raises(ValueError, match="^n_starts must be at most 1024: 1025$"):
+            multi_start(n_starts, 0, 1)
+    assert drawn == []  # the trajectory seeds come first, the blind draws after them
+    assert multi_start(1024, 0, 1) == 1024 and drawn == [0.9, 0.7, 0.5]  # the bound itself runs
+
+
 def test_numpy_integer_counts_are_counts():
     chart = chart_record()
     assert perturbation_probe(chart, 1e-3, np.int64(50)) == perturbation_probe(chart, 1e-3, 50)

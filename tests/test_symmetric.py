@@ -1,4 +1,4 @@
-"""Six-line family: construction, symmetry, closed distance forms."""
+"""The six-line family and the three-line subfamily: construction, symmetry, closed distance forms."""
 
 import json
 import math
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cylpack import lines, symmetric
+import cylpack
+from cylpack import lines, symmetric, unlocking
 from cylpack.cli import main
 from cylpack.curve import gamma_point
 from cylpack.lines import (
@@ -28,9 +29,11 @@ from cylpack.serialize import config_from_dict, json_dumps
 from cylpack.symmetric import (
     AlgCoords,
     D3Params,
+    GeneralParams,
     PAIR_ORBITS,
     _generic_rows,
     alg_coords,
+    build_c3,
     build_c6,
     c6_chart,
     ring_chart,
@@ -39,7 +42,7 @@ from cylpack.symmetric import (
     triplets_generic,
     triplets_trig,
 )
-from helpers import batched_dsq, lines_document, same_line
+from helpers import batched_dsq, lines_document, ref_c3_rows, ref_ring_chart, same_line
 
 RNG = np.random.default_rng(91)
 
@@ -79,6 +82,14 @@ class TestBuild:
         assert lons[0] == math.pi / (2 * n) and np.allclose(np.diff(sorted(lons)), math.pi / n, atol=1e-14)
         d = min_pairwise_distance(chart_lines(ring_chart(n, 0.0, 0.0, 0.0)))
         assert d == pytest.approx(2 * math.sin(math.pi / (2 * n)), rel=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ring_rows_keep_their_bits(self, n):
+        # the row rule lays out the m * 2pi / 4n longitudes as they were written out, signed zeros too
+        draws = np.random.default_rng(n).uniform(-1.5, 1.5, (5, 3)).tolist()
+        for angles in [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.3, -1.2, 2 * math.pi), *draws]:
+            rows = np.array(ring_chart(n, *angles))
+            assert rows.tobytes() == np.array(ref_ring_chart(n, *angles)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 3.0, "3"])
     def test_ring_needs_an_integer_n_from_two(self, n):
@@ -387,6 +398,31 @@ PARAMS = st.builds(
 
 def same_lines(c, d):
     return c.table.tobytes() == d.table.tobytes()
+
+
+SUBFAMILY = st.builds(
+    GeneralParams,
+    st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True) | SIGNED_ZERO,
+    st.floats(allow_nan=False, allow_infinity=False) | SIGNED_ZERO,
+    st.floats(-2 * math.pi, 2 * math.pi) | SIGNED_ZERO,
+)
+
+
+class TestThreeLineSubfamily:
+    @settings(deadline=None)
+    @given(SUBFAMILY)
+    @example(GeneralParams(math.pi / 3, -0.0, -0.0, -0.0))
+    @example(GeneralParams(math.pi / 2, 0.0, -0.0, 0.0))
+    @example(GeneralParams(3.0, 1.5, 1e300, -2 * math.pi))
+    def test_rows_keep_their_bits(self, g):
+        assert build_c3(g).table.tobytes() == chart_lines(ref_c3_rows(g)).table.tobytes()
+
+    def test_names_resolve_to_symmetric(self):
+        for name in ("GeneralParams", "build_c3", "dists_general"):
+            home = getattr(symmetric, name)
+            assert getattr(cylpack, name) is home and getattr(unlocking, name) is home, name
+            assert home.__module__ == "cylpack.symmetric", name
 
 
 class TestBuiltOnce:
