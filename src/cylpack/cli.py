@@ -15,8 +15,6 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from .curve import build_curve_point, gamma_point, record
 from .lines import Configuration, _count, _positive_finite, min_pairwise_distance, radius_from_distance
 from .search import (
@@ -58,11 +56,11 @@ def _source(text: str) -> FreeConfig | Configuration:
         return chart_curve(float(text[len("curve:"):]))
     if text.startswith("file:"):
         import json
-        from .serialize import config_from_dict
+        from .serialize import _numbers, config_from_dict
         with open(text[len("file:"):], encoding="utf-8") as handle:
             data = json.load(handle)
         if isinstance(data, dict) and "coords" in data and "lines" not in data:
-            return FreeConfig(np.asarray(data["coords"], dtype=float))
+            return FreeConfig(_numbers(data["coords"], "coords"))
         return config_from_dict(data)
     raise ValueError(f"unknown configuration source {text!r}; expected {_SOURCES}")
 
@@ -73,19 +71,21 @@ def _chart_from_source(text: str) -> FreeConfig:
     return chart_from_configuration(source) if isinstance(source, Configuration) else source
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(lines) -> None:
+    """Write each line as it comes, so no table is held whole."""
+    sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 # serialize (and json) load only where a command writes JSON or CSV: text report-all needs neither
 def _emit_json(doc: dict) -> None:
     from .serialize import json_dumps
-    _emit(json_dumps(doc))
+    _emit([json_dumps(doc)])
 
 
 def _emit_csv(header: str, rows) -> None:
     from .serialize import csv_line
-    _emit("\n".join([header, *map(csv_line, rows)]))
+    _emit([header])
+    _emit(map(csv_line, rows))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -190,7 +190,9 @@ def cmd_four_cyl(args: argparse.Namespace) -> int:
     _positive_finite("--t-max", args.t_max)
     if args.t_max > float(_T_MAX):
         raise ValueError(f"--t-max must be at most {_T_MAX}: {args.t_max!r}")
-    samples = (four_cyl_point(T, args.mirror) for T in np.linspace(0.0, args.t_max, n).tolist())
+    step = args.t_max / (n - 1)  # T as np.linspace(0, t_max, n) makes it, dividing first if step is 0
+    grid = (args.t_max if i == n - 1 else i * step if step else i / (n - 1) * args.t_max for i in range(n))
+    samples = (four_cyl_point(T, args.mirror) for T in grid)
     _emit_csv(FOUR_CYL_HEADER, ([s.t_var, s.s_var, s.u_var, s.params.kappa, *s.dists_sq,
                                  s.parallel_residual] for s in samples))
     return 0
@@ -250,7 +252,7 @@ def cmd_report_all(args: argparse.Namespace) -> int:
         lines.append(
             f"{sum(r.passed for r in results)}/{len(results)} checks passed"
         )
-        _emit("\n".join(lines))
+        _emit(lines)
     return 0 if all_passed else 3
 
 

@@ -1,4 +1,4 @@
-"""Deterministic text of builtin values, and the reader of lines documents.
+"""Deterministic text of builtin values, and the reader of every document's numbers.
 
 JSON floats get 17 significant digits, which parse back to the same double, and
 -0.0 is written ``-0.0``, since ``json.loads`` reads ``-0`` as the int 0; CSV and OBJ
@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 import math
 from typing import Any, Iterable
-
-import numpy as np
 
 from .lines import Configuration, TangentLine
 
@@ -51,17 +49,19 @@ def csv_line(values: Iterable[float]) -> str:
     return ",".join(fmt_float(value, CSV_SIG) for value in values)
 
 
-def _vector3(data: Any, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"'{name}' must be a list of 3 numbers")
-    return arr
+def _numbers(data: Any, name: str, count: int | None = None) -> list[float]:
+    """The floats of a document's array ``name``: a list or tuple of ``count`` (any if None) ints
+    and floats, never booleans, strings, objects, null or nested arrays."""
+    if not (isinstance(data, (list, tuple)) and count in (None, len(data)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data)):
+        raise ValueError(f"'{name}' must be a list of {'' if count is None else f'{count} '}numbers")
+    return [float(v) for v in data]
 
 
 def line_from_dict(data: Any) -> TangentLine:
     if not isinstance(data, dict) or "base" not in data or "dir" not in data:
         raise ValueError("a line document needs 'base' and 'dir' entries")
-    return TangentLine(_vector3(data["base"], "base"), _vector3(data["dir"], "dir"))
+    return TangentLine(_numbers(data["base"], "base", 3), _numbers(data["dir"], "dir", 3))
 
 
 def config_from_dict(data: Any) -> Configuration:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -12,12 +13,14 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cylpack
+from cylpack import cli
 from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, build_parser, main
 from cylpack.curve import f_of_x
@@ -26,7 +29,7 @@ from cylpack.scene import SceneSpec, scene_obj
 from cylpack.search import (chart_c6, chart_from_configuration, chart_record, config_lines,
                             local_maximize, objective)
 from cylpack.symmetric import D3Params
-from cylpack.serialize import config_from_dict, json_dumps
+from cylpack.serialize import _numbers, config_from_dict, json_dumps
 
 from helpers import lines_document
 
@@ -68,6 +71,20 @@ def cold_imports(*argv):
     run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cylpack.cli", *argv],
                          env=env, capture_output=True, text=True)
     return run, {ln.rpartition("|")[2].strip() for ln in run.stderr.splitlines()}
+
+
+def raise_on_call(monkeypatch, name, k, *argv):
+    """Exit code of a run with cli.<name> patched to raise ArithmeticError on its k-th call."""
+    calls, real = [], getattr(cli, name)
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise ArithmeticError("stopped")
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, failing)
+    return main(list(argv))
 
 
 def run_json(capsys, *argv):
@@ -194,6 +211,12 @@ class TestCurve:
         rc, out = run(capsys, "curve", "--samples", "1001")
         assert rc == 0
         assert len(out.splitlines()) == 1002
+
+    def test_rows_are_written_as_they_are_made(self, capsys, monkeypatch):
+        # the header and the first k - 1 rows are out before the k-th point fails
+        rows = run(capsys, "curve", "--samples", "9")[1].splitlines()
+        assert raise_on_call(monkeypatch, "gamma_point", 4, "curve", "--samples", "9") == 2
+        assert capsys.readouterr().out.splitlines() == rows[:4]
 
 
 class TestRecord:
@@ -342,6 +365,25 @@ class TestFourCyl:
         assert err == f"error: --t-max must be at most 1e5: {float(t_max)!r}\n"
         rc, out = run(capsys, "four-cyl", "--t-max", "1e5", "--samples", "2", *mirror)
         assert rc == 0 and len(out.splitlines()) == 3
+
+    def test_rows_are_written_as_they_are_made(self, capsys, monkeypatch):
+        rows = run(capsys, "four-cyl", "--samples", "9")[1].splitlines()
+        assert raise_on_call(monkeypatch, "four_cyl_point", 6, "four-cyl", "--samples", "9") == 2
+        assert capsys.readouterr().out.splitlines() == rows[:6]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 5000), st.floats(5e-324, 1e5))
+    @example(5000, 5e-324)  # step = t_max / (n - 1) underflows to 0
+    @example(3, 1e-323)
+    @example(4999, 2.2250738585072014e-308)
+    @example(100, 1e5)
+    def test_grid_is_linspace_bit_for_bit(self, n, t_max):
+        made = []
+        point = cli.four_cyl_point(0.0, False)
+        with mock.patch.object(cli, "four_cyl_point", lambda T, mirror: made.append(T) or point), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(["four-cyl", "--samples", str(n), "--t-max", repr(t_max)]) == 0
+        assert [T.hex() for T in made] == [T.hex() for T in np.linspace(0.0, t_max, n).tolist()]
 
 
 class TestExportScene:
@@ -603,6 +645,73 @@ class TestDirectErrors:
         assert (rc, err) == (1, "error: base must be a unit vector, |base| = inf\n")
 
 
+# documents whose numbers are not all JSON numbers, and the error line each gives
+LINE = {"base": [1.0, 0.0, 0.0], "dir": [0.0, 0.0, 1.0]}
+OTHER_LINE = {"base": [0.0, 1.0, 0.0], "dir": [0.0, 0.0, 1.0]}
+COORDS_REFUSED = "'coords' must be a list of numbers"
+MALFORMED = {
+    "coords-object": ({"coords": {"phi": 0.0}}, COORDS_REFUSED),
+    "coords-holding-an-object": ({"coords": [{"phi": 0.0}, *[0.0] * 17]}, COORDS_REFUSED),
+    "coords-holding-true": ({"coords": [True, *[0.0] * 17]}, COORDS_REFUSED),
+    "coords-holding-a-numeric-string": ({"coords": ["1", *[0.0] * 17]}, COORDS_REFUSED),
+    "coords-of-booleans-and-strings": ({"coords": [True, False, True, "1", 0, *[0.5] * 13]}, COORDS_REFUSED),
+    "coords-nested": ({"coords": [[0.0, 0.0, 0.0]] * 6}, COORDS_REFUSED),
+    "base-object": ({"lines": [{**LINE, "base": {"x": 1.0}}, OTHER_LINE]},
+                    "'base' must be a list of 3 numbers"),
+    "dir-holding-true": ({"lines": [{**LINE, "dir": [0.0, 0.0, True]}, OTHER_LINE]},
+                         "'dir' must be a list of 3 numbers"),
+}
+# any JSON value: null, booleans, numbers and text inside arrays and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+class TestDocumentNumbers:
+    @pytest.mark.parametrize("command", ["probe --at", "optimize --from", "export-scene --at"])
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_document_is_one_error_line(self, capsys, tmp_path, command, name):
+        # objects crashed with a TypeError traceback; true and "1" were read as 1.0, and a
+        # nested coords list as its flattened numbers
+        doc, message = MALFORMED[name]
+        doc_path, out_path = tmp_path / "doc.json", tmp_path / "scene.obj"
+        doc_path.write_text(json.dumps(doc))
+        argv = [*command.split(), f"file:{doc_path}"]
+        if argv[0] == "export-scene":
+            argv += ["--out", str(out_path)]
+        assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
+        assert not out_path.exists()
+
+    @settings(deadline=None, max_examples=300)
+    @given(JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=20), st.integers(0, 4))
+    def test_any_value_reads_or_is_refused(self, value, place):
+        # under each key that holds numbers, any JSON value reads or raises one of the
+        # errors main reports on one line
+        doc = [{"coords": value}, {"lines": value}, {"lines": [{**LINE, "base": value}, OTHER_LINE]},
+               {"lines": [{**LINE, "dir": value}, OTHER_LINE]}, value][place]
+        with tempfile.TemporaryDirectory() as tmp:
+            doc_path = Path(tmp) / "doc.json"
+            doc_path.write_text(json.dumps(doc))
+            try:
+                cli._source(f"file:{doc_path}")
+            except (ValueError, OSError, ArithmeticError):
+                pass
+
+    def test_cli_reads_no_number_itself(self):
+        # numbers reach floats only through serialize._numbers: cli.py imports no numpy
+        nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text())))
+        imported = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+        assert [name for name in imported if name.partition(".")[0] == "numpy"] == []
+
+    @given(st.lists(st.integers(-2**80, 2**80) | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=3, max_size=3))
+    def test_numbers_read_as_numpy_read_them(self, values):
+        # every well-formed document reads to the bits np.asarray(..., dtype=float) gave
+        assert np.array(_numbers(values, "base", 3)).tobytes() == np.asarray(values, dtype=float).tobytes()
+
 
 # sha256 of the stdout, and the exit code, of each command, taken before the writers were cut
 # down to builtin values (the optimize and report-all ones since the SQP search replaced the
@@ -621,6 +730,7 @@ GOLDEN = [
      "c1e9f12e384b4f58a325df2c74d1f3fba1642136532f118e7cb71edf5a07e5c8"),
     (["curve", "--samples", "101"], "4839fdb5696fffec3d79b4846c74600e9c132730416a78e97bb3e9db463ffdcf"),
     (["curve", "--samples", "3"], "c237900d54cfc969c07c86eadf37bef10562b4437553faee5525eb38e4cda0ee"),
+    (["curve", "--samples", "1"], "0e8bd072db05e6b28f11863ee13aa175a44367405a451ca4b80ebcba6293ab56"),
     (["record"], "4c8c267b56f8a1af7008a464489973f54ec79d814eb250dba099e6183124ff3b"),
     (["optimize", "--starts", "4", "--budget", "20000"],
      "659f6a23546cccc553ccbfd01694fa40e318e6954ed74073eae3605f990f8e3d"),
@@ -638,6 +748,9 @@ GOLDEN = [
      "05292055eff7a50cf8f648a860f76a34f329425857ae37ca695ddfb715ede6c1"),
     (["four-cyl"], "44033c16ccf5b0cd187342356033026d6cad0a54693b45ab5c9512e6c5e1d6b8"),
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
+    (["four-cyl", "--samples", "2"], "5f53758d0998af34a9c1a7153754e9c5c0c894219c6f5798206d56cbda5552f9"),
+    (["four-cyl", "--samples", "7", "--t-max", "1e5", "--mirror"],
+     "f4390c4cfa01f6d1073c762e0af262222cc6c25833a026d22bfd653b3482c04e"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
      "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
     (["report-all", "--json"], "3fc9ef1b4639e30068b4e20901fa1252fc8df56cb190580c2c656141b8b3d553"),
