@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .curve import (
     _RECORD_CLOSED, build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check,
     record, scan_unimodality, u_from_st,
 )
-from .lines import _BLOCK, _charts_dsq, chart_lines, distance_sq, radius_from_distance
+from .lines import _BLOCK, _charts_dsq, _pairs, chart_lines, distance_sq, radius_from_distance
 from .search import certify, chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
     PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _generic_rows, alg_coords, build_c3,
@@ -67,7 +66,7 @@ def check_record_configuration() -> CheckResult:
     near_f = np.abs(values - _RECORD_CLOSED["f"]) <= 1e-9
     near_ae = np.abs(values - _RECORD_CLOSED["dae_sq"]) <= 1e-9
     all_covered = bool((near_f | near_ae).all())
-    pairs = [frozenset(pair) for pair in combinations(range(6), 2)]  # dsq's row-major order
+    pairs = [frozenset(pair) for pair in _pairs(6)]  # dsq's order
     f_pairs = {pair for pair, near in zip(pairs, near_f.tolist()) if near}
     ae_pairs = {pair for pair, near in zip(pairs, near_ae.tolist()) if near}
     orbit = {name: set(map(frozenset, members)) for name, members in PAIR_ORBITS.items()}
@@ -250,7 +249,7 @@ def check_unlock_verdicts() -> CheckResult:
         t = w["probe_t"]
         rows = np.array(ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t))
         # every pair as a two-line chart in one kernel call, which caches no index for 2n lines
-        dsq = float(_charts_dsq(rows[list(combinations(range(2 * n), 2))]).min())
+        dsq = float(_charts_dsq(rows[list(_pairs(2 * n))]).min())
         margins.append(dsq - w["baseline_dist_sq"])
         errors.append(abs(dsq - min(w["probe_dists_sq"])) / dsq)
     ring_ok = min(margins) > 0.0 and max(errors) <= 1e-12

@@ -16,8 +16,10 @@ TangentLine, as a lines document gives it) is checked and snapped.  SphericalPoi
 which name a point rather than frame one, report longitudes in [0, 2*pi).
 Every table has that one component-major layout, so one pair kernel measures them all, batched or
 not, at flat take indices cached per line count (_chart_index); _pair_kernel's docstring is its
-one statement: formula, parallel fallback, symmetries, rounding, pair order.  A block of whole
-charts is framed and measured by _charts_dsq, a chart and its slopes by _dsq_slopes.
+one statement: formula, parallel fallback, symmetries, rounding.  A block of whole charts is
+framed and measured by _charts_dsq, a chart and its slopes by _dsq_slopes.
+The pairs of n lines are the (i, j) with i < j in row-major order, (0, 1), ..., (0, n - 1), (1, 2),
+...: listed by _pairs alone, the order of Configuration.dsq, of every kernel index and pair list.
 """
 
 from __future__ import annotations
@@ -108,17 +110,15 @@ class SphericalPoint:
             raise ValueError(f"latitude out of range: {self.phi!r}")
         if not math.isfinite(kappa):
             raise ValueError(f"longitude must be finite: {self.kappa!r}")
-        (kappa,) = _reduce_lon([kappa]).tolist()
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", _reduce_lon(kappa))
 
 
-def _reduce_lon(lon) -> np.ndarray:
-    """Longitudes (a sequence or 1-D array) as a new array reduced to [0, 2*pi);
-    a tiny negative one, whose remainder rounds up to 2*pi, becomes 0.0."""
-    lon = np.mod(lon, _TAU)
-    lon[lon >= _TAU] = 0.0
-    return lon
+def _reduce_lon(lon: float) -> float:
+    """A longitude reduced to [0, 2*pi); a tiny negative one, whose remainder rounds up to 2*pi,
+    becomes 0.0."""
+    lon %= _TAU
+    return 0.0 if lon >= _TAU else lon
 
 
 def _basis(sin, cos) -> tuple:
@@ -216,10 +216,15 @@ def _take_index(i, j, n: int) -> np.ndarray:
                              for at, comps in operands]))  # Python ints: no integer ufunc is mapped in
 
 
+def _pairs(n: int) -> tuple:
+    """The pairs (i, j) of n lines, i < j, in row-major order: the one list of a chart's pairs."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
 @lru_cache(maxsize=8)
 def _chart_index(n: int) -> np.ndarray:
-    """_take_index of n lines' pairs i < j, in row-major order."""
-    return _take_index(*np.triu_indices(n, 1), n)
+    """_take_index of n lines' _pairs."""
+    return _take_index(*zip(*_pairs(n)), n)
 
 
 def _sum_xzy(m) -> np.ndarray:
@@ -245,13 +250,13 @@ def _parallel_dsq(u, v, w) -> np.ndarray:
 
 def _pair_kernel(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Squared distances of the line pairs index (from _take_index) places in a frame table flat
-    on its first axis, batched by any further ones; _chart_index's pairs i < j come in row-major
-    order.  A pair with directions u, v and w = base_j - base_i is at det^2[u, v, w] / |u x v|^2;
-    |u x v|^2 equals 1 - (u . v)^2 for unit vectors but does not cancel near parallel.  Where it
-    is at most PARALLEL_TOL that form is 0/0, and the squared point-to-line gap (_parallel_dsq) is
-    used instead.  Each value is exactly invariant under swapping the lines or negating either
-    direction (both branches change only by exact sign flips), and every 3-term sum, the
-    fallback's too, is rounded (x + z) + y, so one chart and a batch get the same bits.
+    on its first axis, batched by any further ones, in index's pair order.  A pair with directions
+    u, v and w = base_j - base_i is at det^2[u, v, w] / |u x v|^2; |u x v|^2 equals 1 - (u . v)^2
+    for unit vectors but does not cancel near parallel.  Where it is at most PARALLEL_TOL that
+    form is 0/0, and the squared point-to-line gap (_parallel_dsq) is used instead.  Each value
+    is exactly invariant under swapping the lines or negating either direction (both branches
+    change only by exact sign flips), and every 3-term sum, the fallback's too, is rounded
+    (x + z) + y, so one chart and a batch get the same bits.
 
     One chart's (1-D) table takes all six operands in one gather; a batch takes each when
     needed, holding four (3, P, B) arrays at most, whose pages the allocator keeps between calls.
@@ -281,8 +286,7 @@ def _pair_kernel(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def distance_sq(u: TangentLine, v: TangentLine) -> float:
     """Squared distance between two lines; see _pair_kernel."""
-    table = np.concatenate((u.base, u.dir, v.base, v.dir)).reshape(2, 6).T.reshape(-1)
-    return float(_pair_kernel(table, _chart_index(2))[0])
+    return float(Configuration((u, v)).dsq[0])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -355,9 +359,9 @@ def _charts_dsq(block: np.ndarray) -> np.ndarray:
 def _slope_index(n: int) -> tuple:
     """_dsq_slopes' tables for n lines, built in plain Python as _take_index is: each table line's
     chart line (the n lines, then copy k of line 1 + k // 3); each copy's moved entry in the flat
-    (3, 4n - 3) chart table; the take index of the P pairs i < j, row-major, then of each copy with
-    the chart's other lines; the chart pair each moves, (3n - 3, n - 1); and its Jacobian slot."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    (3, 4n - 3) chart table; the take index of the P _pairs, then of each copy with the chart's
+    other lines; the chart pair each moves, (3n - 3, n - 1); and its Jacobian slot."""
+    pairs = _pairs(n)
     moved = [(k, j) for k in range(3 * n - 3) for j in range(n) if j != 1 + k // 3]
     source = [pairs.index(tuple(sorted((1 + k // 3, j)))) for k, j in moved]
     i, j = zip(*pairs, *((n + k, j) for k, j in moved))
@@ -406,7 +410,7 @@ def chart_rows(lines) -> np.ndarray:
         phi = math.atan2(z, math.hypot(x, y))  # asin(z) loses accuracy near the poles
         if abs(phi) >= math.pi / 2:
             raise ValueError("line based at a pole has no chart coordinates")
-        (kappa,) = _reduce_lon([math.atan2(y, x)]).tolist()
+        kappa = _reduce_lon(math.atan2(y, x))
         _, north, east = _basis(np.sin((phi, kappa)), np.cos((phi, kappa)))
         rows.append((phi, kappa, math.atan2(float(line.dir @ east), float(line.dir @ north))))
     return np.array(rows)

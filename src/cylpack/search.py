@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lines import (Configuration, _BLOCK, _charts_dsq, _count, _dsq_slopes, _frozen, _positive_finite,
-                    chart_lines, chart_rows, min_pairwise_distance, radius_from_distance)
+from .lines import (Configuration, _BLOCK, _charts_dsq, _count, _dsq_slopes, _frozen, _pairs,
+                    _positive_finite, chart_lines, chart_rows, min_pairwise_distance, radius_from_distance)
 from .symmetric import D3Params, c6_chart
 from .curve import build_curve_point
 
@@ -303,11 +303,11 @@ def certify(c: FreeConfig) -> dict:
     lam = z[:-1]
     balance = lam @ g
     residual = math.sqrt(float(balance @ balance)) / max(1.0, math.sqrt(float((g * g).sum())))
-    i, j = (k[active] for k in np.triu_indices(rows.shape[1], 1))
+    pairs = np.array(_pairs(rows.shape[1]))[active]
     dirs = config_lines(c).table[:, 3:]
-    cross = np.cross(dirs[i], dirs[j])
+    cross = np.cross(dirs[pairs[:, 0]], dirs[pairs[:, 1]])
     sin_sq = float((cross * cross).sum(axis=1).min())
-    return {"d": math.sqrt(fmin), "pairs": np.stack((i, j), axis=1).tolist(), "lam": lam.tolist(),
+    return {"d": math.sqrt(fmin), "pairs": pairs.tolist(), "lam": lam.tolist(),
             "residual": residual, "sin_sq": sin_sq,
             "class": "parallel" if sin_sq <= 1e-2 else "kkt" if residual <= 1e-6 else "stalled"}
 

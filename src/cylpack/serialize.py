@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from typing import Any, Iterable
 
 from .lines import Configuration, TangentLine
@@ -51,11 +52,13 @@ def csv_line(values: Iterable[float]) -> str:
 
 def _numbers(data: Any, name: str, count: int | None = None) -> list[float]:
     """The floats of a document's array ``name``: a list or tuple of ``count`` (any if None) ints
-    and floats, never booleans, strings, objects, null or nested arrays."""
-    if not (isinstance(data, (list, tuple)) and count in (None, len(data)) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data)):
-        raise ValueError(f"'{name}' must be a list of {'' if count is None else f'{count} '}numbers")
-    return [float(v) for v in data]
+    and floats, never booleans, strings, objects, null, nested arrays or ints past the largest
+    double, whose float() raises OverflowError."""
+    if isinstance(data, (list, tuple)) and count in (None, len(data)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
+        with suppress(OverflowError):
+            return [float(v) for v in data]
+    raise ValueError(f"'{name}' must be a list of {'' if count is None else f'{count} '}numbers")
 
 
 def line_from_dict(data: Any) -> TangentLine:

@@ -27,6 +27,7 @@ from .lines import (
     _charts_dsq,
     _count,
     _finite_fields,
+    _pairs,
     chart_lines,
 )
 
@@ -336,9 +337,8 @@ def triplets_trig(p: D3Params) -> DistanceTriplets:
     return DistanceTriplets(dab, dad, dbd, dae)
 
 
-# each orbit's representative pair as its column in row-major i < j order, in DistanceTriplets order
-_ORBIT_COLS = np.array([list(zip(*np.triu_indices(6, 1))).index(PAIR_ORBITS[o][0])
-                        for o in ("ab", "ad", "bd", "ae")])
+# each orbit's representative pair as its column in _pairs' order, in DistanceTriplets order
+_ORBIT_COLS = np.array([_pairs(6).index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")])
 
 
 def _generic_rows(params):

@@ -189,8 +189,9 @@ class FourCylSample:
 
     t_var is T = tan(delta) and s_var is S^2 = sin^2(phi), squared unlike
     t_var; u_var is the counter-rotation root U.  dists_sq holds d_AB^2,
-    d_AD^2, d_BD^2; parallel_pair names the adjacent pair that stays
-    parallel ("AD" or "BD") and parallel_residual is 1 - |cos| of its angle.
+    d_AD^2, d_BD^2; parallel_residual is 1 - |cos| of the angle of the
+    adjacent pair that stays parallel, B-D on the default branch and A-D
+    on the mirror one.
     """
 
     t_var: float
@@ -198,7 +199,6 @@ class FourCylSample:
     u_var: float
     params: GeneralParams
     dists_sq: tuple
-    parallel_pair: str
     parallel_residual: float
 
 
@@ -234,7 +234,5 @@ def four_cyl_point(T: float, mirror: bool = False) -> FourCylSample:
     else:
         dists = dists_general(params)
     c = build_c3(params)
-    res_ad = 1.0 - abs(float(c[0].dir @ c[2].dir))
-    res_bd = 1.0 - abs(float(c[1].dir @ c[2].dir))
-    pair = "AD" if res_ad <= res_bd else "BD"
-    return FourCylSample(T, S * S, U, params, dists, pair, min(res_ad, res_bd))
+    residual = min(1.0 - abs(float(c[k].dir @ c[2].dir)) for k in (0, 1))  # A-D, then B-D
+    return FourCylSample(T, S * S, U, params, dists, residual)

@@ -656,10 +656,16 @@ MALFORMED = {
     "coords-holding-a-numeric-string": ({"coords": ["1", *[0.0] * 17]}, COORDS_REFUSED),
     "coords-of-booleans-and-strings": ({"coords": [True, False, True, "1", 0, *[0.5] * 13]}, COORDS_REFUSED),
     "coords-nested": ({"coords": [[0.0, 0.0, 0.0]] * 6}, COORDS_REFUSED),
+    "coords-holding-an-int-past-the-largest-double": ({"coords": [10**400, *[0.0] * 17]},
+                                                      COORDS_REFUSED),
     "base-object": ({"lines": [{**LINE, "base": {"x": 1.0}}, OTHER_LINE]},
                     "'base' must be a list of 3 numbers"),
     "dir-holding-true": ({"lines": [{**LINE, "dir": [0.0, 0.0, True]}, OTHER_LINE]},
                          "'dir' must be a list of 3 numbers"),
+    "base-holding-an-int-past-the-largest-double": ({"lines": [{**LINE, "base": [10**400, 0, 0]}, OTHER_LINE]},
+                                                    "'base' must be a list of 3 numbers"),
+    "dir-holding-an-int-past-the-largest-double": ({"lines": [{**LINE, "dir": [0, 0, -10**400]}, OTHER_LINE]},
+                                                   "'dir' must be a list of 3 numbers"),
 }
 # any JSON value: null, booleans, numbers and text inside arrays and objects
 JSON_VALUES = st.recursive(
@@ -673,8 +679,9 @@ class TestDocumentNumbers:
     @pytest.mark.parametrize("command", ["probe --at", "optimize --from", "export-scene --at"])
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_document_is_one_error_line(self, capsys, tmp_path, command, name):
-        # objects crashed with a TypeError traceback; true and "1" were read as 1.0, and a
-        # nested coords list as its flattened numbers
+        # objects crashed with a TypeError traceback; true and "1" were read as 1.0, a nested
+        # coords list as its flattened numbers, and an int past the largest double exited 2
+        # with float()'s OverflowError, naming no key
         doc, message = MALFORMED[name]
         doc_path, out_path = tmp_path / "doc.json", tmp_path / "scene.obj"
         doc_path.write_text(json.dumps(doc))
@@ -686,6 +693,8 @@ class TestDocumentNumbers:
 
     @settings(deadline=None, max_examples=300)
     @given(JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=20), st.integers(0, 4))
+    @example([10**400, *[0.0] * 17], 0)  # st.integers() draws none past the largest double
+    @example([0, 0, -10**400], 3)
     def test_any_value_reads_or_is_refused(self, value, place):
         # under each key that holds numbers, any JSON value reads or raises one of the
         # errors main reports on one line
@@ -696,7 +705,7 @@ class TestDocumentNumbers:
             doc_path.write_text(json.dumps(doc))
             try:
                 cli._source(f"file:{doc_path}")
-            except (ValueError, OSError, ArithmeticError):
+            except (ValueError, OSError):
                 pass
 
     def test_cli_reads_no_number_itself(self):

@@ -22,6 +22,8 @@ from cylpack.lines import (
     _frame_table,
     _frame_xyz,
     _pair_kernel,
+    _pairs,
+    _reduce_lon,
     chart_lines,
     chart_rows,
     distance_sq,
@@ -692,8 +694,36 @@ class TestLongitudeReduction:
         built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)]).table[0]
         assert same_bits(built, _frame_table(np.array([0.0, -eps, 0.0]))[0])
 
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(2 * math.pi)
+    @example(-2 * math.pi)
+    @example(1e300)
+    @example(-1e300)
+    def test_one_float_reduces_to_np_mods_bits(self, lon):
+        want = np.mod([lon], 2 * math.pi)
+        want[want >= 2 * math.pi] = 0.0
+        assert _reduce_lon(lon).hex() == float(want[0]).hex()
+
 
 class TestConfigurationDsq:
+    @pytest.mark.parametrize("n", [2, 3, 6, 16])
+    def test_pairs_are_row_major(self, n):
+        assert _pairs(n) == tuple(itertools.combinations(range(n), 2))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(2, 16).flatmap(lambda n: st.lists(ROW, min_size=n, max_size=n)))
+    def test_dsq_entry_k_is_the_distance_of_pair_k(self, rows):
+        # the pair order of dsq is _pairs', bit for bit against distance_sq of each pair
+        c = chart_lines(rows)
+        pairs = _pairs(len(rows))
+        assert len(pairs) == len(c.dsq)
+        for k, (i, j) in enumerate(pairs):
+            assert c.dsq[k].hex() == distance_sq(c[i], c[j]).hex()
+
     @settings(deadline=None)
     @given(ROWS, st.booleans())
     def test_dsq_is_the_kernel_kept_read_only(self, rows, from_lines):

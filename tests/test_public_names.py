@@ -12,7 +12,9 @@ The guard parses the files and imports nothing.
 
 A second guard keeps each layout in one module: the pair kernel's table
 (_pair_kernel, _frame_xyz, _frame_table, _take_index, _chart_index and
-_slope_index) is named only in lines.py; the ring's longitudes and row rule
+_slope_index) is named only in lines.py, and so are triu_indices and
+combinations, since every other module reads a chart's pairs from
+lines._pairs; the ring's longitudes and row rule
 (_ring_lons, _ring_rows), its algebraic chart and range check (_alg_map,
 _check_tilt_and_twist), its closed form (_neighbor_dists_sq) and the
 six-line family's orbit columns (_ORBIT_COLS) only in symmetric.py; and the
@@ -111,7 +113,8 @@ def test_a_property_only_a_bare_name_spells_is_flagged(tmp_path):
 
 # each layout name and the one module that may name it
 LAYOUT_HOMES = {**dict.fromkeys(["_pair_kernel", "_frame_xyz", "_frame_table", "_take_index",
-                                 "_chart_index", "_slope_index"], "lines"),
+                                 "_chart_index", "_slope_index", "triu_indices", "combinations"],
+                                "lines"),
                 **dict.fromkeys(["_ring_lons", "_ring_rows", "_alg_map", "_neighbor_dists_sq",
                                  "_check_tilt_and_twist", "_ORBIT_COLS"], "symmetric"),
                 "_dual_qp": "search", "_tableau": "search"}
@@ -141,6 +144,15 @@ def test_a_layout_call_outside_its_home_is_flagged(tmp_path, home, name):
                                     "def _measure(table, index):\n"
                                     f"    return {name}(table, index)\n")
     assert layout_references(package) == [("serialize", name)] * 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("combinations", "from itertools import combinations"),
+    ("combinations", "import itertools\n\nPAIRS = list(itertools.combinations(range(6), 2))"),
+    ("triu_indices", "import numpy as np\n\nI, J = np.triu_indices(6, 1)")])
+def test_a_pair_list_outside_lines_is_flagged(tmp_path, name, text):
+    # a module that lists a chart's pairs itself, not through lines._pairs
+    assert layout_references(_with_extra(tmp_path, f"\n\n{text}\n")) == [("serialize", name)]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

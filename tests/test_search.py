@@ -628,6 +628,19 @@ class TestCertify:
         assert cert["pairs"] == np.argwhere(np.triu(np.ones((8, 8), bool), 1))[near].tolist()
         assert cert["d"] == objective(ring) and len(cert["lam"]) == len(cert["pairs"])
 
+    @settings(deadline=None, max_examples=20)
+    @given(st.floats(-2 * math.pi, 2 * math.pi))
+    def test_a_turn_about_the_axis_keeps_each_certificate(self, turn):
+        # the same constant added to every longitude turns the lines about the z axis, which keeps
+        # every distance: each cross-check end keeps its class and active pairs, and d to 1e-12
+        # (a turn of 1e3 loses the longitudes' low bits and moved d by 3e-12)
+        for end in acceptance._optimizer_run().ends:
+            coords = end.coords.copy()
+            coords[1::3] += turn
+            cert, turned = certify(end), certify(FreeConfig(coords))
+            assert (turned["class"], turned["pairs"]) == (cert["class"], cert["pairs"])
+            assert turned["d"] == pytest.approx(cert["d"], rel=1e-12, abs=0.0)
+
 
 def test_per_count_caches_stay_bounded():
     # charts of 2 to 20 lines measured and certified, and the cross-check's ends, whose active

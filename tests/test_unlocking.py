@@ -256,15 +256,17 @@ class TestFourCylinders:
             # trajectory relation S^2 (1 + 2 T^2) = T^2
             assert math.isclose(s.s_var * (1 + 2 * T * T), T * T, rel_tol=1e-13)
 
-    def test_parallel_pair_by_branch(self):
-        s = four_cyl_point(0.25)
-        assert s.parallel_pair == "BD"
-        assert s.parallel_residual < 1e-14
-        m = four_cyl_point(0.25, mirror=True)
-        assert m.parallel_pair == "AD"
-        assert m.parallel_residual < 1e-14
-        for v in m.dists_sq:
-            assert abs(v - 2.0) < 1e-10
+    @pytest.mark.parametrize("T", [0.01, 0.25, 1.0, 4.2])
+    def test_parallel_pair_by_branch(self, T):
+        # B-D stays parallel on the default branch and A-D on the mirror one, and the residual
+        # is that pair's 1 - |cos|; the other adjacent pair is not parallel
+        for mirror, (kept, other) in ((False, (1, 0)), (True, (0, 1))):
+            s = four_cyl_point(T, mirror=mirror)
+            c = build_c3(s.params)
+            assert s.parallel_residual == 1.0 - abs(float(c[kept].dir @ c[2].dir)) < 1e-14
+            assert 1.0 - abs(float(c[other].dir @ c[2].dir)) > 1e-6
+            for v in s.dists_sq:
+                assert abs(v - 2.0) < 1e-10
 
     def test_kappa_perturbation_strictly_decreases(self):
         for T in np.linspace(0.0, 5.0, 25):
