@@ -19,7 +19,7 @@ from .curve import (
     _RECORD_CLOSED, build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check,
     record, scan_unimodality, u_from_st,
 )
-from .lines import _BLOCK, _charts_dsq, _pairs, chart_lines, distance_sq, radius_from_distance
+from .lines import _BLOCK, _pairs, chart_lines, radius_from_distance
 from .search import certify, chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
     PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _generic_rows, alg_coords, build_c3,
@@ -156,10 +156,10 @@ def check_curve_membership() -> CheckResult:
         worst_fact = _worst(worst_fact, abs(psi(s, t) - expected) / scale)
     worst_vanish = 0.0
     for i in range(200):
-        sample = gamma_point((i + 1) / 201.0)
-        s2, t2, st = sample.s_var, sample.t_var, sample.S * sample.T  # s_var, t_var: S^2, T^2
-        worst_vanish = _worst(worst_vanish, abs(psi(s2, t2)), abs(k1(st, sample.U)),
-                              abs(k2(s2, t2, st, sample.U)), abs(sample.U - u_from_st(s2, t2, st)))
+        a = gamma_point((i + 1) / 201.0).coords
+        s2, t2, st = a.S * a.S, a.T * a.T, a.S * a.T
+        worst_vanish = _worst(worst_vanish, abs(psi(s2, t2)), abs(k1(st, a.U)), abs(k2(s2, t2, st, a.U)),
+                              abs(a.U - u_from_st(s2, t2, st)))
     return CheckResult(
         "curve-membership",
         worst_fact <= 1e-10 and worst_vanish <= 1e-9,
@@ -247,9 +247,8 @@ def check_unlock_verdicts() -> CheckResult:
     for n in range(3, 9):
         w = unlock_verdict(math.pi / n)["witness"]
         t = w["probe_t"]
-        rows = np.array(ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t))
-        # every pair as a two-line chart in one kernel call, which caches no index for 2n lines
-        dsq = float(_charts_dsq(rows[list(_pairs(2 * n))]).min())
+        rows = ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t)
+        dsq = float(chart_lines(rows).dsq.min())
         margins.append(dsq - w["baseline_dist_sq"])
         errors.append(abs(dsq - min(w["probe_dists_sq"])) / dsq)
     ring_ok = min(margins) > 0.0 and max(errors) <= 1e-12
@@ -280,7 +279,7 @@ def check_alternate_strategy() -> CheckResult:
             chart_lines(((phi1 * t, a / 2, -delta1 * t), (-phi1 * t, 3 * a / 2, delta1 * t)))
             for t in (1e-4, -1e-4)
         ]
-        mean = 0.5 * sum(distance_sq(*pair) for pair in pairs)
+        mean = 0.5 * sum(float(pair.dsq[0]) for pair in pairs)
         worst = _worst(worst, abs(mean - r["spot_dad_sq_0"]) / r["baseline_dist_sq"])
     return CheckResult(
         "alternate-strategy",

@@ -126,9 +126,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
     def row(x: float) -> list:
         sample = gamma_point(x)
-        p = sample.params
-        return [x, p.phi, p.delta, p.kappa, sample.S, sample.T, sample.U, sample.f_value,
-                triplets_generic(p).dae_sq]
+        p, a = sample.params, sample.coords
+        return [x, p.phi, p.delta, p.kappa, a.S, a.T, a.U, sample.f_value, triplets_generic(p).dae_sq]
 
     _emit_csv(CURVE_HEADER, (row((i + 1) / (n + 1)) for i in range(n)))
     return 0
@@ -193,8 +192,8 @@ def cmd_four_cyl(args: argparse.Namespace) -> int:
     step = args.t_max / (n - 1)  # T as np.linspace(0, t_max, n) makes it, dividing first if step is 0
     grid = (args.t_max if i == n - 1 else i * step if step else i / (n - 1) * args.t_max for i in range(n))
     samples = (four_cyl_point(T, args.mirror) for T in grid)
-    _emit_csv(FOUR_CYL_HEADER, ([s.t_var, s.s_var, s.u_var, s.params.kappa, *s.dists_sq,
-                                 s.parallel_residual] for s in samples))
+    _emit_csv(FOUR_CYL_HEADER, ([s.T, s.S2, s.U, s.params.kappa, *s.dists_sq, s.parallel_residual]
+                                for s in samples))
     return 0
 
 

@@ -104,24 +104,20 @@ def f_of_x(x):
 class CurveSample:
     """One point of the trajectory.
 
-    x is the curve parameter cos^2(phi) cos^2(delta); s_var and t_var are
-    sin^2(phi) and tan^2(delta); S, T, U the coordinate values; params
-    the angles of the sampled configuration; f_value the common squared
-    neighbor distance F(x).
+    x is the curve parameter cos^2(phi) cos^2(delta); params the angles of
+    the sampled configuration; coords their rational coordinates (S, T, U,
+    Ubar); f_value the common squared neighbor distance F(x).
     """
 
     x: float
-    s_var: float
-    t_var: float
-    S: float
-    T: float
-    U: float
     params: D3Params
+    coords: AlgCoords
     f_value: float
 
 
 def _check_sample(sample: CurveSample) -> None:
-    s, t = sample.s_var, sample.t_var
+    S, T = sample.coords.S, sample.coords.T
+    s, t = S * S, T * T
     # t grows like 1/x, so the terms grow like 1/x^3 as x -> 0: bound the
     # residual relative to their size, and past t = 1 test psi / t^3, whose
     # terms cannot overflow; the bound is at least 1e-9 v^3, so the sum of |terms| is
@@ -136,8 +132,7 @@ def _check_sample(sample: CurveSample) -> None:
     if not abs(sample.x - (1 - s) / (t + 1)) <= 1e-10 * sample.x:
         raise ArithmeticError("trajectory sample breaks the x relation")
     if sample.x < 1.0:
-        ubar = -math.tan(sample.params.kappa + math.pi / 6)
-        dists = triplets_alg(AlgCoords(sample.S, sample.T, sample.U, ubar))
+        dists = triplets_alg(sample.coords)
         f = sample.f_value
         tol = 1e-9 * f
         dab, dad, dbd = dists
@@ -166,10 +161,8 @@ def gamma_point(x) -> CurveSample:
     S = 2.0 * math.sqrt((1.0 - xf) * xf * (1.0 + xf) / (1.0 + 7.0 * xf + 4.0 * xf * xf))
     tan_kappa = (xf - 1.0) / math.sqrt((1.0 + xf) * (1.0 + 3.0 * xf))
     kappa = math.atan(tan_kappa)
-    params = D3Params(math.asin(S), math.atan(T), kappa)
-    sample = CurveSample(
-        xf, S * S, T * T, S, T, math.tan(kappa - math.pi / 6), params, float(f_of_x(xf))
-    )
+    coords = AlgCoords(S, T, math.tan(kappa - math.pi / 6), -math.tan(kappa + math.pi / 6))
+    sample = CurveSample(xf, D3Params(math.asin(S), math.atan(T), kappa), coords, float(f_of_x(xf)))
     _check_sample(sample)
     return sample
 
@@ -207,12 +200,12 @@ def record() -> dict:
     configuration under "computed", their closed forms under the same keys in "closed_form".
     A computed value more than 1e-12 from its closed form raises ArithmeticError."""
     sample, c = build_curve_point(0.5)
-    p = sample.params
+    p, a = sample.params, sample.coords
     d = min_pairwise_distance(c)
     computed = {
         "x": sample.x,
-        "s": sample.s_var,
-        "t": sample.t_var,
+        "s": a.S * a.S,
+        "t": a.T * a.T,
         "phi": p.phi,
         "tan_kappa": math.tan(p.kappa),
         "f": sample.f_value,

@@ -37,10 +37,11 @@ _TAU = 2.0 * math.pi
 # formula is 0/0 and the point-to-line fallback is used instead.
 PARALLEL_TOL = 1e-12
 
-# configurations per kernel call in every batched path: the kernel's (3, 15, block) gathers
-# and its other temporaries must stay small enough that the allocator keeps their pages
-# between calls; larger ones go back to the OS when freed and fault in again on the next call
-# (a 1536-chart batch faulted about 60 pages a call at 160 in some processes, none at 128).
+# configurations per kernel call in every batched path, each lockstep round's starts too: the
+# kernel's (3, 15, block) gathers and its other temporaries must stay small enough that the
+# allocator keeps their pages between calls; larger ones go back to the OS when freed and fault in
+# again on the next call (a 1536-chart batch faulted about 60 pages a call at 160 in some processes,
+# none at 128).
 _BLOCK = 128
 
 

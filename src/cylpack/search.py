@@ -8,8 +8,8 @@ step's QP solved in numpy without LAPACK (_dual_qp), the starts of a search in l
 (_lockstep).  A chart is any 3n finite numbers: latitudes run unbounded as longitudes and angles
 do, and every start returns the chart it walked to.  multi_start searches six-line charts, and
 certify tells an end at a first-order local maximum from one beside a nearly parallel pair or
-stalled.  Seeds are measured by _dsq_slopes in the SQP's first round; the perturbation probe
-measures its trials by _charts_dsq, _BLOCK at a time, in calls whose temporaries the allocator keeps.
+stalled.  The lockstep measures each round's live starts by _dsq_slopes, and the perturbation probe
+its trials by _charts_dsq, both _BLOCK at a time, in calls whose temporaries the allocator keeps.
 """
 
 from __future__ import annotations
@@ -225,21 +225,23 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
 
 
 def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptResult:
-    """_sqp from each seed chart, each round measuring the live starts' charts in one _dsq_slopes call,
-    with the bits each gets alone; each start's walked end, merged to the first start of largest
-    d_best, its trace's last value (objective's bits: _dsq_slopes frames as chart_lines does), with
-    evals summed and every start's d_best and walked chart."""
+    """_sqp from each seed chart, each round measuring the live starts' charts _BLOCK at a time in
+    _dsq_slopes calls, with the bits each gets alone; each start's walked end, merged to the first
+    start of largest d_best, its trace's last value (objective's bits: _dsq_slopes frames as
+    chart_lines does), with evals summed and every start's d_best and walked chart."""
     runs = [_sqp(seed.coords, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
-        f, g = _dsq_slopes(np.reshape(charts, (len(charts), -1, 3)), _H)
+        rows = np.reshape(charts, (len(charts), -1, 3))
         going, charts = [], []
-        for j, i in enumerate(live):
-            try:  # copies, so that no start holds a whole round's arrays
-                charts.append(runs[i].send((f[j].copy(), g[j].copy())))
-                going.append(i)
-            except StopIteration as end:
-                ends[i] = end.value
+        for lo in range(0, len(live), _BLOCK):
+            f, g = _dsq_slopes(rows[lo:lo + _BLOCK], _H)
+            for j, i in enumerate(live[lo:lo + _BLOCK]):
+                try:  # copies, so that no start holds a whole block's arrays
+                    charts.append(runs[i].send((f[j].copy(), g[j].copy())))
+                    going.append(i)
+                except StopIteration as end:
+                    ends[i] = end.value
         live, f, g = going, None, None
     d = tuple(e[1][-1] for e in ends)
     k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima

@@ -50,10 +50,11 @@ _DEGEN_TOL = 1e-12
 _NEAR_PARALLEL_TOL = 1e-4
 
 
-# d3_orbit_check's two symmetries, and the image of each line A..F under Rz
+# d3_orbit_check's two symmetries, each with the image of each line A..F under it
 _RZ = np.array([[-0.5, -SQRT3 / 2, 0.0], [SQRT3 / 2, -0.5, 0.0], [0.0, 0.0, 1.0]])
-_RZ_PERM = (1, 2, 0, 4, 5, 3)
+_RZ_PERM = [1, 2, 0, 4, 5, 3]
 _RX = np.diag([1.0, -1.0, -1.0])
+_RX_PERM = [5, 4, 3, 2, 1, 0]
 
 
 def _check_tilt_and_twist(p) -> None:
@@ -156,14 +157,14 @@ def build_c3(g: GeneralParams) -> Configuration:
     return chart_lines(_ring_rows((a / 2, 5 * a / 2), (3 * a / 2,), g.phi, g.delta, g.kappa))
 
 
-def _images_match(table: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """(6, 6) bools: whether line i of a [base | dir] table, rotated by matrix, is line j: its base
-    within 1e-10 in every component, and its dir too, up to sign, since a line is unoriented."""
-    rows = table.reshape(1, 6, 2, 3)
-    image = table.reshape(6, 1, 2, 3) @ matrix.T
+def _images_match(table: np.ndarray, matrix: np.ndarray, perm: list) -> bool:
+    """Whether line i of a [base | dir] table, rotated by matrix, is line perm[i] for every i: its
+    base within 1e-10 in every component, and its dir too, up to sign, since a line is unoriented."""
+    rows = table[perm].reshape(6, 2, 3)
+    image = table.reshape(6, 2, 3) @ matrix.T
     off = np.abs(image - rows).max(-1)
-    flipped = np.abs(image[..., 1, :] + rows[..., 1, :]).max(-1)
-    return (off[..., 0] <= 1e-10) & (np.minimum(off[..., 1], flipped) <= 1e-10)
+    flipped = np.abs(image[:, 1] + rows[:, 1]).max(-1)
+    return bool(((off[:, 0] <= 1e-10) & (np.minimum(off[:, 1], flipped) <= 1e-10)).all())
 
 
 def d3_orbit_check(c: Configuration) -> bool:
@@ -173,12 +174,11 @@ def d3_orbit_check(c: Configuration) -> bool:
     matrices Rz(120 deg) = [[-1/2, -sqrt(3)/2, 0], [sqrt(3)/2, -1/2, 0],
     [0, 0, 1]] and Rx(pi) = diag(1, -1, -1), and checks, to 1e-10 in every
     component of base and of dir up to sign, that Rz maps the lines
-    (A,B,C,D,E,F) to (B,C,A,E,F,D) and that Rx maps the line set onto itself.
+    (A,B,C,D,E,F) to (B,C,A,E,F,D) and Rx maps them to (F,E,D,C,B,A).
     """
     if len(c) != 6:
         raise ValueError("orbit check needs exactly 6 lines")
-    rz_ok = _images_match(c.table, _RZ)[range(6), _RZ_PERM].all()
-    return bool(rz_ok and _images_match(c.table, _RX).any(axis=1).all())
+    return _images_match(c.table, _RZ, _RZ_PERM) and _images_match(c.table, _RX, _RX_PERM)
 
 
 @dataclass(frozen=True)
@@ -186,22 +186,21 @@ class AlgCoords:
     """Rational coordinates (S, T, U, Ubar) of the family.
 
     S = sin(phi), T = tan(delta), U = tan(kappa - pi/6),
-    Ubar = -tan(kappa + pi/6).  s_var and t_var hold S and T themselves,
-    not squared as CurveSample.s_var and t_var are; the closed forms read
-    the products S^2, T^2 and S T.  U and Ubar derived from one kappa are
-    Moebius-linked: -sqrt(3) U Ubar + U + Ubar + sqrt(3) = 0.
+    Ubar = -tan(kappa + pi/6); the closed forms read the products S^2,
+    T^2 and S T.  U and Ubar derived from one kappa are Moebius-linked:
+    -sqrt(3) U Ubar + U + Ubar + sqrt(3) = 0.
     """
 
-    s_var: float
-    t_var: float
-    u_var: float
-    ubar_var: float
+    S: float
+    T: float
+    U: float
+    Ubar: float
 
     def __post_init__(self):
-        s, t, u, ub = self.s_var, self.t_var, self.u_var, self.ubar_var
+        s, t, u, ub = self.S, self.T, self.U, self.Ubar
         if not (type(s) is type(t) is type(u) is type(ub) is float and math.isfinite(s + t + u + ub)):
-            _finite_fields(self, "s_var", "t_var", "u_var", "ubar_var")
-            s, u, ub = self.s_var, self.u_var, self.ubar_var
+            _finite_fields(self, "S", "T", "U", "Ubar")
+            s, u, ub = self.S, self.U, self.Ubar
         if abs(s) > 1.0:
             raise ValueError(f"S must lie in [-1, 1]: {s!r}")
         residual = -SQRT3 * u * ub + u + ub + SQRT3
@@ -260,9 +259,9 @@ def triplets_alg(a: AlgCoords) -> tuple:
     delta direction, the value 3 of the initial configuration's skew
     pairs, is returned.
     """
-    S, T = a.s_var, a.t_var
+    S, T = a.S, a.T
     # sin^2 and cos^2 of the neighbor angle pi/3
-    return _neighbor_dists_sq(S * S, T * T, S * T, a.u_var, a.ubar_var, 0.75, 0.25)
+    return _neighbor_dists_sq(S * S, T * T, S * T, a.U, a.Ubar, 0.75, 0.25)
 
 
 def dists_general(g: GeneralParams) -> tuple:

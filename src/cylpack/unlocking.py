@@ -187,16 +187,16 @@ def alt_strategy_verdict(alpha: float) -> dict:
 class FourCylSample:
     """One point of the four-cylinder constant-distance trajectory.
 
-    t_var is T = tan(delta) and s_var is S^2 = sin^2(phi), squared unlike
-    t_var; u_var is the counter-rotation root U.  dists_sq holds d_AB^2,
+    T = tan(delta), S2 = S^2 = sin^2(phi) and U, the counter-rotation
+    root, are named as the four-cyl columns.  dists_sq holds d_AB^2,
     d_AD^2, d_BD^2; parallel_residual is 1 - |cos| of the angle of the
     adjacent pair that stays parallel, B-D on the default branch and A-D
     on the mirror one.
     """
 
-    t_var: float
-    s_var: float
-    u_var: float
+    T: float
+    S2: float
+    U: float
     params: GeneralParams
     dists_sq: tuple
     parallel_residual: float
@@ -233,6 +233,6 @@ def four_cyl_point(T: float, mirror: bool = False) -> FourCylSample:
         dists = (2.0, 2.0, 2.0)
     else:
         dists = dists_general(params)
-    c = build_c3(params)
-    residual = min(1.0 - abs(float(c[k].dir @ c[2].dir)) for k in (0, 1))  # A-D, then B-D
+    dirs = build_c3(params).table[:, 3:]
+    residual = min(1.0 - abs(float(dirs[k] @ dirs[2])) for k in (0, 1))  # A-D, then B-D
     return FourCylSample(T, S * S, U, params, dists, residual)

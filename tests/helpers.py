@@ -88,3 +88,15 @@ def ref_c3_rows(g):
     """build_c3's rows (A, B, D) of a GeneralParams."""
     a, k, d = g.alpha, g.kappa, g.delta
     return ((g.phi, a / 2 + k, -d), (g.phi, 5 * a / 2 + k, -d), (-g.phi, 3 * a / 2 - k, -d))
+
+
+# gamma_point's coordinates as it wrote them out before its sample kept one AlgCoords: a
+# reference for the sample's coords, whose float bits must match it.
+
+
+def ref_gamma_coords(x):
+    """(S, T, U, -tan(kappa + pi/6)) of the trajectory at x, T through t_of_x's form."""
+    t = (1 + 3 * x) * (1 - x) / (x * (1 + 7 * x + 4 * x * x))
+    S = 2.0 * math.sqrt((1.0 - x) * x * (1.0 + x) / (1.0 + 7.0 * x + 4.0 * x * x))
+    kappa = math.atan((x - 1.0) / math.sqrt((1.0 + x) * (1.0 + 3.0 * x)))
+    return S, math.sqrt(t), math.tan(kappa - math.pi / 6), -math.tan(kappa + math.pi / 6)

@@ -370,7 +370,7 @@ def test_four_cylinder_rigidity_fails_on_a_wrong_mirror_root(monkeypatch):
         sample = real(T, mirror)
         if not mirror or T == 0.0:
             return sample
-        S = math.sqrt(sample.s_var)
+        S = math.sqrt(sample.S2)
         p = sample.params
         U = S * T + math.sqrt(S * S * T * T + 1.0)
         moved = dataclasses.replace(p, kappa=math.atan(U) + p.alpha / 2)

@@ -30,13 +30,13 @@ from cylpack.curve import (
     u_from_st,
 )
 from cylpack.symmetric import (
-    AlgCoords,
     D3Params,
     alg_coords,
     build_c6,
     triplets_alg,
     triplets_trig,
 )
+from helpers import ref_gamma_coords
 
 RNG = np.random.default_rng(92)
 
@@ -80,24 +80,24 @@ class TestPolynomials:
     def test_vanish_along_trajectory(self):
         worst = 0.0
         for x in grid_xs(200):
-            g = gamma_point(x)
+            a = gamma_point(x).coords
             worst = max(
                 worst,
-                abs(k1(g.S * g.T, g.U)),
-                abs(k2(g.s_var, g.t_var, g.S * g.T, g.U)),
-                abs(psi(g.s_var, g.t_var)),
+                abs(k1(a.S * a.T, a.U)),
+                abs(k2(a.S * a.S, a.T * a.T, a.S * a.T, a.U)),
+                abs(psi(a.S * a.S, a.T * a.T)),
             )
         assert worst < 1e-9
 
     def test_u_from_st(self):
-        g = gamma_point(0.5)
-        assert math.isclose(u_from_st(g.s_var, g.t_var, g.S * g.T), U_M, rel_tol=1e-13)
+        a = gamma_point(0.5).coords
+        assert math.isclose(u_from_st(a.S * a.S, a.T * a.T, a.S * a.T), U_M, rel_tol=1e-13)
         for x in grid_xs(50):
             if x == 1.0:
                 continue
-            g = gamma_point(x)
-            u = u_from_st(g.s_var, g.t_var, g.S * g.T)
-            assert math.isclose(u, g.U, rel_tol=1e-9, abs_tol=1e-9)
+            a = gamma_point(x).coords
+            u = u_from_st(a.S * a.S, a.T * a.T, a.S * a.T)
+            assert math.isclose(u, a.U, rel_tol=1e-9, abs_tol=1e-9)
         with pytest.raises(DegenerateError):
             u_from_st(0.0, 0.0, 0.0)
 
@@ -168,26 +168,28 @@ class TestRationalForms:
 class TestGammaPoint:
     def test_record_point_values(self):
         g = gamma_point(0.5)
-        assert math.isclose(g.s_var, 3.0 / 11.0, rel_tol=1e-14)
-        assert math.isclose(g.t_var, 5.0 / 11.0, rel_tol=1e-14)
+        a = g.coords
+        assert math.isclose(a.S * a.S, 3.0 / 11.0, rel_tol=1e-14)
+        assert math.isclose(a.T * a.T, 5.0 / 11.0, rel_tol=1e-14)
         assert math.isclose(math.tan(g.params.kappa), -1.0 / math.sqrt(15.0), rel_tol=1e-14)
-        assert math.isclose(g.U, U_M, rel_tol=1e-14)
+        assert math.isclose(a.U, U_M, rel_tol=1e-14)
         assert math.isclose(g.f_value, 12.0 / 11.0, rel_tol=1e-15)
 
     def test_initial_point_exact(self):
         g = gamma_point(1.0)
-        assert (g.x, g.s_var, g.t_var, g.S, g.T) == (1.0, 0.0, 0.0, 0.0, 0.0)
+        a = g.coords
+        assert (g.x, a.S * a.S, a.T * a.T, a.S, a.T) == (1.0, 0.0, 0.0, 0.0, 0.0)
         assert (g.params.phi, g.params.delta, g.params.kappa) == (0.0, 0.0, 0.0)
-        assert math.isclose(g.U, U0, rel_tol=1e-15)
-        assert g.U == math.tan(-math.pi / 6)
+        assert math.isclose(a.U, U0, rel_tol=1e-15)
+        assert (a.U, a.Ubar) == (math.tan(-math.pi / 6), -math.tan(math.pi / 6))
         assert g.f_value == 1.0
-        zeros = (g.s_var, g.t_var, g.S, g.T, g.params.phi, g.params.delta, g.params.kappa)
+        zeros = (a.S * a.S, a.T * a.T, a.S, a.T, g.params.phi, g.params.delta, g.params.kappa)
         assert all(math.copysign(1.0, z) == 1.0 for z in zeros)
 
     def test_branch_signs(self):
         for x in (0.2, 0.5, 0.9):
             g = gamma_point(x)
-            assert g.S > 0 and g.T > 0
+            assert g.coords.S > 0 and g.coords.T > 0
             assert -math.pi / 2 < g.params.kappa <= 0.0
 
     def test_distances_match_f(self):
@@ -213,10 +215,10 @@ class TestGammaPoint:
     def test_endpoint_continuity(self):
         # parameters shrink like sqrt(1 - x) toward the endpoint
         g = gamma_point(1 - 1e-8)
-        assert max(abs(g.S), abs(g.T), abs(math.tan(g.params.kappa))) < 3e-4
+        assert max(abs(g.coords.S), abs(g.coords.T), abs(math.tan(g.params.kappa))) < 3e-4
         g = gamma_point(1 - 1e-13)
-        assert max(abs(g.S), abs(g.T), abs(math.tan(g.params.kappa))) < 1e-6
-        assert math.isclose(g.U, U0, rel_tol=1e-6)
+        assert max(abs(g.coords.S), abs(g.coords.T), abs(math.tan(g.params.kappa))) < 1e-6
+        assert math.isclose(g.coords.U, U0, rel_tol=1e-6)
 
     # the smallest x whose t(x) ~ 1/x is a finite float, and the float below it
     X_MIN = 5.56268464626801e-309
@@ -238,7 +240,19 @@ class TestGammaPoint:
                 gamma_point(x)
         else:
             g = gamma_point(x)
-            assert g.x == x and math.isfinite(g.t_var) and g.f_value == f_of_x(x)
+            assert g.x == x and math.isfinite(g.coords.T * g.coords.T) and g.f_value == f_of_x(x)
+
+    @settings(deadline=None)
+    @given(st.floats(5.57e-309, 1.0) | st.floats(math.log(5.57e-309), 0.0).map(math.exp))
+    @example(1.0)
+    @example(0.5)
+    @example(5.57e-309)
+    def test_coords_are_the_closed_forms(self, x):
+        # the sample keeps the AlgCoords its check measures, each coordinate with the bits of
+        # the form gamma_point wrote out for it; at x = 1 they are (0, 0, tan(-pi/6),
+        # -tan(pi/6)), which pass the Moebius link
+        a = gamma_point(x).coords
+        assert [v.hex() for v in (a.S, a.T, a.U, a.Ubar)] == [v.hex() for v in ref_gamma_coords(x)]
 
     @settings(deadline=None)
     @given(st.floats(math.log(5.57e-309), 0.0).map(math.exp).filter(lambda x: x < 1.0))
@@ -250,8 +264,7 @@ class TestGammaPoint:
         # d_AB^2's denominator overflows past t ~ 1e154; the sample's own
         # coordinates still give F(x) to 1e-14 relative, however small F is
         g = gamma_point(x)
-        ubar = -math.tan(g.params.kappa + math.pi / 6)
-        for dsq in triplets_alg(AlgCoords(g.S, g.T, g.U, ubar)):
+        for dsq in triplets_alg(g.coords):
             assert abs(dsq - g.f_value) <= 1e-14 * g.f_value
 
     @pytest.mark.parametrize(

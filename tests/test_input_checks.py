@@ -46,7 +46,7 @@ class TestFiniteFields:
         for obj in (
             D3Params(phi, delta, kappa),  # kappa lies in [-2pi, 2pi]
             GeneralParams(alpha, phi, delta, kappa),
-            AlgCoords(phi, delta, a.u_var, a.ubar_var),
+            AlgCoords(phi, delta, a.U, a.Ubar),
         ):
             assert all(type(v) is float for v in vars(obj).values()), obj
 

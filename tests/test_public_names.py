@@ -1,9 +1,10 @@
 """The package ships only what a program calls.
 
 Every public module-level function or class of src/cylpack, and every
-public method or `name = property(...)` member of its public classes, is
-referenced at least once by name, outside its own definition, in
-src/cylpack/*.py or bench/*.py.  Tests do not count, nor do the package's
+public method, `name = property(...)` member or dataclass field of its
+public classes, is referenced at least once by name, outside its own
+definition, in src/cylpack/*.py or bench/*.py: a field is then read,
+not only stored.  Tests do not count, nor do the package's
 _EXPORTS strings: a name only a test calls belongs in the tests.  A
 module-level name is referenced by a bare name or an attribute of that
 name anywhere in those files; a class member only by an attribute
@@ -37,14 +38,23 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _is_dataclass(cls):
+    """Whether a class is decorated @dataclass or @dataclass(...)."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
 def _members(cls):
-    """Names of a class body's methods and `name = property(...)` assignments."""
+    """Names of a class body's methods, `name = property(...)` assignments and, in a dataclass,
+    annotated fields."""
     for item in cls.body:
         if isinstance(item, ast.FunctionDef):
             yield item.name
         elif (isinstance(item, ast.Assign) and isinstance(item.value, ast.Call)
               and isinstance(item.value.func, ast.Name) and item.value.func.id == "property"):
             yield from (target.id for target in item.targets if isinstance(target, ast.Name))
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and _is_dataclass(cls):
+            yield item.target.id
 
 
 def _definitions(tree, module):
@@ -108,6 +118,14 @@ def test_a_name_only_its_own_body_calls_is_flagged(tmp_path):
 def test_a_property_only_a_bare_name_spells_is_flagged(tmp_path):
     package = _with_extra(tmp_path, "\n\nclass Extra:\n    spare = property(lambda self: 0)\n"
                                     "\n\ndef _use(spare):\n    return Extra(), spare\n")
+    assert unreferenced(package) == ["serialize.Extra.spare"]
+
+
+def test_a_stored_field_no_program_reads_is_flagged(tmp_path):
+    # both fields are stored, only kept is read; a plain class's annotation is no field
+    package = _with_extra(tmp_path, "\n\n@dataclass(frozen=True)\nclass Extra:\n    kept: float\n"
+                                    "    spare: float\n\n\nclass Plain:\n    loose: float\n"
+                                    "\n\ndef _use(spare):\n    return Extra(1.0, spare).kept, Plain\n")
     assert unreferenced(package) == ["serialize.Extra.spare"]
 
 

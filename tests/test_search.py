@@ -691,6 +691,17 @@ class TestMultiStart:
         assert [objective(end).hex() for end in r.ends] == [d.hex() for d in r.start_d]
         assert r.ends[2] is r.best
 
+    def test_rounds_are_measured_a_block_at_a_time(self, monkeypatch):
+        # 200 live starts take two _dsq_slopes calls a round, none of more than _BLOCK charts,
+        # and walk as one call a round walked them: the pinned digests were taken that way
+        sizes, slopes = [], search._dsq_slopes
+        monkeypatch.setattr(search, "_dsq_slopes", lambda rows, h: sizes.append(len(rows)) or slopes(rows, h))
+        r = multi_start(200, 0, 2000)
+        assert max(sizes) == search._BLOCK == 128 and sum(sizes) * 16 == r.evals == 335184
+        assert (digest(r.start_d), digest([end.coords for end in r.ends])) == (
+            "2ef8704fc1459f7e", "ded3d38b3fe12f3b"
+        )
+
     def test_cross_check_run_pinned(self):
         # the acceptance suite shares this cached run; its winner is the x = 0.5 seed,
         # the record itself, which never moves, and seven blind starts reach the record

@@ -137,6 +137,13 @@ class TestOrbitCheck:
         lines[2] = make_tangent_line(SphericalPoint(lat, lon + 0.1), ang)
         assert not d3_orbit_check(Configuration(tuple(lines)))
 
+    def test_relabelled_upper_triple_fails(self):
+        # (B, C, A, D, E, F): Rz still maps each line to the next of its triple, and Rx still
+        # maps the line set onto itself, but it takes the first line, now B, to E, not to F
+        c = build_c6(D3Params(0.3, 0.2, -0.1))
+        assert d3_orbit_check(c)
+        assert not d3_orbit_check(Configuration((c[1], c[2], c[0], *c[3:])))
+
     def test_wrong_length_rejected(self):
         c = build_c6(random_params(RNG))
         with pytest.raises(ValueError):
@@ -160,7 +167,7 @@ def orbit_check_oracle(c, tol=1e-10):
     rx = _axis_rotation([1.0, 0.0, 0.0], math.pi)
     images = [[TangentLine(r @ u.base, r @ u.dir) for u in c] for r in (rz, rx)]
     rz_ok = all(same_line(u, c[j], tol) for u, j in zip(images[0], (1, 2, 0, 4, 5, 3)))
-    return rz_ok and all(any(same_line(u, v, tol) for v in c) for u in images[1])
+    return rz_ok and all(same_line(u, c[j], tol) for u, j in zip(images[1], (5, 4, 3, 2, 1, 0)))
 
 
 def assert_agrees_with_oracle(c):
@@ -255,21 +262,21 @@ class TestOrbits:
 class TestAlgCoords:
     def test_initial_values(self):
         a = alg_coords(D3Params(0.0, 0.0, 0.0))
-        assert a.s_var == 0.0 and a.t_var == 0.0
-        assert math.isclose(a.u_var, -1.0 / math.sqrt(3.0), rel_tol=1e-15)
-        assert math.isclose(a.ubar_var, -1.0 / math.sqrt(3.0), rel_tol=1e-15)
+        assert a.S == 0.0 and a.T == 0.0
+        assert math.isclose(a.U, -1.0 / math.sqrt(3.0), rel_tol=1e-15)
+        assert math.isclose(a.Ubar, -1.0 / math.sqrt(3.0), rel_tol=1e-15)
 
     def test_record_values(self):
         a = alg_coords(RECORD)
         u_m = -(math.sqrt(3.0) * (4.0 + math.sqrt(5.0))) / 11.0
-        assert math.isclose(a.u_var, u_m, rel_tol=1e-14)
-        assert math.isclose(a.s_var * a.s_var, 3.0 / 11.0, rel_tol=1e-14)
-        assert math.isclose(a.t_var * a.t_var, 5.0 / 11.0, rel_tol=1e-14)
+        assert math.isclose(a.U, u_m, rel_tol=1e-14)
+        assert math.isclose(a.S * a.S, 3.0 / 11.0, rel_tol=1e-14)
+        assert math.isclose(a.T * a.T, 5.0 / 11.0, rel_tol=1e-14)
 
     def test_moebius_relation(self):
         for _ in range(50):
             a = alg_coords(random_params(RNG))
-            u, ub = a.u_var, a.ubar_var
+            u, ub = a.U, a.Ubar
             res = -math.sqrt(3.0) * u * ub + u + ub + math.sqrt(3.0)
             assert abs(res) <= 1e-10 * (1 + abs(u) + abs(ub) + abs(u * ub))
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cylpack import unlocking
 from cylpack.lines import chart_lines, distance_sq, radius_from_distance
@@ -241,20 +242,20 @@ class TestFourCylinders:
         # distance 2, i.e. generic squared distance 4
         sample = four_cyl_point(0.0)
         assert sample.dists_sq == (2.0, 2.0, 2.0)
-        assert math.isclose(sample.u_var, -1.0, rel_tol=1e-15)
+        assert math.isclose(sample.U, -1.0, rel_tol=1e-15)
         c = build_c3(sample.params)
         assert math.isclose(distance_sq(c[0], c[1]), 4.0, rel_tol=1e-12)
 
     def test_counter_rotation_root(self):
         sample = four_cyl_point(1.0)
-        assert math.isclose(sample.u_var, -math.sqrt(3.0), rel_tol=1e-12)
+        assert math.isclose(sample.U, -math.sqrt(3.0), rel_tol=1e-12)
         for T in (0.3, 1.7, 4.2):
             s = four_cyl_point(T)
-            S = math.sqrt(s.s_var)
-            resid = s.u_var * s.u_var + 2 * S * T * s.u_var - 1.0
+            S = math.sqrt(s.S2)
+            resid = s.U * s.U + 2 * S * T * s.U - 1.0
             assert abs(resid) < 1e-12
             # trajectory relation S^2 (1 + 2 T^2) = T^2
-            assert math.isclose(s.s_var * (1 + 2 * T * T), T * T, rel_tol=1e-13)
+            assert math.isclose(s.S2 * (1 + 2 * T * T), T * T, rel_tol=1e-13)
 
     @pytest.mark.parametrize("T", [0.01, 0.25, 1.0, 4.2])
     def test_parallel_pair_by_branch(self, T):
@@ -267,6 +268,17 @@ class TestFourCylinders:
             assert 1.0 - abs(float(c[other].dir @ c[2].dir)) > 1e-6
             for v in s.dists_sq:
                 assert abs(v - 2.0) < 1e-10
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1e5), st.booleans())
+    @example(0.0, False)
+    @example(1e5, True)
+    def test_residual_has_the_lines_bits(self, T, mirror):
+        # four_cyl_point reads the residual from its frame table, with the bits that the
+        # TangentLine objects of the same lines give
+        s = four_cyl_point(T, mirror)
+        c = build_c3(s.params)
+        assert s.parallel_residual.hex() == min(1.0 - abs(float(c[k].dir @ c[2].dir)) for k in (0, 1)).hex()
 
     def test_kappa_perturbation_strictly_decreases(self):
         for T in np.linspace(0.0, 5.0, 25):
