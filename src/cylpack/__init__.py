@@ -20,7 +20,7 @@ _EXPORTS = {
               "scan_unimodality", "t_of_x"),
     "lines": ("Configuration", "DegenerateError", "PARALLEL_TOL", "SphericalPoint", "TangentLine",
               "distance_sq", "make_tangent_line", "min_pairwise_distance", "radius_from_distance"),
-    "scene": ("SceneSpec", "min_surface_gap", "scene_obj"),
+    "scene": ("min_surface_gap", "scene_obj"),
     "search": ("FreeConfig", "OptResult", "certify", "chart_c6", "chart_curve",
                "chart_from_configuration", "chart_record", "config_lines", "local_maximize",
                "multi_start", "objective", "perturbation_probe"),

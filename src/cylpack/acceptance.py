@@ -233,7 +233,9 @@ def check_unlock_verdicts() -> CheckResult:
         (2.0, "blocked"),
         (3.0, "blocked"),
     ]
-    reports = [unlock_verdict(a) for a, _ in expected]
+    # one witness per ring of 2n = 6..16 lines; the verdict list reuses pi/3's and pi/6's
+    rings = {math.pi / n: unlock_verdict(math.pi / n) for n in range(3, 9)}
+    reports = [rings[a] if a in rings else unlock_verdict(a) for a, _ in expected]
     verdicts = [(a, r["verdict"]) for (a, _), r in zip(expected, reports)]
     verdict_ok = all(v == want for (_, v), (_, want) in zip(verdicts, expected))
     witnesses = [r["witness"] for r, (_, want) in zip(reports, expected) if want == "unlockable"]
@@ -245,7 +247,7 @@ def check_unlock_verdicts() -> CheckResult:
     baseline_one = abs(pi3["baseline_dist_sq"] - 1.0) <= 1e-15
     margins, errors = [], []  # each whole ring's smallest d^2 less the baseline, and off the subfamily's
     for n in range(3, 9):
-        w = unlock_verdict(math.pi / n)["witness"]
+        w = rings[math.pi / n]["witness"]
         t = w["probe_t"]
         rows = ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t)
         dsq = float(chart_lines(rows).dsq.min())

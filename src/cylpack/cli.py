@@ -198,7 +198,7 @@ def cmd_four_cyl(args: argparse.Namespace) -> int:
 
 
 def cmd_export_scene(args: argparse.Namespace) -> int:
-    from .scene import SceneSpec, min_surface_gap, scene_obj
+    from .scene import min_surface_gap, scene_obj
 
     config = _source(args.at)
     if isinstance(config, FreeConfig):
@@ -206,8 +206,7 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
     radius = args.radius
     if radius is None:
         radius = radius_from_distance(min_pairwise_distance(config))
-    spec = SceneSpec(config, radius, args.length, args.segments)
-    text = scene_obj(spec)
+    text = scene_obj(config, radius, args.length, args.segments)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     doc = {

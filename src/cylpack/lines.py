@@ -304,7 +304,8 @@ class Configuration:
             raise ValueError("a configuration needs at least 2 lines")
         if not all(isinstance(line, TangentLine) for line in lines):
             raise TypeError("configuration members must be TangentLine")
-        self.__dict__.update(lines=lines, table=_frozen(np.array([(*u.base, *u.dir) for u in lines], order="F")))
+        table = np.array([np.concatenate((u.base, u.dir)) for u in lines], order="F")
+        self.__dict__.update(lines=lines, table=_frozen(table))
 
     @classmethod
     def _framed(cls, table: np.ndarray) -> "Configuration":

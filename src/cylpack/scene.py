@@ -11,11 +11,10 @@ gap (1 + r) d - 2 r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lines import Configuration, TangentLine, _count, _positive_finite, min_pairwise_distance
+from .lines import Configuration, _count, _positive_finite, min_pairwise_distance
 from .serialize import CSV_SIG, fmt_float
 
 Mesh = tuple[np.ndarray, list[tuple[int, ...]]]
@@ -30,36 +29,22 @@ def _segments(value) -> int:
     return segments
 
 
-def _sizes(radius, length, length_name: str) -> None:
+def _sizes(radius, cyl_length) -> None:
     """Refuse sizes not positive and finite, or overflowing 1 + 2 radius + length, every vertex's bound."""
     _positive_finite("radius", radius)
-    _positive_finite(length_name, length)
-    if not math.isfinite(1.0 + 2.0 * radius + length):
-        name, value = ("radius", radius) if 2.0 * radius >= length else (length_name, length)
+    _positive_finite("cyl_length", cyl_length)
+    if not math.isfinite(1.0 + 2.0 * radius + cyl_length):
+        name, value = ("radius", radius) if 2.0 * radius >= cyl_length else ("cyl_length", cyl_length)
         raise ValueError(f"{name} must keep the mesh bound 1 + 2 radius + length finite: {value!r}")
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """A renderable scene: which lines, how thick, how long, how fine."""
-
-    configuration: Configuration
-    radius: float
-    cyl_length: float = 6.0
-    segments: int = 64
-
-    def __post_init__(self) -> None:
-        _segments(self.segments)
-        _sizes(self.radius, self.cyl_length, "cyl_length")
-
-
-def sphere_mesh(segments: int) -> Mesh:
-    """UV sphere: ``segments`` meridians, ``segments // 2`` latitude bands.
+def _sphere_mesh(segments: int) -> Mesh:
+    """UV sphere: ``segments`` meridians, ``segments // 2`` latitude bands, ``segments`` as
+    scene_obj checked it.
 
     Returns vertices of unit norm and faces as tuples of 0-based vertex
     indices (triangle fans at the poles, quads in between).
     """
-    segments = _segments(segments)
     bands = segments // 2
     verts: list[tuple[float, float, float]] = [(0.0, 0.0, 1.0)]
     for i in range(1, bands):
@@ -89,26 +74,20 @@ def sphere_mesh(segments: int) -> Mesh:
     return np.array(verts), faces
 
 
-def tube_mesh(
-    line: TangentLine, radius: float, half_length: float, segments: int
-) -> Mesh:
-    """Open tube of given radius around the outward-shifted line.
-
-    The axis runs through ``base * (1 + radius)`` along ``line.dir``;
-    the tube spans ``half_length`` to each side of that point.  Two
-    rings of ``segments`` vertices, quad faces, no caps.
-    """
-    segments = _segments(segments)
-    _sizes(radius, half_length, "half_length")
-    axis_point = (1.0 + radius) * line.base
-    u = line.base
-    v = np.cross(line.dir, u)
+def _tube_mesh(base: np.ndarray, direction: np.ndarray, radius: float, half_length: float,
+               segments: int) -> Mesh:
+    """Open tube of given radius around the outward-shifted tangent line, sizes and segments as
+    scene_obj checked them.  The axis runs through ``base * (1 + radius)`` along ``direction``,
+    ``half_length`` to each side of that point.  Two rings of ``segments`` vertices, quad faces,
+    no caps."""
+    axis_point = (1.0 + radius) * base
+    v = np.cross(direction, base)
     verts: list[np.ndarray] = []
     for side in (-1.0, 1.0):
-        center = axis_point + side * half_length * line.dir
+        center = axis_point + side * half_length * direction
         for j in range(segments):
             ang = 2.0 * math.pi * j / segments
-            verts.append(center + radius * (math.cos(ang) * u + math.sin(ang) * v))
+            verts.append(center + radius * (math.cos(ang) * base + math.sin(ang) * v))
     faces: list[tuple[int, ...]] = []
     for j in range(segments):
         jn = (j + 1) % segments
@@ -122,8 +101,12 @@ def min_surface_gap(config: Configuration, radius: float) -> float:
     return (1.0 + radius) * min_pairwise_distance(config) - 2.0 * radius
 
 
-def scene_obj(spec: SceneSpec) -> str:
-    """Render the scene as deterministic OBJ text (``v`` and ``f`` records)."""
+def scene_obj(config: Configuration, radius: float, cyl_length: float, segments: int) -> str:
+    """Render the unit sphere and one tube of the given radius and half-length per line of the
+    configuration as deterministic OBJ text (``v`` and ``f`` records); the sphere and each tube
+    have ``segments`` around, an integer in [8, MAX_SEGMENTS]."""
+    segments = _segments(segments)
+    _sizes(radius, cyl_length)
     out: list[str] = []
     offset = 0
 
@@ -137,10 +120,7 @@ def scene_obj(spec: SceneSpec) -> str:
             out.append("f " + " ".join(str(i + 1 + offset) for i in face))
         offset += len(verts)
 
-    emit("sphere", sphere_mesh(spec.segments))
-    for idx, line in enumerate(spec.configuration):
-        emit(
-            f"cylinder_{idx + 1}",
-            tube_mesh(line, spec.radius, spec.cyl_length, spec.segments),
-        )
+    emit("sphere", _sphere_mesh(segments))
+    for idx, row in enumerate(config.table):
+        emit(f"cylinder_{idx + 1}", _tube_mesh(row[:3], row[3:], radius, cyl_length, segments))
     return "\n".join(out) + "\n"

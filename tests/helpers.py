@@ -23,6 +23,12 @@ def lines_document(config):
     return {"lines": [{"base": line.base.tolist(), "dir": line.dir.tolist()} for line in config]}
 
 
+def ref_lines_table(lines):
+    """Configuration's frame table of tangent lines as it was built, each vector unpacked into
+    Python floats: the reference for the table built from the line arrays."""
+    return np.array([(*u.base, *u.dir) for u in lines], order="F")
+
+
 def batched_dsq(bases, dirs):
     """The pair kernel's batched branch on (..., n, 3) base and dir stacks, each configuration a
     component-major column of one (6n, B) table: the squared distances of all pairs i < j,

@@ -227,6 +227,15 @@ def test_unlock_verdicts_fails_on_any_bad_witness(monkeypatch, alpha, broken):
     assert not acceptance.check_unlock_verdicts().passed
 
 
+def test_unlock_verdicts_builds_each_witness_once(monkeypatch):
+    # the six ring angles pi/3..pi/8, then 1.5, pi/2, 1.6, 2.0 and 3.0; pi/6 and pi/3 serve both
+    alphas = []
+    real = acceptance.unlock_verdict
+    monkeypatch.setattr(acceptance, "unlock_verdict", lambda a: alphas.append(a) or real(a))
+    assert acceptance.check_unlock_verdicts().passed
+    assert alphas == [math.pi / n for n in range(3, 9)] + [1.5, math.pi / 2, 1.6, 2.0, 3.0]
+
+
 @pytest.mark.parametrize("n", [3, 8])
 def test_unlock_verdicts_fails_on_a_ring_with_one_longitude_moved(monkeypatch, n):
     real = acceptance.ring_chart

@@ -25,7 +25,7 @@ from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, build_parser, main
 from cylpack.curve import f_of_x
 from cylpack.lines import chart_lines, min_pairwise_distance, radius_from_distance
-from cylpack.scene import SceneSpec, scene_obj
+from cylpack.scene import scene_obj
 from cylpack.search import (chart_c6, chart_from_configuration, chart_record, config_lines,
                             local_maximize, objective)
 from cylpack.symmetric import D3Params
@@ -406,6 +406,16 @@ class TestExportScene:
         assert (rc, err) == (1, "error: --segments must be at most 1024: 100000000000\n")
         assert not out_path.exists()
 
+    def test_segments_are_refused_first(self, capsys, tmp_path):
+        out_path = tmp_path / "scene.obj"
+        rc, err = run_failing(capsys, "export-scene", "--segments", "4", "--radius", "0",
+                              "--length", "-1", "--out", str(out_path))
+        assert (rc, err) == (1, "error: --segments must be at least 8: 4\n")
+        rc, err = run_failing(capsys, "export-scene", "--radius", "0", "--length", "-1",
+                              "--out", str(out_path))
+        assert (rc, err) == (1, "error: --radius must be positive and finite: 0.0\n")
+        assert not out_path.exists()
+
     def test_deterministic_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
         run(capsys, "export-scene", "--at", "c6", "--segments", "8", "--out", str(a))
@@ -452,7 +462,7 @@ class TestExportScene:
                 scene_doc, out_text = out.getvalue().split("\n", 1)
                 radius = radius_from_distance(d)
                 assert json.loads(scene_doc)["radius"] == radius
-                assert out_path.read_bytes() == scene_obj(SceneSpec(config, radius, 6.0, 8)).encode()
+                assert out_path.read_bytes() == scene_obj(config, radius, 6.0, 8).encode()
             assert rc_probe == 0
             want = objective(chart_from_configuration(config))
             assert json.loads(out_text)["objective"] == want
@@ -468,7 +478,7 @@ class TestExportScene:
         assert out["radius"] == radius_from_distance(min_pairwise_distance(config))
         text = out_path.read_text()
         assert sum(ln.startswith("o ") for ln in text.splitlines()) == 1 + len(doc["lines"])
-        assert text == scene_obj(SceneSpec(config, out["radius"], 6.0, 8))
+        assert text == scene_obj(config, out["radius"], 6.0, 8)
         if doc is FOUR_VERTICALS:
             assert out["radius"] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 
@@ -728,7 +738,8 @@ class TestDocumentNumbers:
 # report-all ones since latitudes crossed the poles, since record-values bounded r by 1e-14 and
 # since unlock-verdicts built the whole rings and since the cross-check certified its blind ends,
 # optimize --from c6 since -0.0 kept its sign, the unlock-check ones since alternate_strategy
-# dropped its copy of alpha);
+# dropped its copy of alpha; the export-scene ones of a pole line and of curve:0.3 before scene_obj
+# meshed the configuration's table rows);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
     (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
@@ -762,10 +773,18 @@ GOLDEN = [
      "f4390c4cfa01f6d1073c762e0af262222cc6c25833a026d22bfd653b3482c04e"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
      "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
+    (["export-scene", "--at", "file:pole.json", "--segments", "8", "--out", "pole.obj"],
+     "ca1d87fb271633c337a4efc46716fe8d233764501ef99182076c6fc4ba9d15bd"),
+    (["export-scene", "--at", "curve:0.3", "--segments", "9", "--radius", "0.5", "--length", "2",
+      "--out", "curve.obj"], "3b84393005d27a0b3cc2152e51f6511fa9b0028d1e12713e2b874108e66c14f4"),
     (["report-all", "--json"], "3fc9ef1b4639e30068b4e20901fa1252fc8df56cb190580c2c656141b8b3d553"),
     (["report-all"], "20cfdb126a7683b9c84715721cc4ebf8bf4120b952d2d391f011bbeebc95f0ce"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
+# sha256 of each export-scene golden's OBJ file, by --out
+OBJ_DIGESTS = {"scene.obj": SCENE_OBJ,
+               "pole.obj": "c8f7e727b88ec5f69cbceb30a2dc571e59aa42f96541300d1d898b0fa3f834c1",
+               "curve.obj": "10305325db67adff01284058e1e1f829769d06a6905ed40ed3bfea95efd8856e"}
 
 
 def test_optimize_coords_read_back_bit_for_bit(capsys):
@@ -781,7 +800,8 @@ def test_optimize_coords_read_back_bit_for_bit(capsys):
 def test_golden_output(capsys, tmp_path, monkeypatch, argv, digest):
     monkeypatch.chdir(tmp_path)
     Path("record.json").write_text(json.dumps({"coords": chart_record().coords.tolist()}))
+    Path("pole.json").write_text(json.dumps(POLE_TANGENT))
     rc, out = run(capsys, *argv)
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
     if argv[0] == "export-scene":
-        assert hashlib.sha256(Path("scene.obj").read_bytes()).hexdigest() == SCENE_OBJ
+        assert hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest() == OBJ_DIGESTS[argv[-1]]

@@ -34,7 +34,7 @@ from cylpack.lines import (
 from cylpack.search import chart_record, objective
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
-from helpers import batched_dsq
+from helpers import batched_dsq, ref_lines_table
 
 RNG = np.random.default_rng(90)  # fixed stream for the property tests
 
@@ -707,6 +707,18 @@ class TestLongitudeReduction:
         want = np.mod([lon], 2 * math.pi)
         want[want >= 2 * math.pi] = 0.0
         assert _reduce_lon(lon).hex() == float(want[0]).hex()
+
+
+class TestConfigurationTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FRAME_ROW, min_size=2, max_size=8), st.tuples(*[st.sampled_from([0.0, -0.0])] * 3))
+    def test_table_has_the_float_unpacking_bits(self, rows, zeros):
+        # chart lines are views of their chart's table; a built line holds its own arrays, its
+        # signed zeros kept
+        lines = (*chart_lines(rows), TangentLine((1.0, *zeros[:2]), (zeros[2], 1.0, 0.0)))
+        got, want = Configuration(lines).table, ref_lines_table(lines)
+        assert (got.tobytes(), got.shape, got.strides) == (want.tobytes(), want.shape, want.strides)
+        assert got.dtype == want.dtype and not got.flags.writeable
 
 
 class TestConfigurationDsq:

@@ -18,8 +18,10 @@ combinations, since every other module reads a chart's pairs from
 lines._pairs; the ring's longitudes and row rule
 (_ring_lons, _ring_rows), its algebraic chart and range check (_alg_map,
 _check_tilt_and_twist), its closed form (_neighbor_dists_sq) and the
-six-line family's orbit columns (_ORBIT_COLS) only in symmetric.py; and the
-dual QP and its tableau (_dual_qp, _tableau) only in search.py.
+six-line family's orbit columns (_ORBIT_COLS) only in symmetric.py; the
+dual QP and its tableau (_dual_qp, _tableau) only in search.py; and the mesh
+builders (_sphere_mesh, _tube_mesh), which skip the checks scene_obj makes,
+only in scene.py, where only scene_obj calls them.
 A third finds shadowed definitions: no module or class body of src/ or
 tests/ defines a name twice by def or class, where the second silently
 replaces the first (a test defined twice runs once).
@@ -98,13 +100,13 @@ def test_every_public_definition_is_referenced():
     assert unreferenced() == []
 
 
-def _with_extra(tmp_path, text):
-    """Copies of the package files, with text appended to serialize.py."""
+def _with_extra(tmp_path, text, module="serialize"):
+    """Copies of the package files, with text appended to the module's."""
     package = []
     for path in sorted(PACKAGE.glob("*.py")):
         package.append(tmp_path / path.name)
         package[-1].write_text(path.read_text())
-    with open(tmp_path / "serialize.py", "a") as handle:
+    with open(tmp_path / f"{module}.py", "a") as handle:
         handle.write(text)
     return package
 
@@ -135,18 +137,23 @@ LAYOUT_HOMES = {**dict.fromkeys(["_pair_kernel", "_frame_xyz", "_frame_table", "
                                 "lines"),
                 **dict.fromkeys(["_ring_lons", "_ring_rows", "_alg_map", "_neighbor_dists_sq",
                                  "_check_tilt_and_twist", "_ORBIT_COLS"], "symmetric"),
-                "_dual_qp": "search", "_tableau": "search"}
+                "_dual_qp": "search", "_tableau": "search",
+                "_sphere_mesh": "scene", "_tube_mesh": "scene"}
+# layout names that skip their inputs' checks, and the one definition in their home that may call them
+SOLE_CALLERS = {"_sphere_mesh": "scene_obj", "_tube_mesh": "scene_obj"}
 
 
 def layout_references(package=sorted(PACKAGE.glob("*.py"))):
-    """(module, name) of every naming of a layout name outside its home, imports included."""
+    """(module, name) of every naming of a layout name outside its home, imports included, and
+    in its home outside its sole caller."""
     found = []
     for path in package:
         names = {name for name, home in LAYOUT_HOMES.items() if home != path.stem}
         tree = ast.parse(path.read_text(), str(path))
         found += [(path.stem, alias.name) for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name in names]
-        found += [(path.stem, name) for name, _, _ in _references(tree) if name in names]
+        found += [(path.stem, name) for name, _, inside in _references(tree)
+                  if name in names or name in SOLE_CALLERS and SOLE_CALLERS[name] not in inside]
     return found
 
 
@@ -162,6 +169,14 @@ def test_a_layout_call_outside_its_home_is_flagged(tmp_path, home, name):
                                     "def _measure(table, index):\n"
                                     f"    return {name}(table, index)\n")
     assert layout_references(package) == [("serialize", name)] * 2
+
+
+@pytest.mark.parametrize("name", ["_sphere_mesh", "_tube_mesh"])
+def test_a_second_mesh_caller_is_flagged(tmp_path, name):
+    # in scene.py itself, a call from a definition other than scene_obj, and one at module level
+    package = _with_extra(tmp_path, f"\n\ndef _preview(*args):\n    return {name}(*args)\n"
+                                    f"\n\nPREVIEW = {name}\n", module="scene")
+    assert layout_references(package) == [("scene", name)] * 2
 
 
 @pytest.mark.parametrize("name, text", [
