@@ -416,6 +416,14 @@ class TestExportScene:
         assert (rc, err) == (1, "error: --radius must be positive and finite: 0.0\n")
         assert not out_path.exists()
 
+    def test_defaults(self, capsys, tmp_path):
+        # without --length and --segments the tubes have half-length 6 and the meshes 64 segments
+        out_path = tmp_path / "scene.obj"
+        rc, doc = run_json(capsys, "export-scene", "--at", "c6", "--out", str(out_path))
+        assert rc == 0 and doc["segments"] == 64
+        config = config_lines(chart_c6(D3Params(0.0, 0.0, 0.0)))
+        assert out_path.read_text() == scene_obj(config, doc["radius"], 6.0, 64)
+
     def test_deterministic_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
         run(capsys, "export-scene", "--at", "c6", "--segments", "8", "--out", str(a))
