@@ -18,11 +18,11 @@ _EXPORTS = {
     "acceptance": ("CheckResult", "run_checks"),
     "curve": ("CurveSample", "f_of_x", "gamma_point", "pure_geodetic_check", "record",
               "scan_unimodality", "t_of_x"),
-    "lines": ("Configuration", "DegenerateError", "PARALLEL_TOL", "SphericalPoint", "TangentLine",
-              "distance_sq", "make_tangent_line", "min_pairwise_distance", "radius_from_distance"),
+    "lines": ("Configuration", "DegenerateError", "FreeConfig", "PARALLEL_TOL", "SphericalPoint",
+              "TangentLine", "chart_from_configuration", "distance_sq", "make_tangent_line",
+              "min_pairwise_distance", "radius_from_distance"),
     "scene": ("min_surface_gap", "scene_obj"),
-    "search": ("FreeConfig", "OptResult", "certify", "chart_c6", "chart_curve",
-               "chart_from_configuration", "chart_record", "config_lines", "local_maximize",
+    "search": ("OptResult", "certify", "chart_c6", "chart_curve", "chart_record", "local_maximize",
                "multi_start", "objective", "perturbation_probe"),
     "serialize": (),
     "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "GeneralParams", "alg_coords",

@@ -19,11 +19,11 @@ from .curve import (
     _RECORD_CLOSED, build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check,
     record, scan_unimodality, u_from_st,
 )
-from .lines import _BLOCK, _pairs, chart_lines, radius_from_distance
+from .lines import FreeConfig, _BLOCK, _pairs, radius_from_distance
 from .search import certify, chart_c6, chart_record, multi_start, objective, perturbation_probe
 from .symmetric import (
-    PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _generic_rows, alg_coords, build_c3,
-    dists_general, ring_chart, triplets_alg, triplets_trig,
+    PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _counter_pair, _generic_rows, alg_coords,
+    build_c3, dists_general, ring_chart, triplets_alg, triplets_trig,
 )
 from .unlocking import (
     alt_strategy_verdict, four_cyl_point, series_coeffs, taylor_coeffs_numeric, unlock_verdict,
@@ -250,7 +250,7 @@ def check_unlock_verdicts() -> CheckResult:
         w = rings[math.pi / n]["witness"]
         t = w["probe_t"]
         rows = ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t)
-        dsq = float(chart_lines(rows).dsq.min())
+        dsq = float(FreeConfig(rows).dsq.min())
         margins.append(dsq - w["baseline_dist_sq"])
         errors.append(abs(dsq - min(w["probe_dists_sq"])) / dsq)
     ring_ok = min(margins) > 0.0 and max(errors) <= 1e-12
@@ -275,12 +275,8 @@ def check_alternate_strategy() -> CheckResult:
     worst = 0.0
     for a, r in zip(alphas, reports):
         phi1, delta1 = r["spot_direction"]
-        # A as in build_c3 at kappa = 0, D tilted by +delta; the mean over
-        # t = +-1e-4 cancels order 1 and leaves order 0 up to O(t^2)
-        pairs = [
-            chart_lines(((phi1 * t, a / 2, -delta1 * t), (-phi1 * t, 3 * a / 2, delta1 * t)))
-            for t in (1e-4, -1e-4)
-        ]
+        # the mean over t = +-1e-4 cancels order 1 and leaves order 0 up to O(t^2)
+        pairs = [_counter_pair(a, phi1 * t, delta1 * t) for t in (1e-4, -1e-4)]
         mean = 0.5 * sum(float(pair.dsq[0]) for pair in pairs)
         worst = _worst(worst, abs(mean - r["spot_dad_sq_0"]) / r["baseline_dist_sq"])
     return CheckResult(

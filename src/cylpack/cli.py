@@ -16,18 +16,9 @@ import time
 from dataclasses import asdict, replace
 
 from .curve import build_curve_point, gamma_point, record
-from .lines import Configuration, _count, _positive_finite, min_pairwise_distance, radius_from_distance
-from .search import (
-    FreeConfig,
-    chart_c6,
-    chart_curve,
-    chart_from_configuration,
-    chart_record,
-    config_lines,
-    local_maximize,
-    multi_start,
-    perturbation_probe,
-)
+from .lines import (Configuration, FreeConfig, _count, _positive_finite, chart_from_configuration,
+                    min_pairwise_distance, radius_from_distance)
+from .search import chart_c6, chart_curve, chart_record, local_maximize, multi_start, perturbation_probe
 from .symmetric import D3Params, build_c6, d3_orbit_check, triplets_generic
 from .unlocking import _T_MAX, alt_strategy_verdict, four_cyl_point, unlock_verdict
 
@@ -40,13 +31,13 @@ _FLAGS = {"n_starts": "--starts", "rng_seed": "--seed", "budget": "--budget", "t
           "delta": "--delta", "kappa": "--kappa", "alpha": "--alpha"}
 
 
-def _source(text: str) -> FreeConfig | Configuration:
+def _source(text: str) -> Configuration:
     """Resolve a configuration source written as a flag value.
 
     ``record``, ``c6`` (the untilted configuration), ``curve:<x>`` for a
     trajectory point and a ``file:<path>`` JSON document of 3n chart
-    ``coords`` (n >= 2 lines) give a chart; a ``file:`` document of
-    ``lines`` gives its Configuration, read by config_from_dict.
+    ``coords`` (n >= 2 lines) give a chart's FreeConfig; a ``file:``
+    document of ``lines`` gives its Configuration, read by config_from_dict.
     """
     if text == "record":
         return chart_record()
@@ -66,9 +57,10 @@ def _source(text: str) -> FreeConfig | Configuration:
 
 
 def _chart_from_source(text: str) -> FreeConfig:
-    """The chart of a source; a lines document may hold any number of lines, none at a pole."""
+    """The chart of a source; a lines document may hold any number of lines, none at a pole.  A
+    chart is kept as it is, not charted again from its lines, which would move its bits."""
     source = _source(text)
-    return chart_from_configuration(source) if isinstance(source, Configuration) else source
+    return source if isinstance(source, FreeConfig) else chart_from_configuration(source)
 
 
 def _emit(lines) -> None:
@@ -99,9 +91,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         params = sample.params
     else:
         angle = math.radians if args.degrees else float
-        params = D3Params(
-            angle(args.phi or 0.0), angle(args.delta or 0.0), angle(args.kappa or 0.0)
-        )
+        params = D3Params(*(angle(0.0 if v is None else v) for v in (args.phi, args.delta, args.kappa)))
         config = build_c6(params)
     trip = triplets_generic(params)
     d = min_pairwise_distance(config)
@@ -201,8 +191,6 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
     from .scene import min_surface_gap, scene_obj
 
     config = _source(args.at)
-    if isinstance(config, FreeConfig):
-        config = config_lines(config)
     radius = args.radius
     if radius is None:
         radius = radius_from_distance(min_pairwise_distance(config))

@@ -1,15 +1,17 @@
 """SQP maximin search over free configurations of n >= 2 lines.
 
 A free configuration is n tangent lines with no imposed symmetry, charted by 3n coordinates,
-(latitude, longitude, tangent angle) per line; each function reads n from its chart.  Its smallest
-pairwise line distance, a nonsmooth function, is maximized as max t subject to d^2_ij >= t by
-sequential quadratic programming over the 3n - 3 coordinates of lines 1 to n - 1 (_sqp), each
-step's QP solved in numpy without LAPACK (_dual_qp), the starts of a search in lockstep
-(_lockstep).  A chart is any 3n finite numbers: latitudes run unbounded as longitudes and angles
-do, and every start returns the chart it walked to.  multi_start searches six-line charts, and
-certify tells an end at a first-order local maximum from one beside a nearly parallel pair or
-stalled.  The lockstep measures each round's live starts by _dsq_slopes, and the perturbation probe
-its trials by _charts_dsq, both _BLOCK at a time, in calls whose temporaries the allocator keeps.
+(latitude, longitude, tangent angle) per line: a lines.FreeConfig, the Configuration framed from
+its chart, and lines.chart_from_configuration charts given lines.  Each function reads n from its
+chart.  Its smallest pairwise line distance, a nonsmooth function, is maximized as max t subject
+to d^2_ij >= t by sequential quadratic programming over the 3n - 3 coordinates of lines 1 to
+n - 1 (_sqp), each step's QP solved in numpy without LAPACK (_dual_qp), the starts of a search in
+lockstep (_lockstep).  A chart is any 3n finite numbers: latitudes run unbounded as longitudes and
+angles do, and every start returns the chart it walked to.  multi_start searches six-line charts,
+and certify tells an end at a first-order local maximum from one beside a nearly parallel pair or
+stalled.  The lockstep measures each round's live starts by _dsq_slopes, and the perturbation
+probe its trials by _charts_dsq, both _BLOCK at a time, in calls whose temporaries the allocator
+keeps.
 """
 
 from __future__ import annotations
@@ -21,45 +23,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lines import (Configuration, _BLOCK, _charts_dsq, _count, _dsq_slopes, _frozen, _pairs,
-                    _positive_finite, chart_lines, chart_rows, min_pairwise_distance, radius_from_distance)
-from .symmetric import D3Params, c6_chart
+from .lines import (FreeConfig, _BLOCK, _charts_dsq, _count, _dsq_slopes, _frozen, _pairs, _positive_finite,
+                    min_pairwise_distance, radius_from_distance)
+from .symmetric import D3Params, build_c6
 from .curve import build_curve_point
 
 # trust-radius schedule: the first radius and the one that stops a search
 _STEP0, _STEP_MIN = 0.1, 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class FreeConfig:
-    """Chart of n >= 2 tangent lines: 3n finite coordinates, (latitude, longitude, tangent angle) per line."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=float).reshape(-1)
-        if len(coords) % 3 or len(coords) < 6:
-            raise ValueError(f"chart needs 3n coordinates for n >= 2 lines: {len(coords)}")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("chart coordinates must be finite")
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-
-
-def config_lines(c: FreeConfig) -> Configuration:
-    """Build the tangent lines of a chart."""
-    return chart_lines(c.coords.reshape(-1, 3))
-
-
 def chart_c6(p: D3Params) -> FreeConfig:
-    """Chart of the symmetric six-line family at given angles."""
-    return FreeConfig(np.array(c6_chart(p), dtype=float))
+    """Chart of the symmetric six-line family at given angles: build_c6(p) itself."""
+    return build_c6(p)
 
 
 def chart_curve(x: float) -> FreeConfig:
     """Chart of the trajectory configuration at parameter x; refused like
     build_curve_point where its lines leave the trajectory."""
-    return chart_c6(build_curve_point(x)[0].params)
+    return build_curve_point(x)[1]
 
 
 def chart_record() -> FreeConfig:
@@ -67,15 +48,9 @@ def chart_record() -> FreeConfig:
     return chart_curve(0.5)
 
 
-def chart_from_configuration(c: Configuration) -> FreeConfig:
-    """Recover a chart from built tangent lines, inverting config_lines; rejects lines
-    based at a pole, where the chart has no angle coordinate."""
-    return FreeConfig(chart_rows(c))
-
-
 def objective(c: FreeConfig) -> float:
     """Smallest pairwise distance of the chart's configuration."""
-    return min_pairwise_distance(config_lines(c))
+    return min_pairwise_distance(c)
 
 
 @dataclass(frozen=True)
@@ -225,11 +200,11 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
 
 
 def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptResult:
-    """_sqp from each seed chart, each round measuring the live starts' charts _BLOCK at a time in
-    _dsq_slopes calls, with the bits each gets alone; each start's walked end, merged to the first
-    start of largest d_best, its trace's last value (objective's bits: _dsq_slopes frames as
-    chart_lines does), with evals summed and every start's d_best and walked chart."""
-    runs = [_sqp(seed.coords, budget, step0, step_min) for seed in seeds]
+    """_sqp from each seed chart's coordinates, each round measuring the live starts' charts _BLOCK
+    at a time in _dsq_slopes calls, with the bits each gets alone; each start's walked end, merged to
+    the first start of largest d_best, its trace's last value (objective's bits: _dsq_slopes frames
+    as FreeConfig does), with evals summed and every start's d_best and walked chart."""
+    runs = [_sqp(seed, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
         rows = np.reshape(charts, (len(charts), -1, 3))
@@ -262,7 +237,7 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
     _positive_finite("step0", step0)
     _positive_finite("step_min", step_min)
     budget = _count("budget", budget, 1)
-    return _lockstep([seed], budget, step0, step_min)
+    return _lockstep([seed.coords], budget, step0, step_min)
 
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
@@ -278,8 +253,8 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    seeds = [chart_curve(x) for x in (0.9, 0.7, 0.5)[:n_starts]] + [
-        FreeConfig(base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base)))
+    seeds = [chart_curve(x).coords for x in (0.9, 0.7, 0.5)[:n_starts]] + [
+        base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base))
         for i in range(3, n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 
@@ -306,7 +281,7 @@ def certify(c: FreeConfig) -> dict:
     balance = lam @ g
     residual = math.sqrt(float(balance @ balance)) / max(1.0, math.sqrt(float((g * g).sum())))
     pairs = np.array(_pairs(rows.shape[1]))[active]
-    dirs = config_lines(c).table[:, 3:]
+    dirs = c.table[:, 3:]
     cross = np.cross(dirs[pairs[:, 0]], dirs[pairs[:, 1]])
     sin_sq = float((cross * cross).sum(axis=1).min())
     return {"d": math.sqrt(fmin), "pairs": pairs.tolist(), "lam": lam.tolist(),

@@ -23,12 +23,12 @@ import numpy as np
 from .lines import (
     Configuration,
     DegenerateError,
+    FreeConfig,
     _cached,
     _charts_dsq,
     _count,
     _finite_fields,
     _pairs,
-    chart_lines,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -88,8 +88,8 @@ class D3Params:
 
     # per instance, not per value: -0.0 and 0.0 compare equal but build different bits
     @_cached
-    def _c6(self) -> Configuration:
-        return chart_lines(c6_chart(self))
+    def _c6(self) -> FreeConfig:
+        return FreeConfig(c6_chart(self))
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -102,7 +102,7 @@ def _ring_lons(n: int) -> tuple:
 def _ring_rows(upper, lower, phi: float, delta: float, kappa: float) -> tuple:
     """Per-line (latitude, longitude, tangent angle) of a ring, upper lines first: those at the
     upper longitudes sit at latitude phi advanced by kappa, those at the lower ones at -phi
-    retarded by kappa.  Each angle is -delta, as chart_lines' angle is positive toward
+    retarded by kappa.  Each angle is -delta, as FreeConfig's angle is positive toward
     increasing longitude."""
     return tuple([(phi, lon + kappa, -delta) for lon in upper] + [(-phi, lon - kappa, -delta) for lon in lower])
 
@@ -118,7 +118,7 @@ def c6_chart(p: D3Params) -> tuple:
     return ring_chart(3, p.phi, p.delta, p.kappa)
 
 
-def build_c6(p: D3Params) -> Configuration:
+def build_c6(p: D3Params) -> FreeConfig:
     """The six tangent lines (A, B, C, D, E, F) of the symmetric family,
     built once per D3Params instance."""
     return p._c6
@@ -151,10 +151,17 @@ class GeneralParams:
         _check_tilt_and_twist(self)
 
 
-def build_c3(g: GeneralParams) -> Configuration:
+def build_c3(g: GeneralParams) -> FreeConfig:
     """The lines (A, B, D) of the ring's rows: upper pair 2 alpha apart, lower line between."""
     a = g.alpha
-    return chart_lines(_ring_rows((a / 2, 5 * a / 2), (3 * a / 2,), g.phi, g.delta, g.kappa))
+    return FreeConfig(_ring_rows((a / 2, 5 * a / 2), (3 * a / 2,), g.phi, g.delta, g.kappa))
+
+
+def _counter_pair(alpha: float, phi: float, delta: float) -> FreeConfig:
+    """The pair (A, D) of build_c3 at kappa = 0 with D tilted the other way, by +delta: the ring's
+    rows of the alternate strategy, which counter-tilts the lower ring."""
+    return FreeConfig(_ring_rows((alpha / 2,), (), phi, delta, 0.0)
+                      + _ring_rows((), (3 * alpha / 2,), phi, -delta, 0.0))
 
 
 def _images_match(table: np.ndarray, matrix: np.ndarray, perm: list) -> bool:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from cylpack.lines import DegenerateError, _chart_index, _pair_kernel
+from cylpack.lines import DegenerateError, _chart_index, _frame_table, _pair_kernel
 from cylpack.symmetric import SQRT3
 
 def same_line(a, b, tol=1e-10):
@@ -27,6 +27,17 @@ def ref_lines_table(lines):
     """Configuration's frame table of tangent lines as it was built, each vector unpacked into
     Python floats: the reference for the table built from the line arrays."""
     return np.array([(*u.base, *u.dir) for u in lines], order="F")
+
+
+def ref_chart(rows):
+    """A chart's coordinates, frame table and pair distances by the route that framed it before a
+    chart was a Configuration: the flat copy of the rows, _frame_table of the rows' float array
+    transposed, and one kernel call on that table's flat (6n,) transpose, each read-only."""
+    rows = np.array(rows, dtype=float)
+    coords, table = rows.reshape(-1), _frame_table(rows.T)
+    dsq = _pair_kernel(table.T.reshape(-1), _chart_index(len(table)))
+    coords.flags.writeable = dsq.flags.writeable = False
+    return coords, table, dsq
 
 
 def batched_dsq(bases, dirs):

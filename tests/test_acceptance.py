@@ -25,7 +25,7 @@ import pytest
 
 from cylpack import acceptance, cli, curve, search, unlocking
 from cylpack.acceptance import run_checks
-from cylpack.lines import _BLOCK, _chart_index, _pair_kernel, chart_lines
+from cylpack.lines import FreeConfig, _BLOCK, _chart_index, _pair_kernel
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -477,7 +477,7 @@ def test_generic_rows_blocks_match_one_batch():
     # the check's blocks of at most _BLOCK configurations, one kernel call each, give the
     # bits of one kernel call over all 1000 framed into one table
     params = _points(acceptance._formula_points())
-    table = chart_lines([row for p in params for row in c6_chart(p)]).table
+    table = FreeConfig([row for p in params for row in c6_chart(p)]).table
     pairs = list(zip(*np.triu_indices(6, 1)))
     cols = [pairs.index(PAIR_ORBITS[o][0]) for o in ("ab", "ad", "bd", "ae")]
     one_call = _pair_kernel(table.reshape(-1, 6, 6).T.reshape(36, -1), _chart_index(6))[cols].T
@@ -515,12 +515,12 @@ def test_formula_consistency_details_pinned():
 @pytest.mark.parametrize("line", [0, 1, 2])
 def test_formula_consistency_fails_on_a_wrong_ring_longitude(monkeypatch, line):
     # build_c3's rows (A, B, D) with one line's longitude scaled by 1.001: the six-line points
-    # never build the ring, so only its own rows can catch this; moving symmetric's chart_lines
+    # never build the ring, so only its own rows can catch this; moving symmetric's FreeConfig
     # or _ring_rows instead would move the six-line charts too
     def moved(g):
         rows = [list(row) for row in ref_c3_rows(g)]
         rows[line][1] *= 1.001
-        return chart_lines(rows)
+        return FreeConfig(rows)
 
     monkeypatch.setattr(acceptance, "build_c3", moved)
     result = acceptance.check_formula_consistency()

@@ -24,11 +24,10 @@ from cylpack import cli
 from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, build_parser, main
 from cylpack.curve import f_of_x
-from cylpack.lines import chart_lines, min_pairwise_distance, radius_from_distance
+from cylpack.lines import FreeConfig, chart_from_configuration, min_pairwise_distance, radius_from_distance
 from cylpack.scene import scene_obj
-from cylpack.search import (chart_c6, chart_from_configuration, chart_record, config_lines,
-                            local_maximize, objective)
-from cylpack.symmetric import D3Params
+from cylpack.search import chart_c6, chart_record, local_maximize, objective
+from cylpack.symmetric import D3Params, build_c6, triplets_generic
 from cylpack.serialize import _numbers, config_from_dict, json_dumps
 
 from helpers import lines_document
@@ -44,7 +43,7 @@ FOUR_VERTICALS = {"lines": [
     for base in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0])
 ]}
 POLE_TANGENT = {"lines": [
-    *lines_document(config_lines(chart_record()))["lines"][:5],
+    *lines_document(chart_record())["lines"][:5],
     {"base": [0.0, 0.0, 1.0], "dir": [1.0, 0.0, 0.0]},
 ]}
 
@@ -152,6 +151,20 @@ class TestEval:
         assert out == "" and err == "error: --kappa must lie in [-2pi, 2pi]: 1e+17\n"
         rc, doc = run_json(capsys, "eval", "--kappa", "-360", "--degrees")
         assert rc == 0 and doc["params"]["kappa"] == -2 * math.pi and doc["d3_symmetric"]
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_negative_zero_angle_is_kept(self, capsys, degrees):
+        # -0.0 and 0.0 build different bits (D3Params), so a given -0.0 is not read as "no angle"
+        rc, doc = run_json(capsys, "eval", "--phi", "-0.0", "--delta", "0.3", "--kappa", "0.2",
+                           *["--degrees"] * degrees)
+        angle = math.radians if degrees else float
+        p = D3Params(-0.0, angle(0.3), angle(0.2))
+        trip, d = triplets_generic(p), min_pairwise_distance(build_c6(p))
+        assert rc == 0 and math.copysign(1.0, doc["params"]["phi"]) == -1.0
+        assert doc["params"] == {"phi": -0.0, "delta": p.delta, "kappa": p.kappa}
+        assert doc["distances_sq"] == {"dab": trip.dab_sq, "dad": trip.dad_sq, "dbd": trip.dbd_sq,
+                                       "dae": trip.dae_sq}
+        assert (doc["min_distance"], doc["radius"]) == (d, radius_from_distance(d))
 
     @staticmethod
     def assert_refused(capsys, x, *argv):
@@ -421,7 +434,7 @@ class TestExportScene:
         out_path = tmp_path / "scene.obj"
         rc, doc = run_json(capsys, "export-scene", "--at", "c6", "--out", str(out_path))
         assert rc == 0 and doc["segments"] == 64
-        config = config_lines(chart_c6(D3Params(0.0, 0.0, 0.0)))
+        config = chart_c6(D3Params(0.0, 0.0, 0.0))
         assert out_path.read_text() == scene_obj(config, doc["radius"], 6.0, 64)
 
     def test_deterministic_bytes(self, capsys, tmp_path):
@@ -454,7 +467,7 @@ class TestExportScene:
         # probe their chart, each bit for bit
         with tempfile.TemporaryDirectory() as tmp:
             doc_path, out_path = Path(tmp) / "lines.json", Path(tmp) / "scene.obj"
-            doc_path.write_text(json_dumps(lines_document(chart_lines(rows))))
+            doc_path.write_text(json_dumps(lines_document(FreeConfig(rows))))
             config = config_from_dict(json.loads(doc_path.read_text()))
             source = f"file:{doc_path}"
             with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -501,7 +514,7 @@ class TestExportScene:
         assert rc == 0 and out["objective"] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_document_with_both_keys_refused(self, capsys, tmp_path):
-        doc = lines_document(config_lines(chart_record()))
+        doc = lines_document(chart_record())
         doc["coords"] = [float(c) for c in chart_record().coords]
         doc_path = tmp_path / "both.json"
         doc_path.write_text(json.dumps(doc))
@@ -747,7 +760,8 @@ class TestDocumentNumbers:
 # since unlock-verdicts built the whole rings and since the cross-check certified its blind ends,
 # optimize --from c6 since -0.0 kept its sign, the unlock-check ones since alternate_strategy
 # dropped its copy of alpha; the export-scene ones of a pole line and of curve:0.3 before scene_obj
-# meshed the configuration's table rows);
+# meshed the configuration's table rows; the lines-document probe and optimize --from ones before
+# a chart became a Configuration; eval of a -0.0 angle since it kept the zero's sign);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
     (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
@@ -756,6 +770,8 @@ GOLDEN = [
      "49dff8018ea62d55987b4e025b3d815096fff19ded93d7d3541c183bad925e5d"),
     (["eval", "--phi", "10", "--degrees"],
      "c1e9f12e384b4f58a325df2c74d1f3fba1642136532f118e7cb71edf5a07e5c8"),
+    (["eval", "--phi", "-0.0", "--delta", "0.3", "--kappa", "0.2"],
+     "e6a37d658c9e7c5324906d7417b2a4795b9dc3e276a27174c3f84bace6e00821"),
     (["curve", "--samples", "101"], "4839fdb5696fffec3d79b4846c74600e9c132730416a78e97bb3e9db463ffdcf"),
     (["curve", "--samples", "3"], "c237900d54cfc969c07c86eadf37bef10562b4437553faee5525eb38e4cda0ee"),
     (["curve", "--samples", "1"], "0e8bd072db05e6b28f11863ee13aa175a44367405a451ca4b80ebcba6293ab56"),
@@ -766,8 +782,11 @@ GOLDEN = [
      "a7864ce5f415c8b72bd1369f8f31e4155b7e7161ef067f7b4b2ceed49466346e"),
     (["optimize", "--from", "file:record.json", "--budget", "20000"],
      "cf4741c30ebfff88b49052d79c97a5fabcc7c8a33174be0ad2935c9960dde1ad"),
+    (["optimize", "--from", "file:lines.json", "--budget", "20000"],
+     "03d99a201e80be7a2ea0a23d01d0e724d14b90373f3ce5f30ea300d6a50a52e1"),
     (["probe", "--at", "record"], "55d1d458c526418de7c292fed445adb7f6b19cac4b2eab52d1cf74c89a6e67df"),
     (["probe", "--at", "curve:0.3"], "2fb1bee2c48ab3d136016f4c1a8889210d114570e98c2bce4c3c31c6041b6131"),
+    (["probe", "--at", "file:lines.json"], "658d86ad836f392f212d1ef7e6014ec9ea333d3fc76133363853f65396947a03"),
     (["unlock-check", "--n", "3"], "e66c521e4044d0b5ad78fbb01019776bb6d8e685fd9569f928ff42c18b9ceac5"),
     (["unlock-check", "--n", "2"], "1788b3f6003b02166b7fcf34ecdf113a2b89a595e12224bfe315b2c4c86e7cfe"),
     (["unlock-check", "--alpha", "1.6"],
@@ -808,6 +827,7 @@ def test_optimize_coords_read_back_bit_for_bit(capsys):
 def test_golden_output(capsys, tmp_path, monkeypatch, argv, digest):
     monkeypatch.chdir(tmp_path)
     Path("record.json").write_text(json.dumps({"coords": chart_record().coords.tolist()}))
+    Path("lines.json").write_text(json.dumps(lines_document(chart_record())))
     Path("pole.json").write_text(json.dumps(POLE_TANGENT))
     rc, out = run(capsys, *argv)
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from cylpack import lines as lines_module
 from cylpack.lines import (
     Configuration,
+    FreeConfig,
     PARALLEL_TOL,
     SphericalPoint,
     TangentLine,
@@ -24,8 +25,7 @@ from cylpack.lines import (
     _pair_kernel,
     _pairs,
     _reduce_lon,
-    chart_lines,
-    chart_rows,
+    chart_from_configuration,
     distance_sq,
     make_tangent_line,
     min_pairwise_distance,
@@ -34,7 +34,7 @@ from cylpack.lines import (
 from cylpack.search import chart_record, objective
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
-from helpers import batched_dsq, ref_lines_table
+from helpers import batched_dsq, ref_chart, ref_lines_table
 
 RNG = np.random.default_rng(90)  # fixed stream for the property tests
 
@@ -404,7 +404,7 @@ class TestKernelProperties:
     @settings(deadline=None)
     @given(ROWS)
     def test_scalar_matches_batch_bitwise(self, rows):
-        c = chart_lines(rows)
+        c = FreeConfig(rows)
         out = batched_dsq(np.array([u.base for u in c]), np.array([u.dir for u in c]))
         for (i, j), k in pair_index(len(c)).items():
             assert distance_sq(c[i], c[j]) == out[k]
@@ -537,16 +537,16 @@ class TestLineChecks:
         rows = [[0.3, 1.0, 0.5], [-0.2, 2.0, 1.0]]
         rows[1][column] = bad
         with pytest.raises(ValueError, match="^chart coordinates must be finite$"):
-            chart_lines(rows)
+            FreeConfig(rows)
         with pytest.raises(ValueError, match="^chart coordinates must be finite$"):
             make_tangent_line(SphericalPoint(0.3, 1.0), bad)
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(LAT, st.floats(-20.0, 20.0), ANG), min_size=2, max_size=7))
-    def test_chart_lines_match_make_tangent_line(self, rows):
+    def test_rows_frame_as_make_tangent_line(self, rows):
         # make_tangent_line(p, ang) is the line of the chart row (p.phi, p.kappa, ang)
         points = [SphericalPoint(lat, lon) for lat, lon, _ in rows]
-        c = chart_lines([(p.phi, p.kappa, ang) for p, (_, _, ang) in zip(points, rows)])
+        c = FreeConfig([(p.phi, p.kappa, ang) for p, (_, _, ang) in zip(points, rows)])
         for p, (_, _, ang), line in zip(points, rows, c):
             ref = make_tangent_line(p, ang)
             assert same_bits(line.base, ref.base) and same_bits(line.dir, ref.dir)
@@ -555,7 +555,7 @@ class TestLineChecks:
     @settings(deadline=None)
     @given(ROWS)
     def test_configuration_stacks_are_read_only_line_vectors(self, rows):
-        built = chart_lines(rows)
+        built = FreeConfig(rows)
         rebuilt = Configuration(tuple(TangentLine(u.base, u.dir) for u in built))
         for c in (built, rebuilt):
             assert c.table[:, :3].shape == c.table[:, 3:].shape == (len(rows), 3)
@@ -659,39 +659,44 @@ class TestParallelFallback:
         assert same_bits(lines_module._canonical(line.dir), einsum_canonical(line.dir[None])[0])
 
 
-# the largest latitude chart_rows returns: a line based at a pole has no chart
+# the largest latitude chart_from_configuration returns: a line based at a pole has no chart
 LAT_MAX = math.nextafter(math.pi / 2, 0.0)
+# a second line for the one-line cases, as a configuration holds two at least
+EAST_VERTICAL = TangentLine([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
 
-class TestChartRows:
+class TestChartFromConfiguration:
     @settings(deadline=None)
-    @given(st.floats(-LAT_MAX, LAT_MAX), LON, ANG)  # every latitude chart_rows returns
+    @given(st.floats(-LAT_MAX, LAT_MAX), LON, ANG)  # every latitude chart_from_configuration returns
     @example(LAT_MAX, 1.0, 0.5)
     @example(math.pi / 2 - 1e-9, 1.0, 0.5)
     @example(-math.pi / 2 + 1e-9 + 1e-7, 4.0, -2.0)
-    def test_inverts_chart_lines_up_to_the_poles(self, lat, lon, ang):
+    def test_inverts_free_config_up_to_the_poles(self, lat, lon, ang):
         # within about 1.4e-6 rad of a pole, |z| >= 1 - 1e-12 and asin(z) loses up to about
         # 2e-11 of latitude: the pole rule and the latitude go by atan2(z, hypot(x, y))
-        (phi, kappa, angle), _ = chart_rows(chart_lines([(lat, lon, ang), (0.0, 0.0, 0.0)])).tolist()
+        chart = chart_from_configuration(FreeConfig([(lat, lon, ang), (0.0, 0.0, 0.0)]))
+        (phi, kappa, angle), _ = chart.coords.reshape(-1, 3).tolist()
         assert abs(phi - lat) <= 1e-15
         assert abs(math.remainder(kappa - lon, 2 * math.pi)) <= 4e-15
         assert abs(math.remainder(angle - ang, 2 * math.pi)) <= 4e-15
 
 
 class TestLongitudeReduction:
-    def test_chart_rows_wraps_to_zero(self):
-        rows = chart_rows([TangentLine([1.0, -1e-17, 0.0], [0.0, 0.0, 1.0])])
-        assert rows[0, 1].hex() == "0x0.0p+0"
+    def test_chart_from_configuration_wraps_to_zero(self):
+        chart = chart_from_configuration(Configuration((TangentLine([1.0, -1e-17, 0.0], [0.0, 0.0, 1.0]),
+                                                        EAST_VERTICAL)))
+        assert chart.coords[1].hex() == "0x0.0p+0"
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-17, 1e-16, 4.5e-16, 1e-15, 1e-9])
     def test_points_reduce_and_charts_frame_as_given(self, eps):
         kappa = SphericalPoint(0.0, -eps).kappa
         assert 0.0 <= kappa < 2 * math.pi
         # a base (1, -eps, 0) is unit to rounding, with longitude atan2(-eps, 1) = -eps
-        rows = chart_rows([TangentLine([1.0, -eps, 0.0], [0.0, 0.0, 1.0])])
-        assert rows[0, 1].hex() == kappa.hex()
-        # chart_lines frames the longitude -eps itself, not its reduction
-        built = chart_lines([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)]).table[0]
+        chart = chart_from_configuration(Configuration((TangentLine([1.0, -eps, 0.0], [0.0, 0.0, 1.0]),
+                                                        EAST_VERTICAL)))
+        assert chart.coords[1].hex() == kappa.hex()
+        # FreeConfig frames the longitude -eps itself, not its reduction
+        built = FreeConfig([(0.0, -eps, 0.0), (0.0, 1.0, 0.0)]).table[0]
         assert same_bits(built, _frame_table(np.array([0.0, -eps, 0.0]))[0])
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -715,10 +720,39 @@ class TestConfigurationTable:
     def test_table_has_the_float_unpacking_bits(self, rows, zeros):
         # chart lines are views of their chart's table; a built line holds its own arrays, its
         # signed zeros kept
-        lines = (*chart_lines(rows), TangentLine((1.0, *zeros[:2]), (zeros[2], 1.0, 0.0)))
+        lines = (*FreeConfig(rows), TangentLine((1.0, *zeros[:2]), (zeros[2], 1.0, 0.0)))
         got, want = Configuration(lines).table, ref_lines_table(lines)
         assert (got.tobytes(), got.shape, got.strides) == (want.tobytes(), want.shape, want.strides)
         assert got.dtype == want.dtype and not got.flags.writeable
+
+
+# chart rows at any latitude, past the poles too, with signed zeros in any column
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+CHART_ROW = st.one_of(FRAME_ROW, WIDE_ROW, st.tuples(*[st.floats(-50.0, 50.0) | SIGNED_ZERO] * 3))
+
+
+class TestFreeConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.lists(CHART_ROW, min_size=n, max_size=n)),
+           st.booleans())
+    @example([(HALF_PI, 1.0, 0.5), (math.nextafter(HALF_PI, 4.0), -0.0, -0.0)], True)
+    @example([(-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (-50.0, 50.0, -HALF_PI)], False)
+    def test_frames_as_the_reference_route(self, rows, flat):
+        # coords, table and dsq hold the bytes, strides and read-only flags of the route that
+        # framed a chart before it was a Configuration, rows given flat or as (n, 3)
+        c = FreeConfig(np.array(rows).reshape(-1) if flat else rows)
+        for got, want in zip((c.coords, c.table, c.dsq), ref_chart(rows)):
+            assert (got.tobytes(), got.shape, got.strides) == (want.tobytes(), want.shape, want.strides)
+            assert got.dtype == want.dtype and not (got.flags.writeable or want.flags.writeable)
+        assert isinstance(c, Configuration) and len(c) == len(rows)
+
+    def test_frames_once_at_construction(self, monkeypatch):
+        framed, real = [], lines_module._frame_table
+        monkeypatch.setattr(lines_module, "_frame_table", lambda chart: framed.append(chart) or real(chart))
+        c = FreeConfig([(0.3, 1.0, 0.5), (-0.2, 2.0, 1.0), (0.1, 4.0, -0.7)])
+        assert len(framed) == 1
+        min_pairwise_distance(c), list(c), c.dsq, c[2]
+        assert len(framed) == 1
 
 
 class TestConfigurationDsq:
@@ -730,7 +764,7 @@ class TestConfigurationDsq:
     @given(st.integers(2, 16).flatmap(lambda n: st.lists(ROW, min_size=n, max_size=n)))
     def test_dsq_entry_k_is_the_distance_of_pair_k(self, rows):
         # the pair order of dsq is _pairs', bit for bit against distance_sq of each pair
-        c = chart_lines(rows)
+        c = FreeConfig(rows)
         pairs = _pairs(len(rows))
         assert len(pairs) == len(c.dsq)
         for k, (i, j) in enumerate(pairs):
@@ -741,7 +775,7 @@ class TestConfigurationDsq:
     def test_dsq_is_the_kernel_kept_read_only(self, rows, from_lines):
         # dsq is the batched kernel on the configuration's own stacks, byte for byte, measured
         # once and frozen, whether the configuration was charted or given bare lines
-        c = chart_lines(rows)
+        c = FreeConfig(rows)
         if from_lines:
             c = Configuration(tuple(c))
         out = batched_dsq(c.table[:, :3], c.table[:, 3:])
@@ -757,7 +791,7 @@ class TestConfigurationDsq:
     @example([[(0.0, 0.3, 0.0), (0.0, 1.9, math.pi), (0.0, 4.0, 0.0)]])  # every pair parallel
     def test_one_chart_matches_the_batch_bytewise(self, charts):
         # one chart's gather against the batch's takes: the same bits, the fallback's included
-        configs = [chart_lines(rows) for rows in charts]
+        configs = [FreeConfig(rows) for rows in charts]
         tables = np.stack([c.table for c in configs])
         batch = batched_dsq(tables[..., :3], tables[..., 3:])
         for c, want in zip(configs, batch):
@@ -827,7 +861,7 @@ class TestStackedKernelOracle:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
     def test_single_table_matches_oracle(self, n, seed, special):
-        c = chart_lines(oracle_charts(n, 1, seed, special)[0])
+        c = FreeConfig(oracle_charts(n, 1, seed, special)[0])
         want = oracle_dsq(c.table[:, :3], c.table[:, 3:])
         assert c.dsq.tobytes() == want.tobytes()
         assert batched_dsq(c.table[:, :3], c.table[:, 3:]).tobytes() == want.tobytes()
@@ -838,20 +872,20 @@ class TestStackedKernelOracle:
     @given(st.integers(2, 8), st.sampled_from([1, 2, _BLOCK]), st.integers(0, 2**32 - 1),
            st.booleans())
     def test_charts_dsq_is_each_charts_dsq(self, n, batch, seed, special):
-        # any line count: each chart's column of a block has the bits chart_lines gives it alone
+        # any line count: each chart's column of a block has the bits FreeConfig gives it alone
         charts = oracle_charts(n, batch, seed, special)
         block = _charts_dsq(charts)
         assert block.shape == (n * (n - 1) // 2, batch)
         for chart, column in zip(charts, block.T):
-            assert column.tobytes() == chart_lines(chart).dsq.tobytes()
+            assert column.tobytes() == FreeConfig(chart).dsq.tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(2, 8), st.sampled_from([1, 159, 160, 161, 400, _BLOCK - 1, _BLOCK + 1]),
            st.integers(0, 2**32 - 1), st.booleans())
     def test_batched_tables_match_oracle(self, n, batch, seed, special):
         charts = oracle_charts(n, batch, seed, special)
-        # checked frame tables, as chart_lines makes them, line by line
-        table = chart_lines(charts.reshape(-1, 3)).table
+        # checked frame tables, as FreeConfig makes them, line by line
+        table = FreeConfig(charts.reshape(-1, 3)).table
         bases, dirs = table[:, :3].reshape(batch, n, 3), table[:, 3:].reshape(batch, n, 3)
         assert batched_dsq(bases, dirs).tobytes() == oracle_dsq(bases, dirs).tobytes()
         # unchecked frames, in one (6n, B) table, as _charts_dsq makes them
@@ -883,17 +917,17 @@ class TestCachedAttributes:
                             lambda *args: calls.update(["kernel"]) or kernel(*args))
         monkeypatch.setattr(TangentLine, "_checked", classmethod(
             lambda cls, row: calls.update(["line"]) or checked(cls, row)))
-        c = chart_lines(self.CHART)
+        c = FreeConfig(self.CHART)
         for _ in range(3):
             dsq, made = c.dsq, c.lines
             min_pairwise_distance(c)
         assert calls == {"kernel": 1, "line": 3}
         assert vars(c)["dsq"] is dsq and vars(c)["lines"] is made
-        d = chart_lines(self.CHART)  # a second instance computes its own
+        d = FreeConfig(self.CHART)  # a second instance computes its own
         assert d.dsq is not dsq and d.lines is not made and calls == {"kernel": 2, "line": 6}
 
     def test_dsq_stays_read_only(self):
-        c = chart_lines(self.CHART)
+        c = FreeConfig(self.CHART)
         with pytest.raises(ValueError, match="read-only"):
             c.dsq[0] = 0.0
         for change in (lambda: setattr(c, "dsq", np.zeros(3)), lambda: delattr(c, "dsq")):
@@ -909,7 +943,7 @@ class TestLazyLines:
     @settings(deadline=None)
     @given(ROWS)
     def test_chart_configuration_makes_lines_on_first_read(self, rows):
-        c = chart_lines(rows)
+        c = FreeConfig(rows)
         min_pairwise_distance(c)
         assert len(c) == len(rows) and c.table.shape == (len(rows), 6)
         assert "lines" not in vars(c)  # measured without a TangentLine

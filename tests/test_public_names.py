@@ -22,15 +22,21 @@ six-line family's orbit columns (_ORBIT_COLS) only in symmetric.py; the
 dual QP and its tableau (_dual_qp, _tableau) only in search.py; and the mesh
 builders (_sphere_mesh, _tube_mesh), which skip the checks scene_obj makes,
 only in scene.py, where only scene_obj calls them.
-A third finds shadowed definitions: no module or class body of src/ or
+A third keeps the bench running: every name that bench/*.py imports from
+the package root is exported there, and its call of local_maximize binds.
+A fourth finds shadowed definitions: no module or class body of src/ or
 tests/ defines a name twice by def or class, where the second silently
 replaces the first (a test defined twice runs once).
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import cylpack
+from cylpack.search import chart_record, local_maximize
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cylpack"
@@ -186,6 +192,43 @@ def test_a_second_mesh_caller_is_flagged(tmp_path, name):
 def test_a_pair_list_outside_lines_is_flagged(tmp_path, name, text):
     # a module that lists a chart's pairs itself, not through lines._pairs
     assert layout_references(_with_extra(tmp_path, f"\n\n{text}\n")) == [("serialize", name)]
+
+
+def bench_imports(paths=sorted((ROOT / "bench").glob("*.py"))):
+    """(file, name) of every name that a `from cylpack import ...` in the bench files imports."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "cylpack" and not node.level
+                  for alias in node.names]
+    return found
+
+
+def unexported(names, exports):
+    """The (file, name) pairs whose name is neither a submodule nor an export in exports, a dict
+    shaped as cylpack._EXPORTS."""
+    public = set(exports).union(*exports.values())
+    return [(file, name) for file, name in names if name not in public]
+
+
+def test_every_name_the_bench_imports_resolves():
+    # the bench imports from the package root, so a name moved between modules must stay exported
+    names = bench_imports()
+    assert len(names) >= 15 and unexported(names, cylpack._EXPORTS) == []
+    for _, name in names:
+        getattr(cylpack, name)
+
+
+def test_a_name_dropped_from_the_exports_is_flagged():
+    planted = {module: tuple(name for name in names if name != "FreeConfig")
+               for module, names in cylpack._EXPORTS.items()}
+    assert unexported(bench_imports(), planted) == [("workloads.py", "FreeConfig")]
+
+
+def test_the_bench_call_of_local_maximize_binds():
+    # bench/workloads.py passes the budget, step0, step_min and a poll seed by position
+    inspect.signature(local_maximize).bind(chart_record(), 200000, 0.1, 1e-9, 0)
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -1,6 +1,7 @@
 """SQP maximin search over free charts, of six lines and of any other count."""
 
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -18,28 +19,26 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cylpack.lines import (
     Configuration,
+    FreeConfig,
     TangentLine,
     _charts_dsq,
     _frame_xyz,
-    chart_lines,
-    chart_rows,
+    chart_from_configuration,
     min_pairwise_distance,
 )
 from cylpack.search import (
-    FreeConfig,
     certify,
     chart_c6,
     chart_curve,
-    chart_from_configuration,
     chart_record,
-    config_lines,
     local_maximize,
     multi_start,
     objective,
     perturbation_probe,
 )
 from cylpack import acceptance, lines, search, symmetric
-from cylpack.symmetric import D3Params, build_c6, ring_chart
+from cylpack.curve import build_curve_point
+from cylpack.symmetric import D3Params, build_c6, c6_chart, ring_chart
 from cylpack.unlocking import unlock_verdict
 from helpers import batched_dsq, same_line
 
@@ -82,13 +81,13 @@ def wide_examples(test):
 
 class TestFreeConfig:
     def test_validation(self):
-        for size in (3, 17):  # one line; not three numbers a line
+        # the count is refused first, then a non-finite value, as the frame is made
+        for size, value in itertools.product((3, 17), (0.0, math.nan)):  # one line; not three a line
             with pytest.raises(ValueError, match=f"^chart needs 3n coordinates for n >= 2 lines: {size}$"):
-                FreeConfig(np.zeros(size))
-        with pytest.raises(ValueError):
-            FreeConfig(np.full(18, math.nan))
-        with pytest.raises(ValueError):
-            FreeConfig(np.full(18, math.inf))
+                FreeConfig(np.full(size, value))
+        for coords in (np.full(18, math.nan), np.full(18, math.inf), [[0.3, 1.0, -math.inf], [0.0] * 3]):
+            with pytest.raises(ValueError, match="^chart coordinates must be finite$"):
+                FreeConfig(coords)
 
     def test_coords_read_only(self):
         c = chart_record()
@@ -106,18 +105,22 @@ class TestFreeConfig:
 class TestCharts:
     def test_chart_round_trip(self):
         c = random_chart(RNG)
-        again = chart_from_configuration(config_lines(c))
+        again = chart_from_configuration(c)
         # longitudes come back reduced mod 2*pi, so compare the built lines
-        for a, b in zip(config_lines(again), config_lines(c)):
+        for a, b in zip(again, c):
             assert same_line(a, b, tol=1e-12)
 
-    def test_chart_c6_matches_build(self):
+    def test_chart_c6_is_build_c6(self):
+        # one configuration per D3Params, framed once, its chart the family's rows as given; a
+        # trajectory point's chart is the configuration build_curve_point makes
         p = D3Params(0.3, 0.2, -0.1)
-        for a, b in zip(config_lines(chart_c6(p)), build_c6(p)):
-            assert same_line(a, b, tol=1e-14)
+        assert chart_c6(p) is build_c6(p)
+        assert chart_c6(p).coords.tobytes() == np.array(c6_chart(p), dtype=float).tobytes()
+        c, (_, built) = chart_curve(0.3), build_curve_point(0.3)
+        assert (c.coords.tobytes(), c.table.tobytes()) == (built.coords.tobytes(), built.table.tobytes())
 
     def test_pole_rejected(self):
-        lines = list(config_lines(random_chart(RNG)).lines)
+        lines = list(random_chart(RNG).lines)
         lines[0] = TangentLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="pole"):
             chart_from_configuration(Configuration(tuple(lines)))
@@ -126,9 +129,9 @@ class TestCharts:
     @given(WIDE_CHART)
     @wide_examples
     def test_every_finite_chart_frames_its_lines(self, x):
-        # unsnapped: chart_lines keeps the frame's bits, which _charts_dsq measures
+        # unsnapped: FreeConfig keeps the frame's bits, which _charts_dsq measures
         rows = x.reshape(6, 3)
-        c = config_lines(FreeConfig(x))
+        c = FreeConfig(x)
         assert c.table.tobytes() == np.array(_frame_xyz(rows.T)).T.tobytes()
         assert c.dsq.tobytes() == _charts_dsq(rows[None])[:, 0].tobytes()
         # each line re-charted in range is the same line, at the same distances; a line at a pole
@@ -137,10 +140,9 @@ class TestCharts:
         bases = c.table[:, :3].tolist()
         keep = [abs(math.atan2(z, math.hypot(x_, y))) < math.pi / 2 for x_, y, z in bases]
         assume(sum(keep) >= 2)
-        lines = chart_lines(rows[keep])
-        inside = chart_rows(lines)
-        again = chart_lines(inside)
-        assert np.all(np.abs(inside[:, 0]) < math.pi / 2)
+        lines = FreeConfig(rows[keep])
+        again = chart_from_configuration(lines)
+        assert np.all(np.abs(again.coords[::3]) < math.pi / 2)
         assert all(same_line(a, b, tol=4e-15) for a, b in zip(lines, again))
         dirs = lines.table[:, 3:]
         i, j = np.triu_indices(len(dirs), 1)
@@ -286,7 +288,7 @@ class TestObjective:
         # a random rotation: the Q of a Gaussian 3x3's QR, its sign fixed so det = +1
         q, _ = np.linalg.qr(RNG.standard_normal((3, 3)))
         r = q if np.linalg.det(q) > 0 else -q
-        rotated = Configuration(tuple(TangentLine(r @ u.base, r @ u.dir) for u in config_lines(c)))
+        rotated = Configuration(tuple(TangentLine(r @ u.base, r @ u.dir) for u in c))
         assert math.isclose(
             min_pairwise_distance(rotated), objective(c), rel_tol=1e-10, abs_tol=1e-10
         )
@@ -348,7 +350,7 @@ class TestMeasure:
         central = (dsq[:, :15] - dsq[:, 15:]) / (2 * h)
         assert np.all(np.abs(g - central) <= 1e-4 * (1 + np.abs(central)))
         assert f.tobytes() == _charts_dsq(x.reshape(1, 6, 3))[:, 0].tobytes()
-        assert f.tobytes() == config_lines(FreeConfig(x)).dsq.tobytes()
+        assert f.tobytes() == FreeConfig(x).dsq.tobytes()
 
     def test_block_matches_row_by_row(self):
         # a lockstep round measures its live starts' charts in one call, with the bits of each alone
@@ -595,6 +597,15 @@ class TestOtherLineCounts:
 
 
 class TestCertify:
+    def test_reads_the_frame_it_was_given(self, monkeypatch):
+        # a chart is framed once, when it is made: certifying a search's end and measuring a chart
+        # frame nothing
+        chart, end = chart_record(), local_maximize(random_chart(np.random.default_rng(5)), 500).best
+        framed, real = [], lines._frame_table
+        monkeypatch.setattr(lines, "_frame_table", lambda rows: framed.append(rows) or real(rows))
+        certify(end), objective(chart), objective(end)
+        assert framed == []
+
     def test_record_is_a_kkt_point(self):
         # the record's twelve pairs at 12/11 balance with lam 5/99 on six and (23 -+ 3 sqrt 5)/198
         # on three each
@@ -623,7 +634,7 @@ class TestCertify:
         # 24 coordinates, eight lines, 28 pairs
         ring = witness_ring(4)
         cert = certify(ring)
-        dsq = config_lines(ring).dsq
+        dsq = ring.dsq
         near = dsq <= dsq.min() * (1 + 1e-3)
         assert cert["pairs"] == np.argwhere(np.triu(np.ones((8, 8), bool), 1))[near].tolist()
         assert cert["d"] == objective(ring) and len(cert["lam"]) == len(cert["pairs"])

@@ -17,9 +17,9 @@ from cylpack.curve import gamma_point
 from cylpack.lines import (
     Configuration,
     DegenerateError,
+    FreeConfig,
     SphericalPoint,
     TangentLine,
-    chart_lines,
     distance_sq,
     make_tangent_line,
     min_pairwise_distance,
@@ -80,7 +80,7 @@ class TestBuild:
         lons = [row[1] for row in rows]
         assert sorted(lons) == [lons[k // 2 + n * (k % 2)] for k in range(2 * n)]
         assert lons[0] == math.pi / (2 * n) and np.allclose(np.diff(sorted(lons)), math.pi / n, atol=1e-14)
-        d = min_pairwise_distance(chart_lines(ring_chart(n, 0.0, 0.0, 0.0)))
+        d = min_pairwise_distance(FreeConfig(ring_chart(n, 0.0, 0.0, 0.0)))
         assert d == pytest.approx(2 * math.sin(math.pi / (2 * n)), rel=1e-14)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -191,7 +191,7 @@ def nudged(p, nudge):
     if nudge is not None:
         row, col, exponent, sign = nudge
         rows[row, col] += sign * 10.0 ** exponent
-    return chart_lines(rows)
+    return FreeConfig(rows)
 
 
 class TestOrbitCheckOracle:
@@ -423,13 +423,24 @@ class TestThreeLineSubfamily:
     @example(GeneralParams(math.pi / 2, 0.0, -0.0, 0.0))
     @example(GeneralParams(3.0, 1.5, 1e300, -2 * math.pi))
     def test_rows_keep_their_bits(self, g):
-        assert build_c3(g).table.tobytes() == chart_lines(ref_c3_rows(g)).table.tobytes()
+        assert build_c3(g).table.tobytes() == FreeConfig(ref_c3_rows(g)).table.tobytes()
 
     def test_names_resolve_to_symmetric(self):
         for name in ("GeneralParams", "build_c3", "dists_general"):
             home = getattr(symmetric, name)
             assert getattr(cylpack, name) is home and getattr(unlocking, name) is home, name
             assert home.__module__ == "cylpack.symmetric", name
+
+
+class TestCounterPair:
+    @given(st.floats(0.01, 3.1), st.floats(-1.5, 1.5) | SIGNED_ZERO, st.floats(-1.5, 1.5) | SIGNED_ZERO)
+    @example(0.1, 1e-4, -1e-4)
+    @example(3.0, -0.0, 0.0)
+    def test_rows_are_the_counter_tilted_a_and_d(self, alpha, phi, delta):
+        # the ring's row rule lays out A at alpha/2 tilted by -delta and D at 3 alpha/2 below,
+        # tilted by +delta, with the bits of those rows written out
+        rows = ((phi, alpha / 2, -delta), (-phi, 3 * alpha / 2, delta))
+        assert symmetric._counter_pair(alpha, phi, delta).coords.tobytes() == np.array(rows).tobytes()
 
 
 class TestBuiltOnce:
@@ -441,7 +452,7 @@ class TestBuiltOnce:
     def test_generic_reads_the_kept_configuration(self, p):
         c = build_c6(p)
         assert build_c6(p) is c
-        assert same_lines(c, chart_lines(c6_chart(p)))
+        assert same_lines(c, FreeConfig(c6_chart(p)))
         assert not c.dsq.flags.writeable
         assert c.dsq.tobytes() == batched_dsq(c.table[:, :3], c.table[:, 3:]).tobytes()
         assert np.array(astuple(triplets_generic(p))).tobytes() == _generic_rows([p])[0].tobytes()
@@ -456,7 +467,7 @@ class TestBuiltOnce:
         assert p == q and hash(p) == hash(q)
         build_c6(p)
         for r in (p, q):
-            assert same_lines(build_c6(r), chart_lines(c6_chart(r)))
+            assert same_lines(build_c6(r), FreeConfig(c6_chart(r)))
 
     def test_signed_zero_latitudes_build_different_bits(self):
         # what the test above guards against is real: the two zeros build different lines
@@ -466,8 +477,8 @@ class TestBuiltOnce:
 
     def test_c6_is_built_once_per_instance(self, monkeypatch):
         built = []
-        real = symmetric.chart_lines
-        monkeypatch.setattr(symmetric, "chart_lines", lambda rows: built.append(rows) or real(rows))
+        real = symmetric.FreeConfig
+        monkeypatch.setattr(symmetric, "FreeConfig", lambda rows: built.append(rows) or real(rows))
         p, q = D3Params(0.4, 0.3, 0.2), D3Params(0.4, 0.3, 0.2)
         assert build_c6(p) is build_c6(p) is p._c6 and len(built) == 1
         assert build_c6(q) is not build_c6(p) and len(built) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cylpack import unlocking
-from cylpack.lines import chart_lines, distance_sq, radius_from_distance
+from cylpack.lines import FreeConfig, distance_sq, radius_from_distance
 from cylpack.symmetric import D3Params, alg_coords, build_c6, triplets_alg
 from cylpack.unlocking import (
     FourCylSample,
@@ -204,7 +204,7 @@ class TestAltStrategy:
         for alpha, phi1, delta1 in ((1.1, 0.8, 0.6), (0.7, 1.0, 1.0), (2.2, 0.5, -0.9)):
             def dad(t):
                 # A as in build_c3, D with its tangent tilted by +delta instead of -delta
-                a, d = chart_lines((
+                a, d = FreeConfig((
                     (phi1 * t, alpha / 2, -delta1 * t),
                     (-phi1 * t, 3 * alpha / 2, delta1 * t),
                 ))
