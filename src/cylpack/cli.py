@@ -194,9 +194,9 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
     radius = args.radius
     if radius is None:
         radius = radius_from_distance(min_pairwise_distance(config))
-    text = scene_obj(config, radius, args.length, args.segments)
+    records = scene_obj(config, radius, args.length, args.segments)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(records)
     doc = {
         "path": args.out,
         "radius": radius,

@@ -1,11 +1,24 @@
-"""Comparisons shared by the test modules."""
+"""Comparisons and measurements shared by the test modules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
 from cylpack.lines import DegenerateError, _chart_index, _frame_table, _pair_kernel
 from cylpack.symmetric import SQRT3
+
+
+def traced_peak_mb(call):
+    """Peak traced allocation of call(), in MB, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
 
 def same_line(a, b, tol=1e-10):
     """Whether two tangent lines coincide: base within tol in every component, and dir within

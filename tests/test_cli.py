@@ -411,23 +411,30 @@ class TestExportScene:
         text = out_path.read_text()
         assert text.startswith("o sphere\n") and text.endswith("\n")
 
-    def test_segments_past_the_bound(self, capsys, tmp_path):
-        # refused before any mesh is built: no file, and no wait on a typo
+    @pytest.mark.parametrize("existing", [None, b"o kept\n"], ids=["no-file", "existing-file"])
+    def test_segments_past_the_bound(self, capsys, tmp_path, existing):
+        # refused before any mesh is built or --out is opened: no file, an existing one
+        # untouched, and no wait on a typo
         out_path = tmp_path / "scene.obj"
+        if existing is not None:
+            out_path.write_bytes(existing)
         rc, err = run_failing(capsys, "export-scene", "--segments", "100000000000",
                               "--out", str(out_path))
         assert (rc, err) == (1, "error: --segments must be at most 1024: 100000000000\n")
-        assert not out_path.exists()
+        assert (out_path.read_bytes() if out_path.exists() else None) == existing
 
-    def test_segments_are_refused_first(self, capsys, tmp_path):
+    @pytest.mark.parametrize("existing", [None, b"o kept\n"], ids=["no-file", "existing-file"])
+    def test_segments_are_refused_first(self, capsys, tmp_path, existing):
         out_path = tmp_path / "scene.obj"
+        if existing is not None:
+            out_path.write_bytes(existing)
         rc, err = run_failing(capsys, "export-scene", "--segments", "4", "--radius", "0",
                               "--length", "-1", "--out", str(out_path))
         assert (rc, err) == (1, "error: --segments must be at least 8: 4\n")
         rc, err = run_failing(capsys, "export-scene", "--radius", "0", "--length", "-1",
                               "--out", str(out_path))
         assert (rc, err) == (1, "error: --radius must be positive and finite: 0.0\n")
-        assert not out_path.exists()
+        assert (out_path.read_bytes() if out_path.exists() else None) == existing
 
     def test_defaults(self, capsys, tmp_path):
         # without --length and --segments the tubes have half-length 6 and the meshes 64 segments
@@ -435,7 +442,7 @@ class TestExportScene:
         rc, doc = run_json(capsys, "export-scene", "--at", "c6", "--out", str(out_path))
         assert rc == 0 and doc["segments"] == 64
         config = chart_c6(D3Params(0.0, 0.0, 0.0))
-        assert out_path.read_text() == scene_obj(config, doc["radius"], 6.0, 64)
+        assert out_path.read_text() == "".join(scene_obj(config, doc["radius"], 6.0, 64))
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
@@ -483,7 +490,7 @@ class TestExportScene:
                 scene_doc, out_text = out.getvalue().split("\n", 1)
                 radius = radius_from_distance(d)
                 assert json.loads(scene_doc)["radius"] == radius
-                assert out_path.read_bytes() == scene_obj(config, radius, 6.0, 8).encode()
+                assert out_path.read_bytes() == "".join(scene_obj(config, radius, 6.0, 8)).encode()
             assert rc_probe == 0
             want = objective(chart_from_configuration(config))
             assert json.loads(out_text)["objective"] == want
@@ -499,7 +506,7 @@ class TestExportScene:
         assert out["radius"] == radius_from_distance(min_pairwise_distance(config))
         text = out_path.read_text()
         assert sum(ln.startswith("o ") for ln in text.splitlines()) == 1 + len(doc["lines"])
-        assert text == scene_obj(config, out["radius"], 6.0, 8)
+        assert text == "".join(scene_obj(config, out["radius"], 6.0, 8))
         if doc is FOUR_VERTICALS:
             assert out["radius"] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 

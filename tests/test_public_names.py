@@ -20,7 +20,7 @@ lines._pairs; the ring's longitudes and row rule
 _check_tilt_and_twist), its closed form (_neighbor_dists_sq) and the
 six-line family's orbit columns (_ORBIT_COLS) only in symmetric.py; the
 dual QP and its tableau (_dual_qp, _tableau) only in search.py; and the mesh
-builders (_sphere_mesh, _tube_mesh), which skip the checks scene_obj makes,
+builders (_sphere_records, _tube_records), which skip the checks scene_obj makes,
 only in scene.py, where only scene_obj calls them.
 A third keeps the bench running: every name that bench/*.py imports from
 the package root is exported there, and its call of local_maximize binds.
@@ -144,9 +144,9 @@ LAYOUT_HOMES = {**dict.fromkeys(["_pair_kernel", "_frame_xyz", "_frame_table", "
                 **dict.fromkeys(["_ring_lons", "_ring_rows", "_alg_map", "_neighbor_dists_sq",
                                  "_check_tilt_and_twist", "_ORBIT_COLS"], "symmetric"),
                 "_dual_qp": "search", "_tableau": "search",
-                "_sphere_mesh": "scene", "_tube_mesh": "scene"}
+                "_sphere_records": "scene", "_tube_records": "scene"}
 # layout names that skip their inputs' checks, and the one definition in their home that may call them
-SOLE_CALLERS = {"_sphere_mesh": "scene_obj", "_tube_mesh": "scene_obj"}
+SOLE_CALLERS = {"_sphere_records": "scene_obj", "_tube_records": "scene_obj"}
 
 
 def layout_references(package=sorted(PACKAGE.glob("*.py"))):
@@ -177,7 +177,7 @@ def test_a_layout_call_outside_its_home_is_flagged(tmp_path, home, name):
     assert layout_references(package) == [("serialize", name)] * 2
 
 
-@pytest.mark.parametrize("name", ["_sphere_mesh", "_tube_mesh"])
+@pytest.mark.parametrize("name", ["_sphere_records", "_tube_records"])
 def test_a_second_mesh_caller_is_flagged(tmp_path, name):
     # in scene.py itself, a call from a definition other than scene_obj, and one at module level
     package = _with_extra(tmp_path, f"\n\ndef _preview(*args):\n    return {name}(*args)\n"

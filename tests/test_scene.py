@@ -11,18 +11,34 @@ import pytest
 from cylpack import scene
 from cylpack.curve import gamma_point, record
 from cylpack.lines import make_tangent_line, SphericalPoint
-from cylpack.scene import MAX_SEGMENTS, _segments, _sphere_mesh, _tube_mesh, min_surface_gap, scene_obj
+from cylpack.scene import MAX_SEGMENTS, _segments, _sphere_records, _tube_records, min_surface_gap, scene_obj
 from cylpack.symmetric import D3Params, build_c6
+from helpers import traced_peak_mb
 
 C6_INITIAL = build_c6(D3Params(0.0, 0.0, 0.0))
 
 
-def export(radius=1.0, cyl_length=6.0, segments=8):
+def records(radius=1.0, cyl_length=6.0, segments=8):
     return scene_obj(C6_INITIAL, radius, cyl_length, segments)
 
 
+def export(radius=1.0, cyl_length=6.0, segments=8):
+    return "".join(records(radius, cyl_length, segments))
+
+
+def unrounded(builder, *args):
+    """A mesh builder's vertices as an (n, 3) array of the floats it formats, caught before
+    formatting, and its faces as tuples of 1-based indices."""
+    with mock.patch.object(scene, "_vertex", lambda *point: point):
+        made = list(builder(*args))
+    verts = np.array([r for r in made if isinstance(r, tuple)])
+    faces = [tuple(map(int, r.split()[1:])) for r in made if isinstance(r, str) and r.startswith("f ")]
+    return verts, faces
+
+
 class TestSceneChecks:
-    # scene_obj checks segments, then the sizes, once per export; the mesh builders check nothing
+    # scene_obj checks segments, then the sizes, once per export and at the call, before any
+    # record is read; the mesh builders check nothing
     @pytest.mark.parametrize("kwargs, message", [
         ({"segments": 4}, "segments must be at least 8: 4"),
         ({"segments": 16.0}, "segments must be an integer: 16.0"),
@@ -34,7 +50,7 @@ class TestSceneChecks:
     ], ids=["coarse", "float-segments", "radius", "cyl_length", "segments-first", "radius-first"])
     def test_refusals(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            export(**kwargs)
+            records(**kwargs)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", ["radius", "cyl_length"])
@@ -71,36 +87,40 @@ class TestSegmentsBound:
     @pytest.mark.parametrize("segments", [MAX_SEGMENTS + 1, 10**11, np.int64(10**11)])
     def test_past_the_bound(self, segments):
         with pytest.raises(ValueError, match=f"^segments must be at most 1024: {re.escape(repr(segments))}$"):
-            export(segments=segments)
+            records(segments=segments)
 
     def test_the_bound_itself(self):
         assert MAX_SEGMENTS == 1024 and _segments(MAX_SEGMENTS) == MAX_SEGMENTS
         line = make_tangent_line(SphericalPoint(0.0, 0.0), 0.0)
-        assert len(_tube_mesh(line.base, line.dir, 1.0, 1.0, MAX_SEGMENTS)[0]) == 2 * MAX_SEGMENTS
+        made = _tube_records("cylinder_1", line.base, line.dir, 1.0, 1.0, MAX_SEGMENTS, 0)
+        assert sum(r.startswith("v ") for r in made) == 2 * MAX_SEGMENTS
 
 
 class TestSphereMesh:
     def test_counts_and_norms(self):
         segments = 16
-        verts, faces = _sphere_mesh(segments)
+        verts, faces = unrounded(_sphere_records, segments)
         bands = segments // 2
         assert len(verts) == 2 + (bands - 1) * segments
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-12)
         assert len(faces) == 2 * segments + (bands - 2) * segments
 
     def test_indices_in_range(self):
-        verts, faces = _sphere_mesh(12)
+        verts, faces = unrounded(_sphere_records, 12)
         flat = [i for face in faces for i in face]
-        assert min(flat) == 0 and max(flat) == len(verts) - 1
+        assert min(flat) == 1 and max(flat) == len(verts)
 
 
 class TestTubeMesh:
     def test_geometry(self):
         line = make_tangent_line(SphericalPoint(0.4, 1.1), 0.7)
         radius, half_length, segments = 0.8, 5.0, 24
-        verts, faces = _tube_mesh(line.base, line.dir, radius, half_length, segments)
+        verts, faces = unrounded(_tube_records, "cylinder_1", line.base, line.dir, radius,
+                                 half_length, segments, 100)
         assert len(verts) == 2 * segments
         assert len(faces) == segments
+        # 1-based, past the 100 vertices before the tube
+        assert sorted({i for face in faces for i in face}) == list(range(101, 101 + 2 * segments))
         axis_point = (1.0 + radius) * line.base
         rel = verts - axis_point
         along = rel @ line.dir
@@ -111,7 +131,7 @@ class TestTubeMesh:
     def test_touches_unit_sphere(self):
         line = make_tangent_line(SphericalPoint(-0.3, 2.0), -0.2)
         segments = 64
-        verts, _ = _tube_mesh(line.base, line.dir, 0.5, 2.0, segments)
+        verts, _ = unrounded(_tube_records, "cylinder_1", line.base, line.dir, 0.5, 2.0, segments, 0)
         # each ring vertex spans a straight generator of the cylinder;
         # the innermost generator runs through the tangency point, so its
         # distance to the origin is exactly 1
@@ -167,3 +187,8 @@ class TestSceneObj:
                 parts = ln.split()
                 assert len(parts) == 4
                 assert all(math.isfinite(float(p)) for p in parts[1:])
+
+    def test_memory_flat_in_segments(self):
+        # records are made as they are read: the joined text at 256 segments is 2.4 MB
+        assert len(export(segments=256)) > 2 * 2**20
+        assert traced_peak_mb(lambda: sum(map(len, records(segments=256)))) < 1.0

@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from cylpack import acceptance, lines, search, symmetric
 from cylpack.curve import build_curve_point
 from cylpack.symmetric import D3Params, build_c6, c6_chart, ring_chart
 from cylpack.unlocking import unlock_verdict
-from helpers import batched_dsq, same_line
+from helpers import batched_dsq, same_line, traced_peak_mb
 
 RNG = np.random.default_rng(94)
 
@@ -847,17 +846,6 @@ def one_shot_probe(c, radius, trials, rng_seed):
         "max_found": float(values.max()),
         "exceed_fraction": float(np.mean(values > f0)),
     }
-
-
-def traced_peak_mb(call):
-    """Peak traced allocation of call(), in MB, after one warm-up call."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestPerturbationProbe:
