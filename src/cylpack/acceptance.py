@@ -20,7 +20,8 @@ from .curve import (
     record, scan_unimodality, u_from_st,
 )
 from .lines import FreeConfig, _BLOCK, _pairs, radius_from_distance
-from .search import certify, chart_c6, chart_record, multi_start, objective, perturbation_probe
+from .search import (_TRAJECTORY_SEEDS, certify, chart_c6, chart_record, multi_start, objective,
+                     perturbation_probe)
 from .symmetric import (
     PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _counter_pair, _generic_rows, alg_coords,
     build_c3, dists_general, ring_chart, triplets_alg, triplets_trig,
@@ -330,26 +331,25 @@ def _record_probe():
 
 
 def check_optimizer_cross_check() -> CheckResult:
-    """multi_start(32, 0, 200000)'s blind starts (all but the three trajectory seeds) find the
-    record: the best within 1e-9 of sqrt(12/11), at least 4 that close, each of them certified a
-    KKT point on 12 near-active pairs with every lam > 0, none above it by more, and the best
-    above the prior record distance; the details count the blind ends by certify's class."""
-    result, reference = _optimizer_run(), 1.0242
-    blind = result.start_d[3:]
-    certs = {i: certify(end) for i, end in enumerate(result.ends[3:], 3)}
-    best = max(blind)
+    """multi_start(32, 0, 200000)'s blind starts (those after its trajectory seeds), each read by
+    certify of its end, find the record: the best within 1e-9 of sqrt(12/11), at least 4 that
+    close, each of them certified a KKT point on 12 near-active pairs with every lam > 0, none above
+    it by more, and the best above the prior record distance; the details count them by class."""
+    result, reference, first = _optimizer_run(), 1.0242, len(_TRAJECTORY_SEEDS)
+    certs = {i: certify(end) for i, end in enumerate(result.ends[first:], first)}
+    best = max(cert["d"] for cert in certs.values())
     found, exceeds = abs(best - D_RECORD) <= 1e-9, best > reference
-    hits = [i for i, d in enumerate(blind, 3) if abs(d - D_RECORD) <= 1e-9]
+    hits = [i for i, cert in certs.items() if abs(cert["d"] - D_RECORD) <= 1e-9]
     uncertified = [i for i in hits if not ((certs[i]["class"], len(certs[i]["pairs"])) == ("kkt", 12)
                                            and min(certs[i]["lam"]) > 0.0)]
-    above = [i for i, d in enumerate(blind, 3) if not d <= D_RECORD + 1e-9]  # NaN too
+    above = [i for i, cert in certs.items() if not cert["d"] <= D_RECORD + 1e-9]  # NaN too
     classes = [cert["class"] for cert in certs.values()]
     return CheckResult(
         "optimizer-cross-check",
         found and len(hits) >= 4 and not uncertified and not above and exceeds,
         f"32 starts, budget 2e5 charts each, seed 0 ({result.evals} charts): best blind "
         f"start d = {best:.17g} within 1e-9 of sqrt(12/11): {found}; blind starts within "
-        f"1e-9: {len(hits)} of {len(blind)} >= 4: {len(hits) >= 4}; of them not kkt on 12 pairs "
+        f"1e-9: {len(hits)} of {len(certs)} >= 4: {len(hits) >= 4}; of them not kkt on 12 pairs "
         f"with lam > 0: {uncertified or 'none'}; blind starts above sqrt(12/11) + 1e-9: "
         f"{above or 'none'}; exceeds the prior record distance {reference}: {exceeds}; blind ends "
         "by class: " + ", ".join(f"{name}: {classes.count(name)}" for name in ("kkt", "parallel", "stalled")),

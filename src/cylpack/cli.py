@@ -34,10 +34,9 @@ _FLAGS = {"n_starts": "--starts", "rng_seed": "--seed", "budget": "--budget", "t
 def _source(text: str) -> Configuration:
     """Resolve a configuration source written as a flag value.
 
-    ``record``, ``c6`` (the untilted configuration), ``curve:<x>`` for a
-    trajectory point and a ``file:<path>`` JSON document of 3n chart
-    ``coords`` (n >= 2 lines) give a chart's FreeConfig; a ``file:``
-    document of ``lines`` gives its Configuration, read by config_from_dict.
+    ``record``, ``c6`` (the untilted configuration) and ``curve:<x>`` for a
+    trajectory point give a chart's FreeConfig, and a ``file:<path>`` JSON
+    document what config_from_dict reads from it, a chart or its lines.
     """
     if text == "record":
         return chart_record()
@@ -47,12 +46,13 @@ def _source(text: str) -> Configuration:
         return chart_curve(float(text[len("curve:"):]))
     if text.startswith("file:"):
         import json
-        from .serialize import _numbers, config_from_dict
-        with open(text[len("file:"):], encoding="utf-8") as handle:
-            data = json.load(handle)
-        if isinstance(data, dict) and "coords" in data and "lines" not in data:
-            return FreeConfig(_numbers(data["coords"], "coords"))
-        return config_from_dict(data)
+        from .serialize import config_from_dict
+        path = text[len("file:"):]
+        with open(path, encoding="utf-8") as handle:
+            try:
+                return config_from_dict(json.load(handle))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ValueError(f"{path} is not a UTF-8 JSON document: {exc}") from None
     raise ValueError(f"unknown configuration source {text!r}; expected {_SOURCES}")
 
 

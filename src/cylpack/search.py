@@ -58,8 +58,8 @@ class OptResult:
     """Outcome of a search: best chart, the one the returned start walked to, its objective (the
     trace's last value) and radius, charts measured, the improvement trace as (step, objective)
     pairs, why the returned start stopped ("step": the trust radius fell below step_min; "budget";
-    "steps": _MAX_STEPS; none certifies an optimum, certify does), each start's d_best, and each
-    start's walked chart, best among them."""
+    "steps": _MAX_STEPS; none certifies an optimum, certify does), and each start's walked chart,
+    best among them, whose objective is that start's d_best: each start is kept once."""
 
     best: FreeConfig
     d_best: float
@@ -67,7 +67,6 @@ class OptResult:
     evals: int
     trace: tuple
     stop: str
-    start_d: tuple
     ends: tuple
 
 
@@ -78,6 +77,7 @@ _MAX_STEPS = 300
 # an entering pivot at or below this fraction of its diagonal entry counts as singular
 _PIVOT = 1e-12
 _MAX_STARTS = 1024  # multi_start's lockstep holds every start's state at once, about 24 KB a start
+_TRAJECTORY_SEEDS = (0.9, 0.7, 0.5)  # x of multi_start's first starts, the record last; later ones are blind
 
 
 @lru_cache(maxsize=8)
@@ -203,7 +203,7 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
     """_sqp from each seed chart's coordinates, each round measuring the live starts' charts _BLOCK
     at a time in _dsq_slopes calls, with the bits each gets alone; each start's walked end, merged to
     the first start of largest d_best, its trace's last value (objective's bits: _dsq_slopes frames
-    as FreeConfig does), with evals summed and every start's d_best and walked chart."""
+    as FreeConfig does), with evals summed and every start's walked chart."""
     runs = [_sqp(seed, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
@@ -218,12 +218,11 @@ def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptRes
                 except StopIteration as end:
                     ends[i] = end.value
         live, f, g = going, None, None
-    d = tuple(e[1][-1] for e in ends)
-    k = max(range(len(d)), key=d.__getitem__)  # the first of equal maxima
+    k = max(range(len(ends)), key=lambda i: ends[i][1][-1])  # the first of equal maxima
     charts = tuple(FreeConfig(e[0]) for e in ends)
     _, trace, _, stop = ends[k]
-    return OptResult(charts[k], d[k], radius_from_distance(d[k]), sum(e[2] for e in ends),
-                     tuple(zip(map(int, trace[::2]), trace[1::2])), stop, d, charts)
+    return OptResult(charts[k], trace[-1], radius_from_distance(trace[-1]), sum(e[2] for e in ends),
+                     tuple(zip(map(int, trace[::2]), trace[1::2])), stop, charts)
 
 
 def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_min: float = _STEP_MIN,
@@ -242,8 +241,8 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     """Independent SQP ascents of 1 to 1024 six-line charts in lockstep (_lockstep), merged to the
-    best result.  The first three starts seed from trajectory configurations at x = 0.9, 0.7, 0.5;
-    start i >= 3 jitters the initial configuration's chart with Gaussian noise of spread 0.2 from
+    best result.  The first starts seed from the trajectory at _TRAJECTORY_SEEDS; each later start i,
+    a blind one, jitters the initial configuration's chart with Gaussian noise of spread 0.2 from
     default_rng([i, rng_seed]), rng_seed an integer >= 0: any prefix of starts is reproducible, and
     no two seeds share a blind start.  Ties go to the lower start; evals is the total; the trace and
     stop reason are the winner's; ends holds every start's walked chart, in start order."""
@@ -253,9 +252,9 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
     base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    seeds = [chart_curve(x).coords for x in (0.9, 0.7, 0.5)[:n_starts]] + [
+    seeds = [chart_curve(x).coords for x in _TRAJECTORY_SEEDS[:n_starts]] + [
         base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base))
-        for i in range(3, n_starts)]
+        for i in range(len(_TRAJECTORY_SEEDS), n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 
 

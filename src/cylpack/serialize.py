@@ -12,7 +12,7 @@ import math
 from contextlib import suppress
 from typing import Any, Iterable
 
-from .lines import Configuration, TangentLine
+from .lines import Configuration, FreeConfig, TangentLine
 
 JSON_SIG = 17
 CSV_SIG = 12
@@ -68,17 +68,17 @@ def line_from_dict(data: Any) -> TangentLine:
 
 
 def config_from_dict(data: Any) -> Configuration:
-    """Build a configuration from a ``{"lines": [{"base": [x, y, z],
-    "dir": [x, y, z]}, ...]}`` document: two or more tangent lines, used as
-    given, poles included.  A document that carries ``coords`` (a free
-    chart, which the command line reads itself) is refused.
+    """Build the configuration of a document: a ``{"coords": [...]}`` chart of 3n numbers
+    (n >= 2 lines) gives its FreeConfig, bit for bit, and a ``{"lines": [{"base": [x, y, z],
+    "dir": [x, y, z]}, ...]}`` document its two or more tangent lines, used as given, poles
+    included.  A document that carries both is refused.
     """
     if not isinstance(data, dict):
         raise ValueError("a configuration document must be a JSON object")
     if "coords" in data:
-        raise ValueError(
-            "a lines document must not carry 'coords' (a chart document carries it alone)"
-        )
+        if "lines" in data:
+            raise ValueError("a lines document must not carry 'coords' (a chart document carries it alone)")
+        return FreeConfig(_numbers(data["coords"], "coords"))
     lines = data.get("lines")
     if not isinstance(lines, list) or len(lines) < 2:
         raise ValueError("'lines' must list at least two tangent lines")

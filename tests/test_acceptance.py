@@ -298,12 +298,19 @@ def test_cross_check_fails_when_the_solver_returns_its_seed(monkeypatch, capsys)
     assert "\nFAIL optimizer-cross-check: " in capsys.readouterr().out
 
 
+def _plant(monkeypatch, planted):
+    """Let the cross-check's certify report, for the end of each start in planted, what it measures
+    there overridden by that start's entries; every other end reads as measured."""
+    run, real = acceptance._optimizer_run(), acceptance.certify
+    by_end = {id(run.ends[i]): entries for i, entries in planted.items()}
+    monkeypatch.setattr(acceptance, "certify", lambda end: {**real(end), **by_end.get(id(end), {})})
+    return run
+
+
 @pytest.mark.parametrize("d", [acceptance.D_RECORD + 2e-9, math.nan])
 def test_cross_check_fails_on_a_start_above_the_record(monkeypatch, d):
     # a blind start above sqrt(12/11) + 1e-9 (or NaN) is named in the details, never clipped
-    run = acceptance._optimizer_run()
-    start_d = (*run.start_d[:20], d, *run.start_d[21:])
-    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: dataclasses.replace(run, start_d=start_d))
+    _plant(monkeypatch, {20: {"d": d}})
     result = acceptance.check_optimizer_cross_check()
     assert not result.passed and "above sqrt(12/11) + 1e-9: [20];" in result.details
 
@@ -311,23 +318,35 @@ def test_cross_check_fails_on_a_start_above_the_record(monkeypatch, d):
 def test_cross_check_fails_on_three_hits(monkeypatch):
     # the floor is four blind starts within 1e-9 of the record, about half the run's seven
     run = acceptance._optimizer_run()
-    hits = [i for i, d in enumerate(run.start_d) if i >= 3 and abs(d - acceptance.D_RECORD) <= 1e-9]
-    start_d = tuple(1.0 if i in hits[3:] else d for i, d in enumerate(run.start_d))
-    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: dataclasses.replace(run, start_d=start_d))
+    hits = [i for i, end in enumerate(run.ends) if i >= len(search._TRAJECTORY_SEEDS)
+            and abs(search.objective(end) - acceptance.D_RECORD) <= 1e-9]
+    _plant(monkeypatch, {i: {"d": 1.0} for i in hits[3:]})
     result = acceptance.check_optimizer_cross_check()
     assert not result.passed and "blind starts within 1e-9: 3 of 29 >= 4: False" in result.details
 
 
-def test_cross_check_fails_on_a_hit_that_is_not_a_kkt_point(monkeypatch):
-    # start 8 reaches the record; given start 3's end, which stands beside a nearly parallel
-    # pair, its d_best still counts it a hit, but its certificate does not
-    run = acceptance._optimizer_run()
-    assert search.certify(run.ends[3])["class"] == "parallel"
-    ends = (*run.ends[:8], run.ends[3], *run.ends[9:])
-    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: dataclasses.replace(run, ends=ends))
+@pytest.mark.parametrize("entries", [{"class": "parallel"}, {"class": "stalled"}, {"pairs": [[0, 1]] * 11},
+                                     {"lam": [1 / 12] * 11 + [0.0]}],
+                         ids=["parallel", "stalled", "11-pairs", "a-zero-lam"])
+def test_cross_check_fails_on_a_hit_that_is_not_a_kkt_point(monkeypatch, entries):
+    # start 8 reaches the record, so its d still counts it a hit, but its certificate does not
+    _plant(monkeypatch, {8: entries})
     result = acceptance.check_optimizer_cross_check()
     assert not result.passed and "; of them not kkt on 12 pairs with lam > 0: [8]; " in result.details
     assert "blind starts within 1e-9: 7 of 29 >= 4: True" in result.details
+
+
+def test_cross_check_takes_every_trajectory_seed_as_a_seed(monkeypatch):
+    # a fourth trajectory seed at x = 0.5, the record itself, is a seed and not a blind start.  At
+    # budget 1 each start stays at its seed chart, so the blind starts 4 to 7 are jittered charts
+    # far below the record, and the check fails; acceptance binds the seed list search defines,
+    # as one edit to search.py would leave them both
+    for module in (search, acceptance):
+        monkeypatch.setattr(module, "_TRAJECTORY_SEEDS", (0.9, 0.7, 0.5, 0.5))
+    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(8, 0, 1))
+    result = acceptance.check_optimizer_cross_check()
+    assert not result.passed and "blind starts within 1e-9: 0 of 4 >= 4: False" in result.details
+    assert "best blind start d = 0.1758" in result.details
 
 
 def test_cross_check_details_pinned():

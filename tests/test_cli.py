@@ -729,6 +729,22 @@ class TestDocumentNumbers:
         assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["probe --at", "optimize --from", "export-scene --at"])
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"coords": [1, 2, ', "Expecting value: line 1 column 19 (char 18)"),
+        (b'\xff{"coords": []}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["not-json", "not-utf-8"])
+    def test_unreadable_document_is_one_line_naming_its_path(self, capsys, tmp_path, command,
+                                                              content, reason):
+        # the decoder's message alone named no file
+        doc_path, out_path = tmp_path / "doc.json", tmp_path / "scene.obj"
+        doc_path.write_bytes(content)
+        argv = [*command.split(), f"file:{doc_path}"]
+        if argv[0] == "export-scene":
+            argv += ["--out", str(out_path)]
+        assert run_failing(capsys, *argv) == (1, f"error: {doc_path} is not a UTF-8 JSON document: {reason}\n")
+        assert not out_path.exists()
+
     @settings(deadline=None, max_examples=300)
     @given(JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=20), st.integers(0, 4))
     @example([10**400, *[0.0] * 17], 0)  # st.integers() draws none past the largest double
@@ -752,6 +768,9 @@ class TestDocumentNumbers:
         imported = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
         imported += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
         assert [name for name in imported if name.partition(".")[0] == "numpy"] == []
+        # and it reads a document only through config_from_dict, which alone tells its kind
+        assert [alias.name for node in nodes if isinstance(node, ast.ImportFrom) and node.module == "serialize"
+                for alias in node.names if alias.name.startswith("_")] == []
 
     @given(st.lists(st.integers(-2**80, 2**80) | st.floats(allow_nan=False, allow_infinity=False),
                     min_size=3, max_size=3))

@@ -675,10 +675,10 @@ class TestMultiStart:
     @given(st.integers(1, 6), st.integers(0, 2**16), st.integers(1, 3000))
     @example(5, 0, 20000)  # starts leave in five different rounds
     def test_lockstep_equals_sequential(self, n_starts, rng_seed, budget):
-        # start i seeds from a trajectory point (i < 3) or a jitter drawn from
+        # start i seeds from a trajectory point (i < len(seeds)) or a jitter drawn from
         # default_rng([i, rng_seed]); the lower start wins ties
-        base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-        runs = [local_maximize(chart_curve((0.9, 0.7, 0.5)[i]) if i < 3 else FreeConfig(
+        base, seeds = chart_c6(D3Params(0.0, 0.0, 0.0)).coords, search._TRAJECTORY_SEEDS
+        runs = [local_maximize(chart_curve(seeds[i]) if i < len(seeds) else FreeConfig(
             base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(18)), budget)
             for i in range(n_starts)]
         best = runs[[run.d_best for run in runs].index(max(run.d_best for run in runs))]
@@ -686,9 +686,10 @@ class TestMultiStart:
         assert r.evals == sum(run.evals for run in runs)
         assert (r.d_best.hex(), r.trace, r.stop) == (best.d_best.hex(), best.trace, best.stop)
         assert r.best.coords.tobytes() == best.best.coords.tobytes()
-        assert r.start_d == tuple(run.d_best for run in runs)
+        d = [objective(end) for end in r.ends]
+        assert d == [run.d_best for run in runs]
         assert [end.coords.tobytes() for end in r.ends] == [run.best.coords.tobytes() for run in runs]
-        assert r.ends[r.start_d.index(r.d_best)] is r.best
+        assert r.ends[d.index(r.d_best)] is r.best
 
     def test_starts_stop_in_different_rounds(self, monkeypatch):
         # one _dsq_slopes call a round for every live start: the x = 0.5 seed leaves after 7
@@ -698,8 +699,7 @@ class TestMultiStart:
         r = multi_start(5, 0, 20000)
         assert [sizes.count(k) for k in (5, 4, 3, 2, 1)] == [7, 26, 13, 77, 60]
         assert sizes == sorted(sizes, reverse=True) and sum(sizes) * 16 == r.evals
-        assert [objective(end).hex() for end in r.ends] == [d.hex() for d in r.start_d]
-        assert r.ends[2] is r.best
+        assert objective(r.best).hex() == r.d_best.hex() and r.ends[2] is r.best
 
     def test_rounds_are_measured_a_block_at_a_time(self, monkeypatch):
         # 200 live starts take two _dsq_slopes calls a round, none of more than _BLOCK charts,
@@ -708,7 +708,7 @@ class TestMultiStart:
         monkeypatch.setattr(search, "_dsq_slopes", lambda rows, h: sizes.append(len(rows)) or slopes(rows, h))
         r = multi_start(200, 0, 2000)
         assert max(sizes) == search._BLOCK == 128 and sum(sizes) * 16 == r.evals == 335184
-        assert (digest(r.start_d), digest([end.coords for end in r.ends])) == (
+        assert (digest([objective(end) for end in r.ends]), digest([end.coords for end in r.ends])) == (
             "2ef8704fc1459f7e", "ded3d38b3fe12f3b"
         )
 
@@ -718,13 +718,13 @@ class TestMultiStart:
         r = acceptance._optimizer_run()
         assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 61696)
         # the run itself bit for bit: every start's d_best, the winner's trace and chart
-        assert (digest(r.start_d), digest(r.trace), digest(r.best.coords)) == (
+        d = [objective(end) for end in r.ends]
+        assert (digest(d), digest(r.trace), digest(r.best.coords)) == (
             "2335fe604a90085a", "52e8191d517e8e17", "226201f1946e664e"
         )
-        hits = [i for i, d in enumerate(r.start_d) if i >= 3 and abs(d - D_RECORD) <= 1e-9]
+        hits = [i for i, v in enumerate(d) if i >= len(search._TRAJECTORY_SEEDS) and abs(v - D_RECORD) <= 1e-9]
         assert hits == [7, 8, 15, 18, 21, 25, 30]
-        assert [objective(end).hex() for end in r.ends] == [d.hex() for d in r.start_d]
-        assert r.ends[2] is r.best
+        assert objective(r.best).hex() == r.d_best.hex() and r.ends[2] is r.best
 
     def test_merge_pinned(self):
         # charts summed over six starts, the winner's d_best and trace digest,
@@ -735,9 +735,9 @@ class TestMultiStart:
         )
 
     def test_seeds_share_no_blind_start(self):
-        # a budget of 1 stops each start at its seed chart, so start_d[3:] holds the objective of
-        # each blind seed chart; with default_rng(rng_seed + i), seeds 0 and 1 shared 28 of 29
-        blind = [set(multi_start(32, s, 1).start_d[3:]) for s in range(6)]
+        # a budget of 1 stops each start at its seed chart, so ends[3:] are the blind seed charts;
+        # with default_rng(rng_seed + i), seeds 0 and 1 shared 28 of 29
+        blind = [set(map(objective, multi_start(32, s, 1).ends[3:])) for s in range(6)]
         assert all(len(b) == 29 for b in blind)
         assert len(set().union(*blind)) == 6 * 29
 
@@ -753,7 +753,7 @@ class TestMultiStart:
         monkeypatch.setattr(search, "_sqp", tied)
         r = multi_start(3, 0, 500)
         first = local_maximize(chart_curve(0.9), 500)
-        assert r.start_d == (1.0,) * 3 and r.d_best == first.d_best == 1.0
+        assert r.best is r.ends[0] and r.d_best == first.d_best == 1.0
         assert np.array_equal(r.best.coords, first.best.coords) and r.trace == first.trace
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
@@ -829,7 +829,7 @@ def test_numpy_integer_counts_are_counts():
     chart = chart_record()
     assert perturbation_probe(chart, 1e-3, np.int64(50)) == perturbation_probe(chart, 1e-3, 50)
     a, b = multi_start(np.int32(4), 0, np.int64(500)), multi_start(4, 0, 500)
-    assert (a.evals, a.trace, a.start_d) == (b.evals, b.trace, b.start_d)
+    assert (a.evals, a.trace, list(map(objective, a.ends))) == (b.evals, b.trace, list(map(objective, b.ends)))
 
 
 def one_shot_probe(c, radius, trials, rng_seed):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cylpack.lines import Configuration, SphericalPoint, make_tangent_line
+from cylpack.lines import Configuration, FreeConfig, SphericalPoint, make_tangent_line
 from cylpack.search import chart_record
 from cylpack.serialize import (
     config_from_dict,
@@ -152,10 +152,11 @@ class TestLineRoundTrip:
         for a, b in zip(again, config):
             assert same_line(a, b, tol=1e-14)
 
-    def test_chart_document_refused(self):
-        # a {"coords": [...]} chart is not a lines document; the command line reads it itself
-        with pytest.raises(ValueError, match="'coords'"):
-            config_from_dict({"coords": [float(x) for x in chart_record().coords]})
+    def test_chart_document_reads_to_the_charts_bits(self):
+        # a {"coords": [...]} document reads to its chart's FreeConfig, bit for bit
+        chart = chart_record()
+        again = config_from_dict(json.loads(json_dumps({"coords": chart.coords.tolist()})))
+        assert isinstance(again, FreeConfig) and again.coords.tobytes() == chart.coords.tobytes()
 
     def test_document_validation(self):
         with pytest.raises(ValueError):
