@@ -15,12 +15,13 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it exports; __getattr__ imports it on first use
 _EXPORTS = {
-    "acceptance": ("CheckResult", "run_checks"),
+    "acceptance": ("run_checks",),
     "curve": ("CurveSample", "f_of_x", "gamma_point", "pure_geodetic_check", "record",
               "scan_unimodality", "t_of_x"),
     "lines": ("Configuration", "DegenerateError", "FreeConfig", "PARALLEL_TOL", "SphericalPoint",
               "TangentLine", "chart_from_configuration", "distance_sq", "make_tangent_line",
               "min_pairwise_distance", "radius_from_distance"),
+    "measurement": ("CheckResult", "Measurement"),
     "scene": ("min_surface_gap", "scene_obj"),
     "search": ("OptResult", "certify", "chart_c6", "chart_curve", "chart_record", "local_maximize",
                "multi_start", "objective", "perturbation_probe"),

@@ -13,7 +13,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from .curve import build_curve_point, gamma_point, record
 from .lines import (Configuration, FreeConfig, _count, _positive_finite, chart_from_configuration,
@@ -51,7 +51,7 @@ def _source(text: str) -> Configuration:
         with open(path, encoding="utf-8") as handle:
             try:
                 return config_from_dict(json.load(handle))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path} is not a UTF-8 JSON document: {exc}") from None
     raise ValueError(f"unknown configuration source {text!r}; expected {_SOURCES}")
 
@@ -213,7 +213,7 @@ def _peak_rss_mb() -> float:
 
 
 def cmd_report_all(args: argparse.Namespace) -> int:
-    from .acceptance import run_checks  # only this command needs the checks
+    from .acceptance import Measurement, run_checks  # only this command needs the checks
 
     results = []
     start, peak = time.perf_counter(), _peak_rss_mb() if args.timings else 0.0
@@ -226,19 +226,16 @@ def cmd_report_all(args: argparse.Namespace) -> int:
             print(f"{r.name}: {now - start:.4f} s, peak +{rss - peak:.1f} MB", file=sys.stderr)
             start, peak = now, rss
     if args.inject_record_error:  # hidden hook that tests exit code 3 and FAIL-line parsing
-        results[0] = replace(results[0], passed=False, details=results[0].details + "; injected")
+        planted = (*results[0].measurements, Measurement("injected", False))  # a failing one
+        results[0] = replace(results[0], measurements=planted)
     all_passed = all(r.passed for r in results)
     if args.json:
-        _emit_json({"checks": [asdict(r) for r in results], "all_passed": all_passed})
+        checks = [{"name": r.name, "passed": r.passed, "details": r.details,
+                   "measurements": [m.doc() for m in r.measurements]} for r in results]
+        _emit_json({"checks": checks, "all_passed": all_passed})
     else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.details}"
-            for r in results
-        ]
-        lines.append(
-            f"{sum(r.passed for r in results)}/{len(results)} checks passed"
-        )
-        _emit(lines)
+        _emit([*(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.details}" for r in results),
+               f"{sum(r.passed for r in results)}/{len(results)} checks passed"])
     return 0 if all_passed else 3
 
 

@@ -7,6 +7,7 @@ the acceptance module, so this file and the CLI's report-all share one
 computation per process.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,7 +27,7 @@ import pytest
 
 from cylpack import acceptance, cli, curve, search, unlocking
 from cylpack.acceptance import run_checks
-from cylpack.lines import FreeConfig, _BLOCK, _chart_index, _pair_kernel
+from cylpack.lines import FreeConfig, _BLOCK, _chart_index, _pair_kernel, radius_from_distance
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -45,6 +47,12 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 @lru_cache(maxsize=1)
 def _results():
     return {r.name: r for r in run_checks()}
+
+
+def _measured(result, name):
+    """result's one measurement called name."""
+    (measurement,) = [m for m in result.measurements if m.name == name]
+    return measurement
 
 
 def _gate(name):
@@ -143,14 +151,14 @@ def test_record_values_fails_on_a_radius_off_by_2e_14(monkeypatch):
 
     monkeypatch.setattr(acceptance, "record", shifted)
     result = acceptance.check_record_values()
-    assert "|r_m - (3+sqrt(33))/8| <= 1e-14: False;" in result.details
+    assert _measured(result, "|r_m - (3+sqrt(33))/8|").margin < 0.0
     assert not result.passed
 
 
 def test_initial_point_fails_on_an_objective_off_by_2e_12(monkeypatch):
     monkeypatch.setattr(acceptance, "objective", lambda chart: 1.0 + 2e-12)
     result = acceptance.check_initial_point()
-    assert "|objective - 1| <= 1e-12: False;" in result.details
+    assert _measured(result, "|objective - 1|").margin < 0.0
     assert not result.passed
 
 
@@ -167,8 +175,12 @@ def test_series_coefficients_fails_on_one_scaled_coefficient(monkeypatch, key):
 
     monkeypatch.setattr(acceptance, "series_coeffs", scaled)
     result = acceptance.check_series_coefficients()
-    assert f" ({key}: closed " in result.details
+    assert _measured(result, "outside isclose(rel_tol=1e-6, abs_tol=1e-6)").margin < 0.0
+    assert f" ({key}: closed " in result.note
     assert not result.passed
+
+
+ORBITS = "12/11 within 1e-9 on orbits ab, ad, bd and 540/143 within 1e-9 on orbit ae"
 
 
 @pytest.mark.parametrize("moved, into", [((1, 5), (1, 2)), ((2, 3), (2, 5)), ((0, 4), (5, 3))])
@@ -183,7 +195,8 @@ def test_record_configuration_fails_on_a_pair_in_the_wrong_orbit(monkeypatch, mo
     monkeypatch.setattr(acceptance, "build_curve_point",
                         lambda x: (sample, types.SimpleNamespace(dsq=dsq)))
     result = acceptance.check_record_configuration()
-    assert "12 of 15; 540/143 within 1e-9: 3 of 15; every pair classified: True" in result.details
+    assert result.note == "12/11 within 1e-9: 12 of 15; 540/143 within 1e-9: 3 of 15; every pair classified: True"
+    assert _measured(result, ORBITS).margin < 0.0
     assert not result.passed
 
 
@@ -248,7 +261,7 @@ def test_unlock_verdicts_fails_on_a_ring_with_one_longitude_moved(monkeypatch, n
 
     monkeypatch.setattr(acceptance, "ring_chart", moved)
     result = acceptance.check_unlock_verdicts()
-    assert not result.passed and result.details.endswith(": False")
+    assert not result.passed and _measured(result, "its relative deviation from the subfamily's").margin < 0.0
 
 
 def test_curve_membership_fails_on_a_wrong_u(monkeypatch):
@@ -276,9 +289,13 @@ def test_local_max_probe_fails_on_any_exceeding_trial(monkeypatch):
     result = acceptance.check_local_max_probe()
     assert not result.passed
     # each condition reports its own verdict: the maximum holds, the fraction does not
-    assert result.details.endswith(
-        " <= sqrt(12/11) + 1e-6: True; exceed fraction 0.0001 == 0: False"
-    )
+    assert _measured(result, "max objective found - sqrt(12/11)").margin >= 0.0
+    exceed = _measured(result, "exceed fraction")
+    assert (exceed.observed, exceed.margin) == (1e-4, -1.0)
+
+
+HITS = "blind ends within 1e-9 of sqrt(12/11)"
+PRIOR = "blind ends so certified, at r_F = 1.049659 <= r < r_F + 1e-6"
 
 
 def _seed_returning_solver(x0, budget, step0, step_min):
@@ -293,7 +310,7 @@ def test_cross_check_fails_when_the_solver_returns_its_seed(monkeypatch, capsys)
     monkeypatch.setattr(search, "_sqp", _seed_returning_solver)
     monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(32, 0, 200000))
     result = acceptance.check_optimizer_cross_check()
-    assert not result.passed and "blind starts within 1e-9: 0 of 29 >= 4: False" in result.details
+    assert not result.passed and _measured(result, HITS).observed == 0 and "; 29 blind ends " in result.note
     assert cli.main(["report-all"]) == 3
     assert "\nFAIL optimizer-cross-check: " in capsys.readouterr().out
 
@@ -309,10 +326,10 @@ def _plant(monkeypatch, planted):
 
 @pytest.mark.parametrize("d", [acceptance.D_RECORD + 2e-9, math.nan])
 def test_cross_check_fails_on_a_start_above_the_record(monkeypatch, d):
-    # a blind start above sqrt(12/11) + 1e-9 (or NaN) is named in the details, never clipped
+    # a blind start above sqrt(12/11) + 1e-9 (or NaN) fails the best d's upper bound, never clipped
     _plant(monkeypatch, {20: {"d": d}})
     result = acceptance.check_optimizer_cross_check()
-    assert not result.passed and "above sqrt(12/11) + 1e-9: [20];" in result.details
+    assert not result.passed and not _measured(result, "best blind d - sqrt(12/11)").margin >= 0.0
 
 
 def test_cross_check_fails_on_three_hits(monkeypatch):
@@ -322,7 +339,7 @@ def test_cross_check_fails_on_three_hits(monkeypatch):
             and abs(search.objective(end) - acceptance.D_RECORD) <= 1e-9]
     _plant(monkeypatch, {i: {"d": 1.0} for i in hits[3:]})
     result = acceptance.check_optimizer_cross_check()
-    assert not result.passed and "blind starts within 1e-9: 3 of 29 >= 4: False" in result.details
+    assert not result.passed and _measured(result, HITS).observed == 3
 
 
 @pytest.mark.parametrize("entries", [{"class": "parallel"}, {"class": "stalled"}, {"pairs": [[0, 1]] * 11},
@@ -332,8 +349,9 @@ def test_cross_check_fails_on_a_hit_that_is_not_a_kkt_point(monkeypatch, entries
     # start 8 reaches the record, so its d still counts it a hit, but its certificate does not
     _plant(monkeypatch, {8: entries})
     result = acceptance.check_optimizer_cross_check()
-    assert not result.passed and "; of them not kkt on 12 pairs with lam > 0: [8]; " in result.details
-    assert "blind starts within 1e-9: 7 of 29 >= 4: True" in result.details
+    assert not result.passed and _measured(result, "of them not kkt on 12 pairs, every lam > 0").observed == 1
+    hits = _measured(result, HITS)
+    assert (hits.observed, hits.margin) == (7, 3.0)
 
 
 def test_cross_check_takes_every_trajectory_seed_as_a_seed(monkeypatch):
@@ -345,31 +363,84 @@ def test_cross_check_takes_every_trajectory_seed_as_a_seed(monkeypatch):
         monkeypatch.setattr(module, "_TRAJECTORY_SEEDS", (0.9, 0.7, 0.5, 0.5))
     monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(8, 0, 1))
     result = acceptance.check_optimizer_cross_check()
-    assert not result.passed and "blind starts within 1e-9: 0 of 4 >= 4: False" in result.details
-    assert "best blind start d = 0.1758" in result.details
+    assert not result.passed and _measured(result, HITS).observed == 0 and "; 4 blind ends " in result.note
+    assert "best blind d = 0.1758" in result.note
+
+
+# the blind ends that certify at Firsching's r = 1.0496595125, the run's second basin
+PRIOR_ENDS = [4, 13, 16, 22, 23, 24, 26, 31]
+
+
+def test_cross_check_finds_the_prior_record():
+    run = acceptance._optimizer_run()
+    window = [i for i, end in enumerate(run.ends) if i >= len(search._TRAJECTORY_SEEDS)
+              and acceptance.R_FIRSCHING <= radius_from_distance(search.objective(end)) < acceptance.R_FIRSCHING + 1e-6]
+    assert window == PRIOR_ENDS
+    prior = _measured(_results()["optimizer-cross-check"], PRIOR)
+    assert (prior.observed, prior.margin) == (8, 7.0)
+
+
+@pytest.mark.parametrize("planted", [{"class": "parallel"}, {"d": 1e-6}, {"d": -1e-6}],
+                         ids=["parallel", "d-up-1e-6", "d-down-1e-6"])
+def test_cross_check_fails_without_a_prior_record_end(monkeypatch, planted):
+    # every end at r_F planted parallel, or its d moved so that its r leaves r_F's six decimals;
+    # the clause this replaced, best blind d > 1.0242, held under each planting
+    run = acceptance._optimizer_run()
+    moved = {i: {"d": search.objective(run.ends[i]) + planted["d"]} for i in PRIOR_ENDS} if "d" in planted else {}
+    _plant(monkeypatch, moved or {i: planted for i in PRIOR_ENDS})
+    result = acceptance.check_optimizer_cross_check()
+    failed = [m for m in result.measurements if not m.margin >= 0.0]
+    assert not result.passed and [m.name for m in failed] == [PRIOR, "best blind d - their best d"]
+    assert failed[0].observed == 0 and math.isnan(failed[1].margin)
+
+
+def test_cross_check_fails_when_the_best_only_ties_the_prior_record(monkeypatch):
+    # with r_F moved to the record's own six decimals, the record hits are the prior-record ends:
+    # the best d then equals theirs, and a tie does not exceed
+    monkeypatch.setattr(acceptance, "R_FIRSCHING", 1.093070)
+    result = acceptance.check_optimizer_cross_check()
+    exceeds = _measured(result, "best blind d - their best d")
+    assert not result.passed and exceeds.observed == 0.0 and exceeds.margin < 0.0
+    assert [m.name for m in result.measurements if not m.margin >= 0.0] == [exceeds.name]
+
+
+def _refuse(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+
+def test_json_report_writes_a_nan_measurement_as_null(monkeypatch, capsys):
+    # json_dumps refuses NaN, so this report exited 2 where it must fail its check with exit 3
+    _plant(monkeypatch, {20: {"d": math.nan}})
+    assert cli.main(["report-all", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+    check = {c["name"]: c for c in doc["checks"]}["optimizer-cross-check"]
+    measured = {m["name"]: m for m in check["measurements"]}
+    assert measured["best blind d - sqrt(12/11)"] == {"name": "best blind d - sqrt(12/11)", "observed": None,
+                                                     "relation": "<=", "bound": 1e-9, "margin": None}
+    assert check["passed"] is False and doc["all_passed"] is False
 
 
 def test_cross_check_details_pinned():
     assert _results()["optimizer-cross-check"].details == (
-        "32 starts, budget 2e5 charts each, seed 0 (61696 charts): best blind start d = "
-        "1.0444659357341717 within 1e-9 of sqrt(12/11): True; blind starts within 1e-9: 7 of "
-        "29 >= 4: True; of them not kkt on 12 pairs with lam > 0: none; blind starts above "
-        "sqrt(12/11) + 1e-9: none; exceeds the prior record distance 1.0242: True; blind ends by "
-        "class: kkt: 15, parallel: 14, stalled: 0"
+        "32 starts, budget 2e5 charts each, seed 0 (61696 charts): best blind d = 1.0444659357341717; "
+        "29 blind ends by class: kkt: 15, parallel: 14, stalled: 0; sqrt(12/11) - best blind d: "
+        "1.53e-14 <= 1e-9; best blind d - sqrt(12/11): -1.53e-14 <= 1e-9; blind ends within 1e-9 of "
+        "sqrt(12/11): 7 >= 4; of them not kkt on 12 pairs, every lam > 0: 0 == 0; blind ends so "
+        "certified, at r_F = 1.049659 <= r < r_F + 1e-6: 8 >= 1; best blind d - their best d: 0.0202 > 0.0"
     )
 
 
 def test_local_max_probe_details_pinned():
     assert _results()["local-max-probe"].details == (
-        "radius 1e-3, 10000 trials, seed 0: max objective found 1.0441449650842853 "
-        "<= sqrt(12/11) + 1e-6: True; exceed fraction 0 == 0: True"
+        "radius 1e-3, 10000 trials, seed 0: max objective found 1.0441449650842853; max objective "
+        "found - sqrt(12/11): -0.000321 <= 1e-6; exceed fraction: 0.0 == 0.0"
     )
 
 
 def test_unimodality_details_pinned():
     assert _results()["unimodality"].details == (
-        "strict rise/fall on 1001-point grid: True; argmax 0.5 == 1/2: True; "
-        "F(1/4) = 1, |F(1/4) - 1| <= 1e-12: True"
+        "F(1/4) = 1.0; strict rise/fall on 1001-point grid: True; argmax: 0.5 == 0.5; "
+        "|F(1/4) - 1|: 0 <= 1e-12"
     )
 
 
@@ -387,7 +458,8 @@ def test_unimodality_fails_on_a_rescaled_grid(monkeypatch):
     monkeypatch.setattr(acceptance, "scan_unimodality", rescaled)
     result = acceptance.check_unimodality()
     assert not result.passed
-    assert "; argmax 0.500499 == 1/2: False; " in result.details
+    argmax = _measured(result, "argmax")
+    assert (argmax.observed, argmax.margin) == (502 / 1003, -1.0)
 
 
 def test_four_cylinder_rigidity_fails_on_a_wrong_mirror_root(monkeypatch):
@@ -427,26 +499,139 @@ def _nan_last_four_cyl_distance(real):
     return spoiled
 
 
-# one formulation at a time returns NaN: each fold of the check must carry it into its figure,
+# one formulation at a time returns NaN: each fold of the check must carry it into its measurement,
 # where max() dropped it (the NaN-last distances also pass the four-cylinder decrease count)
-@pytest.mark.parametrize("check, name, spoil, figure", [
+@pytest.mark.parametrize("check, name, spoil, measured", [
     ("formula_consistency", "_generic_rows", _nan_generic_rows,
-     "worst pairwise relative deviation nan <= 1e-10"),
+     "1000 points, worst pairwise relative deviation"),
     ("formula_consistency", "dists_general", _nan_last_ring_distance,
-     "dists_general vs build_c3 worst nan <= 1e-10"),
+     "100 ring points, alpha in [0.1, 3], dists_general vs build_c3 worst"),
     ("curve_membership", "psi", lambda real: lambda s, t: math.nan,
-     "factorization residual nan <= 1e-10"),
+     "factorization residual over 500 points"),
     ("curve_membership", "k1", lambda real: lambda st, U: math.nan,
-     "along 200 trajectory points nan <= 1e-9"),
+     "max |Psi|, |K1|, |K2|, |U - u_from_st(S, T)| along 200 trajectory points"),
     ("alternate_strategy", "alt_strategy_verdict", _nan_spot_coefficient,
-     "worst deviation nan of the baseline"),
+     "spot order-0 d_AD^2 vs the built counter-tilted pair at t = +-0.0001, worst deviation of the baseline"),
     ("four_cylinder_rigidity", "four_cyl_point", _nan_last_four_cyl_distance,
-     "max |d^2 - 2| = nan <= 1e-10"),
+     "max |d^2 - 2| over 100 samples of each branch"),
 ], ids=["generic", "ring", "psi", "k1", "spot", "four-cyl"])
-def test_a_nan_measurement_fails_its_check(monkeypatch, check, name, spoil, figure):
+def test_a_nan_measurement_fails_its_check(monkeypatch, check, name, spoil, measured):
     monkeypatch.setattr(acceptance, name, spoil(getattr(acceptance, name)))
     result = getattr(acceptance, f"check_{check}")()
-    assert not result.passed and figure in result.details, result.details
+    m = _measured(result, measured)
+    assert not result.passed and math.isnan(m.observed) and math.isnan(m.margin), result.details
+    assert f"{measured}: nan {m.relation} " in result.details
+
+
+def test_a_raising_check_reports_a_failing_measurement(monkeypatch):
+    def broken():
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(acceptance, "record", broken)
+    result = next(run_checks())
+    assert (result.name, result.passed) == ("record-values", False)
+    assert result.details == "raised ArithmeticError('planted'): False"
+
+
+@pytest.mark.parametrize("observed, relation, bound, margin", [
+    (0.25, "<=", 1.0, 0.75), (1.5, "<=", 1.0, -0.5), (7, ">=", 4, 3.0), (3, ">=", 4, -1.0),
+    (4, ">=", 4, 0.0), (0.5, ">", 0.0, 0.5), (0.0, ">", 0.0, -5e-324), (True, "==", True, 0.0),
+    (False, "==", True, -1.0), (Fraction(3, 11), "==", Fraction(3, 11), 0.0), (0.5, "==", 0.25, -1.0),
+    (math.nan, "==", 0.5, -1.0),
+])
+def test_margin_is_signed_by_the_relation(observed, relation, bound, margin):
+    # >= 0 where the relation holds; > passes only past its bound, so a tie reads one float below 0
+    m = acceptance.Measurement("x", observed, relation, bound)
+    assert (m.margin, type(m.margin)) == (margin, float)
+
+
+@pytest.mark.parametrize("relation", ["<=", ">=", ">"])
+def test_a_nan_observation_has_a_nan_margin(relation):
+    m = acceptance.Measurement("x", math.nan, relation, 0.0)
+    assert math.isnan(m.margin) and not acceptance.CheckResult("c", (m,)).passed
+
+
+# each check's (measurement, relation, bound), the bounds those of the checks' literals before they
+# carried measurements; the cross-check's last two replace its clause best blind d > 1.0242
+BOUNDS = {
+    "record-values": [
+        ("f(1/2)", "==", Fraction(12, 11)),
+        ("|f(0.5) - 12/11|", "<=", 1e-14),
+        ("|r_m - (3+sqrt(33))/8|", "<=", 1e-14),
+        ("|r_m - 1.093070331|", "<=", 1e-9),
+    ],
+    "record-configuration": [(ORBITS, "==", True)],
+    "formula-consistency": [
+        ("1000 points, worst pairwise relative deviation", "<=", 1e-10),
+        ("100 ring points, alpha in [0.1, 3], dists_general vs build_c3 worst", "<=", 1e-10),
+    ],
+    "curve-membership": [
+        ("factorization residual over 500 points", "<=", 1e-10),
+        ("max |Psi|, |K1|, |K2|, |U - u_from_st(S, T)| along 200 trajectory points", "<=", 1e-9),
+    ],
+    "unimodality": [
+        ("strict rise/fall on 1001-point grid", "==", True),
+        ("argmax", "==", 0.5),
+        ("|F(1/4) - 1|", "<=", 1e-12),
+    ],
+    "initial-point": [
+        ("|objective - 1|", "<=", 1e-12),
+        ("|radius_from_distance(1) - 1|", "<=", 1e-15),
+    ],
+    "four-cylinder-rigidity": [
+        ("max |d^2 - 2| over 100 samples of each branch", "<=", 1e-10),
+        ("kappa perturbations of 0.001 that decrease the minimum", "==", 2 * 100),
+        ("|radius_from_distance(sqrt(2)) - (1+sqrt(2))|", "<=", 1e-12),
+    ],
+    "unlock-verdicts": [
+        ("verdicts as expected", "==", True),
+        ("probe_ok of the witnesses at t = 0.01 for pi/6, pi/3, 1.5", "==", True),
+        ("their smallest d^2 less its baseline", ">", 0.0),
+        ("|pi/3 baseline - 1|", "<=", 1e-15),
+        ("whole rings of 2n = 6..16 lines at the witnesses for n = 3..8: smallest d^2 less 4 sin^2(pi/2n)",
+         ">", 0.0),
+        ("its relative deviation from the subfamily's", "<=", 1e-12),
+    ],
+    "alternate-strategy": [
+        ("blocked of the neighbor angles spanning [0.1, 3.0]", "==", 20),
+        ("spot order-0 d_AD^2 vs the built counter-tilted pair at t = +-0.0001, worst deviation of the "
+         "baseline", "<=", 1e-6),
+    ],
+    "series-coefficients": [("outside isclose(rel_tol=1e-6, abs_tol=1e-6)", "==", 0)],
+    "optimizer-cross-check": [
+        ("sqrt(12/11) - best blind d", "<=", 1e-9),
+        ("best blind d - sqrt(12/11)", "<=", 1e-9),
+        (HITS, ">=", 4),
+        ("of them not kkt on 12 pairs, every lam > 0", "==", 0),
+        (PRIOR, ">=", 1),
+        ("best blind d - their best d", ">", 0.0),
+    ],
+    "local-max-probe": [
+        ("max objective found - sqrt(12/11)", "<=", 1e-6),
+        ("exceed fraction", "==", 0.0),
+    ],
+    "rational-angles": [
+        ("sin^2(phi)", "==", Fraction(3, 11)),
+        ("sin^2(delta)", "==", Fraction(5, 16)),
+        ("sin^2(kappa)", "==", Fraction(1, 16)),
+    ],
+}
+
+
+def test_bounds_pinned():
+    table = {name: [(m.name, m.relation, m.bound) for m in r.measurements] for name, r in _results().items()}
+    assert table == BOUNDS
+    # a bool bound is a boolean clause, never the int 1 or 0 it equals
+    assert all(type(bound) is type(want) for name, rows in BOUNDS.items()
+               for (*_, bound), (*_, want) in zip(table[name], rows))
+
+
+def test_no_number_is_written_into_an_f_string():
+    # each bound is stated once, in its measurement, and the text is formatted from it
+    tree = ast.parse(Path(acceptance.__file__).read_text())
+    numbers = [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+               and any(isinstance(c, ast.Constant) and type(c.value) in (int, float, complex) for c in ast.walk(node))]
+    assert numbers == []
 
 
 def _points(blocks) -> list:
@@ -521,8 +706,8 @@ def test_formula_consistency_memory_is_one_block():
 
 def test_formula_consistency_details_pinned():
     assert _results()["formula-consistency"].details == (
-        "1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10; 100 ring points, "
-        "alpha in [0.1, 3], dists_general vs build_c3 worst 3.04e-14 <= 1e-10"
+        "1000 points, worst pairwise relative deviation: 4.9e-12 <= 1e-10; 100 ring points, "
+        "alpha in [0.1, 3], dists_general vs build_c3 worst: 3.04e-14 <= 1e-10"
     )
     # no ring point skipped at this seed: the points are the first 100 draws
     rows = np.random.default_rng(2027).uniform(
@@ -544,7 +729,8 @@ def test_formula_consistency_fails_on_a_wrong_ring_longitude(monkeypatch, line):
     monkeypatch.setattr(acceptance, "build_c3", moved)
     result = acceptance.check_formula_consistency()
     assert not result.passed
-    assert result.details.startswith("1000 points, worst pairwise relative deviation 4.9e-12 <= 1e-10;")
+    assert _measured(result, "1000 points, worst pairwise relative deviation").margin >= 0.0
+    assert _measured(result, "100 ring points, alpha in [0.1, 3], dists_general vs build_c3 worst").margin < 0.0
 
 
 def test_package_import_loads_the_checks_on_first_use():

@@ -556,6 +556,21 @@ class TestReportAll:
         assert len(doc["checks"]) == 13
         names = [c["name"] for c in doc["checks"]]
         assert names[0] == "record-values" and len(set(names)) == 13
+        # each check's measurements, with their margins, beside its verdict and its text
+        results = list(run_checks())
+        for check, result in zip(doc["checks"], results):
+            assert list(check) == ["name", "passed", "details", "measurements"]
+            assert (check["name"], check["passed"], check["details"]) == (result.name, True, result.details)
+            assert [list(m) for m in check["measurements"]] == [
+                ["name", "observed", "relation", "bound", "margin"]] * len(result.measurements)
+            for m, want in zip(check["measurements"], result.measurements):
+                assert (m["name"], m["relation"], m["margin"]) == (want.name, want.relation, want.margin)
+                assert m["margin"] >= 0 and not isinstance(m["margin"], bool)
+                for key in ("observed", "bound"):  # a Fraction reads as its text, every other value as itself
+                    value = getattr(want, key)
+                    number = isinstance(value, (int, float))
+                    assert m[key] == (value if number else str(value))
+                    assert isinstance(m[key], bool) == isinstance(value, bool) and isinstance(m[key], str) != number
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_timings_go_to_stderr_only(self, capsys, fmt):
@@ -733,10 +748,13 @@ class TestDocumentNumbers:
     @pytest.mark.parametrize("content, reason", [
         (b'{"coords": [1, 2, ', "Expecting value: line 1 column 19 (char 18)"),
         (b'\xff{"coords": []}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-    ], ids=["not-json", "not-utf-8"])
+        (b"[" * 100000 + b"]" * 100000,
+         "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ], ids=["not-json", "not-utf-8", "too-deep"])
     def test_unreadable_document_is_one_line_naming_its_path(self, capsys, tmp_path, command,
                                                               content, reason):
-        # the decoder's message alone named no file
+        # the decoder's message alone named no file, and a too deeply nested document printed
+        # json.load's RecursionError traceback
         doc_path, out_path = tmp_path / "doc.json", tmp_path / "scene.obj"
         doc_path.write_bytes(content)
         argv = [*command.split(), f"file:{doc_path}"]
@@ -783,7 +801,8 @@ class TestDocumentNumbers:
 # down to builtin values (the optimize and report-all ones since the SQP search replaced the
 # pattern search, the optimize --from ones since their documents dropped the unread seed, the
 # report-all ones since latitudes crossed the poles, since record-values bounded r by 1e-14 and
-# since unlock-verdicts built the whole rings and since the cross-check certified its blind ends,
+# since unlock-verdicts built the whole rings, since the cross-check certified its blind ends and
+# since each check's bounds became measurements and the cross-check compared Firsching's r,
 # optimize --from c6 since -0.0 kept its sign, the unlock-check ones since alternate_strategy
 # dropped its copy of alpha; the export-scene ones of a pole line and of curve:0.3 before scene_obj
 # meshed the configuration's table rows; the lines-document probe and optimize --from ones before
@@ -830,8 +849,8 @@ GOLDEN = [
      "ca1d87fb271633c337a4efc46716fe8d233764501ef99182076c6fc4ba9d15bd"),
     (["export-scene", "--at", "curve:0.3", "--segments", "9", "--radius", "0.5", "--length", "2",
       "--out", "curve.obj"], "3b84393005d27a0b3cc2152e51f6511fa9b0028d1e12713e2b874108e66c14f4"),
-    (["report-all", "--json"], "3fc9ef1b4639e30068b4e20901fa1252fc8df56cb190580c2c656141b8b3d553"),
-    (["report-all"], "20cfdb126a7683b9c84715721cc4ebf8bf4120b952d2d391f011bbeebc95f0ce"),
+    (["report-all", "--json"], "1d1c7c4f48b29b63d6c7cf5dc6ee8abdefa051e59f463e19ae6cac4878f8345a"),
+    (["report-all"], "5bdc3d9b1554fed9f3351c2c438e55aa9d064f0dae19ce7aeb3c904d90e676c7"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 # sha256 of each export-scene golden's OBJ file, by --out
