@@ -20,8 +20,8 @@ from .curve import (
 )
 from .lines import FreeConfig, _BLOCK, _pairs, radius_from_distance
 from .measurement import CheckResult, Measurement, _text
-from .search import (_TRAJECTORY_SEEDS, certify, chart_c6, chart_record, multi_start, objective,
-                     perturbation_probe)
+from .search import (_PROBE_RUN, _SEARCH_RUN, _TRAJECTORY_SEEDS, certify, chart_c6, chart_record, multi_start,
+                     objective, perturbation_probe)
 from .symmetric import (
     PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _counter_pair, _generic_rows, alg_coords,
     build_c3, dists_general, ring_chart, triplets_alg, triplets_trig,
@@ -280,14 +280,19 @@ def check_series_coefficients() -> CheckResult:
     ), f"{compared} coefficients over {n} random directions, orders 0-2{worst_pair}")
 
 
+def _sci(value) -> str:
+    """value in the shortest e-notation, its exponent unpadded and unsigned where positive: 2e5, 1e-3."""
+    return np.format_float_scientific(value, trim="-", exp_digits=1).replace("+", "")
+
+
 @lru_cache(maxsize=1)
 def _optimizer_run():
-    return multi_start(32, 0, 200000)
+    return multi_start(**_SEARCH_RUN)
 
 
 @lru_cache(maxsize=1)
 def _record_probe():
-    return perturbation_probe(chart_record(), 1e-3, 10000, 0)
+    return perturbation_probe(chart_record(), **_PROBE_RUN)
 
 
 def _certified(cert: dict) -> bool:
@@ -296,11 +301,11 @@ def _certified(cert: dict) -> bool:
 
 
 def check_optimizer_cross_check() -> CheckResult:
-    """multi_start(32, 0, 200000)'s blind starts (after its trajectory seeds), each read by certify
+    """The verified search's (_SEARCH_RUN's) blind starts, after its trajectory seeds, each read by certify
     of its end, find both records: the best within 1e-9 of sqrt(12/11), none above it by more, at
     least 4 that close, each _certified; and at least one _certified end at Firsching's r_F to six
     decimals, r_F <= r < r_F + 1e-6, whose d the best exceeds.  The note counts certify's classes."""
-    result, first, tol, decimals = _optimizer_run(), len(_TRAJECTORY_SEEDS), 1e-9, 1e-6
+    result, run, first, tol, decimals = _optimizer_run(), _SEARCH_RUN, len(_TRAJECTORY_SEEDS), 1e-9, 1e-6
     certs = [certify(end) for end in result.ends[first:]]
     best = _worst(*(cert["d"] for cert in certs))  # NaN if any d is, so none hides above the record
     hits = [cert for cert in certs if abs(cert["d"] - D_RECORD) <= tol]
@@ -317,8 +322,8 @@ def check_optimizer_cross_check() -> CheckResult:
         Measurement(f"blind ends so certified, at r_F = {R_FIRSCHING} <= r < r_F + {_text(decimals)}",
                     len(prior), ">=", 1),
         Measurement("best blind d - their best d", best - max(prior, default=math.nan), ">", 0.0),
-    ), f"32 starts, budget 2e5 charts each, seed 0 ({result.evals} charts): best blind d = {best}; "
-       f"{len(certs)} blind ends by class: {classes}")
+    ), f"{run['n_starts']} starts, budget {_sci(run['budget_each'])} charts each, seed {run['rng_seed']} "
+       f"({result.evals} charts): best blind d = {best}; {len(certs)} blind ends by class: {classes}")
 
 
 def check_local_max_probe() -> CheckResult:
@@ -327,7 +332,8 @@ def check_local_max_probe() -> CheckResult:
     return CheckResult("local-max-probe", (
         Measurement("max objective found - sqrt(12/11)", report["max_found"] - D_RECORD, "<=", 1e-6),
         Measurement("exceed fraction", report["exceed_fraction"], "==", 0.0),
-    ), f"radius 1e-3, 10000 trials, seed 0: max objective found {report['max_found']}")
+    ), f"radius {_sci(report['radius'])}, {report['trials']} trials, seed {report['rng_seed']}: max objective "
+       f"found {report['max_found']}")
 
 
 def check_rational_angles() -> CheckResult:

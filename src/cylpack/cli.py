@@ -18,7 +18,8 @@ from dataclasses import replace
 from .curve import build_curve_point, gamma_point, record
 from .lines import (Configuration, FreeConfig, _count, _positive_finite, chart_from_configuration,
                     min_pairwise_distance, radius_from_distance)
-from .search import chart_c6, chart_curve, chart_record, local_maximize, multi_start, perturbation_probe
+from .search import (_PROBE_RUN, _SEARCH_RUN, chart_c6, chart_curve, chart_record, local_maximize, multi_start,
+                     perturbation_probe)
 from .symmetric import D3Params, build_c6, d3_orbit_check, triplets_generic
 from .unlocking import _T_MAX, alt_strategy_verdict, four_cyl_point, unlock_verdict
 
@@ -61,6 +62,13 @@ def _chart_from_source(text: str) -> FreeConfig:
     chart is kept as it is, not charted again from its lines, which would move its bits."""
     source = _source(text)
     return source if isinstance(source, FreeConfig) else chart_from_configuration(source)
+
+
+def _float_count(flag: str, value, least: int) -> int:
+    """_count's int for a flag that a command divides by, refused past the float range."""
+    if (n := _count(flag, value, least)) > sys.float_info.max:
+        raise ValueError(f"{flag} must be at most {sys.float_info.max!r}: {value!r}")
+    return n
 
 
 def _emit(lines) -> None:
@@ -112,7 +120,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    n = _count("--samples", args.samples, 1)
+    n = _float_count("--samples", args.samples, 1)
 
     def row(x: float) -> list:
         sample = gamma_point(x)
@@ -130,8 +138,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.from_source is None:
-        starts = 32 if args.starts is None else args.starts
-        seed = 0 if args.seed is None else args.seed
+        starts = _SEARCH_RUN["n_starts"] if args.starts is None else args.starts
+        seed = _SEARCH_RUN["rng_seed"] if args.seed is None else args.seed
         result = multi_start(starts, seed, args.budget)
         run_doc = {"starts": starts, "seed": seed, "budget_each": args.budget}
     elif args.starts is not None:
@@ -141,16 +149,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         result = local_maximize(_chart_from_source(args.from_source), args.budget)
         run_doc = {"from": args.from_source, "budget": args.budget}
-    doc = {
-        **run_doc,
-        "d_best": result.d_best,
-        "r_best": result.r_best,
-        "evals": result.evals,
-        "stop": result.stop,
-        "trace": result.trace,
-        "coords": result.best.coords.tolist(),
-    }
-    _emit_json(doc)
+    _emit_json({**run_doc, "d_best": result.d_best, "r_best": result.r_best, "evals": result.evals,
+                "stop": result.stop, "trace": result.trace, "coords": result.best.coords.tolist()})
     return 0
 
 
@@ -167,7 +167,7 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
     if args.n is not None:
         if args.degrees:
             raise ValueError("--degrees has no effect with --n")
-        alpha = math.pi / _count("--n", args.n, 2)
+        alpha = math.pi / _float_count("--n", args.n, 2)
     else:
         alpha = math.radians(args.alpha) if args.degrees else args.alpha
     _emit_json({**unlock_verdict(alpha), "alternate_strategy": alt_strategy_verdict(alpha)})
@@ -175,7 +175,7 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
 
 
 def cmd_four_cyl(args: argparse.Namespace) -> int:
-    n = _count("--samples", args.samples, 2)
+    n = _float_count("--samples", args.samples, 2)
     _positive_finite("--t-max", args.t_max)
     if args.t_max > float(_T_MAX):
         raise ValueError(f"--t-max must be at most {_T_MAX}: {args.t_max!r}")
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("optimize", help="maximin search over free configurations")
-    p.add_argument("--starts", type=int, help="multi-start count (default 32); not with --from")
-    p.add_argument("--seed", type=int, help="seed of the blind starts (default 0); not with --from")
-    p.add_argument("--budget", type=int, default=200000,
+    p.add_argument("--starts", type=int, help=f"multi-start count (default {_SEARCH_RUN['n_starts']}); not with --from")
+    p.add_argument("--seed", type=int, help=f"blind starts' seed (default {_SEARCH_RUN['rng_seed']}); not with --from")
+    p.add_argument("--budget", type=int, default=_SEARCH_RUN["budget_each"],
                    help="charts measured per start, 3n - 2 a step for n lines, 16 for six")
     p.add_argument(
         "--from", dest="from_source", metavar="SOURCE",
@@ -278,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--at", default="record",
         help=f"configuration source ({_SOURCES})",
     )
-    p.add_argument("--radius", type=float, default=1e-3, help="perturbation box size")
-    p.add_argument("--trials", type=int, default=10000, help="number of perturbations")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--radius", type=float, default=_PROBE_RUN["radius"], help="perturbation box size")
+    p.add_argument("--trials", type=int, default=_PROBE_RUN["trials"], help="number of perturbations")
+    p.add_argument("--seed", type=int, default=_PROBE_RUN["rng_seed"], help="random seed")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("unlock-check", help="can 2n cylinders start growing?")

@@ -10,13 +10,15 @@ planar constraint psi(s, t) = 0 in s = S^2, t = T^2, and that constraint
 factors so the curve is rational in the single parameter
 x = cos^2(phi) cos^2(delta).  The common squared distance along the
 curve is F(x) = 12x/(1 + 7x + 4x^2), maximized at x = 1/2 with value
-12/11, which yields the cylinder radius (3 + sqrt(33))/8.
+12/11, which yields the cylinder radius (3 + sqrt(33))/8.  build_curve_point
+builds a point once per x, so the record's readers share one build of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lines import (
     DegenerateError,
@@ -167,8 +169,10 @@ def gamma_point(x) -> CurveSample:
     return sample
 
 
+@lru_cache(maxsize=8)
 def build_curve_point(x) -> tuple:
-    """gamma_point(x) and the configuration build_c6 makes of its angles.
+    """gamma_point(x) and the configuration build_c6 makes of its angles, built once per x and
+    shared: the sample is frozen and the configuration's arrays read-only, and a refusal is not kept.
 
     Below about x = 2e-13 delta = atan(T) rounds toward pi/2 and the built
     lines leave the trajectory although the sample's own checks, on S, T

@@ -11,7 +11,8 @@ angles do, and every start returns the chart it walked to.  multi_start searches
 and certify tells an end at a first-order local maximum from one beside a nearly parallel pair or
 stalled.  The lockstep measures each round's live starts by _dsq_slopes, and the perturbation
 probe its trials by _charts_dsq, both _BLOCK at a time, in calls whose temporaries the allocator
-keeps.
+keeps.  _SEARCH_RUN and _PROBE_RUN state once the two runs report-all verifies, which the CLI's
+optimize and probe make with no flags.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ _MAX_STEPS = 300
 _PIVOT = 1e-12
 _MAX_STARTS = 1024  # multi_start's lockstep holds every start's state at once, about 24 KB a start
 _TRAJECTORY_SEEDS = (0.9, 0.7, 0.5)  # x of multi_start's first starts, the record last; later ones are blind
+# the runs report-all verifies, as keywords of multi_start and of perturbation_probe at chart_record()
+_SEARCH_RUN = {"n_starts": 32, "rng_seed": 0, "budget_each": 200000}
+_PROBE_RUN = {"radius": 1e-3, "trials": 10000, "rng_seed": 0}
 
 
 @lru_cache(maxsize=8)

@@ -25,6 +25,15 @@ _MARGINAL_TOL = 1e-12
 _T_MAX = "1e5"  # four_cyl_point's largest T, as printed
 
 
+def _cross_terms(alpha: float, phi1: float, delta1: float) -> tuple:
+    """sin(alpha); the cross pairs' order 0, 4 sin^2(alpha/2), the start's neighbor distance^2; and
+    along kappa1 = 0 the parts of their order 2 that kappa2 leaves, mixed = 2 delta1 phi1 (1 + cos alpha)
+    and odd = sin(alpha) (delta1^2 - phi1^2): d_AD^2's is -sin(alpha) (mixed + 4 kappa2 + odd) and
+    d_BD^2's sin(alpha) (mixed + 4 kappa2 - odd)."""
+    sa, sh = math.sin(alpha), math.sin(alpha / 2)
+    return sa, 4.0 * sh * sh, 2.0 * delta1 * phi1 * (1.0 + math.cos(alpha)), sa * (delta1 * delta1 - phi1 * phi1)
+
+
 def series_coeffs(alpha: float, phi1: float, delta1: float, kappa1: float, kappa2: float) -> dict:
     """Closed Taylor coefficients of the three squared distances along
     (phi, delta, kappa) = (phi1 t, delta1 t, kappa1 t + kappa2 t^2).
@@ -37,19 +46,12 @@ def series_coeffs(alpha: float, phi1: float, delta1: float, kappa1: float, kappa
     alpha = _neighbor_angle(alpha)
     if phi1 == 0.0 and delta1 == 0.0:
         raise ValueError("degenerate direction: phi1 = delta1 = 0")
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sh = math.sin(alpha / 2)
+    sa, baseline, mixed, odd = _cross_terms(alpha, phi1, delta1)
     d2, p2 = delta1 * delta1, phi1 * phi1
-    out = {
-        "dab_sq_0": 4.0 * d2 * sa * sa / (d2 + p2),
-        "dad_sq_0": 4.0 * sh * sh,
-        "dbd_sq_0": 4.0 * sh * sh,
-        "dad_sq_1": -4.0 * kappa1 * sa,
-        "dbd_sq_1": 4.0 * kappa1 * sa,
-    }
+    out = {"dab_sq_0": 4.0 * d2 * sa * sa / (d2 + p2), "dad_sq_0": baseline, "dbd_sq_0": baseline,
+           "dad_sq_1": -4.0 * kappa1 * sa, "dbd_sq_1": 4.0 * kappa1 * sa}
     if kappa1 == 0.0:
-        mixed = 2.0 * delta1 * phi1 * (1.0 + ca) + 4.0 * kappa2
-        odd = sa * (d2 - p2)
+        mixed += 4.0 * kappa2
         out["dad_sq_2"] = -sa * (mixed + odd)
         out["dbd_sq_2"] = sa * (mixed - odd)
     return out
@@ -91,13 +93,8 @@ def taylor_coeffs_numeric(
             (fp2[i] - 2 * f0[i] + fm2[i]) / (h2 * h2),
         )
 
-    out = {
-        "dab_sq_0": order0(0),
-        "dad_sq_0": order0(1),
-        "dbd_sq_0": order0(2),
-        "dad_sq_1": order1(1),
-        "dbd_sq_1": order1(2),
-    }
+    out = {"dab_sq_0": order0(0), "dad_sq_0": order0(1), "dbd_sq_0": order0(2), "dad_sq_1": order1(1),
+           "dbd_sq_1": order1(2)}
     if kappa1 == 0.0:
         out["dad_sq_2"] = order2(1)
         out["dbd_sq_2"] = order2(2)
@@ -127,15 +124,12 @@ def unlock_verdict(alpha: float) -> dict:
     if alpha > math.pi / 2:
         return {"alpha": alpha, "verdict": "blocked", "witness": None}
 
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sh = math.sin(alpha / 2)
-    baseline = 4.0 * sh * sh
+    sa, sh = math.sin(alpha), math.sin(alpha / 2)
     delta_lo = sh / math.sqrt(sa * sa - sh * sh)
     delta1 = 0.5 * (delta_lo + 1.0)
     phi1 = 1.0
     # kappa2 window keeping both order-2 cross coefficients positive
-    mixed = 2.0 * delta1 * phi1 * (1.0 + ca)
-    odd = sa * (delta1 * delta1 - phi1 * phi1)
+    _, baseline, mixed, odd = _cross_terms(alpha, phi1, delta1)
     window = (0.25 * (-mixed + odd), 0.25 * (-mixed - odd))
     kappa2 = 0.5 * (window[0] + window[1])
 
@@ -168,8 +162,7 @@ def alt_strategy_verdict(alpha: float) -> dict:
     of the order-0 coefficient at phi1 = delta1 = 1.
     """
     alpha = _neighbor_angle(alpha)
-    sh = math.sin(alpha / 2)
-    baseline = 4.0 * sh * sh
+    baseline = _cross_terms(alpha, 1.0, 1.0)[1]
     return {
         "verdict": "blocked",
         "forcing_chain": (
@@ -212,7 +205,8 @@ def four_cyl_point(T: float, mirror: bool = False) -> FourCylSample:
     Along it all three squared distances are identically 2.  At T = 0
     the A-B pair is antipodal-parallel with pointwise distance 2 while
     the skew distance tends to sqrt(2) (the closest points run off to
-    infinity), and the sample reports the trajectory limit 2 for d_AB^2.
+    infinity), and the sample reports the trajectory limit 2 there and wherever S^2 + T^2 underflows
+    to 0 (T up to about 1.5e-162), where dists_general would read d_AB^2's delta-direction limit, 4.
     One adjacent pair stays exactly parallel along the trajectory: B-D on
     the default branch, A-D on the mirror branch.
 
@@ -229,10 +223,7 @@ def four_cyl_point(T: float, mirror: bool = False) -> FourCylSample:
     U = 1.0 / (S * T + root) if mirror else -S * T - root
     kappa = math.atan(U) + alpha / 2
     params = GeneralParams(alpha, math.asin(S), math.atan(T), kappa)
-    if T == 0.0:
-        dists = (2.0, 2.0, 2.0)
-    else:
-        dists = dists_general(params)
+    dists = (2.0, 2.0, 2.0) if S * S + T * T == 0.0 else dists_general(params)
     dirs = build_c3(params).table[:, 3:]
     residual = min(1.0 - abs(float(dirs[k] @ dirs[2])) for k in (0, 1))  # A-D, then B-D
     return FourCylSample(T, S * S, U, params, dists, residual)

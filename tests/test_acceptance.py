@@ -437,6 +437,37 @@ def test_local_max_probe_details_pinned():
     )
 
 
+def test_one_report_builds_the_record_once(monkeypatch):
+    # record-values, record-configuration, the probe's chart and multi_start's last trajectory seed
+    # read one build of x = 1/2; each built it afresh, 4 calls of gamma_point(0.5) a report
+    calls, real = [], curve.gamma_point
+    monkeypatch.setattr(curve, "gamma_point", lambda x: calls.append(x) or real(x))
+    for cached in (curve.build_curve_point, acceptance._optimizer_run, acceptance._record_probe):
+        cached.cache_clear()
+    assert all(r.passed for r in run_checks())
+    assert calls.count(0.5) == 1
+
+
+@pytest.mark.parametrize("check, run, key, value, note, argv, field", [
+    (acceptance.check_optimizer_cross_check, "_SEARCH_RUN", "n_starts", 8,
+     "8 starts, budget 2e5 charts each, seed 0 (", ["optimize", "--budget", "16"], "starts"),
+    (acceptance.check_local_max_probe, "_PROBE_RUN", "trials", 100, "radius 1e-3, 100 trials, seed 0: ",
+     ["probe"], "trials"),
+])
+def test_each_verified_run_is_named_once(monkeypatch, capsys, check, run, key, value, note, argv, field):
+    # the run a check verifies, its note, and the flagless command's run read one statement of it
+    monkeypatch.setitem(getattr(search, run), key, value)
+    runs = (acceptance._optimizer_run, acceptance._record_probe)
+    for cached in runs:
+        cached.cache_clear()
+    try:
+        assert check().note.startswith(note)
+    finally:
+        for cached in runs:
+            cached.cache_clear()
+    assert cli.main(argv) == 0 and json.loads(capsys.readouterr().out)[field] == value
+
+
 def test_unimodality_details_pinned():
     assert _results()["unimodality"].details == (
         "F(1/4) = 1.0; strict rise/fall on 1001-point grid: True; argmax: 0.5 == 0.5; "

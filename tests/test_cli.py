@@ -369,6 +369,12 @@ class TestFourCyl:
         assert main(["four-cyl", "--t-max", "0"]) == 1
 
     @pytest.mark.parametrize("mirror", [[], ["--mirror"]])
+    def test_underflowing_tilts_report_the_limit(self, capsys, mirror):
+        # S^2 + T^2 underflows to 0 at T = 1e-320, where d_AB^2's delta-direction limit read 4
+        rc, out = run(capsys, "four-cyl", "--samples", "2", "--t-max", "1e-320", *mirror)
+        assert rc == 0 and [row.split(",")[4:7] for row in out.splitlines()[1:]] == [["2", "2", "2"]] * 2
+
+    @pytest.mark.parametrize("mirror", [[], ["--mirror"]])
     @pytest.mark.parametrize("t_max, samples", [("2e5", "100"), ("1e8", "2")])
     def test_t_max_past_the_range(self, capsys, mirror, t_max, samples):
         # a T whose distances are not held to 1e-9 is refused, not printed with a wrong d^2;
@@ -620,6 +626,15 @@ class TestDirectErrors:
     ])
     def test_cli_counts_read_like_library_counts(self, capsys, argv, message):
         assert run_failing(capsys, *argv) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["curve", "--samples"], ["four-cyl", "--samples"], ["unlock-check", "--n"]])
+    def test_counts_past_the_float_range_name_the_flag(self, capsys, argv):
+        # each command divides by its count: unlock-check and four-cyl exited 2 with "int too large
+        # to convert to float", and curve wrote its header before refusing its first x, 0.0
+        big = 10 ** 400
+        assert main([*argv, str(big)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {argv[1]} must be at most {sys.float_info.max!r}: {big}\n")
 
     @pytest.mark.parametrize(
         "argv, message",

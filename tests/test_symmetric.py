@@ -1,5 +1,6 @@
 """The six-line family and the three-line subfamily: construction, symmetry, closed distance forms."""
 
+import itertools
 import json
 import math
 import sys
@@ -13,13 +14,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 import cylpack
 from cylpack import lines, symmetric, unlocking
 from cylpack.cli import main
-from cylpack.curve import gamma_point
+from cylpack.curve import build_curve_point, gamma_point
 from cylpack.lines import (
+    _BLOCK,
     Configuration,
     DegenerateError,
     FreeConfig,
     SphericalPoint,
     TangentLine,
+    _charts_dsq,
     distance_sq,
     make_tangent_line,
     min_pairwise_distance,
@@ -489,7 +492,9 @@ class TestBuiltOnce:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of chart framings and pair-kernel calls, wherever the package binds them."""
+    """Counts of chart framings and pair-kernel calls, wherever the package binds them, from an
+    empty trajectory-build cache, so that a point built earlier in the session is built again."""
+    build_curve_point.cache_clear()
     counts = Counter()
     for name in ("_frame_table", "_pair_kernel"):
         original = getattr(lines, name)
@@ -543,3 +548,38 @@ class TestKappaDomain:
         for a, b in zip(astuple(triplets_trig(p)), astuple(triplets_generic(p))):
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1e-6)
         assert d3_orbit_check(build_c6(p))
+
+
+def test_census_of_the_family_finds_only_the_record():
+    """A census, not a proof: the six-line family's smallest distance is sampled on a cell-centred
+    60^3 grid of (phi, delta, kappa) over phi in (-pi/2, pi/2) and the periods delta in [0, pi)
+    (delta + pi turns every line around) and kappa in [0, 2pi/3) (kappa + 2pi/3 permutes each
+    triple).  Every grid point with d^2 > 0.5 at least its 26 neighbours, periodic in delta and
+    kappa, is refined by scipy's SLSQP on max t subject to d^2_k >= t, and each lands within 1e-9
+    of sqrt(12/11).  A maximum whose basin holds no grid maximum is not seen."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    n = 60
+    phis = (-math.pi / 2 + (np.arange(n) + 0.5) * math.pi / n).tolist()
+    deltas = ((np.arange(n) + 0.5) * math.pi / n).tolist()
+    kappas = ((np.arange(n) + 0.5) * (2 * math.pi / 3) / n).tolist()
+    charts = np.array([ring_chart(3, p, d, k) for p in phis for d in deltas for k in kappas])
+    dsq = np.concatenate([_charts_dsq(charts[lo:lo + _BLOCK]).min(axis=0)
+                          for lo in range(0, len(charts), _BLOCK)]).reshape(n, n, n)
+    # no neighbour past the ends of the phi range; delta and kappa wrap around
+    padded = np.pad(dsq, ((1, 1), (0, 0), (0, 0)), constant_values=-np.inf)
+    peak = dsq > 0.5
+    for a, b, c in itertools.product((-1, 0, 1), repeat=3):
+        if (a, b, c) != (0, 0, 0):
+            peak &= dsq >= np.roll(padded, (-b, -c), axis=(1, 2))[1 + a:n + 1 + a]
+
+    def pair_dsq(v):
+        return _charts_dsq(np.array([ring_chart(3, *v[:3])]))[:, 0]
+
+    ends = []
+    for i, j, k in np.argwhere(peak).tolist():
+        start = [phis[i], deltas[j], kappas[k], dsq[i, j, k]]
+        res = minimize(lambda v: -v[3], start, method="SLSQP", options={"ftol": 1e-15, "maxiter": 200},
+                       constraints=[{"type": "ineq", "fun": lambda v: pair_dsq(v) - v[3]}])
+        ends.append(math.sqrt(pair_dsq(res.x).min()))
+    assert len(ends) == 52
+    assert max(abs(d - math.sqrt(12 / 11)) for d in ends) <= 1e-9

@@ -300,7 +300,8 @@ class TestFourCylinders:
     def test_distances_hold_over_the_whole_range(self, mirror):
         # -ST + sqrt(S^2 T^2 + 1) cancels as S T grows (|d^2 - 2| = 2e-8 at T = 1e4), so the
         # grid runs to the bound, where the angles' trip through atan(T) leaves 5e-11
-        for T in [*np.geomspace(1e-6, 1e5, 200).tolist(), 1e5]:
+        # the underflow tail, where S^2 + T^2 rounds to 0 up to about 1.5e-162, reads the limit 2
+        for T in [5e-324, 1e-200, 1.5e-162, *np.geomspace(1e-6, 1e5, 200).tolist(), 1e5]:
             sample = four_cyl_point(T, mirror)
             assert max(abs(d - 2.0) for d in sample.dists_sq) <= 1e-9, T
 
