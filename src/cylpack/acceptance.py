@@ -15,16 +15,16 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import (
-    _RECORD_CLOSED, build_curve_point, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check,
-    record, scan_unimodality, u_from_st,
+    _RECORD_CLOSED, _RECORD_RATIONAL, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record,
+    scan_unimodality, u_from_st,
 )
 from .lines import FreeConfig, _BLOCK, _pairs, radius_from_distance
 from .measurement import CheckResult, Measurement, _text
 from .search import (_PROBE_RUN, _SEARCH_RUN, _TRAJECTORY_SEEDS, certify, chart_c6, chart_record, multi_start,
                      objective, perturbation_probe)
 from .symmetric import (
-    PAIR_ORBITS, D3Params, DegenerateError, GeneralParams, _counter_pair, _generic_rows, alg_coords,
-    build_c3, dists_general, ring_chart, triplets_alg, triplets_trig,
+    PAIR_ORBITS, D3Params, GeneralParams, _counter_pair, _generic_rows, alg_coords, build_c3, dists_general,
+    ring_chart, triplets_alg, triplets_trig,
 )
 from .unlocking import (
     alt_strategy_verdict, four_cyl_point, series_coeffs, taylor_coeffs_numeric, unlock_verdict,
@@ -39,30 +39,26 @@ def check_record_values() -> CheckResult:
     from fractions import Fraction  # imported on use, as in pure_geodetic_check
     r_m, printed = record()["computed"]["r"], 1.093070331
     return CheckResult("record-values", (
-        Measurement("f(1/2)", f_of_x(Fraction(1, 2)), "==", Fraction(12, 11)),
-        Measurement("|f(0.5) - 12/11|", abs(f_of_x(0.5) - _RECORD_CLOSED["f"]), "<=", 1e-14),
+        Measurement("f(1/2)", f_of_x(Fraction(*_RECORD_RATIONAL["x"])), "==", Fraction(*_RECORD_RATIONAL["f"])),
+        Measurement("|f(0.5) - 12/11|", abs(f_of_x(_RECORD_CLOSED["x"]) - _RECORD_CLOSED["f"]), "<=", 1e-14),
         Measurement("|r_m - (3+sqrt(33))/8|", abs(r_m - R_RECORD), "<=", 1e-14),
         Measurement(f"|r_m - {printed}|", abs(r_m - printed), "<=", 1e-9),
     ), f"r_m = {r_m}")
 
 
 def check_record_configuration() -> CheckResult:
-    """Of the 15 record pairwise squared distances, the 12 of orbits ab, ad and bd are 12/11 and
-    the 3 of orbit ae are 540/143, each within 1e-9, pairs compared unordered."""
-    config = build_curve_point(0.5)[1]
-    values, tol = config.dsq, 1e-9
-    near_f = np.abs(values - _RECORD_CLOSED["f"]) <= tol
-    near_ae = np.abs(values - _RECORD_CLOSED["dae_sq"]) <= tol
-    pairs = [frozenset(pair) for pair in _pairs(6)]  # dsq's order
-    f_pairs = {pair for pair, near in zip(pairs, near_f.tolist()) if near}
-    ae_pairs = {pair for pair, near in zip(pairs, near_ae.tolist()) if near}
-    orbit = {name: set(map(frozenset, members)) for name, members in PAIR_ORBITS.items()}
-    orbits_ok = f_pairs == orbit["ab"] | orbit["ad"] | orbit["bd"] and ae_pairs == orbit["ae"]
-    within = f"within {_text(tol)}"
-    return CheckResult("record-configuration", (  # 12 + 3 pairs, so the counts and the coverage follow
-        Measurement(f"12/11 {within} on orbits ab, ad, bd and 540/143 {within} on orbit ae", orbits_ok),),
-        f"12/11 {within}: {int(near_f.sum())} of {len(pairs)}; 540/143 {within}: {int(near_ae.sum())} "
-        f"of {len(pairs)}; every pair classified: {bool((near_f | near_ae).all())}")
+    """Each of the 15 record pairs is listed in exactly one orbit of PAIR_ORBITS, pairs unordered, and each
+    listed pair's squared distance is its orbit's value within 1e-9: 12/11 on ab, ad and bd, 540/143 on ae."""
+    value = dict.fromkeys(("ab", "ad", "bd"), _RECORD_CLOSED["f"]) | {"ae": _RECORD_CLOSED["dae_sq"]}
+    listed = [(tuple(sorted(pair)), value[orbit]) for orbit, pairs in PAIR_ORBITS.items() for pair in pairs]
+    column = {pair: k for k, pair in enumerate(_pairs(6))}  # dsq's order
+    dsq, names = chart_record().dsq.tolist(), [pair for pair, _ in listed]
+    return CheckResult("record-configuration", (
+        Measurement(f"of the {len(column)} pairs, listed in exactly one orbit",
+                    sum(names.count(pair) == 1 for pair in column), "==", len(column)),
+        Measurement("worst |d^2 - its orbit's value|, 12/11 on ab, ad and bd, 540/143 on ae",
+                    _worst(*(abs(dsq[column[pair]] - want) for pair, want in listed)), "<=", 1e-9),
+    ))
 
 
 def _worst(*devs) -> float:
@@ -73,23 +69,13 @@ def _worst(*devs) -> float:
 
 def _family_points(seed, lo, hi, n, make, measure):
     """n points make(*row) of rows uniform in [lo, hi) from default_rng(seed), each measured, as
-    (params, measures) lists of at most _BLOCK; a point with |delta| < 1e-3, or on which
-    measure raises DegenerateError, is skipped and redrawn."""
+    (params, measures) lists of at most _BLOCK: the first n draws, none skipped, so a point that
+    measure refuses (DegenerateError) fails the check by name."""
     rng = np.random.default_rng(seed)
-    while n:
-        params, measures = [], []
+    for done in range(0, n, _BLOCK):
         # row by row, the same stream of draws as one uniform call per coordinate
-        for row in rng.uniform(lo, hi, (min(_BLOCK, n), len(lo))).tolist():
-            p = make(*row)
-            if abs(p.delta) < 1e-3:
-                continue
-            try:
-                measures.append(measure(p))
-            except DegenerateError:
-                continue
-            params.append(p)
-        n -= len(params)
-        yield params, measures
+        params = [make(*row) for row in rng.uniform(lo, hi, (min(_BLOCK, n - done), len(lo))).tolist()]
+        yield params, [measure(p) for p in params]
 
 
 def _formula_points():
@@ -158,7 +144,7 @@ def check_unimodality() -> CheckResult:
     return CheckResult("unimodality", (
         Measurement(f"strict rise/fall on {n}-point grid",
                     bool(scan["strictly_increasing_below"] and scan["strictly_decreasing_above"])),
-        Measurement("argmax", scan["argmax_x"], "==", 0.5),  # the odd grid holds 1/2 exactly
+        Measurement("argmax", scan["argmax_x"], "==", _RECORD_CLOSED["x"]),  # the odd grid holds 1/2 exactly
         Measurement("|F(1/4) - 1|", abs(quarter - 1.0), "<=", 1e-12),
     ), f"F(1/4) = {quarter}")
 
@@ -257,7 +243,7 @@ def check_alternate_strategy() -> CheckResult:
 def check_series_coefficients() -> CheckResult:
     """Numeric Taylor extraction reproduces the closed coefficients."""
     rng = np.random.default_rng(10)
-    worst_pair, mismatches, compared, n, tol = "", 0, 0, 20, 1e-6
+    mismatched, compared, n, tol = [], 0, 20, 1e-6  # mismatched: (relative deviation, the pair)
 
     def sign():
         return 1.0 if rng.uniform() < 0.5 else -1.0
@@ -273,10 +259,11 @@ def check_series_coefficients() -> CheckResult:
         for key, want in closed.items():
             compared += 1
             if not math.isclose(numeric[key], want, rel_tol=tol, abs_tol=tol):
-                mismatches += 1
-                worst_pair = f" ({key}: closed {want:.9g}, numeric {numeric[key]:.9g})"
+                mismatched.append((abs(numeric[key] - want) / max(abs(numeric[key]), abs(want), 1.0),
+                                   f" ({key}: closed {want:.9g}, numeric {numeric[key]:.9g})"))
+    _, worst_pair = max(mismatched, default=(0.0, ""))
     return CheckResult("series-coefficients", (
-        Measurement(f"outside isclose(rel_tol={_text(tol)}, abs_tol={_text(tol)})", mismatches, "==", 0),
+        Measurement(f"outside isclose(rel_tol={_text(tol)}, abs_tol={_text(tol)})", len(mismatched), "==", 0),
     ), f"{compared} coefficients over {n} random directions, orders 0-2{worst_pair}")
 
 
@@ -339,8 +326,9 @@ def check_local_max_probe() -> CheckResult:
 def check_rational_angles() -> CheckResult:
     """The record tilt and counter-rotation angles have rational squared sines."""
     from fractions import Fraction
-    report = pure_geodetic_check(Fraction(1, 2))
-    wants = {"phi": Fraction(3, 11), "delta": Fraction(5, 16), "kappa": Fraction(1, 16)}
+    x, phi, delta, kappa = (Fraction(*_RECORD_RATIONAL[key]) for key in ("x", "s", "sin_sq_delta", "sin_sq_kappa"))
+    report = pure_geodetic_check(x)
+    wants = {"phi": phi, "delta": delta, "kappa": kappa}
     return CheckResult("rational-angles", tuple(Measurement(f"sin^2({a})", report[f"sin_sq_{a}"], "==", want)
                                                 for a, want in wants.items()))
 

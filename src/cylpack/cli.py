@@ -21,7 +21,7 @@ from .lines import (Configuration, FreeConfig, _count, _positive_finite, chart_f
 from .search import (_PROBE_RUN, _SEARCH_RUN, chart_c6, chart_curve, chart_record, local_maximize, multi_start,
                      perturbation_probe)
 from .symmetric import D3Params, build_c6, d3_orbit_check, triplets_generic
-from .unlocking import _T_MAX, alt_strategy_verdict, four_cyl_point, unlock_verdict
+from .unlocking import _ALPHA_MIN, _T_MAX, alt_strategy_verdict, four_cyl_point, unlock_verdict
 
 CURVE_HEADER = "x,phi,delta,kappa,S,T,U,F,dae_sq"
 FOUR_CYL_HEADER = "T,S2,U,kappa,dab_sq,dad_sq,dbd_sq,parallel_residual"  # S2 is S^2
@@ -168,6 +168,8 @@ def cmd_unlock_check(args: argparse.Namespace) -> int:
         if args.degrees:
             raise ValueError("--degrees has no effect with --n")
         alpha = math.pi / _float_count("--n", args.n, 2)
+        if alpha < _ALPHA_MIN:  # unlock_verdict's refusal, named by the flag given
+            raise ValueError(f"--n must be at most pi / {_ALPHA_MIN!r}: {args.n!r}")
     else:
         alpha = math.radians(args.alpha) if args.degrees else args.alpha
     _emit_json({**unlock_verdict(alpha), "alternate_strategy": alt_strategy_verdict(alpha)})

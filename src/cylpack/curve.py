@@ -191,19 +191,21 @@ def build_curve_point(x) -> tuple:
     return sample, config
 
 
-# the record's closed forms under the keys record() computes, which the acceptance checks read too
-_RECORD_CLOSED = {
-    "x": 0.5, "s": 3.0 / 11.0, "t": 5.0 / 11.0, "phi": math.asin(math.sqrt(3.0 / 11.0)),
-    "tan_kappa": -1.0 / math.sqrt(15.0), "f": 12.0 / 11.0, "d": math.sqrt(12.0 / 11.0),
-    "dae_sq": 540.0 / 143.0, "r": (3.0 + math.sqrt(33.0)) / 8.0,
-}
+# the record x = 1/2's rational values as (numerator, denominator), each stated once: s = sin^2(phi),
+# t = tan^2(delta), f = F(1/2) and dae_sq the ae orbit's d^2; the exact checks read them as Fractions
+_RECORD_RATIONAL = {"x": (1, 2), "s": (3, 11), "t": (5, 11), "sin_sq_delta": (5, 16), "sin_sq_kappa": (1, 16),
+                    "f": (12, 11), "dae_sq": (540, 143)}
+# the record's closed forms as floats, its rational values p / q and the irrational ones built from them
+_RECORD_CLOSED = {key: p / q for key, (p, q) in _RECORD_RATIONAL.items()}
+_RECORD_CLOSED.update(phi=math.asin(math.sqrt(_RECORD_CLOSED["s"])), tan_kappa=-1.0 / math.sqrt(15.0),
+                      d=math.sqrt(_RECORD_CLOSED["f"]), r=(3.0 + math.sqrt(33.0)) / 8.0)
 
 
 def record() -> dict:
-    """The trajectory maximum x = 1/2: the values computed through gamma_point and the built
-    configuration under "computed", their closed forms under the same keys in "closed_form".
-    A computed value more than 1e-12 from its closed form raises ArithmeticError."""
-    sample, c = build_curve_point(0.5)
+    """The trajectory maximum x = _RECORD_RATIONAL's: the values computed through gamma_point and the
+    built configuration under "computed", their closed forms from _RECORD_CLOSED under the same keys
+    in "closed_form".  A computed value more than 1e-12 from its closed form raises ArithmeticError."""
+    sample, c = build_curve_point(_RECORD_CLOSED["x"])
     p, a = sample.params, sample.coords
     d = min_pairwise_distance(c)
     computed = {
@@ -220,7 +222,7 @@ def record() -> dict:
     for key, value in computed.items():
         if abs(value - _RECORD_CLOSED[key]) > 1e-12:
             raise ArithmeticError(f"record value {key} drifted: {value!r} vs {_RECORD_CLOSED[key]!r}")
-    return {"computed": computed, "closed_form": dict(_RECORD_CLOSED)}
+    return {"computed": computed, "closed_form": {key: _RECORD_CLOSED[key] for key in computed}}
 
 
 def scan_unimodality(grid_size: int) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 from .lines import (FreeConfig, _BLOCK, _charts_dsq, _count, _dsq_slopes, _frozen, _pairs, _positive_finite,
                     min_pairwise_distance, radius_from_distance)
 from .symmetric import D3Params, build_c6
-from .curve import build_curve_point
+from .curve import _RECORD_CLOSED, build_curve_point
 
 # trust-radius schedule: the first radius and the one that stops a search
 _STEP0, _STEP_MIN = 0.1, 1e-9
@@ -45,8 +45,8 @@ def chart_curve(x: float) -> FreeConfig:
 
 
 def chart_record() -> FreeConfig:
-    """Chart of the maximizing trajectory configuration."""
-    return chart_curve(0.5)
+    """Chart of the maximizing trajectory configuration, at the record's x."""
+    return chart_curve(_RECORD_CLOSED["x"])
 
 
 def objective(c: FreeConfig) -> float:
@@ -78,7 +78,7 @@ _MAX_STEPS = 300
 # an entering pivot at or below this fraction of its diagonal entry counts as singular
 _PIVOT = 1e-12
 _MAX_STARTS = 1024  # multi_start's lockstep holds every start's state at once, about 24 KB a start
-_TRAJECTORY_SEEDS = (0.9, 0.7, 0.5)  # x of multi_start's first starts, the record last; later ones are blind
+_TRAJECTORY_SEEDS = (0.9, 0.7, _RECORD_CLOSED["x"])  # multi_start's first starts' x, the record last; then blind
 # the runs report-all verifies, as keywords of multi_start and of perturbation_probe at chart_record()
 _SEARCH_RUN = {"n_starts": 32, "rng_seed": 0, "budget_each": 200000}
 _PROBE_RUN = {"radius": 1e-3, "trials": 10000, "rng_seed": 0}

@@ -23,6 +23,7 @@ from .symmetric import GeneralParams, _neighbor_angle, build_c3, dists_general
 
 _MARGINAL_TOL = 1e-12
 _T_MAX = "1e5"  # four_cyl_point's largest T, as printed
+_ALPHA_MIN = 2.0 ** -511  # unlock_verdict's least alpha, from which 4 sin^2(alpha/2) is a normal float
 
 
 def _cross_terms(alpha: float, phi1: float, delta1: float) -> tuple:
@@ -108,8 +109,8 @@ def unlock_verdict(alpha: float) -> dict:
     Growth requires kappa1 = 0 (the order-1 cross terms have opposite
     signs), then a tilt ratio delta1/phi1 large enough for the
     within-ring distance yet small enough for the order-2 cross terms;
-    the window (sin(alpha/2)/sqrt(sin^2 alpha - sin^2(alpha/2)), 1) is
-    nonempty exactly when alpha < pi/2.
+    the window (1/sqrt(1 + 2 cos alpha), 1) is nonempty exactly when
+    alpha < pi/2.
 
     For an unlockable angle, witness holds a concrete curve direction
     with every distance growing: kappa1 = 0, phi1 = 1, delta1 inside
@@ -117,23 +118,29 @@ def unlock_verdict(alpha: float) -> dict:
     both order-2 cross coefficients stay positive, kappa2 at the center
     of its admissible window, plus a finite-t numeric confirmation;
     otherwise witness is None.
+
+    The probe step t = min(1e-2, 0.5 sqrt(sin alpha cos alpha)) keeps the orders past 2 below the cross
+    pairs' growth, about (1 - delta1^2) cos^2(alpha/2) t^2 of the baseline; below alpha = 1e-13 and within
+    1e-7 of pi/2 that growth nears the distances' rounding, and probe_ok may read False under "unlockable".
+    alpha below _ALPHA_MIN raises ValueError.
     """
     alpha = _neighbor_angle(alpha)
+    if alpha < _ALPHA_MIN:
+        raise ValueError(f"alpha must be at least {_ALPHA_MIN!r}, where 4 sin^2(alpha/2) is normal: {alpha!r}")
     if abs(alpha - math.pi / 2) <= _MARGINAL_TOL:
         return {"alpha": alpha, "verdict": "marginal", "witness": None}
     if alpha > math.pi / 2:
         return {"alpha": alpha, "verdict": "blocked", "witness": None}
 
-    sa, sh = math.sin(alpha), math.sin(alpha / 2)
-    delta_lo = sh / math.sqrt(sa * sa - sh * sh)
+    delta_lo = 1.0 / math.sqrt(1.0 + 2.0 * math.cos(alpha))
     delta1 = 0.5 * (delta_lo + 1.0)
     phi1 = 1.0
     # kappa2 window keeping both order-2 cross coefficients positive
-    _, baseline, mixed, odd = _cross_terms(alpha, phi1, delta1)
+    sa, baseline, mixed, odd = _cross_terms(alpha, phi1, delta1)
     window = (0.25 * (-mixed + odd), 0.25 * (-mixed - odd))
     kappa2 = 0.5 * (window[0] + window[1])
 
-    t = 1e-2
+    t = min(1e-2, 0.5 * math.sqrt(sa * math.cos(alpha)))
     probe = dists_general(GeneralParams(alpha, phi1 * t, delta1 * t, kappa2 * t * t))
     witness = {
         "phi1": phi1,

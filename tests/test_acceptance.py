@@ -32,10 +32,8 @@ from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
     DegenerateError,
-    alg_coords,
     build_c6,
     c6_chart,
-    triplets_alg,
     triplets_generic,
 )
 
@@ -180,23 +178,50 @@ def test_series_coefficients_fails_on_one_scaled_coefficient(monkeypatch, key):
     assert not result.passed
 
 
-ORBITS = "12/11 within 1e-9 on orbits ab, ad, bd and 540/143 within 1e-9 on orbit ae"
+def test_series_coefficients_note_names_the_worst_mismatch(monkeypatch):
+    # a large deviation planted in the first direction and a small one in the last: the note
+    # names the large one, not the last one seen
+    real, calls = acceptance.series_coeffs, []
+
+    def planted(*direction):
+        closed = real(*direction)
+        calls.append(direction)
+        if len(calls) == 1:
+            closed["dad_sq_0"] *= 1.5
+        if len(calls) == 20:
+            closed["dab_sq_0"] *= 1 + 1e-5
+        return closed
+
+    monkeypatch.setattr(acceptance, "series_coeffs", planted)
+    result = acceptance.check_series_coefficients()
+    assert _measured(result, "outside isclose(rel_tol=1e-6, abs_tol=1e-6)").observed == 2
+    assert " (dad_sq_0: closed " in result.note and "dab_sq_0" not in result.note
+
+
+ONCE = "of the 15 pairs, listed in exactly one orbit"
+WORST = "worst |d^2 - its orbit's value|, 12/11 on ab, ad and bd, 540/143 on ae"
+
+
+def test_record_configuration_worst_pair_is_near_its_orbits_value():
+    # the chart's worst pair lies 1.1e-15 from its orbit's value, against a bound of 1e-9
+    result = _results()["record-configuration"]
+    assert _measured(result, ONCE).observed == 15
+    assert 0.0 < _measured(result, WORST).observed < 2e-15
 
 
 @pytest.mark.parametrize("moved, into", [((1, 5), (1, 2)), ((2, 3), (2, 5)), ((0, 4), (5, 3))])
 def test_record_configuration_fails_on_a_pair_in_the_wrong_orbit(monkeypatch, moved, into):
     # the record's distances with an orbit-ae pair's value swapped with a 12/11 pair's: the
-    # counts (12 and 3) and the coverage still hold, only the orbits are wrong
-    sample, config = acceptance.build_curve_point(0.5)
+    # counts (12 and 3) still hold, only the orbits are wrong
+    config = acceptance.chart_record()
     column = {pair: k for k, pair in enumerate(zip(*np.triu_indices(6, 1)))}
     a, b = column[moved], column[tuple(sorted(into))]
     dsq = config.dsq.copy()
     dsq[[a, b]] = dsq[[b, a]]
-    monkeypatch.setattr(acceptance, "build_curve_point",
-                        lambda x: (sample, types.SimpleNamespace(dsq=dsq)))
+    monkeypatch.setattr(acceptance, "chart_record", lambda: types.SimpleNamespace(dsq=dsq))
     result = acceptance.check_record_configuration()
-    assert result.note == "12/11 within 1e-9: 12 of 15; 540/143 within 1e-9: 3 of 15; every pair classified: True"
-    assert _measured(result, ORBITS).margin < 0.0
+    assert _measured(result, ONCE).margin == 0.0
+    assert _measured(result, WORST).margin < 0.0
     assert not result.passed
 
 
@@ -209,6 +234,20 @@ def test_record_configuration_fails_on_a_wrong_orbit_entry(monkeypatch, orbit, s
     members[slot] = other
     monkeypatch.setattr(acceptance, "PAIR_ORBITS", {**PAIR_ORBITS, orbit: tuple(members)})
     assert not acceptance.check_record_configuration().passed
+
+
+@pytest.mark.parametrize("orbits", [
+    {**PAIR_ORBITS, "bd": (*PAIR_ORBITS["bd"], (3, 0))},  # (0, 3) also in ad, of the same value
+    {**PAIR_ORBITS, "ae": (*PAIR_ORBITS["ae"], (0, 4))},  # (0, 4) twice in its own orbit
+    {**PAIR_ORBITS, "ab": PAIR_ORBITS["ab"][1:]},  # (0, 1) in none
+])
+def test_record_configuration_fails_on_a_pair_listed_twice_or_not_at_all(monkeypatch, orbits):
+    # every listed pair at its orbit's value: only the listing is wrong
+    monkeypatch.setattr(acceptance, "PAIR_ORBITS", orbits)
+    result = acceptance.check_record_configuration()
+    assert _measured(result, ONCE).observed == 14
+    assert _measured(result, WORST).margin > 0.0
+    assert not result.passed
 
 
 def test_alternate_strategy_fails_on_a_wrong_spot_coefficient(monkeypatch):
@@ -591,7 +630,7 @@ BOUNDS = {
         ("|r_m - (3+sqrt(33))/8|", "<=", 1e-14),
         ("|r_m - 1.093070331|", "<=", 1e-9),
     ],
-    "record-configuration": [(ORBITS, "==", True)],
+    "record-configuration": [(ONCE, "==", 15), (WORST, "<=", 1e-9)],
     "formula-consistency": [
         ("1000 points, worst pairwise relative deviation", "<=", 1e-10),
         ("100 ring points, alpha in [0.1, 3], dists_general vs build_c3 worst", "<=", 1e-10),
@@ -671,24 +710,33 @@ def _points(blocks) -> list:
 
 
 def test_formula_points_are_the_scalar_draws():
-    # the check draws its angles in blocks of at most _BLOCK rows; the points are
-    # those of one uniform call per angle, with the same rejections
+    # the check draws its angles in blocks of at most _BLOCK rows; the points are the first 1000
+    # draws of one uniform call per angle, none skipped, as the ring's are its first 100
     rng = np.random.default_rng(2026)
-    want = []
-    while len(want) < 1000:
-        p = D3Params(
-            rng.uniform(0.01, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0 * math.pi)
-        )
-        if abs(p.delta) < 1e-3:
-            continue
-        try:
-            triplets_alg(alg_coords(p))
-        except DegenerateError:
-            continue
-        want.append(p)
+    want = [D3Params(rng.uniform(0.01, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(1000)]
     blocks = list(acceptance._formula_points())
     assert _points(blocks) == want
-    assert all(len(points) == len(measures) <= _BLOCK for points, measures in blocks)
+    assert [len(points) for points, _ in blocks] == [_BLOCK] * 7 + [104]
+    assert all(len(points) == len(measures) for points, measures in blocks)
+
+
+def test_a_degenerate_draw_fails_formula_consistency_by_name(monkeypatch):
+    # no draw is skipped or redrawn: one the algebraic triplets refuse raises, and the check fails
+    real = acceptance.triplets_alg
+    calls = []
+
+    def refuse_the_fifth(coords):
+        calls.append(coords)
+        if len(calls) == 5:
+            raise DegenerateError("planted")
+        return real(coords)
+
+    monkeypatch.setattr(acceptance, "triplets_alg", refuse_the_fifth)
+    monkeypatch.setattr(acceptance, "_CHECKS", (acceptance.check_formula_consistency,))
+    (result,) = run_checks()
+    assert [m.name for m in result.measurements] == ["raised DegenerateError('planted')"]
+    assert not result.passed
 
 
 def test_formula_consistency_batch_is_triplets_generic():

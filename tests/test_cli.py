@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cylpack
-from cylpack import cli
+from cylpack import cli, unlocking
 from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, build_parser, main
 from cylpack.curve import f_of_x
@@ -675,12 +675,23 @@ class TestDirectErrors:
         ["eval", "--phi", "-90", "--degrees"],
         ["eval", "--kappa", "7"],
         ["unlock-check", "--alpha", "4.0"],
+        ["unlock-check", "--alpha", "1e-160"],
     ])
     def test_library_checks_name_the_flag(self, capsys, tmp_path, argv):
         # the library checks these values under its own names; the error line names the flag
         out = ["--out", str(tmp_path / "scene.obj")] if argv[0] == "export-scene" else []
         rc, err = run_failing(capsys, *argv, *out)
         assert rc == 1 and err.startswith(f"error: {argv[1]} must ")
+
+    def test_unlock_check_refuses_a_subnormal_baseline_by_the_flag_given(self, capsys):
+        # from n = 1e162 the probe's distances read 0 under "unlockable", and 1e163 divided by zero
+        n, least = 10**163, unlocking._ALPHA_MIN
+        assert run_failing(capsys, "unlock-check", "--n", str(n)) == (
+            1, f"error: --n must be at most pi / {least!r}: {n}\n")
+        assert run_failing(capsys, "unlock-check", "--alpha", repr(math.pi / n)) == (
+            1, f"error: --alpha must be at least {least!r}, where 4 sin^2(alpha/2) is normal: {math.pi / n!r}\n")
+        rc, doc = run_json(capsys, "unlock-check", "--n", str(10**154))
+        assert rc == 0 and doc["witness"]["delta1_window"] == [1.0 / math.sqrt(3.0), 1.0]
 
     @pytest.mark.parametrize("argv, message", [
         (["optimize", "--from", "c6", "--starts", "5"], "--starts has no effect with --from"),
@@ -817,10 +828,11 @@ class TestDocumentNumbers:
 # pattern search, the optimize --from ones since their documents dropped the unread seed, the
 # report-all ones since latitudes crossed the poles, since record-values bounded r by 1e-14 and
 # since unlock-verdicts built the whole rings, since the cross-check certified its blind ends and
-# since each check's bounds became measurements and the cross-check compared Firsching's r,
-# optimize --from c6 since -0.0 kept its sign, the unlock-check ones since alternate_strategy
-# dropped its copy of alpha; the export-scene ones of a pole line and of curve:0.3 before scene_obj
-# meshed the configuration's table rows; the lines-document probe and optimize --from ones before
+# since each check's bounds became measurements and the cross-check compared Firsching's r, and
+# since record-configuration measured its worst pair; optimize --from c6 since -0.0 kept its sign,
+# the unlock-check ones since alternate_strategy dropped its copy of alpha, and --alpha 40 since
+# the tilt window's lower end took its closed form, an ulp of delta1 away; the export-scene ones
+# of a pole line and of curve:0.3 before scene_obj meshed the configuration's table rows; the lines-document probe and optimize --from ones before
 # a chart became a Configuration; eval of a -0.0 angle since it kept the zero's sign);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
@@ -852,7 +864,7 @@ GOLDEN = [
     (["unlock-check", "--alpha", "1.6"],
      "abf051699027b7369921d0a42e0420487187967249fe2853f43910b9c4a8cd0e"),
     (["unlock-check", "--alpha", "40", "--degrees"],
-     "05292055eff7a50cf8f648a860f76a34f329425857ae37ca695ddfb715ede6c1"),
+     "e9ae57530f496516ce1b3b8e38b23d07801a8b88340328efe326a62b6089f676"),
     (["four-cyl"], "44033c16ccf5b0cd187342356033026d6cad0a54693b45ab5c9512e6c5e1d6b8"),
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["four-cyl", "--samples", "2"], "5f53758d0998af34a9c1a7153754e9c5c0c894219c6f5798206d56cbda5552f9"),
@@ -864,8 +876,8 @@ GOLDEN = [
      "ca1d87fb271633c337a4efc46716fe8d233764501ef99182076c6fc4ba9d15bd"),
     (["export-scene", "--at", "curve:0.3", "--segments", "9", "--radius", "0.5", "--length", "2",
       "--out", "curve.obj"], "3b84393005d27a0b3cc2152e51f6511fa9b0028d1e12713e2b874108e66c14f4"),
-    (["report-all", "--json"], "1d1c7c4f48b29b63d6c7cf5dc6ee8abdefa051e59f463e19ae6cac4878f8345a"),
-    (["report-all"], "5bdc3d9b1554fed9f3351c2c438e55aa9d064f0dae19ce7aeb3c904d90e676c7"),
+    (["report-all", "--json"], "409a5497ccc0c7d87c9794b326a3b12a4da58c5778c22fd1a3e8f0332a3a8e8c"),
+    (["report-all"], "829685df46fd1fe18547cd12f3b99a90cc1547e7f120dbc5849331ffe10f55a7"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 # sha256 of each export-scene golden's OBJ file, by --out

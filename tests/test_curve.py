@@ -1,8 +1,14 @@
 """Equal-distance trajectory: constraints, rational parametrization, record."""
 
+import ast
 import math
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,12 +315,97 @@ class TestRecord:
         assert set(rep["closed_form"]) == set(r) == {
             "x", "s", "t", "phi", "tan_kappa", "f", "d", "dae_sq", "r"}
 
-    @pytest.mark.parametrize("key", list(curve._RECORD_CLOSED))
+    @pytest.mark.parametrize("key", ["s", "t", "phi", "tan_kappa", "f", "d", "dae_sq", "r"])
     def test_drift_past_1e_12_is_refused(self, monkeypatch, key):
-        # every computed value is within 4.5e-16 of its closed form, so a 2e-12 shift passes 1e-12
+        # every computed value is within 4.5e-16 of its closed form, so a 2e-12 shift passes 1e-12;
+        # x is not among them: record() builds the trajectory at the closed form's x
         monkeypatch.setitem(curve._RECORD_CLOSED, key, curve._RECORD_CLOSED[key] + 2e-12)
         with pytest.raises(ArithmeticError, match=f"record value {key} drifted"):
             record()
+
+
+SRC = Path(curve.__file__).parent
+# the record's rational values, each to be written as a number once in src/, in _RECORD_RATIONAL
+RATIONALS = {Fraction(1, 2), Fraction(3, 11), Fraction(5, 11), Fraction(5, 16), Fraction(1, 16),
+             Fraction(12, 11), Fraction(540, 143)}
+
+
+def _number(node, in_dict=False):
+    """The value of node as a Fraction if it writes a number: a numeric constant, a signed one, a
+    quotient of two, Fraction(p, q) of them, or in a dict a pair (p, q) of ints, the table's form;
+    else None."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return Fraction(node.value)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        value = _number(node.operand)
+        return None if value is None else -value if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        terms = node.left, node.right
+    elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Fraction") and len(node.args) == 2:
+        terms = node.args
+    elif in_dict and isinstance(node, ast.Tuple) and len(node.elts) == 2 and all(
+            isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts):
+        terms = node.elts
+    else:
+        return None
+    p, q = map(_number, terms)
+    return None if p is None or not q else p / q
+
+
+def _written(node, parent=None):
+    """(value, node) of each number written under node; 0.5 as an operand of arithmetic or of a
+    comparison halves or draws a fair coin, so it is not counted there."""
+    value = _number(node, isinstance(parent, ast.Dict))
+    if value is None:
+        for child in ast.iter_child_nodes(node):
+            yield from _written(child, node)
+    elif not (value == Fraction(1, 2) and isinstance(parent, (ast.BinOp, ast.Compare))):
+        yield value, node
+
+
+def test_each_record_rational_is_written_once_in_the_table():
+    # text (a docstring, a measurement's name) is not a number; each value is written once, there
+    (table,) = [node for node in ast.parse((SRC / "curve.py").read_text()).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_RECORD_RATIONAL"]
+    found = {value: [] for value in RATIONALS}
+    for path in sorted(SRC.glob("*.py")):
+        for value, node in _written(ast.parse(path.read_text())):
+            if value in found:
+                found[value].append((path.name, node.lineno))
+    assert {value: len(at) for value, at in found.items()} == dict.fromkeys(RATIONALS, 1)
+    assert all(name == "curve.py" and table.lineno <= line <= table.end_lineno for (name, line), in found.values())
+    assert {Fraction(p, q) for p, q in curve._RECORD_RATIONAL.values()} == RATIONALS
+
+
+def test_the_guard_sees_each_written_form():
+    # ... and no halving, fair coin or pair of line indices
+    code = ("f(0.5); g(1 / 2); h(-(3.0 / 11.0)); Fraction(12, 11); y = 0.5 * z + (u < 0.5)\n"
+            "d = {'f': (540, 143)}; orbits = {'ab': ((1, 2), (5, 16))}")
+    assert [value for value, _ in _written(ast.parse(code)) if abs(value) in RATIONALS] == [
+        Fraction(1, 2), Fraction(1, 2), Fraction(-3, 11), Fraction(12, 11), Fraction(540, 143)]
+
+
+# the checks that fail when a table entry's numerator moves by 1
+READERS = {"x": ["record-values", "record-configuration", "unimodality", "rational-angles"],
+           "s": ["record-values", "rational-angles"], "t": ["record-values"],
+           "sin_sq_delta": ["rational-angles"], "sin_sq_kappa": ["rational-angles"],
+           "f": ["record-values", "record-configuration", "optimizer-cross-check"],
+           "dae_sq": ["record-values", "record-configuration"]}
+
+
+@pytest.mark.parametrize("key", list(curve._RECORD_RATIONAL))
+def test_each_table_entry_is_verified(tmp_path, key):
+    # the package copied with one entry's numerator moved by 1: the checks reading it fail
+    p, q = curve._RECORD_RATIONAL[key]
+    package = tmp_path / "cylpack"
+    shutil.copytree(SRC, package, ignore=shutil.ignore_patterns("__pycache__"))
+    source, entry = (package / "curve.py").read_text(), f'"{key}": ({p}, {q})'
+    assert source.count(entry) == 1
+    (package / "curve.py").write_text(source.replace(entry, f'"{key}": ({p + 1}, {q})'))
+    code = "from cylpack.acceptance import run_checks\nprint([r.name for r in run_checks() if not r.passed])"
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert ast.literal_eval(out) == READERS[key]
 
 
 class TestScan:

@@ -579,9 +579,10 @@ class TestOtherLineCounts:
         assert abs(r.d_best - D_RECORD) <= 1e-9
 
     def test_eight_line_witness_ring_grows(self):
-        # 3n - 2 = 22 charts a step for n = 8 lines
+        # 3n - 2 = 22 charts a step for n = 8 lines; pinned since the witness's delta1 at pi/4 took the
+        # correctly rounded tilt window's closed form, an ulp from the old quotient's
         r = local_maximize(witness_ring(4), 200000)
-        assert (r.d_best, r.evals, r.stop) == (0.7834775485446147, 2618, "step")
+        assert (r.d_best, r.evals, r.stop) == (0.7834722061596987, 2618, "step")
         assert r.d_best > 2 * math.sin(math.pi / 8) and r.evals % 22 == 0
         assert r.best.coords.shape == (24,) and r.d_best == objective(r.best)
 

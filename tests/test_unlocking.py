@@ -1,6 +1,7 @@
 """Generalized ring family: distances, series, unlock verdicts, four cylinders."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,47 @@ class TestUnlockVerdict:
     def test_marginal_tolerance(self):
         assert unlock_verdict(math.pi / 2 + 1e-13)["verdict"] == "marginal"
         assert unlock_verdict(math.pi / 2 - 1e-13)["verdict"] == "marginal"
+
+    @given(st.floats(math.log(1e-13), math.log(math.pi / 2 - 1e-7)))
+    @example(math.log(math.pi / 1e5))  # t = 1e-2 read probe_ok False for n from about 1e5 to 1e10
+    @example(math.log(math.pi / 2 - 1e-4))  # and within 1e-4 to 1e-11 of pi/2
+    @settings(max_examples=300, deadline=None)
+    def test_probe_holds_outside_the_bands(self, log_alpha):
+        # log-uniform alpha in [1e-13, pi/2 - 1e-7]: the witness's probe confirms every distance grows
+        alpha = math.exp(log_alpha)
+        w = unlock_verdict(alpha)["witness"]
+        assert w["probe_ok"], alpha
+        assert w["probe_t"] == min(1e-2, 0.5 * math.sqrt(math.sin(alpha) * math.cos(alpha)))
+
+    @pytest.mark.parametrize("alpha, ok", [(1e-13, True), (1e-16, False), (math.pi / 2 - 1e-7, True),
+                                           (math.pi / 2 - 1e-10, False)])
+    def test_either_side_of_the_bands(self, alpha, ok):
+        # below 1e-13 and within 1e-7 of pi/2 the cross pairs' growth, about t^2 sin(alpha) cos(alpha)
+        # of the baseline, nears the distances' rounding: the verdict holds, the probe may not show it
+        report = unlock_verdict(alpha)
+        assert report["verdict"] == "unlockable" and report["witness"]["probe_ok"] is ok
+
+    def test_probe_step_is_1e_2_at_the_verified_angles(self):
+        for alpha in (math.pi / 6, math.pi / 3, 1.5, *(math.pi / n for n in range(3, 9))):
+            assert unlock_verdict(alpha)["witness"]["probe_t"] == 1e-2
+
+    @pytest.mark.parametrize("n", [10**20, 10**100, 10**154])
+    def test_tilt_window_in_closed_form(self, n):
+        # 1/sqrt(1 + 2 cos alpha) squares nothing small: sin(alpha/2)/sqrt(sin^2 alpha - sin^2(alpha/2))
+        # read 4.4e-6 off 1/sqrt(3) at n = 1e160 and divided by zero at 1e163
+        w = unlock_verdict(math.pi / n)["witness"]
+        assert w["delta1_window"] == (1.0 / math.sqrt(3.0), 1.0)
+        assert w["baseline_dist_sq"] > 0.0
+
+    def test_angles_below_the_normal_baseline_are_refused(self):
+        # below alpha = sqrt(sys.float_info.min), 4 sin^2(alpha/2) is subnormal; from n = 1e161 the
+        # probe's within-ring distance read 0 under "unlockable"
+        least = unlocking._ALPHA_MIN
+        assert 4.0 * math.sin(least / 2) ** 2 >= sys.float_info.min
+        assert unlock_verdict(least)["verdict"] == "unlockable"
+        for alpha in (math.nextafter(least, 0.0), math.pi / 10**163, 5e-324):
+            with pytest.raises(ValueError, match=rf"^alpha must be at least {least!r}, where 4 sin"):
+                unlock_verdict(alpha)
 
 
 class TestAltStrategy:
