@@ -220,23 +220,27 @@ def check_unlock_verdicts() -> CheckResult:
 
 
 def check_alternate_strategy() -> CheckResult:
-    """Tilting the lower ring the other way never unlocks: its reported
-    order-0 A-D coefficient, below the start, matches the built pair."""
+    """Tilting the lower ring the other way never unlocks: along the reported spot direction and two
+    seeded ones, the built counter-tilted pair's order-0 d_AD^2 is 4 sin^2(alpha/2) phi1^2/(phi1^2 +
+    delta1^2), below the start for delta1 != 0, and the reported spot coefficient is the built one."""
     alphas = [float(a) for a in np.linspace(0.1, 3.0, 20)]
-    reports = [alt_strategy_verdict(a) for a in alphas]
-    blocked = sum(1 for r in reports if r["verdict"] == "blocked")
-    worst, t = 0.0, 1e-4
-    for a, r in zip(alphas, reports):
-        phi1, delta1 = r["spot_direction"]
+    seeded = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 2)).tolist()  # (phi1, delta1), delta1 != 0
+    worst, spot, t = 0.0, 0.0, 1e-4
+    for a in alphas:
+        r, start = alt_strategy_verdict(a), 4.0 * math.sin(a / 2) ** 2
+        directions = (r["spot_direction"], *seeded)
         # the mean over +-t cancels order 1 and leaves order 0 up to O(t^2)
-        pairs = [_counter_pair(a, phi1 * s, delta1 * s) for s in (t, -t)]
-        mean = 0.5 * sum(float(pair.dsq[0]) for pair in pairs)
-        worst = _worst(worst, abs(mean - r["spot_dad_sq_0"]) / r["baseline_dist_sq"])
+        means = [0.5 * sum(float(_counter_pair(a, phi1 * s, delta1 * s).dsq[0]) for s in (t, -t))
+                 for phi1, delta1 in directions]
+        worst = _worst(worst, *(abs(m - start * p * p / (p * p + d * d)) / start
+                                for m, (p, d) in zip(means, directions)))
+        spot = _worst(spot, abs(means[0] - r["spot_dad_sq_0"]) / r["baseline_dist_sq"])
     return CheckResult("alternate-strategy", (
-        Measurement(f"blocked of the neighbor angles spanning [{min(alphas)}, {max(alphas)}]", blocked, "==",
-                    len(alphas)),
+        Measurement(f"order-0 d_AD^2 of the built counter-tilted pair vs 4 sin^2(alpha/2) phi1^2/(phi1^2 + "
+                    f"delta1^2) at {len(alphas)} angles in [{min(alphas)}, {max(alphas)}] and {len(directions)} "
+                    "directions, worst deviation of the baseline", worst, "<=", 1e-6),
         Measurement(f"spot order-0 d_AD^2 vs the built counter-tilted pair at t = +-{_text(t)}, worst "
-                    "deviation of the baseline", worst, "<=", 1e-6),
+                    "deviation of the baseline", spot, "<=", 1e-6),
     ))
 
 

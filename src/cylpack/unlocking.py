@@ -116,8 +116,8 @@ def unlock_verdict(alpha: float) -> dict:
     with every distance growing: kappa1 = 0, phi1 = 1, delta1 inside
     (delta_lo, 1) so the within-ring distance grows at order 0 while
     both order-2 cross coefficients stay positive, kappa2 at the center
-    of its admissible window, plus a finite-t numeric confirmation;
-    otherwise witness is None.
+    of its admissible window and that window's half-width, plus a
+    finite-t numeric confirmation; otherwise witness is None.
 
     The probe step t = min(1e-2, 0.5 sqrt(sin alpha cos alpha)) keeps the orders past 2 below the cross
     pairs' growth, about (1 - delta1^2) cos^2(alpha/2) t^2 of the baseline; below alpha = 1e-13 and within
@@ -135,10 +135,10 @@ def unlock_verdict(alpha: float) -> dict:
     delta_lo = 1.0 / math.sqrt(1.0 + 2.0 * math.cos(alpha))
     delta1 = 0.5 * (delta_lo + 1.0)
     phi1 = 1.0
-    # kappa2 window keeping both order-2 cross coefficients positive
+    # kappa2 at the center of the window keeping both order-2 cross coefficients positive, of
+    # half-width |odd|/4: below alpha of about 3e-16 the window's two ends round to one float
     sa, baseline, mixed, odd = _cross_terms(alpha, phi1, delta1)
-    window = (0.25 * (-mixed + odd), 0.25 * (-mixed - odd))
-    kappa2 = 0.5 * (window[0] + window[1])
+    kappa2 = 0.5 * (0.25 * (-mixed + odd) + 0.25 * (-mixed - odd))
 
     t = min(1e-2, 0.5 * math.sqrt(sa * math.cos(alpha)))
     probe = dists_general(GeneralParams(alpha, phi1 * t, delta1 * t, kappa2 * t * t))
@@ -148,7 +148,7 @@ def unlock_verdict(alpha: float) -> dict:
         "delta1_window": (delta_lo, 1.0),
         "kappa1": 0.0,
         "kappa2": kappa2,
-        "kappa2_window": window,
+        "kappa2_half_width": 0.25 * abs(odd),
         "baseline_dist_sq": baseline,
         "probe_t": t,
         "probe_dists_sq": probe,

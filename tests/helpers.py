@@ -10,7 +10,7 @@ from cylpack.symmetric import SQRT3
 
 
 def traced_peak_mb(call):
-    """Peak traced allocation of call(), in MB, after one warm-up call."""
+    """Peak traced allocation of call(), in MiB (2**20 bytes), after one warm-up call."""
     call()
     tracemalloc.start()
     try:

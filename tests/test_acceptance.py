@@ -16,7 +16,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import types
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +36,7 @@ from cylpack.symmetric import (
     triplets_generic,
 )
 
-from helpers import batched_dsq, ref_c3_rows
+from helpers import batched_dsq, ref_c3_rows, traced_peak_mb
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -248,6 +247,22 @@ def test_record_configuration_fails_on_a_pair_listed_twice_or_not_at_all(monkeyp
     assert _measured(result, ONCE).observed == 14
     assert _measured(result, WORST).margin > 0.0
     assert not result.passed
+
+
+ORDER_0 = ("order-0 d_AD^2 of the built counter-tilted pair vs 4 sin^2(alpha/2) phi1^2/(phi1^2 + delta1^2) "
+           "at 20 angles in [0.1, 3.0] and 3 directions, worst deviation of the baseline")
+
+
+def test_alternate_strategy_fails_on_the_same_tilt_pair(monkeypatch):
+    # D tilted as the unlocking family tilts it keeps order 0 at the start, off the claimed formula
+    # by delta1^2/(phi1^2 + delta1^2) of it: 0.739 in the worst of the three directions
+    def same_tilt(alpha, phi, delta):
+        return FreeConfig(((phi, alpha / 2, -delta), (-phi, 3 * alpha / 2, -delta)))
+
+    monkeypatch.setattr(acceptance, "_counter_pair", same_tilt)
+    result = acceptance.check_alternate_strategy()
+    assert _measured(result, ORDER_0).observed == pytest.approx(0.739, abs=1e-3)
+    assert _measured(result, ORDER_0).margin < 0.0 and not result.passed
 
 
 def test_alternate_strategy_fails_on_a_wrong_spot_coefficient(monkeypatch):
@@ -663,7 +678,7 @@ BOUNDS = {
         ("its relative deviation from the subfamily's", "<=", 1e-12),
     ],
     "alternate-strategy": [
-        ("blocked of the neighbor angles spanning [0.1, 3.0]", "==", 20),
+        (ORDER_0, "<=", 1e-6),
         ("spot order-0 d_AD^2 vs the built counter-tilted pair at t = +-0.0001, worst deviation of the "
          "baseline", "<=", 1e-6),
     ],
@@ -772,15 +787,8 @@ def test_formula_consistency_memory_is_one_block():
     # the 1000 points are drawn, framed and measured _BLOCK at a time, and each block is
     # folded before the next is drawn; all at once the kernel's temporaries alone passed
     # 2 MB, a list of the 1000 trig triplets held the peak at 0.73 MB, and the 1000 points
-    # with their algebraic triplets at 540 KiB (streamed: 299 KiB)
-    acceptance.check_formula_consistency()
-    tracemalloc.start()
-    try:
-        acceptance.check_formula_consistency()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 384 * 2**10
+    # with their algebraic triplets at 540 KiB (streamed: 295 KiB)
+    assert traced_peak_mb(acceptance.check_formula_consistency) < 384 / 2**10
 
 
 def test_formula_consistency_details_pinned():

@@ -829,9 +829,11 @@ class TestDocumentNumbers:
 # report-all ones since latitudes crossed the poles, since record-values bounded r by 1e-14 and
 # since unlock-verdicts built the whole rings, since the cross-check certified its blind ends and
 # since each check's bounds became measurements and the cross-check compared Firsching's r, and
-# since record-configuration measured its worst pair; optimize --from c6 since -0.0 kept its sign,
-# the unlock-check ones since alternate_strategy dropped its copy of alpha, and --alpha 40 since
-# the tilt window's lower end took its closed form, an ulp of delta1 away; the export-scene ones
+# since record-configuration measured its worst pair, and since alternate-strategy measured order 0
+# on built pairs in three directions; optimize --from c6 since -0.0 kept its sign, the unlock-check
+# ones since alternate_strategy dropped its copy of alpha, and --alpha 40 since the tilt window's
+# lower end took its closed form, an ulp of delta1 away, and --n 3 and --alpha 40 since the witness
+# reported kappa2's half-width in place of its window's ends; the export-scene ones
 # of a pole line and of curve:0.3 before scene_obj meshed the configuration's table rows; the lines-document probe and optimize --from ones before
 # a chart became a Configuration; eval of a -0.0 angle since it kept the zero's sign);
 # paths are relative, so no digest depends on where the tests run
@@ -859,12 +861,12 @@ GOLDEN = [
     (["probe", "--at", "record"], "55d1d458c526418de7c292fed445adb7f6b19cac4b2eab52d1cf74c89a6e67df"),
     (["probe", "--at", "curve:0.3"], "2fb1bee2c48ab3d136016f4c1a8889210d114570e98c2bce4c3c31c6041b6131"),
     (["probe", "--at", "file:lines.json"], "658d86ad836f392f212d1ef7e6014ec9ea333d3fc76133363853f65396947a03"),
-    (["unlock-check", "--n", "3"], "e66c521e4044d0b5ad78fbb01019776bb6d8e685fd9569f928ff42c18b9ceac5"),
+    (["unlock-check", "--n", "3"], "c733768a410f0c185a115d19cd0f974baac09ea2ef789b93ea1fb44732e24392"),
     (["unlock-check", "--n", "2"], "1788b3f6003b02166b7fcf34ecdf113a2b89a595e12224bfe315b2c4c86e7cfe"),
     (["unlock-check", "--alpha", "1.6"],
      "abf051699027b7369921d0a42e0420487187967249fe2853f43910b9c4a8cd0e"),
     (["unlock-check", "--alpha", "40", "--degrees"],
-     "e9ae57530f496516ce1b3b8e38b23d07801a8b88340328efe326a62b6089f676"),
+     "83708cd40b209c8c5e7fa3e75573d1adffa04cb9eeb35e87e630bc6acbf708d8"),
     (["four-cyl"], "44033c16ccf5b0cd187342356033026d6cad0a54693b45ab5c9512e6c5e1d6b8"),
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["four-cyl", "--samples", "2"], "5f53758d0998af34a9c1a7153754e9c5c0c894219c6f5798206d56cbda5552f9"),
@@ -876,8 +878,8 @@ GOLDEN = [
      "ca1d87fb271633c337a4efc46716fe8d233764501ef99182076c6fc4ba9d15bd"),
     (["export-scene", "--at", "curve:0.3", "--segments", "9", "--radius", "0.5", "--length", "2",
       "--out", "curve.obj"], "3b84393005d27a0b3cc2152e51f6511fa9b0028d1e12713e2b874108e66c14f4"),
-    (["report-all", "--json"], "409a5497ccc0c7d87c9794b326a3b12a4da58c5778c22fd1a3e8f0332a3a8e8c"),
-    (["report-all"], "829685df46fd1fe18547cd12f3b99a90cc1547e7f120dbc5849331ffe10f55a7"),
+    (["report-all", "--json"], "91f06a7cd46b68570ed6b8c9989451bd10240a1610fb1cd312421c0bef710c40"),
+    (["report-all"], "539ab8cba7ce29385190b6116b43b2ec198d64fcc0971296befe653f756b528d"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 # sha256 of each export-scene golden's OBJ file, by --out

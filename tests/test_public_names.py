@@ -21,7 +21,11 @@ _check_tilt_and_twist), its closed form (_neighbor_dists_sq) and the
 six-line family's orbit columns (_ORBIT_COLS) only in symmetric.py; the
 dual QP and its tableau (_dual_qp, _tableau) only in search.py; and the mesh
 builders (_sphere_records, _tube_records), which skip the checks scene_obj makes,
-only in scene.py, where only scene_obj calls them.
+only in scene.py, where only scene_obj calls them.  No test module names a
+process's page-fault count or peak resident size (the ru_ fields of
+resource.getrusage), in its code or in code it runs in another process: tests
+measure memory by traced peaks (helpers.traced_peak_mb), which read the same in
+every heap layout and bytecode state.
 A third keeps the bench running: every name that bench/*.py imports from
 the package root is exported there, and its call of local_maximize binds.
 A fourth finds shadowed definitions: no module or class body of src/ or
@@ -31,6 +35,7 @@ replaces the first (a test defined twice runs once).
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -175,6 +180,33 @@ def test_a_layout_call_outside_its_home_is_flagged(tmp_path, home, name):
                                     "def _measure(table, index):\n"
                                     f"    return {name}(table, index)\n")
     assert layout_references(package) == [("serialize", name)] * 2
+
+
+# the resource-usage fields whose counts follow the heap's layout, spelled here in parts so
+# that this file names neither
+RUSAGE_FIELDS = tuple(f"ru_{field}" for field in ("minflt", "maxrss"))
+
+
+def rusage_reads(paths=sorted((ROOT / "tests").glob("*.py"))):
+    """(file, field) of every naming of a field of RUSAGE_FIELDS in the files' text, code strings
+    run in another process included."""
+    pattern = re.compile(rf"\b({'|'.join(RUSAGE_FIELDS)})\b")
+    return [(path.name, match[0]) for path in paths for match in pattern.finditer(path.read_text())]
+
+
+def test_memory_is_measured_only_by_traced_peaks():
+    assert rusage_reads() == []
+
+
+def test_a_fault_count_in_a_test_is_flagged(tmp_path):
+    # read in the test's process, and in code it hands a fresh one
+    faults, rss = RUSAGE_FIELDS
+    path = tmp_path / "test_faults.py"
+    path.write_text(f"import resource\nimport subprocess\nimport sys\n\n\ndef test_faults():\n"
+                    f"    assert resource.getrusage(resource.RUSAGE_SELF).{faults} < 50\n"
+                    f"    code = 'import resource; print(resource.getrusage(resource.RUSAGE_SELF).{rss})'\n"
+                    f"    subprocess.run([sys.executable, '-c', code], check=True)\n")
+    assert rusage_reads([path]) == [("test_faults.py", faults), ("test_faults.py", rss)]
 
 
 @pytest.mark.parametrize("name", ["_sphere_records", "_tube_records"])

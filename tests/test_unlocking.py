@@ -169,7 +169,17 @@ class TestUnlockVerdict:
         assert w["baseline_dist_sq"] == pytest.approx(1.0, abs=1e-15)
         assert all(v > 1.0 for v in w["probe_dists_sq"])
         assert w["delta1_window"][0] < w["delta1"] < w["delta1_window"][1]
-        assert w["kappa2_window"][0] < w["kappa2"] < w["kappa2_window"][1]
+        assert w["kappa2_half_width"] > 0.0
+
+    def test_kappa2_half_width(self):
+        # kappa2 -+ the half-width give the window's ends the witness reported at pi/3, to an ulp;
+        # at 1e-18 both ends round to kappa2 itself, while the half-width |odd|/4 stays positive
+        w = unlock_verdict(math.pi / 3)["witness"]
+        for end, sign in ((-0.69893495782429949, -1.0), (-0.581395128065611, 1.0)):
+            assert abs(w["kappa2"] + sign * w["kappa2_half_width"] - end) <= math.ulp(end)
+        tiny = unlock_verdict(1e-18)["witness"]
+        assert tiny["kappa2_half_width"] == pytest.approx(9.45e-20, rel=1e-3)
+        assert tiny["kappa2"] - tiny["kappa2_half_width"] == tiny["kappa2"] + tiny["kappa2_half_width"]
 
     def test_witness_respects_series(self):
         # the witness direction must have positive order-2 cross terms
