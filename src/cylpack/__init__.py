@@ -27,7 +27,7 @@ _EXPORTS = {
                "multi_start", "objective", "perturbation_probe"),
     "serialize": (),
     "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "GeneralParams", "alg_coords",
-                  "build_c3", "build_c6", "c6_chart", "d3_orbit_check", "dists_general", "ring_chart",
+                  "build_c3", "build_c6", "c6_chart", "dists_general", "ring_chart",
                   "triplets_alg", "triplets_generic", "triplets_trig"),
     "unlocking": ("FourCylSample", "alt_strategy_verdict", "four_cyl_point", "series_coeffs",
                   "taylor_coeffs_numeric", "unlock_verdict"),

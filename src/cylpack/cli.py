@@ -20,7 +20,7 @@ from .lines import (Configuration, FreeConfig, _count, _positive_finite, chart_f
                     min_pairwise_distance, radius_from_distance)
 from .search import (_PROBE_RUN, _SEARCH_RUN, chart_c6, chart_curve, chart_record, local_maximize, multi_start,
                      perturbation_probe)
-from .symmetric import D3Params, build_c6, d3_orbit_check, triplets_generic
+from .symmetric import D3Params, build_c6, triplets_generic
 from .unlocking import _ALPHA_MIN, _T_MAX, alt_strategy_verdict, four_cyl_point, unlock_verdict
 
 CURVE_HEADER = "x,phi,delta,kappa,S,T,U,F,dae_sq"
@@ -113,7 +113,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         },
         "min_distance": d,
         "radius": radius_from_distance(d),
-        "d3_symmetric": d3_orbit_check(config),
     }
     _emit_json(doc)
     return 0
@@ -195,7 +194,9 @@ def cmd_export_scene(args: argparse.Namespace) -> int:
     config = _source(args.at)
     radius = args.radius
     if radius is None:
-        radius = radius_from_distance(min_pairwise_distance(config))
+        if not 0.0 < (d := min_pairwise_distance(config)) < 2.0:
+            raise ValueError(f"without --radius, the smallest distance of {args.at} must lie in (0, 2): {d!r}")
+        radius = radius_from_distance(d)
     records = scene_obj(config, radius, args.length, args.segments)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.writelines(records)

@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lines import (
-    Configuration,
     DegenerateError,
     FreeConfig,
     _cached,
@@ -48,13 +47,6 @@ _DEGEN_TOL = 1e-12
 # is; below this size the closed form has lost more than five digits and
 # the generic evaluation of the built pair is the more accurate one
 _NEAR_PARALLEL_TOL = 1e-4
-
-
-# d3_orbit_check's two symmetries, each with the image of each line A..F under it
-_RZ = np.array([[-0.5, -SQRT3 / 2, 0.0], [SQRT3 / 2, -0.5, 0.0], [0.0, 0.0, 1.0]])
-_RZ_PERM = [1, 2, 0, 4, 5, 3]
-_RX = np.diag([1.0, -1.0, -1.0])
-_RX_PERM = [5, 4, 3, 2, 1, 0]
 
 
 def _check_tilt_and_twist(p) -> None:
@@ -162,30 +154,6 @@ def _counter_pair(alpha: float, phi: float, delta: float) -> FreeConfig:
     rows of the alternate strategy, which counter-tilts the lower ring."""
     return FreeConfig(_ring_rows((alpha / 2,), (), phi, delta, 0.0)
                       + _ring_rows((), (3 * alpha / 2,), phi, -delta, 0.0))
-
-
-def _images_match(table: np.ndarray, matrix: np.ndarray, perm: list) -> bool:
-    """Whether line i of a [base | dir] table, rotated by matrix, is line perm[i] for every i: its
-    base within 1e-10 in every component, and its dir too, up to sign, since a line is unoriented."""
-    rows = table[perm].reshape(6, 2, 3)
-    image = table.reshape(6, 2, 3) @ matrix.T
-    off = np.abs(image - rows).max(-1)
-    flipped = np.abs(image[:, 1] + rows[:, 1]).max(-1)
-    return bool(((off[:, 0] <= 1e-10) & (np.minimum(off[:, 1], flipped) <= 1e-10)).all())
-
-
-def d3_orbit_check(c: Configuration) -> bool:
-    """Whether a six-line configuration has the family's symmetry.
-
-    Rotates the rows of the configuration's frame table by the two fixed
-    matrices Rz(120 deg) = [[-1/2, -sqrt(3)/2, 0], [sqrt(3)/2, -1/2, 0],
-    [0, 0, 1]] and Rx(pi) = diag(1, -1, -1), and checks, to 1e-10 in every
-    component of base and of dir up to sign, that Rz maps the lines
-    (A,B,C,D,E,F) to (B,C,A,E,F,D) and Rx maps them to (F,E,D,C,B,A).
-    """
-    if len(c) != 6:
-        raise ValueError("orbit check needs exactly 6 lines")
-    return _images_match(c.table, _RZ, _RZ_PERM) and _images_match(c.table, _RX, _RX_PERM)
 
 
 @dataclass(frozen=True)

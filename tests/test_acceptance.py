@@ -159,6 +159,9 @@ def test_initial_point_fails_on_an_objective_off_by_2e_12(monkeypatch):
     assert not result.passed
 
 
+SERIES = "worst |numeric - closed| / max(|numeric|, |closed|, 1)"
+
+
 @pytest.mark.parametrize("key", ["dab_sq_0", "dad_sq_0", "dbd_sq_0", "dad_sq_1", "dbd_sq_1",
                                  "dad_sq_2", "dbd_sq_2"])
 def test_series_coefficients_fails_on_one_scaled_coefficient(monkeypatch, key):
@@ -172,8 +175,28 @@ def test_series_coefficients_fails_on_one_scaled_coefficient(monkeypatch, key):
 
     monkeypatch.setattr(acceptance, "series_coeffs", scaled)
     result = acceptance.check_series_coefficients()
-    assert _measured(result, "outside isclose(rel_tol=1e-6, abs_tol=1e-6)").margin < 0.0
+    assert _measured(result, SERIES).margin < 0.0
     assert f" ({key}: closed " in result.note
+    assert not result.passed
+
+
+@pytest.mark.parametrize("planted, margin", [(2e-6, -1e-6), (math.nan, math.nan)], ids=["2e-6", "nan"])
+def test_series_coefficients_fails_on_one_planted_deviation(monkeypatch, planted, margin):
+    # a coefficient off by 2e-6 of max(|closed|, 1) reads a margin of about -1e-6, and a NaN
+    # coefficient a NaN margin: max() would have kept its running value past the NaN
+    real, calls = acceptance.series_coeffs, []
+
+    def off(*direction):
+        closed = real(*direction)
+        calls.append(direction)
+        if len(calls) == 7:
+            value = closed["dbd_sq_1"]
+            closed["dbd_sq_1"] = value + planted * max(abs(value), 1.0)
+        return closed
+
+    monkeypatch.setattr(acceptance, "series_coeffs", off)
+    result = acceptance.check_series_coefficients()
+    assert _measured(result, SERIES).margin == pytest.approx(margin, rel=0.01, nan_ok=True)
     assert not result.passed
 
 
@@ -193,7 +216,7 @@ def test_series_coefficients_note_names_the_worst_mismatch(monkeypatch):
 
     monkeypatch.setattr(acceptance, "series_coeffs", planted)
     result = acceptance.check_series_coefficients()
-    assert _measured(result, "outside isclose(rel_tol=1e-6, abs_tol=1e-6)").observed == 2
+    assert _measured(result, SERIES).margin < 0.0
     assert " (dad_sq_0: closed " in result.note and "dab_sq_0" not in result.note
 
 
@@ -682,7 +705,7 @@ BOUNDS = {
         ("spot order-0 d_AD^2 vs the built counter-tilted pair at t = +-0.0001, worst deviation of the "
          "baseline", "<=", 1e-6),
     ],
-    "series-coefficients": [("outside isclose(rel_tol=1e-6, abs_tol=1e-6)", "==", 0)],
+    "series-coefficients": [(SERIES, "<=", 1e-6)],
     "optimizer-cross-check": [
         ("sqrt(12/11) - best blind d", "<=", 1e-9),
         ("best blind d - sqrt(12/11)", "<=", 1e-9),

@@ -109,7 +109,7 @@ class TestEval:
         assert rc == 0
         assert doc["min_distance"] == pytest.approx(D_RECORD, abs=1e-12)
         assert doc["radius"] == pytest.approx(R_RECORD, abs=1e-12)
-        assert doc["d3_symmetric"] is True
+        assert list(doc) == ["params", "distances_sq", "min_distance", "radius"]
         assert doc["distances_sq"]["dae"] == pytest.approx(540.0 / 143.0, abs=1e-9)
 
     def test_initial_point(self, capsys):
@@ -145,12 +145,12 @@ class TestEval:
         assert main(["eval", "--x", "5e-324"]) == 1  # t(x) ~ 1/x is no float
 
     def test_kappa_domain(self, capsys):
-        # kappa past 2pi would print a collapsed d_AB and a broken symmetry; refused
+        # kappa past 2pi would print a collapsed d_AB; refused
         assert main(["eval", "--kappa", "1e17"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --kappa must lie in [-2pi, 2pi]: 1e+17\n"
         rc, doc = run_json(capsys, "eval", "--kappa", "-360", "--degrees")
-        assert rc == 0 and doc["params"]["kappa"] == -2 * math.pi and doc["d3_symmetric"]
+        assert rc == 0 and doc["params"]["kappa"] == -2 * math.pi
 
     @pytest.mark.parametrize("degrees", [False, True])
     def test_negative_zero_angle_is_kept(self, capsys, degrees):
@@ -516,6 +516,21 @@ class TestExportScene:
         if doc is FOUR_VERTICALS:
             assert out["radius"] == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("bases, dirs, d", [
+        (([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]), "0.0"),
+        (([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]), ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]), "2.0"),
+    ], ids=["meeting-lines", "antipodal-parallels"])
+    def test_default_radius_refused_at_either_end(self, capsys, tmp_path, bases, dirs, d):
+        # without --radius a smallest distance of 0 or 2 gives no touching radius: the refusal
+        # names the source and its distance, not a flag that was not given
+        doc_path, out_path = tmp_path / "pair.json", tmp_path / "pair.obj"
+        doc_path.write_text(json.dumps({"lines": [{"base": b, "dir": u} for b, u in zip(bases, dirs)]}))
+        rc, err = run_failing(capsys, "export-scene", "--at", f"file:{doc_path}", "--segments", "8",
+                              "--out", str(out_path))
+        assert (rc, err) == (1, f"error: without --radius, the smallest distance of file:{doc_path} "
+                                f"must lie in (0, 2): {d}\n")
+        assert not out_path.exists()
+
     def test_four_line_document_is_charted(self, capsys, tmp_path):
         # optimize --from and probe --at chart its four lines; 10 charts a step, 3n - 2
         doc_path = tmp_path / "lines.json"
@@ -830,22 +845,24 @@ class TestDocumentNumbers:
 # since unlock-verdicts built the whole rings, since the cross-check certified its blind ends and
 # since each check's bounds became measurements and the cross-check compared Firsching's r, and
 # since record-configuration measured its worst pair, and since alternate-strategy measured order 0
-# on built pairs in three directions; optimize --from c6 since -0.0 kept its sign, the unlock-check
+# on built pairs in three directions, and since series-coefficients measured its worst relative
+# deviation in place of a count; optimize --from c6 since -0.0 kept its sign, the unlock-check
 # ones since alternate_strategy dropped its copy of alpha, and --alpha 40 since the tilt window's
 # lower end took its closed form, an ulp of delta1 away, and --n 3 and --alpha 40 since the witness
 # reported kappa2's half-width in place of its window's ends; the export-scene ones
 # of a pole line and of curve:0.3 before scene_obj meshed the configuration's table rows; the lines-document probe and optimize --from ones before
-# a chart became a Configuration; eval of a -0.0 angle since it kept the zero's sign);
+# a chart became a Configuration; eval of a -0.0 angle since it kept the zero's sign; every eval
+# one since it dropped d3_symmetric, which read true on every configuration eval builds);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
-    (["eval", "--x", "0.5"], "92043c29326b2fe5c916a66eda42d338f9c239c559e75b6a6b23f607bcb9ae75"),
-    (["eval", "--x", "0.25"], "79a7f251cadea70309c84587d5899cac6c49b268b267dd2e70e567ce6a4384ca"),
+    (["eval", "--x", "0.5"], "96e11da6607d533eb03c23da615532cae81237c327e26e1e2e5a993d33aba16b"),
+    (["eval", "--x", "0.25"], "75d88767d6be9134bdd936e0a37fb7d3d88dd053e0c17e443dee6eb8c6c4cfe8"),
     (["eval", "--phi", "0.3", "--delta", "0.2", "--kappa", "-0.4"],
-     "49dff8018ea62d55987b4e025b3d815096fff19ded93d7d3541c183bad925e5d"),
+     "c6886e12b418a8f973061d83667d46034967bd18916f5b7305979ff162aaa481"),
     (["eval", "--phi", "10", "--degrees"],
-     "c1e9f12e384b4f58a325df2c74d1f3fba1642136532f118e7cb71edf5a07e5c8"),
+     "b4fe2c8a9cf5c210c1ab6f5e067ecc9ed6a134d3fe3c4e593cad7c9c9a620122"),
     (["eval", "--phi", "-0.0", "--delta", "0.3", "--kappa", "0.2"],
-     "e6a37d658c9e7c5324906d7417b2a4795b9dc3e276a27174c3f84bace6e00821"),
+     "72ede477d095ee50c16701f7532088198cb925dd70a07358f27300296e621f1b"),
     (["curve", "--samples", "101"], "4839fdb5696fffec3d79b4846c74600e9c132730416a78e97bb3e9db463ffdcf"),
     (["curve", "--samples", "3"], "c237900d54cfc969c07c86eadf37bef10562b4437553faee5525eb38e4cda0ee"),
     (["curve", "--samples", "1"], "0e8bd072db05e6b28f11863ee13aa175a44367405a451ca4b80ebcba6293ab56"),
@@ -878,8 +895,8 @@ GOLDEN = [
      "ca1d87fb271633c337a4efc46716fe8d233764501ef99182076c6fc4ba9d15bd"),
     (["export-scene", "--at", "curve:0.3", "--segments", "9", "--radius", "0.5", "--length", "2",
       "--out", "curve.obj"], "3b84393005d27a0b3cc2152e51f6511fa9b0028d1e12713e2b874108e66c14f4"),
-    (["report-all", "--json"], "91f06a7cd46b68570ed6b8c9989451bd10240a1610fb1cd312421c0bef710c40"),
-    (["report-all"], "539ab8cba7ce29385190b6116b43b2ec198d64fcc0971296befe653f756b528d"),
+    (["report-all", "--json"], "bcc2610196f40dc8460949cb58d95f74c943bc4a7139792956404e34c802e78f"),
+    (["report-all"], "07d891dfef82fae25b33465ddf74d276cabb80f48b91575028a5a659c729303c"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
 # sha256 of each export-scene golden's OBJ file, by --out
