@@ -1,6 +1,7 @@
 """The six-line family and the three-line subfamily: construction, symmetry, closed distance forms."""
 
 import itertools
+import json
 import math
 import sys
 from collections import Counter
@@ -16,6 +17,7 @@ from cylpack.cli import main
 from cylpack.curve import build_curve_point, gamma_point
 from cylpack.lines import (
     _BLOCK,
+    Configuration,
     DegenerateError,
     FreeConfig,
     SphericalPoint,
@@ -27,6 +29,7 @@ from cylpack.lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
+from cylpack.serialize import config_from_dict, json_dumps
 from cylpack.symmetric import (
     AlgCoords,
     D3Params,
@@ -42,7 +45,7 @@ from cylpack.symmetric import (
     triplets_generic,
     triplets_trig,
 )
-from helpers import batched_dsq, ref_c3_rows, ref_ring_chart, same_line
+from helpers import batched_dsq, lines_document, ref_c3_rows, ref_ring_chart, same_line
 
 RNG = np.random.default_rng(91)
 
@@ -147,11 +150,76 @@ FAMILY = st.builds(D3Params, st.floats(-1.5, 1.5), st.floats(-math.pi, math.pi),
                    st.floats(-2 * math.pi, 2 * math.pi))
 
 
+def nudged(p, row, col, step):
+    """The family member's chart with one coordinate (row, column) moved by step."""
+    rows = np.array(c6_chart(p))
+    rows[row, col] += step
+    return FreeConfig(rows)
+
+
 class TestOrbitCheckOracle:
+    """The oracle is tier-1's statement that every build is symmetric, so it must also be able
+    to refuse: a moved line, a relabelling that breaks the order, a nudge well past its tolerance."""
+
     @settings(deadline=None, max_examples=200)
     @given(FAMILY)
     def test_family_builds_pass(self, p):
         assert orbit_check_oracle(build_c6(p))
+
+    def test_broken_configuration_fails(self):
+        p = D3Params(0.3, 0.2, -0.1)
+        c = nudged(p, 2, 1, 0.1)
+        assert not orbit_check_oracle(c)
+        # the orbit distances of the broken configuration no longer agree either
+        spreads = [np.ptp(c.dsq[[_pairs(6).index(tuple(sorted(pair))) for pair in orbit]])
+                   for orbit in PAIR_ORBITS.values()]
+        assert max(spreads) > 1e-3
+
+    def test_relabelled_upper_triple_fails(self):
+        # (B, C, A, D, E, F): Rz still maps each line to the next of its triple, and Rx still
+        # maps the line set onto itself, but it takes the first line, now B, to E, not to F
+        c = build_c6(D3Params(0.3, 0.2, -0.1))
+        assert orbit_check_oracle(c)
+        assert not orbit_check_oracle(Configuration((c[1], c[2], c[0], *c[3:])))
+
+    @pytest.mark.parametrize("p", [RECORD, D3Params(0.3, 0.2, -0.1), D3Params(-1.2, 2.5, 4.0)])
+    def test_exactly_six_orders_pass(self, p):
+        # the six distinct lines in order s keep the symmetry exactly when s commutes with both
+        # generators' actions on the labels, Rz's (1, 2, 0, 4, 5, 3) and Rx's (5, 4, 3, 2, 1, 0):
+        # the centralizer of the group's regular action, six of the 720 orders
+        lines = build_c6(p).lines
+        orders = list(itertools.permutations(range(6)))
+        passing = [s for s in orders if orbit_check_oracle(Configuration(tuple(lines[i] for i in s)))]
+        generators = ((1, 2, 0, 4, 5, 3), (5, 4, 3, 2, 1, 0))
+        commuting = [s for s in orders if all(g[s[i]] == s[g[i]] for g in generators for i in range(6))]
+        assert passing == commuting
+        assert len(passing) == 6
+
+    @settings(deadline=None, max_examples=50)
+    @given(FAMILY)
+    def test_mirror_image_passes_relabelled(self, p):
+        # the reflection through x = 0 reverses Rz's sense and commutes with Rx, so the
+        # mirrored lines keep the symmetry in the order (A, C, B, E, D, F) and lose it in their own
+        m = np.diag([-1.0, 1.0, 1.0])
+        mirrored = [TangentLine(m @ u.base, m @ u.dir) for u in build_c6(p)]
+        assert not orbit_check_oracle(Configuration(tuple(mirrored)))
+        assert orbit_check_oracle(Configuration(tuple(mirrored[i] for i in (0, 2, 1, 4, 3, 5))))
+
+    @settings(deadline=None, max_examples=200)
+    @given(FAMILY, st.integers(0, 5), st.integers(0, 2), st.sampled_from([-1.0, 1.0]))
+    def test_nudged_charts(self, p, row, col, sign):
+        # a step of 1e-12 stays inside the 1e-10 tolerance, one of 1e-7 moves its line well past it
+        assert orbit_check_oracle(nudged(p, row, col, sign * 1e-12))
+        assert not orbit_check_oracle(nudged(p, row, col, sign * 1e-7))
+
+    @settings(deadline=None, max_examples=50)
+    @given(FAMILY)
+    def test_lines_documents_pass(self, p):
+        # a build written as a lines document and read back is the same lines, so as symmetric
+        c = build_c6(p)
+        read = config_from_dict(json.loads(json_dumps(lines_document(c))))
+        assert np.array_equal(read.dsq, c.dsq)
+        assert orbit_check_oracle(read)
 
 
 class TestOrbits:
