@@ -16,18 +16,17 @@ __version__ = "0.1.0"
 # each submodule and the public names it exports; __getattr__ imports it on first use
 _EXPORTS = {
     "acceptance": ("run_checks",),
-    "curve": ("CurveSample", "f_of_x", "gamma_point", "pure_geodetic_check", "record",
-              "scan_unimodality", "t_of_x"),
+    "curve": ("CurveSample", "f_of_x", "gamma_point", "pure_geodetic_check", "record", "t_of_x"),
     "lines": ("Configuration", "DegenerateError", "FreeConfig", "PARALLEL_TOL", "SphericalPoint",
               "TangentLine", "chart_from_configuration", "distance_sq", "make_tangent_line",
-              "min_pairwise_distance", "radius_from_distance"),
+              "min_pairwise_distance", "objective", "radius_from_distance"),
     "measurement": ("CheckResult", "Measurement"),
     "scene": ("min_surface_gap", "scene_obj"),
-    "search": ("OptResult", "certify", "chart_c6", "chart_curve", "chart_record", "local_maximize",
-               "multi_start", "objective", "perturbation_probe"),
+    "search": ("OptResult", "certify", "chart_record", "local_maximize", "multi_start",
+               "perturbation_probe"),
     "serialize": (),
     "symmetric": ("AlgCoords", "D3Params", "DistanceTriplets", "GeneralParams", "alg_coords",
-                  "build_c3", "build_c6", "c6_chart", "dists_general", "ring_chart",
+                  "build_c3", "build_c6", "c6_chart", "chart_c6", "dists_general", "ring_chart",
                   "triplets_alg", "triplets_generic", "triplets_trig"),
     "unlocking": ("FourCylSample", "alt_strategy_verdict", "four_cyl_point", "series_coeffs",
                   "taylor_coeffs_numeric", "unlock_verdict"),

@@ -15,16 +15,15 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import (
-    _RECORD_CLOSED, _RECORD_RATIONAL, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record,
-    scan_unimodality, u_from_st,
+    _RECORD_CLOSED, _RECORD_RATIONAL, f_of_x, gamma_point, k1, k2, psi, pure_geodetic_check, record, u_from_st,
 )
-from .lines import FreeConfig, _BLOCK, _pairs, radius_from_distance
+from .lines import FreeConfig, _BLOCK, _pairs, min_pairwise_distance, radius_from_distance
 from .measurement import CheckResult, Measurement, _text
-from .search import (_PROBE_RUN, _SEARCH_RUN, _TRAJECTORY_SEEDS, certify, chart_c6, chart_record, multi_start,
-                     objective, perturbation_probe)
+from .search import (_PROBE_RUN, _SEARCH_RUN, _TRAJECTORY_SEEDS, certify, chart_record, multi_start,
+                     perturbation_probe)
 from .symmetric import (
-    PAIR_ORBITS, D3Params, GeneralParams, _counter_pair, _generic_rows, alg_coords, build_c3, dists_general,
-    ring_chart, triplets_alg, triplets_trig,
+    PAIR_ORBITS, D3Params, GeneralParams, _counter_pair, _generic_rows, alg_coords, build_c3, build_c6,
+    dists_general, ring_chart, triplets_alg, triplets_trig,
 )
 from .unlocking import (
     alt_strategy_verdict, four_cyl_point, series_coeffs, taylor_coeffs_numeric, unlock_verdict,
@@ -138,20 +137,23 @@ def check_curve_membership() -> CheckResult:
 
 
 def check_unimodality() -> CheckResult:
-    """F rises to x = 1/2, falls after, and revisits 1 at x = 1/4."""
+    """F rises to x = 1/2, falls after, and revisits 1 at x = 1/4: on the n interior points
+    x_i = (i + 1)/(n + 1), F strictly rises to its argmax and strictly falls after it."""
     n = 1001
-    scan, quarter = scan_unimodality(n), f_of_x(0.25)
+    xs = [(i + 1) / (n + 1) for i in range(n)]
+    fs, quarter = [f_of_x(x) for x in xs], f_of_x(0.25)
+    k = max(range(n), key=fs.__getitem__)
     return CheckResult("unimodality", (
         Measurement(f"strict rise/fall on {n}-point grid",
-                    bool(scan["strictly_increasing_below"] and scan["strictly_decreasing_above"])),
-        Measurement("argmax", scan["argmax_x"], "==", _RECORD_CLOSED["x"]),  # the odd grid holds 1/2 exactly
+                    all(fs[i] < fs[i + 1] for i in range(k)) and all(fs[i] > fs[i + 1] for i in range(k, n - 1))),
+        Measurement("argmax", xs[k], "==", _RECORD_CLOSED["x"]),  # the odd grid holds 1/2 exactly
         Measurement("|F(1/4) - 1|", abs(quarter - 1.0), "<=", 1e-12),
     ), f"F(1/4) = {quarter}")
 
 
 def check_initial_point() -> CheckResult:
     """The untilted configuration has distance 1 and admits radius 1."""
-    value, radius = objective(chart_c6(D3Params(0.0, 0.0, 0.0))), radius_from_distance(1.0)
+    value, radius = min_pairwise_distance(build_c6(D3Params(0.0, 0.0, 0.0))), radius_from_distance(1.0)
     return CheckResult("initial-point", (
         Measurement("|objective - 1|", abs(value - 1.0), "<=", 1e-12),
         Measurement("|radius_from_distance(1) - 1|", abs(radius - 1.0), "<=", 1e-15),

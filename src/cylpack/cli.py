@@ -18,8 +18,7 @@ from dataclasses import replace
 from .curve import build_curve_point, gamma_point, record
 from .lines import (Configuration, FreeConfig, _count, _positive_finite, chart_from_configuration,
                     min_pairwise_distance, radius_from_distance)
-from .search import (_PROBE_RUN, _SEARCH_RUN, chart_c6, chart_curve, chart_record, local_maximize, multi_start,
-                     perturbation_probe)
+from .search import _PROBE_RUN, _SEARCH_RUN, chart_record, local_maximize, multi_start, perturbation_probe
 from .symmetric import D3Params, build_c6, triplets_generic
 from .unlocking import _ALPHA_MIN, _T_MAX, alt_strategy_verdict, four_cyl_point, unlock_verdict
 
@@ -42,9 +41,9 @@ def _source(text: str) -> Configuration:
     if text == "record":
         return chart_record()
     if text == "c6":
-        return chart_c6(D3Params(0.0, 0.0, 0.0))
+        return build_c6(D3Params(0.0, 0.0, 0.0))
     if text.startswith("curve:"):
-        return chart_curve(float(text[len("curve:"):]))
+        return build_curve_point(float(text[len("curve:"):]))[1]
     if text.startswith("file:"):
         import json
         from .serialize import config_from_dict

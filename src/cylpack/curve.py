@@ -20,12 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lines import (
-    DegenerateError,
-    _count,
-    min_pairwise_distance,
-    radius_from_distance,
-)
+from .lines import DegenerateError, min_pairwise_distance, radius_from_distance
 from .symmetric import SQRT3, AlgCoords, D3Params, build_c6, triplets_alg, triplets_generic
 
 
@@ -223,29 +218,6 @@ def record() -> dict:
         if abs(value - _RECORD_CLOSED[key]) > 1e-12:
             raise ArithmeticError(f"record value {key} drifted: {value!r} vs {_RECORD_CLOSED[key]!r}")
     return {"computed": computed, "closed_form": {key: _RECORD_CLOSED[key] for key in computed}}
-
-
-def scan_unimodality(grid_size: int) -> dict:
-    """Scan F on the interior grid x_i = i/(grid_size + 1), i = 1..grid_size.
-
-    Reports the argmax and whether F is strictly increasing left of it
-    and strictly decreasing right of it (the grid contains 1/2 exactly
-    when grid_size is odd).
-    """
-    grid_size = _count("grid_size", grid_size, 3)
-    xs = [(i + 1) / (grid_size + 1) for i in range(grid_size)]
-    fs = [f_of_x(x) for x in xs]
-    k = max(range(grid_size), key=fs.__getitem__)
-    increasing = all(fs[i] < fs[i + 1] for i in range(k))
-    decreasing = all(fs[i] > fs[i + 1] for i in range(k, grid_size - 1))
-    return {
-        "grid_size": grid_size,
-        "step": 1.0 / (grid_size + 1),
-        "argmax_x": xs[k],
-        "max_value": fs[k],
-        "strictly_increasing_below": increasing,
-        "strictly_decreasing_above": decreasing,
-    }
 
 
 def pure_geodetic_check(x) -> dict:

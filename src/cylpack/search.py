@@ -33,25 +33,9 @@ from .curve import _RECORD_CLOSED, build_curve_point
 _STEP0, _STEP_MIN = 0.1, 1e-9
 
 
-def chart_c6(p: D3Params) -> FreeConfig:
-    """Chart of the symmetric six-line family at given angles: build_c6(p) itself."""
-    return build_c6(p)
-
-
-def chart_curve(x: float) -> FreeConfig:
-    """Chart of the trajectory configuration at parameter x; refused like
-    build_curve_point where its lines leave the trajectory."""
-    return build_curve_point(x)[1]
-
-
 def chart_record() -> FreeConfig:
     """Chart of the maximizing trajectory configuration, at the record's x."""
-    return chart_curve(_RECORD_CLOSED["x"])
-
-
-def objective(c: FreeConfig) -> float:
-    """Smallest pairwise distance of the chart's configuration."""
-    return min_pairwise_distance(c)
+    return build_curve_point(_RECORD_CLOSED["x"])[1]
 
 
 @dataclass(frozen=True)
@@ -206,8 +190,8 @@ def _sqp(x0: np.ndarray, budget: int, step0: float, step_min: float) -> tuple:
 def _lockstep(seeds: list, budget: int, step0: float, step_min: float) -> OptResult:
     """_sqp from each seed chart's coordinates, each round measuring the live starts' charts _BLOCK
     at a time in _dsq_slopes calls, with the bits each gets alone; each start's walked end, merged to
-    the first start of largest d_best, its trace's last value (objective's bits: _dsq_slopes frames
-    as FreeConfig does), with evals summed and every start's walked chart."""
+    the first start of largest d_best, its trace's last value (min_pairwise_distance's bits: _dsq_slopes
+    frames as FreeConfig does), with evals summed and every start's walked chart."""
     runs = [_sqp(seed, budget, step0, step_min) for seed in seeds]
     ends, live, charts = [None] * len(runs), list(range(len(runs))), [next(run) for run in runs]
     while live:
@@ -233,8 +217,8 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
                    rng_seed: int = 0) -> OptResult:
     """SQP ascent from one seed chart (_sqp): step0 is the first trust radius and step_min the
     smallest; budget counts charts measured, 3n - 2 a step for n lines, and the last step may overrun
-    it.  best is the chart the walk ended at, and d_best = objective(best) is the trace's last
-    value, at least objective(seed), since a step is taken only if min d^2 strictly rises.
+    it.  best is the chart the walk ended at, and d_best = min_pairwise_distance(best) is the trace's
+    last value, at least that of seed, since a step is taken only if min d^2 strictly rises.
     rng_seed is unchecked and unread, as the solver draws no random numbers; bench/workloads.py
     passes it."""
     _positive_finite("step0", step0)
@@ -255,8 +239,8 @@ def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
         raise ValueError(f"n_starts must be at most {_MAX_STARTS}: {n_starts}")
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
-    base = chart_c6(D3Params(0.0, 0.0, 0.0)).coords
-    seeds = [chart_curve(x).coords for x in _TRAJECTORY_SEEDS[:n_starts]] + [
+    base = build_c6(D3Params(0.0, 0.0, 0.0)).coords
+    seeds = [build_curve_point(x)[1].coords for x in _TRAJECTORY_SEEDS[:n_starts]] + [
         base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base))
         for i in range(len(_TRAJECTORY_SEEDS), n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
@@ -304,7 +288,7 @@ def perturbation_probe(c: FreeConfig, radius: float, trials: int, rng_seed: int 
     trials = _count("trials", trials, 1)
     rng_seed = _count("rng_seed", rng_seed, 0)
     rng = np.random.default_rng(rng_seed)
-    f0 = objective(c)
+    f0 = min_pairwise_distance(c)
     best, exceed = -np.inf, 0
     for lo in range(0, trials, _BLOCK):
         cand = c.coords + rng.uniform(-radius, radius, (min(_BLOCK, trials - lo), len(c.coords)))

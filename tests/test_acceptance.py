@@ -26,7 +26,7 @@ import pytest
 
 from cylpack import acceptance, cli, curve, search, unlocking
 from cylpack.acceptance import run_checks
-from cylpack.lines import FreeConfig, _BLOCK, _chart_index, _pair_kernel, radius_from_distance
+from cylpack.lines import FreeConfig, _BLOCK, _chart_index, _pair_kernel, min_pairwise_distance, radius_from_distance
 from cylpack.symmetric import (
     PAIR_ORBITS,
     D3Params,
@@ -153,7 +153,7 @@ def test_record_values_fails_on_a_radius_off_by_2e_14(monkeypatch):
 
 
 def test_initial_point_fails_on_an_objective_off_by_2e_12(monkeypatch):
-    monkeypatch.setattr(acceptance, "objective", lambda chart: 1.0 + 2e-12)
+    monkeypatch.setattr(acceptance, "min_pairwise_distance", lambda chart: 1.0 + 2e-12)
     result = acceptance.check_initial_point()
     assert _measured(result, "|objective - 1|").margin < 0.0
     assert not result.passed
@@ -413,7 +413,7 @@ def test_cross_check_fails_on_three_hits(monkeypatch):
     # the floor is four blind starts within 1e-9 of the record, about half the run's seven
     run = acceptance._optimizer_run()
     hits = [i for i, end in enumerate(run.ends) if i >= len(search._TRAJECTORY_SEEDS)
-            and abs(search.objective(end) - acceptance.D_RECORD) <= 1e-9]
+            and abs(min_pairwise_distance(end) - acceptance.D_RECORD) <= 1e-9]
     _plant(monkeypatch, {i: {"d": 1.0} for i in hits[3:]})
     result = acceptance.check_optimizer_cross_check()
     assert not result.passed and _measured(result, HITS).observed == 3
@@ -451,7 +451,7 @@ PRIOR_ENDS = [4, 13, 16, 22, 23, 24, 26, 31]
 def test_cross_check_finds_the_prior_record():
     run = acceptance._optimizer_run()
     window = [i for i, end in enumerate(run.ends) if i >= len(search._TRAJECTORY_SEEDS)
-              and acceptance.R_FIRSCHING <= radius_from_distance(search.objective(end)) < acceptance.R_FIRSCHING + 1e-6]
+              and acceptance.R_FIRSCHING <= radius_from_distance(min_pairwise_distance(end)) < acceptance.R_FIRSCHING + 1e-6]
     assert window == PRIOR_ENDS
     prior = _measured(_results()["optimizer-cross-check"], PRIOR)
     assert (prior.observed, prior.margin) == (8, 7.0)
@@ -463,7 +463,7 @@ def test_cross_check_fails_without_a_prior_record_end(monkeypatch, planted):
     # every end at r_F planted parallel, or its d moved so that its r leaves r_F's six decimals;
     # the clause this replaced, best blind d > 1.0242, held under each planting
     run = acceptance._optimizer_run()
-    moved = {i: {"d": search.objective(run.ends[i]) + planted["d"]} for i in PRIOR_ENDS} if "d" in planted else {}
+    moved = {i: {"d": min_pairwise_distance(run.ends[i]) + planted["d"]} for i in PRIOR_ENDS} if "d" in planted else {}
     _plant(monkeypatch, moved or {i: planted for i in PRIOR_ENDS})
     result = acceptance.check_optimizer_cross_check()
     failed = [m for m in result.measurements if not m.margin >= 0.0]
@@ -552,22 +552,19 @@ def test_unimodality_details_pinned():
     )
 
 
-def test_unimodality_fails_on_a_rescaled_grid(monkeypatch):
-    # scan_unimodality with its grid rescaled to (i + 1) / (grid_size + 2): 1001 points that
-    # miss 1/2, the argmax 502/1003 within one step of it, and F still rising then falling
-    source = inspect.getsource(curve.scan_unimodality)
-    assert source.count("(i + 1) / (grid_size + 1)") == 1
-    namespace = dict(vars(curve))
-    exec(source.replace("(i + 1) / (grid_size + 1)", "(i + 1) / (grid_size + 2)"), namespace)
-    rescaled = namespace["scan_unimodality"]
-    scan = rescaled(1001)
-    assert scan["argmax_x"] == 502 / 1003 and abs(scan["argmax_x"] - 0.5) <= scan["step"]
-    assert scan["strictly_increasing_below"] and scan["strictly_decreasing_above"]
-    monkeypatch.setattr(acceptance, "scan_unimodality", rescaled)
-    result = acceptance.check_unimodality()
+def test_unimodality_fails_on_a_rescaled_grid():
+    # check_unimodality with its grid rescaled to (i + 1) / (n + 2): 1001 points that miss 1/2,
+    # the argmax 502/1003 within one step of it, and F still rising then falling
+    source = inspect.getsource(acceptance.check_unimodality)
+    assert source.count("(i + 1) / (n + 1)") == 1
+    namespace = dict(vars(acceptance))
+    exec(source.replace("(i + 1) / (n + 1)", "(i + 1) / (n + 2)"), namespace)
+    result = namespace["check_unimodality"]()
     assert not result.passed
     argmax = _measured(result, "argmax")
-    assert (argmax.observed, argmax.margin) == (502 / 1003, -1.0)
+    assert (argmax.observed, argmax.margin) == (502 / 1003, -1.0) and abs(argmax.observed - 0.5) <= 1 / 1003
+    strict = _measured(result, "strict rise/fall on 1001-point grid")
+    assert (strict.observed, strict.margin) == (True, 0.0)
 
 
 def test_four_cylinder_rigidity_fails_on_a_wrong_mirror_root(monkeypatch):

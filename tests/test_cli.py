@@ -20,13 +20,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cylpack
-from cylpack import cli, unlocking
+from cylpack import chart_c6, cli, objective, unlocking
 from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, build_parser, main
 from cylpack.curve import f_of_x
 from cylpack.lines import FreeConfig, chart_from_configuration, min_pairwise_distance, radius_from_distance
 from cylpack.scene import scene_obj
-from cylpack.search import chart_c6, chart_record, local_maximize, objective
+from cylpack.search import chart_record, local_maximize
 from cylpack.symmetric import D3Params, build_c6, triplets_generic
 from cylpack.serialize import _numbers, config_from_dict, json_dumps
 

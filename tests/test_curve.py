@@ -31,7 +31,6 @@ from cylpack.curve import (
     psi,
     pure_geodetic_check,
     record,
-    scan_unimodality,
     t_of_x,
     u_from_st,
 )
@@ -408,41 +407,6 @@ def test_each_table_entry_is_verified(tmp_path, key):
     assert ast.literal_eval(out) == READERS[key]
 
 
-class TestScan:
-    def test_unimodal_on_fine_grid(self):
-        report = scan_unimodality(1001)
-        assert report["strictly_increasing_below"]
-        assert report["strictly_decreasing_above"]
-        assert report["argmax_x"] == pytest.approx(0.5, abs=report["step"])
-        assert report["max_value"] == pytest.approx(12.0 / 11.0, abs=1e-12)
-
-    def test_small_grid(self):
-        report = scan_unimodality(3)
-        assert report["argmax_x"] == 0.5
-
-    @pytest.mark.parametrize("grid_size", [3, 5, 1001])
-    def test_odd_grid_holds_one_half(self, grid_size, monkeypatch):
-        # F is read at x_i = i/(grid_size + 1), i = 1..grid_size, so an odd grid holds 1/2
-        # exactly, and that is its argmax; a grid shifted one step still holds 1/2
-        seen = []
-        monkeypatch.setattr(curve, "f_of_x", lambda x: seen.append(x) or f_of_x(x))
-        report = scan_unimodality(grid_size)
-        assert seen == [i / (grid_size + 1) for i in range(1, grid_size + 1)]
-        assert report["step"] == 1 / (grid_size + 1)
-        assert report["argmax_x"] == 0.5
-        assert report["max_value"] == f_of_x(0.5)
-
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            scan_unimodality(2)
-
-    def test_grid_size_is_an_integer(self):
-        # range() refused a float grid with a TypeError naming no argument
-        with pytest.raises(ValueError, match=r"^grid_size must be an integer: 1001\.0$"):
-            scan_unimodality(1001.0)
-        assert scan_unimodality(np.int64(5)) == scan_unimodality(5)
-
-
 class TestPureGeodetic:
     def test_record_rationals(self):
         report = pure_geodetic_check(Fraction(1, 2))
@@ -468,3 +432,18 @@ class TestPureGeodetic:
     def test_domain(self):
         with pytest.raises(ValueError):
             pure_geodetic_check(Fraction(3, 2))
+
+    @given(st.integers(1, 10**12).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))))
+    @example((1, 10**12))
+    @example((1, 2))
+    @example((1, 1))
+    @example((10**12 - 1, 10**12))
+    @settings(max_examples=500)
+    def test_exact_angles_are_the_float_trajectory(self, pq):
+        # the exact sin^2 of phi, delta and kappa at x = p/q are, as floats, those of the angles
+        # gamma_point samples at float(x), to 1e-15
+        x = Fraction(*pq)
+        exact, params = pure_geodetic_check(x), gamma_point(float(x)).params
+        for key, angle in (("sin_sq_phi", params.phi), ("sin_sq_delta", params.delta),
+                           ("sin_sq_kappa", params.kappa)):
+            assert abs(float(exact[key]) - math.sin(angle) ** 2) <= 1e-15, key

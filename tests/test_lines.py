@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cylpack import lines as lines_module
+from cylpack import lines as lines_module, objective
 from cylpack.lines import (
     Configuration,
     FreeConfig,
@@ -31,7 +31,7 @@ from cylpack.lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
-from cylpack.search import chart_record, objective
+from cylpack.search import chart_record
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
 from helpers import batched_dsq, ref_chart, ref_lines_table
@@ -270,6 +270,31 @@ class TestRadius:
         for d in np.linspace(0.0, 1.9, 96):
             r = radius_from_distance(float(d))
             assert math.isclose(2.0 * r / (1.0 + r), float(d), rel_tol=1e-12, abs_tol=1e-12)
+
+    # d in [0, 2), subnormals and the floats just below 2 among the draws
+    @given(st.floats(0.0, 2.0, exclude_max=True))
+    @example(5e-324)
+    @example(1.5e-323)
+    @example(2.2250738585072014e-308)
+    @example(math.nextafter(2.0, 0.0))
+    @settings(max_examples=2000)
+    def test_round_trip_property(self, d):
+        # the touching distance 2r/(1+r) of r = d/(2-d) is d to 1e-15 relative: below the least
+        # normal float the quotient d/(2-d) halves a subnormal, which drops its last bit, so there
+        # the round trip is held to that one bit, 5e-324, instead
+        r = radius_from_distance(d)
+        assert abs(2.0 * r / (1.0 + r) - d) <= max(1e-15 * d, math.ulp(0.0))
+
+    @given(st.floats(0.0, 2.0, exclude_max=True), st.floats(0.0, 2.0, exclude_max=True))
+    @example(0.0, 5e-324)
+    @example(math.nextafter(2.0, 0.0), math.nextafter(math.nextafter(2.0, 0.0), 0.0))
+    @settings(max_examples=1000)
+    def test_radius_never_falls_as_distance_rises(self, a, b):
+        lo, hi = sorted((a, b))
+        assert radius_from_distance(lo) <= radius_from_distance(hi)
+        up = math.nextafter(lo, 2.0)
+        if up < 2.0:
+            assert radius_from_distance(lo) <= radius_from_distance(up)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="radius unbounded"):

@@ -28,6 +28,11 @@ measure memory by traced peaks (helpers.traced_peak_mb), which read the same in
 every heap layout and bytecode state.
 A third keeps the bench running: every name that bench/*.py imports from
 the package root is exported there, and its call of local_maximize binds.
+The names only the bench reads (objective and chart_c6, aliases of
+min_pairwise_distance and build_c6, distance_sq, make_tangent_line and
+SphericalPoint) are named in src/ only in their home modules, as the
+layouts are, and the bench imports each, so deleting one from the bench
+deletes its last use.
 A fourth finds shadowed definitions: no module or class body of src/ or
 tests/ defines a name twice by def or class, where the second silently
 replaces the first (a test defined twice runs once).
@@ -154,17 +159,17 @@ LAYOUT_HOMES = {**dict.fromkeys(["_pair_kernel", "_frame_xyz", "_frame_table", "
 SOLE_CALLERS = {"_sphere_records": "scene_obj", "_tube_records": "scene_obj"}
 
 
-def layout_references(package=sorted(PACKAGE.glob("*.py"))):
-    """(module, name) of every naming of a layout name outside its home, imports included, and
-    in its home outside its sole caller."""
+def layout_references(package=sorted(PACKAGE.glob("*.py")), homes=LAYOUT_HOMES, sole_callers=SOLE_CALLERS):
+    """(module, name) of every naming of a name of homes outside its home, imports included, and
+    of a name of sole_callers in its home outside its sole caller."""
     found = []
     for path in package:
-        names = {name for name, home in LAYOUT_HOMES.items() if home != path.stem}
+        names = {name for name, home in homes.items() if home != path.stem}
         tree = ast.parse(path.read_text(), str(path))
         found += [(path.stem, alias.name) for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name in names]
         found += [(path.stem, name) for name, _, inside in _references(tree)
-                  if name in names or name in SOLE_CALLERS and SOLE_CALLERS[name] not in inside]
+                  if name in names or name in sole_callers and sole_callers[name] not in inside]
     return found
 
 
@@ -256,6 +261,29 @@ def test_a_name_dropped_from_the_exports_is_flagged():
     planted = {module: tuple(name for name in names if name != "FreeConfig")
                for module, names in cylpack._EXPORTS.items()}
     assert unexported(bench_imports(), planted) == [("workloads.py", "FreeConfig")]
+
+
+# the names only the bench reads, each with the one module of src/ that may name it, and the
+# function each alias among them is
+BENCH_ONLY = {"objective": "lines", "chart_c6": "symmetric", "distance_sq": "lines",
+              "make_tangent_line": "lines", "SphericalPoint": "lines"}
+BENCH_ALIASES = {"objective": "min_pairwise_distance", "chart_c6": "build_c6"}
+
+
+def test_the_bench_only_names_are_named_only_in_their_homes():
+    assert layout_references(homes=BENCH_ONLY, sole_callers={}) == []
+    for alias, function in BENCH_ALIASES.items():
+        home = getattr(cylpack, BENCH_ONLY[alias])
+        assert getattr(home, alias) is getattr(home, function), alias
+    assert set(BENCH_ONLY) <= {name for _, name in bench_imports()}
+
+
+@pytest.mark.parametrize("home, name", [("lines", "objective"), ("symmetric", "chart_c6")])
+def test_a_bench_only_name_outside_its_home_is_flagged(tmp_path, home, name):
+    # a check that measures through the bench's name rather than the function it names
+    package = _with_extra(tmp_path, f"\n\nfrom .{home} import {name}\n\n\n"
+                                    f"def _measure(p):\n    return {name}(p)\n", module="acceptance")
+    assert layout_references(package, BENCH_ONLY, {}) == [("acceptance", name)] * 2
 
 
 def test_the_bench_call_of_local_maximize_binds():

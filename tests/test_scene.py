@@ -7,10 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cylpack import scene
 from cylpack.curve import gamma_point, record
-from cylpack.lines import make_tangent_line, SphericalPoint
+from cylpack.lines import FreeConfig, SphericalPoint, make_tangent_line, min_pairwise_distance, radius_from_distance
 from cylpack.scene import MAX_SEGMENTS, _segments, _sphere_records, _tube_records, min_surface_gap, scene_obj
 from cylpack.symmetric import D3Params, build_c6
 from helpers import traced_peak_mb
@@ -159,6 +160,18 @@ class TestSurfaceGap:
         assert abs(min_surface_gap(config, r)) <= 1e-12
         # any thicker and the nearest pairs overlap
         assert min_surface_gap(config, r + 1e-6) < 0.0
+
+    @given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.0, 2 * math.pi), st.floats(-math.pi, math.pi)),
+                    min_size=2, max_size=7))
+    @settings(max_examples=500)
+    def test_lines_touch_at_their_radius(self, rows):
+        # at the radius of its smallest line distance d, a chart's nearest cylinders touch: the
+        # gap (1 + r) d - 2r is zero to 1e-15 of the diameter 2r
+        config = FreeConfig(rows)
+        d = min_pairwise_distance(config)
+        assume(0.0 < d < 2.0)
+        r = radius_from_distance(d)
+        assert abs(min_surface_gap(config, r)) <= 1e-15 * 2.0 * r
 
 
 class TestSceneObj:

@@ -21,15 +21,12 @@ from cylpack.lines import (
 )
 from cylpack.search import (
     certify,
-    chart_c6,
-    chart_curve,
     chart_record,
     local_maximize,
     multi_start,
-    objective,
     perturbation_probe,
 )
-from cylpack import acceptance, lines, search, symmetric
+from cylpack import acceptance, chart_c6, lines, objective, search, symmetric
 from cylpack.curve import build_curve_point
 from cylpack.symmetric import D3Params, build_c6, c6_chart, ring_chart
 from cylpack.unlocking import unlock_verdict
@@ -38,6 +35,11 @@ from helpers import batched_dsq, same_line, traced_peak_mb
 RNG = np.random.default_rng(94)
 
 D_RECORD = math.sqrt(12.0 / 11.0)
+
+
+def chart_curve(x):
+    """The chart of the trajectory configuration at parameter x, as multi_start seeds from it."""
+    return build_curve_point(x)[1]
 
 
 def block_objective(coords):
@@ -104,13 +106,10 @@ class TestCharts:
             assert same_line(a, b, tol=1e-12)
 
     def test_chart_c6_is_build_c6(self):
-        # one configuration per D3Params, framed once, its chart the family's rows as given; a
-        # trajectory point's chart is the configuration build_curve_point makes
+        # one configuration per D3Params, framed once, its chart the family's rows as given
         p = D3Params(0.3, 0.2, -0.1)
         assert chart_c6(p) is build_c6(p)
         assert chart_c6(p).coords.tobytes() == np.array(c6_chart(p), dtype=float).tobytes()
-        c, (_, built) = chart_curve(0.3), build_curve_point(0.3)
-        assert (c.coords.tobytes(), c.table.tobytes()) == (built.coords.tobytes(), built.table.tobytes())
 
     def test_pole_rejected(self):
         lines = list(random_chart(RNG).lines)
@@ -726,8 +725,8 @@ def test_counts_are_integers(call, message):
 def test_starts_past_the_bound_are_refused_before_any_is_drawn(monkeypatch):
     # the lockstep holds every start's state at once, about 24 KB a start: 1024 grew the
     # peak by about 25 MB, so an unbounded count would ask for gigabytes before it failed
-    drawn, real = [], search.chart_curve
-    monkeypatch.setattr(search, "chart_curve", lambda x: drawn.append(x) or real(x))
+    drawn, real = [], search.build_curve_point
+    monkeypatch.setattr(search, "build_curve_point", lambda x: drawn.append(x) or real(x))
     monkeypatch.setattr(search, "_lockstep", lambda seeds, *rest: len(seeds))
     for n_starts in (1025, np.int64(1025)):
         with pytest.raises(ValueError, match="^n_starts must be at most 1024: 1025$"):
