@@ -19,8 +19,7 @@ from .curve import (
 )
 from .lines import FreeConfig, _BLOCK, _pairs, min_pairwise_distance, radius_from_distance
 from .measurement import CheckResult, Measurement, _text
-from .search import (_PROBE_RUN, _SEARCH_RUN, _TRAJECTORY_SEEDS, certify, chart_record, multi_start,
-                     perturbation_probe)
+from .search import _PROBE_RUN, _SEARCH_RUN, certify, chart_record, multi_start, perturbation_probe
 from .symmetric import (
     PAIR_ORBITS, D3Params, GeneralParams, _counter_pair, _generic_rows, alg_coords, build_c3, build_c6,
     dists_general, ring_chart, triplets_alg, triplets_trig,
@@ -212,11 +211,11 @@ def check_unlock_verdicts() -> CheckResult:
         Measurement(f"probe_ok of the witnesses at t = {_text(pi3['probe_t'])} for pi/6, pi/3, 1.5",
                     all(w["probe_ok"] for w in witnesses)),
         Measurement("their smallest d^2 less its baseline",
-                    min(min(d - w["baseline_dist_sq"] for d in w["probe_dists_sq"]) for w in witnesses),
+                    -_worst(*(w["baseline_dist_sq"] - d for w in witnesses for d in w["probe_dists_sq"])),
                     ">", 0.0),
         Measurement("|pi/3 baseline - 1|", abs(pi3["baseline_dist_sq"] - 1.0), "<=", 1e-15),
         Measurement("whole rings of 2n = 6..16 lines at the witnesses for n = 3..8: smallest d^2 less "
-                    "4 sin^2(pi/2n)", min(margins), ">", 0.0),
+                    "4 sin^2(pi/2n)", -_worst(*(-m for m in margins)), ">", 0.0),
         Measurement("its relative deviation from the subfamily's", _worst(*errors), "<=", 1e-12),
     ), f"verdicts {verdicts}; pi/3 distances {pi3_dists}")
 
@@ -289,16 +288,16 @@ def _record_probe():
 
 def _certified(cert: dict) -> bool:
     """Whether certify's cert reads a KKT point on 12 near-active pairs with every lam > 0."""
-    return (cert["class"], len(cert["pairs"])) == ("kkt", 12) and min(cert["lam"]) > 0.0
+    return (cert["class"], len(cert["pairs"])) == ("kkt", 12) and all(lam > 0.0 for lam in cert["lam"])
 
 
 def check_optimizer_cross_check() -> CheckResult:
-    """The verified search's (_SEARCH_RUN's) blind starts, after its trajectory seeds, each read by certify
-    of its end, find both records: the best within 1e-9 of sqrt(12/11), none above it by more, at
-    least 4 that close, each _certified; and at least one _certified end at Firsching's r_F to six
-    decimals, r_F <= r < r_F + 1e-6, whose d the best exceeds.  The note counts certify's classes."""
-    result, run, first, tol, decimals = _optimizer_run(), _SEARCH_RUN, len(_TRAJECTORY_SEEDS), 1e-9, 1e-6
-    certs = [certify(end) for end in result.ends[first:]]
+    """The verified search's (_SEARCH_RUN's) blind starts, each read by certify of its end, find both
+    records: the best within 1e-9 of sqrt(12/11), none above it by more, at least 4 that close, each
+    _certified; and at least one _certified end at Firsching's r_F to six decimals, r_F <= r < r_F +
+    1e-6, whose d the best exceeds.  The note counts certify's classes."""
+    result, run, tol, decimals = _optimizer_run(), _SEARCH_RUN, 1e-9, 1e-6
+    certs = [certify(end) for end in result.ends]
     best = _worst(*(cert["d"] for cert in certs))  # NaN if any d is, so none hides above the record
     hits = [cert for cert in certs if abs(cert["d"] - D_RECORD) <= tol]
     prior = [cert["d"] for cert in certs if _certified(cert)

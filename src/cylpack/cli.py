@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximin search over free configurations")
     p.add_argument("--starts", type=int, help=f"multi-start count (default {_SEARCH_RUN['n_starts']}); not with --from")
-    p.add_argument("--seed", type=int, help=f"blind starts' seed (default {_SEARCH_RUN['rng_seed']}); not with --from")
+    p.add_argument("--seed", type=int, help=f"starts' seed (default {_SEARCH_RUN['rng_seed']}); not with --from")
     p.add_argument("--budget", type=int, default=_SEARCH_RUN["budget_each"],
                    help="charts measured per start, 3n - 2 a step for n lines, 16 for six")
     p.add_argument(

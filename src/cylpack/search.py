@@ -62,9 +62,8 @@ _MAX_STEPS = 300
 # an entering pivot at or below this fraction of its diagonal entry counts as singular
 _PIVOT = 1e-12
 _MAX_STARTS = 1024  # multi_start's lockstep holds every start's state at once, about 24 KB a start
-_TRAJECTORY_SEEDS = (0.9, 0.7, _RECORD_CLOSED["x"])  # multi_start's first starts' x, the record last; then blind
 # the runs report-all verifies, as keywords of multi_start and of perturbation_probe at chart_record()
-_SEARCH_RUN = {"n_starts": 32, "rng_seed": 0, "budget_each": 200000}
+_SEARCH_RUN = {"n_starts": 29, "rng_seed": 0, "budget_each": 200000}
 _PROBE_RUN = {"radius": 1e-3, "trials": 10000, "rng_seed": 0}
 
 
@@ -229,20 +228,17 @@ def local_maximize(seed: FreeConfig, budget: int, step0: float = _STEP0, step_mi
 
 def multi_start(n_starts: int, rng_seed: int, budget_each: int) -> OptResult:
     """Independent SQP ascents of 1 to 1024 six-line charts in lockstep (_lockstep), merged to the
-    best result.  The first starts seed from the trajectory at _TRAJECTORY_SEEDS; each later start i,
-    a blind one, jitters the initial configuration's chart with Gaussian noise of spread 0.2 from
+    best result.  Start i jitters the untilted chart with Gaussian noise of spread 0.2 from
     default_rng([i, rng_seed]), rng_seed an integer >= 0: any prefix of starts is reproducible, and
-    no two seeds share a blind start.  Ties go to the lower start; evals is the total; the trace and
-    stop reason are the winner's; ends holds every start's walked chart, in start order."""
+    no two seeds share a start.  Ties go to the lower start; evals is the total; the trace and stop
+    reason are the winner's; ends holds every start's walked chart, in start order."""
     n_starts = _count("n_starts", n_starts, 1)
     if n_starts > _MAX_STARTS:
         raise ValueError(f"n_starts must be at most {_MAX_STARTS}: {n_starts}")
     rng_seed = _count("rng_seed", rng_seed, 0)
     budget_each = _count("budget", budget_each, 1)
     base = build_c6(D3Params(0.0, 0.0, 0.0)).coords
-    seeds = [build_curve_point(x)[1].coords for x in _TRAJECTORY_SEEDS[:n_starts]] + [
-        base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base))
-        for i in range(len(_TRAJECTORY_SEEDS), n_starts)]
+    seeds = [base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(len(base)) for i in range(n_starts)]
     return _lockstep(seeds, budget_each, _STEP0, _STEP_MIN)
 
 

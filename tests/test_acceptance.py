@@ -383,9 +383,9 @@ def _seed_returning_solver(x0, budget, step0, step_min):
 
 
 def test_cross_check_fails_when_the_solver_returns_its_seed(monkeypatch, capsys):
-    # the x = 0.5 trajectory seed is the record, so only the blind starts can fail it
+    # every start is a jittered chart far below the record, so all 29 ends fail it
     monkeypatch.setattr(search, "_sqp", _seed_returning_solver)
-    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(32, 0, 200000))
+    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(**search._SEARCH_RUN))
     result = acceptance.check_optimizer_cross_check()
     assert not result.passed and _measured(result, HITS).observed == 0 and "; 29 blind ends " in result.note
     assert cli.main(["report-all"]) == 3
@@ -410,10 +410,9 @@ def test_cross_check_fails_on_a_start_above_the_record(monkeypatch, d):
 
 
 def test_cross_check_fails_on_three_hits(monkeypatch):
-    # the floor is four blind starts within 1e-9 of the record, about half the run's seven
+    # the floor is four blind starts within 1e-9 of the record, two fewer than the run's six
     run = acceptance._optimizer_run()
-    hits = [i for i, end in enumerate(run.ends) if i >= len(search._TRAJECTORY_SEEDS)
-            and abs(min_pairwise_distance(end) - acceptance.D_RECORD) <= 1e-9]
+    hits = [i for i, end in enumerate(run.ends) if abs(min_pairwise_distance(end) - acceptance.D_RECORD) <= 1e-9]
     _plant(monkeypatch, {i: {"d": 1.0} for i in hits[3:]})
     result = acceptance.check_optimizer_cross_check()
     assert not result.passed and _measured(result, HITS).observed == 3
@@ -428,33 +427,31 @@ def test_cross_check_fails_on_a_hit_that_is_not_a_kkt_point(monkeypatch, entries
     result = acceptance.check_optimizer_cross_check()
     assert not result.passed and _measured(result, "of them not kkt on 12 pairs, every lam > 0").observed == 1
     hits = _measured(result, HITS)
-    assert (hits.observed, hits.margin) == (7, 3.0)
+    assert (hits.observed, hits.margin) == (6, 2.0)
 
 
-def test_cross_check_takes_every_trajectory_seed_as_a_seed(monkeypatch):
-    # a fourth trajectory seed at x = 0.5, the record itself, is a seed and not a blind start.  At
-    # budget 1 each start stays at its seed chart, so the blind starts 4 to 7 are jittered charts
-    # far below the record, and the check fails; acceptance binds the seed list search defines,
-    # as one edit to search.py would leave them both
-    for module in (search, acceptance):
-        monkeypatch.setattr(module, "_TRAJECTORY_SEEDS", (0.9, 0.7, 0.5, 0.5))
-    monkeypatch.setattr(acceptance, "_optimizer_run", lambda: search.multi_start(8, 0, 1))
+def test_cross_check_reads_every_multiplier_of_every_hit(monkeypatch):
+    # min() skips a NaN that is not first, so min(lam) > 0 passed each hit with its second lam NaN
+    run = acceptance._optimizer_run()
+    hits = {i: acceptance.certify(end) for i, end in enumerate(run.ends)
+            if abs(min_pairwise_distance(end) - acceptance.D_RECORD) <= 1e-9}
+    _plant(monkeypatch, {i: {"lam": [c["lam"][0], math.nan, *c["lam"][2:]]} for i, c in hits.items()})
     result = acceptance.check_optimizer_cross_check()
-    assert not result.passed and _measured(result, HITS).observed == 0 and "; 4 blind ends " in result.note
-    assert "best blind d = 0.1758" in result.note
+    assert not result.passed
+    assert _measured(result, "of them not kkt on 12 pairs, every lam > 0").observed == len(hits) == 6
 
 
 # the blind ends that certify at Firsching's r = 1.0496595125, the run's second basin
-PRIOR_ENDS = [4, 13, 16, 22, 23, 24, 26, 31]
+PRIOR_ENDS = [4, 13, 16, 22, 23, 24, 26]
 
 
 def test_cross_check_finds_the_prior_record():
     run = acceptance._optimizer_run()
-    window = [i for i, end in enumerate(run.ends) if i >= len(search._TRAJECTORY_SEEDS)
-              and acceptance.R_FIRSCHING <= radius_from_distance(min_pairwise_distance(end)) < acceptance.R_FIRSCHING + 1e-6]
+    window = [i for i, end in enumerate(run.ends)
+              if acceptance.R_FIRSCHING <= radius_from_distance(min_pairwise_distance(end)) < acceptance.R_FIRSCHING + 1e-6]
     assert window == PRIOR_ENDS
     prior = _measured(_results()["optimizer-cross-check"], PRIOR)
-    assert (prior.observed, prior.margin) == (8, 7.0)
+    assert (prior.observed, prior.margin) == (7, 6.0)
 
 
 @pytest.mark.parametrize("planted", [{"class": "parallel"}, {"d": 1e-6}, {"d": -1e-6}],
@@ -499,11 +496,11 @@ def test_json_report_writes_a_nan_measurement_as_null(monkeypatch, capsys):
 
 def test_cross_check_details_pinned():
     assert _results()["optimizer-cross-check"].details == (
-        "32 starts, budget 2e5 charts each, seed 0 (61696 charts): best blind d = 1.0444659357341717; "
-        "29 blind ends by class: kkt: 15, parallel: 14, stalled: 0; sqrt(12/11) - best blind d: "
+        "29 starts, budget 2e5 charts each, seed 0 (64000 charts): best blind d = 1.0444659357341717; "
+        "29 blind ends by class: kkt: 13, parallel: 15, stalled: 1; sqrt(12/11) - best blind d: "
         "1.53e-14 <= 1e-9; best blind d - sqrt(12/11): -1.53e-14 <= 1e-9; blind ends within 1e-9 of "
-        "sqrt(12/11): 7 >= 4; of them not kkt on 12 pairs, every lam > 0: 0 == 0; blind ends so "
-        "certified, at r_F = 1.049659 <= r < r_F + 1e-6: 8 >= 1; best blind d - their best d: 0.0202 > 0.0"
+        "sqrt(12/11): 6 >= 4; of them not kkt on 12 pairs, every lam > 0: 0 == 0; blind ends so "
+        "certified, at r_F = 1.049659 <= r < r_F + 1e-6: 7 >= 1; best blind d - their best d: 0.0202 > 0.0"
     )
 
 
@@ -515,8 +512,8 @@ def test_local_max_probe_details_pinned():
 
 
 def test_one_report_builds_the_record_once(monkeypatch):
-    # record-values, record-configuration, the probe's chart and multi_start's last trajectory seed
-    # read one build of x = 1/2; each built it afresh, 4 calls of gamma_point(0.5) a report
+    # record-values, record-configuration and the probe's chart read one build of x = 1/2, where
+    # each built it afresh
     calls, real = [], curve.gamma_point
     monkeypatch.setattr(curve, "gamma_point", lambda x: calls.append(x) or real(x))
     for cached in (curve.build_curve_point, acceptance._optimizer_run, acceptance._record_probe):
@@ -604,8 +601,26 @@ def _nan_last_four_cyl_distance(real):
     return spoiled
 
 
+def _nan_second_probe_distance_at_1_5(real):
+    def spoiled(alpha):
+        report = real(alpha)
+        if alpha != 1.5:
+            return report
+        w = report["witness"]
+        return {**report, "witness": {**w, "probe_dists_sq": (w["probe_dists_sq"][0], math.nan,
+                                                                *w["probe_dists_sq"][2:])}}
+    return spoiled
+
+
+def _nan_ten_line_ring(real):
+    def spoiled(rows):
+        c = real(rows)
+        return types.SimpleNamespace(dsq=np.full_like(c.dsq, math.nan)) if len(c.coords) == 30 else c
+    return spoiled
+
+
 # one formulation at a time returns NaN: each fold of the check must carry it into its measurement,
-# where max() dropped it (the NaN-last distances also pass the four-cylinder decrease count)
+# where max() or min() dropped it (the NaN-last distances also pass the four-cylinder decrease count)
 @pytest.mark.parametrize("check, name, spoil, measured", [
     ("formula_consistency", "_generic_rows", _nan_generic_rows,
      "1000 points, worst pairwise relative deviation"),
@@ -619,7 +634,11 @@ def _nan_last_four_cyl_distance(real):
      "spot order-0 d_AD^2 vs the built counter-tilted pair at t = +-0.0001, worst deviation of the baseline"),
     ("four_cylinder_rigidity", "four_cyl_point", _nan_last_four_cyl_distance,
      "max |d^2 - 2| over 100 samples of each branch"),
-], ids=["generic", "ring", "psi", "k1", "spot", "four-cyl"])
+    ("unlock_verdicts", "unlock_verdict", _nan_second_probe_distance_at_1_5,
+     "their smallest d^2 less its baseline"),
+    ("unlock_verdicts", "FreeConfig", _nan_ten_line_ring,
+     "whole rings of 2n = 6..16 lines at the witnesses for n = 3..8: smallest d^2 less 4 sin^2(pi/2n)"),
+], ids=["generic", "ring", "psi", "k1", "spot", "four-cyl", "witness-1.5", "ring-of-10"])
 def test_a_nan_measurement_fails_its_check(monkeypatch, check, name, spoil, measured):
     monkeypatch.setattr(acceptance, name, spoil(getattr(acceptance, name)))
     result = getattr(acceptance, f"check_{check}")()

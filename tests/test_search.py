@@ -38,8 +38,14 @@ D_RECORD = math.sqrt(12.0 / 11.0)
 
 
 def chart_curve(x):
-    """The chart of the trajectory configuration at parameter x, as multi_start seeds from it."""
+    """The chart of the trajectory configuration at parameter x, as optimize --from curve:<x> reads it."""
     return build_curve_point(x)[1]
+
+
+def blind_chart(i, rng_seed):
+    """The seed chart of multi_start's start i: the untilted chart jittered from default_rng([i, rng_seed])."""
+    return FreeConfig(chart_c6(D3Params(0.0, 0.0, 0.0)).coords
+                      + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(18))
 
 
 def block_objective(coords):
@@ -552,15 +558,16 @@ class TestCertify:
 
 
 def test_per_count_caches_stay_bounded():
-    # charts of 2 to 20 lines measured and certified, and the cross-check's ends, whose active
-    # sets come in nine sizes: each table cache keeps at most 8 counts and still hits
+    # charts of 2 to 20 lines measured and certified, rings of 4 to 40 lines certified, whose active
+    # sets hold 2 to 20 pairs, and the cross-check's ends, whose active sets come in eight sizes:
+    # each table cache keeps at most 8 counts and still hits
     caches = (lines._chart_index, lines._slope_index, search._tableau, symmetric._ring_lons)
     for cache in caches:
         cache.cache_clear()
     rng = np.random.default_rng(5)
     for n in range(2, 21):
         chart = FreeConfig(rng.standard_normal(3 * n))
-        objective(chart), certify(chart), ring_chart(n, 0.1, 0.2, 0.3)
+        objective(chart), certify(chart), certify(FreeConfig(ring_chart(n, 0.1, 0.2, 0.3)))
     for end in acceptance._optimizer_run().ends:
         certify(end)
     assert [(cache.cache_info().misses > 8, cache.cache_info().currsize) for cache in caches] == [(True, 8)] * 4
@@ -572,14 +579,10 @@ def test_per_count_caches_stay_bounded():
 class TestMultiStart:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(1, 6), st.integers(0, 2**16), st.integers(1, 3000))
-    @example(5, 0, 20000)  # starts leave in five different rounds
+    @example(5, 0, 20000)  # starts leave in four different rounds
     def test_lockstep_equals_sequential(self, n_starts, rng_seed, budget):
-        # start i seeds from a trajectory point (i < len(seeds)) or a jitter drawn from
-        # default_rng([i, rng_seed]); the lower start wins ties
-        base, seeds = chart_c6(D3Params(0.0, 0.0, 0.0)).coords, search._TRAJECTORY_SEEDS
-        runs = [local_maximize(chart_curve(seeds[i]) if i < len(seeds) else FreeConfig(
-            base + 0.2 * np.random.default_rng([i, rng_seed]).standard_normal(18)), budget)
-            for i in range(n_starts)]
+        # start i seeds from a jitter drawn from default_rng([i, rng_seed]); the lower start wins ties
+        runs = [local_maximize(blind_chart(i, rng_seed), budget) for i in range(n_starts)]
         best = runs[[run.d_best for run in runs].index(max(run.d_best for run in runs))]
         r = multi_start(n_starts, rng_seed, budget)
         assert r.evals == sum(run.evals for run in runs)
@@ -591,14 +594,14 @@ class TestMultiStart:
         assert r.ends[d.index(r.d_best)] is r.best
 
     def test_starts_stop_in_different_rounds(self, monkeypatch):
-        # one _dsq_slopes call a round for every live start: the x = 0.5 seed leaves after 7
-        # rounds, the x = 0.7 and 0.9 seeds after 33 and 46, the blind starts after 123 and 183
+        # one _dsq_slopes call a round for every live start: start 2 leaves after 55 rounds, starts 4
+        # and 3 after 123 and 183, and starts 0 and 1 together after 301, at the cap of 300 steps
         sizes, slopes = [], search._dsq_slopes
         monkeypatch.setattr(search, "_dsq_slopes", lambda rows, h: sizes.append(len(rows)) or slopes(rows, h))
         r = multi_start(5, 0, 20000)
-        assert [sizes.count(k) for k in (5, 4, 3, 2, 1)] == [7, 26, 13, 77, 60]
+        assert [sizes.count(k) for k in (5, 4, 3, 2, 1)] == [55, 68, 60, 118, 0]
         assert sizes == sorted(sizes, reverse=True) and sum(sizes) * 16 == r.evals
-        assert objective(r.best).hex() == r.d_best.hex() and r.ends[2] is r.best
+        assert objective(r.best).hex() == r.d_best.hex() and r.ends[4] is r.best
 
     def test_rounds_are_measured_a_block_at_a_time(self, monkeypatch):
         # 200 live starts take two _dsq_slopes calls a round, none of more than _BLOCK charts,
@@ -606,33 +609,33 @@ class TestMultiStart:
         sizes, slopes = [], search._dsq_slopes
         monkeypatch.setattr(search, "_dsq_slopes", lambda rows, h: sizes.append(len(rows)) or slopes(rows, h))
         r = multi_start(200, 0, 2000)
-        assert max(sizes) == search._BLOCK == 128 and sum(sizes) * 16 == r.evals == 335184
+        assert max(sizes) == search._BLOCK == 128 and sum(sizes) * 16 == r.evals == 338688
         assert (digest([objective(end) for end in r.ends]), digest([end.coords for end in r.ends])) == (
-            "2ef8704fc1459f7e", "ded3d38b3fe12f3b"
+            "e71f777720d1bf61", "f581cc6d8fa49b97"
         )
 
     def test_cross_check_run_pinned(self):
-        # the acceptance suite shares this cached run; its winner is the x = 0.5 seed,
-        # the record itself, which never moves, and seven blind starts reach the record
+        # the acceptance suite shares this cached run; six blind starts reach the record, and
+        # the winner is start 8, the first of the largest d_best
         r = acceptance._optimizer_run()
-        assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3adcp+0", 61696)
+        assert (r.d_best.hex(), r.evals) == ("0x1.0b621e9bc3a98p+0", 64000)
         # the run itself bit for bit: every start's d_best, the winner's trace and chart
         d = [objective(end) for end in r.ends]
         assert (digest(d), digest(r.trace), digest(r.best.coords)) == (
-            "2335fe604a90085a", "52e8191d517e8e17", "226201f1946e664e"
+            "19a449826f39a0c2", "356694fcebd4598d", "30a8dd48e92f9bdd"
         )
-        hits = [i for i, v in enumerate(d) if i >= len(search._TRAJECTORY_SEEDS) and abs(v - D_RECORD) <= 1e-9]
-        assert hits == [7, 8, 15, 18, 21, 25, 30]
-        assert objective(r.best).hex() == r.d_best.hex() and r.ends[2] is r.best
+        hits = [i for i, v in enumerate(d) if abs(v - D_RECORD) <= 1e-9]
+        assert hits == [7, 8, 15, 18, 21, 25]
+        assert objective(r.best).hex() == r.d_best.hex() and r.ends[8] is r.best
 
     def test_census_of_64_starts(self):
-        """A census of multi_start(64, 0, 200000)'s 61 blind ends, each through certify: it pins what
-        a run twice the cross-check's finds, the record (d = 1.044466, lam_min 5/99, smallest sin^2
-        0.266) and Firsching's (d = 1.024228, lam_min 0.01466, sin^2 0.0921) as the only KKT values,
-        and bounds nothing.  Its first 32 starts are the cross-check's, so its hits begin with theirs."""
-        first = len(search._TRAJECTORY_SEEDS)
-        certs = [certify(end) for end in multi_start(64, 0, 200000).ends[first:]]
-        assert [sum(c["class"] == k for c in certs) for k in ("kkt", "parallel", "stalled")] == [26, 28, 7]
+        """A census of multi_start(64, 0, 200000)'s 64 blind ends, each through certify: it pins what
+        a run about twice the cross-check's finds, the record (d = 1.044466, lam_min 5/99, smallest
+        sin^2 0.266) and Firsching's (d = 1.024228, lam_min 0.01466, sin^2 0.0921) as the only KKT
+        values, and bounds nothing.  Its first 29 starts are the cross-check's, so its hits begin
+        with theirs."""
+        certs = [certify(end) for end in multi_start(64, 0, 200000).ends]
+        assert [sum(c["class"] == k for c in certs) for k in ("kkt", "parallel", "stalled")] == [26, 30, 8]
         kkt = [c for c in certs if c["class"] == "kkt"]
         assert all(len(c["pairs"]) == 12 and min(c["lam"]) > 0.0 for c in kkt)
         for d, count, lam_min, sin_sq in ((D_RECORD, 10, 5 / 99, 0.266), (1.0242281765, 16, 0.01466, 0.0921)):
@@ -640,23 +643,41 @@ class TestMultiStart:
             assert len(ends) == count
             assert all(abs(min(c["lam"]) - lam_min) <= 1e-4 and abs(c["sin_sq"] - sin_sq) <= 1e-4 for c in ends)
         assert max(c["d"] for c in certs) <= D_RECORD + 1e-9
-        hits = [i for i, c in enumerate(certs, first) if abs(c["d"] - D_RECORD) <= 1e-9]
-        assert hits[:7] == [7, 8, 15, 18, 21, 25, 30]
+        hits = [i for i, c in enumerate(certs) if abs(c["d"] - D_RECORD) <= 1e-9]
+        assert hits == [7, 8, 15, 18, 21, 25, 30, 42, 61, 63]
 
     def test_merge_pinned(self):
         # charts summed over six starts, the winner's d_best and trace digest,
         # and its chart digest; 6256 charts while start i drew from default_rng(3 + i)
         r = multi_start(6, 3, 20000)
         assert (r.evals, r.d_best.hex(), digest(r.trace), digest(r.best.coords)) == (
-            8576, "0x1.0b621e9bc3adcp+0", "52e8191d517e8e17", "226201f1946e664e"
+            13424, "0x1.0b621e9bc36f0p+0", "694b3e66d95a1a59", "4fa66d1c3de216cf"
         )
 
     def test_seeds_share_no_blind_start(self):
-        # a budget of 1 stops each start at its seed chart, so ends[3:] are the blind seed charts;
+        # a budget of 1 stops each start at its seed chart, so the ends are the seed charts;
         # with default_rng(rng_seed + i), seeds 0 and 1 shared 28 of 29
-        blind = [set(map(objective, multi_start(32, s, 1).ends[3:])) for s in range(6)]
+        blind = [set(map(objective, multi_start(29, s, 1).ends)) for s in range(6)]
         assert all(len(b) == 29 for b in blind)
         assert len(set().union(*blind)) == 6 * 29
+
+    def test_every_start_is_blind(self, monkeypatch):
+        # at budget 1 each end is its seed chart: start i, 0 to 2 too, is the untilted chart
+        # jittered from default_rng([i, rng_seed]), and no start reads the trajectory
+        built = []
+        monkeypatch.setattr(search, "build_curve_point", lambda x: built.append(x))
+        for rng_seed in (0, 7):
+            ends = multi_start(8, rng_seed, 1).ends
+            assert [end.coords.tobytes() for end in ends] == [
+                blind_chart(i, rng_seed).coords.tobytes() for i in range(8)]
+        assert built == []
+
+    def test_blind_starts_walk_as_they_did_after_the_trajectory_seeds(self):
+        # starts 3 to 28 walked to these bits while starts 0 to 2 were trajectory seeds, read then
+        # as multi_start(32, 0, 200000).ends[3:29]: making every start blind moved none of them
+        ends = acceptance._optimizer_run().ends  # multi_start(**search._SEARCH_RUN), cached
+        assert hashlib.sha256(b"".join(end.coords.tobytes() for end in ends[3:29])).hexdigest()[:16] == (
+            "76fc487c0c2033ac")
 
     def test_ties_go_to_the_lower_start(self, monkeypatch):
         # a start's d_best is its trace's last value: every start ends at 1.0
@@ -669,7 +690,7 @@ class TestMultiStart:
 
         monkeypatch.setattr(search, "_sqp", tied)
         r = multi_start(3, 0, 500)
-        first = local_maximize(chart_curve(0.9), 500)
+        first = local_maximize(blind_chart(0, 0), 500)
         assert r.best is r.ends[0] and r.d_best == first.d_best == 1.0
         assert np.array_equal(r.best.coords, first.best.coords) and r.trace == first.trace
 
@@ -679,11 +700,6 @@ class TestMultiStart:
         # start holding views of its round's arrays it read 0.85 MiB, and with the kernel taking all
         # six operands in one gather per round 0.843
         assert traced_peak_mb(lambda: multi_start(32, 0, 200000)) < 0.8
-
-    def test_small_run_reaches_curve_seed_level(self):
-        r = multi_start(4, 0, 3000)
-        assert r.d_best >= D_RECORD - 1e-9  # the x = 0.5 seed is start 2
-        assert r.evals > 4
 
     def test_deterministic(self):
         a = multi_start(4, 5, 2000)
@@ -713,8 +729,8 @@ class TestMultiStart:
     (lambda: perturbation_probe(chart_record(), 1e-3, 5, -1), "rng_seed must be at least 0: -1"),
     (lambda: perturbation_probe(chart_record(), 1e-3, 5, 1.5), "rng_seed must be an integer: 1.5"),
 ], ids=["float starts", "no starts", "float budget", "no budget", "nan budget", "float trials",
-        "no trials", "negative seed", "negative seed, no blind start", "float seed",
-        "float seed, no blind start", "negative probe seed", "float probe seed"])
+        "no trials", "negative seed", "negative seed, three starts", "float seed",
+        "float seed, one start", "negative probe seed", "float probe seed"])
 def test_counts_are_integers(call, message):
     # a float count was truncated, reported as its floor, or failed in range() naming no argument;
     # a negative seed ran silently or raised numpy's own message, a float one numpy's TypeError
@@ -725,14 +741,14 @@ def test_counts_are_integers(call, message):
 def test_starts_past_the_bound_are_refused_before_any_is_drawn(monkeypatch):
     # the lockstep holds every start's state at once, about 24 KB a start: 1024 grew the
     # peak by about 25 MB, so an unbounded count would ask for gigabytes before it failed
-    drawn, real = [], search.build_curve_point
-    monkeypatch.setattr(search, "build_curve_point", lambda x: drawn.append(x) or real(x))
+    drawn, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
     monkeypatch.setattr(search, "_lockstep", lambda seeds, *rest: len(seeds))
     for n_starts in (1025, np.int64(1025)):
         with pytest.raises(ValueError, match="^n_starts must be at most 1024: 1025$"):
             multi_start(n_starts, 0, 1)
-    assert drawn == []  # the trajectory seeds come first, the blind draws after them
-    assert multi_start(1024, 0, 1) == 1024 and drawn == [0.9, 0.7, 0.5]  # the bound itself runs
+    assert drawn == []
+    assert multi_start(1024, 0, 1) == 1024 and len(drawn) == 1024  # the bound itself runs
 
 
 def test_numpy_integer_counts_are_counts():
