@@ -204,7 +204,7 @@ def check_unlock_verdicts() -> CheckResult:
         rows = ring_chart(n, w["phi1"] * t, w["delta1"] * t, w["kappa2"] * t * t)
         dsq = float(FreeConfig(rows).dsq.min())
         margins.append(dsq - w["baseline_dist_sq"])
-        errors.append(abs(dsq - min(w["probe_dists_sq"])) / dsq)
+        errors.append(abs(dsq + _worst(*(-d for d in w["probe_dists_sq"]))) / dsq)
     verdict_ok = all(r["verdict"] == want for r, (_, want) in zip(reports, expected))
     return CheckResult("unlock-verdicts", (
         Measurement("verdicts as expected", verdict_ok),

@@ -601,15 +601,19 @@ def _nan_last_four_cyl_distance(real):
     return spoiled
 
 
-def _nan_second_probe_distance_at_1_5(real):
-    def spoiled(alpha):
-        report = real(alpha)
-        if alpha != 1.5:
-            return report
-        w = report["witness"]
-        return {**report, "witness": {**w, "probe_dists_sq": (w["probe_dists_sq"][0], math.nan,
-                                                                *w["probe_dists_sq"][2:])}}
-    return spoiled
+def _nan_probe_distance(at, k):
+    """unlock_verdict with probe distance k of the witness at alpha = at planted NaN."""
+    def spoil(real):
+        def spoiled(alpha):
+            report = real(alpha)
+            if alpha != at:
+                return report
+            w = report["witness"]
+            dists = list(w["probe_dists_sq"])
+            dists[k] = math.nan
+            return {**report, "witness": {**w, "probe_dists_sq": tuple(dists)}}
+        return spoiled
+    return spoil
 
 
 def _nan_ten_line_ring(real):
@@ -634,11 +638,12 @@ def _nan_ten_line_ring(real):
      "spot order-0 d_AD^2 vs the built counter-tilted pair at t = +-0.0001, worst deviation of the baseline"),
     ("four_cylinder_rigidity", "four_cyl_point", _nan_last_four_cyl_distance,
      "max |d^2 - 2| over 100 samples of each branch"),
-    ("unlock_verdicts", "unlock_verdict", _nan_second_probe_distance_at_1_5,
-     "their smallest d^2 less its baseline"),
+    ("unlock_verdicts", "unlock_verdict", _nan_probe_distance(1.5, 1), "their smallest d^2 less its baseline"),
+    ("unlock_verdicts", "unlock_verdict", _nan_probe_distance(math.pi / 5, 2),
+     "its relative deviation from the subfamily's"),
     ("unlock_verdicts", "FreeConfig", _nan_ten_line_ring,
      "whole rings of 2n = 6..16 lines at the witnesses for n = 3..8: smallest d^2 less 4 sin^2(pi/2n)"),
-], ids=["generic", "ring", "psi", "k1", "spot", "four-cyl", "witness-1.5", "ring-of-10"])
+], ids=["generic", "ring", "psi", "k1", "spot", "four-cyl", "witness-1.5", "ring-of-10", "witness-pi/5"])
 def test_a_nan_measurement_fails_its_check(monkeypatch, check, name, spoil, measured):
     monkeypatch.setattr(acceptance, name, spoil(getattr(acceptance, name)))
     result = getattr(acceptance, f"check_{check}")()
