@@ -265,7 +265,8 @@ def check_series_coefficients() -> CheckResult:
                   f" ({key}: closed {want:.9g}, numeric {numeric[key]:.9g})") for key, want in closed.items()]
     # the bound of isclose(a, b, rel_tol=tol, abs_tol=tol), |a - b| <= tol max(|a|, |b|, 1); a NaN fails
     worst = _worst(*(dev for dev, _ in devs))
-    worst_pair = max(devs)[1] if worst > tol else ""
+    # the pair named NaN-first, as _worst folds: max() of the tuples would skip past a NaN
+    worst_pair = max(devs, key=lambda dev: (math.isnan(dev[0]), dev))[1] if not worst <= tol else ""
     return CheckResult("series-coefficients", (
         Measurement("worst |numeric - closed| / max(|numeric|, |closed|, 1)", worst, "<=", tol),
     ), f"{len(devs)} coefficients over {n} random directions, orders 0-2{worst_pair}")

@@ -10,9 +10,9 @@ here and the packing statements elsewhere in the package.
 A chart's (latitude, longitude, tangent angle) rows may be any finite numbers: a latitude
 past a pole frames the line it reaches there.  A chart's configuration, a FreeConfig, is framed
 once, from its coordinates as given, into a frame table of [base | dir] rows, the (n, 6) view of
-a C-ordered (6, n) array, which every Configuration keeps, making TangentLine objects only when
-read.  Framed from finite coordinates, every row is unit and tangent to rounding, so only a line
-given as vectors (a TangentLine, as a lines document gives it) is checked and snapped.
+a C-ordered (6, n) array; that table is a Configuration's one form of its lines.  Framed from
+finite coordinates, every row is unit and tangent to rounding, so only a line given as vectors
+(a TangentLine, as a lines document gives it) is checked and snapped.
 SphericalPoint and chart_from_configuration, which name a point rather than frame one, report
 longitudes in [0, 2*pi).
 Every table has that one component-major layout, so one pair kernel measures them all, batched or
@@ -192,7 +192,7 @@ class TangentLine:
 
     @classmethod
     def _checked(cls, row: np.ndarray) -> "TangentLine":
-        """Wrap a [base | dir] row of a frozen frame table: a chart's frame, or checked lines'."""
+        """Wrap a [base | dir] row of a frozen frame table, unit and tangent to rounding, unchecked."""
         line = object.__new__(cls)
         line.__dict__.update(base=row[:3], dir=row[3:])
         return line
@@ -292,9 +292,9 @@ def distance_sq(u: TangentLine, v: TangentLine) -> float:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Configuration:
-    """Ordered family of tangent lines (at least two) in one read-only frame table, the (n, 6)
-    [base | dir] view of a (6, n) array.  A chart's configuration (FreeConfig) makes its TangentLine
-    objects on first read; dsq holds the table's pair distances, measured on first read, read-only."""
+    """Ordered family of tangent lines (at least two), kept only as one read-only frame table, the
+    (n, 6) [base | dir] view of a (6, n) array, line k at row k; dsq holds the table's pair
+    distances, measured on first read, read-only."""
 
     table: np.ndarray
 
@@ -305,24 +305,11 @@ class Configuration:
         if not all(isinstance(line, TangentLine) for line in lines):
             raise TypeError("configuration members must be TangentLine")
         table = np.array([np.concatenate((u.base, u.dir)) for u in lines], order="F")
-        self.__dict__.update(lines=lines, table=_frozen(table))
-
-    @_cached
-    def lines(self) -> tuple:
-        return tuple(map(TangentLine._checked, self.table))
+        self.__dict__.update(table=_frozen(table))
 
     @_cached
     def dsq(self) -> np.ndarray:
         return _frozen(_pair_kernel(self.table.T.reshape(-1), _chart_index(len(self.table))))
-
-    def __len__(self):
-        return len(self.table)
-
-    def __iter__(self):
-        return iter(self.lines)
-
-    def __getitem__(self, i):
-        return self.lines[i]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -407,14 +394,14 @@ def chart_from_configuration(c: Configuration) -> FreeConfig:
     """The chart of tangent lines, each row in range: latitude in (-pi/2, pi/2) and longitude in
     [0, 2*pi).  Rejects a line based at a pole, where the tangent angle is undefined."""
     rows = []
-    for line in c:
-        x, y, z = line.base.tolist()
+    for row in c.table:
+        x, y, z = row[:3].tolist()
         phi = math.atan2(z, math.hypot(x, y))  # asin(z) loses accuracy near the poles
         if abs(phi) >= math.pi / 2:
             raise ValueError("line based at a pole has no chart coordinates")
         kappa = _reduce_lon(math.atan2(y, x))
         _, north, east = _basis(np.sin((phi, kappa)), np.cos((phi, kappa)))
-        rows.append((phi, kappa, math.atan2(float(line.dir @ east), float(line.dir @ north))))
+        rows.append((phi, kappa, math.atan2(float(row[3:] @ east), float(row[3:] @ north))))
     return FreeConfig(rows)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from cylpack.lines import DegenerateError, _chart_index, _frame_table, _pair_kernel
+from cylpack.lines import DegenerateError, TangentLine, _chart_index, _frame_table, _pair_kernel
 from cylpack.symmetric import SQRT3
 
 
@@ -30,10 +30,16 @@ def same_line(a, b, tol=1e-10):
     return min(straight, flipped) <= tol
 
 
+def table_line(config, k):
+    """Line k of a configuration as a TangentLine wrapping row k of its frame table, for
+    distance_sq and same_line: base and dir are views of the row, with its bits."""
+    return TangentLine._checked(config.table[k])
+
+
 def lines_document(config):
     """The lines document config_from_dict reads, {"lines": [{"base": [x, y, z], "dir": [x, y,
-    z]}, ...]}, of a configuration's lines, each as stored."""
-    return {"lines": [{"base": line.base.tolist(), "dir": line.dir.tolist()} for line in config]}
+    z]}, ...]}, of a configuration's lines, each as its table row stores it."""
+    return {"lines": [{"base": row[:3].tolist(), "dir": row[3:].tolist()} for row in config.table]}
 
 
 def ref_lines_table(lines):

@@ -220,6 +220,28 @@ def test_series_coefficients_note_names_the_worst_mismatch(monkeypatch):
     assert " (dad_sq_0: closed " in result.note and "dab_sq_0" not in result.note
 
 
+@pytest.mark.parametrize("scaled", [1.0, 1.5], ids=["alone", "with-a-larger-finite-deviation"])
+def test_series_coefficients_note_names_a_nan_coefficient(monkeypatch, scaled):
+    # a NaN numeric coefficient, the fifth direction's dbd_sq_1, is named in the note, before a
+    # finite deviation of any size: its deviation is NaN, which compares neither above tol nor
+    # above another deviation
+    real, calls = acceptance.taylor_coeffs_numeric, []
+
+    def planted(*direction):
+        numeric = real(*direction)
+        calls.append(direction)
+        if len(calls) == 1:
+            numeric["dad_sq_0"] *= scaled
+        if len(calls) == 5:
+            numeric["dbd_sq_1"] = math.nan
+        return numeric
+
+    monkeypatch.setattr(acceptance, "taylor_coeffs_numeric", planted)
+    result = acceptance.check_series_coefficients()
+    assert math.isnan(_measured(result, SERIES).observed) and not result.passed
+    assert result.note.endswith(", numeric nan)") and " (dbd_sq_1: closed " in result.note
+
+
 ONCE = "of the 15 pairs, listed in exactly one orbit"
 WORST = "worst |d^2 - its orbit's value|, 12/11 on ab, ad and bd, 540/143 on ae"
 

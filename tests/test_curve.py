@@ -41,7 +41,7 @@ from cylpack.symmetric import (
     triplets_alg,
     triplets_trig,
 )
-from helpers import ref_gamma_coords
+from helpers import ref_gamma_coords, table_line
 
 RNG = np.random.default_rng(92)
 
@@ -204,9 +204,9 @@ class TestGammaPoint:
             for dsq in triplets_alg(alg_coords(g.params)):
                 assert math.isclose(dsq, g.f_value, rel_tol=1e-11)
             # generic distances on the built lines agree as well
-            assert math.isclose(distance_sq(c[0], c[1]), g.f_value, rel_tol=1e-10)
-            assert math.isclose(distance_sq(c[0], c[3]), g.f_value, rel_tol=1e-10)
-            assert math.isclose(distance_sq(c[1], c[3]), g.f_value, rel_tol=1e-10)
+            assert math.isclose(distance_sq(table_line(c, 0), table_line(c, 1)), g.f_value, rel_tol=1e-10)
+            assert math.isclose(distance_sq(table_line(c, 0), table_line(c, 3)), g.f_value, rel_tol=1e-10)
+            assert math.isclose(distance_sq(table_line(c, 1), table_line(c, 3)), g.f_value, rel_tol=1e-10)
 
     def test_flat_point_distance_one(self):
         g = gamma_point(0.25)
@@ -290,7 +290,7 @@ class TestGammaPoint:
         for dsq in triplets_alg(alg_coords(g.params)):
             assert math.isclose(dsq, g.f_value, rel_tol=1e-9)
         c = build_c6(g.params)
-        assert math.isclose(distance_sq(c[0], c[1]), g.f_value, rel_tol=1e-9)
+        assert math.isclose(distance_sq(table_line(c, 0), table_line(c, 1)), g.f_value, rel_tol=1e-9)
 
     def test_dae_dominates_near_record(self):
         for x in np.linspace(0.4, 0.6, 21):

@@ -1,5 +1,6 @@
 """Tangent-line geometry: constructions, distances, radius conversions."""
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -32,9 +33,10 @@ from cylpack.lines import (
     radius_from_distance,
 )
 from cylpack.search import chart_record
+from cylpack.serialize import config_from_dict
 from cylpack.symmetric import _ORBIT_COLS, D3Params, _generic_rows, build_c6, triplets_generic
 
-from helpers import batched_dsq, ref_chart, ref_lines_table
+from helpers import batched_dsq, lines_document, ref_chart, ref_lines_table, table_line
 
 RNG = np.random.default_rng(90)  # fixed stream for the property tests
 
@@ -430,9 +432,9 @@ class TestKernelProperties:
     @given(ROWS)
     def test_scalar_matches_batch_bitwise(self, rows):
         c = FreeConfig(rows)
-        out = batched_dsq(np.array([u.base for u in c]), np.array([u.dir for u in c]))
-        for (i, j), k in pair_index(len(c)).items():
-            assert distance_sq(c[i], c[j]) == out[k]
+        out = batched_dsq(c.table[:, :3], c.table[:, 3:])
+        for (i, j), k in pair_index(len(c.table)).items():
+            assert distance_sq(table_line(c, i), table_line(c, j)) == out[k]
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(FRAME_ROW | WIDE_ROW, min_size=1, max_size=7))
@@ -572,20 +574,21 @@ class TestLineChecks:
         # make_tangent_line(p, ang) is the line of the chart row (p.phi, p.kappa, ang)
         points = [SphericalPoint(lat, lon) for lat, lon, _ in rows]
         c = FreeConfig([(p.phi, p.kappa, ang) for p, (_, _, ang) in zip(points, rows)])
-        for p, (_, _, ang), line in zip(points, rows, c):
+        for p, (_, _, ang), row in zip(points, rows, c.table):
             ref = make_tangent_line(p, ang)
-            assert same_bits(line.base, ref.base) and same_bits(line.dir, ref.dir)
-            assert not (line.base.flags.writeable or line.dir.flags.writeable)
+            assert same_bits(row[:3], ref.base) and same_bits(row[3:], ref.dir)
+            assert not row.flags.writeable
 
     @settings(deadline=None)
     @given(ROWS)
     def test_configuration_stacks_are_read_only_line_vectors(self, rows):
         built = FreeConfig(rows)
-        rebuilt = Configuration(tuple(TangentLine(u.base, u.dir) for u in built))
+        lines = tuple(TangentLine(row[:3], row[3:]) for row in built.table)
+        rebuilt = Configuration(lines)
+        assert same_bits(rebuilt.table[:, :3], [u.base for u in lines])
+        assert same_bits(rebuilt.table[:, 3:], [u.dir for u in lines])
         for c in (built, rebuilt):
             assert c.table[:, :3].shape == c.table[:, 3:].shape == (len(rows), 3)
-            assert same_bits(c.table[:, :3], [u.base for u in c])
-            assert same_bits(c.table[:, 3:], [u.dir for u in c])
             with pytest.raises(ValueError):
                 c.table[0, 0] = 0.0
             with pytest.raises(ValueError):
@@ -705,6 +708,20 @@ class TestChartFromConfiguration:
         assert abs(math.remainder(kappa - lon, 2 * math.pi)) <= 4e-15
         assert abs(math.remainder(angle - ang, 2 * math.pi)) <= 4e-15
 
+    @pytest.mark.parametrize("charts, digest", [
+        (lambda: [chart_record().coords], "9e8d7e1240ee86fc"),
+        # 64 six-line charts, each drawing its latitudes, then its longitudes, then its angles
+        (lambda: np.random.default_rng(53).uniform([[-1.5], [-10.0], [-10.0]], [[1.5], [10.0], [10.0]],
+                                                   (64, 3, 6)).transpose(0, 2, 1), "57c4865ff8073a9d"),
+    ], ids=["record", "64-wide-charts"])
+    def test_charts_pinned(self, charts, digest):
+        # the first 16 hex digits of the sha256 of the charts' re-charted coordinates, read from
+        # each chart's frame table and from the table of its lines document read back
+        configs = [FreeConfig(chart) for chart in charts()]
+        for route in (configs, [config_from_dict(lines_document(c)) for c in configs]):
+            coords = b"".join(chart_from_configuration(c).coords.tobytes() for c in route)
+            assert hashlib.sha256(coords).hexdigest()[:16] == digest
+
 
 class TestLongitudeReduction:
     def test_chart_from_configuration_wraps_to_zero(self):
@@ -743,9 +760,10 @@ class TestConfigurationTable:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(FRAME_ROW, min_size=2, max_size=8), st.tuples(*[st.sampled_from([0.0, -0.0])] * 3))
     def test_table_has_the_float_unpacking_bits(self, rows, zeros):
-        # chart lines are views of their chart's table; a built line holds its own arrays, its
-        # signed zeros kept
-        lines = (*FreeConfig(rows), TangentLine((1.0, *zeros[:2]), (zeros[2], 1.0, 0.0)))
+        # lines wrapping a chart's rows are views of its table; a built line holds its own
+        # arrays, its signed zeros kept
+        lines = (*map(TangentLine._checked, FreeConfig(rows).table),
+                 TangentLine((1.0, *zeros[:2]), (zeros[2], 1.0, 0.0)))
         got, want = Configuration(lines).table, ref_lines_table(lines)
         assert (got.tobytes(), got.shape, got.strides) == (want.tobytes(), want.shape, want.strides)
         assert got.dtype == want.dtype and not got.flags.writeable
@@ -769,14 +787,14 @@ class TestFreeConfig:
         for got, want in zip((c.coords, c.table, c.dsq), ref_chart(rows)):
             assert (got.tobytes(), got.shape, got.strides) == (want.tobytes(), want.shape, want.strides)
             assert got.dtype == want.dtype and not (got.flags.writeable or want.flags.writeable)
-        assert isinstance(c, Configuration) and len(c) == len(rows)
+        assert isinstance(c, Configuration) and len(c.table) == len(rows)
 
     def test_frames_once_at_construction(self, monkeypatch):
         framed, real = [], lines_module._frame_table
         monkeypatch.setattr(lines_module, "_frame_table", lambda chart: framed.append(chart) or real(chart))
         c = FreeConfig([(0.3, 1.0, 0.5), (-0.2, 2.0, 1.0), (0.1, 4.0, -0.7)])
         assert len(framed) == 1
-        min_pairwise_distance(c), list(c), c.dsq, c[2]
+        min_pairwise_distance(c), c.dsq, c.table[2]
         assert len(framed) == 1
 
 
@@ -793,7 +811,7 @@ class TestConfigurationDsq:
         pairs = _pairs(len(rows))
         assert len(pairs) == len(c.dsq)
         for k, (i, j) in enumerate(pairs):
-            assert c.dsq[k].hex() == distance_sq(c[i], c[j]).hex()
+            assert c.dsq[k].hex() == distance_sq(table_line(c, i), table_line(c, j)).hex()
 
     @settings(deadline=None)
     @given(ROWS, st.booleans())
@@ -802,7 +820,7 @@ class TestConfigurationDsq:
         # once and frozen, whether the configuration was charted or given bare lines
         c = FreeConfig(rows)
         if from_lines:
-            c = Configuration(tuple(c))
+            c = Configuration(tuple(map(TangentLine._checked, c.table)))
         out = batched_dsq(c.table[:, :3], c.table[:, 3:])
         assert c.dsq is c.dsq
         assert c.dsq.tobytes() == out.tobytes()
@@ -821,8 +839,9 @@ class TestConfigurationDsq:
         batch = batched_dsq(tables[..., :3], tables[..., 3:])
         for c, want in zip(configs, batch):
             assert c.dsq.tobytes() == want.tobytes()
-            pairs = zip(*np.triu_indices(len(c), 1))
-            assert np.array([distance_sq(c[i], c[j]) for i, j in pairs]).tobytes() == want.tobytes()
+            pairs = zip(*np.triu_indices(len(c.table), 1))
+            got = [distance_sq(table_line(c, i), table_line(c, j)) for i, j in pairs]
+            assert np.array(got).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- one frame table, one pair kernel
@@ -891,7 +910,7 @@ class TestStackedKernelOracle:
         assert c.dsq.tobytes() == want.tobytes()
         assert batched_dsq(c.table[:, :3], c.table[:, 3:]).tobytes() == want.tobytes()
         for (i, j), k in pair_index(n).items():
-            assert np.float64(distance_sq(c[i], c[j])).tobytes() == want[k].tobytes()
+            assert np.float64(distance_sq(table_line(c, i), table_line(c, j))).tobytes() == want[k].tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(2, 8), st.sampled_from([1, 2, _BLOCK]), st.integers(0, 2**32 - 1),
@@ -937,19 +956,17 @@ class TestCachedAttributes:
 
     def test_each_is_computed_once_per_instance(self, monkeypatch):
         calls = Counter()
-        kernel, checked = lines_module._pair_kernel, TangentLine._checked.__func__
+        kernel = lines_module._pair_kernel
         monkeypatch.setattr(lines_module, "_pair_kernel",
                             lambda *args: calls.update(["kernel"]) or kernel(*args))
-        monkeypatch.setattr(TangentLine, "_checked", classmethod(
-            lambda cls, row: calls.update(["line"]) or checked(cls, row)))
         c = FreeConfig(self.CHART)
         for _ in range(3):
-            dsq, made = c.dsq, c.lines
+            dsq = c.dsq
             min_pairwise_distance(c)
-        assert calls == {"kernel": 1, "line": 3}
-        assert vars(c)["dsq"] is dsq and vars(c)["lines"] is made
+        assert calls == {"kernel": 1}
+        assert vars(c)["dsq"] is dsq
         d = FreeConfig(self.CHART)  # a second instance computes its own
-        assert d.dsq is not dsq and d.lines is not made and calls == {"kernel": 2, "line": 6}
+        assert d.dsq is not dsq and calls == {"kernel": 2}
 
     def test_dsq_stays_read_only(self):
         c = FreeConfig(self.CHART)
@@ -961,24 +978,9 @@ class TestCachedAttributes:
 
     def test_class_access_returns_the_descriptor(self):
         assert isinstance(Configuration.dsq, lines_module._cached)
-        assert isinstance(Configuration.lines, lines_module._cached)
 
 
 class TestLazyLines:
-    @settings(deadline=None)
-    @given(ROWS)
-    def test_chart_configuration_makes_lines_on_first_read(self, rows):
-        c = FreeConfig(rows)
-        min_pairwise_distance(c)
-        assert len(c) == len(rows) and c.table.shape == (len(rows), 6)
-        assert "lines" not in vars(c)  # measured without a TangentLine
-        first = c[0]
-        assert c.lines is c.lines and first is c.lines[0] and list(c) == list(c.lines)
-        for k, line in enumerate(c):
-            assert isinstance(line, TangentLine)
-            assert same_bits(line.base, c.table[k, :3]) and same_bits(line.dir, c.table[k, 3:])
-            assert not (line.base.flags.writeable or line.dir.flags.writeable)
-
     def test_trajectory_point_makes_no_line(self, monkeypatch):
         made = []
         checked = TangentLine._checked.__func__
@@ -990,4 +992,3 @@ class TestLazyLines:
         triplets_generic(p)
         objective(chart_record())
         assert made == []
-        assert len(build_c6(p).lines) == 6 and len(made) == 6

@@ -30,7 +30,7 @@ from cylpack import acceptance, chart_c6, lines, objective, search, symmetric
 from cylpack.curve import build_curve_point
 from cylpack.symmetric import D3Params, build_c6, c6_chart, ring_chart
 from cylpack.unlocking import unlock_verdict
-from helpers import batched_dsq, same_line, traced_peak_mb
+from helpers import batched_dsq, same_line, table_line, traced_peak_mb
 
 RNG = np.random.default_rng(94)
 
@@ -108,8 +108,8 @@ class TestCharts:
         c = random_chart(RNG)
         again = chart_from_configuration(c)
         # longitudes come back reduced mod 2*pi, so compare the built lines
-        for a, b in zip(again, c):
-            assert same_line(a, b, tol=1e-12)
+        for k in range(len(c.table)):
+            assert same_line(table_line(again, k), table_line(c, k), tol=1e-12)
 
     def test_chart_c6_is_build_c6(self):
         # one configuration per D3Params, framed once, its chart the family's rows as given
@@ -118,7 +118,7 @@ class TestCharts:
         assert chart_c6(p).coords.tobytes() == np.array(c6_chart(p), dtype=float).tobytes()
 
     def test_pole_rejected(self):
-        lines = list(random_chart(RNG).lines)
+        lines = list(map(TangentLine._checked, random_chart(RNG).table))
         lines[0] = TangentLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="pole"):
             chart_from_configuration(Configuration(tuple(lines)))
@@ -141,7 +141,7 @@ class TestCharts:
         lines = FreeConfig(rows[keep])
         again = chart_from_configuration(lines)
         assert np.all(np.abs(again.coords[::3]) < math.pi / 2)
-        assert all(same_line(a, b, tol=4e-15) for a, b in zip(lines, again))
+        assert all(same_line(table_line(lines, k), table_line(again, k), tol=4e-15) for k in range(sum(keep)))
         dirs = lines.table[:, 3:]
         i, j = np.triu_indices(len(dirs), 1)
         skew = (np.cross(dirs[i], dirs[j]) ** 2).sum(axis=1) >= 1e-6
@@ -191,7 +191,7 @@ class TestObjective:
         # a random rotation: the Q of a Gaussian 3x3's QR, its sign fixed so det = +1
         q, _ = np.linalg.qr(RNG.standard_normal((3, 3)))
         r = q if np.linalg.det(q) > 0 else -q
-        rotated = Configuration(tuple(TangentLine(r @ u.base, r @ u.dir) for u in c))
+        rotated = Configuration(tuple(TangentLine(r @ row[:3], r @ row[3:]) for row in c.table))
         assert math.isclose(
             min_pairwise_distance(rotated), objective(c), rel_tol=1e-10, abs_tol=1e-10
         )

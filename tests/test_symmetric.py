@@ -45,7 +45,7 @@ from cylpack.symmetric import (
     triplets_generic,
     triplets_trig,
 )
-from helpers import batched_dsq, lines_document, ref_c3_rows, ref_ring_chart, same_line
+from helpers import batched_dsq, lines_document, ref_c3_rows, ref_ring_chart, same_line, table_line
 
 RNG = np.random.default_rng(91)
 
@@ -70,9 +70,9 @@ class TestBuild:
                 math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6)
         # the chart's twelfths of a turn, m * 2pi / 12, keep these literals' bits
         assert tuple(row[1] for row in c6_chart(D3Params(0.0, 0.0, 0.0))) == lons
-        for line, lon in zip(c, lons):
-            assert np.allclose(line.base, [math.cos(lon), math.sin(lon), 0.0], atol=1e-15)
-            assert abs(abs(float(line.dir[2])) - 1.0) < 1e-15  # vertical
+        for row, lon in zip(c.table, lons):
+            assert np.allclose(row[:3], [math.cos(lon), math.sin(lon), 0.0], atol=1e-15)
+            assert abs(abs(float(row[5])) - 1.0) < 1e-15  # vertical
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_ring_layout(self, n):
@@ -103,9 +103,9 @@ class TestBuild:
         p = random_params(RNG)
         chart = c6_chart(p)
         c = build_c6(p)
-        for (lat, lon, ang), line in zip(chart, c):
+        for k, (lat, lon, ang) in enumerate(chart):
             rebuilt = make_tangent_line(SphericalPoint(lat, lon), ang)
-            assert same_line(line, rebuilt, tol=1e-14)
+            assert same_line(table_line(c, k), rebuilt, tol=1e-14)
 
     def test_upper_triple_meets_axis(self):
         # at kappa = delta = 0 the upper lines run along their meridians
@@ -113,12 +113,12 @@ class TestBuild:
         phi = 0.3
         c = build_c6(D3Params(phi, 0.0, 0.0))
         apex = np.array([0.0, 0.0, 1.0 / math.sin(phi)])
-        for i in range(3):
-            w = apex - c[i].base
-            w -= float(w @ c[i].dir) * c[i].dir
+        for base, direction in zip(c.table[:3, :3], c.table[:3, 3:]):
+            w = apex - base
+            w -= float(w @ direction) * direction
             assert float(w @ w) < 1e-24
         # consequently the upper pairwise distances vanish
-        assert distance_sq(c[0], c[1]) < 1e-16
+        assert distance_sq(table_line(c, 0), table_line(c, 1)) < 1e-16
 
     def test_latitude_range_enforced(self):
         with pytest.raises(ValueError, match=r"^phi must lie in \(-pi/2, pi/2\): 1\.5707963267948966$"):
@@ -141,9 +141,9 @@ def orbit_check_oracle(c, tol=1e-10):
     and compared with same_line, the rotations built by Rodrigues' formula."""
     rz = _axis_rotation([0.0, 0.0, 1.0], 2 * math.pi / 3)
     rx = _axis_rotation([1.0, 0.0, 0.0], math.pi)
-    images = [[TangentLine(r @ u.base, r @ u.dir) for u in c] for r in (rz, rx)]
-    rz_ok = all(same_line(u, c[j], tol) for u, j in zip(images[0], (1, 2, 0, 4, 5, 3)))
-    return rz_ok and all(same_line(u, c[j], tol) for u, j in zip(images[1], (5, 4, 3, 2, 1, 0)))
+    images = [[TangentLine(r @ row[:3], r @ row[3:]) for row in c.table] for r in (rz, rx)]
+    rz_ok = all(same_line(u, table_line(c, j), tol) for u, j in zip(images[0], (1, 2, 0, 4, 5, 3)))
+    return rz_ok and all(same_line(u, table_line(c, j), tol) for u, j in zip(images[1], (5, 4, 3, 2, 1, 0)))
 
 
 FAMILY = st.builds(D3Params, st.floats(-1.5, 1.5), st.floats(-math.pi, math.pi),
@@ -180,16 +180,16 @@ class TestOrbitCheckOracle:
         # maps the line set onto itself, but it takes the first line, now B, to E, not to F
         c = build_c6(D3Params(0.3, 0.2, -0.1))
         assert orbit_check_oracle(c)
-        assert not orbit_check_oracle(Configuration((c[1], c[2], c[0], *c[3:])))
+        assert not orbit_check_oracle(Configuration(tuple(table_line(c, k) for k in (1, 2, 0, 3, 4, 5))))
 
     @pytest.mark.parametrize("p", [RECORD, D3Params(0.3, 0.2, -0.1), D3Params(-1.2, 2.5, 4.0)])
     def test_exactly_six_orders_pass(self, p):
         # the six distinct lines in order s keep the symmetry exactly when s commutes with both
         # generators' actions on the labels, Rz's (1, 2, 0, 4, 5, 3) and Rx's (5, 4, 3, 2, 1, 0):
         # the centralizer of the group's regular action, six of the 720 orders
-        lines = build_c6(p).lines
+        c = build_c6(p)
         orders = list(itertools.permutations(range(6)))
-        passing = [s for s in orders if orbit_check_oracle(Configuration(tuple(lines[i] for i in s)))]
+        passing = [s for s in orders if orbit_check_oracle(Configuration(tuple(table_line(c, i) for i in s)))]
         generators = ((1, 2, 0, 4, 5, 3), (5, 4, 3, 2, 1, 0))
         commuting = [s for s in orders if all(g[s[i]] == s[g[i]] for g in generators for i in range(6))]
         assert passing == commuting
@@ -201,7 +201,7 @@ class TestOrbitCheckOracle:
         # the reflection through x = 0 reverses Rz's sense and commutes with Rx, so the
         # mirrored lines keep the symmetry in the order (A, C, B, E, D, F) and lose it in their own
         m = np.diag([-1.0, 1.0, 1.0])
-        mirrored = [TangentLine(m @ u.base, m @ u.dir) for u in build_c6(p)]
+        mirrored = [TangentLine(m @ row[:3], m @ row[3:]) for row in build_c6(p).table]
         assert not orbit_check_oracle(Configuration(tuple(mirrored)))
         assert orbit_check_oracle(Configuration(tuple(mirrored[i] for i in (0, 2, 1, 4, 3, 5))))
 
@@ -239,7 +239,7 @@ class TestOrbits:
 
     def test_record_multiset(self):
         c = build_c6(RECORD)
-        values = [distance_sq(c[i], c[j]) for i in range(6) for j in range(i + 1, 6)]
+        values = [distance_sq(table_line(c, i), table_line(c, j)) for i in range(6) for j in range(i + 1, 6)]
         near_f = sum(1 for v in values if abs(v - F_M) < 1e-9)
         near_ae = sum(1 for v in values if abs(v - DAE_M) < 1e-9)
         assert near_f == 12
@@ -542,7 +542,7 @@ def test_census_of_the_family_finds_only_the_record():
     triple).  Every grid point with d^2 > 0.5 at least its 26 neighbours, periodic in delta and
     kappa, is refined by scipy's SLSQP on max t subject to d^2_k >= t, and each lands within 1e-9
     of sqrt(12/11).  A maximum whose basin holds no grid maximum is not seen."""
-    minimize = pytest.importorskip("scipy.optimize").minimize
+    from scipy.optimize import minimize
     n = 60
     phis = (-math.pi / 2 + (np.arange(n) + 0.5) * math.pi / n).tolist()
     deltas = ((np.arange(n) + 0.5) * math.pi / n).tolist()

@@ -21,7 +21,7 @@ from cylpack.unlocking import (
     taylor_coeffs_numeric,
     unlock_verdict,
 )
-from helpers import same_line
+from helpers import same_line, table_line
 
 RNG = np.random.default_rng(93)
 
@@ -68,9 +68,9 @@ class TestDistsGeneral:
                 continue
             c = build_c3(g)
             generic = (
-                distance_sq(c[0], c[1]),
-                distance_sq(c[0], c[2]),
-                distance_sq(c[1], c[2]),
+                distance_sq(table_line(c, 0), table_line(c, 1)),
+                distance_sq(table_line(c, 0), table_line(c, 2)),
+                distance_sq(table_line(c, 1), table_line(c, 2)),
             )
             for closed, ref in zip(dists_general(g), generic):
                 assert math.isclose(closed, ref, rel_tol=1e-9, abs_tol=1e-10)
@@ -91,8 +91,8 @@ class TestDistsGeneral:
         phi, delta, kappa = 0.4, 0.3, -0.2
         c3 = build_c3(GeneralParams(math.pi / 3, phi, delta, kappa))
         c6 = build_c6(D3Params(phi, delta, kappa))
-        for line3, line6 in zip(c3, (c6[0], c6[1], c6[3])):
-            assert same_line(line3, line6, tol=1e-14)
+        for k3, k6 in enumerate((0, 1, 3)):
+            assert same_line(table_line(c3, k3), table_line(c6, k6), tol=1e-14)
 
 
 class TestSeries:
@@ -256,11 +256,11 @@ class TestAltStrategy:
         for alpha, phi1, delta1 in ((1.1, 0.8, 0.6), (0.7, 1.0, 1.0), (2.2, 0.5, -0.9)):
             def dad(t):
                 # A as in build_c3, D with its tangent tilted by +delta instead of -delta
-                a, d = FreeConfig((
+                c = FreeConfig((
                     (phi1 * t, alpha / 2, -delta1 * t),
                     (-phi1 * t, 3 * alpha / 2, delta1 * t),
                 ))
-                return distance_sq(a, d)
+                return distance_sq(table_line(c, 0), table_line(c, 1))
 
             h = 1e-3
             v1 = 0.5 * (dad(h) + dad(-h))
@@ -283,10 +283,10 @@ class TestFourCylinders:
             for v in sample.dists_sq:
                 assert abs(v - 2.0) < 1e-10
             c = build_c3(sample.params)
-            assert abs(distance_sq(c[0], c[2]) - 2.0) < 1e-10
-            assert abs(distance_sq(c[1], c[2]) - 2.0) < 1e-10
+            assert abs(distance_sq(table_line(c, 0), table_line(c, 2)) - 2.0) < 1e-10
+            assert abs(distance_sq(table_line(c, 1), table_line(c, 2)) - 2.0) < 1e-10
             if T > 0:
-                assert abs(distance_sq(c[0], c[1]) - 2.0) < 1e-10
+                assert abs(distance_sq(table_line(c, 0), table_line(c, 1)) - 2.0) < 1e-10
 
     def test_t_zero_limit_versus_parallel_pair(self):
         # the T = 0 sample reports the trajectory limit 2 for d_AB^2,
@@ -296,7 +296,7 @@ class TestFourCylinders:
         assert sample.dists_sq == (2.0, 2.0, 2.0)
         assert math.isclose(sample.U, -1.0, rel_tol=1e-15)
         c = build_c3(sample.params)
-        assert math.isclose(distance_sq(c[0], c[1]), 4.0, rel_tol=1e-12)
+        assert math.isclose(distance_sq(table_line(c, 0), table_line(c, 1)), 4.0, rel_tol=1e-12)
 
     def test_counter_rotation_root(self):
         sample = four_cyl_point(1.0)
@@ -316,8 +316,8 @@ class TestFourCylinders:
         for mirror, (kept, other) in ((False, (1, 0)), (True, (0, 1))):
             s = four_cyl_point(T, mirror=mirror)
             c = build_c3(s.params)
-            assert s.parallel_residual == 1.0 - abs(float(c[kept].dir @ c[2].dir)) < 1e-14
-            assert 1.0 - abs(float(c[other].dir @ c[2].dir)) > 1e-6
+            assert s.parallel_residual == 1.0 - abs(float(c.table[kept, 3:] @ c.table[2, 3:])) < 1e-14
+            assert 1.0 - abs(float(c.table[other, 3:] @ c.table[2, 3:])) > 1e-6
             for v in s.dists_sq:
                 assert abs(v - 2.0) < 1e-10
 
@@ -326,11 +326,11 @@ class TestFourCylinders:
     @example(0.0, False)
     @example(1e5, True)
     def test_residual_has_the_lines_bits(self, T, mirror):
-        # four_cyl_point reads the residual from its frame table, with the bits that the
-        # TangentLine objects of the same lines give
+        # four_cyl_point reads the residual from its frame table, with the bits of the dot
+        # products of the table's dir rows
         s = four_cyl_point(T, mirror)
         c = build_c3(s.params)
-        assert s.parallel_residual.hex() == min(1.0 - abs(float(c[k].dir @ c[2].dir)) for k in (0, 1)).hex()
+        assert s.parallel_residual.hex() == min(1.0 - abs(float(c.table[k, 3:] @ c.table[2, 3:])) for k in (0, 1)).hex()
 
     def test_kappa_perturbation_strictly_decreases(self):
         for T in np.linspace(0.0, 5.0, 25):
