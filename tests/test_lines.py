@@ -992,3 +992,5 @@ class TestLazyLines:
         triplets_generic(p)
         objective(chart_record())
         assert made == []
+        make_tangent_line(SphericalPoint(0.4, 0.3), 0.2)  # the patch sees a line that is made
+        assert len(made) == 1
