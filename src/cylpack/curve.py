@@ -10,8 +10,10 @@ planar constraint psi(s, t) = 0 in s = S^2, t = T^2, and that constraint
 factors so the curve is rational in the single parameter
 x = cos^2(phi) cos^2(delta).  The common squared distance along the
 curve is F(x) = 12x/(1 + 7x + 4x^2), maximized at x = 1/2 with value
-12/11, which yields the cylinder radius (3 + sqrt(33))/8.  build_curve_point
-builds a point once per x, so the record's readers share one build of it.
+12/11, which yields the cylinder radius (3 + sqrt(33))/8.  _angles_of_x
+states the map x -> (t, s, tan kappa) once, read in floats by gamma_point
+and in Fractions by pure_geodetic_check.  build_curve_point builds a
+point once per x, so the record's readers share one build of it.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ def f_of_x(x):
     return 12 * x / (1 + 7 * x + 4 * x * x)
 
 
+def _angles_of_x(x) -> tuple:
+    """(t, s, rise, run_sq) at x: t = tan^2(delta), s = sin^2(phi) and tan(kappa) = rise/sqrt(run_sq), where
+    rise = x - 1 keeps kappa +0.0 at x = 1.  Exact for Fractions."""
+    return t_of_x(x), 4 * ((1 - x) * x * (1 + x)) / (1 + 7 * x + 4 * x * x), x - 1, (1 + x) * (1 + 3 * x)
+
+
 @dataclass(frozen=True)
 class CurveSample:
     """One point of the trajectory.
@@ -149,15 +157,13 @@ def gamma_point(x) -> CurveSample:
     that can be sampled is [5.57e-309, 1]; smaller x raise ValueError.
     """
     xf = float(x)
-    t = t_of_x(xf)
+    t, s, rise, run_sq = _angles_of_x(xf)
     if t == math.inf:
         raise ValueError(
             f"trajectory parameter below the range [5.57e-309, 1] that can be sampled: {x!r}"
         )
-    T = math.sqrt(t)
-    S = 2.0 * math.sqrt((1.0 - xf) * xf * (1.0 + xf) / (1.0 + 7.0 * xf + 4.0 * xf * xf))
-    tan_kappa = (xf - 1.0) / math.sqrt((1.0 + xf) * (1.0 + 3.0 * xf))
-    kappa = math.atan(tan_kappa)
+    S, T = math.sqrt(s), math.sqrt(t)
+    kappa = math.atan(rise / math.sqrt(run_sq))
     coords = AlgCoords(S, T, math.tan(kappa - math.pi / 6), -math.tan(kappa + math.pi / 6))
     sample = CurveSample(xf, D3Params(math.asin(S), math.atan(T), kappa), coords, float(f_of_x(xf)))
     _check_sample(sample)
@@ -221,27 +227,20 @@ def record() -> dict:
 
 
 def pure_geodetic_check(x) -> dict:
-    """Exact-rational squared sines of the trajectory angles at rational x.
-
-    sin^2(phi) = s, sin^2(delta) = t/(1+t) and sin^2(kappa) derived from
-    tan^2(kappa) = (1-x)^2/((1+x)(1+3x)) are all rational whenever x is,
-    which is the sense in which trajectory configurations at rational x
-    are exactly constructible.  Floats are rejected: pass a Fraction (or
-    int, or a string like '1/2').
-    """
+    """Exact-rational squared sines of the trajectory angles at rational x, read from _angles_of_x: sin^2(phi),
+    sin^2(delta) = t/(1+t) and sin^2(kappa) = tan^2/(1 + tan^2) are rational whenever x is, the sense in which
+    trajectory configurations at rational x are exactly constructible.  Floats are rejected: pass a Fraction
+    (or int, or a string like '1/2')."""
     from fractions import Fraction  # imported on use, to keep it out of the package import
 
     if isinstance(x, float):
         raise TypeError("pass an exact rational, not a float")
     x = Fraction(x)
-    _check_x(x)
-    t = t_of_x(x)
-    s = 1 - x * (t + 1)
-    tan_sq_kappa = (1 - x) ** 2 / ((1 + x) * (1 + 3 * x))
+    t, s, rise, run_sq = _angles_of_x(x)
     return {
         "x": x,
         "sin_sq_phi": s,
         "sin_sq_delta": t / (1 + t),
-        "sin_sq_kappa": tan_sq_kappa / (1 + tan_sq_kappa),
+        "sin_sq_kappa": rise * rise / (rise * rise + run_sq),
         "f": f_of_x(x),
     }

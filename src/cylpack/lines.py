@@ -406,11 +406,9 @@ def chart_from_configuration(c: Configuration) -> FreeConfig:
 
 
 def radius_from_distance(d: float) -> float:
-    """Largest common cylinder radius for lines at pairwise distance d.
-
-    Two unit-ball-tangent cylinders of radius r have axis distance
-    (1+r) d and surfaces touching when (1+r) d = 2r, so r = d/(2-d).
-    """
+    """Largest common cylinder radius for lines at pairwise distance d: r = d/(2-d), since two unit-ball-tangent
+    cylinders of radius r have axis distance (1+r) d and touch when (1+r) d = 2r.  For a subnormal d, 2 - d rounds
+    to 2 and r is d/2 rounded half to even, so radius_from_distance(5e-324) is 0.0."""
     if not d >= 0:
         raise ValueError(f"invalid distance: {d!r}")
     if d >= 2:

@@ -854,10 +854,12 @@ class TestDocumentNumbers:
 # reported kappa2's half-width in place of its window's ends; the export-scene ones
 # of a pole line and of curve:0.3 before scene_obj meshed the configuration's table rows; the lines-document probe and optimize --from ones before
 # a chart became a Configuration; eval of a -0.0 angle since it kept the zero's sign; every eval
-# one since it dropped d3_symmetric, which read true on every configuration eval builds);
+# one since it dropped d3_symmetric, which read true on every configuration eval builds; eval --x 1
+# before gamma_point read its angles from curve._angles_of_x, whose rise x - 1 keeps kappa +0.0 there);
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
     (["eval", "--x", "0.5"], "96e11da6607d533eb03c23da615532cae81237c327e26e1e2e5a993d33aba16b"),
+    (["eval", "--x", "1"], "802fbf53fcbaf842170dacb850f5b9674fa24cd2b3c61265c47342a9b464f0f7"),
     (["eval", "--x", "0.25"], "75d88767d6be9134bdd936e0a37fb7d3d88dd053e0c17e443dee6eb8c6c4cfe8"),
     (["eval", "--phi", "0.3", "--delta", "0.2", "--kappa", "-0.4"],
      "c6886e12b418a8f973061d83667d46034967bd18916f5b7305979ff162aaa481"),

@@ -1,9 +1,11 @@
 """Equal-distance trajectory: constraints, rational parametrization, record."""
 
 import ast
+import hashlib
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -190,6 +192,31 @@ class TestGammaPoint:
         assert g.f_value == 1.0
         zeros = (a.S * a.S, a.T * a.T, a.S, a.T, g.params.phi, g.params.delta, g.params.kappa)
         assert all(math.copysign(1.0, z) == 1.0 for z in zeros)
+
+    def test_samples_pinned(self):
+        # the first 16 hex digits of the sha256 of every sample's nine floats, read before sin^2(phi) and
+        # tan(kappa) moved into curve._angles_of_x: x = 1, the record, the least x that can be sampled, x at
+        # and near the least normal float, 20000 uniform and 20000 log-uniform draws
+        rng = np.random.default_rng(54)
+        xs = [1.0, 0.5, 0.25, 5.57e-309, 1e-308, 2.2250738585072014e-308, 1e-300, 1e-30, 1e-13,
+              *rng.uniform(0, 1, 20000), *10 ** rng.uniform(-308, 0, 20000)]
+        digest, n = hashlib.sha256(), 0
+        for x in (float(x) for x in xs if x > 0):
+            g = gamma_point(x)
+            p, a = g.params, g.coords
+            digest.update(struct.pack("<9d", x, p.phi, p.delta, p.kappa, a.S, a.T, a.U, a.Ubar, g.f_value))
+            n += 1
+        assert (n, digest.hexdigest()[:16]) == (40009, "b0fb55f9f3b7943b")
+
+    def test_both_samples_read_the_one_map(self, monkeypatch):
+        # gamma_point and pure_geodetic_check take their angles from curve._angles_of_x, not a copy
+        calls = []
+        angles = curve._angles_of_x
+        monkeypatch.setattr(curve, "_angles_of_x", lambda x: calls.append(x) or angles(x))
+        gamma_point(0.5)
+        pure_geodetic_check(Fraction(1, 2))
+        assert calls == [0.5, Fraction(1, 2)]
+        assert type(calls[1]) is Fraction
 
     def test_branch_signs(self):
         for x in (0.2, 0.5, 0.9):
@@ -432,6 +459,15 @@ class TestPureGeodetic:
     def test_domain(self):
         with pytest.raises(ValueError):
             pure_geodetic_check(Fraction(3, 2))
+
+    def test_exact_angles_pinned(self):
+        # the first 16 hex digits of the sha256 of every report at x = p/q, q <= 59, read before
+        # sin^2(phi) and sin^2(kappa) moved into curve._angles_of_x
+        digest = hashlib.sha256()
+        for q in range(1, 60):
+            for p in range(1, q + 1):
+                digest.update(repr(sorted(pure_geodetic_check(Fraction(p, q)).items())).encode())
+        assert digest.hexdigest()[:16] == "24ed74424bb14ade"
 
     @given(st.integers(1, 10**12).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))))
     @example((1, 10**12))

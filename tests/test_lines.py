@@ -287,6 +287,12 @@ class TestRadius:
         r = radius_from_distance(d)
         assert abs(2.0 * r / (1.0 + r) - d) <= max(1e-15 * d, math.ulp(0.0))
 
+    def test_subnormal_distance_halves_to_even(self):
+        # 2 - d rounds to 2 below the least normal float, so r is d/2 rounded half to even, as documented
+        assert radius_from_distance(5e-324) == 0.0
+        assert radius_from_distance(1e-323) == 5e-324
+        assert radius_from_distance(1.5e-323) == 1e-323
+
     @given(st.floats(0.0, 2.0, exclude_max=True), st.floats(0.0, 2.0, exclude_max=True))
     @example(0.0, 5e-324)
     @example(math.nextafter(2.0, 0.0), math.nextafter(math.nextafter(2.0, 0.0), 0.0))
