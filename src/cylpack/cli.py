@@ -75,10 +75,10 @@ def _emit(lines) -> None:
     sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
-# serialize (and json) load only where a command writes JSON or CSV: text report-all needs neither
+# json and serialize load only where a command writes JSON or CSV: text report-all needs neither
 def _emit_json(doc: dict) -> None:
-    from .serialize import json_dumps
-    _emit([json_dumps(doc)])
+    import json
+    _emit([json.dumps(doc, allow_nan=False)])
 
 
 def _emit_csv(header: str, rows) -> None:

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .lines import Configuration, _count, _positive_finite, min_pairwise_distance
-from .serialize import CSV_SIG, fmt_float
+from .serialize import fmt_float
 
 MAX_SEGMENTS = 1024  # a sphere of about 0.5M vertices
 
@@ -41,7 +41,7 @@ def _sizes(radius, cyl_length) -> None:
 
 def _vertex(x: float, y: float, z: float) -> str:
     """The OBJ vertex record of a point, each coordinate to CSV_SIG digits."""
-    return f"v {fmt_float(x, CSV_SIG)} {fmt_float(y, CSV_SIG)} {fmt_float(z, CSV_SIG)}\n"
+    return f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}\n"
 
 
 def _sphere_records(segments: int) -> Iterator[str]:

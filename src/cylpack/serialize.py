@@ -1,53 +1,32 @@
-"""Deterministic text of builtin values, and the reader of every document's numbers.
-
-JSON floats get 17 significant digits, which parse back to the same double, and
--0.0 is written ``-0.0``, since ``json.loads`` reads ``-0`` as the int 0; CSV and OBJ
-numbers get 12.
+"""The CSV and OBJ text of numbers, each to 12 significant digits, and the reader of every
+document's numbers.  JSON is written by :func:`json.dumps`, whose floats read back as the
+same doubles, -0.0 included.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import suppress
 from typing import Any, Iterable
 
 from .lines import Configuration, FreeConfig, TangentLine
 
-JSON_SIG = 17
 CSV_SIG = 12
 
 
-def fmt_float(value: float, sig: int = JSON_SIG) -> str:
-    """Format the number ``value`` (not a bool) with ``sig`` significant digits as a JSON number."""
+def fmt_float(value: float) -> str:
+    """Format the finite number ``value`` (not a bool) to CSV_SIG significant digits, as CSV and
+    OBJ records write it."""
     if isinstance(value, bool):
         raise TypeError("format booleans explicitly before output")
     if not math.isfinite(value):
         raise ValueError("cannot format a non-finite value")
-    return f"{value:.{sig}g}"
-
-
-def json_dumps(obj: Any) -> str:
-    """Serialize nested dicts, lists and tuples of str, int, float, bool and None.
-
-    Floats get exactly JSON_SIG significant digits, so repeated runs write identical
-    bytes, and -0.0 keeps its sign; other values go to :func:`json.dumps`, which refuses
-    every other type.
-    """
-    if isinstance(obj, float):
-        return "-0.0" if obj == 0.0 and math.copysign(1.0, obj) < 0.0 else fmt_float(obj)
-    if isinstance(obj, dict):
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("JSON object keys must be strings")
-        return "{" + ", ".join(f"{json.dumps(k)}: {json_dumps(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(map(json_dumps, obj)) + "]"
-    return json.dumps(obj)
+    return f"{value:.{CSV_SIG}g}"
 
 
 def csv_line(values: Iterable[float]) -> str:
     """Join numbers into one CSV row (no trailing newline), each to CSV_SIG digits."""
-    return ",".join(fmt_float(value, CSV_SIG) for value in values)
+    return ",".join(fmt_float(value) for value in values)
 
 
 def _numbers(data: Any, name: str, count: int | None = None) -> list[float]:

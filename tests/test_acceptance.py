@@ -505,7 +505,8 @@ def _refuse(constant):
 
 
 def test_json_report_writes_a_nan_measurement_as_null(monkeypatch, capsys):
-    # json_dumps refuses NaN, so this report exited 2 where it must fail its check with exit 3
+    # cli._emit_json refuses NaN, so a NaN measurement must reach it as null for the report to fail its
+    # check with exit 3, not stop with exit 2
     _plant(monkeypatch, {20: {"d": math.nan}})
     assert cli.main(["report-all", "--json"]) == 3
     doc = json.loads(capsys.readouterr().out, parse_constant=_refuse)

@@ -23,12 +23,12 @@ import cylpack
 from cylpack import chart_c6, cli, objective, unlocking
 from cylpack.acceptance import run_checks
 from cylpack.cli import CURVE_HEADER, FOUR_CYL_HEADER, build_parser, main
-from cylpack.curve import f_of_x
+from cylpack.curve import build_curve_point, f_of_x, record
 from cylpack.lines import FreeConfig, chart_from_configuration, min_pairwise_distance, radius_from_distance
 from cylpack.scene import scene_obj
-from cylpack.search import chart_record, local_maximize, multi_start
+from cylpack.search import _PROBE_RUN, chart_record, local_maximize, multi_start, perturbation_probe
 from cylpack.symmetric import D3Params, build_c6, triplets_generic
-from cylpack.serialize import _numbers, config_from_dict, json_dumps
+from cylpack.serialize import _numbers, config_from_dict
 
 from helpers import lines_document
 
@@ -481,7 +481,7 @@ class TestExportScene:
         # probe their chart, each bit for bit
         with tempfile.TemporaryDirectory() as tmp:
             doc_path, out_path = Path(tmp) / "lines.json", Path(tmp) / "scene.obj"
-            doc_path.write_text(json_dumps(lines_document(FreeConfig(rows))))
+            doc_path.write_text(json.dumps(lines_document(FreeConfig(rows))))
             config = config_from_dict(json.loads(doc_path.read_text()))
             source = f"file:{doc_path}"
             with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -611,6 +611,13 @@ class TestReportAll:
         assert run.returncode == 0 and run.stdout.endswith("\n13/13 checks passed\n")
         assert {"cylpack.acceptance", "numpy"} <= imported
         assert not {"json", "cylpack.scene", "cylpack.serialize"} & imported
+
+    def test_json_report_loads_only_json(self):
+        # json.dumps writes the report, so serialize, which writes CSV and reads documents, stays out
+        run, imported = cold_imports("report-all", "--json")
+        assert run.returncode == 0 and json.loads(run.stdout)["all_passed"] is True
+        assert "json" in imported
+        assert not {"cylpack.scene", "cylpack.serialize"} & imported
 
     def test_injected_error_fails(self, capsys):
         rc, out = run(capsys, "report-all", "--inject-record-error")
@@ -856,50 +863,51 @@ class TestDocumentNumbers:
 # a chart became a Configuration; eval of a -0.0 angle since it kept the zero's sign; every eval
 # one since it dropped d3_symmetric, which read true on every configuration eval builds; eval --x 1
 # before gamma_point read its angles from curve._angles_of_x, whose rise x - 1 keeps kappa +0.0 there);
+# every JSON one since JSON is written by json.dumps, whose floats read back as floats with their bits;
 # paths are relative, so no digest depends on where the tests run
 GOLDEN = [
-    (["eval", "--x", "0.5"], "96e11da6607d533eb03c23da615532cae81237c327e26e1e2e5a993d33aba16b"),
-    (["eval", "--x", "1"], "802fbf53fcbaf842170dacb850f5b9674fa24cd2b3c61265c47342a9b464f0f7"),
-    (["eval", "--x", "0.25"], "75d88767d6be9134bdd936e0a37fb7d3d88dd053e0c17e443dee6eb8c6c4cfe8"),
+    (["eval", "--x", "0.5"], "0e8a429fc3deeddf216535651b14d29e3e964db9d4f7908d74bdd2688ca7752e"),
+    (["eval", "--x", "1"], "3841f7fdfa042def4e8edaf702a38b3c81a38698ff64320a44e169ec2213fc1b"),
+    (["eval", "--x", "0.25"], "43fcce41b5275253d7fd476bf975499e4d7d7674bad440d3f78c658539be1e53"),
     (["eval", "--phi", "0.3", "--delta", "0.2", "--kappa", "-0.4"],
-     "c6886e12b418a8f973061d83667d46034967bd18916f5b7305979ff162aaa481"),
+     "d4857536d325cb17da688ba38e3d5406ed9819ac04b9ae85e85d9efdb0d03968"),
     (["eval", "--phi", "10", "--degrees"],
-     "b4fe2c8a9cf5c210c1ab6f5e067ecc9ed6a134d3fe3c4e593cad7c9c9a620122"),
+     "8b7cd3a95e228b74caf8ae180f9a628d754c726e4e486b9b4880c1dfbb0c719e"),
     (["eval", "--phi", "-0.0", "--delta", "0.3", "--kappa", "0.2"],
-     "72ede477d095ee50c16701f7532088198cb925dd70a07358f27300296e621f1b"),
+     "e9e7237f931decf50ca8e33c1491431ace4b1857fa690f67cd06cfb795efaa50"),
     (["curve", "--samples", "101"], "4839fdb5696fffec3d79b4846c74600e9c132730416a78e97bb3e9db463ffdcf"),
     (["curve", "--samples", "3"], "c237900d54cfc969c07c86eadf37bef10562b4437553faee5525eb38e4cda0ee"),
     (["curve", "--samples", "1"], "0e8bd072db05e6b28f11863ee13aa175a44367405a451ca4b80ebcba6293ab56"),
-    (["record"], "4c8c267b56f8a1af7008a464489973f54ec79d814eb250dba099e6183124ff3b"),
+    (["record"], "c94526aa25330029f814bb19ea3404f82226d70e08aac3bb1d7f651687552de8"),
     (["optimize", "--starts", "4", "--budget", "20000"],
-     "10853d75baefe14d5cb33a0aa0ea6edbd314f5c5129748fa3b65a243d2631b39"),
+     "59e9158458c8301ac26120a531a89f858c5013003c392c0aa7e3cbd78370ba96"),
     (["optimize", "--from", "c6", "--budget", "20000"],
-     "a7864ce5f415c8b72bd1369f8f31e4155b7e7161ef067f7b4b2ceed49466346e"),
+     "65ebaa7058f428be0b1cfc930a6d4c64f48e9f175c857c38f05c36c54f4aa7e4"),
     (["optimize", "--from", "file:record.json", "--budget", "20000"],
-     "cf4741c30ebfff88b49052d79c97a5fabcc7c8a33174be0ad2935c9960dde1ad"),
+     "ad28cb60248e22dd0696f5e8f1f272adb96490a38be1e1c19471bec52303aa79"),
     (["optimize", "--from", "file:lines.json", "--budget", "20000"],
-     "03d99a201e80be7a2ea0a23d01d0e724d14b90373f3ce5f30ea300d6a50a52e1"),
-    (["probe", "--at", "record"], "55d1d458c526418de7c292fed445adb7f6b19cac4b2eab52d1cf74c89a6e67df"),
-    (["probe", "--at", "curve:0.3"], "2fb1bee2c48ab3d136016f4c1a8889210d114570e98c2bce4c3c31c6041b6131"),
-    (["probe", "--at", "file:lines.json"], "658d86ad836f392f212d1ef7e6014ec9ea333d3fc76133363853f65396947a03"),
-    (["unlock-check", "--n", "3"], "c733768a410f0c185a115d19cd0f974baac09ea2ef789b93ea1fb44732e24392"),
-    (["unlock-check", "--n", "2"], "1788b3f6003b02166b7fcf34ecdf113a2b89a595e12224bfe315b2c4c86e7cfe"),
+     "1c606f3673df4ab3a402a25dbb14e4a79ff6c7506fb326a9a0ac35ac9a9187aa"),
+    (["probe", "--at", "record"], "58be749ce3a7fa8e11d9cd8a41f52c1b1dca22198f62ce582eb909adde1c02ea"),
+    (["probe", "--at", "curve:0.3"], "699e01b1b5fd547fab9a776dcd31721cc1acfc3d0614431b27e810c20ca312dc"),
+    (["probe", "--at", "file:lines.json"], "4e06e7fee7cfee94724c4790a4f3340617cab942b1d1a0e4e310410a920ec58e"),
+    (["unlock-check", "--n", "3"], "b1099959094545f174f83071620698638c874c8c6c86a9174414f22cbecc563a"),
+    (["unlock-check", "--n", "2"], "c46cfb481f64b108897bab5e2f01a64b129c5daafb092b14ceb0cf0194efbea2"),
     (["unlock-check", "--alpha", "1.6"],
-     "abf051699027b7369921d0a42e0420487187967249fe2853f43910b9c4a8cd0e"),
+     "549e869b4a0002be10e3619d92791508f903828d0b5c86526d26971683212481"),
     (["unlock-check", "--alpha", "40", "--degrees"],
-     "83708cd40b209c8c5e7fa3e75573d1adffa04cb9eeb35e87e630bc6acbf708d8"),
+     "d62001a32a86772ea6089339fff56388c4d3830b88823ec6523fe015fdbaf07a"),
     (["four-cyl"], "44033c16ccf5b0cd187342356033026d6cad0a54693b45ab5c9512e6c5e1d6b8"),
     (["four-cyl", "--mirror"], "1d165f0a210bb56098edaf7c3458a6de0725c303b79aa3c4e9ffb4d3ca42f520"),
     (["four-cyl", "--samples", "2"], "5f53758d0998af34a9c1a7153754e9c5c0c894219c6f5798206d56cbda5552f9"),
     (["four-cyl", "--samples", "7", "--t-max", "1e5", "--mirror"],
      "f4390c4cfa01f6d1073c762e0af262222cc6c25833a026d22bfd653b3482c04e"),
     (["export-scene", "--segments", "8", "--out", "scene.obj"],
-     "6fc5390c25a367af0a6b3ca88fe3bba787ac03f21c656d3f90c590a1c87dd451"),
+     "9aec634a5bc5a5c1bb948e8f3e8b221143e782849675d1bd90c8584b245561f0"),
     (["export-scene", "--at", "file:pole.json", "--segments", "8", "--out", "pole.obj"],
-     "ca1d87fb271633c337a4efc46716fe8d233764501ef99182076c6fc4ba9d15bd"),
+     "8e4192f9247ca6bc801f62daffd69af1bb91217b0a2b3efbc06a0113d3850d81"),
     (["export-scene", "--at", "curve:0.3", "--segments", "9", "--radius", "0.5", "--length", "2",
-      "--out", "curve.obj"], "3b84393005d27a0b3cc2152e51f6511fa9b0028d1e12713e2b874108e66c14f4"),
-    (["report-all", "--json"], "252568d8968b52f90a885fd4fcf8473f80132f66cba4b84249ca7f03f29e96f8"),
+      "--out", "curve.obj"], "00c00721ad7a5b3b1001c4539c3fb0e0235c7c272eb72cadf90fd8d1be1a8548"),
+    (["report-all", "--json"], "84d9b6b20aea3572fa48bf160de4fd25ea9e67748a4cb627ef6f1240225ebf9f"),
     (["report-all"], "29cd171a1344196d2810af01ccd678adf5a3ae1d4d3e773a55db1ef2ca7bf414"),
 ]
 SCENE_OBJ = "414d2a14bdcceab96b7edf99de472a3c45d5cda58a436e892620183991cce6eb"  # scene.obj's
@@ -910,12 +918,65 @@ OBJ_DIGESTS = {"scene.obj": SCENE_OBJ,
 
 
 def test_optimize_coords_read_back_bit_for_bit(capsys):
-    # the c6 chart's nine -0.0 coordinates were written "-0", which json.loads reads as the int 0
+    # the c6 chart's nine -0.0 coordinates read back as -0.0, not as the int 0 that "-0" reads as
     rc, out = run(capsys, "optimize", "--from", "c6", "--budget", "2000")
     coords = json.loads(out)["coords"]
     want = local_maximize(chart_c6(D3Params(0.0, 0.0, 0.0)), 2000).best.coords
     assert rc == 0 and np.array(coords, dtype=float).tobytes() == want.tobytes()
     assert sum(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in coords) == 9
+
+
+def _eval_doc(x: float) -> dict:
+    sample, config = build_curve_point(x)
+    p, trip, d = sample.params, triplets_generic(sample.params), min_pairwise_distance(config)
+    return {"params": {"phi": p.phi, "delta": p.delta, "kappa": p.kappa},
+            "distances_sq": {"dab": trip.dab_sq, "dad": trip.dad_sq, "dbd": trip.dbd_sq, "dae": trip.dae_sq},
+            "min_distance": d, "radius": radius_from_distance(d)}
+
+
+def _optimize_c6_doc(budget: int) -> dict:
+    result = local_maximize(chart_c6(D3Params(0.0, 0.0, 0.0)), budget)
+    return {"from": "c6", "budget": budget, "d_best": result.d_best, "r_best": result.r_best,
+            "evals": result.evals, "stop": result.stop, "trace": result.trace, "coords": result.best.coords.tolist()}
+
+
+def assert_reads_back(got, want, path="doc"):
+    """``got``, as json.loads read it, is ``want`` with every tuple a list: each float a float with
+    the same bits, -0.0 and integral floats included, each int an int and each bool a bool."""
+    if isinstance(want, dict):
+        assert type(got) is dict and list(got) == list(want), path
+        for key, value in want.items():
+            assert_reads_back(got[key], value, f"{path}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is list and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_reads_back(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float and got.hex() == float.hex(want), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+# JSON commands and the library's values for the same call; eval --x 1 has phi, delta and kappa 0.0,
+# unlock-check --n 3 phi1 1.0, the probe an exceed_fraction of 0.0 and the c6 chart nine -0.0s, floats
+# that must not read back as ints
+DOCUMENTS = [
+    (["eval", "--x", "1"], lambda: _eval_doc(1.0)),
+    (["unlock-check", "--n", "3"], lambda: {**unlocking.unlock_verdict(math.pi / 3),
+                                            "alternate_strategy": unlocking.alt_strategy_verdict(math.pi / 3)}),
+    (["probe", "--at", "record"],
+     lambda: {"at": "record", **perturbation_probe(chart_record(), _PROBE_RUN["radius"], _PROBE_RUN["trials"],
+                                                   _PROBE_RUN["rng_seed"])}),
+    (["optimize", "--from", "c6", "--budget", "2000"], lambda: _optimize_c6_doc(2000)),
+    (["record"], record),
+]
+
+
+@pytest.mark.parametrize("argv, want", DOCUMENTS, ids=[" ".join(argv) for argv, _ in DOCUMENTS])
+def test_json_reads_back_as_the_library_values(capsys, argv, want):
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    assert_reads_back(json.loads(out), want())
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])

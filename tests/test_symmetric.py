@@ -29,7 +29,7 @@ from cylpack.lines import (
     min_pairwise_distance,
     radius_from_distance,
 )
-from cylpack.serialize import config_from_dict, json_dumps
+from cylpack.serialize import config_from_dict
 from cylpack.symmetric import (
     AlgCoords,
     D3Params,
@@ -217,7 +217,7 @@ class TestOrbitCheckOracle:
     def test_lines_documents_pass(self, p):
         # a build written as a lines document and read back is the same lines, so as symmetric
         c = build_c6(p)
-        read = config_from_dict(json.loads(json_dumps(lines_document(c))))
+        read = config_from_dict(json.loads(json.dumps(lines_document(c))))
         assert np.array_equal(read.dsq, c.dsq)
         assert orbit_check_oracle(read)
 
